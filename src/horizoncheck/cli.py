@@ -80,7 +80,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     t_max: Optional[float] = None
     grid: tuple = (100, 100)
-    tol: float = 1e-6
     out: Optional[str] = None
     fmt: str = "csv"
     eps: float = 1e-6
@@ -451,7 +450,6 @@ def _add_common(parser):
     parser.add_argument("--t-max", type=float, default=None)
     parser.add_argument("--grid", type=str, default="100x100",
                         help="grid size as NKxNC (phase diagram)")
-    parser.add_argument("--tol", type=float, default=1e-6)
     parser.add_argument("--eps", type=float, default=1e-6)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
@@ -474,7 +472,7 @@ def _config_from_args(args) -> RunConfig:
     except ValueError as exc:
         raise ValueError(f"bad --grid {args.grid!r}, expected e.g. 100x100") from exc
     return RunConfig(example=args.example, params=params, t_max=args.t_max,
-                     grid=(nk, nc), tol=args.tol, out=args.out, fmt=args.fmt,
+                     grid=(nk, nc), out=args.out, fmt=args.fmt,
                      eps=args.eps, k_max=getattr(args, "k_max", None),
                      c_max=getattr(args, "c_max", None))
 

@@ -69,7 +69,9 @@ class Box:
         return self.lower.size
 
     def contains(self, y: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(y)) and np.all(y > self.lower) and np.all(y < self.upper))
+        # strict comparisons are False for NaN and at infinite bounds, so a
+        # non-finite component is never inside
+        return bool((y > self.lower).all() and (y < self.upper).all())
 
     def margins(self, y: np.ndarray) -> np.ndarray:
         """Per-component distance to the nearest face (negative once outside)."""
@@ -118,7 +120,7 @@ class IntegratorSettings:
 DEFAULT_SETTINGS = IntegratorSettings()
 
 # Dormand-Prince 5(4) tableau; row 7 equals the 5th-order weights (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     np.array([]),
     np.array([1 / 5]),
@@ -167,38 +169,51 @@ class Trajectory:
         pad = slack * max(1.0, abs(self.t_end - self.t0))
         return self.t0 - pad <= t <= self.t_end + pad
 
+    def _check_span(self, lo, hi):
+        t0, t_end = self.t0, self.t_end
+        span = max(abs(t_end - t0), 1.0)
+        if lo < t0 - 1e-9 * span or hi > t_end + 1e-9 * span:
+            raise ValueError(f"evaluation time outside trajectory span [{t0:.6g}, {t_end:.6g}]")
+
+    def _segments(self, tq):
+        """Index of the grid interval holding each (clipped) query time."""
+        return np.clip(np.searchsorted(self.time_grid, tq, side="right") - 1,
+                       0, len(self.time_grid) - 2)
+
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
+        if t_arr.ndim == 0:
+            return self._at(float(t_arr))
         tq = np.atleast_1d(t_arr)
-        span = max(abs(self.t_end - self.t0), 1.0)
-        if np.any(tq < self.t0 - 1e-9 * span) or np.any(tq > self.t_end + 1e-9 * span):
-            raise ValueError(
-                f"evaluation time outside trajectory span [{self.t0:.6g}, {self.t_end:.6g}]"
-            )
+        if tq.size:
+            self._check_span(tq.min(), tq.max())
         tq = np.clip(tq, self.t0, self.t_end)
+        idx = self._segments(tq)
+        ta = self.time_grid[idx]
+        h = self.time_grid[idx + 1] - ta
+        s = np.where(h > 0, (tq - ta) / np.where(h > 0, h, 1.0), 0.0)[:, None]
+        return _hermite_on_step(ta, self.states[idx], self.derivs[idx], h[:, None],
+                                self.states[idx + 1], self.derivs[idx + 1], s)
+
+    def _at(self, t: float) -> np.ndarray:
+        """Scalar evaluation: one Hermite segment in Python floats."""
+        self._check_span(t, t)
         grid = self.time_grid
-        idx = np.clip(np.searchsorted(grid, tq, side="right") - 1, 0, len(grid) - 2)
-        ta, tb = grid[idx], grid[idx + 1]
-        h = tb - ta
-        safe_h = np.where(h > 0, h, 1.0)
-        s = np.where(h > 0, (tq - ta) / safe_h, 0.0)[:, None]
-        ya, yb = self.states[idx], self.states[idx + 1]
-        fa, fb = self.derivs[idx], self.derivs[idx + 1]
-        hh = np.where(h > 0, h, 0.0)[:, None]
-        s2, s3 = s * s, s * s * s
-        out = ((2 * s3 - 3 * s2 + 1) * ya + (s3 - 2 * s2 + s) * hh * fa
-               + (-2 * s3 + 3 * s2) * yb + (s3 - s2) * hh * fb)
-        return out[0] if scalar else out
+        t = min(max(t, float(grid[0])), float(grid[-1]))
+        i = min(max(int(grid.searchsorted(t, side="right")) - 1, 0), grid.size - 2)
+        ta = float(grid[i])
+        h = float(grid[i + 1]) - ta
+        s = (t - ta) / h if h > 0 else 0.0
+        return _hermite_on_step(ta, self.states[i], self.derivs[i], h,
+                                self.states[i + 1], self.derivs[i + 1], s)
 
     def derivative(self, t):
         """Hermite-interpolant time derivative (used for residual checks)."""
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         tq = np.atleast_1d(np.clip(t_arr, self.t0, self.t_end))
-        grid = self.time_grid
-        idx = np.clip(np.searchsorted(grid, tq, side="right") - 1, 0, len(grid) - 2)
-        ta, tb = grid[idx], grid[idx + 1]
+        idx = self._segments(tq)
+        ta, tb = self.time_grid[idx], self.time_grid[idx + 1]
         h = tb - ta
         safe_h = np.where(h > 0, h, 1.0)
         s = np.where(h > 0, (tq - ta) / safe_h, 0.0)[:, None]
@@ -212,8 +227,11 @@ class Trajectory:
 
 
 def _hermite_on_step(t, y, f0, h, y_new, f_new, theta):
+    """Cubic Hermite at fraction ``theta`` of a step of width ``h`` from y to
+    y_new with end slopes f0, f_new.  Scalar or column-vector theta and h."""
     s = theta
-    s2, s3 = s * s, s ** 3
+    s2 = s * s
+    s3 = s2 * s
     return ((2 * s3 - 3 * s2 + 1) * y + (s3 - 2 * s2 + s) * h * f0
             + (-2 * s3 + 3 * s2) * y_new + (s3 - s2) * h * f_new)
 
@@ -230,8 +248,9 @@ def _initial_step(field, t0, y0, f0, direction, settings, span):
 
 
 def _error_norm(err, y, y_new, settings):
-    scale = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    """RMS of the error estimate relative to the mixed tolerance scale."""
+    r = err / (settings.abs_tol + settings.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+    return math.sqrt((r * r).sum() / r.size)
 
 
 def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
@@ -278,7 +297,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
         return np.atleast_1d(np.asarray(field(t, y), dtype=float))
 
     f0 = f_eval(t0, y0)
-    if not np.all(np.isfinite(f0)):
+    if not np.isfinite(f0).all():
         raise IntegrationError(f"field non-finite at initial point t={t0:g}")
     if domain is not None and not domain.contains(y0):
         raise ValueError("initial state outside the open domain")
@@ -313,34 +332,36 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
                 k3 = f_eval(t + h / 2, y + (h / 2) * k2)
                 k4 = f_eval(t + h, y + h * k3)
                 y_new = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                if not np.all(np.isfinite(y_new)):
+                if not np.isfinite(y_new).all():
                     raise IntegrationError(f"non-finite field value near t={t:g} (rk4_fixed)")
                 f_new = f_eval(t + h, y_new)
-                if not np.all(np.isfinite(f_new)):
+                if not np.isfinite(f_new).all():
                     raise IntegrationError(f"non-finite field value near t={t + h:g} (rk4_fixed)")
                 err_norm = 0.0
                 break
 
+            # stages are written straight into K, which converts them
             K = np.empty((7, y.size))
             K[0] = fy
-            bad = False
             for i in range(1, 7):
-                yi = y + h * (_DP_A[i] @ K[:i])
-                K[i] = f_eval(t + _DP_C[i] * h, yi)
-                if not np.all(np.isfinite(K[i])):
-                    bad = True
+                yi = y + h * np.dot(_DP_A[i], K[:i])
+                K[i] = field(t + _DP_C[i] * h, yi)
+                finite = np.isfinite(K[i]).all()
+                if not finite:
                     break
-            if bad:
+            # the last stage point is the 5th-order solution (FSAL); one that
+            # overflowed fails the step like a non-finite stage does
+            if not (finite and np.isfinite(yi).all()):
                 h *= 0.5
                 if h < h_floor:
                     ev = _boundary_stall(t, y, fy, domain, h_floor)
                     if ev is None:
-                        raise IntegrationError(f"step size underflow near t={t:g} (field blow-up)")
+                        raise IntegrationError(
+                            f"step size underflow near t={t:g} (field or solution blow-up)")
                     exit_event = ev
                     break
                 continue
-            y_new = y + h * (_DP_A[6] @ K[:6])
-            f_new = K[6]
+            y_new, f_new = yi, K[6]
             err_norm = _error_norm(h * (_DP_E @ K), y, y_new, settings)
             if not math.isfinite(err_norm):
                 h *= 0.5
@@ -399,8 +420,8 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
                 break
 
         ts.append(t_new)
-        ys.append(y_new.copy())
-        fs.append(f_new.copy())
+        ys.append(y_new)
+        fs.append(f_new.copy())  # a view of K would keep all seven stages alive
         t, y, fy = t_new, y_new, f_new
         if not fixed:
             grow = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))

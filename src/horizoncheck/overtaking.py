@@ -290,7 +290,9 @@ def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float,
     ts = np.linspace(a, b, n_quad)
     us = np.array([float(control.evaluate(float(t))[0]) for t in ts])
     integrand = np.sin(T - ts) * (us - 1.0)
-    return float(np.trapz(integrand, ts))
+    # trapezoid rule written out: np.trapz is gone from numpy 2.x and its
+    # successor np.trapezoid is missing before numpy 2.0
+    return float((np.diff(ts) * (integrand[1:] + integrand[:-1])).sum() / 2.0)
 
 
 def oscillator_delta_x1(control: ControlSignal, T: float) -> float:

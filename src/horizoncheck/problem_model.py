@@ -154,9 +154,7 @@ def hamiltonian(problem: ControlProblem, x, u, t: float, psi, lam: float) -> flo
     dynamics blow-up at the evaluation point (e.g. CRRA utility as c -> 0
     with theta > 1).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    x, u, psi = _vector(x), _vector(u), _vector(psi)
     with np.errstate(all="ignore"):
         value = lam * float(problem.payoff(x, u, t)) + float(psi @ problem.dynamics(x, u, t))
     if not np.isfinite(value):
@@ -171,11 +169,12 @@ def jacobians(problem: ControlProblem, x, u, t: float, h: float = FD_STEP_DEFAUL
     central differences with a per-component step max(h, h*|x_i|), shrinking
     the step when a probe point would leave the state domain.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x, u = _vector(x), _vector(u)
     n = problem.state_dim
     if problem.dynamics_jac_x is not None:
-        fx = np.atleast_2d(np.asarray(problem.dynamics_jac_x(x, u, t), dtype=float))
+        fx = np.asarray(problem.dynamics_jac_x(x, u, t), dtype=float)
+        if fx.ndim < 2:
+            fx = np.atleast_2d(fx)
     else:
         fx = np.empty((n, n))
         for i in range(n):
@@ -183,13 +182,20 @@ def jacobians(problem: ControlProblem, x, u, t: float, h: float = FD_STEP_DEFAUL
             fx[:, i] = (np.atleast_1d(problem.dynamics(plus, u, t))
                         - np.atleast_1d(problem.dynamics(minus, u, t))) / (2 * hi)
     if problem.payoff_grad_x is not None:
-        gx = np.atleast_1d(np.asarray(problem.payoff_grad_x(x, u, t), dtype=float))
+        gx = _vector(problem.payoff_grad_x(x, u, t))
     else:
         gx = np.empty(n)
         for i in range(n):
             plus, minus, hi = _probe_pair(problem, x, i, h)
             gx[i] = (problem.payoff(plus, u, t) - problem.payoff(minus, u, t)) / (2 * hi)
     return fx, gx
+
+
+def _vector(v) -> Array:
+    """``np.atleast_1d(np.asarray(v, dtype=float))`` without its call overhead
+    (these conversions run at every stage of the variational solves)."""
+    v = np.asarray(v, dtype=float)
+    return v if v.ndim else v.reshape(1)
 
 
 def _probe_pair(problem: ControlProblem, x, i: int, h: float, floor: float = 1e-12):

@@ -105,14 +105,14 @@ def test_check_general_refinement_stability(oscillator, osc_traj_400,
 def test_check_jx_bounded_three_regimes(oscillator, integrator,
                                         integrator_undiscounted, u_one):
     tail = TailPolicy(t_max=250.0)
-    outcomes = {}
+    outcomes = []
     for problem in (oscillator, integrator, integrator_undiscounted):
         traj = solve_state(problem, u_one, 250.0, STANDARD)
         rec = accumulate_jx(problem, traj, u_one, 0.0, tail.horizon_grid(0.0),
                             STANDARD)
         verdict, m = check_jx_bounded(rec)
-        outcomes[problem.name + f"_{id(problem) % 7}"] = (verdict.status, m)
-    (s_osc, m_osc), (s_int, m_int), (s_und, _) = outcomes.values()
+        outcomes.append((verdict.status, m))
+    (s_osc, m_osc), (s_int, m_int), (s_und, _) = outcomes
     assert s_osc is Verdict.HOLDS and m_osc == pytest.approx(2.0, abs=1e-3)
     assert s_int is Verdict.HOLDS and m_int == pytest.approx(10.0, abs=1e-3)
     assert s_und is Verdict.FAILS

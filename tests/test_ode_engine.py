@@ -8,10 +8,16 @@ from horizoncheck import (
     ControlSignal,
     IntegrationError,
     IntegratorSettings,
+    Trajectory,
     integrate,
+    integrate_adjoint,
     integrate_controlled,
+    make_builtin_problem,
     solve_state,
+    transition_matrix,
 )
+from horizoncheck.cli import _CHECK_SETTINGS
+from horizoncheck.ode_engine import _error_norm
 
 from conftest import TIGHT
 
@@ -154,3 +160,113 @@ def test_solve_state_non_extendible_marks_exit(ramsey_params=None):
     traj = solve_state(problem, ControlSignal.constant([4.0]), 200.0)
     assert traj.exit_event is not None
     assert "lower bound" in traj.exit_event.description
+
+
+def test_step_sequence_pins():
+    # accepted steps of the oscillator check solves at b = 0.5, t_max = 100;
+    # a change to the stepping core that moves them must update these counts
+    problem = make_builtin_problem("oscillator", {"b": 0.5})
+    control = ControlSignal.constant([1.0])
+    traj = solve_state(problem, control, 100.0, _CHECK_SETTINGS)
+    transition = transition_matrix(problem, traj, control, settings=_CHECK_SETTINGS)
+    costate = integrate_adjoint(problem, traj, control, (100.0, [-1.0, 0.2]), 1.0,
+                                settings=_CHECK_SETTINGS)
+    assert traj.time_grid.size == 2945
+    assert transition._aug.time_grid.size == 3147
+    assert costate.time_grid.size == 2558
+
+
+# ---------------------------------------------------------------------------
+# property tests of the dense output and the error norm
+
+
+def _hypothesis():
+    """hypothesis, its strategies and its numpy strategies, or skip the test."""
+    return (pytest.importorskip("hypothesis"), pytest.importorskip("hypothesis.strategies"),
+            pytest.importorskip("hypothesis.extra.numpy"))
+
+
+def _trajectories(st, hnp):
+    """Dense solutions on random nondecreasing grids.  A zero step makes a
+    repeated node (a derivative jump), where the state is continuous."""
+    @st.composite
+    def build(draw):
+        dim = draw(st.integers(1, 3))
+        steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)), max_size=10))
+        grid = draw(st.floats(-50.0, 50.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+        values = st.floats(-1e3, 1e3)
+        states = draw(hnp.arrays(float, (grid.size, dim), elements=values))
+        derivs = draw(hnp.arrays(float, (grid.size, dim), elements=values))
+        for k, step in enumerate(steps, start=1):
+            if step == 0.0:
+                states[k] = states[k - 1]
+        return Trajectory(grid, states, derivs)
+    return build()
+
+
+def test_scalar_dense_output_matches_vector_rows():
+    hypothesis, st, hnp = _hypothesis()
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_trajectories(st, hnp), st.lists(st.floats(0.0, 1.0), max_size=8))
+    def check(traj, fractions):
+        width = traj.t_end - traj.t0
+        times = np.concatenate([traj.t0 + width * np.array(fractions), traj.time_grid])
+        rows = traj(times)
+        scale = 1.0 + np.abs(traj.states).max() + np.abs(traj.derivs).max() * max(width, 1.0)
+        for t, row in zip(times, rows):
+            np.testing.assert_allclose(traj(t), row, rtol=0.0, atol=1e-14 * scale)
+
+    check()
+
+
+def test_dense_output_exact_at_nodes():
+    hypothesis, st, hnp = _hypothesis()
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_trajectories(st, hnp))
+    def check(traj):
+        assert np.array_equal(traj(traj.time_grid), traj.states)
+        for t, state in zip(traj.time_grid, traj.states):
+            assert np.array_equal(traj(float(t)), state)
+
+    check()
+
+
+def test_dense_output_span_check_and_clipping():
+    hypothesis, st, hnp = _hypothesis()
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(_trajectories(st, hnp), st.floats(1e-6, 1e3), st.booleans())
+    def check(traj, gap, below):
+        width = max(traj.t_end - traj.t0, 1.0)
+        t = traj.t0 - gap * width if below else traj.t_end + gap * width
+        with pytest.raises(ValueError):
+            traj(t)
+        with pytest.raises(ValueError):
+            traj(np.array([traj.t0, t]))
+        # within the 1e-9 relative slack a time is clipped to the span
+        near = traj.t0 - 1e-10 * width if below else traj.t_end + 1e-10 * width
+        end = traj.states[0] if below else traj.states[-1]
+        assert np.array_equal(traj(near), end)
+        assert np.array_equal(traj(np.array([near]))[0], end)
+
+    check()
+
+
+def test_error_norm_is_rms_of_scaled_error():
+    hypothesis, st, hnp = _hypothesis()
+    values = st.floats(-1e6, 1e6)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 8).flatmap(
+                          lambda n: st.tuples(*[hnp.arrays(float, n, elements=values)] * 3)),
+                      st.floats(1e-12, 1e-2), st.floats(1e-14, 1e-2))
+    def check(arrays, rel_tol, abs_tol):
+        err, y, y_new = arrays
+        settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=abs_tol)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        rms = math.sqrt(np.mean((err / scale) ** 2))
+        assert _error_norm(err, y, y_new, settings) == pytest.approx(rms, rel=1e-13)
+
+    check()

@@ -153,3 +153,15 @@ def test_appendix_identity_random_piecewise_controls():
             residual, tail = appendix_identity_residual(control, n)
             assert residual <= 1e-8
             assert tail >= -1e-12
+
+
+def test_oscillator_delta_x1_closed_form_control_quadrature():
+    # u = 0.5 given as a closed form takes the trapezoid branch; the exact
+    # value is -0.5 (1 - cos T), and the trapezoid error on n nodes is at
+    # most T dt^2 / 12 * max|f''| with |f''| = 0.5 |sin| <= 0.5
+    T, n_quad = 10.0, 4001
+    closed = ControlSignal.closed_form(lambda t: np.array([0.5]), 1)
+    exact = oscillator_delta_x1(ControlSignal.constant([0.5]), T)
+    assert exact == pytest.approx(-0.5 * (1.0 - math.cos(T)), abs=1e-14)
+    dt = T / (n_quad - 1)
+    assert abs(oscillator_delta_x1(closed, T) - exact) <= T * dt ** 2 / 24.0

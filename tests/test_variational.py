@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from horizoncheck import (
+    Box,
+    ControlProblem,
+    ControlSet,
     ControlSignal,
+    IntegrationError,
     IntegratorSettings,
     TailPolicy,
     accumulate_jx,
@@ -246,3 +250,16 @@ def test_assumption_infeasible_perturbation_reported(ramsey_params, ramsey_saddl
     with pytest.raises(ValueError):
         check_assumption_uniform(problem, control, k_traj, 1.0, [[-1.0]],
                                  [20.0], np.linspace(1.0, 50.0, 10), TIGHT)
+
+
+def test_payoff_overflow_is_integration_error_not_domain_exit():
+    # the payoff integral of e^t overflows near t = 709.8; on an unbounded
+    # domain that is numerical breakdown, not a trajectory leaving the domain
+    problem = ControlProblem(
+        state_dim=1, control_dim=1,
+        dynamics=lambda x, u, t: np.zeros(1),
+        payoff=lambda x, u, t: float(np.exp(t)),
+        control_set=ControlSet.box([0.0], [1.0]),
+        state_domain=Box.unbounded(1), initial_state=[0.0])
+    with pytest.raises(IntegrationError):
+        payoff_value(problem, ControlSignal.constant([0.0]), [0.0], 0.0, 800.0)
