@@ -16,6 +16,7 @@ from .ode_engine import (
     NonExtendibleError,
     Trajectory,
     integrate,
+    integrate_batch,
     integrate_controlled,
     solve_state,
 )

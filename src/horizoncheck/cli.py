@@ -44,6 +44,8 @@ from .reference_examples import (
     integrator_reference,
     oscillator_reference,
     ramsey_classify,
+    ramsey_control_from_orbit,
+    ramsey_euler_orbit,
     ramsey_feasible_candidate,
     ramsey_saddle_candidate,
     ramsey_shoot,
@@ -93,6 +95,8 @@ class RunConfig:
             raise ValueError("format must be csv or json")
         if self.t_max is not None and self.t_max <= 0:
             raise ValueError("t-max must be positive")
+        if min(self.grid) < 1:
+            raise ValueError("grid sizes must be at least 1")
 
     def resolved_t_max(self) -> float:
         if self.t_max is not None:
@@ -221,7 +225,7 @@ def _build_linear_check(config: RunConfig) -> ReportData:
                  _fmt(m_est), bound_verdict.note])
 
     # adjoint-candidate rows
-    for label, lam, extra in [(c[0], c[1], c[2]) for c in _normalize_candidates(candidates)]:
+    for label, lam, extra in candidates:
         psi_T = np.atleast_1d(terminal_psi(lam, extra))
         costate = integrate_adjoint(problem, trajectory, control, (t_max, psi_T),
                                     lam, settings=_CHECK_SETTINGS)
@@ -243,11 +247,6 @@ def _build_linear_check(config: RunConfig) -> ReportData:
     return ReportData("horizon_check_report_v1",
                       ["candidate", "condition", "status", "estimate", "note"],
                       [[r[0], r[1], r[2], r[3], r[4], r[5]] for r in rows])
-
-
-def _normalize_candidates(candidates):
-    # integrator tuples are (label, lam, a0); oscillator (label, lam, (r, phi))
-    return [(c[0], c[1], c[2]) for c in candidates]
 
 
 def _build_ramsey_check(config: RunConfig) -> ReportData:
@@ -310,13 +309,12 @@ def build_phase_diagram_report(config: RunConfig) -> ReportData:
     nk, nc = config.grid
     t_sweep = min(600.0, config.resolved_t_max())
 
-    rows = []
     k_vals = [k_hi * (i + 1) / nk for i in range(nk)]
     c_vals = [c_hi * (j + 1) / nc for j in range(nc)]
-    for k0 in k_vals:
-        for c0 in c_vals:
-            label = ramsey_classify(params, k0, c0, t_max=t_sweep)
-            rows.append(["grid", _fmt(k0), _fmt(c0), label])
+    labels = ramsey_classify(params, np.array(k_vals)[:, None], np.array(c_vals),
+                             t_max=t_sweep)
+    rows = [["grid", _fmt(k0), _fmt(c0), str(label)]
+            for k0, column in zip(k_vals, labels) for c0, label in zip(c_vals, column)]
 
     n_line = 60
     c_line = np.unique(np.append(np.linspace(c_hi / n_line, c_hi, n_line),
@@ -398,8 +396,6 @@ def build_overtake_report(config: RunConfig) -> ReportData:
 
 
 def _ramsey_challenger_control(params: RamseyParams, c0: float, t_max: float):
-    from .reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
-
     orbit = ramsey_euler_orbit(params, params.k0, c0, t_max)
     return ramsey_control_from_orbit(orbit)
 

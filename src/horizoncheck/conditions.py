@@ -33,7 +33,9 @@ from .variational import (
     TailPolicy,
     TransitionOperator,
     DEFAULT_TAIL,
+    _growth_ratio,
     limit_costate,
+    transition_matrix,
 )
 from .verdicts import ConditionVerdict, Verdict, tail_limit_verdict
 
@@ -147,8 +149,6 @@ def check_general(problem: ControlProblem, trajectory: Trajectory,
     """
     if mode not in ("WOO", "OO"):
         raise ValueError("mode must be 'WOO' or 'OO'")
-    from .variational import transition_matrix  # local import to avoid cycle at module load
-
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     if T_grid is None:
         T_grid = dense_horizon_grid(float(tau_grid.min()), trajectory.t_end)
@@ -216,8 +216,6 @@ def check_jx_bounded(jx: JxRecord, growth_factor: float = 2.0,
     estimate; growth beyond ``growth_factor`` fails as unbounded; in between
     is inconclusive.
     """
-    from .variational import _growth_ratio
-
     ratio = _growth_ratio(jx)
     m = jx.bound_estimate
     series = list(zip(jx.T_grid.tolist(), jx.bound_running.tolist()))

@@ -24,6 +24,7 @@ __all__ = [
     "NonExtendibleError",
     "Trajectory",
     "integrate",
+    "integrate_batch",
     "integrate_controlled",
     "solve_state",
 ]
@@ -211,6 +212,8 @@ class Trajectory:
         """Hermite-interpolant time derivative (used for residual checks)."""
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
+        if t_arr.size:
+            self._check_span(t_arr.min(), t_arr.max())
         tq = np.atleast_1d(np.clip(t_arr, self.t0, self.t_end))
         idx = self._segments(tq)
         ta, tb = self.time_grid[idx], self.time_grid[idx + 1]
@@ -236,7 +239,7 @@ def _hermite_on_step(t, y, f0, h, y_new, f_new, theta):
             + (-2 * s3 + 3 * s2) * y_new + (s3 - s2) * h * f_new)
 
 
-def _initial_step(field, t0, y0, f0, direction, settings, span):
+def _initial_step(y0, f0, settings, span):
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2))) if y0.size else 0.0
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2))) if y0.size else 0.0
@@ -311,7 +314,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
         n_steps = max(1, int(math.ceil(span / h_fix - 1e-12)))
         h = span / n_steps
     else:
-        h = _initial_step(field, t0, y0, f0, 1.0, settings, span)
+        h = _initial_step(y0, f0, settings, span)
 
     ts, ys, fs = [t0], [y0.copy()], [f0.copy()]
     t, y, fy = t0, y0.copy(), f0
@@ -385,40 +388,15 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
             fs.append(fs[-1].copy())
             break
 
-        t_new = t + h
-
-        # ---- domain exit on the accepted step ----
-        if domain is not None and not domain.contains(y_new):
-            theta = _bisect_predicate(
-                lambda th: not domain.contains(
-                    _hermite_on_step(t, y, fy, h, y_new, f_new, th)),
-                h, h_floor)
-            t_ev = t + theta * h
-            y_ev = _hermite_on_step(t, y, fy, h, y_new, f_new, theta)
-            y_ev = _snap_to_faces(y_ev, domain)
-            exit_event = ExitEvent(t_ev, y_ev, domain.describe_exit(y_ev))
-            ts.append(t_ev)
-            ys.append(y_ev)
-            fs.append(_step_slope(t, y, fy, h, y_new, f_new, theta))
+        hit = _step_exit(t, y, fy, h, y_new, f_new, domain, stop, h_floor)
+        if hit is not None:
+            exit_event, slope = hit
+            ts.append(exit_event.time)
+            ys.append(exit_event.state)
+            fs.append(slope)
             break
 
-        # ---- user stop condition ----
-        if stop is not None:
-            label = stop(t_new, y_new)
-            if label:
-                theta = _bisect_predicate(
-                    lambda th: bool(stop(t + th * h,
-                                         _hermite_on_step(t, y, fy, h, y_new, f_new, th))),
-                    h, h_floor)
-                t_ev = t + theta * h
-                y_ev = _hermite_on_step(t, y, fy, h, y_new, f_new, theta)
-                lbl = stop(t_ev, y_ev) or label
-                exit_event = ExitEvent(t_ev, y_ev, str(lbl))
-                ts.append(t_ev)
-                ys.append(y_ev)
-                fs.append(_step_slope(t, y, fy, h, y_new, f_new, theta))
-                break
-
+        t_new = t + h
         ts.append(t_new)
         ys.append(y_new)
         fs.append(f_new.copy())  # a view of K would keep all seven stages alive
@@ -429,6 +407,193 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
 
     return Trajectory(np.array(ts), np.array(ys), np.array(fs), exit_event=exit_event,
                       requested_t0=t0, requested_t_end=t_end)
+
+
+def integrate_batch(field: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: float, Y0,
+                    t_end: float, settings: Optional[IntegratorSettings] = None,
+                    domain: Optional[Box] = None,
+                    stops: Sequence[tuple] = ()):
+    """Integrate B independent members of ``dy/dt = field(t, y)`` from t0 to t_end.
+
+    ``field(t[m], Y[m, n])`` returns the slopes [m, n] of any m members.  Each
+    member runs the Dormand-Prince 5(4) method of :func:`integrate` with its
+    own step size and its own accept/reject decisions, so it takes the steps
+    of its solo run up to round-off; one attempt of every running member is
+    evaluated in one vectorised pass.  ``stops`` is a priority-ordered
+    sequence of ``(label, predicate)`` pairs, each predicate mapping t[m],
+    Y[m, n] to bool[m].  A member ends at t_end, on leaving the open
+    ``domain`` or when a predicate holds; events are localized per member as
+    :func:`integrate` localizes them.
+
+    Returns the end times [B], the end states [B, n] and the exit events
+    (None for a member that reached t_end); no dense output is kept.  A
+    failure that :func:`integrate` would raise for one member raises
+    ``IntegrationError`` for the whole call.  Only the adaptive method and
+    forward spans are supported.
+    """
+    settings = settings or DEFAULT_SETTINGS
+    if settings.method != "rk45_adaptive":
+        raise ValueError("integrate_batch supports only the rk45_adaptive method")
+    if t_end < t0:
+        raise ValueError("integrate_batch integrates forward: need t_end >= t0")
+    Y_out = np.array(Y0, dtype=float)
+    if Y_out.ndim != 2:
+        raise ValueError("initial states must be an array of shape [B, n]")
+    if not np.isfinite(Y_out).all():
+        raise ValueError("initial states must be finite")
+    t_out = np.full(Y_out.shape[0], float(t0))
+    events = [None] * Y_out.shape[0]
+    if Y_out.shape[0] and t_end > t0:
+        with np.errstate(all="ignore"):
+            _batch_loop(field, float(t0), float(t_end), settings, domain, stops,
+                        t_out, Y_out, events)
+    return t_out, Y_out, events
+
+
+def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events):
+    """The checks of :func:`_forward_loop`, applied row by row to every
+    running member at once.  Fills ``t_out``, ``Y_out`` and ``events``."""
+    n = Y_out.shape[1]
+    span = t_end - t0
+    h_floor = 1e-9 * span
+    t_last = t_end - 1e-14 * max(1.0, abs(t_end))
+    row_stop = _row_stop(stops)
+
+    def inside(Y):  # Box.contains for each row
+        return ((Y > domain.lower) & (Y < domain.upper)).all(axis=1)
+
+    members = np.arange(Y_out.shape[0])  # member of each running row
+    t = np.full(members.size, t0)
+    Y = Y_out.copy()
+    F = np.asarray(field(t, Y), dtype=float)
+    if not np.isfinite(F).all():
+        raise IntegrationError(f"field non-finite at initial point t={t0:g}")
+    if domain is not None and not inside(Y).all():
+        raise ValueError("initial state outside the open domain")
+    h = np.array([_initial_step(y, f, settings, span) for y, f in zip(Y, F)])
+    n_acc = np.zeros(members.size, dtype=int)
+    found = {}  # running row -> exit event that ends it
+    for label, pred in stops:
+        for i in np.flatnonzero(pred(t, Y)):
+            found.setdefault(i, ExitEvent(t0, Y[i].copy(), label))
+
+    while True:
+        ended = t >= t_last
+        ended[list(found)] = True
+        if ended.any():
+            for i in np.flatnonzero(ended):
+                ev = found.get(i)
+                events[members[i]] = ev
+                t_out[members[i]], Y_out[members[i]] = (ev.time, ev.state) if ev else (t[i], Y[i])
+            keep = ~ended
+            members, t, Y, F, h, n_acc = (a[keep] for a in (members, t, Y, F, h, n_acc))
+            found = {}
+        m = members.size
+        if not m:
+            return
+        if n_acc.max() >= settings.max_steps:
+            raise IntegrationError("maximum number of steps exceeded")
+        h = np.minimum(np.minimum(h, t_end - t), settings.max_step)
+
+        # ---- one attempt of every running member ----
+        K = np.empty((7, m, n))
+        K[0] = F
+        ok = np.ones(m, dtype=bool)  # rows whose stages are finite so far
+        for i in range(1, 7):
+            Yi = Y + h[:, None] * (_DP_A[i] @ K[:i].reshape(i, -1)).reshape(m, n)
+            ti = t + _DP_C[i] * h
+            if ok.all():
+                K[i] = field(ti, Yi)
+            else:
+                # a row with a non-finite stage sits out the rest of the attempt
+                K[i, ok] = field(ti[ok], Yi[ok])
+            ok &= np.isfinite(K[i]).all(axis=1)
+            if not ok.any():
+                break
+        # the last stage point is the 5th-order solution (FSAL); one that
+        # overflowed fails the step like a non-finite stage does
+        ok &= np.isfinite(Yi).all(axis=1)
+        r = (h[:, None] * (_DP_E @ K.reshape(7, -1)).reshape(m, n)
+             / (settings.abs_tol + settings.rel_tol * np.maximum(np.abs(Y), np.abs(Yi))))
+        err = np.sqrt((r * r).sum(axis=1) / n)
+        factor = 0.9 * err ** -0.2
+        acc = ok & (err <= 1.0)
+
+        if not acc.all():
+            estimated = ok & np.isfinite(err)
+            h = np.where(acc, h, np.where(estimated,
+                                          h * np.minimum(1.0, np.maximum(0.2, factor)),
+                                          h * 0.5))
+            for i in np.flatnonzero(~acc & (h < h_floor)):
+                if ok[i] and not estimated[i]:
+                    raise IntegrationError(
+                        f"step size underflow near t={t[i]:g} (error estimate failed)")
+                ev = _boundary_stall(t[i], Y[i], F[i], domain, h_floor)
+                if ev is None:
+                    cause = "stiffness or blow-up" if ok[i] else "field or solution blow-up"
+                    raise IntegrationError(f"step size underflow near t={t[i]:g} ({cause})")
+                found[i] = ev
+            if not acc.any():
+                continue
+
+        # ---- exits and stops on the accepted steps ----
+        t_new = t + h
+        rows = np.flatnonzero(acc)
+        Ya, ta = (Yi, t_new) if rows.size == m else (Yi[rows], t_new[rows])
+        flagged = np.zeros(rows.size, dtype=bool)
+        if domain is not None:
+            flagged |= ~inside(Ya)
+        for _, pred in stops:
+            flagged |= pred(ta, Ya)
+        for i in rows[flagged]:
+            hit = _step_exit(t[i], Y[i], F[i], h[i], Yi[i], K[6, i], domain, row_stop, h_floor)
+            if hit is not None:
+                found[i] = hit[0]
+
+        grow = np.where(err == 0.0, 5.0, np.minimum(5.0, np.maximum(0.2, factor)))
+        if rows.size == m:
+            t, Y, F = t_new, Yi, K[6]
+        else:
+            t = np.where(acc, t_new, t)
+            Y[acc] = Yi[acc]
+            F[acc] = K[6, acc]
+        h = np.where(acc, np.maximum(h * grow, h_floor), h)
+        n_acc += acc
+
+
+def _row_stop(stops):
+    """The ``stop(t, y)`` of :func:`integrate` that batch ``stops`` describe."""
+    def stop(t, y):
+        t_row, y_row = np.array([t]), y[None]
+        return next((label for label, pred in stops if pred(t_row, y_row)[0]), None)
+    return stop
+
+
+def _step_exit(t, y, fy, h, y_new, f_new, domain, stop, h_floor):
+    """Exit event on the accepted step from (t, y) to (t + h, y_new), or None.
+
+    A domain exit takes precedence over a stop.  Either is localized by
+    bisection on the step's Hermite interpolant; returns the event and the
+    interpolant slope there.
+    """
+    if domain is not None and not domain.contains(y_new):
+        theta = _bisect_predicate(
+            lambda th: not domain.contains(
+                _hermite_on_step(t, y, fy, h, y_new, f_new, th)),
+            h, h_floor)
+        y_ev = _snap_to_faces(_hermite_on_step(t, y, fy, h, y_new, f_new, theta), domain)
+        event = ExitEvent(t + theta * h, y_ev, domain.describe_exit(y_ev))
+    elif stop is not None and (label := stop(t + h, y_new)):
+        theta = _bisect_predicate(
+            lambda th: bool(stop(t + th * h,
+                                 _hermite_on_step(t, y, fy, h, y_new, f_new, th))),
+            h, h_floor)
+        t_ev = t + theta * h
+        y_ev = _hermite_on_step(t, y, fy, h, y_new, f_new, theta)
+        event = ExitEvent(t_ev, y_ev, str(stop(t_ev, y_ev) or label))
+    else:
+        return None
+    return event, _step_slope(t, y, fy, h, y_new, f_new, theta)
 
 
 def _step_slope(t, y, f0, h, y_new, f_new, theta):

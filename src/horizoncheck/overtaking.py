@@ -21,6 +21,7 @@ from .ode_engine import (
     IntegratorSettings,
     NonExtendibleError,
     Trajectory,
+    solve_state,
 )
 from .problem_model import ControlProblem
 from .variational import accumulate_jx, payoff_value
@@ -116,8 +117,6 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
     y(tau) = f(x(tau), u, tau) - f(x(tau), u_hat(tau), tau) and adds the
     payoff-rate jump; the error is expected to vanish linearly in the width.
     """
-    from .ode_engine import solve_state
-
     settings = settings or _VALUE_SETTINGS
     u = np.atleast_1d(np.asarray(u, dtype=float))
     alphas = np.sort(np.asarray(list(alphas), dtype=float))[::-1]
@@ -275,32 +274,40 @@ def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
 
 def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float,
                            n_quad: int = 4001) -> float:
-    """integral_a^b sin(T - t) (u(t) - 1) dt, exact for piecewise-constant u."""
+    """integral_a^b sin(T - t) (u(t) - 1) dt, split at the control's breakpoints.
+
+    Exact on each piece where u is constant; elsewhere the trapezoid rule on
+    ``n_quad`` nodes per piece.
+    """
     if b <= a:
         return 0.0
-    if control.kind in ("constant", "piecewise_constant"):
-        cuts = [c for c in control.breakpoints() if a < c < b]
-        nodes = [a] + sorted(cuts) + [b]
-        total = 0.0
-        for lo, hi in zip(nodes[:-1], nodes[1:]):
-            u = float(control.evaluate(hi)[0])
+    cuts = [c for c in control.breakpoints() if a < c < b]
+    nodes = [a] + sorted(cuts) + [b]
+    total = 0.0
+    for lo, hi in zip(nodes[:-1], nodes[1:]):
+        u = control.segment_value(lo, hi)
+        if u is not None:
             # integral of sin(T - t) over [lo, hi] is cos(T - hi) - cos(T - lo)
-            total += (u - 1.0) * (math.cos(T - hi) - math.cos(T - lo))
-        return total
-    ts = np.linspace(a, b, n_quad)
-    us = np.array([float(control.evaluate(float(t))[0]) for t in ts])
-    integrand = np.sin(T - ts) * (us - 1.0)
-    # trapezoid rule written out: np.trapz is gone from numpy 2.x and its
-    # successor np.trapezoid is missing before numpy 2.0
-    return float((np.diff(ts) * (integrand[1:] + integrand[:-1])).sum() / 2.0)
+            total += (float(u[0]) - 1.0) * (math.cos(T - hi) - math.cos(T - lo))
+            continue
+        ts = np.linspace(lo, hi, n_quad)
+        # the piece is (lo, hi]: its value at lo is the limit from the right,
+        # not the value an override ending at lo holds there
+        us = np.array([float(control.evaluate(float(t))[0])
+                       for t in (np.nextafter(lo, hi), *ts[1:])])
+        integrand = np.sin(T - ts) * (us - 1.0)
+        # trapezoid rule written out: np.trapz is gone from numpy 2.x and its
+        # successor np.trapezoid is missing before numpy 2.0
+        total += float((np.diff(ts) * (integrand[1:] + integrand[:-1])).sum() / 2.0)
+    return total
 
 
 def oscillator_delta_x1(control: ControlSignal, T: float) -> float:
     """Pulse response of the first oscillator state relative to u = 1:
     integral_0^T sin(T - t) (u(t) - 1) dt.
 
-    Exact per-segment quadrature for piecewise-constant controls, dense
-    trapezoidal quadrature on a breakpoint-refined grid otherwise.
+    Exact on every piece between breakpoints where the control is constant,
+    dense trapezoidal quadrature on the other pieces.
     """
     return _sin_response_integral(control, 0.0, T, T)
 

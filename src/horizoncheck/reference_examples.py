@@ -20,6 +20,7 @@ from .ode_engine import (
     IntegratorSettings,
     Trajectory,
     integrate,
+    integrate_batch,
     solve_state,
 )
 from .problem_model import ControlProblem, make_builtin_problem
@@ -97,8 +98,13 @@ def ramsey_field(params: RamseyParams, k: float, c: float) -> np.ndarray:
     equations: dk/dt = k**a - d*k - c, dc/dt = c*(a*k**(a-1) - d)/theta."""
     if k <= 0 or c <= 0:
         raise ValueError("ramsey_field requires k > 0 and c > 0")
+    return np.array(_euler_rates(params, k, c))
+
+
+def _euler_rates(params: RamseyParams, k, c):
+    """(dk/dt, dc/dt) for scalar or array k and c."""
     a, d, th = params.alpha, params.delta, params.theta
-    return np.array([k ** a - d * k - c, c * (a * k ** (a - 1.0) - d) / th])
+    return k ** a - d * k - c, c * (a * k ** (a - 1.0) - d) / th
 
 
 _CLASSIFY_SETTINGS = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11, max_step=1.0)
@@ -143,31 +149,74 @@ def _to_zero_stop(params, k_star, c_star):
     return stop
 
 
-def ramsey_classify(params: RamseyParams, k0: float, c0: float,
+def _euler_rows(params: RamseyParams):
+    """The joint (k, c) field on rows: t[m], Y[m, 2] -> [m, 2], NaN where
+    k <= 0 or c <= 0."""
+    def field(t, Y):
+        k, c = Y.T
+        out = np.column_stack(_euler_rates(params, k, c))
+        out[(k <= 0) | (c <= 0)] = np.nan
+        return out
+    return field
+
+
+def _classify_stops(params, k_star, c_star, radius):
+    """The stops of :func:`_ball_stop` and :func:`_to_zero_stop`, in that
+    priority order, as row predicates for :func:`integrate_batch`."""
+    r2 = radius * radius
+
+    def in_ball(t, Y):
+        k, c = Y.T
+        return (k - k_star) ** 2 + (c - c_star) ** 2 <= r2
+
+    def to_zero(t, Y):
+        k, c = Y.T
+        dk, dc = _euler_rates(params, k, c)
+        return ((k > k_star + 0.5) & (c < c_star - 0.25)
+                & ((k - k_star) * dk + (c - c_star) * dc > 0))
+
+    return (("saddle_ball", in_ball), ("to_zero_consumption", to_zero))
+
+
+def _orbit_label(event) -> str:
+    if event is None:
+        return "inconclusive"
+    return {"saddle_ball": "saddle",
+            "to_zero_consumption": "to_zero_consumption"}.get(event.description,
+                                                              "hits_zero_capital")
+
+
+def ramsey_classify(params: RamseyParams, k0, c0,
                     t_max: float = 2000.0, ball_radius: float = 1e-3,
-                    settings: Optional[IntegratorSettings] = None) -> str:
+                    settings: Optional[IntegratorSettings] = None):
     """Classify the Euler orbit through (k0, c0).
 
     Returns one of ``saddle`` (enters the ball around the interior steady
     state), ``hits_zero_capital`` (capital reaches its lower bound),
     ``to_zero_consumption`` (heads to the zero-consumption rest point), or
     ``inconclusive`` when t_max is exhausted first.
+
+    Array-like ``k0`` and ``c0`` broadcast against each other: every cell is
+    classified in one :func:`integrate_batch` call and the labels come back
+    as an array of the broadcast shape.
     """
+    interior, _ = ramsey_steady_state(params)
+    if np.ndim(k0) or np.ndim(c0):
+        k0, c0 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(c0, dtype=float))
+        if not ((k0 > 0).all() and (c0 > 0).all()):
+            raise ValueError("need k0 > 0 and c0 > 0")
+        _, _, events = integrate_batch(
+            _euler_rows(params), 0.0, np.column_stack((k0.ravel(), c0.ravel())), t_max,
+            settings or _CLASSIFY_SETTINGS, domain=_joint_domain(),
+            stops=_classify_stops(params, interior.k_star, interior.c_star, ball_radius))
+        return np.array([_orbit_label(ev) for ev in events], dtype=str).reshape(k0.shape)
     if k0 <= 0 or c0 <= 0:
         raise ValueError("need k0 > 0 and c0 > 0")
-    interior, _ = ramsey_steady_state(params)
     ball = _ball_stop(interior.k_star, interior.c_star, ball_radius)
     region = _to_zero_stop(params, interior.k_star, interior.c_star)
     stop = lambda t, y: ball(t, y) or region(t, y)
     traj = ramsey_euler_orbit(params, k0, c0, t_max, settings, stop=stop)
-    if traj.exit_event is None:
-        return "inconclusive"
-    desc = traj.exit_event.description
-    if desc == "saddle_ball":
-        return "saddle"
-    if desc == "to_zero_consumption":
-        return "to_zero_consumption"
-    return "hits_zero_capital"
+    return _orbit_label(traj.exit_event)
 
 
 def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float,

@@ -90,13 +90,6 @@ DEFAULT_TAIL = TailPolicy()
 _VARIATIONAL_SETTINGS = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
 
 
-def _linearization(problem: ControlProblem):
-    def parts(x, u, t):
-        fx, gx = jacobians(problem, x, u, t)
-        return fx, gx
-    return parts
-
-
 # ---------------------------------------------------------------------------
 # transition operator and payoff-gradient scans
 

@@ -105,6 +105,14 @@ def test_phase_diagram_degenerate_grid():
     assert any(r["kind"] == "saddle_path" for r in rows)
 
 
+@pytest.mark.parametrize("grid", ["0x3", "-2x3", "3x0"])
+def test_phase_diagram_rejects_grid_below_one(grid, capsys):
+    assert main(["phase-diagram", "--example", "ramsey", f"--grid={grid}"]) == 1
+    assert "grid sizes must be at least 1" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        RunConfig(example="ramsey", grid=tuple(int(n) for n in grid.split("x")))
+
+
 def test_phase_diagram_requires_ramsey():
     with pytest.raises(ValueError):
         build_phase_diagram_report(RunConfig(example="oscillator"))

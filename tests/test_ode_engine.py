@@ -11,6 +11,7 @@ from horizoncheck import (
     Trajectory,
     integrate,
     integrate_adjoint,
+    integrate_batch,
     integrate_controlled,
     make_builtin_problem,
     solve_state,
@@ -109,6 +110,21 @@ def test_blowup_without_domain_raises():
     field = lambda t, y: np.array([y[0] ** 2])
     with pytest.raises(IntegrationError):
         integrate(field, 0.0, [1.0], 3.0)
+
+
+def test_derivative_checks_the_span_like_evaluation():
+    traj = integrate(lambda t, y: -y, 0.0, [1.0], 5.0,
+                     IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12))
+    assert traj.derivative(2.0)[0] == pytest.approx(-math.exp(-2.0), rel=1e-5)
+    # within the 1e-9 relative slack a time is clipped to the span
+    assert np.array_equal(traj.derivative(5.0 + 1e-9), traj.derivative(5.0))
+    for t in (50.0, -1.0):
+        with pytest.raises(ValueError):
+            traj(t)
+        with pytest.raises(ValueError):
+            traj.derivative(t)
+        with pytest.raises(ValueError):
+            traj.derivative(np.array([1.0, t]))
 
 
 def test_stop_condition_label_recorded():
@@ -270,3 +286,105 @@ def test_error_norm_is_rms_of_scaled_error():
         assert _error_norm(err, y, y_new, settings) == pytest.approx(rms, rel=1e-13)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# batch integration
+
+
+def _spiral_rows(t, Y):
+    """Damped oscillator drifting to the rest point (0.5, 0), on rows."""
+    x, v = Y.T
+    return np.column_stack((v, 0.5 - x - 0.2 * v))
+
+
+_SPIRAL_BOX = Box.from_bounds([-1.5, -2.0], [1.5, 2.0])
+_SPIRAL_STOPS = (("rest", lambda t, Y: (Y[:, 0] - 0.5) ** 2 + Y[:, 1] ** 2 <= 0.01),
+                 ("fast", lambda t, Y: np.abs(Y[:, 1]) > 1.8))
+
+
+def test_batch_members_match_solo_runs():
+    hypothesis, st, _ = _hypothesis()
+    settings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11)
+
+    def solo_stop(t, y):
+        return next((label for label, pred in _SPIRAL_STOPS
+                     if pred(np.array([t]), y[None])[0]), None)
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(st.lists(st.tuples(st.floats(-1.45, 1.45), st.floats(-1.95, 1.95)),
+                               min_size=1, max_size=6))
+    def check(starts):
+        Y0 = np.array(starts)
+        t_end, Y_end, events = integrate_batch(_spiral_rows, 0.0, Y0, 40.0, settings,
+                                               _SPIRAL_BOX, _SPIRAL_STOPS)
+        for y0, t_b, y_b, ev in zip(Y0, t_end, Y_end, events):
+            traj = integrate(lambda t, y: _spiral_rows(np.array([t]), y[None])[0],
+                             0.0, y0, 40.0, settings, _SPIRAL_BOX, solo_stop)
+            solo = traj.exit_event
+            assert (ev and ev.description) == (solo and solo.description)
+            assert t_b == pytest.approx(traj.t_end, abs=1e-6)
+            np.testing.assert_allclose(y_b, traj.states[-1], rtol=0.0, atol=1e-6)
+            if ev is not None:
+                assert ev.time == t_b and np.array_equal(ev.state, y_b)
+
+    check()
+
+
+def test_batch_row_with_nonfinite_stage_sits_out_the_attempt():
+    # sqrt(y) is NaN past y = 0: member 0 (id 0) keeps failing stages until
+    # its stall resolves into an exit; member 1 (id 1), held to small steps,
+    # outlasts it and runs to t_end
+    calls = []
+
+    def field(t, Y):
+        out = np.column_stack((-np.sqrt(Y[:, 0]) - 1.0, np.zeros(len(Y))))
+        calls.append((list(Y[:, 1]), list(np.isfinite(out).all(axis=1))))
+        return out
+
+    domain = Box.from_bounds([0.0, -np.inf], [np.inf, np.inf])
+    t_end, Y_end, events = integrate_batch(field, 0.0, [[1.0, 0.0], [100.0, 1.0]], 5.0,
+                                           IntegratorSettings(rel_tol=1e-9, abs_tol=1e-12,
+                                                              max_step=0.01),
+                                           domain)
+    assert events[0] is not None and "lower bound" in events[0].description
+    assert Y_end[0, 0] == pytest.approx(0.0, abs=1e-7)
+    assert events[1] is None and t_end[1] == pytest.approx(5.0)
+    # member 1 is finite at every stage, so after the initial slope the calls
+    # come in attempts of six stages each
+    stages = calls[1:]
+    assert len(stages) % 6 == 0
+    sat_out = 0
+    for start in range(0, len(stages), 6):
+        failed = False
+        for ids, finite in stages[start:start + 6]:
+            assert 1.0 in ids
+            if failed:
+                assert 0.0 not in ids
+                sat_out += 1
+            elif 0.0 in ids and not finite[ids.index(0.0)]:
+                failed = True
+    assert sat_out > 0
+
+
+def test_batch_blowup_away_from_boundary_raises():
+    # y' = y^2 from y = 1 blows up at t = 1; from 0.1 it would last to t = 10
+    with pytest.raises(IntegrationError):
+        integrate_batch(lambda t, Y: Y ** 2, 0.0, [[0.1], [1.0]], 3.0)
+
+
+def test_batch_rejects_fixed_step_and_backward_spans():
+    field = lambda t, Y: -Y
+    with pytest.raises(ValueError):
+        integrate_batch(field, 0.0, [[1.0]], 1.0,
+                        IntegratorSettings(method="rk4_fixed", max_step=0.1))
+    with pytest.raises(ValueError):
+        integrate_batch(field, 1.0, [[1.0]], 0.0)
+
+
+def test_batch_without_members_calls_no_field():
+    def field(t, Y):
+        raise AssertionError("field called")
+
+    t_end, Y_end, events = integrate_batch(field, 0.0, np.empty((0, 2)), 1.0)
+    assert t_end.shape == (0,) and Y_end.shape == (0, 2) and events == []

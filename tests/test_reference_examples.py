@@ -12,6 +12,7 @@ from horizoncheck import (
     ramsey_shoot,
     ramsey_steady_state,
 )
+from horizoncheck import reference_examples
 from horizoncheck.reference_examples import ramsey_euler_orbit
 
 from conftest import FIG1
@@ -53,6 +54,42 @@ def test_classify_examples():
     assert ramsey_classify(params, 32.0, 2.4) == "saddle"
     assert ramsey_classify(params, 10.0, 5.0) == "hits_zero_capital"
     assert ramsey_classify(params, 10.0, 0.5) == "to_zero_consumption"
+
+
+def _per_orbit_labels(params, k_vals, c_vals, t_max):
+    return np.array([[ramsey_classify(params, k, c, t_max=t_max) for c in c_vals]
+                     for k in k_vals])
+
+
+@pytest.mark.parametrize("grid", ["A07", "bench"])
+def test_grid_labels_match_per_orbit_labels(grid):
+    params = RamseyParams(**FIG1)
+    if grid == "A07":
+        k_hi, c_hi = 160.0, 8.0
+    else:
+        interior, limit = ramsey_steady_state(params)
+        k_hi, c_hi = 1.1 * limit.k_star, 3.3 * interior.c_star
+    k_vals = [k_hi * (i + 1) / 16 for i in range(16)]
+    c_vals = [c_hi * (j + 1) / 16 for j in range(16)]
+    labels = ramsey_classify(params, np.array(k_vals)[:, None], np.array(c_vals), t_max=600.0)
+    assert labels.shape == (16, 16)
+    assert np.array_equal(labels, _per_orbit_labels(params, k_vals, c_vals, 600.0))
+
+
+def test_grid_cell_at_steady_state_is_saddle():
+    labels = ramsey_classify(RamseyParams(**FIG1), [[32.0]], [[2.4]])
+    assert labels.tolist() == [["saddle"]]
+
+
+def test_empty_grid_calls_no_field(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("field evaluated")
+
+    monkeypatch.setattr(reference_examples, "_euler_rates", refuse)
+    labels = ramsey_classify(RamseyParams(**FIG1), np.empty(0), np.empty(0))
+    assert labels.shape == (0,)
+    with pytest.raises(ValueError):
+        ramsey_classify(RamseyParams(**FIG1), [10.0, -1.0], 1.0)
 
 
 def test_shoot_from_steady_state_recovers_c_star():
