@@ -25,6 +25,7 @@ from .problem_model import (
     ControlSet,
     MultiplierPair,
     hamiltonian,
+    hamiltonian_jumps,
     jacobians,
     make_builtin_problem,
 )

@@ -75,6 +75,13 @@ _EXAMPLE_PARAMS = {
     "oscillator": "b [r] [phi]",
 }
 
+# problem parameters of each example and the values used when one is not given
+_PROBLEM_DEFAULTS = {
+    "ramsey": {"alpha": 0.4, "delta": 0.05, "theta": 0.5, "k0": 10.0},
+    "integrator": {"rho": 0.1},
+    "oscillator": {"b": 0.5},
+}
+
 
 @dataclass
 class RunConfig:
@@ -102,6 +109,12 @@ class RunConfig:
         if self.t_max is not None:
             return self.t_max
         return 2000.0 if self.example == "ramsey" else 400.0
+
+
+def _problem_params(config: RunConfig) -> dict:
+    """The example's problem parameters, defaults filled in."""
+    return {key: float(config.params.get(key, default))
+            for key, default in _PROBLEM_DEFAULTS[config.example].items()}
 
 
 @dataclass
@@ -181,17 +194,16 @@ def _build_linear_check(config: RunConfig) -> ReportData:
     params = dict(config.params)
     rows = []
 
+    problem_params = _problem_params(config)
+    problem = make_builtin_problem(config.example, problem_params)
+    control = ControlSignal.constant([1.0])
     if config.example == "integrator":
-        rho = float(params.get("rho", 0.1))
-        problem = make_builtin_problem("integrator", {"rho": rho})
-        control = ControlSignal.constant([1.0])
+        rho = problem_params["rho"]
         candidates = _integrator_candidates(rho, params.get("a0"), params.get("lambda"))
         def terminal_psi(lam, a0):
             return integrator_reference(rho, a0, lam).psi(t_max)
     else:
-        b = float(params.get("b", 0.5))
-        problem = make_builtin_problem("oscillator", {"b": b})
-        control = ControlSignal.constant([1.0])
+        b = problem_params["b"]
         ref = oscillator_reference(b)
         candidates = [(label, 1.0, (r, phi))
                       for label, r, phi in _oscillator_candidates(
@@ -250,11 +262,7 @@ def _build_linear_check(config: RunConfig) -> ReportData:
 
 
 def _build_ramsey_check(config: RunConfig) -> ReportData:
-    p = config.params
-    params = RamseyParams(alpha=float(p.get("alpha", 0.4)),
-                          delta=float(p.get("delta", 0.05)),
-                          theta=float(p.get("theta", 0.5)),
-                          k0=float(p.get("k0", 10.0)))
+    params = RamseyParams(**_problem_params(config))
     interior, limit = ramsey_steady_state(params)
     rows = [
         ["value", "(steady state)", "k_star", "holds", _fmt(interior.k_star), ""],
@@ -298,11 +306,7 @@ def cmd_check(config: RunConfig) -> int:
 def build_phase_diagram_report(config: RunConfig) -> ReportData:
     if config.example != "ramsey":
         raise ValueError("phase-diagram requires --example ramsey")
-    p = config.params
-    params = RamseyParams(alpha=float(p.get("alpha", 0.4)),
-                          delta=float(p.get("delta", 0.05)),
-                          theta=float(p.get("theta", 0.5)),
-                          k0=float(p.get("k0", 10.0)))
+    params = RamseyParams(**_problem_params(config))
     interior, limit = ramsey_steady_state(params)
     k_hi = config.k_max if config.k_max is not None else 1.1 * limit.k_star
     c_hi = config.c_max if config.c_max is not None else 3.3 * interior.c_star
@@ -356,24 +360,18 @@ def build_overtake_report(config: RunConfig) -> ReportData:
     t_max = config.resolved_t_max()
     rows = []
     if config.example == "oscillator":
-        b = float(config.params.get("b", 0.5))
-        problem = make_builtin_problem("oscillator", {"b": b})
+        problem = make_builtin_problem("oscillator", _problem_params(config))
         candidate = ControlSignal.constant([1.0])
         challengers = [(f"delayed_start(s={s:g})", _delayed_start_signal(s))
                        for s in (math.pi / 2, math.pi, 2 * math.pi)]
     elif config.example == "integrator":
-        rho = float(config.params.get("rho", 0.1))
-        problem = make_builtin_problem("integrator", {"rho": rho})
+        problem = make_builtin_problem("integrator", _problem_params(config))
         candidate = ControlSignal.constant([1.0])
         challengers = [("u=0", ControlSignal.constant([0.0])),
                        ("delayed_start(s=1)", _delayed_start_signal(1.0)),
                        ("u=0.5", ControlSignal.constant([0.5]))]
     else:
-        p = config.params
-        params = RamseyParams(alpha=float(p.get("alpha", 0.4)),
-                              delta=float(p.get("delta", 0.05)),
-                              theta=float(p.get("theta", 0.5)),
-                              k0=float(p.get("k0", 10.0)))
+        params = RamseyParams(**_problem_params(config))
         problem = params.problem()
         c0_saddle, _, candidate = ramsey_saddle_candidate(params, t_max,
                                                           t_max_shoot=t_max)
@@ -412,12 +410,9 @@ def cmd_overtake(config: RunConfig) -> int:
 
 def build_needle_report(config: RunConfig, tau: float, u: float, T: float,
                         alphas) -> ReportData:
-    problem = make_builtin_problem(
-        config.example,
-        {k: v for k, v in config.params.items()
-         if k in ("alpha", "delta", "theta", "k0", "c_max", "rho", "b")})
     if config.example == "ramsey":
         raise ValueError("needle supports the integrator and oscillator examples")
+    problem = make_builtin_problem(config.example, _problem_params(config))
     base = ControlSignal.constant([1.0])
     report = needle_limit_check(problem, base, tau, [u], T, alphas)
     rows = [["sample", _fmt(a), _fmt(s), _fmt(report.prediction), _fmt(e)]

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ode_engine import ControlSignal, IntegratorSettings, Trajectory
-from .problem_model import ControlProblem, hamiltonian, jacobians
+from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
 from .variational import (
     CostatePath,
     JxRecord,
@@ -81,11 +81,8 @@ def delta_hamiltonian(problem: ControlProblem, trajectory: Trajectory,
         raise ValueError(f"control {u} outside the admissible set")
     if abs(jx.tau - tau) > 1e-9 * max(1.0, abs(tau)):
         raise ValueError("gradient record anchored at a different tau")
-    x_tau = trajectory(tau)
-    u_hat = control.evaluate(tau)
-    psi = jx.value_at(T)
-    return (hamiltonian(problem, x_tau, u, tau, psi, 1.0)
-            - hamiltonian(problem, x_tau, u_hat, tau, psi, 1.0))
+    return float(hamiltonian_jumps(problem, trajectory(tau), control.evaluate(tau), tau,
+                                   [u], jx.value_at(T), 1.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,33 +159,25 @@ def check_general(problem: ControlProblem, trajectory: Trajectory,
     control_grid = problem.control_set.sample_grid(control_resolution)
 
     n_tau, n_u = tau_grid.size, control_grid.shape[0]
-    estimates = np.empty((n_tau, n_u))
     windows = np.empty((n_tau, n_u, 3))
-    statuses = np.empty((n_tau, n_u), dtype=object)
+    extremum = np.min if mode == "WOO" else np.max
 
     for i, tau in enumerate(tau_grid):
+        tau = float(tau)
         Ts = T_grid[T_grid >= tau + 1e-12]
-        grads = transition.gradient(float(tau), Ts)  # (n_T, n)
-        x_tau = trajectory(float(tau))
-        u_hat = control.evaluate(float(tau))
-        f_hat = np.atleast_1d(problem.dynamics(x_tau, u_hat, float(tau)))
-        g_hat = float(problem.payoff(x_tau, u_hat, float(tau)))
+        grads = transition.gradient(tau, Ts)  # (n_T, n)
+        dH = hamiltonian_jumps(problem, trajectory(tau), control.evaluate(tau), tau,
+                               control_grid, grads, 1.0)  # (n_T, n_u)
         span = float(Ts[-1] - tau)
         masks = [(Ts > tau + span / 8) & (Ts <= tau + span / 4),
                  (Ts > tau + span / 4) & (Ts <= tau + span / 2),
                  (Ts > tau + span / 2)]
-        for j in range(n_u):
-            u = control_grid[j]
-            delta_f = np.atleast_1d(problem.dynamics(x_tau, u, float(tau))) - f_hat
-            delta_g = float(problem.payoff(x_tau, u, float(tau))) - g_hat
-            dH = delta_g + grads @ delta_f
-            extremum = np.min if mode == "WOO" else np.max
-            m = [float(extremum(dH[mask])) if np.any(mask) else math.nan
-                 for mask in masks]
-            windows[i, j] = m
-            estimates[i, j] = m[2]
-            statuses[i, j] = _window_verdict(m[0], m[1], m[2], mode,
-                                             hold_tol, converge_tol)
+        for k, mask in enumerate(masks):
+            windows[i, :, k] = extremum(dH[mask], axis=0) if np.any(mask) else math.nan
+    estimates = windows[:, :, 2].copy()
+    statuses = np.empty((n_tau, n_u), dtype=object)
+    for i, j in np.ndindex(n_tau, n_u):
+        statuses[i, j] = _window_verdict(*windows[i, j], mode, hold_tol, converge_tol)
 
     flat = statuses.ravel()
     if any(s is Verdict.FAILS for s in flat):
@@ -259,7 +248,7 @@ def check_classical(problem: ControlProblem, trajectory: Trajectory,
     times = _tail_times(costate, tail)
     psi = costate.psi(times)
     xs = trajectory(times)
-    Ys, _ = transition._blocks(times)
+    Ys = transition.fundamental(times)
 
     s_psi = np.max(np.abs(psi), axis=1)
     s_xpsi = np.einsum("ij,ij->i", xs, psi)
@@ -297,13 +286,10 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
     grid = problem.control_set.sample_grid(control_resolution)
     worst = -math.inf
     series = []
-    for t in time_grid:
-        x = trajectory(float(t))
-        psi = costate.psi(float(t))
-        h_hat = hamiltonian(problem, x, control.evaluate(float(t)), float(t), psi, lam)
-        h_best = max(hamiltonian(problem, x, u, float(t), psi, lam) for u in grid)
-        gap = h_best - h_hat
-        series.append((float(t), gap))
+    for t in time_grid.tolist():
+        gap = float(hamiltonian_jumps(problem, trajectory(t), control.evaluate(t), t,
+                                      grid, costate.psi(t), lam).max())
+        series.append((t, gap))
         worst = max(worst, gap)
     status = Verdict.HOLDS if worst <= tol else Verdict.FAILS
     return ConditionVerdict(status, series, tol,
@@ -322,7 +308,7 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
     """
     times = _tail_times(costate, tail)
     psi = costate.psi(times)
-    Ys, _ = transition._blocks(times)
+    Ys = transition.fundamental(times)
     v = np.einsum("ikj,ik->ij", Ys, psi)  # K(t, t0)* psi(t)
     osc = float(np.max(np.max(v, axis=0) - np.min(v, axis=0)))
     series = list(zip(times.tolist(), np.max(np.abs(v), axis=1).tolist()))
@@ -359,8 +345,7 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
 
 
 def check_gmax(problem: ControlProblem, feasible_pairs: Sequence,
-               time_grid, control_resolution: Optional[int] = None,
-               tol: float = 1e-9) -> list:
+               time_grid, tol: float = 1e-9) -> list:
     """Pointwise payoff-rate maximization over a family of feasible candidates.
 
     Applicable only when the payoff rate does not depend on the state (probed
@@ -368,8 +353,7 @@ def check_gmax(problem: ControlProblem, feasible_pairs: Sequence,
     sampled time t, the fiber of competing control values consists of every
     family member's control evaluated where its own trajectory passes through
     the same state; the candidate holds iff its payoff rate is maximal on
-    every fiber.  ``control_resolution`` is accepted for interface symmetry
-    (fibers come from the family, not from a grid).
+    every fiber.
     """
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
     pairs = list(feasible_pairs)

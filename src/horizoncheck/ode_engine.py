@@ -10,7 +10,7 @@ so dense evaluation costs nothing extra and is exact at the nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -108,14 +108,11 @@ class IntegratorSettings:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = math.inf
-    method: str = "rk45_adaptive"  # or "rk4_fixed"
     max_steps: int = 4_000_000
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_step <= 0:
             raise ValueError("tolerances and max_step must be positive")
-        if self.method not in ("rk45_adaptive", "rk4_fixed"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
@@ -143,14 +140,11 @@ class Trajectory:
     and matches the accuracy of the 4th/5th-order steps between them.
     """
 
-    def __init__(self, time_grid, states, derivs, exit_event: Optional[ExitEvent] = None,
-                 requested_t0: Optional[float] = None, requested_t_end: Optional[float] = None):
+    def __init__(self, time_grid, states, derivs, exit_event: Optional[ExitEvent] = None):
         self.time_grid = np.asarray(time_grid, dtype=float)
         self.states = np.atleast_2d(np.asarray(states, dtype=float))
         self.derivs = np.atleast_2d(np.asarray(derivs, dtype=float))
         self.exit_event = exit_event
-        self.requested_t0 = self.time_grid[0] if requested_t0 is None else requested_t0
-        self.requested_t_end = self.time_grid[-1] if requested_t_end is None else requested_t_end
         if np.any(np.diff(self.time_grid) < 0):
             raise ValueError("time grid must be nondecreasing")
 
@@ -287,7 +281,7 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
         if ev is not None:
             ev = ExitEvent(-ev.time, ev.state, ev.description)
         return Trajectory(-traj.time_grid[::-1], traj.states[::-1], -traj.derivs[::-1],
-                          exit_event=ev, requested_t0=t_end, requested_t_end=t0)
+                          exit_event=ev)
 
     span = t_end - t0
     h_floor = 1e-9 * span
@@ -296,10 +290,7 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
 
 
 def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
-    def f_eval(t, y):
-        return np.atleast_1d(np.asarray(field(t, y), dtype=float))
-
-    f0 = f_eval(t0, y0)
+    f0 = np.atleast_1d(np.asarray(field(t0, y0), dtype=float))
     if not np.isfinite(f0).all():
         raise IntegrationError(f"field non-finite at initial point t={t0:g}")
     if domain is not None and not domain.contains(y0):
@@ -308,13 +299,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
         return Trajectory([t0], [y0], [f0],
                           exit_event=ExitEvent(t0, y0.copy(), str(stop(t0, y0))))
 
-    fixed = settings.method == "rk4_fixed"
-    if fixed:
-        h_fix = settings.max_step if math.isfinite(settings.max_step) else span / 100.0
-        n_steps = max(1, int(math.ceil(span / h_fix - 1e-12)))
-        h = span / n_steps
-    else:
-        h = _initial_step(y0, f0, settings, span)
+    h = _initial_step(y0, f0, settings, span)
 
     ts, ys, fs = [t0], [y0.copy()], [f0.copy()]
     t, y, fy = t0, y0.copy(), f0
@@ -327,22 +312,8 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
             raise IntegrationError("maximum number of steps exceeded")
         h = min(h, t_end - t, settings.max_step)
 
-        # ---- take one step (with retries for the adaptive method) ----
+        # ---- take one step, with retries ----
         while True:
-            if fixed:
-                k1 = fy
-                k2 = f_eval(t + h / 2, y + (h / 2) * k1)
-                k3 = f_eval(t + h / 2, y + (h / 2) * k2)
-                k4 = f_eval(t + h, y + h * k3)
-                y_new = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                if not np.isfinite(y_new).all():
-                    raise IntegrationError(f"non-finite field value near t={t:g} (rk4_fixed)")
-                f_new = f_eval(t + h, y_new)
-                if not np.isfinite(f_new).all():
-                    raise IntegrationError(f"non-finite field value near t={t + h:g} (rk4_fixed)")
-                err_norm = 0.0
-                break
-
             # stages are written straight into K, which converts them
             K = np.empty((7, y.size))
             K[0] = fy
@@ -401,12 +372,10 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
         ys.append(y_new)
         fs.append(f_new.copy())  # a view of K would keep all seven stages alive
         t, y, fy = t_new, y_new, f_new
-        if not fixed:
-            grow = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            h = max(h * grow, h_floor)
+        grow = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        h = max(h * grow, h_floor)
 
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs), exit_event=exit_event,
-                      requested_t0=t0, requested_t_end=t_end)
+    return Trajectory(np.array(ts), np.array(ys), np.array(fs), exit_event=exit_event)
 
 
 def integrate_batch(field: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: float, Y0,
@@ -428,12 +397,10 @@ def integrate_batch(field: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: f
     Returns the end times [B], the end states [B, n] and the exit events
     (None for a member that reached t_end); no dense output is kept.  A
     failure that :func:`integrate` would raise for one member raises
-    ``IntegrationError`` for the whole call.  Only the adaptive method and
-    forward spans are supported.
+    ``IntegrationError`` for the whole call.  Only forward spans are
+    supported.
     """
     settings = settings or DEFAULT_SETTINGS
-    if settings.method != "rk45_adaptive":
-        raise ValueError("integrate_batch supports only the rk45_adaptive method")
     if t_end < t0:
         raise ValueError("integrate_batch integrates forward: need t_end >= t0")
     Y_out = np.array(Y0, dtype=float)
@@ -814,7 +781,7 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
         derivs.append(p.derivs)
     event = next((p.exit_event for p in pieces if p.exit_event is not None), None)
     return Trajectory(np.concatenate(grids), np.vstack(states), np.vstack(derivs),
-                      exit_event=event, requested_t0=t0, requested_t_end=t_end)
+                      exit_event=event)
 
 
 def solve_state(problem, control: ControlSignal, t_end: float,

@@ -23,7 +23,7 @@ from .ode_engine import (
     Trajectory,
     solve_state,
 )
-from .problem_model import ControlProblem
+from .problem_model import ControlProblem, hamiltonian_jumps
 from .variational import accumulate_jx, payoff_value
 
 __all__ = [
@@ -91,7 +91,7 @@ def needle_gap(problem: ControlProblem, base_control: ControlSignal,
 @dataclass
 class NeedleCheckReport:
     """First-order needle check: payoff slopes against the prediction
-    <grad(tau, T), y(tau)> + g(x, u, tau) - g(x, u_hat, tau)."""
+    H(x, u, tau, grad(tau, T), 1) - H(x, u_hat, tau, grad(tau, T), 1)."""
 
     tau: float
     u: np.ndarray
@@ -113,9 +113,10 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
                        trajectory: Optional[Trajectory] = None) -> NeedleCheckReport:
     """Tabulate needle payoff slopes against their first-order prediction.
 
-    The prediction couples the payoff gradient with the dynamics jump
-    y(tau) = f(x(tau), u, tau) - f(x(tau), u_hat(tau), tau) and adds the
-    payoff-rate jump; the error is expected to vanish linearly in the width.
+    The prediction is the Hamiltonian difference at tau with the payoff
+    gradient as multiplier: the gradient times the dynamics jump
+    f(x(tau), u, tau) - f(x(tau), u_hat(tau), tau) plus the payoff-rate jump.
+    The error is expected to vanish linearly in the width.
     """
     settings = settings or _VALUE_SETTINGS
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -123,14 +124,8 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
     if trajectory is None:
         trajectory = solve_state(problem, base_control, T, settings)
     jx = accumulate_jx(problem, trajectory, base_control, tau, [tau, T], settings)
-    grad = jx.value_at(T)
-    x_tau = trajectory(tau)
-    u_hat = base_control.evaluate(tau)
-    y_tau = (np.atleast_1d(problem.dynamics(x_tau, u, tau))
-             - np.atleast_1d(problem.dynamics(x_tau, u_hat, tau)))
-    delta_g = (float(problem.payoff(x_tau, u, tau))
-               - float(problem.payoff(x_tau, u_hat, tau)))
-    prediction = float(grad @ y_tau) + delta_g
+    prediction = float(hamiltonian_jumps(problem, trajectory(tau), base_control.evaluate(tau),
+                                         tau, [u], jx.value_at(T), 1.0)[0])
 
     slopes = np.empty(alphas.size)
     for i, alpha in enumerate(alphas):
@@ -207,32 +202,21 @@ def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
     _, cand_aug = payoff_value(problem, candidate, problem.initial_state, t0,
                                T_max, settings, return_trajectory=True)
 
-    exited = None
     try:
         _, chal_aug = payoff_value(problem, challenger, problem.initial_state, t0,
                                    T_max, settings, return_trajectory=True)
     except NonExtendibleError as exc:
-        exited = exc.event
-        chal_aug = None
-
-    if exited is not None:
-        report_T = exited.time
-        grid = np.linspace(t0, report_T, max(16, int((report_T - t0) / sample_spacing)))
-        samples = []
-    else:
-        grid = np.linspace(t0, T_max,
-                           max(64, int(math.ceil((T_max - t0) / sample_spacing))))
-        gaps = chal_aug(grid)[:, n] - cand_aug(grid)[:, n]
-        samples = list(zip(grid[:: max(1, grid.size // 2000)].tolist(),
-                           gaps[:: max(1, grid.size // 2000)].tolist()))
-
-    if exited is not None:
         return OvertakingReport(
             candidate=candidate, challenger=challenger, eps=eps,
-            horizon_samples=samples, verdict="non_extendible_challenger",
+            horizon_samples=[], verdict="non_extendible_challenger",
             max_gap=math.nan, argmax_T=math.nan,
-            evidence=f"challenger exits the state domain at t={exited.time:.6g} "
-                     f"({exited.description})")
+            evidence=f"challenger exits the state domain at t={exc.event.time:.6g} "
+                     f"({exc.event.description})")
+
+    grid = np.linspace(t0, T_max, max(64, int(math.ceil((T_max - t0) / sample_spacing))))
+    gaps = chal_aug(grid)[:, n] - cand_aug(grid)[:, n]
+    samples = list(zip(grid[:: max(1, grid.size // 2000)].tolist(),
+                       gaps[:: max(1, grid.size // 2000)].tolist()))
 
     i_max = int(np.argmax(gaps))
     max_gap, argmax_T = float(gaps[i_max]), float(grid[i_max])

@@ -13,7 +13,7 @@ built-in problems are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -25,6 +25,7 @@ __all__ = [
     "ControlSet",
     "MultiplierPair",
     "hamiltonian",
+    "hamiltonian_jumps",
     "jacobians",
     "make_builtin_problem",
 ]
@@ -160,6 +161,29 @@ def hamiltonian(problem: ControlProblem, x, u, t: float, psi, lam: float) -> flo
     if not np.isfinite(value):
         raise ValueError(f"non-finite Hamiltonian at x={x}, u={u}, t={t:g}")
     return value
+
+
+def hamiltonian_jumps(problem: ControlProblem, x, u_hat, t: float, controls, psi,
+                      lam: float) -> Array:
+    """H(x, u, t, psi, lam) - H(x, u_hat, t, psi, lam) for every control u in
+    ``controls``, as lam * (g(u) - g(u_hat)) + <psi, f(u) - f(u_hat)>.
+
+    ``psi`` is one vector, giving shape (n_u,), or a stack of rows, giving
+    shape (n_T, n_u).  The jump is exactly zero where u equals u_hat.  Raises
+    ValueError when a jump is non-finite, as :func:`hamiltonian` does.
+    """
+    x, u_hat = _vector(x), _vector(u_hat)
+    controls = np.asarray(controls, dtype=float).reshape(-1, problem.control_dim)
+    with np.errstate(all="ignore"):
+        f_hat = _vector(problem.dynamics(x, u_hat, t))
+        g_hat = float(problem.payoff(x, u_hat, t))
+        df = np.array([_vector(problem.dynamics(x, u, t)) - f_hat for u in controls])
+        dg = np.array([float(problem.payoff(x, u, t)) - g_hat for u in controls])
+        jumps = np.asarray(psi, dtype=float) @ df.reshape(-1, f_hat.size).T
+        jumps += lam * dg  # in place: no second (n_T, n_u) array
+    if not np.isfinite(jumps).all():
+        raise ValueError(f"non-finite Hamiltonian jump at x={x}, u_hat={u_hat}, t={t:g}")
+    return jumps
 
 
 def jacobians(problem: ControlProblem, x, u, t: float, h: float = FD_STEP_DEFAULT):

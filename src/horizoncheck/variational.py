@@ -20,13 +20,12 @@ control u(.).  The central objects are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .ode_engine import (
-    Box,
     ControlSignal,
     IntegratorSettings,
     NonExtendibleError,
@@ -94,37 +93,53 @@ _VARIATIONAL_SETTINGS = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
 # transition operator and payoff-gradient scans
 
 
+def _augmented_rhs(problem: ControlProblem):
+    """Right-hand side of the augmented system z = (x, Y, S): the state,
+    dY/dt = f_x(t) Y and dS/dt = Y* g_x(t)."""
+    n = problem.state_dim
+
+    def rhs(z, u, t):
+        x = z[:n]
+        Y = z[n:n + n * n].reshape(n, n)
+        fx, gx = jacobians(problem, x, u, t)
+        dx = problem.dynamics(x, u, t)
+        return np.concatenate([np.atleast_1d(dx), (fx @ Y).ravel(), Y.T @ gx])
+
+    return rhs
+
+
+def _augmented_pass(problem: ControlProblem, trajectory: Trajectory,
+                    control: ControlSignal, anchor: float, t_end: float,
+                    settings: IntegratorSettings) -> Trajectory:
+    """One forward pass of (x, Y, S) from (x(anchor), I, 0) to t_end."""
+    n = problem.state_dim
+    z0 = np.concatenate([trajectory(anchor), np.eye(n).ravel(), np.zeros(n)])
+    return integrate_controlled(_augmented_rhs(problem), control, anchor, z0, t_end,
+                                settings, domain=problem.state_domain.extended(n * n + n))
+
+
 class TransitionOperator:
     """Propagator samples K(t, tau) of the dynamics linearized along a
-    trajectory, together with the running gradient integral S(t)."""
+    trajectory, together with the running gradient integral S(t), read off
+    the augmented pass ``aug`` of an n-dimensional state."""
 
-    def __init__(self, problem: ControlProblem, base_trajectory: Trajectory,
-                 base_control: ControlSignal, aug: Trajectory):
-        self.problem = problem
-        self.base_trajectory = base_trajectory
-        self.base_control = base_control
+    def __init__(self, aug: Trajectory, n: int):
         self._aug = aug
-        self._n = problem.state_dim
+        self._n = n
 
     @property
     def span(self):
         return self._aug.t0, self._aug.t_end
 
-    def _blocks(self, t):
+    def fundamental(self, t) -> np.ndarray:
+        """Y(t) = K(t, t0); an array of times gives a stack of matrices."""
         n = self._n
         z = self._aug(t)
-        if z.ndim == 1:
-            return z[n:n + n * n].reshape(n, n), z[n + n * n:]
-        return (z[:, n:n + n * n].reshape(-1, n, n), z[:, n + n * n:])
+        return z[..., n:n + n * n].reshape(z.shape[:-1] + (n, n))
 
-    def fundamental(self, t: float) -> np.ndarray:
-        """Y(t) = K(t, t0)."""
-        Y, _ = self._blocks(float(t))
-        return Y
-
-    def gradient_integral(self, t: float) -> np.ndarray:
-        _, S = self._blocks(float(t))
-        return S
+    def gradient_integral(self, t) -> np.ndarray:
+        """S(t); an array of times gives a stack of rows."""
+        return self._aug(t)[..., self._n * (self._n + 1):]
 
     def evaluate(self, t: float, tau: float) -> np.ndarray:
         """K(t, tau) = Y(t) Y(tau)^-1."""
@@ -139,48 +154,28 @@ class TransitionOperator:
     def gradient(self, tau: float, T) -> np.ndarray:
         """Payoff gradient over [tau, T]: Y(tau)^-* (S(T) - S(tau))."""
         Ytau = self.fundamental(tau)
-        S_tau = self.gradient_integral(tau)
-        T_arr = np.asarray(T, dtype=float)
-        if T_arr.ndim == 0:
-            diff = self.gradient_integral(float(T)) - S_tau
-            return np.linalg.solve(Ytau.T, diff)
-        _, S_many = self._blocks(T_arr)
-        return np.linalg.solve(Ytau.T, (S_many - S_tau).T).T
+        diff = self.gradient_integral(T) - self.gradient_integral(tau)
+        return np.linalg.solve(Ytau.T, diff.T).T
 
 
 def transition_matrix(problem: ControlProblem, trajectory: Trajectory,
-                      control: ControlSignal, tau: Optional[float] = None,
-                      t_grid=None, settings: Optional[IntegratorSettings] = None
+                      control: ControlSignal, t_grid=None,
+                      settings: Optional[IntegratorSettings] = None
                       ) -> TransitionOperator:
     """Build the transition operator along a trajectory.
 
     Integrates the augmented system (x, Y, S) forward once over the span of
-    the trajectory (or up to max(t_grid) when given); ``tau`` is accepted for
-    interface symmetry, evaluation at arbitrary (t, tau) pairs is exact via
-    the fundamental matrix.
+    the trajectory (or up to max(t_grid) when given); evaluation at
+    arbitrary (t, tau) pairs is exact via the fundamental matrix.
     """
-    settings = settings or _VARIATIONAL_SETTINGS
-    n = problem.state_dim
-    t0 = trajectory.t0
     t_hi = trajectory.t_end if t_grid is None else float(np.max(t_grid))
     if not trajectory.covers(t_hi):
         raise ValueError("requested horizon grid exceeds the trajectory span")
-
-    def rhs(z, u, t):
-        x = z[:n]
-        Y = z[n:n + n * n].reshape(n, n)
-        fx, gx = jacobians(problem, x, u, t)
-        dx = problem.dynamics(x, u, t)
-        dY = fx @ Y
-        dS = Y.T @ gx
-        return np.concatenate([np.atleast_1d(dx), dY.ravel(), dS])
-
-    z0 = np.concatenate([trajectory(t0), np.eye(n).ravel(), np.zeros(n)])
-    aug = integrate_controlled(rhs, control, t0, z0, t_hi, settings,
-                               domain=problem.state_domain.extended(n * n + n))
+    aug = _augmented_pass(problem, trajectory, control, trajectory.t0, t_hi,
+                          settings or _VARIATIONAL_SETTINGS)
     if aug.exit_event is not None:
         raise NonExtendibleError(aug.exit_event)
-    return TransitionOperator(problem, trajectory, control, aug)
+    return TransitionOperator(aug, problem.state_dim)
 
 
 @dataclass
@@ -242,22 +237,12 @@ def accumulate_jx(problem: ControlProblem, trajectory: Trajectory,
             if np.any(T_grid <= t_hi) else np.array([tau, t_hi])
 
     n = problem.state_dim
-
-    def rhs(z, u, t):
-        x = z[:n]
-        Y = z[n:n + n * n].reshape(n, n)
-        fx, gx = jacobians(problem, x, u, t)
-        dx = problem.dynamics(x, u, t)
-        return np.concatenate([np.atleast_1d(dx), (fx @ Y).ravel(), Y.T @ gx])
-
-    z0 = np.concatenate([trajectory(tau), np.eye(n).ravel(), np.zeros(n)])
     if t_hi > tau:
-        aug = integrate_controlled(rhs, control, tau, z0, t_hi, settings,
-                                   domain=problem.state_domain.extended(n * n + n))
+        aug = _augmented_pass(problem, trajectory, control, tau, t_hi, settings)
         if aug.exit_event is not None:
             truncated = True
             T_grid = np.concatenate([T_grid[T_grid <= aug.t_end], [aug.t_end]])
-        values = aug(np.asarray(T_grid))[:, n + n * n:]
+        values = aug(T_grid)[:, n * (n + 1):]
     else:
         values = np.zeros((T_grid.size, n))
     # the empty integral is exactly zero
@@ -287,15 +272,10 @@ class CostatePath:
 
     trajectory: Trajectory
     lam: float
-    terminal_condition: tuple
 
     @property
     def time_grid(self) -> np.ndarray:
         return self.trajectory.time_grid
-
-    @property
-    def psi_values(self) -> np.ndarray:
-        return self.trajectory.states
 
     def psi(self, t):
         return self.trajectory(t)
@@ -328,7 +308,7 @@ def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
         return -(fx.T @ psi + lam * gx)
 
     traj = integrate_controlled(rhs, control, T, psi_T, t_lo, settings)
-    return CostatePath(trajectory=traj, lam=lam, terminal_condition=(T, psi_T))
+    return CostatePath(trajectory=traj, lam=lam)
 
 
 def lemma1_residual(problem: ControlProblem, trajectory: Trajectory,
@@ -445,8 +425,8 @@ def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
     propagator-based gradient.
 
     The step shrinks per component when a probe leaves the state domain; a
-    perturbed trajectory that exits the domain mid-horizon raises
-    NonExtendibleError naming the offending direction.
+    perturbed trajectory that exits the domain mid-horizon raises the
+    NonExtendibleError of :func:`payoff_value`, which carries the exit event.
     """
     settings = settings or _VARIATIONAL_SETTINGS
     x_tau = np.atleast_1d(np.asarray(x_tau, dtype=float))
@@ -463,11 +443,8 @@ def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
             hi *= 0.5
         else:
             raise ValueError(f"cannot perturb component {i} inside the state domain")
-        try:
-            j_plus = payoff_value(problem, control, plus, tau, T, settings)
-            j_minus = payoff_value(problem, control, minus, tau, T, settings)
-        except NonExtendibleError as exc:
-            raise NonExtendibleError(exc.event) from exc
+        j_plus = payoff_value(problem, control, plus, tau, T, settings)
+        j_minus = payoff_value(problem, control, minus, tau, T, settings)
         grad[i] = (j_plus - j_minus) / (2 * hi)
     return grad
 

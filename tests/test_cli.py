@@ -154,3 +154,20 @@ def test_float_formatting_nine_significant_digits(tmp_path):
     for row in rows[1:]:
         for cell in row[1:3]:
             assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 10
+
+
+@pytest.mark.parametrize("example,flag", [("oscillator", ["--b", "0.5"]),
+                                          ("integrator", ["--rho", "0.1"])])
+def test_needle_without_parameters_uses_the_defaults(example, flag, tmp_path):
+    args = ["needle", "--example", example, "--alphas", "1e-1,1e-2"]
+    bare, explicit = tmp_path / "bare.csv", tmp_path / "explicit.csv"
+    assert main(args + ["--out", str(bare)]) == 0
+    assert main(args + flag + ["--out", str(explicit)]) == 0
+    assert bare.read_bytes() == explicit.read_bytes()
+
+
+def test_needle_rejects_ramsey_by_name(capsys):
+    assert main(["needle", "--example", "ramsey"]) == 1
+    err = capsys.readouterr().err
+    assert "needle supports the integrator and oscillator examples" in err
+    assert "missing parameter" not in err

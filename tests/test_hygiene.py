@@ -1,0 +1,114 @@
+"""Static hygiene of the package sources, checked with the stdlib ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "horizoncheck"
+# the package __init__ imports names only to re-export them
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Module-level name bound by each import -> its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _bound_names(body) -> set:
+    """Names a function body binds, not counting nested scopes."""
+    bound = set()
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name.split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _parameters(args: ast.arguments) -> set:
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return {a.arg for a in every if a is not None}
+
+
+def _module_level_loads(tree: ast.Module) -> set:
+    """Names read that resolve to the module scope: a read inside a function
+    whose parameter or local shadows the name does not count."""
+    loads = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            # decorators, defaults and annotations belong to the enclosing scope
+            outer = [*getattr(node, "decorator_list", []), *node.args.defaults,
+                     *[d for d in node.args.kw_defaults if d is not None]]
+            every = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                     node.args.vararg, node.args.kwarg]
+            outer += [a.annotation for a in every if a is not None and a.annotation]
+            if getattr(node, "returns", None) is not None:
+                outer.append(node.returns)
+            for child in outer:
+                visit(child, shadowed)
+            body = node.body if isinstance(node.body, list) else [node.body]
+            inner = shadowed | _parameters(node.args) | _bound_names(body)
+            for child in body:
+                visit(child, inner)
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in shadowed:
+                loads.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return loads
+
+
+def _exported(tree: ast.Module) -> set:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def unused_imports(source: str) -> list:
+    """(name, line) of every import the module never reads or exports."""
+    tree = ast.parse(source)
+    used = _module_level_loads(tree) | _exported(tree)
+    return sorted((name, line) for name, line in _imported_names(tree).items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_detector():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import Callable, Optional\n"
+        "import numpy as np\n"
+        "__all__ = ['Optional']\n"
+        "def run(field, y: np.ndarray):\n"
+        "    return field(y)\n"
+    )
+    assert unused_imports(source) == [("Callable", 2), ("dataclass", 1), ("field", 1)]

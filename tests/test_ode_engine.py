@@ -43,19 +43,6 @@ def test_ramsey_steady_field_is_stationary():
     assert traj.states[-1, 0] == pytest.approx(32.0, abs=1e-8)
 
 
-def test_rk4_fixed_convergence_order():
-    # halving the step should cut the endpoint error ~16x on a smooth field
-    field = lambda t, y: np.array([y[0]])
-    errors = []
-    for h in (0.1, 0.05, 0.025):
-        settings = IntegratorSettings(method="rk4_fixed", max_step=h)
-        traj = integrate(field, 0.0, [1.0], 2.0, settings)
-        errors.append(abs(traj.states[-1, 0] - math.e ** 2))
-    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
-    for p in orders:
-        assert 3.7 <= p <= 4.3, orders
-
-
 def test_backward_integration_and_time_symmetry():
     field = lambda t, y: np.array([y[1], -y[0]])
     settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
@@ -67,19 +54,19 @@ def test_backward_integration_and_time_symmetry():
 
 
 def test_interpolant_exact_at_nodes_and_order():
-    field = lambda t, y: np.array([math.sin(t) * y[0]])
-
+    # y = exp(1 - cos t) solves y' = sin(t) y; the nodes carry exact states
+    # and slopes, so only the interpolant contributes to the error
     def midpoint_error(h):
-        settings = IntegratorSettings(method="rk4_fixed", max_step=h)
-        traj = integrate(field, 0.0, [1.0], 6.0, settings)
+        grid = np.linspace(0.0, 6.0, round(6.0 / h) + 1)
+        y = np.exp(1.0 - np.cos(grid))
+        traj = Trajectory(grid, y[:, None], (np.sin(grid) * y)[:, None])
         k = len(traj.time_grid) // 2
         assert np.array_equal(traj(traj.time_grid[k]), traj.states[k])
-        mids = 0.5 * (traj.time_grid[:-1] + traj.time_grid[1:])
-        exact = np.exp(1.0 - np.cos(mids))
-        return np.max(np.abs(traj(mids)[:, 0] - exact))
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        return np.max(np.abs(traj(mids)[:, 0] - np.exp(1.0 - np.cos(mids))))
 
-    # dense output keeps 4th order between nodes: halving the step cuts the
-    # midpoint error ~16x (no accuracy cliff relative to the stepper)
+    # cubic Hermite is 4th order between nodes: halving the step cuts the
+    # midpoint error ~16x
     e1, e2 = midpoint_error(0.1), midpoint_error(0.05)
     assert e2 < 1e-6
     assert 8.0 <= e1 / e2 <= 32.0
@@ -288,6 +275,86 @@ def test_error_norm_is_rms_of_scaled_error():
     check()
 
 
+def test_switches_and_needles_follow_the_half_open_convention():
+    hypothesis, st, _ = _hypothesis()
+    values = st.sampled_from([-1.0, 0.0, 0.25, 1.0])
+
+    @st.composite
+    def signals(draw):
+        kind = draw(st.sampled_from(["constant", "piecewise", "closed_form"]))
+        if kind == "constant":
+            return ControlSignal.constant([draw(values)])
+        if kind == "closed_form":
+            return ControlSignal.closed_form(lambda t: np.array([math.sin(t)]), 1)
+        times = sorted(draw(st.sets(st.floats(0.0, 10.0), min_size=1, max_size=5)))
+        return ControlSignal.piecewise_constant(
+            times, [[draw(values)] for _ in range(len(times) + 1)])
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(signals(), st.floats(0.5, 10.0), st.floats(1e-3, 0.5), values)
+    def check(base, tau, alpha, u):
+        # a switching time belongs to the interval it ends, (a, b]: evaluation
+        # agrees with the segment values that integration freezes
+        cuts = base.breakpoints()
+        edges = [cuts[0] - 1.0, *cuts, cuts[-1] + 1.0] if cuts.size else []
+        for a, t, b in zip(edges, edges[1:], edges[2:]):
+            assert np.array_equal(base.evaluate(t), base.segment_value(a, t))
+            assert np.array_equal(base.evaluate(np.nextafter(t, np.inf)),
+                                  base.segment_value(t, b))
+        needled = base.with_needle(tau, alpha, [u])
+        a = tau - alpha
+        for t in (np.nextafter(a, np.inf), 0.5 * (a + tau), tau):
+            assert needled.evaluate(t)[0] == u
+        for t in (a, np.nextafter(tau, np.inf), tau + 1.0, a - 0.1):
+            assert np.array_equal(needled.evaluate(t), base.evaluate(t))
+
+    check()
+
+
+def test_forward_and_backward_integration_agree():
+    hypothesis, st, hnp = _hypothesis()
+    settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(hnp.arrays(float, (2, 2), elements=st.floats(-0.5, 0.5)),
+                      hnp.arrays(float, 2, elements=st.floats(-2.0, 2.0)),
+                      st.floats(0.5, 4.0))
+    def check(A, y0, T):
+        field = lambda t, y: A @ y + np.array([math.cos(t), 0.0])
+        fwd = integrate(field, 0.0, y0, T, settings)
+        back = integrate(field, T, fwd.states[-1], 0.0, settings)
+        assert back.t0 == 0.0 and back.t_end == T
+        assert np.all(np.diff(back.time_grid) >= 0)
+        assert np.array_equal(back.states[-1], fwd.states[-1])
+        ts = np.linspace(0.0, T, 17)
+        np.testing.assert_allclose(back(ts), fwd(ts), rtol=0.0,
+                                   atol=1e-6 * (1.0 + np.abs(fwd.states).max()))
+
+    check()
+
+
+def test_domain_exit_localized_within_h_floor():
+    hypothesis, st, _ = _hypothesis()
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.floats(0.1, 10.0), st.floats(0.1, 3.0), st.floats(0.0, 2.0),
+                      st.floats(1.1, 20.0))
+    def check(y0, speed, accel, stretch):
+        # y = y0 - speed t - accel t^2 / 2 reaches the face y = 0 at t_hit; the
+        # steps and their Hermite interpolant reproduce it up to round-off
+        t_hit = (2 * y0 / (speed + math.sqrt(speed * speed + 2 * accel * y0)))
+        t_end = stretch * t_hit
+        traj = integrate(lambda t, y: np.array([-(speed + accel * t)]), 0.0, [y0], t_end,
+                         IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12),
+                         domain=Box.from_bounds([0.0], [np.inf]))
+        assert traj.exit_event is not None
+        h_floor = 1e-9 * t_end
+        assert abs(traj.exit_event.time - t_hit) <= h_floor + 1e-12 * t_end
+        assert traj.t_end == traj.exit_event.time
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # batch integration
 
@@ -373,13 +440,9 @@ def test_batch_blowup_away_from_boundary_raises():
         integrate_batch(lambda t, Y: Y ** 2, 0.0, [[0.1], [1.0]], 3.0)
 
 
-def test_batch_rejects_fixed_step_and_backward_spans():
-    field = lambda t, Y: -Y
+def test_batch_rejects_backward_spans():
     with pytest.raises(ValueError):
-        integrate_batch(field, 0.0, [[1.0]], 1.0,
-                        IntegratorSettings(method="rk4_fixed", max_step=0.1))
-    with pytest.raises(ValueError):
-        integrate_batch(field, 1.0, [[1.0]], 0.0)
+        integrate_batch(lambda t, Y: -Y, 1.0, [[1.0]], 0.0)
 
 
 def test_batch_without_members_calls_no_field():

@@ -7,6 +7,7 @@ from horizoncheck import (
     ControlSet,
     MultiplierPair,
     hamiltonian,
+    hamiltonian_jumps,
     jacobians,
     make_builtin_problem,
 )
@@ -112,6 +113,61 @@ def test_hamiltonian_nonfinite_raises():
                                   {"alpha": 0.4, "delta": 0.05, "theta": 3.0, "k0": 10.0})
     with pytest.raises(ValueError):
         hamiltonian(ramsey, [10.0], [1e-200], 0.0, [1.0], 1.0)
+
+
+# (name, params, state box) of the built-in problems
+_BUILTINS = [
+    ("ramsey", {"alpha": 0.4, "delta": 0.05, "theta": 0.5, "k0": 10.0}, ([0.5], [60.0])),
+    ("integrator", {"rho": 0.1}, ([-10.0], [10.0])),
+    ("oscillator", {"b": 0.5}, ([-5.0, -5.0], [5.0, 5.0])),
+]
+
+
+def test_hamiltonian_jumps_match_per_cell_hamiltonian():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.sampled_from(_BUILTINS), st.data())
+    def check(builtin, data):
+        name, params, (x_lo, x_hi) = builtin
+        problem = make_builtin_problem(name, params)
+        unit = st.floats(0.0, 1.0)
+        x = np.array([lo + data.draw(unit) * (hi - lo) for lo, hi in zip(x_lo, x_hi)])
+        t = data.draw(st.floats(0.0, 50.0))
+        lam = data.draw(st.floats(0.0, 2.0))
+        grid = problem.control_set.sample_grid(data.draw(st.integers(2, 9)))
+        u_hat = grid[data.draw(st.integers(0, len(grid) - 1))]
+        psi = np.array(data.draw(st.lists(
+            st.lists(st.floats(-5.0, 5.0), min_size=problem.state_dim,
+                     max_size=problem.state_dim), min_size=1, max_size=4)))
+
+        jumps = hamiltonian_jumps(problem, x, u_hat, t, grid, psi, lam)
+        assert jumps.shape == (len(psi), len(grid))
+        for k, row in enumerate(psi):
+            h_hat = hamiltonian(problem, x, u_hat, t, row, lam)
+            for j, u in enumerate(grid):
+                h = hamiltonian(problem, x, u, t, row, lam)
+                assert jumps[k, j] == pytest.approx(h - h_hat, rel=1e-12,
+                                                    abs=1e-12 * (1.0 + abs(h_hat)))
+        # one multiplier vector gives one row; the candidate's own control, none
+        np.testing.assert_array_equal(
+            hamiltonian_jumps(problem, x, u_hat, t, grid, psi[0], lam), jumps[0])
+        assert np.all(jumps[:, np.all(grid == u_hat, axis=1)] == 0.0)
+
+    check()
+
+
+def test_hamiltonian_jumps_nonfinite_raises():
+    ramsey = make_builtin_problem("ramsey",
+                                  {"alpha": 0.4, "delta": 0.05, "theta": 3.0, "k0": 10.0})
+    # c**(1 - theta) overflows at c = 1e-200
+    with pytest.raises(ValueError, match="non-finite"):
+        hamiltonian_jumps(ramsey, [10.0], [1.0], 0.0, [[0.5], [1e-200]], [1.0], 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        hamiltonian_jumps(ramsey, [10.0], [1e-200], 0.0, [[0.5]], [[1.0], [2.0]], 1.0)
+    assert np.all(np.isfinite(
+        hamiltonian_jumps(ramsey, [10.0], [1.0], 0.0, [[0.5], [2.0]], [1.0], 1.0)))
 
 
 def test_builtin_determinism():
