@@ -67,6 +67,7 @@ from .overtaking import (
     needle_gap,
     needle_limit_check,
     oscillator_delta_x1,
+    payoff_path,
 )
 from .reference_examples import (
     IntegratorReference,

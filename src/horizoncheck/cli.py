@@ -51,7 +51,7 @@ from .reference_examples import (
     ramsey_shoot,
     ramsey_steady_state,
 )
-from .overtaking import empirical_overtaking_test, needle_limit_check
+from .overtaking import empirical_overtaking_test, needle_limit_check, payoff_path
 from .variational import TailPolicy, integrate_adjoint, jx_scan, limit_costate, transition_matrix
 
 __all__ = [
@@ -382,10 +382,12 @@ def build_overtake_report(config: RunConfig) -> ReportData:
             challengers.append((f"euler(c0={c0:.6g})", orbit_ctrl))
 
     sample_spacing = 0.02 if config.example != "ramsey" else 0.25
+    candidate_path = payoff_path(problem, candidate, t_max)
     for label, challenger in challengers:
         report = empirical_overtaking_test(problem, candidate, challenger,
                                            eps=config.eps, T_max=t_max,
-                                           sample_spacing=sample_spacing)
+                                           sample_spacing=sample_spacing,
+                                           candidate_path=candidate_path)
         rows.append(["challenger", label, report.verdict, _fmt(report.max_gap),
                      _fmt(report.argmax_T), report.evidence])
     return ReportData("overtake_report_v1",

@@ -37,6 +37,7 @@ __all__ = [
     "needle_gap",
     "needle_limit_check",
     "oscillator_delta_x1",
+    "payoff_path",
 ]
 
 _VALUE_SETTINGS = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)
@@ -73,16 +74,23 @@ def finite_horizon_value(problem: ControlProblem, control: ControlSignal,
                         settings or _VALUE_SETTINGS)
 
 
-def needle_gap(problem: ControlProblem, base_control: ControlSignal,
-               needle: NeedleSpec, T: float,
-               settings: Optional[IntegratorSettings] = None) -> float:
-    """Payoff change from applying the needle pulse to the base control."""
+def _needled(problem: ControlProblem, base_control: ControlSignal,
+             needle: NeedleSpec, T: float) -> ControlSignal:
+    """The base control with the needle pulse applied, after checking that the
+    pulse is admissible and lies inside [t0, T]."""
     if not problem.control_set.contains(needle.u):
         raise ValueError(f"needle control {needle.u} outside the admissible set")
     if needle.tau - needle.alpha < problem.initial_time or needle.tau > T:
         raise ValueError("needle interval must lie inside [t0, T]")
+    return base_control.with_needle(needle.tau, needle.alpha, needle.u)
+
+
+def needle_gap(problem: ControlProblem, base_control: ControlSignal,
+               needle: NeedleSpec, T: float,
+               settings: Optional[IntegratorSettings] = None) -> float:
+    """Payoff change from applying the needle pulse to the base control."""
+    needled = _needled(problem, base_control, needle, T)
     settings = settings or _VALUE_SETTINGS
-    needled = base_control.with_needle(needle.tau, needle.alpha, needle.u)
     j_needled = finite_horizon_value(problem, needled, T=T, settings=settings)
     j_base = finite_horizon_value(problem, base_control, T=T, settings=settings)
     return j_needled - j_base
@@ -116,22 +124,23 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
     The prediction is the Hamiltonian difference at tau with the payoff
     gradient as multiplier: the gradient times the dynamics jump
     f(x(tau), u, tau) - f(x(tau), u_hat(tau), tau) plus the payoff-rate jump.
-    The error is expected to vanish linearly in the width.
+    The error is expected to vanish linearly in the width.  The base payoff
+    is integrated once and shared by every width.
     """
     settings = settings or _VALUE_SETTINGS
     u = np.atleast_1d(np.asarray(u, dtype=float))
     alphas = np.sort(np.asarray(list(alphas), dtype=float))[::-1]
+    needled = [_needled(problem, base_control, NeedleSpec(tau, float(alpha), u), T)
+               for alpha in alphas]
     if trajectory is None:
         trajectory = solve_state(problem, base_control, T, settings)
     jx = accumulate_jx(problem, trajectory, base_control, tau, [tau, T], settings)
     prediction = float(hamiltonian_jumps(problem, trajectory(tau), base_control.evaluate(tau),
                                          tau, [u], jx.value_at(T), 1.0)[0])
 
-    slopes = np.empty(alphas.size)
-    for i, alpha in enumerate(alphas):
-        gap = needle_gap(problem, base_control, NeedleSpec(tau, float(alpha), u),
-                         T, settings)
-        slopes[i] = gap / alpha
+    j_base = finite_horizon_value(problem, base_control, T=T, settings=settings)
+    slopes = np.array([(finite_horizon_value(problem, control, T=T, settings=settings)
+                        - j_base) / alpha for control, alpha in zip(needled, alphas)])
     errors = np.abs(slopes - prediction)
 
     positive = errors > 0
@@ -177,12 +186,24 @@ def _window_evidence(T, gaps, eps, checkpoints):
     return "; ".join(ev)
 
 
+def payoff_path(problem: ControlProblem, control: ControlSignal, T_max: float,
+                settings: Optional[IntegratorSettings] = None) -> Trajectory:
+    """Augmented (x, payoff) trajectory of the control from the problem's
+    initial point to T_max; column ``state_dim`` is the running payoff."""
+    _, aug = payoff_value(problem, control, problem.initial_state,
+                          problem.initial_time, T_max, settings or _VALUE_SETTINGS,
+                          return_trajectory=True)
+    return aug
+
+
 def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
                               challenger: ControlSignal, eps: float = 1e-6,
                               T_checkpoints: Optional[Sequence[float]] = None,
                               T_max: float = 400.0,
                               settings: Optional[IntegratorSettings] = None,
-                              sample_spacing: float = 0.02) -> OvertakingReport:
+                              sample_spacing: float = 0.02,
+                              candidate_path: Optional[Trajectory] = None
+                              ) -> OvertakingReport:
     """Compare challenger and candidate payoffs on a dense horizon grid.
 
     Verdicts over the sampled range: ``consistent_OO`` when gaps stop
@@ -191,6 +212,11 @@ def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
     ``violates_WOO`` when beyond some checkpoint every sampled gap exceeds
     eps; ``non_extendible_challenger`` when the challenger's state leaves the
     domain (which counts in the candidate's favor); else ``inconclusive``.
+
+    Every checkpoint must lie inside (t0, T_max), so that each tail holds
+    samples.  ``candidate_path``, the :func:`payoff_path` of the candidate
+    from t0 to T_max or later, spares the candidate's integration when one
+    candidate meets several challengers.
     """
     settings = settings or _VALUE_SETTINGS
     t0 = problem.initial_time
@@ -198,9 +224,20 @@ def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
     if T_checkpoints is None:
         T_checkpoints = [T_max / 8, T_max / 4, T_max / 2]
     checkpoints = sorted(float(c) for c in T_checkpoints)
+    if not checkpoints:
+        raise ValueError("need at least one checkpoint")
+    if not t0 < checkpoints[0] or not checkpoints[-1] < T_max:
+        raise ValueError(f"checkpoints {checkpoints} must lie inside "
+                         f"(t0, T_max) = ({t0:.6g}, {T_max:.6g})")
 
-    _, cand_aug = payoff_value(problem, candidate, problem.initial_state, t0,
-                               T_max, settings, return_trajectory=True)
+    if candidate_path is None:
+        cand_aug = payoff_path(problem, candidate, T_max, settings)
+    elif candidate_path.dim != n + 1 or candidate_path.t0 != t0 \
+            or candidate_path.t_end < T_max:
+        raise ValueError(f"candidate path must be the augmented (x, payoff) path "
+                         f"over [{t0:.6g}, {T_max:.6g}]")
+    else:
+        cand_aug = candidate_path
 
     try:
         _, chal_aug = payoff_value(problem, challenger, problem.initial_state, t0,

@@ -127,10 +127,6 @@ class TransitionOperator:
         self._aug = aug
         self._n = n
 
-    @property
-    def span(self):
-        return self._aug.t0, self._aug.t_end
-
     def fundamental(self, t) -> np.ndarray:
         """Y(t) = K(t, t0); an array of times gives a stack of matrices."""
         n = self._n
@@ -403,8 +399,10 @@ def payoff_value(problem: ControlProblem, control: ControlSignal, x_start,
 
     def rhs(z, u, t):
         x = z[:n]
-        return np.concatenate([np.atleast_1d(problem.dynamics(x, u, t)),
-                               [problem.payoff(x, u, t)]])
+        dz = np.empty(n + 1)
+        dz[:n] = problem.dynamics(x, u, t)
+        dz[n] = problem.payoff(x, u, t)
+        return dz
 
     z0 = np.concatenate([x_start, [0.0]])
     aug = integrate_controlled(rhs, control, t_start, z0, T, settings,

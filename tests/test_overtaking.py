@@ -15,7 +15,10 @@ from horizoncheck import (
     needle_limit_check,
     oscillator_delta_x1,
     oscillator_reference,
+    overtaking,
+    payoff_path,
 )
+from horizoncheck.cli import RunConfig, build_overtake_report
 from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
 
 from conftest import TIGHT
@@ -81,6 +84,88 @@ def test_needle_limit_check_ramsey_saddle(ramsey_params, ramsey_saddle):
     report = needle_limit_check(problem, control, 5.0, u_lower, 100.0,
                                 [1e-1, 1e-2, 1e-3], TIGHT, trajectory=k_traj)
     assert report.fitted_order >= 0.9
+
+
+@pytest.fixture
+def payoff_solves(monkeypatch):
+    """Count the payoff_value solves made through the overtaking module."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    original = overtaking.payoff_value
+    monkeypatch.setattr(overtaking, "payoff_value", counting)
+    return calls
+
+
+def test_needle_limit_check_integrates_base_once(oscillator, u_one, payoff_solves):
+    alphas = [1e-1, 1e-2, 1e-3]
+    report = needle_limit_check(oscillator, u_one, 1.0, [0.0], 20.0, alphas)
+    assert len(payoff_solves) == len(alphas) + 1
+    # bit for bit the slopes of one-shot needle_gap calls, which integrate
+    # the base payoff again for every width
+    one_shot = [needle_gap(oscillator, u_one, NeedleSpec(1.0, alpha, [0.0]), 20.0) / alpha
+                for alpha in report.alphas]
+    assert report.slopes.tolist() == one_shot
+
+
+def test_needle_limit_check_validates_every_width(oscillator, u_one, payoff_solves):
+    # the widest pulse starts before t0 = 0; nothing is integrated
+    with pytest.raises(ValueError, match="inside"):
+        needle_limit_check(oscillator, u_one, 1.0, [0.0], 20.0, [1e-1, 2.0])
+    with pytest.raises(ValueError, match="admissible"):
+        needle_limit_check(oscillator, u_one, 1.0, [5.0], 20.0, [1e-1])
+    assert payoff_solves == []
+
+
+def test_payoff_path_step_pin(oscillator, u_one):
+    # accepted steps of the payoff solve of u = 1 on the oscillator to T = 100
+    # at the overtaking settings; a change to the payoff right-hand side or
+    # the stepping core that moves them must update this count
+    path = payoff_path(oscillator, u_one, 100.0)
+    assert path.time_grid.size == 4493
+    assert path.states[-1, 2] == pytest.approx(1.0 - math.cos(100.0) + 50.0, abs=1e-9)
+
+
+def test_overtaking_reuses_candidate_path(oscillator, u_one, payoff_solves):
+    challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
+    fresh = empirical_overtaking_test(oscillator, u_one, challenger, T_max=100.0)
+    path = payoff_path(oscillator, u_one, 100.0)
+    del payoff_solves[:]
+    reused = empirical_overtaking_test(oscillator, u_one, challenger, T_max=100.0,
+                                       candidate_path=path)
+    assert len(payoff_solves) == 1  # the challenger only
+    for name in ("verdict", "max_gap", "argmax_T", "evidence", "horizon_samples"):
+        assert getattr(reused, name) == getattr(fresh, name)
+
+
+def test_overtaking_rejects_short_candidate_path(oscillator, u_one):
+    challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
+    short = payoff_path(oscillator, u_one, 50.0)
+    with pytest.raises(ValueError, match="candidate path"):
+        empirical_overtaking_test(oscillator, u_one, challenger, T_max=100.0,
+                                  candidate_path=short)
+
+
+@pytest.mark.parametrize("checkpoints", [[50.0, 60.0], [10.0, 40.0], [0.0, 10.0], []])
+def test_overtaking_rejects_checkpoints_outside_horizon(oscillator, u_one, checkpoints,
+                                                        payoff_solves):
+    # a checkpoint at or beyond T_max leaves an empty tail, which used to
+    # give a vacuous consistent_OO
+    challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="checkpoint"):
+        empirical_overtaking_test(oscillator, u_one, challenger, T_max=40.0,
+                                  T_checkpoints=checkpoints)
+    assert payoff_solves == []
+
+
+@pytest.mark.parametrize("example, params", [("oscillator", {"b": 0.5}),
+                                             ("integrator", {"rho": 0.1})])
+def test_overtake_report_integrates_candidate_once(example, params, payoff_solves):
+    report = build_overtake_report(RunConfig(example, params, t_max=40.0))
+    assert len(payoff_solves) == 1 + len(report.rows)
 
 
 def test_overtaking_oscillator_woo_only(oscillator, u_one):
