@@ -236,54 +236,90 @@ def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float,
     return "hi"
 
 
+# tolerances of the time-elimination quadrature along the stable manifold
+_MANIFOLD_SETTINGS = IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def _saddle_consumption(params: RamseyParams, interior: SteadyState) -> float:
+    """Saddle-path consumption at k0 by time elimination.
+
+    Integrates the policy dc/dk = (dc/dt)/(dk/dt) from the saddle outward to
+    k0, starting a small step along the stable eigenvector of the Jacobian at
+    (k*, c*).  Along that direction the manifold attracts nearby policies, so
+    the quadrature is well conditioned where forward shooting is not.
+    """
+    k_star, c_star, k0 = interior.k_star, interior.c_star, params.k0
+    a, d, th = params.alpha, params.delta, params.theta
+    j11 = a * k_star ** (a - 1.0) - d          # d(dk/dt)/dk; d(dk/dt)/dc = -1
+    j21 = c_star * a * (a - 1.0) * k_star ** (a - 2.0) / th
+    j22 = _euler_rates(params, k_star, 1.0)[1]  # dc/dt is linear in c
+    trace, det = j11 + j22, j11 * j22 + j21
+    lam_s = 0.5 * (trace - math.sqrt(trace * trace - 4.0 * det))
+    slope = j11 - lam_s                        # dc/dk along the stable eigenvector
+    gap = k0 - k_star
+    if abs(gap) <= 1e-6 * k_star:
+        return c_star + slope * gap
+    eps = math.copysign(1e-3 * min(abs(gap), k_star), gap)
+
+    def policy(k, c):
+        dk, dc = _euler_rates(params, k, c[0])
+        return np.array([dc / dk])
+
+    path = integrate(policy, k_star + eps, [c_star + slope * eps], k0, _MANIFOLD_SETTINGS)
+    return float(path(k0)[0])
+
+
 def ramsey_shoot(params: RamseyParams, t_max: float = 2000.0,
                  c0_tol: float = 1e-10, max_iter: int = 60,
                  ball_radius: float = 1e-3,
                  settings: Optional[IntegratorSettings] = None,
                  history: Optional[list] = None):
-    """Bisect the initial consumption separating the two orbit families.
+    """Shoot the initial consumption of the saddle path.
 
     Above the saddle value orbits crash into k = 0; below they drift to the
-    zero-consumption point.  Returns (c0_saddle, orbit) where the orbit is the
-    joint (k, c) trajectory integrated until it enters the ball of radius
-    ``ball_radius`` around the interior steady state.
+    zero-consumption point.  Forward bisection between the two families
+    defines c0.  Its bracket comes from the time-eliminated stable manifold
+    (:func:`_saddle_consumption`): the relative band 1e-9 around that value,
+    each side confirmed by a forward orbit and the band widened tenfold until
+    both are.  Once the bracket is within ``c0_tol`` its midpoint orbit must
+    enter the ball of radius ``ball_radius`` around the interior steady state;
+    one that misses it is bisected further, up to ``max_iter`` levels in all.
+    Returns (c0_saddle, orbit) where the orbit is the joint (k, c) trajectory
+    integrated until it enters the ball.
     """
     settings = settings or _CLASSIFY_SETTINGS
     interior, _ = ramsey_steady_state(params)
     k0 = params.k0
 
-    hi = k0 ** params.alpha  # consumption at least equal to gross output
-    for _ in range(60):
-        if _classify_side(params, k0, hi, t_max, settings) == "hi":
+    c_manifold = _saddle_consumption(params, interior)
+    eta = 1e-9
+    while True:
+        lo, hi = c_manifold * (1.0 - eta), c_manifold * (1.0 + eta)
+        if (_classify_side(params, k0, lo, t_max, settings) == "lo"
+                and _classify_side(params, k0, hi, t_max, settings) == "hi"):
             break
-        hi *= 1.6
-    else:
-        raise RuntimeError("ramsey_shoot: no upper bracket found")
-    lo = min(0.05 * interior.c_star, 0.5 * hi)
-    for _ in range(80):
-        if _classify_side(params, k0, lo, t_max, settings) == "lo":
-            break
-        lo *= 0.5
-    else:
-        raise RuntimeError("ramsey_shoot: no lower bracket found")
+        eta *= 10.0
+        if eta >= 1.0:
+            raise RuntimeError("ramsey_shoot: no bracket around the time-eliminated "
+                               f"consumption {c_manifold:g}")
 
+    # the c0 whose forward orbits enter the ball can span less than c0_tol
+    ball = _ball_stop(interior.k_star, interior.c_star, ball_radius)
     for _ in range(max_iter):
+        c0 = 0.5 * (lo + hi)
         if hi - lo <= c0_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if _classify_side(params, k0, mid, t_max, settings) == "hi":
-            hi = mid
+            orbit = ramsey_euler_orbit(params, k0, c0, t_max, settings, stop=ball)
+            if orbit.exit_event is not None and orbit.exit_event.description == "saddle_ball":
+                return c0, orbit
+            if c0 in (lo, hi):
+                break
+        if _classify_side(params, k0, c0, t_max, settings) == "hi":
+            hi = c0
         else:
-            lo = mid
+            lo = c0
         if history is not None:
             history.append((lo, hi))
-
-    c0 = 0.5 * (lo + hi)
-    ball = _ball_stop(interior.k_star, interior.c_star, ball_radius)
-    orbit = ramsey_euler_orbit(params, k0, c0, t_max, settings, stop=ball)
-    if orbit.exit_event is None or orbit.exit_event.description != "saddle_ball":
-        raise RuntimeError("ramsey_shoot: bisected orbit failed to reach the steady-state ball")
-    return c0, orbit
+    raise RuntimeError("ramsey_shoot: no bisected orbit reached the steady-state ball")
 
 
 def ramsey_control_from_orbit(orbit: Trajectory, c_tail: Optional[float] = None) -> ControlSignal:

@@ -8,6 +8,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "horizoncheck"
 # the package __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -112,3 +113,82 @@ def test_unused_import_detector():
         "    return field(y)\n"
     )
     assert unused_imports(source) == [("Callable", 2), ("dataclass", 1), ("field", 1)]
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """Module-level ``_name`` functions and constants: (name, node)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(name, node) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def _references(tree: ast.Module, skip: ast.AST) -> set:
+    """Names read, taken as attributes or imported anywhere in the tree
+    outside the ``skip`` subtree."""
+    refs = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return refs
+
+
+def dead_private_definitions(sources: dict) -> list:
+    """(module, name, line) of every module-level private function or
+    constant that no module of ``sources`` reads outside its own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if not any(name in _references(other, node) for other in trees.values()):
+                dead.append((module, name, node.lineno))
+    return sorted(dead)
+
+
+def test_package_has_no_dead_private_definition():
+    assert dead_private_definitions({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_dead_private_definition_detector():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "__all__ = ['run']\n"
+            "def _helper(x):\n"
+            "    return _helper(x - 1) if x else _LIMIT\n"
+            "def _shared():\n"
+            "    return 1\n"
+            "def _orphan():\n"
+            "    return _orphan()\n"
+            "def run():\n"
+            "    return _helper(2)\n"
+        ),
+        "b.py": (
+            "from .a import _shared\n"
+            "def _via_attribute():\n"
+            "    return 0\n"
+            "TABLE = {'f': None}\n"
+            "def use(mod):\n"
+            "    return _shared() + mod._via_attribute()\n"
+        ),
+    }
+    assert dead_private_definitions(sources) == [("a.py", "_UNUSED", 2),
+                                                 ("a.py", "_orphan", 8)]

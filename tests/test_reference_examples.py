@@ -110,11 +110,104 @@ def test_shoot_from_k0_10(ramsey_params, ramsey_saddle):
     # saddle consumption increases with capital along the stable manifold
     assert c0 < 2.4
     # bracket invariant: lower side falls to zero consumption, upper hits k=0
-    for lo, hi in history[::7]:
+    assert history
+    for lo, hi in history:
         assert ramsey_classify(ramsey_params, 10.0, hi * 1.000001, t_max=3000) \
             in ("hits_zero_capital",)
         assert ramsey_classify(ramsey_params, 10.0, lo * 0.999999, t_max=3000) \
             in ("to_zero_consumption",)
+
+
+@pytest.mark.parametrize("k0", [2.0, 10.0, 50.0])
+def test_shot_c0_separates_the_families_within_1e_9(k0):
+    params = RamseyParams(**dict(FIG1, k0=k0))
+    c0, _ = ramsey_shoot(params)
+    # a ball too small to enter makes every orbit show its side
+    assert ramsey_classify(params, k0, c0 * (1 - 1e-9), t_max=3000,
+                           ball_radius=1e-12) == "to_zero_consumption"
+    assert ramsey_classify(params, k0, c0 * (1 + 1e-9), t_max=3000,
+                           ball_radius=1e-12) == "hits_zero_capital"
+
+
+# At theta = 1/alpha the stable manifold is c = (1 - alpha) k^alpha: on it
+# dk/dt = alpha k^alpha - delta k, and the Euler equation's k^(2 alpha - 1)
+# and k^alpha terms match those of d/dt (1 - alpha) k^alpha.
+@pytest.mark.parametrize("alpha, delta, k0", [(0.4, 0.05, 10.0), (0.3, 0.1, 1.0)])
+def test_saddle_path_closed_form_at_theta_one_over_alpha(alpha, delta, k0):
+    params = RamseyParams(alpha=alpha, delta=delta, theta=1.0 / alpha, k0=k0)
+    exact = (1.0 - alpha) * k0 ** alpha
+    interior, _ = ramsey_steady_state(params)
+    assert reference_examples._saddle_consumption(params, interior) == \
+        pytest.approx(exact, rel=1e-10)
+    c0, orbit = ramsey_shoot(params)
+    assert c0 == pytest.approx(exact, rel=1e-9)
+    k, c = orbit.states.T
+    assert np.max(np.abs(c / ((1.0 - alpha) * k ** alpha) - 1.0)) <= 1e-5
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-7, 1 + 1e-7])
+def test_saddle_consumption_linear_branch_next_to_the_saddle(monkeypatch, factor):
+    params = RamseyParams(**FIG1)
+    interior, _ = ramsey_steady_state(params)
+    a, th = params.alpha, params.theta
+    # at rho = 0 the Jacobian is [[0, -1], [j21, 0]]: stable slope sqrt(-j21)
+    j21 = interior.c_star * a * (a - 1.0) * interior.k_star ** (a - 2.0) / th
+    params = RamseyParams(**dict(FIG1, k0=interior.k_star * factor))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature run next to the saddle")
+
+    monkeypatch.setattr(reference_examples, "integrate", refuse)
+    c = reference_examples._saddle_consumption(params, interior)
+    assert c == pytest.approx(
+        interior.c_star + math.sqrt(-j21) * (params.k0 - interior.k_star), rel=1e-12)
+
+
+def test_saddle_consumption_at_the_rounded_steady_state():
+    # k* is not bit-equal to 32.0, so 32.0 must not start the quadrature at 0/0
+    params = RamseyParams(**dict(FIG1, k0=32.0))
+    interior, _ = ramsey_steady_state(params)
+    assert reference_examples._saddle_consumption(params, interior) == \
+        pytest.approx(2.4, abs=1e-9)
+
+
+def test_saddle_consumption_beyond_zero_consumption_capital():
+    params = RamseyParams(**dict(FIG1, k0=300.0))
+    interior, limit = ramsey_steady_state(params)
+    assert params.k0 > limit.k_star
+    # the generic bracket search bisected to this value at c0_tol = 1e-10
+    c = reference_examples._saddle_consumption(params, interior)
+    assert c == pytest.approx(18.554963428649152, abs=1e-10)
+
+
+# c0 of the bisection from the generic bracket search that preceded the
+# time-eliminated bracket, at c0_tol = 1e-10
+@pytest.mark.parametrize("overrides, c0_before", [
+    ({"k0": 10.0}, 0.8578570422138889),
+    ({"k0": 50.0}, 3.5836388386256113),
+    ({"k0": 0.01}, 0.0026893364953016786),
+    ({"k0": 10.0, "theta": 5.0}, 1.6934688985182271),
+])
+def test_shoot_c0_parity(overrides, c0_before):
+    c0, orbit = ramsey_shoot(RamseyParams(**dict(FIG1, **overrides)))
+    assert abs(c0 - c0_before) <= 1e-10
+    assert orbit.exit_event.description == "saddle_ball"
+
+
+# Sets on which a bisection stopped at c0_tol raised RuntimeError: the c0
+# whose forward orbits enter the 1e-3 ball span less than c0_tol there.  With
+# k* in the thousands only a bracket bisected past c0_tol enters it; at
+# k0 = 1e-3 the time-eliminated value itself does.
+@pytest.mark.parametrize("alpha, delta, theta, k0", [(0.6, 0.02, 0.8, 100.0),
+                                                     (0.7, 0.03, 0.5, 10.0),
+                                                     (0.4, 0.05, 0.5, 1e-3)])
+def test_shoot_reaches_the_ball(alpha, delta, theta, k0):
+    params = RamseyParams(alpha=alpha, delta=delta, theta=theta, k0=k0)
+    interior, _ = ramsey_steady_state(params)
+    c0, orbit = ramsey_shoot(params)
+    assert orbit.exit_event.description == "saddle_ball"
+    assert c0 == pytest.approx(reference_examples._saddle_consumption(params, interior),
+                               rel=1e-8)
 
 
 def test_sub_saddle_orbit_stays_feasible(ramsey_params):
