@@ -137,7 +137,11 @@ class Trajectory:
     ``time_grid`` is nondecreasing; a repeated node marks a derivative jump
     (control switching time).  Evaluation uses piecewise cubic Hermite in the
     node states and node derivatives, which reproduces the node states exactly
-    and matches the accuracy of the 4th/5th-order steps between them.
+    but is only 4th order between them.  Inside a step its error can exceed
+    the node error of the 5th-order steps by orders of magnitude (7.0e-6
+    inside one step against at most 1.7e-9 at the nodes, for a linear
+    2-D system at rel_tol 1e-10), so dense values are less accurate than
+    the nodes.
     """
 
     def __init__(self, time_grid, states, derivs, exit_event: Optional[ExitEvent] = None):
@@ -250,6 +254,26 @@ def _error_norm(err, y, y_new, settings):
     return math.sqrt((r * r).sum() / r.size)
 
 
+def _all_finite(v) -> bool:
+    """Whether every entry of ``v`` is finite.  A finite sum implies finite
+    entries, so the elementwise test runs only when the sum is not finite:
+    a non-finite entry, or finite entries whose sum overflows."""
+    return math.isfinite(np.add.reduce(v, axis=None)) or bool(np.isfinite(v).all())
+
+
+def _with_faces(domain: Optional[Box]) -> Optional[Box]:
+    """``domain``, or None for a box without a finite face: such a box holds
+    every finite state, and only finite states are accepted."""
+    if domain is None or np.isfinite(domain.lower).any() or np.isfinite(domain.upper).any():
+        return domain
+    return None
+
+
+def _inside(domain: Box, Y: np.ndarray) -> np.ndarray:
+    """:meth:`Box.contains` for each row of ``Y``."""
+    return ((Y > domain.lower) & (Y < domain.upper)).all(axis=1)
+
+
 def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
               t_end: float, settings: Optional[IntegratorSettings] = None,
               domain: Optional[Box] = None,
@@ -257,10 +281,14 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
     """Integrate ``dy/dt = field(t, y)`` from t0 to t_end (either direction).
 
     Stops early with an ``exit_event`` when the solution reaches the boundary
-    of the open ``domain`` box (crossing time localized by bisection on the
-    step interpolant to 1e-9 of the span) or when ``stop(t, y)`` returns a
-    label.  Backward integration is performed by time reversal of the field;
-    the returned grid is always increasing.
+    of the open ``domain`` box or when ``stop(t, y)`` returns a label; a
+    domain exit takes precedence over a stop on the same step.  The event is
+    localized by bisection on the accepted step's Hermite interpolant, to
+    within h_floor = 1e-9 of the span (see :func:`_step_exit`).  A stop that
+    holds at t0 ends the run there.  Backward integration is performed by
+    time reversal of the field; the returned grid is always increasing.  A
+    zero-length span makes the same initial checks as any other: a finite
+    initial slope, an initial state inside the domain, and the stop at t0.
 
     Raises ``IntegrationError`` on step-size underflow away from the domain
     boundary or on a non-finite field value that cannot be attributed to a
@@ -270,9 +298,6 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
-    if t_end == t0:
-        f0 = np.atleast_1d(np.asarray(field(t0, y0), dtype=float))
-        return Trajectory([t0], [y0], [f0])
     if t_end < t0:
         rev = lambda s, y: -np.asarray(field(-s, y), dtype=float)
         rstop = (lambda s, y: stop(-s, y)) if stop else None
@@ -295,9 +320,10 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
         raise IntegrationError(f"field non-finite at initial point t={t0:g}")
     if domain is not None and not domain.contains(y0):
         raise ValueError("initial state outside the open domain")
-    if stop is not None and stop(t0, y0):
-        return Trajectory([t0], [y0], [f0],
-                          exit_event=ExitEvent(t0, y0.copy(), str(stop(t0, y0))))
+    if stop is not None and (label := stop(t0, y0)):
+        return Trajectory([t0], [y0], [f0], exit_event=ExitEvent(t0, y0.copy(), str(label)))
+    domain = _with_faces(domain)
+    events = domain is not None or stop is not None
 
     h = _initial_step(y0, f0, settings, span)
 
@@ -320,12 +346,12 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
             for i in range(1, 7):
                 yi = y + h * np.dot(_DP_A[i], K[:i])
                 K[i] = field(t + _DP_C[i] * h, yi)
-                finite = np.isfinite(K[i]).all()
+                finite = _all_finite(K[i])
                 if not finite:
                     break
             # the last stage point is the 5th-order solution (FSAL); one that
             # overflowed fails the step like a non-finite stage does
-            if not (finite and np.isfinite(yi).all()):
+            if not (finite and _all_finite(yi)):
                 h *= 0.5
                 if h < h_floor:
                     ev = _boundary_stall(t, y, fy, domain, h_floor)
@@ -359,7 +385,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
             fs.append(fs[-1].copy())
             break
 
-        hit = _step_exit(t, y, fy, h, y_new, f_new, domain, stop, h_floor)
+        hit = _step_exit(t, y, fy, h, y_new, f_new, domain, stop, h_floor) if events else None
         if hit is not None:
             exit_event, slope = hit
             ts.append(exit_event.time)
@@ -391,8 +417,17 @@ def integrate_batch(field: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: f
     evaluated in one vectorised pass.  ``stops`` is a priority-ordered
     sequence of ``(label, predicate)`` pairs, each predicate mapping t[m],
     Y[m, n] to bool[m].  A member ends at t_end, on leaving the open
-    ``domain`` or when a predicate holds; events are localized per member as
-    :func:`integrate` localizes them.
+    ``domain`` (which takes precedence) or when a predicate holds; a member
+    for which a predicate holds at t0 ends there, also on a zero-length span.
+
+    Events are localized per member on the accepted step's Hermite
+    interpolant, like :func:`integrate`, but by dyadic sweeps instead of
+    bisection (:func:`_sweep_predicate`): each round evaluates ``domain`` and
+    the predicates once on up to 63 interior points of the bracket.  With the
+    same level count, a predicate that holds from some point of the step on
+    gives the crossing time of bisection bit for bit; for one that holds and
+    fails again within the step the sweep keeps the first sampled crossing,
+    where bisection may land on a later one.
 
     Returns the end times [B], the end states [B, n] and the exit events
     (None for a member that reached t_end); no dense output is kept.  A
@@ -410,7 +445,7 @@ def integrate_batch(field: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: f
         raise ValueError("initial states must be finite")
     t_out = np.full(Y_out.shape[0], float(t0))
     events = [None] * Y_out.shape[0]
-    if Y_out.shape[0] and t_end > t0:
+    if Y_out.shape[0]:
         with np.errstate(all="ignore"):
             _batch_loop(field, float(t0), float(t_end), settings, domain, stops,
                         t_out, Y_out, events)
@@ -424,10 +459,7 @@ def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events)
     span = t_end - t0
     h_floor = 1e-9 * span
     t_last = t_end - 1e-14 * max(1.0, abs(t_end))
-    row_stop = _row_stop(stops)
-
-    def inside(Y):  # Box.contains for each row
-        return ((Y > domain.lower) & (Y < domain.upper)).all(axis=1)
+    domain = _with_faces(domain)
 
     members = np.arange(Y_out.shape[0])  # member of each running row
     t = np.full(members.size, t0)
@@ -435,7 +467,7 @@ def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events)
     F = np.asarray(field(t, Y), dtype=float)
     if not np.isfinite(F).all():
         raise IntegrationError(f"field non-finite at initial point t={t0:g}")
-    if domain is not None and not inside(Y).all():
+    if domain is not None and not _inside(domain, Y).all():
         raise ValueError("initial state outside the open domain")
     h = np.array([_initial_step(y, f, settings, span) for y, f in zip(Y, F)])
     n_acc = np.zeros(members.size, dtype=int)
@@ -474,12 +506,14 @@ def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events)
             else:
                 # a row with a non-finite stage sits out the rest of the attempt
                 K[i, ok] = field(ti[ok], Yi[ok])
-            ok &= np.isfinite(K[i]).all(axis=1)
+            if not math.isfinite(np.add.reduce(K[i], axis=None)):
+                ok &= np.isfinite(K[i]).all(axis=1)
             if not ok.any():
                 break
         # the last stage point is the 5th-order solution (FSAL); one that
         # overflowed fails the step like a non-finite stage does
-        ok &= np.isfinite(Yi).all(axis=1)
+        if not math.isfinite(np.add.reduce(Yi, axis=None)):
+            ok &= np.isfinite(Yi).all(axis=1)
         r = (h[:, None] * (_DP_E @ K.reshape(7, -1)).reshape(m, n)
              / (settings.abs_tol + settings.rel_tol * np.maximum(np.abs(Y), np.abs(Yi))))
         err = np.sqrt((r * r).sum(axis=1) / n)
@@ -507,15 +541,13 @@ def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events)
         t_new = t + h
         rows = np.flatnonzero(acc)
         Ya, ta = (Yi, t_new) if rows.size == m else (Yi[rows], t_new[rows])
-        flagged = np.zeros(rows.size, dtype=bool)
-        if domain is not None:
-            flagged |= ~inside(Ya)
+        outside = ~_inside(domain, Ya) if domain is not None else np.zeros(rows.size, bool)
+        flagged = outside.copy()
         for _, pred in stops:
             flagged |= pred(ta, Ya)
-        for i in rows[flagged]:
-            hit = _step_exit(t[i], Y[i], F[i], h[i], Yi[i], K[6, i], domain, row_stop, h_floor)
-            if hit is not None:
-                found[i] = hit[0]
+        for i, out in zip(rows[flagged], outside[flagged]):
+            found[i] = _sweep_exit(t[i], Y[i], F[i], h[i], Yi[i], K[6, i],
+                                   domain if out else None, stops, h_floor)
 
         grow = np.where(err == 0.0, 5.0, np.minimum(5.0, np.maximum(0.2, factor)))
         if rows.size == m:
@@ -528,20 +560,15 @@ def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events)
         n_acc += acc
 
 
-def _row_stop(stops):
-    """The ``stop(t, y)`` of :func:`integrate` that batch ``stops`` describe."""
-    def stop(t, y):
-        t_row, y_row = np.array([t]), y[None]
-        return next((label for label, pred in stops if pred(t_row, y_row)[0]), None)
-    return stop
-
-
 def _step_exit(t, y, fy, h, y_new, f_new, domain, stop, h_floor):
     """Exit event on the accepted step from (t, y) to (t + h, y_new), or None.
 
     A domain exit takes precedence over a stop.  Either is localized by
-    bisection on the step's Hermite interpolant; returns the event and the
-    interpolant slope there.
+    :func:`_bisect_predicate` on the step's Hermite interpolant, one point
+    per level, to within h_floor; returns the event and the interpolant slope
+    there, which the dense output of :func:`integrate` needs.  The batch
+    counterpart :func:`_sweep_exit` reaches the same theta by row sweeps
+    whenever the predicate holds from some point of the step on.
     """
     if domain is not None and not domain.contains(y_new):
         theta = _bisect_predicate(
@@ -563,6 +590,39 @@ def _step_exit(t, y, fy, h, y_new, f_new, domain, stop, h_floor):
     return event, _step_slope(t, y, fy, h, y_new, f_new, theta)
 
 
+def _sweep_exit(t, y, fy, h, y_new, f_new, domain, stops, h_floor):
+    """Exit event on an accepted batch step, found as :func:`_step_exit` finds
+    it but localized by :func:`_sweep_predicate`.  ``domain`` is given only
+    when y_new has left it; otherwise some predicate of ``stops`` holds at
+    y_new.  No slope is computed: the batch keeps no dense output."""
+    def rows(theta):
+        return _hermite_on_step(t, y, fy, h, y_new, f_new, theta)
+
+    if domain is not None:
+        theta = _sweep_predicate(lambda th: ~_inside(domain, rows(th)), h, h_floor)
+        y_ev = _snap_to_faces(rows(theta), domain)
+        return ExitEvent(t + theta * h, y_ev, domain.describe_exit(y_ev))
+
+    def any_stop(th):
+        t_rows, y_rows = t + th[:, 0] * h, rows(th)
+        hit = np.zeros(th.shape[0], dtype=bool)
+        for _, pred in stops:
+            hit |= pred(t_rows, y_rows)
+        return hit
+
+    theta = _sweep_predicate(any_stop, h, h_floor)
+    t_ev = t + theta * h
+    y_ev = rows(theta)
+    label = _first_label(stops, t_ev, y_ev) or _first_label(stops, t + h, y_new)
+    return ExitEvent(t_ev, y_ev, str(label))
+
+
+def _first_label(stops, t, y):
+    """Label of the first predicate of ``stops`` that holds at (t, y), or None."""
+    t_row, y_row = np.array([t]), y[None]
+    return next((label for label, pred in stops if pred(t_row, y_row)[0]), None)
+
+
 def _step_slope(t, y, f0, h, y_new, f_new, theta):
     eps = 1e-7
     a = _hermite_on_step(t, y, f0, h, y_new, f_new, max(0.0, theta - eps))
@@ -582,6 +642,35 @@ def _bisect_predicate(outside, h, h_floor, max_iter=80):
             hi = mid
         else:
             lo = mid
+    return hi
+
+
+def _sweep_predicate(outside, h, h_floor, max_iter=80):
+    """The theta of :func:`_bisect_predicate`, found by dyadic sweeps.
+
+    ``outside`` maps a column of thetas [p, 1] to bool[p].  Each round
+    evaluates it once on the 2**j - 1 interior points of the bracket
+    (j <= 6) and keeps the first sampled point where it holds, which settles
+    j bisection levels at once; the level count is bisection's.  Every point
+    is a dyadic rational, computed exactly, so for a predicate that holds
+    from some theta on the result equals bisection's bit for bit.
+    """
+    tol = max(h_floor / h, 1e-15)
+    levels, width = 0, 1.0
+    while levels < max_iter and width > tol:  # bisection halves until width <= tol
+        levels += 1
+        width *= 0.5
+    lo, hi = 0.0, 1.0
+    while levels:
+        j = min(levels, 6)
+        levels -= j
+        points = lo + (hi - lo) / (1 << j) * np.arange(1.0, 1 << j)
+        first = np.flatnonzero(outside(points[:, None]))
+        if first.size:
+            k = first[0]
+            lo, hi = (float(points[k - 1]) if k else lo), float(points[k])
+        else:
+            lo = float(points[-1])
     return hi
 
 

@@ -1,6 +1,7 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,3 +193,47 @@ def test_dead_private_definition_detector():
     }
     assert dead_private_definitions(sources) == [("a.py", "_UNUSED", 2),
                                                  ("a.py", "_orphan", 8)]
+
+
+# the runtime depends on numpy alone
+ALLOWED_TOP_LEVEL = frozenset(sys.stdlib_module_names) | {"numpy", PACKAGE.name}
+
+
+def foreign_imports(source: str) -> list:
+    """(module, line) of every import, module-level or inside a function or
+    class, of anything but the stdlib, numpy and the package's own modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:  # relative imports stay inside the package
+            continue
+        found += [(name, node.lineno) for name in names
+                  if name.split(".")[0] not in ALLOWED_TOP_LEVEL]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_module_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_foreign_import_detector():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, numpy.linalg as la\n"
+        "from . import ode_engine\n"
+        "from .ode_engine import Box\n"
+        "from horizoncheck.cli import main\n"
+        "import scipy.integrate\n"
+        "def solve():\n"
+        "    from numba import njit\n"
+        "    import json, torch\n"
+        "class Kernel:\n"
+        "    def run(self):\n"
+        "        import jax.numpy as jnp\n"
+    )
+    assert foreign_imports(source) == [("jax.numpy", 12), ("numba", 8),
+                                       ("scipy.integrate", 6), ("torch", 9)]
