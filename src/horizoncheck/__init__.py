@@ -23,7 +23,6 @@ from .ode_engine import (
 from .problem_model import (
     ControlProblem,
     ControlSet,
-    MultiplierPair,
     hamiltonian,
     hamiltonian_jumps,
     jacobians,

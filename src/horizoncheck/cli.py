@@ -61,9 +61,6 @@ __all__ = [
     "build_needle_report",
     "build_overtake_report",
     "build_phase_diagram_report",
-    "cmd_check",
-    "cmd_overtake",
-    "cmd_phase_diagram",
     "main",
 ]
 
@@ -293,12 +290,6 @@ def _build_ramsey_check(config: RunConfig) -> ReportData:
                       rows)
 
 
-def cmd_check(config: RunConfig) -> int:
-    report = build_check_report(config)
-    _emit(report, config)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # phase diagram
 
@@ -340,12 +331,6 @@ def build_phase_diagram_report(config: RunConfig) -> ReportData:
                  _fmt(float(orbit.states[-1, 1])), ""])
 
     return ReportData("phase_diagram_report_v1", ["k", "c", "label"], rows)
-
-
-def cmd_phase_diagram(config: RunConfig) -> int:
-    report = build_phase_diagram_report(config)
-    _emit(report, config)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +385,6 @@ def _ramsey_challenger_control(params: RamseyParams, c0: float, t_max: float):
     return ramsey_control_from_orbit(orbit)
 
 
-def cmd_overtake(config: RunConfig) -> int:
-    report = build_overtake_report(config)
-    _emit(report, config)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # needle
 
@@ -436,6 +415,18 @@ def _emit(report: ReportData, config: RunConfig):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+# the report builder of each command, called with the run config and the
+# parsed arguments
+_BUILDERS = {
+    "check": lambda config, args: build_check_report(config),
+    "phase-diagram": lambda config, args: build_phase_diagram_report(config),
+    "overtake": lambda config, args: build_overtake_report(config),
+    "needle": lambda config, args: build_needle_report(
+        config, args.tau, args.u, args.t_horizon,
+        [float(a) for a in args.alphas.split(",") if a]),
+}
 
 
 def _add_common(parser):
@@ -498,23 +489,11 @@ def main(argv=None) -> int:
 
     try:
         config = _config_from_args(args)
-        if args.command == "check":
-            return cmd_check(config)
-        if args.command == "phase-diagram":
-            return cmd_phase_diagram(config)
-        if args.command == "overtake":
-            return cmd_overtake(config)
-        if args.command == "needle":
-            alphas = [float(a) for a in args.alphas.split(",") if a]
-            report = build_needle_report(config, args.tau, args.u,
-                                         args.t_horizon, alphas)
-            _emit(report, config)
-            return 0
+        _emit(_BUILDERS[args.command](config, args), config)
     except (ValueError, IntegrationError, RuntimeError) as exc:
         print(f"horizoncheck: error: {exc}", file=sys.stderr)
         return 1
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -69,10 +69,12 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, y: np.ndarray) -> bool:
-        # strict comparisons are False for NaN and at infinite bounds, so a
-        # non-finite component is never inside
-        return bool((y > self.lower).all() and (y < self.upper).all())
+    def contains(self, y: np.ndarray):
+        """Whether ``y`` lies inside the open box, over leading axes: a bool
+        for one state y[n], bool[m] for rows Y[m, n].  Strict comparisons are
+        False for NaN and at infinite bounds, so a non-finite component is
+        never inside."""
+        return ((y > self.lower) & (y < self.upper)).all(axis=-1)
 
     def margins(self, y: np.ndarray) -> np.ndarray:
         """Per-component distance to the nearest face (negative once outside)."""
@@ -238,14 +240,13 @@ def _hermite_on_step(t, y, f0, h, y_new, f_new, theta):
 
 
 def _initial_step(y0, f0, settings, span):
+    """First step size from states y0 and slopes f0, over leading axes: a
+    0-d array for one state y0[n], one step per row for rows Y0[m, n]."""
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2))) if y0.size else 0.0
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2))) if y0.size else 0.0
-    if d0 < 1e-5 or d1 < 1e-5:
-        h = 1e-6 * max(span, 1.0)
-    else:
-        h = 0.01 * d0 / d1
-    return min(h, span, settings.max_step)
+    d0 = np.sqrt(np.mean((y0 / scale) ** 2, axis=-1))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=-1))
+    h = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6 * max(span, 1.0), 0.01 * d0 / d1)
+    return np.minimum(np.minimum(h, span), settings.max_step)
 
 
 def _error_norm(err, y, y_new, settings):
@@ -269,26 +270,27 @@ def _with_faces(domain: Optional[Box]) -> Optional[Box]:
     return None
 
 
-def _inside(domain: Box, Y: np.ndarray) -> np.ndarray:
-    """:meth:`Box.contains` for each row of ``Y``."""
-    return ((Y > domain.lower) & (Y < domain.upper)).all(axis=1)
-
-
 def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
               t_end: float, settings: Optional[IntegratorSettings] = None,
               domain: Optional[Box] = None,
-              stop: Optional[Callable[[float, np.ndarray], Optional[str]]] = None) -> Trajectory:
+              stops: Sequence[tuple] = ()) -> Trajectory:
     """Integrate ``dy/dt = field(t, y)`` from t0 to t_end (either direction).
 
-    Stops early with an ``exit_event`` when the solution reaches the boundary
-    of the open ``domain`` box or when ``stop(t, y)`` returns a label; a
-    domain exit takes precedence over a stop on the same step.  The event is
-    localized by bisection on the accepted step's Hermite interpolant, to
-    within h_floor = 1e-9 of the span (see :func:`_step_exit`).  A stop that
-    holds at t0 ends the run there.  Backward integration is performed by
-    time reversal of the field; the returned grid is always increasing.  A
-    zero-length span makes the same initial checks as any other: a finite
-    initial slope, an initial state inside the domain, and the stop at t0.
+    ``stops`` is a priority-ordered sequence of ``(label, predicate)`` pairs,
+    the one event contract of :func:`integrate` and :func:`integrate_batch`.
+    A predicate is written over leading axes: it maps (t, y[n]) to a bool and
+    (t[m], Y[m, n]) to bool[m], so it reads components as ``Y.T`` or
+    ``Y[..., i]``.  The run stops early with an ``exit_event`` when the
+    solution reaches the boundary of the open ``domain`` box or when a
+    predicate holds; a domain exit takes precedence, then the first label
+    that holds.  The event is localized on the accepted step's Hermite
+    interpolant to within h_floor = 1e-9 of the span (see
+    :func:`_sweep_exit`).  A stop that holds at t0 ends the run there.
+    Backward integration is performed by time reversal of the field, with
+    each predicate called as ``p(-s, y)``; the returned grid is always
+    increasing.  A zero-length span makes the same initial checks as any
+    other: a finite initial slope, an initial state inside the domain, and
+    the stops at t0.
 
     Raises ``IntegrationError`` on step-size underflow away from the domain
     boundary or on a non-finite field value that cannot be attributed to a
@@ -300,8 +302,8 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
         raise ValueError("initial state must be finite")
     if t_end < t0:
         rev = lambda s, y: -np.asarray(field(-s, y), dtype=float)
-        rstop = (lambda s, y: stop(-s, y)) if stop else None
-        traj = integrate(rev, -t0, y0, -t_end, settings, domain, rstop)
+        rstops = [(label, lambda s, y, p=pred: p(-s, y)) for label, pred in stops]
+        traj = integrate(rev, -t0, y0, -t_end, settings, domain, rstops)
         ev = traj.exit_event
         if ev is not None:
             ev = ExitEvent(-ev.time, ev.state, ev.description)
@@ -311,21 +313,20 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
     span = t_end - t0
     h_floor = 1e-9 * span
     with np.errstate(all="ignore"):
-        return _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor)
+        return _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor)
 
 
-def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
+def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
     f0 = np.atleast_1d(np.asarray(field(t0, y0), dtype=float))
     if not np.isfinite(f0).all():
         raise IntegrationError(f"field non-finite at initial point t={t0:g}")
     if domain is not None and not domain.contains(y0):
         raise ValueError("initial state outside the open domain")
-    if stop is not None and (label := stop(t0, y0)):
-        return Trajectory([t0], [y0], [f0], exit_event=ExitEvent(t0, y0.copy(), str(label)))
+    if (label := _first_label(stops, t0, y0)) is not None:
+        return Trajectory([t0], [y0], [f0], exit_event=ExitEvent(t0, y0.copy(), label))
     domain = _with_faces(domain)
-    events = domain is not None or stop is not None
 
-    h = _initial_step(y0, f0, settings, span)
+    h = float(_initial_step(y0, f0, settings, span))
 
     ts, ys, fs = [t0], [y0.copy()], [f0.copy()]
     t, y, fy = t0, y0.copy(), f0
@@ -385,15 +386,16 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stop, span, h_floor):
             fs.append(fs[-1].copy())
             break
 
-        hit = _step_exit(t, y, fy, h, y_new, f_new, domain, stop, h_floor) if events else None
-        if hit is not None:
-            exit_event, slope = hit
+        t_new = t + h
+        outside = domain is not None and not domain.contains(y_new)
+        if outside or any(pred(t_new, y_new) for _, pred in stops):
+            exit_event, theta = _sweep_exit(t, y, fy, h, y_new, f_new,
+                                            domain if outside else None, stops, h_floor)
             ts.append(exit_event.time)
             ys.append(exit_event.state)
-            fs.append(slope)
+            fs.append(_step_slope(t, y, fy, h, y_new, f_new, theta))
             break
 
-        t_new = t + h
         ts.append(t_new)
         ys.append(y_new)
         fs.append(f_new.copy())  # a view of K would keep all seven stages alive
@@ -414,20 +416,14 @@ def integrate_batch(field: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: f
     member runs the Dormand-Prince 5(4) method of :func:`integrate` with its
     own step size and its own accept/reject decisions, so it takes the steps
     of its solo run up to round-off; one attempt of every running member is
-    evaluated in one vectorised pass.  ``stops`` is a priority-ordered
-    sequence of ``(label, predicate)`` pairs, each predicate mapping t[m],
-    Y[m, n] to bool[m].  A member ends at t_end, on leaving the open
-    ``domain`` (which takes precedence) or when a predicate holds; a member
-    for which a predicate holds at t0 ends there, also on a zero-length span.
-
-    Events are localized per member on the accepted step's Hermite
-    interpolant, like :func:`integrate`, but by dyadic sweeps instead of
-    bisection (:func:`_sweep_predicate`): each round evaluates ``domain`` and
-    the predicates once on up to 63 interior points of the bracket.  With the
-    same level count, a predicate that holds from some point of the step on
-    gives the crossing time of bisection bit for bit; for one that holds and
-    fails again within the step the sweep keeps the first sampled crossing,
-    where bisection may land on a later one.
+    evaluated in one vectorised pass.  ``stops`` follows the contract of
+    :func:`integrate`: priority-ordered ``(label, predicate)`` pairs, each
+    predicate written over leading axes and here called on t[m], Y[m, n].
+    A member ends at t_end, on leaving the open ``domain`` (which takes
+    precedence) or when a predicate holds, the first label that holds
+    naming the event; a member for which a predicate holds at t0 ends
+    there, also on a zero-length span.  Events are localized per member by
+    :func:`_sweep_exit`, the localiser of :func:`integrate`.
 
     Returns the end times [B], the end states [B, n] and the exit events
     (None for a member that reached t_end); no dense output is kept.  A
@@ -467,9 +463,9 @@ def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events)
     F = np.asarray(field(t, Y), dtype=float)
     if not np.isfinite(F).all():
         raise IntegrationError(f"field non-finite at initial point t={t0:g}")
-    if domain is not None and not _inside(domain, Y).all():
+    if domain is not None and not domain.contains(Y).all():
         raise ValueError("initial state outside the open domain")
-    h = np.array([_initial_step(y, f, settings, span) for y, f in zip(Y, F)])
+    h = _initial_step(Y, F, settings, span)
     n_acc = np.zeros(members.size, dtype=int)
     found = {}  # running row -> exit event that ends it
     for label, pred in stops:
@@ -541,13 +537,13 @@ def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events)
         t_new = t + h
         rows = np.flatnonzero(acc)
         Ya, ta = (Yi, t_new) if rows.size == m else (Yi[rows], t_new[rows])
-        outside = ~_inside(domain, Ya) if domain is not None else np.zeros(rows.size, bool)
+        outside = ~domain.contains(Ya) if domain is not None else np.zeros(rows.size, bool)
         flagged = outside.copy()
         for _, pred in stops:
             flagged |= pred(ta, Ya)
         for i, out in zip(rows[flagged], outside[flagged]):
-            found[i] = _sweep_exit(t[i], Y[i], F[i], h[i], Yi[i], K[6, i],
-                                   domain if out else None, stops, h_floor)
+            found[i], _ = _sweep_exit(t[i], Y[i], F[i], h[i], Yi[i], K[6, i],
+                                      domain if out else None, stops, h_floor)
 
         grow = np.where(err == 0.0, 5.0, np.minimum(5.0, np.maximum(0.2, factor)))
         if rows.size == m:
@@ -560,48 +556,26 @@ def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events)
         n_acc += acc
 
 
-def _step_exit(t, y, fy, h, y_new, f_new, domain, stop, h_floor):
-    """Exit event on the accepted step from (t, y) to (t + h, y_new), or None.
-
-    A domain exit takes precedence over a stop.  Either is localized by
-    :func:`_bisect_predicate` on the step's Hermite interpolant, one point
-    per level, to within h_floor; returns the event and the interpolant slope
-    there, which the dense output of :func:`integrate` needs.  The batch
-    counterpart :func:`_sweep_exit` reaches the same theta by row sweeps
-    whenever the predicate holds from some point of the step on.
-    """
-    if domain is not None and not domain.contains(y_new):
-        theta = _bisect_predicate(
-            lambda th: not domain.contains(
-                _hermite_on_step(t, y, fy, h, y_new, f_new, th)),
-            h, h_floor)
-        y_ev = _snap_to_faces(_hermite_on_step(t, y, fy, h, y_new, f_new, theta), domain)
-        event = ExitEvent(t + theta * h, y_ev, domain.describe_exit(y_ev))
-    elif stop is not None and (label := stop(t + h, y_new)):
-        theta = _bisect_predicate(
-            lambda th: bool(stop(t + th * h,
-                                 _hermite_on_step(t, y, fy, h, y_new, f_new, th))),
-            h, h_floor)
-        t_ev = t + theta * h
-        y_ev = _hermite_on_step(t, y, fy, h, y_new, f_new, theta)
-        event = ExitEvent(t_ev, y_ev, str(stop(t_ev, y_ev) or label))
-    else:
-        return None
-    return event, _step_slope(t, y, fy, h, y_new, f_new, theta)
-
-
 def _sweep_exit(t, y, fy, h, y_new, f_new, domain, stops, h_floor):
-    """Exit event on an accepted batch step, found as :func:`_step_exit` finds
-    it but localized by :func:`_sweep_predicate`.  ``domain`` is given only
-    when y_new has left it; otherwise some predicate of ``stops`` holds at
-    y_new.  No slope is computed: the batch keeps no dense output."""
+    """Exit event on the accepted step from (t, y) to (t + h, y_new) and its
+    step fraction theta; the one localiser of :func:`integrate` and
+    :func:`integrate_batch`.
+
+    ``domain`` is given only when y_new has left it, and a domain exit takes
+    precedence; otherwise some predicate of ``stops`` holds at y_new.  The
+    event is localized by :func:`_sweep_predicate` on the step's Hermite
+    interpolant (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), which
+    calls the domain test and each predicate on rows of interior points, as
+    the contract of :func:`integrate` allows.  The event's label is the first
+    of ``stops`` that holds there, else the first that holds at y_new.
+    """
     def rows(theta):
         return _hermite_on_step(t, y, fy, h, y_new, f_new, theta)
 
     if domain is not None:
-        theta = _sweep_predicate(lambda th: ~_inside(domain, rows(th)), h, h_floor)
+        theta = _sweep_predicate(lambda th: ~domain.contains(rows(th)), h, h_floor)
         y_ev = _snap_to_faces(rows(theta), domain)
-        return ExitEvent(t + theta * h, y_ev, domain.describe_exit(y_ev))
+        return ExitEvent(t + theta * h, y_ev, domain.describe_exit(y_ev)), theta
 
     def any_stop(th):
         t_rows, y_rows = t + th[:, 0] * h, rows(th)
@@ -614,13 +588,12 @@ def _sweep_exit(t, y, fy, h, y_new, f_new, domain, stops, h_floor):
     t_ev = t + theta * h
     y_ev = rows(theta)
     label = _first_label(stops, t_ev, y_ev) or _first_label(stops, t + h, y_new)
-    return ExitEvent(t_ev, y_ev, str(label))
+    return ExitEvent(t_ev, y_ev, str(label)), theta
 
 
 def _first_label(stops, t, y):
-    """Label of the first predicate of ``stops`` that holds at (t, y), or None."""
-    t_row, y_row = np.array([t]), y[None]
-    return next((label for label, pred in stops if pred(t_row, y_row)[0]), None)
+    """Label of the first predicate of ``stops`` that holds at (t, y[n]), or None."""
+    return next((label for label, pred in stops if pred(t, y)), None)
 
 
 def _step_slope(t, y, f0, h, y_new, f_new, theta):
@@ -630,30 +603,18 @@ def _step_slope(t, y, f0, h, y_new, f_new, theta):
     return (b - a) / (eps * h)
 
 
-def _bisect_predicate(outside, h, h_floor, max_iter=80):
-    """Smallest theta in (0, 1] with outside(theta) true, to within h_floor/h."""
-    lo, hi = 0.0, 1.0
-    tol = max(h_floor / h, 1e-15)
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if outside(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _sweep_predicate(outside, h, h_floor, max_iter=80):
-    """The theta of :func:`_bisect_predicate`, found by dyadic sweeps.
+    """Smallest theta in (0, 1] with outside(theta) true, to within
+    h_floor/h, found by dyadic sweeps.
 
     ``outside`` maps a column of thetas [p, 1] to bool[p].  Each round
     evaluates it once on the 2**j - 1 interior points of the bracket
     (j <= 6) and keeps the first sampled point where it holds, which settles
     j bisection levels at once; the level count is bisection's.  Every point
     is a dyadic rational, computed exactly, so for a predicate that holds
-    from some theta on the result equals bisection's bit for bit.
+    from some theta on the result equals that of bisection bit for bit; for
+    one that holds and fails again within the step the sweep keeps the first
+    sampled crossing, where bisection may land on a later one.
     """
     tol = max(h_floor / h, 1e-15)
     levels, width = 0, 1.0
@@ -828,17 +789,12 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
                          control: ControlSignal, t0: float, y0, t_end: float,
                          settings: Optional[IntegratorSettings] = None,
                          domain: Optional[Box] = None,
-                         stop: Optional[Callable[[float, np.ndarray], Optional[str]]] = None
-                         ) -> Trajectory:
+                         stops: Sequence[tuple] = ()) -> Trajectory:
     """Integrate ``dy/dt = rhs(y, u(t), t)`` segment-by-segment between control
     breakpoints, so discontinuous controls are handled exactly (a node is
-    placed at every switch and the segment value is frozen on each piece)."""
-    settings = settings or DEFAULT_SETTINGS
+    placed at every switch and the segment value is frozen on each piece).
+    ``domain`` and ``stops`` are those of :func:`integrate`."""
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    if t_end == t0:
-        u0 = control.evaluate(t0)
-        return Trajectory([t0], [y0], [np.atleast_1d(rhs(y0, u0, t0))])
-
     forward = t_end > t0
     lo, hi = (t0, t_end) if forward else (t_end, t0)
     cuts = [c for c in control.breakpoints() if lo < c < hi]
@@ -853,7 +809,7 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
             fld = lambda t, yy, u=u_const: rhs(yy, u, t)
         else:
             fld = lambda t, yy: rhs(yy, control.evaluate(t), t)
-        piece = integrate(fld, a, y, b, settings, domain, stop)
+        piece = integrate(fld, a, y, b, settings, domain, stops)
         pieces.append(piece)
         if piece.exit_event is not None:
             break
@@ -861,22 +817,16 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
 
     if not forward:
         pieces.reverse()
-    grids = [pieces[0].time_grid]
-    states = [pieces[0].states]
-    derivs = [pieces[0].derivs]
-    for p in pieces[1:]:
-        grids.append(p.time_grid)
-        states.append(p.states)
-        derivs.append(p.derivs)
     event = next((p.exit_event for p in pieces if p.exit_event is not None), None)
-    return Trajectory(np.concatenate(grids), np.vstack(states), np.vstack(derivs),
-                      exit_event=event)
+    return Trajectory(np.concatenate([p.time_grid for p in pieces]),
+                      np.vstack([p.states for p in pieces]),
+                      np.vstack([p.derivs for p in pieces]), exit_event=event)
 
 
 def solve_state(problem, control: ControlSignal, t_end: float,
                 settings: Optional[IntegratorSettings] = None,
                 x0=None, t0: Optional[float] = None,
-                stop: Optional[Callable[[float, np.ndarray], Optional[str]]] = None) -> Trajectory:
+                stops: Sequence[tuple] = ()) -> Trajectory:
     """State response of a control problem under a control signal.
 
     Integrates dx/dt = f(x, u(t), t) on [t0, t_end] with the problem's open
@@ -890,4 +840,4 @@ def solve_state(problem, control: ControlSignal, t_end: float,
     if not problem.state_domain.contains(x0):
         raise ValueError("initial state outside the problem's state domain")
     return integrate_controlled(problem.dynamics, control, t0, x0, t_end,
-                                settings, problem.state_domain, stop)
+                                settings, problem.state_domain, stops)

@@ -23,7 +23,6 @@ from .ode_engine import Box
 __all__ = [
     "ControlProblem",
     "ControlSet",
-    "MultiplierPair",
     "hamiltonian",
     "hamiltonian_jumps",
     "jacobians",
@@ -104,21 +103,6 @@ class ControlSet:
             axes.append(np.linspace(lo_eff, hi_eff, resolution))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-@dataclass(frozen=True)
-class MultiplierPair:
-    """Abnormality multiplier lambda >= 0 and initial adjoint vector."""
-
-    lam: float
-    psi0: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi0", np.atleast_1d(np.asarray(self.psi0, dtype=float)))
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if self.lam == 0 and np.all(self.psi0 == 0):
-            raise ValueError("(lambda, psi0) must not both vanish")
 
 
 @dataclass(frozen=True)

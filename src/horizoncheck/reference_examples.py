@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -116,37 +116,13 @@ def _joint_domain() -> Box:
 
 def ramsey_euler_orbit(params: RamseyParams, k0: float, c0: float, t_end: float,
                        settings: Optional[IntegratorSettings] = None,
-                       stop=None) -> Trajectory:
-    """Integrate the joint (k, c) phase-plane system from (k0, c0)."""
+                       stops: Sequence[tuple] = ()) -> Trajectory:
+    """Integrate the joint (k, c) phase-plane system from (k0, c0), with the
+    ``stops`` of :func:`integrate`."""
     field = lambda t, y: ramsey_field(params, y[0], y[1]) if (y[0] > 0 and y[1] > 0) \
         else np.array([np.nan, np.nan])
     return integrate(field, 0.0, np.array([k0, c0]), t_end,
-                     settings or _CLASSIFY_SETTINGS, domain=_joint_domain(), stop=stop)
-
-
-def _ball_stop(k_star, c_star, radius):
-    r2 = radius * radius
-    def stop(t, y):
-        if (y[0] - k_star) ** 2 + (y[1] - c_star) ** 2 <= r2:
-            return "saddle_ball"
-        return None
-    return stop
-
-
-def _to_zero_stop(params, k_star, c_star):
-    # region membership plus outward radial velocity from (k*, c*); the region
-    # k > k* + margin, c < c* - margin lies strictly below the right branch of
-    # the stable manifold, so only orbits heading to zero consumption enter it
-    # while moving away from the saddle.
-    def stop(t, y):
-        k, c = y
-        if k <= k_star + 0.5 or c >= c_star - 0.25:
-            return None
-        vel = ramsey_field(params, k, c)
-        if (k - k_star) * vel[0] + (c - c_star) * vel[1] > 0:
-            return "to_zero_consumption"
-        return None
-    return stop
+                     settings or _CLASSIFY_SETTINGS, domain=_joint_domain(), stops=stops)
 
 
 def _euler_rows(params: RamseyParams):
@@ -161,8 +137,10 @@ def _euler_rows(params: RamseyParams):
 
 
 def _classify_stops(params, k_star, c_star, radius):
-    """The stops of :func:`_ball_stop` and :func:`_to_zero_stop`, in that
-    priority order, as row predicates for :func:`integrate_batch`."""
+    """The Ramsey orbit stops in priority order: the ball of ``radius`` around
+    (k*, c*), then the way to zero consumption.  The predicates follow the
+    contract of :func:`integrate`, so one definition serves solo orbits and
+    :func:`integrate_batch`."""
     r2 = radius * radius
 
     def in_ball(t, Y):
@@ -170,10 +148,16 @@ def _classify_stops(params, k_star, c_star, radius):
         return (k - k_star) ** 2 + (c - c_star) ** 2 <= r2
 
     def to_zero(t, Y):
+        # region membership plus outward radial velocity from (k*, c*); the
+        # region k > k* + margin, c < c* - margin lies strictly below the
+        # right branch of the stable manifold, so only orbits heading to zero
+        # consumption enter it while moving away from the saddle.
         k, c = Y.T
+        region = (k > k_star + 0.5) & (c < c_star - 0.25)
+        if not region.any():
+            return region
         dk, dc = _euler_rates(params, k, c)
-        return ((k > k_star + 0.5) & (c < c_star - 0.25)
-                & ((k - k_star) * dk + (c - c_star) * dc > 0))
+        return region & ((k - k_star) * dk + (c - c_star) * dc > 0)
 
     return (("saddle_ball", in_ball), ("to_zero_consumption", to_zero))
 
@@ -212,10 +196,8 @@ def ramsey_classify(params: RamseyParams, k0, c0,
         return np.array([_orbit_label(ev) for ev in events], dtype=str).reshape(k0.shape)
     if k0 <= 0 or c0 <= 0:
         raise ValueError("need k0 > 0 and c0 > 0")
-    ball = _ball_stop(interior.k_star, interior.c_star, ball_radius)
-    region = _to_zero_stop(params, interior.k_star, interior.c_star)
-    stop = lambda t, y: ball(t, y) or region(t, y)
-    traj = ramsey_euler_orbit(params, k0, c0, t_max, settings, stop=stop)
+    stops = _classify_stops(params, interior.k_star, interior.c_star, ball_radius)
+    traj = ramsey_euler_orbit(params, k0, c0, t_max, settings, stops=stops)
     return _orbit_label(traj.exit_event)
 
 
@@ -225,8 +207,8 @@ def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float,
     zero consumption).  The saddle ball is not used as a stop here so that
     near-saddle orbits resolve their side after hovering."""
     interior, _ = ramsey_steady_state(params)
-    region = _to_zero_stop(params, interior.k_star, interior.c_star)
-    traj = ramsey_euler_orbit(params, k0, c0, t_max, settings, stop=region)
+    to_zero = _classify_stops(params, interior.k_star, interior.c_star, 0.0)[1:]
+    traj = ramsey_euler_orbit(params, k0, c0, t_max, settings, stops=to_zero)
     if traj.exit_event is None:
         # t_max exhausted while hovering; decide by final position
         k_fin = traj.states[-1, 0]
@@ -304,11 +286,11 @@ def ramsey_shoot(params: RamseyParams, t_max: float = 2000.0,
                                f"consumption {c_manifold:g}")
 
     # the c0 whose forward orbits enter the ball can span less than c0_tol
-    ball = _ball_stop(interior.k_star, interior.c_star, ball_radius)
+    ball = _classify_stops(params, interior.k_star, interior.c_star, ball_radius)[:1]
     for _ in range(max_iter):
         c0 = 0.5 * (lo + hi)
         if hi - lo <= c0_tol:
-            orbit = ramsey_euler_orbit(params, k0, c0, t_max, settings, stop=ball)
+            orbit = ramsey_euler_orbit(params, k0, c0, t_max, settings, stops=ball)
             if orbit.exit_event is not None and orbit.exit_event.description == "saddle_ball":
                 return c0, orbit
             if c0 in (lo, hi):

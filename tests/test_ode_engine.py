@@ -17,15 +17,23 @@ from horizoncheck import (
     solve_state,
     transition_matrix,
 )
+from horizoncheck import ode_engine
 from horizoncheck.cli import _CHECK_SETTINGS
 from horizoncheck.ode_engine import (
-    _bisect_predicate,
     _error_norm,
     _hermite_on_step,
     _sweep_predicate,
 )
+from horizoncheck.reference_examples import (
+    RamseyParams,
+    _classify_stops,
+    ramsey_euler_orbit,
+    ramsey_field,
+    ramsey_shoot,
+    ramsey_steady_state,
+)
 
-from conftest import TIGHT
+from conftest import FIG1, TIGHT
 
 
 def test_zero_field_stays_constant():
@@ -121,11 +129,24 @@ def test_derivative_checks_the_span_like_evaluation():
 
 def test_stop_condition_label_recorded():
     field = lambda t, y: np.array([1.0])
-    stop = lambda t, y: "past_two" if y[0] > 2.0 else None
-    traj = integrate(field, 0.0, [0.0], 10.0, stop=stop)
+    stops = (("past_two", lambda t, y: y[..., 0] > 2.0),)
+    traj = integrate(field, 0.0, [0.0], 10.0, stops=stops)
     assert traj.exit_event is not None
     assert traj.exit_event.description == "past_two"
     assert traj.exit_event.time == pytest.approx(2.0, abs=1e-6)
+
+
+def test_stops_follow_priority_and_the_true_time():
+    field = lambda t, y: np.array([1.0])
+    above = lambda t, y: y[..., 0] > 2.0
+    traj = integrate(field, 0.0, [0.0], 10.0, stops=(("first", above), ("second", above)))
+    assert traj.exit_event is not None and traj.exit_event.description == "first"
+    # a backward run calls each predicate at the true time t
+    stops = (("before_three", lambda t, y: t < 3.0), ("below_one", lambda t, y: y[..., 0] < 1.0))
+    traj = integrate(field, 10.0, [10.0], 0.0, stops=stops)
+    assert traj.exit_event is not None and traj.exit_event.description == "before_three"
+    assert traj.exit_event.time == pytest.approx(3.0, abs=1e-6)
+    assert traj.t0 == traj.exit_event.time and traj.t_end == 10.0
 
 
 def test_piecewise_control_semantics():
@@ -387,17 +408,13 @@ def _spiral_rows(t, Y):
 
 
 _SPIRAL_BOX = Box.from_bounds([-1.5, -2.0], [1.5, 2.0])
-_SPIRAL_STOPS = (("rest", lambda t, Y: (Y[:, 0] - 0.5) ** 2 + Y[:, 1] ** 2 <= 0.01),
-                 ("fast", lambda t, Y: np.abs(Y[:, 1]) > 1.8))
+_SPIRAL_STOPS = (("rest", lambda t, Y: (Y[..., 0] - 0.5) ** 2 + Y[..., 1] ** 2 <= 0.01),
+                 ("fast", lambda t, Y: np.abs(Y[..., 1]) > 1.8))
 
 
 def test_batch_members_match_solo_runs():
     hypothesis, st, _ = _hypothesis()
     settings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11)
-
-    def solo_stop(t, y):
-        return next((label for label, pred in _SPIRAL_STOPS
-                     if pred(np.array([t]), y[None])[0]), None)
 
     @hypothesis.settings(max_examples=25, deadline=None)
     @hypothesis.given(st.lists(st.tuples(st.floats(-1.45, 1.45), st.floats(-1.95, 1.95)),
@@ -408,7 +425,7 @@ def test_batch_members_match_solo_runs():
                                                _SPIRAL_BOX, _SPIRAL_STOPS)
         for y0, t_b, y_b, ev in zip(Y0, t_end, Y_end, events):
             traj = integrate(lambda t, y: _spiral_rows(np.array([t]), y[None])[0],
-                             0.0, y0, 40.0, settings, _SPIRAL_BOX, solo_stop)
+                             0.0, y0, 40.0, settings, _SPIRAL_BOX, _SPIRAL_STOPS)
             solo = traj.exit_event
             assert (ev and ev.description) == (solo and solo.description)
             assert t_b == pytest.approx(traj.t_end, abs=1e-6)
@@ -486,7 +503,7 @@ def test_zero_length_span_makes_the_initial_checks():
         with pytest.raises(IntegrationError):
             integrate(lambda t, y: np.array([np.nan]), 0.0, [0.5], t_end)
         traj = integrate(lambda t, y: -y, 0.0, [0.5], t_end,
-                         stop=lambda t, y: "start" if t == 0.0 else None)
+                         stops=(("start", lambda t, y: t == 0.0),))
         assert traj.exit_event is not None and traj.exit_event.description == "start"
         assert traj.exit_event.time == 0.0 and traj.t_end == 0.0
     traj = integrate(lambda t, y: -y, 3.0, [0.5], 3.0, domain=box)
@@ -494,16 +511,100 @@ def test_zero_length_span_makes_the_initial_checks():
     assert np.array_equal(traj.time_grid, [3.0]) and np.array_equal(traj.derivs, [[-0.5]])
 
 
+def test_controlled_zero_length_span_makes_the_initial_checks():
+    rhs = lambda y, u, t: u - y
+    control = ControlSignal.constant([0.0])
+    box = Box.from_bounds([0.0], [1.0])
+    for t_end in (0.0, 1.0):
+        with pytest.raises(ValueError, match="outside the open domain"):
+            integrate_controlled(rhs, control, 0.0, [2.0], t_end, domain=box)
+        traj = integrate_controlled(rhs, control, 0.0, [0.5], t_end,
+                                    stops=(("start", lambda t, y: t == 0.0),))
+        assert traj.exit_event is not None and traj.exit_event.description == "start"
+        assert traj.exit_event.time == 0.0 and traj.t_end == 0.0
+    traj = integrate_controlled(rhs, control, 3.0, [0.5], 3.0, domain=box)
+    assert traj.exit_event is None
+    assert np.array_equal(traj.time_grid, [3.0]) and np.array_equal(traj.derivs, [[-0.5]])
+
+
+def test_box_contains_rows_like_single_states():
+    hypothesis, st, hnp = _hypothesis()
+    values = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1.0, -np.inf, np.inf, np.nan]))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        hnp.arrays(float, st.tuples(st.integers(0, 6), st.just(n)), elements=values),
+        hnp.arrays(float, n, elements=st.sampled_from([-np.inf, -1.0, 0.0])),
+        hnp.arrays(float, n, elements=st.sampled_from([0.0, 1.0, np.inf])))))
+    def check(drawn):
+        Y, lower, upper = drawn
+        box = Box.from_bounds(lower, upper)
+        inside = box.contains(Y)
+        assert inside.shape == (Y.shape[0],)
+        expected = [all(lo < v < hi for v, lo, hi in zip(y, lower, upper)) for y in Y]
+        assert [bool(box.contains(y)) for y in Y] == expected == inside.tolist()
+
+    check()
+    box = Box.from_bounds([0.0, -np.inf], [1.0, np.inf])
+    rows = np.array([[0.5, 3.0], [np.nan, 0.0], [0.5, np.nan], [0.5, np.inf], [1.0, 0.0]])
+    assert box.contains(rows).tolist() == [True, False, False, False, False]
+
+
+def test_solo_ramsey_events_land_on_the_bisected_theta(monkeypatch):
+    # each event of a solo orbit is localized by _sweep_exit; its theta must
+    # be the one that bisection with scalar predicate calls finds
+    sweeps = []
+    sweep_exit = ode_engine._sweep_exit
+
+    def recorded(*args):
+        event, theta = sweep_exit(*args)
+        sweeps.append((args, event, theta))
+        return event, theta
+
+    monkeypatch.setattr(ode_engine, "_sweep_exit", recorded)
+    params = RamseyParams(**FIG1)
+    interior, _ = ramsey_steady_state(params)
+    stops = _classify_stops(params, interior.k_star, interior.c_star, 1e-3)
+
+    def last_sweep(orbit):
+        args, event, theta = sweeps[-1]
+        assert orbit.exit_event is event and orbit.t_end == event.time
+        t, y, fy, h, y_new, f_new, domain, sweep_stops, h_floor = args
+        point = lambda th: _hermite_on_step(t, y, fy, h, y_new, f_new, th)
+        if domain is not None:
+            holds = lambda th: not domain.contains(point(th))
+        else:
+            holds = lambda th: any(pred(t + th * h, point(th)) for _, pred in sweep_stops)
+        assert theta == _bisect_predicate(holds, h, h_floor)
+        assert event.time == t + theta * h
+        return event
+
+    _, orbit = ramsey_shoot(params)
+    assert last_sweep(orbit).description == "saddle_ball"
+    orbit = ramsey_euler_orbit(params, 60.0, 3.0, 600.0, stops=stops)
+    assert last_sweep(orbit).description == "to_zero_consumption"
+    # past k = 0 the field is NaN, so no step across that face is accepted
+    # and the exit comes from the step-size stall; a face at k = 2 is crossed
+    # by an accepted step and localized by the sweep
+    sweeps.clear()
+    orbit = ramsey_euler_orbit(params, 10.0, 3.0, 600.0, stops=stops)
+    assert not sweeps and orbit.exit_event.state[0] == 0.0
+    orbit = integrate(lambda t, y: ramsey_field(params, *y), 0.0, [10.0, 3.0], 600.0,
+                      IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11),
+                      domain=Box.from_bounds([2.0, 0.0], [np.inf, 1e12]), stops=stops)
+    assert last_sweep(orbit).description == "y[0] reached lower bound 2"
+
+
 def test_stop_is_called_once_at_t0():
     calls = []
 
-    def stop(t, y):
+    def start(t, y):
         calls.append(t)
-        return "start"
+        return True
 
     for t_end in (0.0, 1.0):
         calls.clear()
-        integrate(lambda t, y: -y, 0.0, [0.5], t_end, stop=stop)
+        integrate(lambda t, y: -y, 0.0, [0.5], t_end, stops=(("start", start),))
         assert calls == [0.0]
 
 
@@ -573,6 +674,22 @@ def test_box_without_finite_faces_matches_no_domain():
         boxed_batch = integrate_batch(rows, 0.0, Y0, 30.0, settings, box)
         assert np.array_equal(boxed_batch[0], free_batch[0])
         assert np.array_equal(boxed_batch[1], free_batch[1])
+
+
+def _bisect_predicate(outside, h, h_floor, max_iter=80):
+    """Smallest theta in (0, 1] with outside(theta) true, to within h_floor/h,
+    by bisection with one scalar theta per level: the oracle of the sweeps."""
+    lo, hi = 0.0, 1.0
+    tol = max(h_floor / h, 1e-15)
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if outside(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def test_sweep_matches_bisection_on_monotone_predicates():

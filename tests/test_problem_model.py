@@ -5,7 +5,6 @@ import pytest
 
 from horizoncheck import (
     ControlSet,
-    MultiplierPair,
     hamiltonian,
     hamiltonian_jumps,
     jacobians,
@@ -205,11 +204,3 @@ def test_open_lower_bound_never_sampled_at_zero():
     assert ramsey.control_set.contains([grid.max()])
     assert not ramsey.control_set.contains([0.0])
 
-
-def test_multiplier_pair_validation():
-    MultiplierPair(0.0, [1.0, 0.0])
-    MultiplierPair(1.0, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        MultiplierPair(0.0, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        MultiplierPair(-1.0, [1.0])
