@@ -97,8 +97,11 @@ class RunConfig:
             raise ValueError(f"unknown example {self.example!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        if self.t_max is not None and self.t_max <= 0:
-            raise ValueError("t-max must be positive")
+        if self.t_max is not None and not 0 < self.t_max < math.inf:
+            raise ValueError("t-max must be positive and finite")
+        for name, value in (("eps", self.eps), ("k-max", self.k_max), ("c-max", self.c_max)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if min(self.grid) < 1:
             raise ValueError("grid sizes must be at least 1")
 

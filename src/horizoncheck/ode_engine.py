@@ -9,8 +9,10 @@ so dense evaluation costs nothing extra and is exact at the nodes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -170,24 +172,25 @@ class Trajectory:
         pad = slack * max(1.0, abs(self.t_end - self.t0))
         return self.t0 - pad <= t <= self.t_end + pad
 
-    def _check_span(self, lo, hi):
-        t0, t_end = self.t0, self.t_end
-        span = max(abs(t_end - t0), 1.0)
-        if lo < t0 - 1e-9 * span or hi > t_end + 1e-9 * span:
-            raise ValueError(f"evaluation time outside trajectory span [{t0:.6g}, {t_end:.6g}]")
-
     def _segments(self, tq):
         """Index of the grid interval holding each (clipped) query time."""
         return np.clip(np.searchsorted(self.time_grid, tq, side="right") - 1,
                        0, len(self.time_grid) - 2)
 
+    @cached_property
+    def _grid(self) -> list:
+        """The time grid as Python floats, searched by scalar lookups."""
+        return self.time_grid.tolist()
+
     def __call__(self, t):
+        if isinstance(t, float):
+            return self._at(float(t))
         t_arr = np.asarray(t, dtype=float)
         if t_arr.ndim == 0:
             return self._at(float(t_arr))
         tq = np.atleast_1d(t_arr)
         if tq.size:
-            self._check_span(tq.min(), tq.max())
+            _check_span(tq.min(), tq.max(), self.t0, self.t_end)
         tq = np.clip(tq, self.t0, self.t_end)
         idx = self._segments(tq)
         ta = self.time_grid[idx]
@@ -197,23 +200,31 @@ class Trajectory:
                                 self.states[idx + 1], self.derivs[idx + 1], s)
 
     def _at(self, t: float) -> np.ndarray:
-        """Scalar evaluation: one Hermite segment in Python floats."""
-        self._check_span(t, t)
-        grid = self.time_grid
-        t = min(max(t, float(grid[0])), float(grid[-1]))
-        i = min(max(int(grid.searchsorted(t, side="right")) - 1, 0), grid.size - 2)
-        ta = float(grid[i])
-        h = float(grid[i + 1]) - ta
+        """Scalar evaluation: the expression of :func:`_hermite_on_step`
+        component by component on Python floats, which round as the array
+        operations of the vector path do, so both paths agree bit for bit."""
+        grid = self._grid
+        _check_span(t, t, grid[0], grid[-1])
+        t = min(max(t, grid[0]), grid[-1])
+        i = min(max(bisect.bisect_right(grid, t) - 1, 0), len(grid) - 2)
+        ta = grid[i]
+        h = grid[i + 1] - ta
         s = (t - ta) / h if h > 0 else 0.0
-        return _hermite_on_step(ta, self.states[i], self.derivs[i], h,
-                                self.states[i + 1], self.derivs[i + 1], s)
+        s2 = s * s
+        s3 = s2 * s
+        c0, c1 = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h
+        c2, c3 = -2 * s3 + 3 * s2, (s3 - s2) * h
+        return np.array([c0 * y + c1 * f0 + c2 * y_new + c3 * f_new
+                         for y, f0, y_new, f_new in zip(
+                             self.states[i].tolist(), self.derivs[i].tolist(),
+                             self.states[i + 1].tolist(), self.derivs[i + 1].tolist())])
 
     def derivative(self, t):
         """Hermite-interpolant time derivative (used for residual checks)."""
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         if t_arr.size:
-            self._check_span(t_arr.min(), t_arr.max())
+            _check_span(t_arr.min(), t_arr.max(), self.t0, self.t_end)
         tq = np.atleast_1d(np.clip(t_arr, self.t0, self.t_end))
         idx = self._segments(tq)
         ta, tb = self.time_grid[idx], self.time_grid[idx + 1]
@@ -227,6 +238,14 @@ class Trajectory:
         out = ((6 * s2 - 6 * s) * ya * inv_h + (3 * s2 - 4 * s + 1) * fa
                + (-6 * s2 + 6 * s) * yb * inv_h + (3 * s2 - 2 * s) * fb)
         return out[0] if scalar else out
+
+
+def _check_span(lo, hi, t0, t_end):
+    """Raise unless [lo, hi] lies in the span [t0, t_end] up to a 1e-9
+    relative slack; a NaN bound fails the test."""
+    pad = 1e-9 * max(abs(t_end - t0), 1.0)
+    if not (t0 - pad <= lo and hi <= t_end + pad):
+        raise ValueError(f"evaluation time outside trajectory span [{t0:.6g}, {t_end:.6g}]")
 
 
 def _hermite_on_step(t, y, f0, h, y_new, f_new, theta):
@@ -250,16 +269,24 @@ def _initial_step(y0, f0, settings, span):
 
 
 def _error_norm(err, y, y_new, settings):
-    """RMS of the error estimate relative to the mixed tolerance scale."""
-    r = err / (settings.abs_tol + settings.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
-    return math.sqrt((r * r).sum() / r.size)
+    """RMS of the error estimate relative to the mixed tolerance scale, for
+    finite y and y_new.  The scaled squares are formed on Python floats,
+    which round as numpy's elementwise operations do, and summed by
+    ``np.add.reduce`` in numpy's order (a plain ``sum`` departs from it from
+    8 components on), so the result is that of the array expression."""
+    atol, rtol = settings.abs_tol, settings.rel_tol
+    squares = [(r := e / (atol + rtol * max(abs(a), abs(b)))) * r
+               for e, a, b in zip(err.tolist(), y.tolist(), y_new.tolist())]
+    return math.sqrt(np.add.reduce(squares) / len(squares))
 
 
 def _all_finite(v) -> bool:
-    """Whether every entry of ``v`` is finite.  A finite sum implies finite
-    entries, so the elementwise test runs only when the sum is not finite:
-    a non-finite entry, or finite entries whose sum overflows."""
-    return math.isfinite(np.add.reduce(v, axis=None)) or bool(np.isfinite(v).all())
+    """Whether every entry of the vector ``v`` is finite.  A finite sum
+    implies finite entries, so the elementwise test runs only when the sum
+    is not finite: a non-finite entry, or finite entries whose sum
+    overflows.  For a few components the Python sum is cheaper than one
+    numpy call."""
+    return math.isfinite(sum(v.tolist())) or bool(np.isfinite(v).all())
 
 
 def _with_faces(domain: Optional[Box]) -> Optional[Box]:
@@ -292,11 +319,13 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
     other: a finite initial slope, an initial state inside the domain, and
     the stops at t0.
 
-    Raises ``IntegrationError`` on step-size underflow away from the domain
+    Raises ``ValueError`` for a non-finite t0 or t_end, and
+    ``IntegrationError`` on step-size underflow away from the domain
     boundary or on a non-finite field value that cannot be attributed to a
     boundary crossing.
     """
     settings = settings or DEFAULT_SETTINGS
+    _check_finite_span(t0, t_end)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
@@ -316,6 +345,11 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
         return _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor)
 
 
+def _check_finite_span(t0, t_end):
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValueError(f"integration span [{t0:g}, {t_end:g}] must be finite")
+
+
 def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
     f0 = np.atleast_1d(np.asarray(field(t0, y0), dtype=float))
     if not np.isfinite(f0).all():
@@ -332,20 +366,21 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
     t, y, fy = t0, y0.copy(), f0
     exit_event = None
     n_taken = 0
+    K = np.empty((7, y.size))  # the stages of every attempt; K[0] is the FSAL slope
+    heads = [K[:i] for i in range(7)]  # the stages before stage i, as views
 
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         n_taken += 1
         if n_taken > settings.max_steps:
             raise IntegrationError("maximum number of steps exceeded")
         h = min(h, t_end - t, settings.max_step)
+        K[0] = fy
 
         # ---- take one step, with retries ----
         while True:
             # stages are written straight into K, which converts them
-            K = np.empty((7, y.size))
-            K[0] = fy
             for i in range(1, 7):
-                yi = y + h * np.dot(_DP_A[i], K[:i])
+                yi = y + h * np.dot(_DP_A[i], heads[i])
                 K[i] = field(t + _DP_C[i] * h, yi)
                 finite = _all_finite(K[i])
                 if not finite:
@@ -388,7 +423,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
 
         t_new = t + h
         outside = domain is not None and not domain.contains(y_new)
-        if outside or any(pred(t_new, y_new) for _, pred in stops):
+        if outside or (stops and any(pred(t_new, y_new) for _, pred in stops)):
             exit_event, theta = _sweep_exit(t, y, fy, h, y_new, f_new,
                                             domain if outside else None, stops, h_floor)
             ts.append(exit_event.time)
@@ -396,10 +431,11 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
             fs.append(_step_slope(t, y, fy, h, y_new, f_new, theta))
             break
 
-        ts.append(t_new)
-        ys.append(y_new)
-        fs.append(f_new.copy())  # a view of K would keep all seven stages alive
-        t, y, fy = t_new, y_new, f_new
+        # K is overwritten by the next step's stages, so the slope is copied out
+        t, y, fy = t_new, y_new, f_new.copy()
+        ts.append(t)
+        ys.append(y)
+        fs.append(fy)
         grow = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         h = max(h * grow, h_floor)
 
@@ -428,10 +464,11 @@ def integrate_batch(field: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: f
     Returns the end times [B], the end states [B, n] and the exit events
     (None for a member that reached t_end); no dense output is kept.  A
     failure that :func:`integrate` would raise for one member raises
-    ``IntegrationError`` for the whole call.  Only forward spans are
+    ``IntegrationError`` for the whole call.  Only finite forward spans are
     supported.
     """
     settings = settings or DEFAULT_SETTINGS
+    _check_finite_span(t0, t_end)
     if t_end < t0:
         raise ValueError("integrate_batch integrates forward: need t_end >= t0")
     Y_out = np.array(Y0, dtype=float)

@@ -218,6 +218,8 @@ def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
     from t0 to T_max or later, spares the candidate's integration when one
     candidate meets several challengers.
     """
+    if not eps >= 0:  # also rejects NaN, against which every gap compares False
+        raise ValueError(f"eps must be a nonnegative number, got {eps!r}")
     settings = settings or _VALUE_SETTINGS
     t0 = problem.initial_time
     n = problem.state_dim

@@ -113,6 +113,20 @@ def test_phase_diagram_rejects_grid_below_one(grid, capsys):
         RunConfig(example="ramsey", grid=tuple(int(n) for n in grid.split("x")))
 
 
+@pytest.mark.parametrize("flag, value", [("--t-max", "inf"), ("--t-max", "nan"),
+                                         ("--t-max", "-1"), ("--eps", "nan"),
+                                         ("--eps", "inf"), ("--k-max", "nan"),
+                                         ("--c-max", "inf")])
+def test_nonfinite_run_settings_are_rejected(flag, value, capsys):
+    assert main(["check", "--example", "oscillator", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("horizoncheck: error:")
+    assert flag[2:] in err
+    key = flag[2:].replace("-", "_")
+    with pytest.raises(ValueError):
+        RunConfig(example="ramsey", **{key: float(value)})
+
+
 def test_phase_diagram_requires_ramsey():
     with pytest.raises(ValueError):
         build_phase_diagram_report(RunConfig(example="oscillator"))

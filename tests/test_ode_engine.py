@@ -118,13 +118,27 @@ def test_derivative_checks_the_span_like_evaluation():
     assert traj.derivative(2.0)[0] == pytest.approx(-math.exp(-2.0), rel=1e-5)
     # within the 1e-9 relative slack a time is clipped to the span
     assert np.array_equal(traj.derivative(5.0 + 1e-9), traj.derivative(5.0))
-    for t in (50.0, -1.0):
+    # a NaN time fails the span test like an out-of-span one
+    for t in (50.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             traj(t)
+        with pytest.raises(ValueError):
+            traj(np.array([1.0, t]))
         with pytest.raises(ValueError):
             traj.derivative(t)
         with pytest.raises(ValueError):
             traj.derivative(np.array([1.0, t]))
+
+
+@pytest.mark.parametrize("t0, t_end", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0),
+                                       (-math.inf, 0.0), (1.0, -math.inf)])
+def test_nonfinite_span_is_rejected(t0, t_end):
+    # an infinite or NaN end used to give a one-node trajectory, and a NaN
+    # end made the batch loop run forever on a NaN step
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate(lambda t, y: -y, t0, [1.0], t_end)
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_batch(lambda t, Y: -Y, t0, [[1.0]], t_end)
 
 
 def test_stop_condition_label_recorded():
@@ -241,10 +255,10 @@ def test_scalar_dense_output_matches_vector_rows():
     def check(traj, fractions):
         width = traj.t_end - traj.t0
         times = np.concatenate([traj.t0 + width * np.array(fractions), traj.time_grid])
+        # the scalar path evaluates the vector path's expression on floats
         rows = traj(times)
-        scale = 1.0 + np.abs(traj.states).max() + np.abs(traj.derivs).max() * max(width, 1.0)
         for t, row in zip(times, rows):
-            np.testing.assert_allclose(traj(t), row, rtol=0.0, atol=1e-14 * scale)
+            assert np.array_equal(traj(t), row)
 
     check()
 
@@ -284,19 +298,21 @@ def test_dense_output_span_check_and_clipping():
 
 
 def test_error_norm_is_rms_of_scaled_error():
+    # the norm is formed on floats but must equal the array expression bit
+    # for bit; a plain sum of the squares departs from np.add.reduce's
+    # pairwise order from n = 8 on
     hypothesis, st, hnp = _hypothesis()
     values = st.floats(-1e6, 1e6)
 
-    @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(st.integers(1, 8).flatmap(
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(1, 12).flatmap(
                           lambda n: st.tuples(*[hnp.arrays(float, n, elements=values)] * 3)),
                       st.floats(1e-12, 1e-2), st.floats(1e-14, 1e-2))
     def check(arrays, rel_tol, abs_tol):
         err, y, y_new = arrays
         settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=abs_tol)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        rms = math.sqrt(np.mean((err / scale) ** 2))
-        assert _error_norm(err, y, y_new, settings) == pytest.approx(rms, rel=1e-13)
+        r = err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+        assert _error_norm(err, y, y_new, settings) == math.sqrt(np.add.reduce(r * r) / r.size)
 
     check()
 

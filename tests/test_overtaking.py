@@ -161,6 +161,16 @@ def test_overtaking_rejects_checkpoints_outside_horizon(oscillator, u_one, check
     assert payoff_solves == []
 
 
+@pytest.mark.parametrize("eps", [math.nan, -1e-6, -math.inf])
+def test_overtaking_rejects_nan_and_negative_eps(oscillator, u_one, eps, payoff_solves):
+    # every comparison with a NaN eps is False, which used to read as gaps
+    # that never exceed eps: consistent_OO where the verdict is WOO only
+    challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="eps"):
+        empirical_overtaking_test(oscillator, u_one, challenger, eps=eps, T_max=40.0)
+    assert payoff_solves == []
+
+
 @pytest.mark.parametrize("example, params", [("oscillator", {"b": 0.5}),
                                              ("integrator", {"rho": 0.1})])
 def test_overtake_report_integrates_candidate_once(example, params, payoff_solves):
