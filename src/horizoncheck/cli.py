@@ -37,7 +37,7 @@ from .conditions import (
     decompose_costate,
     dense_horizon_grid,
 )
-from .ode_engine import ControlSignal, IntegrationError, IntegratorSettings, solve_state
+from .ode_engine import ControlSignal, IntegrationError, IntegratorSettings
 from .problem_model import make_builtin_problem
 from .reference_examples import (
     RamseyParams,
@@ -211,17 +211,16 @@ def _build_linear_check(config: RunConfig) -> ReportData:
         def terminal_psi(lam, rphi):
             return ref.costate(rphi[0], rphi[1], t_max)
 
-    trajectory = solve_state(problem, control, t_max, _CHECK_SETTINGS)
-    transition = transition_matrix(problem, trajectory, control, settings=_CHECK_SETTINGS)
+    transition = transition_matrix(problem, control, t_max, settings=_CHECK_SETTINGS)
+    trajectory = transition.trajectory
     tail = TailPolicy(t_max=t_max)
 
     # gradient-route rows: tail conditions, boundedness, limit costate
     tau_grid = [problem.initial_time]
     T_dense = dense_horizon_grid(problem.initial_time, t_max)
     for mode in ("WOO", "OO"):
-        report = check_general(problem, trajectory, control, tau_grid,
-                               T_grid=T_dense, mode=mode, transition=transition,
-                               settings=_CHECK_SETTINGS)
+        report = check_general(problem, transition, control, tau_grid,
+                               T_grid=T_dense, mode=mode)
         rows.append(["general", "(gradient route)", f"prop_general_{mode}",
                      report.verdict.status.value,
                      _fmt(float(np.nanmax(report.estimates))), report.verdict.note])
@@ -241,18 +240,17 @@ def _build_linear_check(config: RunConfig) -> ReportData:
         psi_T = np.atleast_1d(terminal_psi(lam, extra))
         costate = integrate_adjoint(problem, trajectory, control, (t_max, psi_T),
                                     lam, settings=_CHECK_SETTINGS)
-        classical = check_classical(problem, trajectory, control, costate, lam,
-                                    transition, tail)
+        classical = check_classical(problem, transition, control, costate, tail)
         for cond_id, verdict in classical.items():
             rows.append(["classical", label, cond_id, verdict.status.value,
                          _fmt(verdict.diagnostic_series[-1][1]
                               if verdict.diagnostic_series else None),
                          verdict.note])
-        mp = check_max_principle(problem, trajectory, control, costate, lam,
+        mp = check_max_principle(problem, trajectory, control, costate,
                                  time_grid=np.linspace(problem.initial_time, t_max, 201))
         rows.append(["max_principle", label, "maxH", mp.status.value,
                      _fmt(max(v for _, v in mp.diagnostic_series)), mp.note])
-        a0_est, residual, dec = decompose_costate(costate, transition, records, lam, tail)
+        a0_est, residual, dec = decompose_costate(costate, transition, records, tail)
         rows.append(["decomposition", label, "a0_limit", dec.status.value,
                      _fmt(residual), dec.note])
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ode_engine import ControlSignal, IntegratorSettings, Trajectory
+from .ode_engine import ControlSignal, Trajectory
 from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
 from .variational import (
     CostatePath,
@@ -35,7 +35,6 @@ from .variational import (
     DEFAULT_TAIL,
     _growth_ratio,
     limit_costate,
-    transition_matrix,
 )
 from .verdicts import ConditionVerdict, Verdict, tail_limit_verdict
 
@@ -102,11 +101,8 @@ class GeneralConditionReport:
     window_estimates: np.ndarray  # (n_tau, n_u, 3) early/mid/late window values
     verdict: ConditionVerdict = None
 
-    def cell(self, i_tau: int, i_u: int):
-        return self.estimates[i_tau, i_u], self.statuses[i_tau, i_u]
 
-
-def _window_verdict(m_early: float, m_mid: float, m_late: float, mode: str,
+def _window_verdict(m_early: float, m_mid: float, m_late: float,
                     hold_tol: float, converge_tol: float):
     """Three-way verdict for '<= 0' from three dyadic-window estimates.
 
@@ -128,11 +124,9 @@ def _window_verdict(m_early: float, m_mid: float, m_late: float, mode: str,
     return Verdict.INCONCLUSIVE
 
 
-def check_general(problem: ControlProblem, trajectory: Trajectory,
+def check_general(problem: ControlProblem, transition: TransitionOperator,
                   control: ControlSignal, tau_grid, control_resolution: int = 33,
                   T_grid=None, mode: str = "WOO",
-                  transition: Optional[TransitionOperator] = None,
-                  settings: Optional[IntegratorSettings] = None,
                   hold_tol: float = VERDICT_SLACK,
                   converge_tol: float = WINDOW_CONVERGE_TOL) -> GeneralConditionReport:
     """Tail test of the Hamiltonian-difference condition over a (tau, u) grid.
@@ -142,20 +136,18 @@ def check_general(problem: ControlProblem, trajectory: Trajectory,
     by the min/max over the last half of the horizon grid; the estimate is
     trusted when two successive window doublings agree to ``converge_tol`` or
     the windows trend monotonically.  Each cell must satisfy estimate <= 0
-    (within ``hold_tol``); the battery verdict aggregates all cells.
+    (within ``hold_tol``); the battery verdict aggregates all cells.  The
+    state path is that of ``transition``.
     """
     if mode not in ("WOO", "OO"):
         raise ValueError("mode must be 'WOO' or 'OO'")
+    trajectory = transition.trajectory
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     if T_grid is None:
         T_grid = dense_horizon_grid(float(tau_grid.min()), trajectory.t_end)
     T_grid = np.sort(np.asarray(T_grid, dtype=float))
     if not trajectory.covers(float(T_grid[-1])):
-        raise ValueError("horizon grid exceeds the trajectory span "
-                         f"(exit event: {trajectory.exit_event})")
-    if transition is None:
-        transition = transition_matrix(problem, trajectory, control,
-                                       t_grid=T_grid, settings=settings)
+        raise ValueError("horizon grid exceeds the span of the transition operator")
     control_grid = problem.control_set.sample_grid(control_resolution)
 
     n_tau, n_u = tau_grid.size, control_grid.shape[0]
@@ -177,7 +169,7 @@ def check_general(problem: ControlProblem, trajectory: Trajectory,
     estimates = windows[:, :, 2].copy()
     statuses = np.empty((n_tau, n_u), dtype=object)
     for i, j in np.ndindex(n_tau, n_u):
-        statuses[i, j] = _window_verdict(*windows[i, j], mode, hold_tol, converge_tol)
+        statuses[i, j] = _window_verdict(*windows[i, j], hold_tol, converge_tol)
 
     flat = statuses.ravel()
     if any(s is Verdict.FAILS for s in flat):
@@ -231,11 +223,11 @@ def _tail_times(costate: CostatePath, tail: TailPolicy, n_dense: int = 4000):
     return times[tail.window_mask(times)]
 
 
-def check_classical(problem: ControlProblem, trajectory: Trajectory,
-                    control: ControlSignal, costate: CostatePath, lam: float,
-                    transition: TransitionOperator,
+def check_classical(problem: ControlProblem, transition: TransitionOperator,
+                    control: ControlSignal, costate: CostatePath,
                     tail: TailPolicy = DEFAULT_TAIL) -> dict:
-    """The four classical limit conditions on an adjoint path.
+    """The four classical limit conditions on an adjoint path, with x(t) the
+    state path of ``transition`` and lam that of ``costate``.
 
     tcPSI:  |psi(t)| -> 0
     tcXPSI: <x(t), psi(t)> -> 0
@@ -247,13 +239,13 @@ def check_classical(problem: ControlProblem, trajectory: Trajectory,
     """
     times = _tail_times(costate, tail)
     psi = costate.psi(times)
-    xs = trajectory(times)
+    xs = transition.trajectory(times)
     Ys = transition.fundamental(times)
 
     s_psi = np.max(np.abs(psi), axis=1)
     s_xpsi = np.einsum("ij,ij->i", xs, psi)
     s_h = np.array([hamiltonian(problem, xs[i], control.evaluate(float(t)),
-                                float(t), psi[i], lam)
+                                float(t), psi[i], costate.lam)
                     for i, t in enumerate(times)])
     yk = np.einsum("ikj,ik->ij", Ys, psi)  # K(t, t0)* psi = Y(t)^T psi
     s_kav = np.linalg.norm(yk, axis=1)
@@ -271,7 +263,7 @@ def check_classical(problem: ControlProblem, trajectory: Trajectory,
 
 
 def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
-                        control: ControlSignal, costate: CostatePath, lam: float,
+                        control: ControlSignal, costate: CostatePath,
                         control_resolution: int = 33, time_grid=None,
                         tol: float = VERDICT_SLACK) -> ConditionVerdict:
     """Pointwise Hamiltonian maximization over a sampled control grid.
@@ -288,7 +280,7 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
     series = []
     for t in time_grid.tolist():
         gap = float(hamiltonian_jumps(problem, trajectory(t), control.evaluate(t), t,
-                                      grid, costate.psi(t), lam).max())
+                                      grid, costate.psi(t), costate.lam).max())
         series.append((t, gap))
         worst = max(worst, gap)
     status = Verdict.HOLDS if worst <= tol else Verdict.FAILS
@@ -297,8 +289,7 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
 
 
 def decompose_costate(costate: CostatePath, transition: TransitionOperator,
-                      jx_by_tau: Sequence[JxRecord], lam: float,
-                      tail: TailPolicy = DEFAULT_TAIL):
+                      jx_by_tau: Sequence[JxRecord], tail: TailPolicy = DEFAULT_TAIL):
     """Split an adjoint path into homogeneous and payoff-driven parts.
 
     Estimates a0 as the tail limit of K(T, t0)* psi(T); when that limit exists
@@ -319,6 +310,7 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
             note=f"K(T,t0)*psi(T) does not settle (tail oscillation {osc:.3g})")
 
     a0 = v.mean(axis=0)
+    lam = costate.lam
     residual = 0.0
     for rec in jx_by_tau:
         tau = rec.tau

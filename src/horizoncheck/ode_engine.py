@@ -196,7 +196,7 @@ class Trajectory:
         ta = self.time_grid[idx]
         h = self.time_grid[idx + 1] - ta
         s = np.where(h > 0, (tq - ta) / np.where(h > 0, h, 1.0), 0.0)[:, None]
-        return _hermite_on_step(ta, self.states[idx], self.derivs[idx], h[:, None],
+        return _hermite_on_step(self.states[idx], self.derivs[idx], h[:, None],
                                 self.states[idx + 1], self.derivs[idx + 1], s)
 
     def _at(self, t: float) -> np.ndarray:
@@ -231,12 +231,8 @@ class Trajectory:
         h = tb - ta
         safe_h = np.where(h > 0, h, 1.0)
         s = np.where(h > 0, (tq - ta) / safe_h, 0.0)[:, None]
-        ya, yb = self.states[idx], self.states[idx + 1]
-        fa, fb = self.derivs[idx], self.derivs[idx + 1]
-        s2 = s * s
-        inv_h = (1.0 / safe_h)[:, None]
-        out = ((6 * s2 - 6 * s) * ya * inv_h + (3 * s2 - 4 * s + 1) * fa
-               + (-6 * s2 + 6 * s) * yb * inv_h + (3 * s2 - 2 * s) * fb)
+        out = _hermite_slope_on_step(self.states[idx], self.derivs[idx], safe_h[:, None],
+                                     self.states[idx + 1], self.derivs[idx + 1], s)
         return out[0] if scalar else out
 
 
@@ -248,7 +244,7 @@ def _check_span(lo, hi, t0, t_end):
         raise ValueError(f"evaluation time outside trajectory span [{t0:.6g}, {t_end:.6g}]")
 
 
-def _hermite_on_step(t, y, f0, h, y_new, f_new, theta):
+def _hermite_on_step(y, f0, h, y_new, f_new, theta):
     """Cubic Hermite at fraction ``theta`` of a step of width ``h`` from y to
     y_new with end slopes f0, f_new.  Scalar or column-vector theta and h."""
     s = theta
@@ -256,6 +252,15 @@ def _hermite_on_step(t, y, f0, h, y_new, f_new, theta):
     s3 = s2 * s
     return ((2 * s3 - 3 * s2 + 1) * y + (s3 - 2 * s2 + s) * h * f0
             + (-2 * s3 + 3 * s2) * y_new + (s3 - s2) * h * f_new)
+
+
+def _hermite_slope_on_step(y, f0, h, y_new, f_new, theta):
+    """Time derivative of :func:`_hermite_on_step`, in closed form."""
+    s = theta
+    s2 = s * s
+    inv_h = 1.0 / h
+    return ((6 * s2 - 6 * s) * y * inv_h + (3 * s2 - 4 * s + 1) * f0
+            + (-6 * s2 + 6 * s) * y_new * inv_h + (3 * s2 - 2 * s) * f_new)
 
 
 def _initial_step(y0, f0, settings, span):
@@ -428,7 +433,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
                                             domain if outside else None, stops, h_floor)
             ts.append(exit_event.time)
             ys.append(exit_event.state)
-            fs.append(_step_slope(t, y, fy, h, y_new, f_new, theta))
+            fs.append(_hermite_slope_on_step(y, fy, h, y_new, f_new, theta))
             break
 
         # K is overwritten by the next step's stages, so the slope is copied out
@@ -607,7 +612,7 @@ def _sweep_exit(t, y, fy, h, y_new, f_new, domain, stops, h_floor):
     of ``stops`` that holds there, else the first that holds at y_new.
     """
     def rows(theta):
-        return _hermite_on_step(t, y, fy, h, y_new, f_new, theta)
+        return _hermite_on_step(y, fy, h, y_new, f_new, theta)
 
     if domain is not None:
         theta = _sweep_predicate(lambda th: ~domain.contains(rows(th)), h, h_floor)
@@ -631,13 +636,6 @@ def _sweep_exit(t, y, fy, h, y_new, f_new, domain, stops, h_floor):
 def _first_label(stops, t, y):
     """Label of the first predicate of ``stops`` that holds at (t, y[n]), or None."""
     return next((label for label, pred in stops if pred(t, y)), None)
-
-
-def _step_slope(t, y, f0, h, y_new, f_new, theta):
-    eps = 1e-7
-    a = _hermite_on_step(t, y, f0, h, y_new, f_new, max(0.0, theta - eps))
-    b = _hermite_on_step(t, y, f0, h, y_new, f_new, max(eps, theta))
-    return (b - a) / (eps * h)
 
 
 def _sweep_predicate(outside, h, h_floor, max_iter=80):

@@ -371,10 +371,6 @@ class OscillatorReference:
         if self.b <= 0:
             raise ValueError("need b > 0")
 
-    @property
-    def optimal_control(self) -> float:
-        return 1.0
-
     def transition(self, t: float, tau: float) -> np.ndarray:
         dt = t - tau
         c, s = math.cos(dt), math.sin(dt)
@@ -472,12 +468,6 @@ class IntegratorReference:
         if self.rho == 0.0:
             return T - tau
         return (np.exp(-self.rho * tau) - np.exp(-self.rho * T)) / self.rho
-
-    @property
-    def max_principle_statement(self) -> str:
-        if self.rho > 0:
-            return "holds in the normal case iff a0 >= 0"
-        return "holds only in the abnormal form psi = a0 > 0"
 
     def max_principle_holds(self) -> bool:
         if self.rho > 0:

@@ -1,18 +1,17 @@
 """Linearized propagators, payoff gradients, and adjoint paths.
 
-Everything here lives along a fixed base trajectory x(.) under a fixed
-control u(.).  The central objects are
+The central objects are
 
-* the state-transition operator K(t, tau) of the linearized dynamics, held
-  through the fundamental matrix Y with K(t, tau) = Y(t) Y(tau)^-1;
-* the finite-horizon payoff gradient with respect to the state at time tau,
-  grad(tau, T) = integral_tau^T K(t, tau)* g_x(t) dt, computed in a single
-  forward pass by carrying Y and the running integral
-  S(t) = integral_{t0}^t Y(s)* g_x(s) ds, so that
-  grad(tau, T) = Y(tau)^-* (S(T) - S(tau));
-* backward adjoint integration, which reproduces the same gradients when
-  started from a zero terminal condition (an identity the test-suite checks
-  both ways);
+* the transition operator, which owns one forward pass of the augmented
+  system (x, Y, S) under a fixed control u(.): the state x(.), the
+  fundamental matrix Y of the dynamics linearized along x(.) and the running
+  integral S(t) = integral_{t0}^t Y(s)* g_x(s) ds.  From that pass it gives
+  the state path, K(t, tau) = Y(t) Y(tau)^-1 and the finite-horizon payoff
+  gradient with respect to the state at time tau,
+  grad(tau, T) = integral_tau^T K(t, tau)* g_x(t) dt = Y(tau)^-* (S(T) - S(tau));
+* backward adjoint integration along a given state path, which reproduces
+  the same gradients when started from a zero terminal condition (an
+  identity the test-suite checks both ways);
 * tail analysis of grad(tau, T) as the horizon grows: convergence to a limit
   costate, bounded oscillation, or unbounded growth.
 """
@@ -108,12 +107,13 @@ def _augmented_rhs(problem: ControlProblem):
     return rhs
 
 
-def _augmented_pass(problem: ControlProblem, trajectory: Trajectory,
-                    control: ControlSignal, anchor: float, t_end: float,
+def _augmented_pass(problem: ControlProblem, x_anchor, control: ControlSignal,
+                    anchor: float, t_end: float,
                     settings: IntegratorSettings) -> Trajectory:
-    """One forward pass of (x, Y, S) from (x(anchor), I, 0) to t_end."""
+    """One forward pass of (x, Y, S) from (x_anchor, I, 0) at time anchor to
+    t_end."""
     n = problem.state_dim
-    z0 = np.concatenate([trajectory(anchor), np.eye(n).ravel(), np.zeros(n)])
+    z0 = np.concatenate([x_anchor, np.eye(n).ravel(), np.zeros(n)])
     return integrate_controlled(_augmented_rhs(problem), control, anchor, z0, t_end,
                                 settings, domain=problem.state_domain.extended(n * n + n))
 
@@ -121,11 +121,13 @@ def _augmented_pass(problem: ControlProblem, trajectory: Trajectory,
 class TransitionOperator:
     """Propagator samples K(t, tau) of the dynamics linearized along a
     trajectory, together with the running gradient integral S(t), read off
-    the augmented pass ``aug`` of an n-dimensional state."""
+    the augmented pass ``aug`` of an n-dimensional state.  ``trajectory`` is
+    the state path of that pass, on views of its first n columns."""
 
     def __init__(self, aug: Trajectory, n: int):
         self._aug = aug
         self._n = n
+        self.trajectory = Trajectory(aug.time_grid, aug.states[:, :n], aug.derivs[:, :n])
 
     def fundamental(self, t) -> np.ndarray:
         """Y(t) = K(t, t0); an array of times gives a stack of matrices."""
@@ -154,21 +156,19 @@ class TransitionOperator:
         return np.linalg.solve(Ytau.T, diff.T).T
 
 
-def transition_matrix(problem: ControlProblem, trajectory: Trajectory,
-                      control: ControlSignal, t_grid=None,
+def transition_matrix(problem: ControlProblem, control: ControlSignal, t_end: float,
                       settings: Optional[IntegratorSettings] = None
                       ) -> TransitionOperator:
-    """Build the transition operator along a trajectory.
+    """Build the transition operator of the problem under a control.
 
-    Integrates the augmented system (x, Y, S) forward once over the span of
-    the trajectory (or up to max(t_grid) when given); evaluation at
-    arbitrary (t, tau) pairs is exact via the fundamental matrix.
+    Integrates the augmented system (x, Y, S) forward once, from the
+    problem's initial point to t_end; the operator's ``trajectory`` is the
+    state part of that pass, and evaluation at arbitrary (t, tau) pairs is
+    exact via the fundamental matrix.  Raises NonExtendibleError when the
+    state leaves the domain before t_end.
     """
-    t_hi = trajectory.t_end if t_grid is None else float(np.max(t_grid))
-    if not trajectory.covers(t_hi):
-        raise ValueError("requested horizon grid exceeds the trajectory span")
-    aug = _augmented_pass(problem, trajectory, control, trajectory.t0, t_hi,
-                          settings or _VARIATIONAL_SETTINGS)
+    aug = _augmented_pass(problem, problem.initial_state, control, problem.initial_time,
+                          t_end, settings or _VARIATIONAL_SETTINGS)
     if aug.exit_event is not None:
         raise NonExtendibleError(aug.exit_event)
     return TransitionOperator(aug, problem.state_dim)
@@ -234,7 +234,7 @@ def accumulate_jx(problem: ControlProblem, trajectory: Trajectory,
 
     n = problem.state_dim
     if t_hi > tau:
-        aug = _augmented_pass(problem, trajectory, control, tau, t_hi, settings)
+        aug = _augmented_pass(problem, trajectory(tau), control, tau, t_hi, settings)
         if aug.exit_event is not None:
             truncated = True
             T_grid = np.concatenate([T_grid[T_grid <= aug.t_end], [aug.t_end]])
@@ -307,18 +307,12 @@ def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
     return CostatePath(trajectory=traj, lam=lam)
 
 
-def lemma1_residual(problem: ControlProblem, trajectory: Trajectory,
-                    control: ControlSignal, costate: CostatePath,
-                    jx_by_tau: Sequence[JxRecord], T: float,
-                    transition: Optional[TransitionOperator] = None,
-                    settings: Optional[IntegratorSettings] = None) -> float:
+def lemma1_residual(costate: CostatePath, jx_by_tau: Sequence[JxRecord], T: float,
+                    transition: TransitionOperator) -> float:
     """Max-norm defect of psi(tau) = K(T, tau)* psi(T) + lam * grad(tau, T)
     over the anchors of ``jx_by_tau``.  This is an exact identity for any
     adjoint solution, so the residual measures integration error only.
     """
-    if transition is None:
-        transition = transition_matrix(problem, trajectory, control,
-                                       t_grid=[T], settings=settings)
     psi_T = costate.psi(T)
     worst = 0.0
     for rec in jx_by_tau:

@@ -33,14 +33,6 @@ class ConditionVerdict:
     tolerance_used: float = 0.0
     note: str = ""
 
-    @property
-    def holds(self) -> bool:
-        return self.status is Verdict.HOLDS
-
-    @property
-    def fails(self) -> bool:
-        return self.status is Verdict.FAILS
-
 
 def tail_limit_verdict(params, values, hold_tol: float = 1e-4,
                        fail_tol: float = 1e-2, note: str = "") -> ConditionVerdict:

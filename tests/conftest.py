@@ -47,8 +47,8 @@ def osc_traj_30(oscillator, u_one):
 
 
 @pytest.fixture(scope="session")
-def osc_op_30(oscillator, osc_traj_30, u_one):
-    return transition_matrix(oscillator, osc_traj_30, u_one, settings=TIGHT)
+def osc_op_30(oscillator, u_one):
+    return transition_matrix(oscillator, u_one, 30.0, settings=TIGHT)
 
 
 @pytest.fixture(scope="session")
@@ -57,8 +57,8 @@ def osc_traj_400(oscillator, u_one):
 
 
 @pytest.fixture(scope="session")
-def osc_op_400(oscillator, osc_traj_400, u_one):
-    return transition_matrix(oscillator, osc_traj_400, u_one, settings=STANDARD)
+def osc_op_400(oscillator, u_one):
+    return transition_matrix(oscillator, u_one, 400.0, settings=STANDARD)
 
 
 @pytest.fixture(scope="session")
@@ -67,8 +67,8 @@ def int_traj_400(integrator, u_one):
 
 
 @pytest.fixture(scope="session")
-def int_op_400(integrator, int_traj_400, u_one):
-    return transition_matrix(integrator, int_traj_400, u_one, settings=STANDARD)
+def int_op_400(integrator, u_one):
+    return transition_matrix(integrator, u_one, 400.0, settings=STANDARD)
 
 
 @pytest.fixture(scope="session")

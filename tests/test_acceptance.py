@@ -51,9 +51,7 @@ def _ok(tag, message):
 def osc_400pi(oscillator, u_one):
     settings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11)
     t_max = 400 * math.pi
-    traj = solve_state(oscillator, u_one, t_max, settings)
-    op = transition_matrix(oscillator, traj, u_one, settings=settings)
-    return traj, op, t_max
+    return transition_matrix(oscillator, u_one, t_max, settings=settings), t_max
 
 
 def test_criterion_01_oscillator_variational_oracle(oscillator, osc_traj_30,
@@ -77,13 +75,11 @@ def test_criterion_01_oscillator_variational_oracle(oscillator, osc_traj_30,
 
 
 def test_criterion_02_general_condition_estimates(oscillator, u_one, osc_400pi):
-    traj, op, t_max = osc_400pi
+    op, t_max = osc_400pi
     ref = oscillator_reference(0.5)
     T_grid = dense_horizon_grid(0.0, t_max, spacing=0.02)
-    woo = check_general(oscillator, traj, u_one, [0.0], T_grid=T_grid,
-                        mode="WOO", transition=op)
-    oo = check_general(oscillator, traj, u_one, [0.0], T_grid=T_grid,
-                       mode="OO", transition=op)
+    woo = check_general(oscillator, op, u_one, [0.0], T_grid=T_grid, mode="WOO")
+    oo = check_general(oscillator, op, u_one, [0.0], T_grid=T_grid, mode="OO")
     ugrid = woo.control_grid[:, 0]
     worst = 0.0
     for u in (-1.0, -0.5, 0.0, 0.5, 1.0):
@@ -156,7 +152,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
     for name, params, extra in scenarios:
         problem = make_builtin_problem(name, params)
         traj = solve_state(problem, u_one, 250.0, STANDARD)
-        op = transition_matrix(problem, traj, u_one, settings=STANDARD)
+        op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
         rec = accumulate_jx(problem, traj, u_one, 0.0, tail.horizon_grid(0.0),
                             STANDARD)
         _, lc = limit_costate(rec, tail)
@@ -165,8 +161,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
                                       (250.0, np.zeros(problem.state_dim)),
                                       1.0, settings=STANDARD)
         from horizoncheck import check_classical
-        kav = check_classical(problem, traj, u_one, surrogate, 1.0, op,
-                              tail)["tcKAV"]
+        kav = check_classical(problem, op, u_one, surrogate, tail)["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), \
             (name, params, extra)
 
@@ -181,7 +176,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
         candidate = integrate_adjoint(problem, traj, u_one, (250.0, psi_T), 1.0,
                                       settings=STANDARD)
         records = jx_scan(op, [0.0], tail.horizon_grid(0.0)[1:])
-        a0_est, residual, dec = decompose_costate(candidate, op, records, 1.0, tail)
+        a0_est, residual, dec = decompose_costate(candidate, op, records, tail)
         if name == "integrator" and params["rho"] > 0:
             assert dec.status is Verdict.HOLDS
             assert a0_est[0] == pytest.approx(extra["a0"], abs=1e-4)
@@ -206,15 +201,14 @@ def test_criterion_05_adjoint_identity(oscillator, osc_traj_30, u_one,
     n_cases = 0
     worst = 0.0
     for problem, traj, ctrl, taus in cases:
-        op = transition_matrix(problem, traj, ctrl, settings=TIGHT)
+        op = transition_matrix(problem, ctrl, traj.t_end, settings=TIGHT)
         records = jx_scan(op, taus, [T])
         for lam in (0.0, 1.0):
             for term in terminals:
                 costate = integrate_adjoint(problem, traj, ctrl,
                                             (T, term(problem.state_dim)), lam,
                                             settings=TIGHT)
-                res = lemma1_residual(problem, traj, ctrl, costate, records, T,
-                                      transition=op)
+                res = lemma1_residual(costate, records, T, op)
                 worst = max(worst, res)
                 n_cases += 1
                 assert res <= 1e-6, (problem.name, lam, res)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from horizoncheck import ode_engine
 from horizoncheck.cli import (
     RunConfig,
     build_check_report,
@@ -30,6 +31,22 @@ def test_bad_example_is_operational_failure(capsys, tmp_path):
                  "--out", str(tmp_path / "r.csv")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("example", ["oscillator", "integrator"])
+def test_check_integrates_forward_from_t0_once(monkeypatch, example):
+    # the state path comes from the (x, Y, S) pass; no separate state solve
+    starts = []
+    integrate = ode_engine.integrate
+
+    def counted(field, t0, y0, t_end, *args, **kwargs):
+        if t_end > t0:
+            starts.append(t0)
+        return integrate(field, t0, y0, t_end, *args, **kwargs)
+
+    monkeypatch.setattr(ode_engine, "integrate", counted)
+    build_check_report(RunConfig(example=example, t_max=100.0))
+    assert starts.count(0.0) == 1
 
 
 def test_check_csv_deterministic(tmp_path):

@@ -48,13 +48,12 @@ def test_delta_hamiltonian_oracles(oscillator, osc_traj_30, u_one,
                           [3.0], 1.0, 5.0)
 
 
-def test_check_general_oscillator_verdicts(oscillator, osc_traj_400, osc_op_400,
-                                           u_one):
+def test_check_general_oscillator_verdicts(oscillator, osc_op_400, u_one):
     T_grid = dense_horizon_grid(0.0, 400.0, spacing=0.02)
-    woo = check_general(oscillator, osc_traj_400, u_one, [0.0], T_grid=T_grid,
-                        mode="WOO", transition=osc_op_400)
-    oo = check_general(oscillator, osc_traj_400, u_one, [0.0], T_grid=T_grid,
-                       mode="OO", transition=osc_op_400)
+    woo = check_general(oscillator, osc_op_400, u_one, [0.0], T_grid=T_grid,
+                        mode="WOO")
+    oo = check_general(oscillator, osc_op_400, u_one, [0.0], T_grid=T_grid,
+                       mode="OO")
     assert woo.verdict.status is Verdict.HOLDS
     assert oo.verdict.status is Verdict.FAILS
     ref = oscillator_reference(0.5)
@@ -65,11 +64,10 @@ def test_check_general_oscillator_verdicts(oscillator, osc_traj_400, osc_op_400,
         assert oo.estimates[0, j] == pytest.approx(ref.oo_bound(u), abs=5e-3)
 
 
-def test_check_general_diagonal_identity(oscillator, osc_traj_400, osc_op_400,
-                                         u_one):
-    report = check_general(oscillator, osc_traj_400, u_one, [0.0, 3.0],
+def test_check_general_diagonal_identity(oscillator, osc_op_400, u_one):
+    report = check_general(oscillator, osc_op_400, u_one, [0.0, 3.0],
                            T_grid=dense_horizon_grid(0.0, 400.0, spacing=0.05),
-                           mode="WOO", transition=osc_op_400)
+                           mode="WOO")
     j_one = int(np.argmin(np.abs(report.control_grid[:, 0] - 1.0)))
     assert report.estimates[0, j_one] == 0.0
     assert report.estimates[1, j_one] == 0.0
@@ -78,25 +76,21 @@ def test_check_general_diagonal_identity(oscillator, osc_traj_400, osc_op_400,
 def test_check_general_integrator_both_modes(integrator, integrator_undiscounted,
                                              u_one):
     for problem in (integrator, integrator_undiscounted):
-        traj = solve_state(problem, u_one, 400.0, STANDARD)
-        op = transition_matrix(problem, traj, u_one, settings=STANDARD)
+        op = transition_matrix(problem, u_one, 400.0, settings=STANDARD)
         grid = dense_horizon_grid(0.0, 400.0, spacing=0.1)
         for mode in ("WOO", "OO"):
-            report = check_general(problem, traj, u_one, [0.0], T_grid=grid,
-                                   mode=mode, transition=op)
+            report = check_general(problem, op, u_one, [0.0], T_grid=grid,
+                                   mode=mode)
             assert report.verdict.status is Verdict.HOLDS, (problem.name, mode)
 
 
-def test_check_general_refinement_stability(oscillator, osc_traj_400,
-                                            osc_op_400, u_one):
-    coarse = check_general(oscillator, osc_traj_400, u_one, [0.0],
+def test_check_general_refinement_stability(oscillator, osc_op_400, u_one):
+    coarse = check_general(oscillator, osc_op_400, u_one, [0.0],
                            T_grid=dense_horizon_grid(0.0, 400.0, spacing=0.04),
-                           mode="OO", transition=osc_op_400,
-                           control_resolution=9)
-    fine = check_general(oscillator, osc_traj_400, u_one, [0.0],
+                           mode="OO", control_resolution=9)
+    fine = check_general(oscillator, osc_op_400, u_one, [0.0],
                          T_grid=dense_horizon_grid(0.0, 400.0, spacing=0.02),
-                         mode="OO", transition=osc_op_400,
-                         control_resolution=9)
+                         mode="OO", control_resolution=9)
     for a, b in zip(coarse.statuses.ravel(), fine.statuses.ravel()):
         if a is not Verdict.INCONCLUSIVE:
             assert a is b
@@ -125,7 +119,7 @@ def _oscillator_battery(b, t_max, settings=STANDARD):
     ref = oscillator_reference(b)
     u_one = ControlSignal.constant([1.0])
     traj = solve_state(problem, u_one, t_max, settings)
-    op = transition_matrix(problem, traj, u_one, settings=settings)
+    op = transition_matrix(problem, u_one, t_max, settings=settings)
     return problem, ref, u_one, traj, op
 
 
@@ -138,8 +132,7 @@ def test_classical_conditions_oscillator_battery():
         costate = integrate_adjoint(problem, traj, u_one,
                                     (t_max, ref.costate(r, phi, t_max)), 1.0,
                                     settings=STANDARD)
-        table[(r, phi)] = check_classical(problem, traj, u_one, costate, 1.0,
-                                          op, tail)
+        table[(r, phi)] = check_classical(problem, op, u_one, costate, tail)
     for key, verdicts in table.items():
         assert verdicts["tcPSI"].status is Verdict.FAILS
         assert verdicts["tcXPSI"].status is Verdict.FAILS
@@ -155,7 +148,7 @@ def test_classical_xpsi_branch_needs_b_at_least_one():
     costate = integrate_adjoint(problem, traj, u_one,
                                 (t_max, ref.costate(1.0, 0.0, t_max)), 1.0,
                                 settings=STANDARD)
-    verdicts = check_classical(problem, traj, u_one, costate, 1.0, op, tail)
+    verdicts = check_classical(problem, op, u_one, costate, tail)
     assert verdicts["tcXPSI"].status is Verdict.HOLDS
     assert verdicts["tcPSI"].status is Verdict.FAILS
     assert verdicts["tcKAV"].status is Verdict.FAILS
@@ -172,17 +165,16 @@ def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,
     costate = integrate_adjoint(integrator, int_traj_400, u_one,
                                 (t_max, [float(ref.psi(t_max))]), 1.0,
                                 settings=STANDARD)
-    verdicts = check_classical(integrator, int_traj_400, u_one, costate, 1.0,
-                               int_op_400, tail)
+    verdicts = check_classical(integrator, int_op_400, u_one, costate, tail)
     assert all(v.status is Verdict.HOLDS for v in verdicts.values())
 
     traj0 = solve_state(integrator_undiscounted, u_one, t_max, STANDARD)
-    op0 = transition_matrix(integrator_undiscounted, traj0, u_one,
+    op0 = transition_matrix(integrator_undiscounted, u_one, t_max,
                             settings=STANDARD)
     abnormal = integrate_adjoint(integrator_undiscounted, traj0, u_one,
                                  (t_max, [1.0]), 0.0, settings=STANDARD)
-    verdicts0 = check_classical(integrator_undiscounted, traj0, u_one, abnormal,
-                                0.0, op0, tail)
+    verdicts0 = check_classical(integrator_undiscounted, op0, u_one, abnormal,
+                                tail)
     assert all(v.status is Verdict.FAILS for v in verdicts0.values())
 
 
@@ -192,20 +184,20 @@ def test_max_principle_cases(integrator, int_traj_400, integrator_undiscounted,
     ref = integrator_reference(0.1, 0.0, 1.0)
     cp = integrate_adjoint(integrator, int_traj_400, u_one,
                            (400.0, [float(ref.psi(400.0))]), 1.0, settings=STANDARD)
-    assert check_max_principle(integrator, int_traj_400, u_one, cp, 1.0,
+    assert check_max_principle(integrator, int_traj_400, u_one, cp,
                                time_grid=grid).status is Verdict.HOLDS
 
     traj0 = solve_state(integrator_undiscounted, u_one, 400.0, STANDARD)
     doomed = integrate_adjoint(integrator_undiscounted, traj0, u_one,
                                (400.0, [0.5 - 400.0]), 1.0, settings=STANDARD)
     assert check_max_principle(integrator_undiscounted, traj0, u_one, doomed,
-                               1.0, time_grid=grid).status is Verdict.FAILS
+                               time_grid=grid).status is Verdict.FAILS
 
     osc_ref = oscillator_reference(0.5)
     cp_osc = integrate_adjoint(oscillator, osc_traj_400, u_one,
                                (400.0, osc_ref.costate(0.5, 1.1, 400.0)), 1.0,
                                settings=STANDARD)
-    assert check_max_principle(oscillator, osc_traj_400, u_one, cp_osc, 1.0,
+    assert check_max_principle(oscillator, osc_traj_400, u_one, cp_osc,
                                time_grid=grid).status is Verdict.HOLDS
 
 
@@ -215,14 +207,14 @@ def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_on
     ref = integrator_reference(0.1, 0.7, 1.0)
     cp = integrate_adjoint(integrator, int_traj_400, u_one,
                            (400.0, [float(ref.psi(400.0))]), 1.0, settings=STANDARD)
-    a0, residual, verdict = decompose_costate(cp, int_op_400, records, 1.0, tail)
+    a0, residual, verdict = decompose_costate(cp, int_op_400, records, tail)
     assert verdict.status is Verdict.HOLDS
     assert a0[0] == pytest.approx(0.7, abs=1e-6)
     assert residual <= 1e-4
 
     homon = integrate_adjoint(integrator, int_traj_400, u_one, (400.0, [0.7]),
                               0.0, settings=STANDARD)
-    a0h, resh, verdicth = decompose_costate(homon, int_op_400, records, 0.0, tail)
+    a0h, resh, verdicth = decompose_costate(homon, int_op_400, records, tail)
     assert verdicth.status is Verdict.HOLDS
     assert a0h[0] == pytest.approx(0.7, abs=1e-9)
     assert resh <= 1e-6
@@ -237,7 +229,7 @@ def test_decompose_costate_oscillator_never_settles(oscillator, osc_traj_400,
         cp = integrate_adjoint(oscillator, osc_traj_400, u_one,
                                (400.0, ref.costate(r, 0.0, 400.0)), 1.0,
                                settings=STANDARD)
-        a0, residual, verdict = decompose_costate(cp, osc_op_400, records, 1.0, tail)
+        a0, residual, verdict = decompose_costate(cp, osc_op_400, records, tail)
         assert a0 is None
         assert verdict.status is Verdict.FAILS
 
@@ -249,13 +241,13 @@ def test_corollary_equivalence_limit_vs_kav(integrator, integrator_undiscounted,
     tail = TailPolicy(t_max=250.0)
     for problem in (integrator, integrator_undiscounted, oscillator):
         traj = solve_state(problem, u_one, 250.0, STANDARD)
-        op = transition_matrix(problem, traj, u_one, settings=STANDARD)
+        op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
         rec = accumulate_jx(problem, traj, u_one, 0.0, tail.horizon_grid(0.0),
                             STANDARD)
         _, lc = limit_costate(rec, tail)
         surrogate = integrate_adjoint(problem, traj, u_one, (250.0, np.zeros(problem.state_dim)),
                                       1.0, settings=STANDARD)
-        kav = check_classical(problem, traj, u_one, surrogate, 1.0, op, tail)["tcKAV"]
+        kav = check_classical(problem, op, u_one, surrogate, tail)["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), problem.name
 
 

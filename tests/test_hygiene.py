@@ -195,6 +195,56 @@ def test_dead_private_definition_detector():
                                                  ("a.py", "_orphan", 8)]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unread_parameters(source: str) -> list:
+    """(function, parameter, line) of every parameter of a module-level
+    function or method that its body never reads.  ``self`` and ``cls`` are
+    exempt, and so are nested functions and lambdas: they implement the
+    ``(x, u, t)`` and ``(t, y)`` callback contracts, which fix their
+    parameters.  A read inside a nested scope counts."""
+    tree = ast.parse(source)
+    functions = [node for node in tree.body if isinstance(node, FUNCTIONS)]
+    functions += [item for node in tree.body if isinstance(node, ast.ClassDef)
+                  for item in node.body if isinstance(item, FUNCTIONS)]
+    found = []
+    for fn in functions:
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        every = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs,
+                 fn.args.vararg, fn.args.kwarg]
+        found += [(fn.name, a.arg, a.lineno) for a in every
+                  if a is not None and a.arg not in read and a.arg not in ("self", "cls")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_function_reads_every_parameter(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_detector():
+    source = (
+        "def step(t, y, h):\n"
+        "    return y + h\n"
+        "def scale(y, *args, factor=2.0, **options):\n"
+        "    def field(t, z):\n"
+        "        return factor * z\n"
+        "    return [field(0.0, v) for v in args]\n"
+        "class Path:\n"
+        "    def at(self, t, cache):\n"
+        "        return t\n"
+        "    @classmethod\n"
+        "    def make(cls, n):\n"
+        "        rhs = lambda x, u, t: x\n"
+        "        return rhs\n"
+    )
+    assert unread_parameters(source) == [("at", "cache", 8), ("make", "n", 11),
+                                         ("scale", "options", 3), ("scale", "y", 3),
+                                         ("step", "t", 1)]
+
+
 # the runtime depends on numpy alone
 ALLOWED_TOP_LEVEL = frozenset(sys.stdlib_module_names) | {"numpy", PACKAGE.name}
 

@@ -211,7 +211,7 @@ def test_step_sequence_pins():
     problem = make_builtin_problem("oscillator", {"b": 0.5})
     control = ControlSignal.constant([1.0])
     traj = solve_state(problem, control, 100.0, _CHECK_SETTINGS)
-    transition = transition_matrix(problem, traj, control, settings=_CHECK_SETTINGS)
+    transition = transition_matrix(problem, control, 100.0, settings=_CHECK_SETTINGS)
     costate = integrate_adjoint(problem, traj, control, (100.0, [-1.0, 0.2]), 1.0,
                                 settings=_CHECK_SETTINGS)
     assert traj.time_grid.size == 2945
@@ -586,7 +586,7 @@ def test_solo_ramsey_events_land_on_the_bisected_theta(monkeypatch):
         args, event, theta = sweeps[-1]
         assert orbit.exit_event is event and orbit.t_end == event.time
         t, y, fy, h, y_new, f_new, domain, sweep_stops, h_floor = args
-        point = lambda th: _hermite_on_step(t, y, fy, h, y_new, f_new, th)
+        point = lambda th: _hermite_on_step(y, fy, h, y_new, f_new, th)
         if domain is not None:
             holds = lambda th: not domain.contains(point(th))
         else:
@@ -731,7 +731,7 @@ def test_sweep_matches_bisection_on_monotone_predicates():
         y, f0, h, y_new, f_new = step
         h_floor = floor_ratio * h
         target = y[0] + level * (y_new[0] - y[0])
-        above = lambda th: _hermite_on_step(0.0, y, f0, h, y_new, f_new, th)[..., 0] >= target
+        above = lambda th: _hermite_on_step(y, f0, h, y_new, f_new, th)[..., 0] >= target
         assert (_sweep_predicate(above, h, h_floor)
                 == _bisect_predicate(lambda th: bool(above(th)), h, h_floor))
         late = lambda th: th >= cut

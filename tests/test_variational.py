@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -48,16 +49,26 @@ def test_transition_matches_rotation(oscillator, osc_traj_30, osc_op_30):
 
 
 def test_transition_trivial_cases(integrator, u_one, ramsey_params):
-    traj = solve_state(integrator, u_one, 20.0, TIGHT)
-    op = transition_matrix(integrator, traj, u_one, settings=TIGHT)
+    op = transition_matrix(integrator, u_one, 20.0, settings=TIGHT)
     assert op.evaluate(17.0, 2.0)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     # stationary capital path: the scalar linearization vanishes at k*
-    problem = ramsey_params.problem()
+    problem = dataclasses.replace(ramsey_params, k0=32.0).problem()
     c_star = ControlSignal.constant([2.4])
-    traj_k = solve_state(problem, c_star, 20.0, TIGHT, x0=[32.0])
-    op_k = transition_matrix(problem, traj_k, c_star, settings=TIGHT)
+    op_k = transition_matrix(problem, c_star, 20.0, settings=TIGHT)
     assert op_k.evaluate(15.0, 1.0)[0, 0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_transition_trajectory_is_the_pass_state(oscillator, u_one):
+    op = transition_matrix(oscillator, u_one, 100.0, settings=STANDARD)
+    traj, aug = op.trajectory, op._aug
+    assert traj.time_grid is aug.time_grid
+    assert np.array_equal(traj.states, aug.states[:, :2])
+    assert np.array_equal(traj.derivs, aug.derivs[:, :2])
+    assert np.shares_memory(traj.states, aug.states)
+    assert np.shares_memory(traj.derivs, aug.derivs)
+    ts = np.linspace(0.0, 100.0, 20001)
+    assert np.max(np.abs(traj(ts) - oscillator_reference(0.5).state(ts))) <= 1e-8
 
 
 def test_accumulate_jx_oracles(oscillator, osc_traj_30, u_one, integrator):
@@ -146,27 +157,25 @@ def test_lemma1_identity_all_examples(oscillator, osc_traj_30, u_one,
     terminals = [lambda n: np.zeros(n), lambda n: 0.8 * np.ones(n),
                  lambda n: np.array([(-0.6) ** (i + 1) for i in range(n)])]
     for problem, traj, ctrl, taus in cases:
-        op = transition_matrix(problem, traj, ctrl, settings=TIGHT)
+        op = transition_matrix(problem, ctrl, traj.t_end, settings=TIGHT)
         records = jx_scan(op, taus, [T])
         for lam in (0.0, 1.0):
             for term in terminals:
                 costate = integrate_adjoint(problem, traj, ctrl,
                                             (T, term(problem.state_dim)), lam,
                                             settings=TIGHT)
-                res = lemma1_residual(problem, traj, ctrl, costate, records, T,
-                                      transition=op)
+                res = lemma1_residual(costate, records, T, op)
                 assert res <= 1e-6, (problem.name, lam, res)
 
 
 def test_lemma1_closed_form_oscillator_costate(oscillator, osc_traj_30, u_one):
     ref = oscillator_reference(0.5)
     T = 20.0
-    op = transition_matrix(oscillator, osc_traj_30, u_one, settings=TIGHT)
+    op = transition_matrix(oscillator, u_one, 30.0, settings=TIGHT)
     records = jx_scan(op, [0.0, 2.0, 9.0], [T])
     costate = integrate_adjoint(oscillator, osc_traj_30, u_one,
                                 (T, ref.costate(0.3, 0.0, T)), 1.0, settings=TIGHT)
-    assert lemma1_residual(oscillator, osc_traj_30, u_one, costate, records, T,
-                           transition=op) <= 1e-6
+    assert lemma1_residual(costate, records, T, op) <= 1e-6
 
 
 def test_fd_gradient_matches_jx_on_linear_examples(oscillator, osc_traj_30,
