@@ -53,19 +53,13 @@ from .conditions import (
     check_jx_bounded,
     check_max_principle,
     decompose_costate,
-    delta_hamiltonian,
     dense_horizon_grid,
 )
 from .overtaking import (
     NeedleCheckReport,
-    NeedleSpec,
     OvertakingReport,
-    appendix_identity_residual,
     empirical_overtaking_test,
-    finite_horizon_value,
-    needle_gap,
     needle_limit_check,
-    oscillator_delta_x1,
     payoff_path,
 )
 from .reference_examples import (
@@ -73,10 +67,11 @@ from .reference_examples import (
     OscillatorReference,
     RamseyParams,
     SteadyState,
+    appendix_identity_residual,
     integrator_reference,
+    oscillator_delta_x1,
     oscillator_reference,
     ramsey_classify,
-    ramsey_field,
     ramsey_shoot,
     ramsey_steady_state,
 )

@@ -255,8 +255,7 @@ def _build_linear_check(config: RunConfig) -> ReportData:
                      _fmt(residual), dec.note])
 
     return ReportData("horizon_check_report_v1",
-                      ["candidate", "condition", "status", "estimate", "note"],
-                      [[r[0], r[1], r[2], r[3], r[4], r[5]] for r in rows])
+                      ["candidate", "condition", "status", "estimate", "note"], rows)
 
 
 def _build_ramsey_check(config: RunConfig) -> ReportData:

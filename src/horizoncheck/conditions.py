@@ -48,40 +48,20 @@ __all__ = [
     "check_jx_bounded",
     "check_max_principle",
     "decompose_costate",
-    "delta_hamiltonian",
     "dense_horizon_grid",
-    "CLASSICAL_CONDITIONS",
 ]
-
-CLASSICAL_CONDITIONS = ("tcPSI", "tcXPSI", "tcM", "tcKAV")
 
 VERDICT_SLACK = 1e-6       # absolute slack for "<= 0" verdicts
 WINDOW_CONVERGE_TOL = 1e-3  # window-doubling agreement for liminf/limsup estimates
 
 
-def dense_horizon_grid(tau: float, t_max: float, spacing: float = 0.02,
-                       max_points: int = 400_000) -> np.ndarray:
-    """Uniform horizon grid dense enough to resolve almost-periodic tails."""
+def dense_horizon_grid(tau: float, t_max: float, spacing: float = 0.02) -> np.ndarray:
+    """Uniform horizon grid dense enough to resolve almost-periodic tails,
+    with at most 400,000 intervals."""
     if t_max <= tau:
         raise ValueError("need t_max > tau")
-    n = int(min(max_points, max(64, math.ceil((t_max - tau) / spacing))))
+    n = int(min(400_000, max(64, math.ceil((t_max - tau) / spacing))))
     return np.linspace(tau, t_max, n + 1)
-
-
-def delta_hamiltonian(problem: ControlProblem, trajectory: Trajectory,
-                      control: ControlSignal, jx: JxRecord, u, tau: float,
-                      T: float) -> float:
-    """H(x(tau), u, tau, grad(tau,T), 1) - H(x(tau), u_hat(tau), tau, grad(tau,T), 1).
-
-    Exactly zero when u equals the candidate control value at tau.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not problem.control_set.contains(u):
-        raise ValueError(f"control {u} outside the admissible set")
-    if abs(jx.tau - tau) > 1e-9 * max(1.0, abs(tau)):
-        raise ValueError("gradient record anchored at a different tau")
-    return float(hamiltonian_jumps(problem, trajectory(tau), control.evaluate(tau), tau,
-                                   [u], jx.value_at(T), 1.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +82,17 @@ class GeneralConditionReport:
     verdict: ConditionVerdict = None
 
 
-def _window_verdict(m_early: float, m_mid: float, m_late: float,
-                    hold_tol: float, converge_tol: float):
-    """Three-way verdict for '<= 0' from three dyadic-window estimates.
+def _window_verdict(m_early: float, m_mid: float, m_late: float):
+    """Three-way verdict for '<= 0', within ``VERDICT_SLACK``, from three
+    dyadic-window estimates.
 
-    Converged windows decide directly.  A monotone trend in the favorable
-    direction (estimates sinking below zero) also decides: the tail estimate
+    Windows that agree to ``WINDOW_CONVERGE_TOL`` decide directly.  A
+    monotone trend in the favorable direction (estimates sinking below zero)
+    also decides: the tail estimate
     then bounds the limit from above (liminf case) or tracks a divergence to
     -inf (limsup case).  Everything else stays inconclusive.
     """
+    hold_tol, converge_tol = VERDICT_SLACK, WINDOW_CONVERGE_TOL
     converged = (abs(m_late - m_mid) < converge_tol
                  and abs(m_mid - m_early) < converge_tol)
     if converged:
@@ -126,17 +108,15 @@ def _window_verdict(m_early: float, m_mid: float, m_late: float,
 
 def check_general(problem: ControlProblem, transition: TransitionOperator,
                   control: ControlSignal, tau_grid, control_resolution: int = 33,
-                  T_grid=None, mode: str = "WOO",
-                  hold_tol: float = VERDICT_SLACK,
-                  converge_tol: float = WINDOW_CONVERGE_TOL) -> GeneralConditionReport:
+                  T_grid=None, mode: str = "WOO") -> GeneralConditionReport:
     """Tail test of the Hamiltonian-difference condition over a (tau, u) grid.
 
     For each anchor tau and control value u the liminf (mode WOO) or limsup
     (mode OO) of the Hamiltonian difference over growing horizons is estimated
     by the min/max over the last half of the horizon grid; the estimate is
-    trusted when two successive window doublings agree to ``converge_tol`` or
-    the windows trend monotonically.  Each cell must satisfy estimate <= 0
-    (within ``hold_tol``); the battery verdict aggregates all cells.  The
+    trusted when two successive window doublings agree to
+    ``WINDOW_CONVERGE_TOL`` or the windows trend monotonically.  Each cell
+    must satisfy estimate <= 0 (within ``VERDICT_SLACK``); the battery verdict aggregates all cells.  The
     state path is that of ``transition``.
     """
     if mode not in ("WOO", "OO"):
@@ -169,7 +149,7 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
     estimates = windows[:, :, 2].copy()
     statuses = np.empty((n_tau, n_u), dtype=object)
     for i, j in np.ndindex(n_tau, n_u):
-        statuses[i, j] = _window_verdict(*windows[i, j], hold_tol, converge_tol)
+        statuses[i, j] = _window_verdict(*windows[i, j])
 
     flat = statuses.ravel()
     if any(s is Verdict.FAILS for s in flat):
@@ -182,21 +162,20 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
     verdict = ConditionVerdict(agg, [(float(t), float(e))
                                      for t, e in zip(np.repeat(tau_grid, n_u),
                                                      estimates.ravel())],
-                               hold_tol, note=f"{note}; worst estimate {worst:.3g}")
+                               VERDICT_SLACK, note=f"{note}; worst estimate {worst:.3g}")
     return GeneralConditionReport(tau_grid=tau_grid, control_grid=control_grid,
                                   mode=mode, estimates=estimates, statuses=statuses,
                                   window_estimates=windows, verdict=verdict)
 
 
-def check_jx_bounded(jx: JxRecord, growth_factor: float = 2.0,
-                     hold_factor: float = 1.1):
+def check_jx_bounded(jx: JxRecord):
     """Empirical horizon-uniform bound on the payoff gradient.
 
     Compares the running max across the last two horizon doublings: flat
-    (ratio <= ``hold_factor``) holds with the observed max as the bound
-    estimate; growth beyond ``growth_factor`` fails as unbounded; in between
-    is inconclusive.
+    (ratio <= 1.1) holds with the observed max as the bound estimate; growth
+    beyond a factor 2 fails as unbounded; in between is inconclusive.
     """
+    growth_factor, hold_factor = 2.0, 1.1
     ratio = _growth_ratio(jx)
     m = jx.bound_estimate
     series = list(zip(jx.T_grid.tolist(), jx.bound_running.tolist()))
@@ -264,18 +243,18 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
 
 def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
                         control: ControlSignal, costate: CostatePath,
-                        control_resolution: int = 33, time_grid=None,
-                        tol: float = VERDICT_SLACK) -> ConditionVerdict:
+                        time_grid=None) -> ConditionVerdict:
     """Pointwise Hamiltonian maximization over a sampled control grid.
 
     Holds iff at every sampled time the candidate control's Hamiltonian is
-    within ``tol`` of the maximum over the sampled control values.
+    within ``VERDICT_SLACK`` of the maximum over 33 sampled control values
+    per axis.
     """
     if time_grid is None:
         lo, hi = costate.span
         time_grid = np.linspace(lo, hi, 201)
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
-    grid = problem.control_set.sample_grid(control_resolution)
+    grid = problem.control_set.sample_grid(33)
     worst = -math.inf
     series = []
     for t in time_grid.tolist():
@@ -283,8 +262,8 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
                                       grid, costate.psi(t), costate.lam).max())
         series.append((t, gap))
         worst = max(worst, gap)
-    status = Verdict.HOLDS if worst <= tol else Verdict.FAILS
-    return ConditionVerdict(status, series, tol,
+    status = Verdict.HOLDS if worst <= VERDICT_SLACK else Verdict.FAILS
+    return ConditionVerdict(status, series, VERDICT_SLACK,
                             note=f"max Hamiltonian shortfall {worst:.3g}")
 
 
@@ -336,17 +315,17 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
 # payoff-rate maximization under state constraints
 
 
-def check_gmax(problem: ControlProblem, feasible_pairs: Sequence,
-               time_grid, tol: float = 1e-9) -> list:
+def check_gmax(problem: ControlProblem, feasible_pairs: Sequence, time_grid) -> list:
     """Pointwise payoff-rate maximization over a family of feasible candidates.
 
     Applicable only when the payoff rate does not depend on the state (probed
     before running; otherwise ValueError).  For each candidate and each
     sampled time t, the fiber of competing control values consists of every
     family member's control evaluated where its own trajectory passes through
-    the same state; the candidate holds iff its payoff rate is maximal on
-    every fiber.
+    the same state; the candidate holds iff its payoff rate is maximal, to
+    within 1e-9, on every fiber.
     """
+    tol = 1e-9
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
     pairs = list(feasible_pairs)
     if not pairs:

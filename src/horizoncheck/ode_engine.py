@@ -795,8 +795,8 @@ class ControlSignal:
 
     def with_needle(self, tau: float, alpha: float, u) -> "ControlSignal":
         """Replace the value by constant ``u`` on the pulse interval (tau - alpha, tau]."""
-        if alpha <= 0:
-            raise ValueError("needle width must be positive")
+        if not 0 < alpha < math.inf:  # also rejects NaN
+            raise ValueError(f"needle width must be finite and positive, got {alpha!r}")
         u = np.atleast_1d(np.asarray(u, dtype=float))
         a, b = tau - alpha, tau
         if self.kind in ("constant", "piecewise_constant"):
@@ -859,20 +859,18 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
 
 
 def solve_state(problem, control: ControlSignal, t_end: float,
-                settings: Optional[IntegratorSettings] = None,
-                x0=None, t0: Optional[float] = None,
-                stops: Sequence[tuple] = ()) -> Trajectory:
+                settings: Optional[IntegratorSettings] = None) -> Trajectory:
     """State response of a control problem under a control signal.
 
-    Integrates dx/dt = f(x, u(t), t) on [t0, t_end] with the problem's open
-    state domain; a domain exit marks the trajectory non-extendible and is
-    recorded as ``exit_event`` rather than raised.
+    Integrates dx/dt = f(x, u(t), t) from the problem's initial point to
+    t_end with the problem's open state domain; a domain exit marks the
+    trajectory non-extendible and is recorded as ``exit_event`` rather than
+    raised.
     """
-    x0 = problem.initial_state if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-    t0 = problem.initial_time if t0 is None else float(t0)
+    x0, t0 = problem.initial_state, problem.initial_time
     if t_end < t0:
         raise ValueError("solve_state integrates forward: need t_end >= t0")
     if not problem.state_domain.contains(x0):
         raise ValueError("initial state outside the problem's state domain")
     return integrate_controlled(problem.dynamics, control, t0, x0, t_end,
-                                settings, problem.state_domain, stops)
+                                settings, problem.state_domain)

@@ -170,12 +170,13 @@ def hamiltonian_jumps(problem: ControlProblem, x, u_hat, t: float, controls, psi
     return jumps
 
 
-def jacobians(problem: ControlProblem, x, u, t: float, h: float = FD_STEP_DEFAULT):
+def jacobians(problem: ControlProblem, x, u, t: float):
     """State Jacobian of f and state gradient of g at (x, u, t).
 
     Analytic derivatives are used when the problem supplies them; otherwise
-    central differences with a per-component step max(h, h*|x_i|), shrinking
-    the step when a probe point would leave the state domain.
+    central differences with a per-component step max(h, h*|x_i|) for
+    h = ``FD_STEP_DEFAULT``, shrinking the step when a probe point would
+    leave the state domain.
     """
     x, u = _vector(x), _vector(u)
     n = problem.state_dim
@@ -186,7 +187,7 @@ def jacobians(problem: ControlProblem, x, u, t: float, h: float = FD_STEP_DEFAUL
     else:
         fx = np.empty((n, n))
         for i in range(n):
-            plus, minus, hi = _probe_pair(problem, x, i, h)
+            plus, minus, hi = _probe_pair(problem, x, i)
             fx[:, i] = (np.atleast_1d(problem.dynamics(plus, u, t))
                         - np.atleast_1d(problem.dynamics(minus, u, t))) / (2 * hi)
     if problem.payoff_grad_x is not None:
@@ -194,7 +195,7 @@ def jacobians(problem: ControlProblem, x, u, t: float, h: float = FD_STEP_DEFAUL
     else:
         gx = np.empty(n)
         for i in range(n):
-            plus, minus, hi = _probe_pair(problem, x, i, h)
+            plus, minus, hi = _probe_pair(problem, x, i)
             gx[i] = (problem.payoff(plus, u, t) - problem.payoff(minus, u, t)) / (2 * hi)
     return fx, gx
 
@@ -206,9 +207,9 @@ def _vector(v) -> Array:
     return v if v.ndim else v.reshape(1)
 
 
-def _probe_pair(problem: ControlProblem, x, i: int, h: float, floor: float = 1e-12):
-    hi = max(h, h * abs(x[i]))
-    while hi >= floor:
+def _probe_pair(problem: ControlProblem, x, i: int):
+    hi = max(FD_STEP_DEFAULT, FD_STEP_DEFAULT * abs(x[i]))
+    while hi >= 1e-12:
         plus, minus = x.copy(), x.copy()
         plus[i] += hi
         minus[i] -= hi

@@ -2,8 +2,10 @@
 
 The oscillator and discounted-integrator bundles hold exact transition
 matrices, adjoint families and payoff gradients against which the numerical
-machinery is tested.  The Ramsey helpers provide the Euler phase-plane field,
-its steady states, orbit classification and saddle-path shooting.
+machinery is tested; the oscillator's pulse response to a control and its
+half-period identity live here too.  The Ramsey helpers provide the Euler
+phase-plane orbits, their steady states, orbit classification and
+saddle-path shooting.
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ __all__ = [
     "OscillatorReference",
     "RamseyParams",
     "SteadyState",
+    "appendix_identity_residual",
     "integrator_reference",
+    "oscillator_delta_x1",
     "oscillator_reference",
     "ramsey_classify",
     "ramsey_control_from_orbit",
     "ramsey_euler_orbit",
     "ramsey_feasible_candidate",
-    "ramsey_field",
     "ramsey_saddle_candidate",
     "ramsey_shoot",
     "ramsey_steady_state",
@@ -93,21 +96,21 @@ def ramsey_steady_state(params: RamseyParams):
             SteadyState(k_limit, 0.0, "zero_consumption"))
 
 
-def ramsey_field(params: RamseyParams, k: float, c: float) -> np.ndarray:
-    """Phase-plane field (dk/dt, dc/dt) of the state plus consumption-growth
-    equations: dk/dt = k**a - d*k - c, dc/dt = c*(a*k**(a-1) - d)/theta."""
-    if k <= 0 or c <= 0:
-        raise ValueError("ramsey_field requires k > 0 and c > 0")
-    return np.array(_euler_rates(params, k, c))
-
-
 def _euler_rates(params: RamseyParams, k, c):
-    """(dk/dt, dc/dt) for scalar or array k and c."""
+    """Phase-plane field (dk/dt, dc/dt) of the state plus consumption-growth
+    equations, for scalar or array k and c: dk/dt = k**a - d*k - c,
+    dc/dt = c*(a*k**(a-1) - d)/theta."""
     a, d, th = params.alpha, params.delta, params.theta
     return k ** a - d * k - c, c * (a * k ** (a - 1.0) - d) / th
 
 
 _CLASSIFY_SETTINGS = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11, max_step=1.0)
+# radius of the ball around the interior steady state that ends a saddle orbit
+_BALL_RADIUS = 1e-3
+# the shooting bisects the initial consumption to this width, in at most
+# this many levels
+_SHOOT_C0_TOL = 1e-10
+_SHOOT_MAX_ITER = 60
 
 
 def _joint_domain() -> Box:
@@ -115,14 +118,13 @@ def _joint_domain() -> Box:
 
 
 def ramsey_euler_orbit(params: RamseyParams, k0: float, c0: float, t_end: float,
-                       settings: Optional[IntegratorSettings] = None,
                        stops: Sequence[tuple] = ()) -> Trajectory:
     """Integrate the joint (k, c) phase-plane system from (k0, c0), with the
     ``stops`` of :func:`integrate`."""
-    field = lambda t, y: ramsey_field(params, y[0], y[1]) if (y[0] > 0 and y[1] > 0) \
-        else np.array([np.nan, np.nan])
+    field = lambda t, y: np.array(_euler_rates(params, y[0], y[1])) \
+        if (y[0] > 0 and y[1] > 0) else np.array([np.nan, np.nan])
     return integrate(field, 0.0, np.array([k0, c0]), t_end,
-                     settings or _CLASSIFY_SETTINGS, domain=_joint_domain(), stops=stops)
+                     _CLASSIFY_SETTINGS, domain=_joint_domain(), stops=stops)
 
 
 def _euler_rows(params: RamseyParams):
@@ -171,8 +173,7 @@ def _orbit_label(event) -> str:
 
 
 def ramsey_classify(params: RamseyParams, k0, c0,
-                    t_max: float = 2000.0, ball_radius: float = 1e-3,
-                    settings: Optional[IntegratorSettings] = None):
+                    t_max: float = 2000.0, ball_radius: float = _BALL_RADIUS):
     """Classify the Euler orbit through (k0, c0).
 
     Returns one of ``saddle`` (enters the ball around the interior steady
@@ -191,24 +192,23 @@ def ramsey_classify(params: RamseyParams, k0, c0,
             raise ValueError("need k0 > 0 and c0 > 0")
         _, _, events = integrate_batch(
             _euler_rows(params), 0.0, np.column_stack((k0.ravel(), c0.ravel())), t_max,
-            settings or _CLASSIFY_SETTINGS, domain=_joint_domain(),
+            _CLASSIFY_SETTINGS, domain=_joint_domain(),
             stops=_classify_stops(params, interior.k_star, interior.c_star, ball_radius))
         return np.array([_orbit_label(ev) for ev in events], dtype=str).reshape(k0.shape)
     if k0 <= 0 or c0 <= 0:
         raise ValueError("need k0 > 0 and c0 > 0")
     stops = _classify_stops(params, interior.k_star, interior.c_star, ball_radius)
-    traj = ramsey_euler_orbit(params, k0, c0, t_max, settings, stops=stops)
+    traj = ramsey_euler_orbit(params, k0, c0, t_max, stops=stops)
     return _orbit_label(traj.exit_event)
 
 
-def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float,
-                   settings: Optional[IntegratorSettings]) -> str:
+def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float) -> str:
     """Bracket side for shooting: 'hi' (hits zero capital) or 'lo' (falls to
     zero consumption).  The saddle ball is not used as a stop here so that
     near-saddle orbits resolve their side after hovering."""
     interior, _ = ramsey_steady_state(params)
     to_zero = _classify_stops(params, interior.k_star, interior.c_star, 0.0)[1:]
-    traj = ramsey_euler_orbit(params, k0, c0, t_max, settings, stops=to_zero)
+    traj = ramsey_euler_orbit(params, k0, c0, t_max, stops=to_zero)
     if traj.exit_event is None:
         # t_max exhausted while hovering; decide by final position
         k_fin = traj.states[-1, 0]
@@ -252,9 +252,6 @@ def _saddle_consumption(params: RamseyParams, interior: SteadyState) -> float:
 
 
 def ramsey_shoot(params: RamseyParams, t_max: float = 2000.0,
-                 c0_tol: float = 1e-10, max_iter: int = 60,
-                 ball_radius: float = 1e-3,
-                 settings: Optional[IntegratorSettings] = None,
                  history: Optional[list] = None):
     """Shoot the initial consumption of the saddle path.
 
@@ -263,13 +260,12 @@ def ramsey_shoot(params: RamseyParams, t_max: float = 2000.0,
     defines c0.  Its bracket comes from the time-eliminated stable manifold
     (:func:`_saddle_consumption`): the relative band 1e-9 around that value,
     each side confirmed by a forward orbit and the band widened tenfold until
-    both are.  Once the bracket is within ``c0_tol`` its midpoint orbit must
-    enter the ball of radius ``ball_radius`` around the interior steady state;
-    one that misses it is bisected further, up to ``max_iter`` levels in all.
+    both are.  Once the bracket is within 1e-10 its midpoint orbit must enter
+    the ball of radius 1e-3 around the interior steady state; one that misses
+    it is bisected further, up to 60 levels in all.
     Returns (c0_saddle, orbit) where the orbit is the joint (k, c) trajectory
     integrated until it enters the ball.
     """
-    settings = settings or _CLASSIFY_SETTINGS
     interior, _ = ramsey_steady_state(params)
     k0 = params.k0
 
@@ -277,25 +273,25 @@ def ramsey_shoot(params: RamseyParams, t_max: float = 2000.0,
     eta = 1e-9
     while True:
         lo, hi = c_manifold * (1.0 - eta), c_manifold * (1.0 + eta)
-        if (_classify_side(params, k0, lo, t_max, settings) == "lo"
-                and _classify_side(params, k0, hi, t_max, settings) == "hi"):
+        if (_classify_side(params, k0, lo, t_max) == "lo"
+                and _classify_side(params, k0, hi, t_max) == "hi"):
             break
         eta *= 10.0
         if eta >= 1.0:
             raise RuntimeError("ramsey_shoot: no bracket around the time-eliminated "
                                f"consumption {c_manifold:g}")
 
-    # the c0 whose forward orbits enter the ball can span less than c0_tol
-    ball = _classify_stops(params, interior.k_star, interior.c_star, ball_radius)[:1]
-    for _ in range(max_iter):
+    # the c0 whose forward orbits enter the ball can span less than _SHOOT_C0_TOL
+    ball = _classify_stops(params, interior.k_star, interior.c_star, _BALL_RADIUS)[:1]
+    for _ in range(_SHOOT_MAX_ITER):
         c0 = 0.5 * (lo + hi)
-        if hi - lo <= c0_tol:
-            orbit = ramsey_euler_orbit(params, k0, c0, t_max, settings, stops=ball)
+        if hi - lo <= _SHOOT_C0_TOL:
+            orbit = ramsey_euler_orbit(params, k0, c0, t_max, stops=ball)
             if orbit.exit_event is not None and orbit.exit_event.description == "saddle_ball":
                 return c0, orbit
             if c0 in (lo, hi):
                 break
-        if _classify_side(params, k0, c0, t_max, settings) == "hi":
+        if _classify_side(params, k0, c0, t_max) == "hi":
             hi = c0
         else:
             lo = c0
@@ -322,32 +318,30 @@ def ramsey_control_from_orbit(orbit: Trajectory, c_tail: Optional[float] = None)
     return ControlSignal.closed_form(c_of_t, dim=1)
 
 
-def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float,
-                              settings: Optional[IntegratorSettings] = None):
+def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float):
     """A feasible Euler-family candidate: (state trajectory, control signal).
 
     The joint orbit must stay in the domain through ``t_end``; an infeasible
     c0 (orbit hits k = 0) raises ValueError.
     """
-    orbit = ramsey_euler_orbit(params, params.k0, c0, t_end, settings)
+    orbit = ramsey_euler_orbit(params, params.k0, c0, t_end)
     if orbit.exit_event is not None:
         raise ValueError(f"candidate c0={c0:g} infeasible: {orbit.exit_event.description}")
     control = ramsey_control_from_orbit(orbit)
     problem = params.problem()
-    k_traj = solve_state(problem, control, t_end, settings or _CLASSIFY_SETTINGS)
+    k_traj = solve_state(problem, control, t_end, _CLASSIFY_SETTINGS)
     return k_traj, control
 
 
 def ramsey_saddle_candidate(params: RamseyParams, t_end: float,
-                            settings: Optional[IntegratorSettings] = None,
                             t_max_shoot: float = 2000.0):
     """The shot saddle-path candidate, with consumption clamped to c* after
     the orbit enters the steady-state ball."""
     interior, _ = ramsey_steady_state(params)
-    c0, orbit = ramsey_shoot(params, t_max=t_max_shoot, settings=settings)
+    c0, orbit = ramsey_shoot(params, t_max=t_max_shoot)
     control = ramsey_control_from_orbit(orbit, c_tail=interior.c_star)
     problem = params.problem()
-    k_traj = solve_state(problem, control, t_end, settings or _CLASSIFY_SETTINGS)
+    k_traj = solve_state(problem, control, t_end, _CLASSIFY_SETTINGS)
     return c0, k_traj, control
 
 
@@ -419,6 +413,66 @@ class OscillatorReference:
 
 def oscillator_reference(b: float) -> OscillatorReference:
     return OscillatorReference(b)
+
+
+def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float,
+                           n_quad: int = 4001) -> float:
+    """integral_a^b sin(T - t) (u(t) - 1) dt, split at the control's breakpoints.
+
+    Exact on each piece where u is constant; elsewhere the trapezoid rule on
+    ``n_quad`` nodes per piece.
+    """
+    if b <= a:
+        return 0.0
+    cuts = [c for c in control.breakpoints() if a < c < b]
+    nodes = [a] + sorted(cuts) + [b]
+    total = 0.0
+    for lo, hi in zip(nodes[:-1], nodes[1:]):
+        u = control.segment_value(lo, hi)
+        if u is not None:
+            # integral of sin(T - t) over [lo, hi] is cos(T - hi) - cos(T - lo)
+            total += (float(u[0]) - 1.0) * (math.cos(T - hi) - math.cos(T - lo))
+            continue
+        ts = np.linspace(lo, hi, n_quad)
+        # the piece is (lo, hi]: its value at lo is the limit from the right,
+        # not the value an override ending at lo holds there
+        us = np.array([float(control.evaluate(float(t))[0])
+                       for t in (np.nextafter(lo, hi), *ts[1:])])
+        integrand = np.sin(T - ts) * (us - 1.0)
+        # trapezoid rule written out: np.trapz is gone from numpy 2.x and its
+        # successor np.trapezoid is missing before numpy 2.0
+        total += float((np.diff(ts) * (integrand[1:] + integrand[:-1])).sum() / 2.0)
+    return total
+
+
+def oscillator_delta_x1(control: ControlSignal, T: float) -> float:
+    """Pulse response of the first oscillator state relative to u = 1:
+    integral_0^T sin(T - t) (u(t) - 1) dt.
+
+    Exact on every piece between breakpoints where the control is constant,
+    dense trapezoidal quadrature on the other pieces.
+    """
+    return _sin_response_integral(control, 0.0, T, T)
+
+
+def appendix_identity_residual(control: ControlSignal, n: int):
+    """Half-period recursion of the pulse response at full periods.
+
+    For controls mapping into [0, 1],
+      dx1(2*n*pi) = -dx1((2n-1)*pi) - integral_{(2n-1)pi}^{2n pi} sin(t)(u(t)-1) dt
+    and the trailing integral is nonnegative (sin <= 0 and u <= 1 there).
+    Returns (identity residual, trailing integral).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    lhs = oscillator_delta_x1(control, 2 * n * math.pi)
+    half = oscillator_delta_x1(control, (2 * n - 1) * math.pi)
+    # integral of sin(t)(u-1) over [(2n-1)pi, 2n pi] equals the T = 2n pi
+    # response restricted to that window, since sin(2n pi - t) = -sin(t)
+    tail = -_sin_response_integral(control, (2 * n - 1) * math.pi,
+                                   2 * n * math.pi, 2 * n * math.pi)
+    residual = abs(lhs - (-half - tail))
+    return residual, tail
 
 
 # ---------------------------------------------------------------------------

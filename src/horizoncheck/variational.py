@@ -283,27 +283,25 @@ class CostatePath:
 
 def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
                       control: ControlSignal, terminal, lam: float,
-                      tau_grid=None, settings: Optional[IntegratorSettings] = None
-                      ) -> CostatePath:
+                      settings: Optional[IntegratorSettings] = None) -> CostatePath:
     """Integrate -dpsi/dt = f_x(t)* psi + lam * g_x(t) backward from psi(T).
 
     ``terminal`` is the pair (T, psi_T).  The path extends down to the base
-    trajectory's initial time (or min(tau_grid) when given).
+    trajectory's initial time.
     """
     settings = settings or _VARIATIONAL_SETTINGS
     T, psi_T = terminal
     T = float(T)
     psi_T = np.atleast_1d(np.asarray(psi_T, dtype=float))
-    t_lo = trajectory.t0 if tau_grid is None else float(np.min(tau_grid))
-    if not (trajectory.covers(T) and trajectory.covers(t_lo)):
-        raise ValueError("terminal time or tau grid outside the trajectory span")
+    if not trajectory.covers(T):
+        raise ValueError("terminal time outside the trajectory span")
 
     def rhs(psi, u, t):
         x = trajectory(t)
         fx, gx = jacobians(problem, x, u, t)
         return -(fx.T @ psi + lam * gx)
 
-    traj = integrate_controlled(rhs, control, T, psi_T, t_lo, settings)
+    traj = integrate_controlled(rhs, control, T, psi_T, trajectory.t0, settings)
     return CostatePath(trajectory=traj, lam=lam)
 
 
@@ -410,22 +408,23 @@ def payoff_value(problem: ControlProblem, control: ControlSignal, x_start,
 
 
 def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
-                x_tau, T: float, step: float = 1e-3,
+                x_tau, T: float,
                 settings: Optional[IntegratorSettings] = None) -> np.ndarray:
     """Central-difference gradient of the frozen-control payoff over [tau, T]
     with respect to the state at tau; the independent oracle for the
     propagator-based gradient.
 
-    The step shrinks per component when a probe leaves the state domain; a
-    perturbed trajectory that exits the domain mid-horizon raises the
-    NonExtendibleError of :func:`payoff_value`, which carries the exit event.
+    The step is max(1e-3, 1e-3 * |x_i|) per component, and it shrinks when a
+    probe leaves the state domain; a perturbed trajectory that exits the
+    domain mid-horizon raises the NonExtendibleError of :func:`payoff_value`,
+    which carries the exit event.
     """
     settings = settings or _VARIATIONAL_SETTINGS
     x_tau = np.atleast_1d(np.asarray(x_tau, dtype=float))
     n = problem.state_dim
     grad = np.empty(n)
     for i in range(n):
-        hi = max(step, step * abs(x_tau[i]))
+        hi = max(1e-3, 1e-3 * abs(x_tau[i]))
         for _ in range(60):
             plus, minus = x_tau.copy(), x_tau.copy()
             plus[i] += hi
@@ -444,17 +443,19 @@ def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
 def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
                              trajectory: Trajectory, tau: float,
                              directions: Sequence, alphas: Sequence[float],
-                             T_grid, settings: Optional[IntegratorSettings] = None,
-                             tol: float = 1e-4) -> ConditionVerdict:
+                             T_grid, settings: Optional[IntegratorSettings] = None
+                             ) -> ConditionVerdict:
     """Uniform-in-horizon lower bound of the payoff perturbation by its
     linearization.
 
     For each direction zeta and scale alpha computes
       q(alpha, zeta, T) = (J(x + alpha*zeta) - J(x))/alpha - <grad(tau,T), zeta>
     and takes the infimum over the horizon grid; the check holds when the
-    infimum stays >= -tol as alpha decreases.  For dynamics and payoff linear
-    in the state the quantity vanishes identically up to integration error.
+    infimum stays >= -1e-4 as alpha decreases.  For dynamics and payoff
+    linear in the state the quantity vanishes identically up to integration
+    error.
     """
+    tol = 1e-4
     settings = settings or _VARIATIONAL_SETTINGS
     T_grid = np.sort(np.atleast_1d(np.asarray(T_grid, dtype=float)))
     alphas = sorted((float(a) for a in alphas), reverse=True)

@@ -32,12 +32,12 @@ from horizoncheck import (
     needle_limit_check,
     oscillator_reference,
     ramsey_classify,
-    ramsey_field,
     ramsey_steady_state,
     solve_state,
     transition_matrix,
 )
 from horizoncheck.cli import RunConfig, build_check_report
+from horizoncheck.reference_examples import _euler_rates
 from horizoncheck.verdicts import ConditionVerdict
 
 from conftest import STANDARD, TIGHT
@@ -254,7 +254,7 @@ def test_criterion_07_ramsey_quantitative(ramsey_params, ramsey_saddle,
     interior, limit = ramsey_steady_state(ramsey_params)
     assert interior.k_star == pytest.approx(32.0, rel=1e-12)
     assert interior.c_star == pytest.approx(2.4, rel=1e-12)
-    assert np.max(np.abs(ramsey_field(ramsey_params, interior.k_star,
+    assert np.max(np.abs(_euler_rates(ramsey_params, interior.k_star,
                                       interior.c_star))) <= 1e-12
 
     c0_saddle, k_traj, control = ramsey_saddle

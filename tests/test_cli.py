@@ -202,3 +202,17 @@ def test_needle_rejects_ramsey_by_name(capsys):
     err = capsys.readouterr().err
     assert "needle supports the integrator and oscillator examples" in err
     assert "missing parameter" not in err
+
+
+@pytest.mark.parametrize("alphas, message", [("nan", "finite and positive"),
+                                             ("0.1,inf", "finite and positive"),
+                                             (",", "two distinct"),
+                                             ("0.1", "two distinct"),
+                                             ("0.1,0.1", "two distinct")])
+def test_needle_rejects_widths_it_cannot_fit(alphas, message, capsys):
+    # these used to print a NaN sample, a lone order row, or an order of inf
+    # or one fitted through a single point
+    assert main(["needle", "--example", "oscillator", "--alphas", alphas]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

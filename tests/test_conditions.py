@@ -14,8 +14,8 @@ from horizoncheck import (
     check_jx_bounded,
     check_max_principle,
     decompose_costate,
-    delta_hamiltonian,
     dense_horizon_grid,
+    hamiltonian_jumps,
     integrate_adjoint,
     integrator_reference,
     jx_scan,
@@ -30,22 +30,20 @@ from conftest import STANDARD, TIGHT
 
 def test_delta_hamiltonian_oracles(oscillator, osc_traj_30, u_one,
                                    integrator_undiscounted):
+    # H(x(tau), u, tau, grad(tau, T), 1) - H(x(tau), 1, tau, grad(tau, T), 1)
     rec = accumulate_jx(oscillator, osc_traj_30, u_one, 0.0,
                         [0.0, math.pi / 2], TIGHT)
-    value = delta_hamiltonian(oscillator, osc_traj_30, u_one, rec, [-1.0],
-                              0.0, math.pi / 2)
-    assert value == pytest.approx(-3.0, abs=1e-8)
-    assert delta_hamiltonian(oscillator, osc_traj_30, u_one, rec, [1.0],
-                             0.0, math.pi / 2) == 0.0
+    low, same = hamiltonian_jumps(oscillator, osc_traj_30(0.0), u_one.evaluate(0.0), 0.0,
+                                  [[-1.0], [1.0]], rec.value_at(math.pi / 2), 1.0)
+    assert low == pytest.approx(-3.0, abs=1e-8)
+    assert same == 0.0
 
     traj = solve_state(integrator_undiscounted, u_one, 10.0, TIGHT)
     rec0 = accumulate_jx(integrator_undiscounted, traj, u_one, 1.0,
                          [1.0, 5.0], TIGHT)
-    assert delta_hamiltonian(integrator_undiscounted, traj, u_one, rec0,
-                             [0.0], 1.0, 5.0) == pytest.approx(-4.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        delta_hamiltonian(integrator_undiscounted, traj, u_one, rec0,
-                          [3.0], 1.0, 5.0)
+    jump = hamiltonian_jumps(integrator_undiscounted, traj(1.0), u_one.evaluate(1.0), 1.0,
+                             [[0.0]], rec0.value_at(5.0), 1.0)[0]
+    assert jump == pytest.approx(-4.0, abs=1e-9)
 
 
 def test_check_general_oscillator_verdicts(oscillator, osc_op_400, u_one):

