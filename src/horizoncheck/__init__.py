@@ -31,11 +31,12 @@ from .problem_model import (
 from .variational import (
     CostatePath,
     JxRecord,
-    TailPolicy,
     TransitionOperator,
     accumulate_jx,
     check_assumption_uniform,
+    check_jx_bounded,
     fd_gradient,
+    horizon_grid,
     integrate_adjoint,
     jx_scan,
     lemma1_residual,
@@ -50,7 +51,6 @@ from .conditions import (
     check_classical,
     check_general,
     check_gmax,
-    check_jx_bounded,
     check_max_principle,
     decompose_costate,
     dense_horizon_grid,

@@ -32,7 +32,6 @@ from .conditions import (
     check_classical,
     check_general,
     check_gmax,
-    check_jx_bounded,
     check_max_principle,
     decompose_costate,
     dense_horizon_grid,
@@ -52,7 +51,14 @@ from .reference_examples import (
     ramsey_steady_state,
 )
 from .overtaking import empirical_overtaking_test, needle_limit_check, payoff_path
-from .variational import TailPolicy, integrate_adjoint, jx_scan, limit_costate, transition_matrix
+from .variational import (
+    check_jx_bounded,
+    horizon_grid,
+    integrate_adjoint,
+    jx_scan,
+    limit_costate,
+    transition_matrix,
+)
 
 __all__ = [
     "RunConfig",
@@ -66,17 +72,13 @@ __all__ = [
 
 EXAMPLES = ("ramsey", "integrator", "oscillator")
 
+# the parameters each example takes: its problem parameters with the values
+# used when one is not given, then the optional adjoint-candidate parameters
+# of ``check`` (None)
 _EXAMPLE_PARAMS = {
-    "ramsey": "alpha delta theta k0 [c_max]",
-    "integrator": "rho [a0] [lambda]",
-    "oscillator": "b [r] [phi]",
-}
-
-# problem parameters of each example and the values used when one is not given
-_PROBLEM_DEFAULTS = {
     "ramsey": {"alpha": 0.4, "delta": 0.05, "theta": 0.5, "k0": 10.0},
-    "integrator": {"rho": 0.1},
-    "oscillator": {"b": 0.5},
+    "integrator": {"rho": 0.1, "a0": None, "lambda": None},
+    "oscillator": {"b": 0.5, "r": None, "phi": None},
 }
 
 
@@ -97,9 +99,15 @@ class RunConfig:
             raise ValueError(f"unknown example {self.example!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        taken = _EXAMPLE_PARAMS[self.example]
+        unknown = sorted(set(self.params) - set(taken))
+        if unknown:
+            raise ValueError(f"example {self.example} takes {', '.join(taken)}, "
+                             f"not {', '.join(unknown)}")
         if self.t_max is not None and not 0 < self.t_max < math.inf:
             raise ValueError("t-max must be positive and finite")
-        for name, value in (("eps", self.eps), ("k-max", self.k_max), ("c-max", self.c_max)):
+        for name, value in (("eps", self.eps), ("k-max", self.k_max), ("c-max", self.c_max),
+                            *self.params.items()):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if min(self.grid) < 1:
@@ -114,7 +122,7 @@ class RunConfig:
 def _problem_params(config: RunConfig) -> dict:
     """The example's problem parameters, defaults filled in."""
     return {key: float(config.params.get(key, default))
-            for key, default in _PROBLEM_DEFAULTS[config.example].items()}
+            for key, default in _EXAMPLE_PARAMS[config.example].items() if default is not None}
 
 
 @dataclass
@@ -213,7 +221,6 @@ def _build_linear_check(config: RunConfig) -> ReportData:
 
     transition = transition_matrix(problem, control, t_max, settings=_CHECK_SETTINGS)
     trajectory = transition.trajectory
-    tail = TailPolicy(t_max=t_max)
 
     # gradient-route rows: tail conditions, boundedness, limit costate
     tau_grid = [problem.initial_time]
@@ -225,9 +232,9 @@ def _build_linear_check(config: RunConfig) -> ReportData:
                      report.verdict.status.value,
                      _fmt(float(np.nanmax(report.estimates))), report.verdict.note])
 
-    records = jx_scan(transition, tau_grid, tail.horizon_grid(problem.initial_time)[1:])
+    records = jx_scan(transition, tau_grid, horizon_grid(problem.initial_time, t_max)[1:])
     jx0 = records[0]
-    psi_hat, lc_verdict = limit_costate(jx0, tail)
+    psi_hat, lc_verdict = limit_costate(jx0)
     rows.append(["limit", "(gradient route)", "limit_costate", lc_verdict.status.value,
                  _fmt(float(np.max(np.abs(psi_hat))) if psi_hat is not None else None),
                  lc_verdict.note])
@@ -240,7 +247,7 @@ def _build_linear_check(config: RunConfig) -> ReportData:
         psi_T = np.atleast_1d(terminal_psi(lam, extra))
         costate = integrate_adjoint(problem, trajectory, control, (t_max, psi_T),
                                     lam, settings=_CHECK_SETTINGS)
-        classical = check_classical(problem, transition, control, costate, tail)
+        classical = check_classical(problem, transition, control, costate)
         for cond_id, verdict in classical.items():
             rows.append(["classical", label, cond_id, verdict.status.value,
                          _fmt(verdict.diagnostic_series[-1][1]
@@ -250,7 +257,7 @@ def _build_linear_check(config: RunConfig) -> ReportData:
                                  time_grid=np.linspace(problem.initial_time, t_max, 201))
         rows.append(["max_principle", label, "maxH", mp.status.value,
                      _fmt(max(v for _, v in mp.diagnostic_series)), mp.note])
-        a0_est, residual, dec = decompose_costate(costate, transition, records, tail)
+        a0_est, residual, dec = decompose_costate(costate, transition, records)
         rows.append(["decomposition", label, "a0_limit", dec.status.value,
                      _fmt(residual), dec.note])
 
@@ -484,7 +491,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "list-examples":
         for name in EXAMPLES:
-            print(f"{name}: parameters {_EXAMPLE_PARAMS[name]}")
+            params = " ".join(key if default is not None else f"[{key}]"
+                              for key, default in _EXAMPLE_PARAMS[name].items())
+            print(f"{name}: parameters {params}")
         return 0
 
     try:

@@ -14,7 +14,7 @@ Four families of checks:
   payoff-rate maximization rule over a family of feasible candidates.
 
 Verdicts are three-way (holds / fails / inconclusive); a verdict is only
-committed when the declared tail criterion is met.
+committed when the tail rule of :mod:`.verdicts` is met.
 """
 
 from __future__ import annotations
@@ -27,16 +27,15 @@ import numpy as np
 
 from .ode_engine import ControlSignal, Trajectory
 from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
-from .variational import (
-    CostatePath,
-    JxRecord,
-    TailPolicy,
-    TransitionOperator,
-    DEFAULT_TAIL,
-    _growth_ratio,
-    limit_costate,
+from .variational import CostatePath, JxRecord, TransitionOperator, limit_costate
+from .verdicts import (
+    TAIL_HOLD_TOL,
+    ConditionVerdict,
+    Verdict,
+    tail_limit_verdict,
+    tail_status,
+    tail_window,
 )
-from .verdicts import ConditionVerdict, Verdict, tail_limit_verdict
 
 __all__ = [
     "GeneralConditionReport",
@@ -45,7 +44,6 @@ __all__ = [
     "check_classical",
     "check_general",
     "check_gmax",
-    "check_jx_bounded",
     "check_max_principle",
     "decompose_costate",
     "dense_horizon_grid",
@@ -79,7 +77,7 @@ class GeneralConditionReport:
     estimates: np.ndarray        # (n_tau, n_u) tail liminf or limsup estimates
     statuses: np.ndarray         # (n_tau, n_u) of Verdict
     window_estimates: np.ndarray  # (n_tau, n_u, 3) early/mid/late window values
-    verdict: ConditionVerdict = None
+    verdict: ConditionVerdict
 
 
 def _window_verdict(m_early: float, m_mid: float, m_late: float):
@@ -107,8 +105,8 @@ def _window_verdict(m_early: float, m_mid: float, m_late: float):
 
 
 def check_general(problem: ControlProblem, transition: TransitionOperator,
-                  control: ControlSignal, tau_grid, control_resolution: int = 33,
-                  T_grid=None, mode: str = "WOO") -> GeneralConditionReport:
+                  control: ControlSignal, tau_grid, control_resolution: int = 33, *,
+                  T_grid, mode: str) -> GeneralConditionReport:
     """Tail test of the Hamiltonian-difference condition over a (tau, u) grid.
 
     For each anchor tau and control value u the liminf (mode WOO) or limsup
@@ -123,8 +121,6 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
         raise ValueError("mode must be 'WOO' or 'OO'")
     trajectory = transition.trajectory
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    if T_grid is None:
-        T_grid = dense_horizon_grid(float(tau_grid.min()), trajectory.t_end)
     T_grid = np.sort(np.asarray(T_grid, dtype=float))
     if not trajectory.covers(float(T_grid[-1])):
         raise ValueError("horizon grid exceeds the span of the transition operator")
@@ -168,43 +164,18 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
                                   window_estimates=windows, verdict=verdict)
 
 
-def check_jx_bounded(jx: JxRecord):
-    """Empirical horizon-uniform bound on the payoff gradient.
-
-    Compares the running max across the last two horizon doublings: flat
-    (ratio <= 1.1) holds with the observed max as the bound estimate; growth
-    beyond a factor 2 fails as unbounded; in between is inconclusive.
-    """
-    growth_factor, hold_factor = 2.0, 1.1
-    ratio = _growth_ratio(jx)
-    m = jx.bound_estimate
-    series = list(zip(jx.T_grid.tolist(), jx.bound_running.tolist()))
-    if ratio > growth_factor:
-        v = ConditionVerdict(Verdict.FAILS, series, growth_factor,
-                             note=f"unbounded: running max grew x{ratio:.3g}")
-    elif ratio <= hold_factor:
-        v = ConditionVerdict(Verdict.HOLDS, series, growth_factor,
-                             note=f"bounded, observed max {m:.6g}")
-    else:
-        v = ConditionVerdict(Verdict.INCONCLUSIVE, series, growth_factor,
-                             note=f"growth ratio {ratio:.3g} unresolved")
-    return v, m
-
-
 # ---------------------------------------------------------------------------
 # classical limit conditions
 
 
-def _tail_times(costate: CostatePath, tail: TailPolicy, n_dense: int = 4000):
-    lo, hi = costate.span
-    t_hi = min(hi, tail.t_max) if tail.t_max > lo else hi
-    times = np.linspace(lo, t_hi, n_dense)
-    return times[tail.window_mask(times)]
+def _tail_times(costate: CostatePath):
+    """4000 times across the costate's span, cut to the tail window."""
+    times = np.linspace(costate.trajectory.t0, costate.trajectory.t_end, 4000)
+    return times[tail_window(times)]
 
 
 def check_classical(problem: ControlProblem, transition: TransitionOperator,
-                    control: ControlSignal, costate: CostatePath,
-                    tail: TailPolicy = DEFAULT_TAIL) -> dict:
+                    control: ControlSignal, costate: CostatePath) -> dict:
     """The four classical limit conditions on an adjoint path, with x(t) the
     state path of ``transition`` and lam that of ``costate``.
 
@@ -216,7 +187,7 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
     Each is judged on the tail window by the shared oscillation-plus-mean
     criterion; returns a dict keyed by condition id.
     """
-    times = _tail_times(costate, tail)
+    times = _tail_times(costate)
     psi = costate.psi(times)
     xs = transition.trajectory(times)
     Ys = transition.fundamental(times)
@@ -230,29 +201,22 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
     s_kav = np.linalg.norm(yk, axis=1)
 
     return {
-        "tcPSI": tail_limit_verdict(times, s_psi, tail.tol, tail.fail_threshold,
-                                    note="|psi(t)|"),
-        "tcXPSI": tail_limit_verdict(times, s_xpsi, tail.tol, tail.fail_threshold,
-                                     note="<x(t), psi(t)>"),
-        "tcM": tail_limit_verdict(times, s_h, tail.tol, tail.fail_threshold,
-                                  note="H along the candidate"),
-        "tcKAV": tail_limit_verdict(times, s_kav, tail.tol, tail.fail_threshold,
-                                    note="|K(t,t0)* psi(t)|"),
+        "tcPSI": tail_limit_verdict(times, s_psi, "|psi(t)|"),
+        "tcXPSI": tail_limit_verdict(times, s_xpsi, "<x(t), psi(t)>"),
+        "tcM": tail_limit_verdict(times, s_h, "H along the candidate"),
+        "tcKAV": tail_limit_verdict(times, s_kav, "|K(t,t0)* psi(t)|"),
     }
 
 
 def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
                         control: ControlSignal, costate: CostatePath,
-                        time_grid=None) -> ConditionVerdict:
+                        time_grid) -> ConditionVerdict:
     """Pointwise Hamiltonian maximization over a sampled control grid.
 
-    Holds iff at every sampled time the candidate control's Hamiltonian is
-    within ``VERDICT_SLACK`` of the maximum over 33 sampled control values
-    per axis.
+    Holds iff at every time of ``time_grid`` the candidate control's
+    Hamiltonian is within ``VERDICT_SLACK`` of the maximum over 33 sampled
+    control values per axis.
     """
-    if time_grid is None:
-        lo, hi = costate.span
-        time_grid = np.linspace(lo, hi, 201)
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
     grid = problem.control_set.sample_grid(33)
     worst = -math.inf
@@ -268,7 +232,7 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
 
 
 def decompose_costate(costate: CostatePath, transition: TransitionOperator,
-                      jx_by_tau: Sequence[JxRecord], tail: TailPolicy = DEFAULT_TAIL):
+                      jx_by_tau: Sequence[JxRecord]):
     """Split an adjoint path into homogeneous and payoff-driven parts.
 
     Estimates a0 as the tail limit of K(T, t0)* psi(T); when that limit exists
@@ -276,16 +240,16 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
     at the anchors of ``jx_by_tau`` (psi_hat taken as each record's tail
     limit).  Returns (a0 or None, residual or nan, verdict).
     """
-    times = _tail_times(costate, tail)
+    times = _tail_times(costate)
     psi = costate.psi(times)
     Ys = transition.fundamental(times)
     v = np.einsum("ikj,ik->ij", Ys, psi)  # K(t, t0)* psi(t)
     osc = float(np.max(np.max(v, axis=0) - np.min(v, axis=0)))
     series = list(zip(times.tolist(), np.max(np.abs(v), axis=1).tolist()))
-    if osc >= tail.tol:
-        status = Verdict.FAILS if osc >= tail.fail_threshold else Verdict.INCONCLUSIVE
+    status = tail_status(osc)
+    if status is not Verdict.HOLDS:
         return None, math.nan, ConditionVerdict(
-            status, series, tail.tol,
+            status, series, TAIL_HOLD_TOL,
             note=f"K(T,t0)*psi(T) does not settle (tail oscillation {osc:.3g})")
 
     a0 = v.mean(axis=0)
@@ -294,10 +258,10 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
     for rec in jx_by_tau:
         tau = rec.tau
         if lam != 0.0:
-            psi_hat, verdict_hat = limit_costate(rec, tail)
+            psi_hat, verdict_hat = limit_costate(rec)
             if psi_hat is None:
                 return a0, math.nan, ConditionVerdict(
-                    Verdict.INCONCLUSIVE, series, tail.tol,
+                    Verdict.INCONCLUSIVE, series, TAIL_HOLD_TOL,
                     note="a0 exists but the limit costate does not converge")
         else:
             psi_hat = np.zeros_like(a0)
@@ -307,7 +271,7 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
         defect = float(np.max(np.abs(costate.psi(tau) - k_part - lam * psi_hat)))
         residual = max(residual, defect)
     return a0, residual, ConditionVerdict(
-        Verdict.HOLDS, series, tail.tol,
+        Verdict.HOLDS, series, TAIL_HOLD_TOL,
         note=f"a0 = {np.array2string(a0, precision=6)}, residual {residual:.3g}")
 
 
@@ -370,8 +334,8 @@ def _require_state_free_payoff(problem: ControlProblem, pairs):
                              "maximization rule does not apply")
 
 
-def _state_crossings(traj: Trajectory, x_target, max_hits: int = 8):
-    """Times where a (scalar-state) trajectory passes through x_target."""
+def _state_crossings(traj: Trajectory, x_target):
+    """Up to 8 times where a (scalar-state) trajectory passes through x_target."""
     if traj.dim != 1:
         raise ValueError("fiber matching implemented for scalar states")
     target = float(np.atleast_1d(x_target)[0])
@@ -380,7 +344,7 @@ def _state_crossings(traj: Trajectory, x_target, max_hits: int = 8):
     grid = traj.time_grid
     sign_change = np.where(vals[:-1] * vals[1:] <= 0)[0]
     for idx in sign_change:
-        if len(hits) >= max_hits:
+        if len(hits) >= 8:
             break
         a, b = grid[idx], grid[idx + 1]
         if b <= a:

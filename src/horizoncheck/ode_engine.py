@@ -112,7 +112,6 @@ class IntegratorSettings:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = math.inf
-    max_steps: int = 4_000_000
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_step <= 0:
@@ -120,6 +119,10 @@ class IntegratorSettings:
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
+# accepted steps after which an integration gives up
+_MAX_STEPS = 4_000_000
+# relative slack of the span tests of a trajectory
+_SPAN_SLACK = 1e-9
 
 # Dormand-Prince 5(4) tableau; row 7 equals the 5th-order weights (FSAL).
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -168,8 +171,8 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def covers(self, t: float, slack: float = 1e-9) -> bool:
-        pad = slack * max(1.0, abs(self.t_end - self.t0))
+    def covers(self, t: float) -> bool:
+        pad = _SPAN_SLACK * max(1.0, abs(self.t_end - self.t0))
         return self.t0 - pad <= t <= self.t_end + pad
 
     def _segments(self, tq):
@@ -237,9 +240,9 @@ class Trajectory:
 
 
 def _check_span(lo, hi, t0, t_end):
-    """Raise unless [lo, hi] lies in the span [t0, t_end] up to a 1e-9
-    relative slack; a NaN bound fails the test."""
-    pad = 1e-9 * max(abs(t_end - t0), 1.0)
+    """Raise unless [lo, hi] lies in the span [t0, t_end] up to the relative
+    ``_SPAN_SLACK``; a NaN bound fails the test."""
+    pad = _SPAN_SLACK * max(abs(t_end - t0), 1.0)
     if not (t0 - pad <= lo and hi <= t_end + pad):
         raise ValueError(f"evaluation time outside trajectory span [{t0:.6g}, {t_end:.6g}]")
 
@@ -376,7 +379,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
 
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         n_taken += 1
-        if n_taken > settings.max_steps:
+        if n_taken > _MAX_STEPS:
             raise IntegrationError("maximum number of steps exceeded")
         h = min(h, t_end - t, settings.max_step)
         K[0] = fy
@@ -528,7 +531,7 @@ def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events)
         m = members.size
         if not m:
             return
-        if n_acc.max() >= settings.max_steps:
+        if n_acc.max() >= _MAX_STEPS:
             raise IntegrationError("maximum number of steps exceeded")
         h = np.minimum(np.minimum(h, t_end - t), settings.max_step)
 
@@ -638,9 +641,9 @@ def _first_label(stops, t, y):
     return next((label for label, pred in stops if pred(t, y)), None)
 
 
-def _sweep_predicate(outside, h, h_floor, max_iter=80):
+def _sweep_predicate(outside, h, h_floor):
     """Smallest theta in (0, 1] with outside(theta) true, to within
-    h_floor/h, found by dyadic sweeps.
+    h_floor/h (at most 80 bisection levels), found by dyadic sweeps.
 
     ``outside`` maps a column of thetas [p, 1] to bool[p].  Each round
     evaluates it once on the 2**j - 1 interior points of the bracket
@@ -653,7 +656,7 @@ def _sweep_predicate(outside, h, h_floor, max_iter=80):
     """
     tol = max(h_floor / h, 1e-15)
     levels, width = 0, 1.0
-    while levels < max_iter and width > tol:  # bisection halves until width <= tol
+    while levels < 80 and width > tol:  # bisection halves until width <= tol
         levels += 1
         width *= 0.5
     lo, hi = 0.0, 1.0
@@ -701,7 +704,8 @@ def _boundary_stall(t, y, fy, domain, h_floor):
     return ExitEvent(t + t_hit, y_ev, domain.describe_exit(y_ev))
 
 
-def _snap_to_faces(y, domain, slack_frac=1e-7):
+def _snap_to_faces(y, domain):
+    slack_frac = 1e-7  # relative distance from a finite face snapped onto it
     y = y.copy()
     scale = np.maximum(1.0, np.abs(y))
     for i in range(y.size):
@@ -769,8 +773,6 @@ class ControlSignal:
             if a < t <= b:
                 return u
         return np.atleast_1d(np.asarray(self._fn(t), dtype=float))
-
-    __call__ = evaluate
 
     def breakpoints(self) -> np.ndarray:
         pts = list(self._times)

@@ -155,9 +155,8 @@ def payoff_path(problem: ControlProblem, control: ControlSignal, T_max: float) -
 
 def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
                               challenger: ControlSignal, eps: float = 1e-6,
-                              T_checkpoints: Optional[Sequence[float]] = None,
-                              T_max: float = 400.0,
-                              sample_spacing: float = 0.02,
+                              T_checkpoints: Optional[Sequence[float]] = None, *,
+                              T_max: float, sample_spacing: float = 0.02,
                               candidate_path: Optional[Trajectory] = None
                               ) -> OvertakingReport:
     """Compare challenger and candidate payoffs on a dense horizon grid.

@@ -38,22 +38,20 @@ FD_STEP_DEFAULT = 1e-6  # central-difference sweet spot at double precision
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Admissible control values: an axis-aligned box or a finite list.
+    """Admissible control values: an axis-aligned box, closed except for the
+    lower faces marked ``lower_open``.
 
-    Open box faces (``lower_open`` / ``upper_open``) are sampled with a small
-    inward offset so grid maximization never evaluates at an excluded
-    endpoint.
+    Open faces are sampled with a small inward offset so grid maximization
+    never evaluates at an excluded endpoint.  Membership allows a relative
+    slack of 1e-9 at closed faces.
     """
 
-    kind: str  # "box" | "finite"
-    lower: Optional[Array] = None
-    upper: Optional[Array] = None
-    lower_open: Optional[Array] = None
-    upper_open: Optional[Array] = None
-    members: Optional[Array] = None
+    lower: Array
+    upper: Array
+    lower_open: Array
 
     @staticmethod
-    def box(lower, upper, lower_open=False, upper_open=False) -> "ControlSet":
+    def box(lower, upper, lower_open=False) -> "ControlSet":
         lo = np.atleast_1d(np.asarray(lower, dtype=float))
         hi = np.atleast_1d(np.asarray(upper, dtype=float))
         if lo.shape != hi.shape:
@@ -61,46 +59,27 @@ class ControlSet:
         if np.any(lo > hi):
             raise ValueError("box bounds must satisfy lower <= upper componentwise")
         lo_open = np.broadcast_to(np.asarray(lower_open, dtype=bool), lo.shape).copy()
-        hi_open = np.broadcast_to(np.asarray(upper_open, dtype=bool), hi.shape).copy()
-        return ControlSet("box", lower=lo, upper=hi, lower_open=lo_open, upper_open=hi_open)
+        return ControlSet(lo, hi, lo_open)
 
-    @staticmethod
-    def finite(members) -> "ControlSet":
-        pts = np.atleast_2d(np.asarray(members, dtype=float))
-        if pts.shape[0] == 0:
-            raise ValueError("finite control set must be non-empty")
-        return ControlSet("finite", members=pts)
-
-    @property
-    def dim(self) -> int:
-        return self.members.shape[1] if self.kind == "finite" else self.lower.size
-
-    def contains(self, u, tol: float = 1e-9) -> bool:
+    def contains(self, u) -> bool:
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if self.kind == "finite":
-            return bool(np.any(np.all(np.abs(self.members - u) <= tol, axis=1)))
-        scale = np.maximum(1.0, np.abs(u))
-        lo_ok = np.where(self.lower_open, u > self.lower, u >= self.lower - tol * scale)
-        hi_ok = np.where(self.upper_open, u < self.upper, u <= self.upper + tol * scale)
-        return bool(np.all(lo_ok) and np.all(hi_ok))
+        slack = 1e-9 * np.maximum(1.0, np.abs(u))
+        lo_ok = np.where(self.lower_open, u > self.lower, u >= self.lower - slack)
+        return bool(np.all(lo_ok) and np.all(u <= self.upper + slack))
 
-    def sample_grid(self, resolution: int = 33) -> Array:
+    def sample_grid(self, resolution: int) -> Array:
         """Grid of control vectors; always contains the (effective) box
-        vertices, or every member of a finite set."""
-        if self.kind == "finite":
-            return self.members.copy()
+        vertices."""
         if resolution < 2:
             resolution = 2
         axes = []
-        for i in range(self.dim):
-            lo, hi = self.lower[i], self.upper[i]
+        for lo, hi, lo_open in zip(self.lower, self.upper, self.lower_open):
             width = hi - lo
             if not np.isfinite(width):
                 raise ValueError("cannot sample an unbounded control box")
             nudge = 1e-6 * max(width, 1.0)
-            lo_eff = lo + nudge if self.lower_open[i] else lo
-            hi_eff = hi - nudge if self.upper_open[i] else hi
-            axes.append(np.linspace(lo_eff, hi_eff, resolution))
+            lo_eff = lo + nudge if lo_open else lo
+            axes.append(np.linspace(lo_eff, hi, resolution))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -227,7 +206,7 @@ def make_builtin_problem(name: str, params: Mapping[str, float]) -> ControlProbl
     """Construct one of the built-in problems with analytic derivatives.
 
     ``ramsey``     requires alpha in (0,1), delta > 0, theta > 0 with
-                   theta != 1, k0 > 0; optional c_max (default 10 * c_star).
+                   theta != 1, k0 > 0; consumption is bounded by 10 * c_star.
     ``integrator`` requires rho >= 0.
     ``oscillator`` requires b > 0.
     """
@@ -258,11 +237,7 @@ def _build_ramsey(params: dict) -> ControlProblem:
     theta = _require(params, "ramsey", "theta", lambda v: v > 0 and v != 1.0,
                      "need theta > 0 and theta != 1")
     k0 = _require(params, "ramsey", "k0", lambda v: v > 0, "need k0 > 0")
-    k_star = (delta / alpha) ** (1.0 / (alpha - 1.0))
     c_star = (1.0 - alpha) * (delta / alpha) ** (alpha / (alpha - 1.0))
-    c_max = float(params.pop("c_max", 10.0 * c_star))
-    if c_max <= 0:
-        raise ValueError("ramsey: need c_max > 0")
     _reject_extras(params, "ramsey")
 
     def f(x, u, t):
@@ -283,7 +258,7 @@ def _build_ramsey(params: dict) -> ControlProblem:
     return ControlProblem(
         state_dim=1, control_dim=1, dynamics=f, payoff=g,
         dynamics_jac_x=fx, payoff_grad_x=gx,
-        control_set=ControlSet.box([0.0], [c_max], lower_open=True),
+        control_set=ControlSet.box([0.0], [10.0 * c_star], lower_open=True),
         state_domain=Box.from_bounds([0.0], [np.inf]),
         initial_state=[k0], initial_time=0.0, name="ramsey")
 

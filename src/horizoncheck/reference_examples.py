@@ -66,12 +66,17 @@ class RamseyParams:
             raise ValueError("need theta > 0 and theta != 1")
         if self.k0 <= 0:
             raise ValueError("need k0 > 0")
+        try:
+            interior, _ = ramsey_steady_state(self)
+        except OverflowError as exc:
+            raise ValueError("the steady state overflows") from exc
+        if not (0 < interior.k_star < math.inf and 0 < interior.c_star < math.inf):
+            raise ValueError(f"need finite, positive k* and c*, got k* = {interior.k_star:g}, "
+                             f"c* = {interior.c_star:g}")
 
-    def problem(self, c_max: Optional[float] = None) -> ControlProblem:
-        params = {"alpha": self.alpha, "delta": self.delta, "theta": self.theta, "k0": self.k0}
-        if c_max is not None:
-            params["c_max"] = c_max
-        return make_builtin_problem("ramsey", params)
+    def problem(self) -> ControlProblem:
+        return make_builtin_problem("ramsey", {"alpha": self.alpha, "delta": self.delta,
+                                               "theta": self.theta, "k0": self.k0})
 
 
 @dataclass(frozen=True)
@@ -297,7 +302,8 @@ def ramsey_shoot(params: RamseyParams, t_max: float = 2000.0,
             lo = c0
         if history is not None:
             history.append((lo, hi))
-    raise RuntimeError("ramsey_shoot: no bisected orbit reached the steady-state ball")
+    raise RuntimeError("ramsey_shoot: no bisected orbit reached the steady-state ball "
+                       f"by t_max = {t_max:g}")
 
 
 def ramsey_control_from_orbit(orbit: Trajectory, c_tail: Optional[float] = None) -> ControlSignal:
@@ -415,12 +421,11 @@ def oscillator_reference(b: float) -> OscillatorReference:
     return OscillatorReference(b)
 
 
-def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float,
-                           n_quad: int = 4001) -> float:
+def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float) -> float:
     """integral_a^b sin(T - t) (u(t) - 1) dt, split at the control's breakpoints.
 
     Exact on each piece where u is constant; elsewhere the trapezoid rule on
-    ``n_quad`` nodes per piece.
+    4001 nodes per piece.
     """
     if b <= a:
         return 0.0
@@ -433,7 +438,7 @@ def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float,
             # integral of sin(T - t) over [lo, hi] is cos(T - hi) - cos(T - lo)
             total += (float(u[0]) - 1.0) * (math.cos(T - hi) - math.cos(T - lo))
             continue
-        ts = np.linspace(lo, hi, n_quad)
+        ts = np.linspace(lo, hi, 4001)
         # the piece is (lo, hi]: its value at lo is the limit from the right,
         # not the value an override ending at lo holds there
         us = np.array([float(control.evaluate(float(t))[0])

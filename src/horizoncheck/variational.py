@@ -12,8 +12,9 @@ The central objects are
 * backward adjoint integration along a given state path, which reproduces
   the same gradients when started from a zero terminal condition (an
   identity the test-suite checks both ways);
-* tail analysis of grad(tau, T) as the horizon grows: convergence to a limit
-  costate, bounded oscillation, or unbounded growth.
+* tail analysis of grad(tau, T) as the horizon grows, by the tail rule of
+  :mod:`.verdicts` on the horizons of :func:`horizon_grid`: convergence to a
+  limit costate, bounded oscillation, or unbounded growth.
 """
 
 from __future__ import annotations
@@ -32,16 +33,24 @@ from .ode_engine import (
     integrate_controlled,
 )
 from .problem_model import ControlProblem, jacobians
-from .verdicts import ConditionVerdict, Verdict
+from .verdicts import (
+    GROWTH_FACTOR,
+    TAIL_HOLD_TOL,
+    ConditionVerdict,
+    Verdict,
+    tail_status,
+    tail_window,
+)
 
 __all__ = [
     "CostatePath",
     "JxRecord",
-    "TailPolicy",
     "TransitionOperator",
     "accumulate_jx",
     "check_assumption_uniform",
+    "check_jx_bounded",
     "fd_gradient",
+    "horizon_grid",
     "integrate_adjoint",
     "jx_scan",
     "lemma1_residual",
@@ -51,41 +60,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TailPolicy:
-    """How horizon tails are sampled and judged.
-
-    The horizon grid is geometric from tau + 1 to t_max (with tau prepended),
-    and the tail window consists of the grid points in the last
-    ``window_fraction`` of the time range.  A component series counts as
-    converged when its oscillation (max - min) over the window stays below
-    ``tol``; clearly divergent oscillation is called at ``fail_threshold``.
-    Unbounded growth is flagged when the running max grows by more than
-    ``growth_factor`` between t_max/4 and t_max.
-    """
-
-    t_max: float = 200.0
-    n_points: int = 200
-    window_fraction: float = 0.25
-    tol: float = 1e-4
-    fail_threshold: float = 1e-2
-    growth_factor: float = 2.0
-
-    def horizon_grid(self, tau: float) -> np.ndarray:
-        if self.t_max <= tau + 1.0:
-            raise ValueError("TailPolicy.t_max must exceed tau + 1")
-        grid = np.geomspace(tau + 1.0, self.t_max, self.n_points)
-        return np.concatenate([[tau], grid])
-
-    def window_mask(self, t_grid: np.ndarray) -> np.ndarray:
-        first, last = float(t_grid[0]), float(t_grid[-1])
-        threshold = last - self.window_fraction * (last - first)
-        return t_grid >= threshold
-
-
-DEFAULT_TAIL = TailPolicy()
-
 _VARIATIONAL_SETTINGS = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
+# horizons of :func:`horizon_grid` beyond the anchor
+_HORIZON_POINTS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +88,15 @@ def _augmented_pass(problem: ControlProblem, x_anchor, control: ControlSignal,
                     anchor: float, t_end: float,
                     settings: IntegratorSettings) -> Trajectory:
     """One forward pass of (x, Y, S) from (x_anchor, I, 0) at time anchor to
-    t_end."""
+    t_end.  Raises NonExtendibleError when the state leaves the domain
+    before t_end."""
     n = problem.state_dim
     z0 = np.concatenate([x_anchor, np.eye(n).ravel(), np.zeros(n)])
-    return integrate_controlled(_augmented_rhs(problem), control, anchor, z0, t_end,
-                                settings, domain=problem.state_domain.extended(n * n + n))
+    aug = integrate_controlled(_augmented_rhs(problem), control, anchor, z0, t_end,
+                               settings, domain=problem.state_domain.extended(n * n + n))
+    if aug.exit_event is not None:
+        raise NonExtendibleError(aug.exit_event)
+    return aug
 
 
 class TransitionOperator:
@@ -147,8 +128,6 @@ class TransitionOperator:
         Ytau = self.fundamental(tau)
         return np.linalg.solve(Ytau.T, Yt.T).T
 
-    __call__ = evaluate
-
     def gradient(self, tau: float, T) -> np.ndarray:
         """Payoff gradient over [tau, T]: Y(tau)^-* (S(T) - S(tau))."""
         Ytau = self.fundamental(tau)
@@ -157,8 +136,7 @@ class TransitionOperator:
 
 
 def transition_matrix(problem: ControlProblem, control: ControlSignal, t_end: float,
-                      settings: Optional[IntegratorSettings] = None
-                      ) -> TransitionOperator:
+                      settings: IntegratorSettings) -> TransitionOperator:
     """Build the transition operator of the problem under a control.
 
     Integrates the augmented system (x, Y, S) forward once, from the
@@ -168,9 +146,7 @@ def transition_matrix(problem: ControlProblem, control: ControlSignal, t_end: fl
     state leaves the domain before t_end.
     """
     aug = _augmented_pass(problem, problem.initial_state, control, problem.initial_time,
-                          t_end, settings or _VARIATIONAL_SETTINGS)
-    if aug.exit_event is not None:
-        raise NonExtendibleError(aug.exit_event)
+                          t_end, settings)
     return TransitionOperator(aug, problem.state_dim)
 
 
@@ -180,14 +156,11 @@ class JxRecord:
 
     ``values[i]`` is the gradient over [tau, T_grid[i]]; ``bound_running`` is
     the running max of its max-norm, the empirical bound candidate M(tau).
-    ``truncated`` marks a grid cut short by a domain exit of the base
-    trajectory.
     """
 
     tau: float
     T_grid: np.ndarray
     values: np.ndarray
-    truncated: bool = False
 
     def __post_init__(self):
         self.T_grid = np.asarray(self.T_grid, dtype=float)
@@ -208,42 +181,34 @@ class JxRecord:
 
 def accumulate_jx(problem: ControlProblem, trajectory: Trajectory,
                   control: ControlSignal, tau: float, T_grid,
-                  settings: Optional[IntegratorSettings] = None) -> JxRecord:
+                  settings: IntegratorSettings) -> JxRecord:
     """Payoff gradient over [tau, T] for every horizon T on the grid.
 
     One forward pass of the augmented system anchored at tau (propagator from
-    identity at tau plus the running integral).  When the base trajectory
-    exits the domain before the last horizon the grid is truncated and the
-    record flagged.
+    identity at tau plus the running integral).  Raises NonExtendibleError,
+    with the exit event, when the base trajectory leaves the domain before
+    the last horizon.
     """
-    settings = settings or _VARIATIONAL_SETTINGS
     T_grid = np.sort(np.atleast_1d(np.asarray(T_grid, dtype=float)))
     if T_grid[0] < tau - 1e-12:
         raise ValueError("all horizons must satisfy T >= tau")
     if not (trajectory.covers(tau)):
         raise ValueError("anchor time outside the trajectory span")
-    truncated = False
     t_hi = float(T_grid[-1])
     if not trajectory.covers(t_hi):
-        if trajectory.exit_event is None:
-            raise ValueError("horizon grid exceeds the trajectory span")
-        truncated = True
-        t_hi = trajectory.t_end
-        T_grid = np.concatenate([T_grid[T_grid <= t_hi], [t_hi]]) \
-            if np.any(T_grid <= t_hi) else np.array([tau, t_hi])
+        if trajectory.exit_event is not None:
+            raise NonExtendibleError(trajectory.exit_event)
+        raise ValueError("horizon grid exceeds the trajectory span")
 
     n = problem.state_dim
     if t_hi > tau:
         aug = _augmented_pass(problem, trajectory(tau), control, tau, t_hi, settings)
-        if aug.exit_event is not None:
-            truncated = True
-            T_grid = np.concatenate([T_grid[T_grid <= aug.t_end], [aug.t_end]])
         values = aug(T_grid)[:, n * (n + 1):]
     else:
         values = np.zeros((T_grid.size, n))
     # the empty integral is exactly zero
     values[np.isclose(T_grid, tau, rtol=0, atol=1e-15 * max(1.0, abs(tau)))] = 0.0
-    return JxRecord(tau=tau, T_grid=T_grid, values=values, truncated=truncated)
+    return JxRecord(tau=tau, T_grid=T_grid, values=values)
 
 
 def jx_scan(transition: TransitionOperator, tau_grid, T_grid) -> list[JxRecord]:
@@ -276,20 +241,15 @@ class CostatePath:
     def psi(self, t):
         return self.trajectory(t)
 
-    @property
-    def span(self):
-        return self.trajectory.t0, self.trajectory.t_end
-
 
 def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
                       control: ControlSignal, terminal, lam: float,
-                      settings: Optional[IntegratorSettings] = None) -> CostatePath:
+                      settings: IntegratorSettings) -> CostatePath:
     """Integrate -dpsi/dt = f_x(t)* psi + lam * g_x(t) backward from psi(T).
 
     ``terminal`` is the pair (T, psi_T).  The path extends down to the base
     trajectory's initial time.
     """
-    settings = settings or _VARIATIONAL_SETTINGS
     T, psi_T = terminal
     T = float(T)
     psi_T = np.atleast_1d(np.asarray(psi_T, dtype=float))
@@ -326,36 +286,63 @@ def lemma1_residual(costate: CostatePath, jx_by_tau: Sequence[JxRecord], T: floa
 # tail limits
 
 
-def limit_costate(jx: JxRecord, tail: TailPolicy = DEFAULT_TAIL):
+def horizon_grid(tau: float, t_max: float) -> np.ndarray:
+    """Horizons of a tail analysis anchored at tau: tau itself, then 200
+    points geometric from tau + 1 to t_max."""
+    if t_max <= tau + 1.0:
+        raise ValueError("t_max must exceed tau + 1")
+    return np.concatenate([[tau], np.geomspace(tau + 1.0, t_max, _HORIZON_POINTS)])
+
+
+def limit_costate(jx: JxRecord):
     """Tail limit of the payoff gradient as the horizon grows.
 
-    Holds (limit exists) when every component's oscillation over the tail
-    window is below ``tail.tol``; the limit estimate is the window average.
-    Fails on unbounded growth or clear persistent oscillation; inconclusive
-    when the trend is unresolved at the available horizon.
+    The largest component oscillation over the tail window is judged by
+    :func:`tail_status`.  When it holds the limit exists, estimated by the
+    window average; otherwise unbounded growth fails, else its status stands.
     """
-    mask = tail.window_mask(jx.T_grid)
+    mask = tail_window(jx.T_grid)
     if np.count_nonzero(mask) < 3:
-        return None, ConditionVerdict(Verdict.INCONCLUSIVE, [], tail.tol,
+        return None, ConditionVerdict(Verdict.INCONCLUSIVE, [], TAIL_HOLD_TOL,
                                       note="tail window too short")
     window = jx.values[mask]
     osc = float(np.max(np.max(window, axis=0) - np.min(window, axis=0)))
     series = list(zip(jx.T_grid[mask].tolist(),
                       np.max(np.abs(window), axis=1).tolist()))
 
-    growth = _growth_ratio(jx)
-    if osc < tail.tol:
-        psi_hat = window.mean(axis=0)
-        return psi_hat, ConditionVerdict(Verdict.HOLDS, series, tail.tol,
-                                         note=f"tail oscillation {osc:.3g}")
-    if growth > tail.growth_factor:
-        return None, ConditionVerdict(Verdict.FAILS, series, tail.tol,
+    status, growth = tail_status(osc), _growth_ratio(jx)
+    if status is Verdict.HOLDS:
+        return window.mean(axis=0), ConditionVerdict(status, series, TAIL_HOLD_TOL,
+                                                     note=f"tail oscillation {osc:.3g}")
+    if growth > GROWTH_FACTOR:
+        return None, ConditionVerdict(Verdict.FAILS, series, TAIL_HOLD_TOL,
                                       note=f"unbounded: growth x{growth:.3g} per two doublings")
-    if osc >= tail.fail_threshold:
-        return None, ConditionVerdict(Verdict.FAILS, series, tail.tol,
-                                      note=f"bounded, non-convergent: tail oscillation {osc:.3g}")
-    return None, ConditionVerdict(Verdict.INCONCLUSIVE, series, tail.tol,
-                                  note=f"tail oscillation {osc:.3g} unresolved")
+    note = (f"bounded, non-convergent: tail oscillation {osc:.3g}" if status is Verdict.FAILS
+            else f"tail oscillation {osc:.3g} unresolved")
+    return None, ConditionVerdict(status, series, TAIL_HOLD_TOL, note=note)
+
+
+def check_jx_bounded(jx: JxRecord):
+    """Empirical horizon-uniform bound on the payoff gradient.
+
+    Compares the running max across the last two horizon doublings: flat
+    (ratio <= 1.1) holds with the observed max as the bound estimate; growth
+    beyond ``GROWTH_FACTOR`` fails as unbounded; in between is inconclusive.
+    """
+    hold_factor = 1.1
+    ratio = _growth_ratio(jx)
+    m = jx.bound_estimate
+    series = list(zip(jx.T_grid.tolist(), jx.bound_running.tolist()))
+    if ratio > GROWTH_FACTOR:
+        v = ConditionVerdict(Verdict.FAILS, series, GROWTH_FACTOR,
+                             note=f"unbounded: running max grew x{ratio:.3g}")
+    elif ratio <= hold_factor:
+        v = ConditionVerdict(Verdict.HOLDS, series, GROWTH_FACTOR,
+                             note=f"bounded, observed max {m:.6g}")
+    else:
+        v = ConditionVerdict(Verdict.INCONCLUSIVE, series, GROWTH_FACTOR,
+                             note=f"growth ratio {ratio:.3g} unresolved")
+    return v, m
 
 
 def _growth_ratio(jx: JxRecord) -> float:
@@ -408,8 +395,7 @@ def payoff_value(problem: ControlProblem, control: ControlSignal, x_start,
 
 
 def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
-                x_tau, T: float,
-                settings: Optional[IntegratorSettings] = None) -> np.ndarray:
+                x_tau, T: float, settings: IntegratorSettings) -> np.ndarray:
     """Central-difference gradient of the frozen-control payoff over [tau, T]
     with respect to the state at tau; the independent oracle for the
     propagator-based gradient.
@@ -419,7 +405,6 @@ def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
     domain mid-horizon raises the NonExtendibleError of :func:`payoff_value`,
     which carries the exit event.
     """
-    settings = settings or _VARIATIONAL_SETTINGS
     x_tau = np.atleast_1d(np.asarray(x_tau, dtype=float))
     n = problem.state_dim
     grad = np.empty(n)
@@ -443,8 +428,7 @@ def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
 def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
                              trajectory: Trajectory, tau: float,
                              directions: Sequence, alphas: Sequence[float],
-                             T_grid, settings: Optional[IntegratorSettings] = None
-                             ) -> ConditionVerdict:
+                             T_grid, settings: IntegratorSettings) -> ConditionVerdict:
     """Uniform-in-horizon lower bound of the payoff perturbation by its
     linearization.
 
@@ -456,7 +440,6 @@ def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
     error.
     """
     tol = 1e-4
-    settings = settings or _VARIATIONAL_SETTINGS
     T_grid = np.sort(np.atleast_1d(np.asarray(T_grid, dtype=float)))
     alphas = sorted((float(a) for a in alphas), reverse=True)
     jx = accumulate_jx(problem, trajectory, control, tau, T_grid, settings)

@@ -1,14 +1,23 @@
-"""Three-way condition verdicts shared by the checking modules."""
+"""Three-way condition verdicts and the tail rule shared by the checking
+modules."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["ConditionVerdict", "Verdict", "tail_limit_verdict"]
+__all__ = ["ConditionVerdict", "Verdict", "tail_limit_verdict", "tail_status", "tail_window"]
+
+# The tail rule: a limit is judged on the last quarter of the sampled range,
+# where it holds below the hold tolerance and fails from the fail threshold;
+# a running max growing by more than the growth factor is unbounded.
+TAIL_WINDOW_FRACTION = 0.25
+TAIL_HOLD_TOL = 1e-4
+TAIL_FAIL_TOL = 1e-2
+GROWTH_FACTOR = 2.0
 
 
 class Verdict(str, Enum):
@@ -29,30 +38,41 @@ class ConditionVerdict:
     """
 
     status: Verdict
-    diagnostic_series: List[Tuple[float, float]] = field(default_factory=list)
-    tolerance_used: float = 0.0
-    note: str = ""
+    diagnostic_series: List[Tuple[float, float]]
+    tolerance_used: float
+    note: str
 
 
-def tail_limit_verdict(params, values, hold_tol: float = 1e-4,
-                       fail_tol: float = 1e-2, note: str = "") -> ConditionVerdict:
+def tail_window(t_grid: np.ndarray) -> np.ndarray:
+    """Mask of the points of an increasing grid in the last
+    ``TAIL_WINDOW_FRACTION`` of its range."""
+    first, last = float(t_grid[0]), float(t_grid[-1])
+    return t_grid >= last - TAIL_WINDOW_FRACTION * (last - first)
+
+
+def tail_status(spread: float) -> Verdict:
+    """The tail rule on the spread of a series over its tail window: holds
+    below ``TAIL_HOLD_TOL``, fails from ``TAIL_FAIL_TOL``, inconclusive in
+    between or when the spread is NaN."""
+    if spread < TAIL_HOLD_TOL:
+        return Verdict.HOLDS
+    return Verdict.FAILS if spread >= TAIL_FAIL_TOL else Verdict.INCONCLUSIVE
+
+
+def tail_limit_verdict(params, values, note: str) -> ConditionVerdict:
     """Judge whether a sampled scalar series tends to zero.
 
-    Holds when the tail oscillation and |tail mean| both stay below
-    ``hold_tol``; fails when the oscillation reaches ``fail_tol`` or the mean
-    is bounded away from zero by ``fail_tol``; inconclusive in between (slow
-    or unresolved limits are never over-claimed).
+    The spread of :func:`tail_status` is the larger of the tail oscillation
+    and |tail mean|: the series holds when both stay below ``TAIL_HOLD_TOL``
+    and fails when either reaches ``TAIL_FAIL_TOL``; slow or unresolved
+    limits are never over-claimed.  ``note`` names the series.
     """
     values = np.asarray(values, dtype=float)
     params = np.asarray(params, dtype=float)
     osc = float(np.max(values) - np.min(values))
     mean = float(np.mean(values))
     series = list(zip(params.tolist(), values.tolist()))
-    detail = f"tail oscillation {osc:.3g}, tail mean {mean:.3g}"
-    if note:
-        detail = f"{note}; {detail}"
-    if osc < hold_tol and abs(mean) < hold_tol:
-        return ConditionVerdict(Verdict.HOLDS, series, hold_tol, note=detail)
-    if osc >= fail_tol or abs(mean) >= fail_tol:
-        return ConditionVerdict(Verdict.FAILS, series, hold_tol, note=detail)
-    return ConditionVerdict(Verdict.INCONCLUSIVE, series, hold_tol, note=detail)
+    detail = f"{note}; tail oscillation {osc:.3g}, tail mean {mean:.3g}"
+    # abs(mean) first: max keeps it when osc is NaN (an all-infinite tail)
+    return ConditionVerdict(tail_status(max(abs(mean), osc)), series, TAIL_HOLD_TOL,
+                            note=detail)

@@ -13,7 +13,6 @@ import pytest
 from horizoncheck import (
     ControlSignal,
     IntegratorSettings,
-    TailPolicy,
     Verdict,
     accumulate_jx,
     appendix_identity_residual,
@@ -23,6 +22,7 @@ from horizoncheck import (
     dense_horizon_grid,
     empirical_overtaking_test,
     fd_gradient,
+    horizon_grid,
     integrate_adjoint,
     integrator_reference,
     jx_scan,
@@ -141,7 +141,6 @@ def test_criterion_03_classical_condition_table():
 
 
 def test_criterion_04_limit_equivalence_matrix(u_one):
-    tail = TailPolicy(t_max=250.0)
     scenarios = []
     for rho in (0.0, 0.1):
         for a0 in (0.0, 0.7):
@@ -153,15 +152,15 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
         problem = make_builtin_problem(name, params)
         traj = solve_state(problem, u_one, 250.0, STANDARD)
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
-        rec = accumulate_jx(problem, traj, u_one, 0.0, tail.horizon_grid(0.0),
+        rec = accumulate_jx(problem, traj, u_one, 0.0, horizon_grid(0.0, 250.0),
                             STANDARD)
-        _, lc = limit_costate(rec, tail)
+        _, lc = limit_costate(rec)
 
         surrogate = integrate_adjoint(problem, traj, u_one,
                                       (250.0, np.zeros(problem.state_dim)),
                                       1.0, settings=STANDARD)
         from horizoncheck import check_classical
-        kav = check_classical(problem, op, u_one, surrogate, tail)["tcKAV"]
+        kav = check_classical(problem, op, u_one, surrogate)["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), \
             (name, params, extra)
 
@@ -175,8 +174,8 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
             psi_T = ref.costate(extra["r"], extra["phi"], 250.0)
         candidate = integrate_adjoint(problem, traj, u_one, (250.0, psi_T), 1.0,
                                       settings=STANDARD)
-        records = jx_scan(op, [0.0], tail.horizon_grid(0.0)[1:])
-        a0_est, residual, dec = decompose_costate(candidate, op, records, tail)
+        records = jx_scan(op, [0.0], horizon_grid(0.0, 250.0)[1:])
+        a0_est, residual, dec = decompose_costate(candidate, op, records)
         if name == "integrator" and params["rho"] > 0:
             assert dec.status is Verdict.HOLDS
             assert a0_est[0] == pytest.approx(extra["a0"], abs=1e-4)
@@ -352,18 +351,17 @@ def test_criterion_09_overtaking_verdicts(oscillator, u_one):
 
 def test_criterion_10_integrator_limit_values(integrator,
                                               integrator_undiscounted, u_one):
-    tail = TailPolicy(t_max=250.0)
     traj = solve_state(integrator, u_one, 250.0, STANDARD)
-    rec = accumulate_jx(integrator, traj, u_one, 0.0, tail.horizon_grid(0.0),
+    rec = accumulate_jx(integrator, traj, u_one, 0.0, horizon_grid(0.0, 250.0),
                         STANDARD)
-    psi_hat, verdict = limit_costate(rec, tail)
+    psi_hat, verdict = limit_costate(rec)
     assert verdict.status is Verdict.HOLDS
     assert psi_hat[0] == pytest.approx(10.0, abs=1e-4)
 
     traj0 = solve_state(integrator_undiscounted, u_one, 250.0, STANDARD)
     rec0 = accumulate_jx(integrator_undiscounted, traj0, u_one, 0.0,
-                         tail.horizon_grid(0.0), STANDARD)
-    psi0, verdict0 = limit_costate(rec0, tail)
+                         horizon_grid(0.0, 250.0), STANDARD)
+    psi0, verdict0 = limit_costate(rec0)
     assert psi0 is None and verdict0.status is Verdict.FAILS
     assert "unbounded" in verdict0.note
     bounded_verdict, _ = check_jx_bounded(rec0)

@@ -21,9 +21,25 @@ def _rows(report):
 
 def test_list_examples(capsys):
     assert main(["list-examples"]) == 0
-    out = capsys.readouterr().out
-    for name in ("ramsey", "integrator", "oscillator"):
-        assert name in out
+    # --c-max bounds the phase-diagram axis; it is no parameter of the model
+    assert capsys.readouterr().out.splitlines() == [
+        "ramsey: parameters alpha delta theta k0",
+        "integrator: parameters rho [a0] [lambda]",
+        "oscillator: parameters b [r] [phi]",
+    ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--example", "integrator", "--b", "3", "--r", "7"],
+     "takes rho, a0, lambda, not b, r"),
+    (["needle", "--example", "oscillator", "--a0", "4"], "takes b, r, phi, not a0"),
+    (["overtake", "--example", "ramsey", "--rho", "0.1"], "not rho"),
+])
+def test_parameters_the_example_does_not_take_are_rejected(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("horizoncheck: error:")
+    assert message in err
 
 
 def test_bad_example_is_operational_failure(capsys, tmp_path):
@@ -142,6 +158,30 @@ def test_nonfinite_run_settings_are_rejected(flag, value, capsys):
     key = flag[2:].replace("-", "_")
     with pytest.raises(ValueError):
         RunConfig(example="ramsey", **{key: float(value)})
+
+
+@pytest.mark.parametrize("example, flag, value, message", [
+    ("ramsey", "--delta", "inf", "delta must be finite"),
+    ("ramsey", "--k0", "inf", "k0 must be finite"),
+    ("ramsey", "--theta", "inf", "theta must be finite"),
+    ("integrator", "--rho", "inf", "rho must be finite"),
+    ("oscillator", "--b", "inf", "b must be finite"),
+    ("oscillator", "--phi", "nan", "phi must be finite"),
+    # k* = (delta/alpha)**(1/(alpha-1)) underflows to 0
+    ("ramsey", "--delta", "1e300", "need finite, positive k* and c*"),
+    ("ramsey", "--delta", "1e-300", "steady state overflows"),
+])
+def test_bad_example_parameters_are_rejected(example, flag, value, message, capsys):
+    assert main(["check", "--example", example, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("horizoncheck: error:")
+    assert message in err
+
+
+def test_ramsey_shooting_error_names_a_short_horizon(capsys):
+    # the FIG1 saddle orbit needs about 150 time units to reach the ball
+    assert main(["check", "--example", "ramsey", "--t-max", "100"]) == 1
+    assert "steady-state ball by t_max = 100" in capsys.readouterr().err
 
 
 def test_phase_diagram_requires_ramsey():

@@ -5,7 +5,6 @@ import pytest
 
 from horizoncheck import (
     ControlSignal,
-    TailPolicy,
     Verdict,
     accumulate_jx,
     check_classical,
@@ -16,6 +15,7 @@ from horizoncheck import (
     decompose_costate,
     dense_horizon_grid,
     hamiltonian_jumps,
+    horizon_grid,
     integrate_adjoint,
     integrator_reference,
     jx_scan,
@@ -24,6 +24,7 @@ from horizoncheck import (
     solve_state,
     transition_matrix,
 )
+from horizoncheck.verdicts import tail_limit_verdict, tail_status
 
 from conftest import STANDARD, TIGHT
 
@@ -96,11 +97,10 @@ def test_check_general_refinement_stability(oscillator, osc_op_400, u_one):
 
 def test_check_jx_bounded_three_regimes(oscillator, integrator,
                                         integrator_undiscounted, u_one):
-    tail = TailPolicy(t_max=250.0)
     outcomes = []
     for problem in (oscillator, integrator, integrator_undiscounted):
         traj = solve_state(problem, u_one, 250.0, STANDARD)
-        rec = accumulate_jx(problem, traj, u_one, 0.0, tail.horizon_grid(0.0),
+        rec = accumulate_jx(problem, traj, u_one, 0.0, horizon_grid(0.0, 250.0),
                             STANDARD)
         verdict, m = check_jx_bounded(rec)
         outcomes.append((verdict.status, m))
@@ -123,14 +123,13 @@ def _oscillator_battery(b, t_max, settings=STANDARD):
 
 def test_classical_conditions_oscillator_battery():
     t_max = 400.0
-    tail = TailPolicy(t_max=t_max)
     problem, ref, u_one, traj, op = _oscillator_battery(0.5, t_max)
     table = {}
     for r, phi in [(0.0, 0.0), (0.25, 0.7), (0.5, -math.pi / 2)]:
         costate = integrate_adjoint(problem, traj, u_one,
                                     (t_max, ref.costate(r, phi, t_max)), 1.0,
                                     settings=STANDARD)
-        table[(r, phi)] = check_classical(problem, op, u_one, costate, tail)
+        table[(r, phi)] = check_classical(problem, op, u_one, costate)
     for key, verdicts in table.items():
         assert verdicts["tcPSI"].status is Verdict.FAILS
         assert verdicts["tcXPSI"].status is Verdict.FAILS
@@ -141,12 +140,11 @@ def test_classical_conditions_oscillator_battery():
 
 def test_classical_xpsi_branch_needs_b_at_least_one():
     t_max = 400.0
-    tail = TailPolicy(t_max=t_max)
     problem, ref, u_one, traj, op = _oscillator_battery(1.5, t_max)
     costate = integrate_adjoint(problem, traj, u_one,
                                 (t_max, ref.costate(1.0, 0.0, t_max)), 1.0,
                                 settings=STANDARD)
-    verdicts = check_classical(problem, op, u_one, costate, tail)
+    verdicts = check_classical(problem, op, u_one, costate)
     assert verdicts["tcXPSI"].status is Verdict.HOLDS
     assert verdicts["tcPSI"].status is Verdict.FAILS
     assert verdicts["tcKAV"].status is Verdict.FAILS
@@ -155,15 +153,28 @@ def test_classical_xpsi_branch_needs_b_at_least_one():
         oscillator_reference(0.5).costate(1.0, 0.0, 0.0)
 
 
+def test_tail_rule_thresholds():
+    assert [tail_status(s) for s in (0.0, 9.9e-5, 1e-4, 9.9e-3, 1e-2, math.inf, math.nan)] == [
+        Verdict.HOLDS, Verdict.HOLDS, Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE,
+        Verdict.FAILS, Verdict.FAILS, Verdict.INCONCLUSIVE]
+    times = [1.0, 2.0, 3.0]
+    # a limit of zero needs both a flat tail and a small mean
+    assert tail_limit_verdict(times, [5e-5] * 3, "flat").status is Verdict.HOLDS
+    assert tail_limit_verdict(times, [0.5] * 3, "offset").status is Verdict.FAILS
+    assert tail_limit_verdict(times, [0.0, 1e-3, 0.0], "wobble").status is Verdict.INCONCLUSIVE
+    # an all-infinite tail has a NaN oscillation but fails on its mean
+    with np.errstate(invalid="ignore"):
+        assert tail_limit_verdict(times, [math.inf] * 3, "blow-up").status is Verdict.FAILS
+
+
 def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,
                                          integrator_undiscounted, u_one):
     t_max = 400.0
-    tail = TailPolicy(t_max=t_max)
     ref = integrator_reference(0.1, 0.0, 1.0)
     costate = integrate_adjoint(integrator, int_traj_400, u_one,
                                 (t_max, [float(ref.psi(t_max))]), 1.0,
                                 settings=STANDARD)
-    verdicts = check_classical(integrator, int_op_400, u_one, costate, tail)
+    verdicts = check_classical(integrator, int_op_400, u_one, costate)
     assert all(v.status is Verdict.HOLDS for v in verdicts.values())
 
     traj0 = solve_state(integrator_undiscounted, u_one, t_max, STANDARD)
@@ -171,8 +182,7 @@ def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,
                             settings=STANDARD)
     abnormal = integrate_adjoint(integrator_undiscounted, traj0, u_one,
                                  (t_max, [1.0]), 0.0, settings=STANDARD)
-    verdicts0 = check_classical(integrator_undiscounted, op0, u_one, abnormal,
-                                tail)
+    verdicts0 = check_classical(integrator_undiscounted, op0, u_one, abnormal)
     assert all(v.status is Verdict.FAILS for v in verdicts0.values())
 
 
@@ -200,19 +210,18 @@ def test_max_principle_cases(integrator, int_traj_400, integrator_undiscounted,
 
 
 def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_one):
-    tail = TailPolicy(t_max=400.0)
-    records = jx_scan(int_op_400, [0.0, 5.0], tail.horizon_grid(0.0)[1:])
+    records = jx_scan(int_op_400, [0.0, 5.0], horizon_grid(0.0, 400.0)[1:])
     ref = integrator_reference(0.1, 0.7, 1.0)
     cp = integrate_adjoint(integrator, int_traj_400, u_one,
                            (400.0, [float(ref.psi(400.0))]), 1.0, settings=STANDARD)
-    a0, residual, verdict = decompose_costate(cp, int_op_400, records, tail)
+    a0, residual, verdict = decompose_costate(cp, int_op_400, records)
     assert verdict.status is Verdict.HOLDS
     assert a0[0] == pytest.approx(0.7, abs=1e-6)
     assert residual <= 1e-4
 
     homon = integrate_adjoint(integrator, int_traj_400, u_one, (400.0, [0.7]),
                               0.0, settings=STANDARD)
-    a0h, resh, verdicth = decompose_costate(homon, int_op_400, records, tail)
+    a0h, resh, verdicth = decompose_costate(homon, int_op_400, records)
     assert verdicth.status is Verdict.HOLDS
     assert a0h[0] == pytest.approx(0.7, abs=1e-9)
     assert resh <= 1e-6
@@ -220,14 +229,13 @@ def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_on
 
 def test_decompose_costate_oscillator_never_settles(oscillator, osc_traj_400,
                                                     osc_op_400, u_one):
-    tail = TailPolicy(t_max=400.0)
     ref = oscillator_reference(0.5)
-    records = jx_scan(osc_op_400, [0.0], tail.horizon_grid(0.0)[1:])
+    records = jx_scan(osc_op_400, [0.0], horizon_grid(0.0, 400.0)[1:])
     for r in (0.0, 0.3):
         cp = integrate_adjoint(oscillator, osc_traj_400, u_one,
                                (400.0, ref.costate(r, 0.0, 400.0)), 1.0,
                                settings=STANDARD)
-        a0, residual, verdict = decompose_costate(cp, osc_op_400, records, tail)
+        a0, residual, verdict = decompose_costate(cp, osc_op_400, records)
         assert a0 is None
         assert verdict.status is Verdict.FAILS
 
@@ -236,16 +244,15 @@ def test_corollary_equivalence_limit_vs_kav(integrator, integrator_undiscounted,
                                             oscillator, u_one):
     # the limit costate exists iff the homogeneous-part condition holds for
     # the zero-terminal adjoint surrogate, across all scenarios
-    tail = TailPolicy(t_max=250.0)
     for problem in (integrator, integrator_undiscounted, oscillator):
         traj = solve_state(problem, u_one, 250.0, STANDARD)
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
-        rec = accumulate_jx(problem, traj, u_one, 0.0, tail.horizon_grid(0.0),
+        rec = accumulate_jx(problem, traj, u_one, 0.0, horizon_grid(0.0, 250.0),
                             STANDARD)
-        _, lc = limit_costate(rec, tail)
+        _, lc = limit_costate(rec)
         surrogate = integrate_adjoint(problem, traj, u_one, (250.0, np.zeros(problem.state_dim)),
                                       1.0, settings=STANDARD)
-        kav = check_classical(problem, op, u_one, surrogate, tail)["tcKAV"]
+        kav = check_classical(problem, op, u_one, surrogate)["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), problem.name
 
 

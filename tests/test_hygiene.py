@@ -294,21 +294,58 @@ ROOT = PACKAGE.parent.parent
 CALLER_SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
-def _defaulted_parameters(fn) -> list:
+def _defaulted_parameters(fn, shift: int = 0) -> list:
     """(parameter, position or None) of every parameter of ``fn`` with a
-    default; keyword-only parameters have no position."""
+    default; keyword-only parameters have no position.  ``shift`` is the
+    number of leading parameters a call does not pass, 1 for ``self``."""
     positional = [*fn.args.posonlyargs, *fn.args.args]
     first = len(positional) - len(fn.args.defaults)
-    found = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    found = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
     return found + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                     if d is not None]
 
 
-def _passed_arguments(trees) -> dict:
-    """Called name -> (largest number of positional arguments, keywords) over
-    every call in ``trees``; a call with ``*args`` or ``**kwargs`` passes
-    every parameter and counts as infinitely many positionals."""
-    passed = {}
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _defaulted_fields(cls: ast.ClassDef) -> list:
+    """(field, position) of every field of a dataclass with a default."""
+    fields = [s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return [(s.target.id, i) for i, s in enumerate(fields) if s.value is not None]
+
+
+def _defaulted_options(tree: ast.Module) -> list:
+    """(called name, qualified name, defaulted, is_dataclass) for every
+    function, method and dataclass of a module: ``defaulted`` lists the
+    (parameter, position) pairs of :func:`_defaulted_parameters`.  A method's
+    positions count from the parameter after ``self`` or ``cls``; ``__init__``
+    and a dataclass are called by their class name."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            found.append((node.name, node.name, _defaulted_parameters(node), False))
+        elif isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                found.append((node.name, node.name, _defaulted_fields(node), True))
+            for item in node.body:
+                if not isinstance(item, FUNCTIONS):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                called = node.name if item.name == "__init__" else item.name
+                found.append((called, f"{node.name}.{item.name}",
+                               _defaulted_parameters(item, 0 if static else 1), False))
+    return found
+
+
+def _calls(trees) -> dict:
+    """Called name -> [(number of positional arguments, keywords)] for every
+    call in ``trees``, bare or as an attribute; a call with ``*args`` or
+    ``**kwargs`` passes every parameter and counts as infinitely many
+    positionals."""
+    calls = {}
     for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -317,70 +354,121 @@ def _passed_arguments(trees) -> dict:
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name is None:
                 continue
-            n_pos, keywords = passed.get(name, (0, set()))
             starred = (any(isinstance(a, ast.Starred) for a in node.args)
                        or any(k.arg is None for k in node.keywords))
-            n_pos = max(n_pos, float("inf") if starred else len(node.args))
-            passed[name] = (n_pos, keywords | {k.arg for k in node.keywords})
-    return passed
+            n_pos = float("inf") if starred else len(node.args)
+            calls.setdefault(name, []).append((n_pos, {k.arg for k in node.keywords}))
+    return calls
+
+
+def _option_use(modules: dict, callers: dict):
+    """(module, qualified name, parameter, calls passing it, all calls,
+    replaced) for every defaulted parameter and dataclass field of
+    ``modules``, over the calls in ``callers``.  ``replaced`` marks a field
+    that a ``dataclasses.replace`` keyword sets: that sets it, but is no
+    construction."""
+    calls = _calls(ast.parse(text) for text in callers.values())
+    replaced = set().union(*(keywords for _, keywords in calls.get("replace", [])))
+    for module, text in modules.items():
+        for called, qualified, defaulted, is_dataclass in _defaulted_options(ast.parse(text)):
+            made = calls.get(called, [])
+            for name, position in defaulted:
+                passing = sum(n_pos == float("inf") or name in keywords
+                              or (position is not None and position < n_pos)
+                              for n_pos, keywords in made)
+                yield (module, qualified, name, passing, len(made),
+                       is_dataclass and name in replaced)
 
 
 def never_set_parameters(modules: dict, callers: dict) -> list:
     """(module, function, parameter) of every defaulted parameter of a
-    module-level function named in its module's ``__all__`` that no call in
-    ``callers`` passes, by keyword or by position.  Calls are matched by the
-    called name, bare or as an attribute."""
-    passed = _passed_arguments(ast.parse(text) for text in callers.values())
-    found = []
-    for module, text in modules.items():
-        tree = ast.parse(text)
-        exported = _exported(tree)
-        for fn in tree.body:
-            if not isinstance(fn, FUNCTIONS) or fn.name not in exported:
-                continue
-            n_pos, keywords = passed.get(fn.name, (0, set()))
-            if n_pos == float("inf"):
-                continue
-            found += [(module, fn.name, name) for name, position in _defaulted_parameters(fn)
-                      if name not in keywords and (position is None or position >= n_pos)]
-    return sorted(found)
+    function or method, and every defaulted field of a dataclass, that no
+    call in ``callers`` passes, by keyword or by position.  Calls are
+    matched by the called name, bare or as an attribute, and constructions
+    by the class name."""
+    return sorted((module, qualified, name)
+                  for module, qualified, name, passing, _, replaced
+                  in _option_use(modules, callers) if not (passing or replaced))
+
+
+def always_set_parameters(modules: dict, callers: dict) -> list:
+    """(module, function, parameter) of every defaulted parameter or field,
+    matched as in :func:`never_set_parameters`, that every one of at least
+    one call passes: its default is never used."""
+    return sorted((module, qualified, name)
+                  for module, qualified, name, passing, total, _
+                  in _option_use(modules, callers) if total and passing == total)
+
+
+def _option_audit_inputs():
+    return ({p.name: p.read_text() for p in MODULES},
+            {str(p): p.read_text() for p in CALLER_SOURCES})
 
 
 def test_package_sets_every_defaulted_parameter():
-    modules = {p.name: p.read_text() for p in MODULES}
-    callers = {str(p): p.read_text() for p in CALLER_SOURCES}
-    assert never_set_parameters(modules, callers) == []
+    assert never_set_parameters(*_option_audit_inputs()) == []
+
+
+def test_package_uses_every_default():
+    assert always_set_parameters(*_option_audit_inputs()) == []
+
+
+AUDITED_MODULE = (
+    "from dataclasses import dataclass\n"
+    "__all__ = ['solve', 'scan', 'spread', 'fit']\n"
+    "def solve(f, y0, tol=1e-6, steps=10, *, log=None, strict=False):\n"
+    "    return f\n"
+    "def scan(x, width=2):\n"
+    "    return x\n"
+    "def spread(x, scale=1.0, *, shift=0.0):\n"
+    "    return x\n"
+    "def fit(x, *, rate=0.1):\n"
+    "    return x\n"
+    "def _hidden(x, unused=3):\n"
+    "    return x\n"
+    "class Model:\n"
+    "    def __init__(self, size, bias=0.0):\n"
+    "        self.size = size\n"
+    "    def predict(self, x, rate=0.1, clip=None):\n"
+    "        return x\n"
+    "    @staticmethod\n"
+    "    def blank(n, fill=0.0):\n"
+    "        return n\n"
+    "@dataclass(frozen=True)\n"
+    "class Settings:\n"
+    "    tol: float\n"
+    "    steps: int = 10\n"
+    "    name: str = 'run'\n"
+    "    log: bool = False\n"
+)
+AUDIT_CALLERS = {
+    "b.py": (
+        "import dataclasses\n"
+        "import a\n"
+        "a.solve(print, 0.0, 1e-8, strict=True)\n"
+        "def run(args, options, model):\n"
+        "    a.spread(*args)\n"
+        "    a.fit(1.0, **options)\n"
+        "    model.predict(2.0, 0.5)\n"
+        "    model.predict(3.0, clip=1.0)\n"
+        "    a.Model.blank(3, 1.0)\n"
+        "    s = a.Settings(1e-6, 20)\n"
+        "    a.Settings(tol=1e-8, steps=5)\n"
+        "    dataclasses.replace(s, log=True)\n"
+        "    return scan(1.0), a.Model(4)\n"
+    ),
+}
 
 
 def test_never_set_parameter_detector():
-    modules = {
-        "a.py": (
-            "__all__ = ['solve', 'scan', 'spread', 'fit']\n"
-            "def solve(f, y0, tol=1e-6, steps=10, *, log=None, strict=False):\n"
-            "    return f\n"
-            "def scan(x, width=2):\n"
-            "    return x\n"
-            "def spread(x, scale=1.0, *, shift=0.0):\n"
-            "    return x\n"
-            "def fit(x, *, rate=0.1):\n"
-            "    return x\n"
-            "def _hidden(x, unused=3):\n"
-            "    return x\n"
-            "class Model:\n"
-            "    def predict(self, x, rate=0.1):\n"
-            "        return x\n"
-        ),
-    }
-    callers = {
-        "b.py": (
-            "import a\n"
-            "a.solve(print, 0.0, 1e-8, strict=True)\n"
-            "def run(args, options):\n"
-            "    a.spread(*args)\n"
-            "    a.fit(1.0, **options)\n"
-            "    return scan(1.0)\n"
-        ),
-    }
-    assert never_set_parameters(modules, callers) == [("a.py", "scan", "width"),
-                                                      ("a.py", "solve", "log"),
-                                                      ("a.py", "solve", "steps")]
+    assert never_set_parameters({"a.py": AUDITED_MODULE}, AUDIT_CALLERS) == [
+        ("a.py", "Model.__init__", "bias"), ("a.py", "Settings", "name"),
+        ("a.py", "_hidden", "unused"), ("a.py", "scan", "width"),
+        ("a.py", "solve", "log"), ("a.py", "solve", "steps")]
+
+
+def test_always_set_parameter_detector():
+    assert always_set_parameters({"a.py": AUDITED_MODULE}, AUDIT_CALLERS) == [
+        ("a.py", "Model.blank", "fill"), ("a.py", "Settings", "steps"),
+        ("a.py", "fit", "rate"), ("a.py", "solve", "strict"), ("a.py", "solve", "tol"),
+        ("a.py", "spread", "scale"), ("a.py", "spread", "shift")]

@@ -7,6 +7,7 @@ from horizoncheck import (
     ControlSignal,
     IntegratorSettings,
     NonExtendibleError,
+    accumulate_jx,
     appendix_identity_residual,
     empirical_overtaking_test,
     needle_limit_check,
@@ -15,6 +16,7 @@ from horizoncheck import (
     overtaking,
     payoff_path,
     payoff_value,
+    solve_state,
 )
 from horizoncheck.cli import RunConfig, build_overtake_report
 from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
@@ -41,6 +43,19 @@ def test_finite_horizon_non_extendible(ramsey_params):
     with pytest.raises(NonExtendibleError) as err:
         value(problem, ControlSignal.constant([4.0]), 500.0)
     assert err.value.event.time < 500.0
+
+
+def test_base_path_leaving_the_domain_is_not_extendible(ramsey_params):
+    # consuming 4 from k0 = 10 runs the capital down to 0 near t = 4.17; the
+    # gradients and the needle check must say so, not work on a cut grid
+    problem = ramsey_params.problem()
+    base = ControlSignal.constant([4.0])
+    traj = solve_state(problem, base, 200.0, TIGHT)
+    with pytest.raises(NonExtendibleError, match="reached lower bound 0") as err:
+        accumulate_jx(problem, traj, base, 1.0, [1.0, 100.0, 200.0], TIGHT)
+    assert err.value.event.time == pytest.approx(4.17, abs=0.01)
+    with pytest.raises(NonExtendibleError, match="not extendible past t=4.1"):
+        needle_limit_check(problem, base, 1.0, [2.0], 200.0, [0.1, 0.01], TIGHT)
 
 
 def test_needle_gap_closed_form(integrator_undiscounted, u_one):

@@ -187,11 +187,6 @@ def test_control_set_grids():
     assert grid.shape == (25, 2)
     for vertex in ([-1, 0], [-1, 2], [1, 0], [1, 2]):
         assert np.any(np.all(grid == vertex, axis=1))
-
-    fin = ControlSet.finite([[0.0], [0.5], [1.0]])
-    assert np.array_equal(fin.sample_grid(99), [[0.0], [0.5], [1.0]])
-    with pytest.raises(ValueError):
-        ControlSet.finite(np.empty((0, 1)))
     with pytest.raises(ValueError):
         ControlSet.box([1.0], [0.0])
 

@@ -11,10 +11,10 @@ from horizoncheck import (
     ControlSignal,
     IntegrationError,
     IntegratorSettings,
-    TailPolicy,
     accumulate_jx,
     check_assumption_uniform,
     fd_gradient,
+    horizon_grid,
     integrate_adjoint,
     integrator_reference,
     jx_scan,
@@ -204,24 +204,23 @@ def test_fd_gradient_trivial_and_oracle_values(oscillator, osc_traj_30, u_one,
 
 def test_limit_costate_three_regimes(integrator, integrator_undiscounted,
                                      oscillator, u_one):
-    tail = TailPolicy(t_max=250.0)
     traj = solve_state(integrator, u_one, 250.0, STANDARD)
-    rec = accumulate_jx(integrator, traj, u_one, 0.0, tail.horizon_grid(0.0), STANDARD)
-    psi_hat, verdict = limit_costate(rec, tail)
+    rec = accumulate_jx(integrator, traj, u_one, 0.0, horizon_grid(0.0, 250.0), STANDARD)
+    psi_hat, verdict = limit_costate(rec)
     assert verdict.status is Verdict.HOLDS
     assert psi_hat[0] == pytest.approx(10.0, abs=1e-4)
 
     traj0 = solve_state(integrator_undiscounted, u_one, 250.0, STANDARD)
     rec0 = accumulate_jx(integrator_undiscounted, traj0, u_one, 0.0,
-                         tail.horizon_grid(0.0), STANDARD)
-    psi0, verdict0 = limit_costate(rec0, tail)
+                         horizon_grid(0.0, 250.0), STANDARD)
+    psi0, verdict0 = limit_costate(rec0)
     assert psi0 is None and verdict0.status is Verdict.FAILS
     assert "unbounded" in verdict0.note
 
     traj_o = solve_state(oscillator, u_one, 250.0, STANDARD)
     rec_o = accumulate_jx(oscillator, traj_o, u_one, 0.0,
-                          tail.horizon_grid(0.0), STANDARD)
-    psi_o, verdict_o = limit_costate(rec_o, tail)
+                          horizon_grid(0.0, 250.0), STANDARD)
+    psi_o, verdict_o = limit_costate(rec_o)
     assert psi_o is None and verdict_o.status is Verdict.FAILS
     assert "non-convergent" in verdict_o.note
 
