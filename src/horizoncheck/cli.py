@@ -370,8 +370,8 @@ def build_overtake_report(config: RunConfig) -> ReportData:
         challengers = []
         for dc in (0.5, -0.5):
             c0 = c0_saddle + dc
-            orbit_ctrl = _ramsey_challenger_control(params, c0, t_max)
-            challengers.append((f"euler(c0={c0:.6g})", orbit_ctrl))
+            orbit = ramsey_euler_orbit(params, params.k0, c0, t_max)
+            challengers.append((f"euler(c0={c0:.6g})", ramsey_control_from_orbit(orbit)))
 
     sample_spacing = 0.02 if config.example != "ramsey" else 0.25
     candidate_path = payoff_path(problem, candidate, t_max)
@@ -385,11 +385,6 @@ def build_overtake_report(config: RunConfig) -> ReportData:
     return ReportData("overtake_report_v1",
                       ["challenger", "verdict", "max_gap", "argmax_T", "evidence"],
                       rows)
-
-
-def _ramsey_challenger_control(params: RamseyParams, c0: float, t_max: float):
-    orbit = ramsey_euler_orbit(params, params.k0, c0, t_max)
-    return ramsey_control_from_orbit(orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +431,33 @@ _BUILDERS = {
 }
 
 
+# the flags that only one command reads, with that command
+_COMMAND_FLAGS = {**dict.fromkeys(("a0", "lambda", "r", "phi"), "check"),
+                  **dict.fromkeys(("k-max", "c-max", "grid"), "phase-diagram")}
+
+
 def _add_common(parser):
     parser.add_argument("--example", required=True, choices=EXAMPLES)
     parser.add_argument("--t-max", type=float, default=None)
-    parser.add_argument("--grid", type=str, default="100x100",
-                        help="grid size as NKxNC (phase diagram)")
+    parser.add_argument("--grid", type=str, default=None,
+                        help="grid size as NKxNC (phase diagram, default 100x100)")
     parser.add_argument("--eps", type=float, default=1e-6)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    for name in ("alpha", "delta", "theta", "k0", "c-max", "b", "rho", "a0",
-                 "r", "phi", "k-max"):
+    for name in (*(key for table in _EXAMPLE_PARAMS.values() for key in table), "k-max", "c-max"):
         parser.add_argument(f"--{name}", type=float, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
 
 
 def _config_from_args(args) -> RunConfig:
-    params = {}
-    for key in ("alpha", "delta", "theta", "k0", "b", "rho", "a0", "r", "phi"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if args.lam is not None:
-        params["lambda"] = args.lam
+    params = {key: value for table in _EXAMPLE_PARAMS.values() for key in table
+              if (value := getattr(args, key)) is not None}
     try:
-        nk, nc = (int(part) for part in args.grid.lower().split("x"))
+        nk, nc = (int(part) for part in (args.grid or "100x100").lower().split("x"))
     except ValueError as exc:
         raise ValueError(f"bad --grid {args.grid!r}, expected e.g. 100x100") from exc
     return RunConfig(example=args.example, params=params, t_max=args.t_max,
                      grid=(nk, nc), out=args.out, fmt=args.fmt,
-                     eps=args.eps, k_max=getattr(args, "k_max", None),
-                     c_max=getattr(args, "c_max", None))
+                     eps=args.eps, k_max=args.k_max, c_max=args.c_max)
 
 
 def main(argv=None) -> int:
@@ -498,6 +490,9 @@ def main(argv=None) -> int:
 
     try:
         config = _config_from_args(args)
+        for flag, command in _COMMAND_FLAGS.items():
+            if getattr(args, flag.replace("-", "_")) is not None and args.command != command:
+                raise ValueError(f"{args.command} does not read --{flag}; only {command} does")
         _emit(_BUILDERS[args.command](config, args), config)
     except (ValueError, IntegrationError, RuntimeError) as exc:
         print(f"horizoncheck: error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ode_engine import ControlSignal, Trajectory
+from .ode_engine import ControlSignal, Trajectory, _hermite_floats
 from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
 from .variational import CostatePath, JxRecord, TransitionOperator, limit_costate
 from .verdicts import (
@@ -300,8 +300,7 @@ def check_gmax(problem: ControlProblem, feasible_pairs: Sequence, time_grid) -> 
     for i, (traj_i, ctrl_i) in enumerate(pairs):
         worst = -math.inf
         series = []
-        for t in time_grid:
-            t = float(t)
+        for t in time_grid.tolist():
             x_i = traj_i(t)
             u_i = ctrl_i.evaluate(t)
             g_i = float(problem.payoff(x_i, u_i, t))
@@ -341,19 +340,21 @@ def _state_crossings(traj: Trajectory, x_target):
     target = float(np.atleast_1d(x_target)[0])
     vals = traj.states[:, 0] - target
     hits = []
-    grid = traj.time_grid
+    grid = traj.time_grid.tolist()
     sign_change = np.where(vals[:-1] * vals[1:] <= 0)[0]
-    for idx in sign_change:
+    for idx in sign_change.tolist():
         if len(hits) >= 8:
             break
         a, b = grid[idx], grid[idx + 1]
         if b <= a:
             continue
-        fa = vals[idx]
+        # bisect the step's Hermite cubic on floats, as traj(t) evaluates it
+        ends = (*traj.states[idx:idx + 2].tolist(), *traj.derivs[idx:idx + 2].tolist())
+        fa = ends[0][0] - target
         lo, hi = a, b
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            fm = float(traj(mid)[0]) - target
+            fm = _hermite_floats((mid - a) / (b - a), b - a, *ends)[0] - target
             if fa * fm <= 0:
                 hi = mid
             else:

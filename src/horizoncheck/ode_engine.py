@@ -203,9 +203,8 @@ class Trajectory:
                                 self.states[idx + 1], self.derivs[idx + 1], s)
 
     def _at(self, t: float) -> np.ndarray:
-        """Scalar evaluation: the expression of :func:`_hermite_on_step`
-        component by component on Python floats, which round as the array
-        operations of the vector path do, so both paths agree bit for bit."""
+        """Scalar evaluation by :func:`_hermite_floats`, which agrees with the
+        vector path bit for bit."""
         grid = self._grid
         _check_span(t, t, grid[0], grid[-1])
         t = min(max(t, grid[0]), grid[-1])
@@ -213,14 +212,8 @@ class Trajectory:
         ta = grid[i]
         h = grid[i + 1] - ta
         s = (t - ta) / h if h > 0 else 0.0
-        s2 = s * s
-        s3 = s2 * s
-        c0, c1 = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h
-        c2, c3 = -2 * s3 + 3 * s2, (s3 - s2) * h
-        return np.array([c0 * y + c1 * f0 + c2 * y_new + c3 * f_new
-                         for y, f0, y_new, f_new in zip(
-                             self.states[i].tolist(), self.derivs[i].tolist(),
-                             self.states[i + 1].tolist(), self.derivs[i + 1].tolist())])
+        return np.array(_hermite_floats(s, h, self.states[i].tolist(), self.states[i + 1].tolist(),
+                                        self.derivs[i].tolist(), self.derivs[i + 1].tolist()))
 
     def derivative(self, t):
         """Hermite-interpolant time derivative (used for residual checks)."""
@@ -255,6 +248,17 @@ def _hermite_on_step(y, f0, h, y_new, f_new, theta):
     s3 = s2 * s
     return ((2 * s3 - 3 * s2 + 1) * y + (s3 - 2 * s2 + s) * h * f0
             + (-2 * s3 + 3 * s2) * y_new + (s3 - s2) * h * f_new)
+
+
+def _hermite_floats(s, h, y, y_new, f0, f_new) -> list:
+    """:func:`_hermite_on_step` on Python floats, for float lists of the end
+    states y, y_new and slopes f0, f_new: it rounds as the array expression
+    does, bit for bit."""
+    s2 = s * s
+    s3 = s2 * s
+    c0, c1 = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h
+    c2, c3 = -2 * s3 + 3 * s2, (s3 - s2) * h
+    return [c0 * a + c1 * b + c2 * c + c3 * d for a, b, c, d in zip(y, f0, y_new, f_new)]
 
 
 def _hermite_slope_on_step(y, f0, h, y_new, f_new, theta):
@@ -303,6 +307,12 @@ def _with_faces(domain: Optional[Box]) -> Optional[Box]:
     if domain is None or np.isfinite(domain.lower).any() or np.isfinite(domain.upper).any():
         return domain
     return None
+
+
+def _inside(v: list, faces: list) -> bool:
+    """:meth:`Box.contains` of one state on floats: each component strictly
+    between its (lower, upper) pair of ``faces``, so NaN is never inside."""
+    return all(lo < x < hi for x, (lo, hi) in zip(v, faces))
 
 
 def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
@@ -367,7 +377,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
     if (label := _first_label(stops, t0, y0)) is not None:
         return Trajectory([t0], [y0], [f0], exit_event=ExitEvent(t0, y0.copy(), label))
     domain = _with_faces(domain)
-
+    faces = None if domain is None else list(zip(domain.lower.tolist(), domain.upper.tolist()))
     h = float(_initial_step(y0, f0, settings, span))
 
     ts, ys, fs = [t0], [y0.copy()], [f0.copy()]
@@ -430,7 +440,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
             break
 
         t_new = t + h
-        outside = domain is not None and not domain.contains(y_new)
+        outside = faces is not None and not _inside(y_new.tolist(), faces)
         if outside or (stops and any(pred(t_new, y_new) for _, pred in stops)):
             exit_event, theta = _sweep_exit(t, y, fy, h, y_new, f_new,
                                             domain if outside else None, stops, h_floor)
@@ -872,7 +882,5 @@ def solve_state(problem, control: ControlSignal, t_end: float,
     x0, t0 = problem.initial_state, problem.initial_time
     if t_end < t0:
         raise ValueError("solve_state integrates forward: need t_end >= t0")
-    if not problem.state_domain.contains(x0):
-        raise ValueError("initial state outside the problem's state domain")
     return integrate_controlled(problem.dynamics, control, t0, x0, t_end,
                                 settings, problem.state_domain)

@@ -126,8 +126,9 @@ def ramsey_euler_orbit(params: RamseyParams, k0: float, c0: float, t_end: float,
                        stops: Sequence[tuple] = ()) -> Trajectory:
     """Integrate the joint (k, c) phase-plane system from (k0, c0), with the
     ``stops`` of :func:`integrate`."""
-    field = lambda t, y: np.array(_euler_rates(params, y[0], y[1])) \
-        if (y[0] > 0 and y[1] > 0) else np.array([np.nan, np.nan])
+    def field(t, y):
+        k, c = y.tolist()
+        return np.array(_euler_rates(params, k, c) if k > 0 and c > 0 else (np.nan, np.nan))
     return integrate(field, 0.0, np.array([k0, c0]), t_end,
                      _CLASSIFY_SETTINGS, domain=_joint_domain(), stops=stops)
 
@@ -216,11 +217,8 @@ def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float) -> 
     traj = ramsey_euler_orbit(params, k0, c0, t_max, stops=to_zero)
     if traj.exit_event is None:
         # t_max exhausted while hovering; decide by final position
-        k_fin = traj.states[-1, 0]
-        return "lo" if k_fin > interior.k_star else "hi"
-    if traj.exit_event.description == "to_zero_consumption":
-        return "lo"
-    return "hi"
+        return "lo" if traj.states[-1, 0] > interior.k_star else "hi"
+    return "lo" if traj.exit_event.description == "to_zero_consumption" else "hi"
 
 
 # tolerances of the time-elimination quadrature along the stable manifold
@@ -327,28 +325,25 @@ def ramsey_control_from_orbit(orbit: Trajectory, c_tail: Optional[float] = None)
 def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float):
     """A feasible Euler-family candidate: (state trajectory, control signal).
 
-    The joint orbit must stay in the domain through ``t_end``; an infeasible
-    c0 (orbit hits k = 0) raises ValueError.
+    Both come from the one joint (k, c) orbit from (k0, c0): the state
+    trajectory is its k path, on views of its first column, and the control
+    its consumption.  The orbit must stay in the domain through ``t_end``;
+    an infeasible c0 (orbit hits k = 0) raises ValueError.
     """
     orbit = ramsey_euler_orbit(params, params.k0, c0, t_end)
     if orbit.exit_event is not None:
         raise ValueError(f"candidate c0={c0:g} infeasible: {orbit.exit_event.description}")
-    control = ramsey_control_from_orbit(orbit)
-    problem = params.problem()
-    k_traj = solve_state(problem, control, t_end, _CLASSIFY_SETTINGS)
-    return k_traj, control
+    k_traj = Trajectory(orbit.time_grid, orbit.states[:, :1], orbit.derivs[:, :1])
+    return k_traj, ramsey_control_from_orbit(orbit)
 
 
 def ramsey_saddle_candidate(params: RamseyParams, t_end: float,
                             t_max_shoot: float = 2000.0):
     """The shot saddle-path candidate, with consumption clamped to c* after
     the orbit enters the steady-state ball."""
-    interior, _ = ramsey_steady_state(params)
     c0, orbit = ramsey_shoot(params, t_max=t_max_shoot)
-    control = ramsey_control_from_orbit(orbit, c_tail=interior.c_star)
-    problem = params.problem()
-    k_traj = solve_state(problem, control, t_end, _CLASSIFY_SETTINGS)
-    return c0, k_traj, control
+    control = ramsey_control_from_orbit(orbit, c_tail=ramsey_steady_state(params)[0].c_star)
+    return c0, solve_state(params.problem(), control, t_end, _CLASSIFY_SETTINGS), control
 
 
 # ---------------------------------------------------------------------------

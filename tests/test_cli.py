@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from horizoncheck import ode_engine
+from horizoncheck import ode_engine, reference_examples
 from horizoncheck.cli import (
     RunConfig,
     build_check_report,
@@ -63,6 +63,39 @@ def test_check_integrates_forward_from_t0_once(monkeypatch, example):
     monkeypatch.setattr(ode_engine, "integrate", counted)
     build_check_report(RunConfig(example=example, t_max=100.0))
     assert starts.count(0.0) == 1
+
+
+def test_ramsey_check_solves_the_state_equation_once(monkeypatch):
+    # the feasible candidates read k off their joint (k, c) orbits; only the
+    # saddle candidate solves the state equation under its consumption
+    calls = []
+    solve_state = reference_examples.solve_state
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_state(*args, **kwargs)
+
+    monkeypatch.setattr(reference_examples, "solve_state", counted)
+    build_check_report(RunConfig(example="ramsey"))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["needle", "--example", "oscillator", "--r", "0.3"],
+     "needle does not read --r; only check does"),
+    (["overtake", "--example", "integrator", "--a0", "2"],
+     "overtake does not read --a0; only check does"),
+    (["check", "--example", "ramsey", "--grid", "8x8"],
+     "check does not read --grid; only phase-diagram does"),
+    (["overtake", "--example", "ramsey", "--k-max", "50"], "does not read --k-max"),
+    (["needle", "--example", "integrator", "--lambda", "1"], "does not read --lambda"),
+])
+def test_flags_the_command_does_not_read_are_rejected(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("horizoncheck: error:")
+    assert message in captured.err
 
 
 def test_check_csv_deterministic(tmp_path):

@@ -228,6 +228,15 @@ def test_solve_state_starts_at_the_problem_initial_point():
         solve_state(problem, ControlSignal.constant([1.0]), 4.0)
 
 
+def test_problem_rejects_an_initial_state_outside_its_domain_under_replace():
+    # solve_state relies on this and checks the initial state no further
+    ramsey = make_builtin_problem("ramsey",
+                                  {"alpha": 0.4, "delta": 0.05, "theta": 0.5, "k0": 10.0})
+    for x0 in ([0.0], [-1.0], [np.nan]):
+        with pytest.raises(ValueError, match="outside the open state domain"):
+            dataclasses.replace(ramsey, initial_state=x0)
+
+
 def test_step_sequence_pins():
     # accepted steps of the oscillator check solves at b = 0.5, t_max = 100;
     # a change to the stepping core that moves them must update these counts
@@ -587,6 +596,40 @@ def test_box_contains_rows_like_single_states():
     box = Box.from_bounds([0.0, -np.inf], [1.0, np.inf])
     rows = np.array([[0.5, 3.0], [np.nan, 0.0], [0.5, np.nan], [0.5, np.inf], [1.0, 0.0]])
     assert box.contains(rows).tolist() == [True, False, False, False, False]
+
+
+def test_float_domain_test_agrees_with_box_contains():
+    # the solo loop tests an accepted state against the faces on floats
+    hypothesis, st, hnp = _hypothesis()
+    values = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-1.0, 0.0, 1.0, -np.inf, np.inf,
+                                                              np.nan]))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        hnp.arrays(float, n, elements=values),
+        hnp.arrays(float, n, elements=st.sampled_from([-np.inf, -1.0, 0.0])),
+        hnp.arrays(float, n, elements=st.sampled_from([0.0, 1.0, np.inf])))))
+    def check(drawn):
+        y, lower, upper = drawn
+        box = Box.from_bounds(lower, upper)
+        faces = list(zip(lower.tolist(), upper.tolist()))
+        assert ode_engine._inside(y.tolist(), faces) is bool(box.contains(y))
+
+    check()
+    faces = [(0.0, 1.0), (-np.inf, np.inf)]
+    for y, inside in (([0.5, 3.0], True), ([0.0, 3.0], False), ([1.0, 3.0], False),
+                      ([0.5, np.inf], False), ([0.5, -np.inf], False), ([np.nan, 0.0], False)):
+        assert ode_engine._inside(y, faces) is inside
+
+
+def test_fig1_shooting_orbit_pins():
+    # node count and final state of the FIG1 shot orbit, bit for bit; the
+    # solo loop's float domain test and the field's float unpacking must not
+    # move them
+    _, orbit = ramsey_shoot(RamseyParams(**FIG1))
+    assert orbit.time_grid.size == 156
+    assert [float(v).hex() for v in orbit.states[-1]] == ["0x1.fffbe9b01cc89p+4",
+                                                          "0x1.33310c44e2350p+1"]
 
 
 def test_solo_ramsey_events_land_on_the_bisected_theta(monkeypatch):

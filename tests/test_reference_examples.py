@@ -11,7 +11,8 @@ from horizoncheck import (
     ramsey_shoot,
     ramsey_steady_state,
 )
-from horizoncheck import reference_examples
+from horizoncheck import reference_examples, solve_state
+from horizoncheck.conditions import _state_crossings
 from horizoncheck.reference_examples import ramsey_euler_orbit
 
 from conftest import FIG1
@@ -206,6 +207,44 @@ def test_shoot_reaches_the_ball(alpha, delta, theta, k0):
     assert orbit.exit_event.description == "saddle_ball"
     assert c0 == pytest.approx(reference_examples._saddle_consumption(params, interior),
                                rel=1e-8)
+
+
+def test_feasible_k_path_agrees_with_the_state_equation(ramsey_params, ramsey_family):
+    # two routes to k(t): the first column of the joint (k, c) orbit, and
+    # k' = k^alpha - delta k - c(t) solved under the orbit's consumption.
+    # Relative to the path's max-norm: pointwise, against a tight reference
+    # solve, the second route's dense output errs by up to 2.7e-7 relative in
+    # the first steps and the orbit's by 4.2e-8
+    _, family = ramsey_family
+    problem = ramsey_params.problem()
+    ts = np.linspace(0.0, 150.0, 401)
+    for k_traj, control in family[1:]:
+        assert k_traj.t_end == 150.0 and k_traj.exit_event is None
+        k_state = solve_state(problem, control, 150.0, reference_examples._CLASSIFY_SETTINGS)
+        k_old = k_state(ts)[:, 0]
+        assert np.max(np.abs(k_traj(ts)[:, 0] - k_old)) <= 1e-7 * np.max(np.abs(k_old))
+
+
+def test_state_crossings_match_bisection_on_the_trajectory(ramsey_family):
+    # the float bisection of each crossing step gives the times that
+    # bisecting traj(t) itself gives, bit for bit
+    def bisected(traj, target):
+        vals = traj.states[:, 0] - target
+        hits = []
+        for idx in np.flatnonzero(vals[:-1] * vals[1:] <= 0)[:8]:
+            lo, hi = traj.time_grid[idx], traj.time_grid[idx + 1]
+            fa = vals[idx]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                fm = float(traj(mid)[0]) - target
+                hi, lo, fa = (mid, lo, fa) if fa * fm <= 0 else (hi, mid, fm)
+            hits.append(0.5 * (lo + hi))
+        return hits
+
+    _, family = ramsey_family
+    for traj, _ in family:
+        for target in (9.0, 10.0, 10.5, 13.7, 25.0, float(traj.states[40, 0])):
+            assert _state_crossings(traj, [target]) == bisected(traj, target)
 
 
 def test_sub_saddle_orbit_stays_feasible(ramsey_params):
