@@ -431,9 +431,11 @@ _BUILDERS = {
 }
 
 
-# the flags that only one command reads, with that command
-_COMMAND_FLAGS = {**dict.fromkeys(("a0", "lambda", "r", "phi"), "check"),
-                  **dict.fromkeys(("k-max", "c-max", "grid"), "phase-diagram")}
+# the flags that only some commands read, with those commands
+_COMMAND_FLAGS = {**dict.fromkeys(("a0", "lambda", "r", "phi"), ("check",)),
+                  **dict.fromkeys(("k-max", "c-max", "grid"), ("phase-diagram",)),
+                  "t-max": ("check", "phase-diagram", "overtake"),
+                  "eps": ("overtake",)}
 
 
 def _add_common(parser):
@@ -441,7 +443,7 @@ def _add_common(parser):
     parser.add_argument("--t-max", type=float, default=None)
     parser.add_argument("--grid", type=str, default=None,
                         help="grid size as NKxNC (phase diagram, default 100x100)")
-    parser.add_argument("--eps", type=float, default=1e-6)
+    parser.add_argument("--eps", type=float, default=None)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     for name in (*(key for table in _EXAMPLE_PARAMS.values() for key in table), "k-max", "c-max"):
@@ -455,9 +457,11 @@ def _config_from_args(args) -> RunConfig:
         nk, nc = (int(part) for part in (args.grid or "100x100").lower().split("x"))
     except ValueError as exc:
         raise ValueError(f"bad --grid {args.grid!r}, expected e.g. 100x100") from exc
+    # an unset --eps keeps the RunConfig default
+    given = {} if args.eps is None else {"eps": args.eps}
     return RunConfig(example=args.example, params=params, t_max=args.t_max,
                      grid=(nk, nc), out=args.out, fmt=args.fmt,
-                     eps=args.eps, k_max=args.k_max, c_max=args.c_max)
+                     k_max=args.k_max, c_max=args.c_max, **given)
 
 
 def main(argv=None) -> int:
@@ -490,9 +494,11 @@ def main(argv=None) -> int:
 
     try:
         config = _config_from_args(args)
-        for flag, command in _COMMAND_FLAGS.items():
-            if getattr(args, flag.replace("-", "_")) is not None and args.command != command:
-                raise ValueError(f"{args.command} does not read --{flag}; only {command} does")
+        for flag, commands in _COMMAND_FLAGS.items():
+            if getattr(args, flag.replace("-", "_")) is not None and args.command not in commands:
+                verb = "does" if len(commands) == 1 else "do"
+                raise ValueError(f"{args.command} does not read --{flag}; "
+                                 f"only {', '.join(commands)} {verb}")
         _emit(_BUILDERS[args.command](config, args), config)
     except (ValueError, IntegrationError, RuntimeError) as exc:
         print(f"horizoncheck: error: {exc}", file=sys.stderr)

@@ -29,7 +29,6 @@ from .ode_engine import ControlSignal, Trajectory, _hermite_floats
 from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
 from .variational import CostatePath, JxRecord, TransitionOperator, limit_costate
 from .verdicts import (
-    TAIL_HOLD_TOL,
     ConditionVerdict,
     Verdict,
     tail_limit_verdict,
@@ -71,12 +70,9 @@ class GeneralConditionReport:
     """Per-(tau, u) tail estimates of the Hamiltonian difference and the
     aggregate verdict of the battery."""
 
-    tau_grid: np.ndarray
     control_grid: np.ndarray
-    mode: str  # "WOO" | "OO"
     estimates: np.ndarray        # (n_tau, n_u) tail liminf or limsup estimates
     statuses: np.ndarray         # (n_tau, n_u) of Verdict
-    window_estimates: np.ndarray  # (n_tau, n_u, 3) early/mid/late window values
     verdict: ConditionVerdict
 
 
@@ -158,10 +154,9 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
     verdict = ConditionVerdict(agg, [(float(t), float(e))
                                      for t, e in zip(np.repeat(tau_grid, n_u),
                                                      estimates.ravel())],
-                               VERDICT_SLACK, note=f"{note}; worst estimate {worst:.3g}")
-    return GeneralConditionReport(tau_grid=tau_grid, control_grid=control_grid,
-                                  mode=mode, estimates=estimates, statuses=statuses,
-                                  window_estimates=windows, verdict=verdict)
+                               note=f"{note}; worst estimate {worst:.3g}")
+    return GeneralConditionReport(control_grid=control_grid, estimates=estimates,
+                                  statuses=statuses, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +222,7 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
         series.append((t, gap))
         worst = max(worst, gap)
     status = Verdict.HOLDS if worst <= VERDICT_SLACK else Verdict.FAILS
-    return ConditionVerdict(status, series, VERDICT_SLACK,
-                            note=f"max Hamiltonian shortfall {worst:.3g}")
+    return ConditionVerdict(status, series, note=f"max Hamiltonian shortfall {worst:.3g}")
 
 
 def decompose_costate(costate: CostatePath, transition: TransitionOperator,
@@ -249,7 +243,7 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
     status = tail_status(osc)
     if status is not Verdict.HOLDS:
         return None, math.nan, ConditionVerdict(
-            status, series, TAIL_HOLD_TOL,
+            status, series,
             note=f"K(T,t0)*psi(T) does not settle (tail oscillation {osc:.3g})")
 
     a0 = v.mean(axis=0)
@@ -261,7 +255,7 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
             psi_hat, verdict_hat = limit_costate(rec)
             if psi_hat is None:
                 return a0, math.nan, ConditionVerdict(
-                    Verdict.INCONCLUSIVE, series, TAIL_HOLD_TOL,
+                    Verdict.INCONCLUSIVE, series,
                     note="a0 exists but the limit costate does not converge")
         else:
             psi_hat = np.zeros_like(a0)
@@ -271,7 +265,7 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
         defect = float(np.max(np.abs(costate.psi(tau) - k_part - lam * psi_hat)))
         residual = max(residual, defect)
     return a0, residual, ConditionVerdict(
-        Verdict.HOLDS, series, TAIL_HOLD_TOL,
+        Verdict.HOLDS, series,
         note=f"a0 = {np.array2string(a0, precision=6)}, residual {residual:.3g}")
 
 
@@ -316,7 +310,7 @@ def check_gmax(problem: ControlProblem, feasible_pairs: Sequence, time_grid) -> 
             worst = max(worst, shortfall)
         status = Verdict.HOLDS if worst <= tol else Verdict.FAILS
         verdicts.append(ConditionVerdict(
-            status, series, tol,
+            status, series,
             note=f"candidate {i}: max payoff-rate shortfall {worst:.3g}"))
     return verdicts
 

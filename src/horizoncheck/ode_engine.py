@@ -731,30 +731,29 @@ def _snap_to_faces(y, domain):
 
 
 class ControlSignal:
-    """A control as a function of time.
+    """A control as a function of time: switching times t_1 < ... < t_m and
+    one piece per interval (t_{i-1}, t_i], with t_0 = -inf and t_{m+1} = +inf.
 
-    Kinds: ``constant``, ``piecewise_constant`` and ``closed_form``.
-    Piecewise signals follow the (a, b] convention: the value stored for a
-    switching time applies on the interval ending at that time, matching the
-    half-open pulse interval used by needle variations.  Integration never
-    evaluates a piecewise signal across a switch: ``integrate_controlled``
-    cuts the time span at every breakpoint and freezes the segment value.
+    A piece is a constant control vector, or None for the closed form
+    ``fn(t)``.  A switching time belongs to the interval it ends, the (a, b]
+    convention of needle pulses.  ``with_needle`` splices a pulse into the
+    lists the same way for every signal, so where pulses overlap the newest
+    one holds.  Integration never evaluates a signal across a switch:
+    ``integrate_controlled`` cuts the time span at every switching time and
+    freezes each constant piece.
     """
 
-    def __init__(self, kind, dim, const=None, times=None, values=None, fn=None, overrides=()):
-        self.kind = kind
+    def __init__(self, times, pieces, dim, fn=None):
+        self._times = [float(t) for t in times]
+        self._pieces = list(pieces)
         self.dim = int(dim)
-        self._const = const
-        self._times = np.asarray(times, dtype=float) if times is not None else np.empty(0)
-        self._values = values
         self._fn = fn
-        self._overrides = tuple(overrides)  # (a, b, u) with value u on (a, b]
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def constant(u) -> "ControlSignal":
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        return ControlSignal("constant", u.size, const=u)
+        return ControlSignal([], [u], u.size)
 
     @staticmethod
     def piecewise_constant(times, values) -> "ControlSignal":
@@ -766,70 +765,47 @@ class ControlSignal:
             raise ValueError("need len(times) + 1 control values")
         if np.any(np.diff(times) <= 0):
             raise ValueError("switching times must be strictly increasing")
-        return ControlSignal("piecewise_constant", vals.shape[1], times=times, values=vals)
+        return ControlSignal(times, vals, vals.shape[1])
 
     @staticmethod
     def closed_form(fn: Callable[[float], np.ndarray], dim: int) -> "ControlSignal":
-        return ControlSignal("closed_form", dim, fn=fn)
+        return ControlSignal([], [None], dim, fn)
 
     # -- evaluation ----------------------------------------------------
     def evaluate(self, t: float) -> np.ndarray:
-        if self.kind == "constant":
-            return self._const
-        if self.kind == "piecewise_constant":
-            idx = int(np.searchsorted(self._times, t, side="left"))
-            return self._values[idx]
-        for a, b, u in self._overrides:
-            if a < t <= b:
-                return u
-        return np.atleast_1d(np.asarray(self._fn(t), dtype=float))
+        piece = self._pieces[bisect.bisect_left(self._times, t)]
+        if piece is None:
+            return np.atleast_1d(np.asarray(self._fn(t), dtype=float))
+        return piece
 
     def breakpoints(self) -> np.ndarray:
-        pts = list(self._times)
-        for a, b, _ in self._overrides:
-            pts.extend((a, b))
-        return np.unique(np.asarray(pts, dtype=float))
+        return np.array(self._times)
 
     def segment_value(self, a: float, b: float) -> Optional[np.ndarray]:
-        """Constant value on (a, b] if the signal is constant there, else None."""
-        if self.kind == "constant":
-            return self._const
-        if self.kind == "piecewise_constant":
-            ia = int(np.searchsorted(self._times, a, side="right"))
-            ib = int(np.searchsorted(self._times, b, side="left"))
-            if ia == ib:
-                return self._values[ib]
-            return None
-        for oa, ob, u in self._overrides:
-            if oa <= a and b <= ob:
-                return u
-        return None
+        """Constant value on (a, b] if one constant piece covers it, else None."""
+        i = bisect.bisect_left(self._times, b)
+        return self._pieces[i] if i == 0 or self._times[i - 1] <= a else None
 
     def with_needle(self, tau: float, alpha: float, u) -> "ControlSignal":
-        """Replace the value by constant ``u`` on the pulse interval (tau - alpha, tau]."""
+        """The signal with the constant ``u`` spliced in on the pulse interval
+        (tau - alpha, tau]; the signal itself when every piece that meets the
+        interval already equals ``u``."""
         if not 0 < alpha < math.inf:  # also rejects NaN
             raise ValueError(f"needle width must be finite and positive, got {alpha!r}")
         u = np.atleast_1d(np.asarray(u, dtype=float))
         a, b = tau - alpha, tau
-        if self.kind in ("constant", "piecewise_constant"):
-            # a pulse matching the signal on its whole interval is a no-op
-            probes = np.unique(np.concatenate(
-                [[b], self._times[(self._times > a) & (self._times <= b)]]))
-            if all(np.array_equal(self.evaluate(float(p)), u) for p in probes):
-                return self
-        if self.kind == "closed_form":
-            return ControlSignal("closed_form", self.dim, fn=self._fn,
-                                 overrides=self._overrides + ((a, b, u),))
-        times = np.unique(np.concatenate([self.breakpoints(), [a, b]]))
-        vals = []
-        for i in range(times.size + 1):
-            right = times[i] if i < times.size else times[-1] + 1.0
-            left = times[i - 1] if i > 0 else times[0] - 1.0
-            if a <= left and right <= b:
-                vals.append(u)
-            else:
-                vals.append(self.evaluate(right))
-        return ControlSignal.piecewise_constant(times, np.array(vals))
+        # pieces i..j meet (a, b]: piece i holds on until a, piece j on from b
+        i = bisect.bisect_right(self._times, a)
+        j = bisect.bisect_left(self._times, b)
+        if all(p is not None and np.array_equal(p, u) for p in self._pieces[i:j + 1]):
+            return self
+        times = self._times[:i] + [a, b] + self._times[j:]
+        pieces = self._pieces[:i + 1] + [u] + self._pieces[j:]
+        # a switching time already at a or b leaves an empty piece: drop both
+        empty = {k for k in range(1, len(times)) if times[k] == times[k - 1]}
+        return ControlSignal([t for k, t in enumerate(times) if k not in empty],
+                             [p for k, p in enumerate(pieces) if k not in empty],
+                             self.dim, self._fn)
 
 
 def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarray],

@@ -42,14 +42,14 @@ _VALUE_SETTINGS = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)
 def _needled(problem: ControlProblem, base_control: ControlSignal, tau: float,
              alpha: float, u: np.ndarray, T: float) -> ControlSignal:
     """The base control with the constant pulse ``u`` on (tau - alpha, tau],
-    after checking that the pulse is admissible and lies inside [t0, T]."""
+    after checking that the pulse is admissible and lies inside [t0, T];
+    ``with_needle`` checks the width."""
     if not problem.control_set.contains(u):
         raise ValueError(f"needle control {u} outside the admissible set")
-    if not 0 < alpha < math.inf:  # also rejects NaN
-        raise ValueError(f"needle width must be finite and positive, got {alpha!r}")
+    needled = base_control.with_needle(tau, alpha, u)
     if tau - alpha < problem.initial_time or tau > T:
         raise ValueError("needle interval must lie inside [t0, T]")
-    return base_control.with_needle(tau, alpha, u)
+    return needled
 
 
 @dataclass
@@ -58,7 +58,6 @@ class NeedleCheckReport:
     H(x, u, tau, grad(tau, T), 1) - H(x, u_hat, tau, grad(tau, T), 1)."""
 
     tau: float
-    u: np.ndarray
     T: float
     alphas: np.ndarray
     slopes: np.ndarray        # payoff change per unit width, per alpha
@@ -108,7 +107,7 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
         order = float(coeffs[0])
     else:
         order = math.inf  # errors at rounding level: better than any finite order
-    return NeedleCheckReport(tau=tau, u=u, T=T, alphas=alphas, slopes=slopes,
+    return NeedleCheckReport(tau=tau, T=T, alphas=alphas, slopes=slopes,
                              prediction=prediction, errors=errors,
                              fitted_order=order)
 
@@ -119,10 +118,6 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
 
 @dataclass
 class OvertakingReport:
-    candidate: ControlSignal
-    challenger: ControlSignal
-    eps: float
-    horizon_samples: list            # (T', gap) pairs, thinned for storage
     verdict: str                     # consistent_OO | consistent_WOO_only |
     #                                  violates_WOO | non_extendible_challenger |
     #                                  inconclusive
@@ -201,16 +196,12 @@ def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
                                    T_max, _VALUE_SETTINGS, return_trajectory=True)
     except NonExtendibleError as exc:
         return OvertakingReport(
-            candidate=candidate, challenger=challenger, eps=eps,
-            horizon_samples=[], verdict="non_extendible_challenger",
-            max_gap=math.nan, argmax_T=math.nan,
+            verdict="non_extendible_challenger", max_gap=math.nan, argmax_T=math.nan,
             evidence=f"challenger exits the state domain at t={exc.event.time:.6g} "
                      f"({exc.event.description})")
 
     grid = np.linspace(t0, T_max, max(64, int(math.ceil((T_max - t0) / sample_spacing))))
     gaps = chal_aug(grid)[:, n] - cand_aug(grid)[:, n]
-    samples = list(zip(grid[:: max(1, grid.size // 2000)].tolist(),
-                       gaps[:: max(1, grid.size // 2000)].tolist()))
 
     i_max = int(np.argmax(gaps))
     max_gap, argmax_T = float(gaps[i_max]), float(grid[i_max])
@@ -225,17 +216,14 @@ def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
     # the windows from checkpoint i on cover the tail beyond it
     for i, ck in enumerate(checkpoints):
         if not any(viol for _, _, viol, _ in flags[i:]):
-            return OvertakingReport(candidate, challenger, eps, samples,
-                                    "consistent_OO", max_gap, argmax_T,
+            return OvertakingReport("consistent_OO", max_gap, argmax_T,
                                     f"no gap above eps beyond T={ck:.6g}; {evidence}",
                                     gap_fn)
         if not any(ok for _, _, _, ok in flags[i:]):
-            return OvertakingReport(candidate, challenger, eps, samples,
-                                    "violates_WOO", max_gap, argmax_T,
+            return OvertakingReport("violates_WOO", max_gap, argmax_T,
                                     f"every sampled gap beyond T={ck:.6g} exceeds eps; {evidence}",
                                     gap_fn)
 
     recurs = all(viol and ok for _, _, viol, ok in flags)
     verdict = "consistent_WOO_only" if recurs else "inconclusive"
-    return OvertakingReport(candidate, challenger, eps, samples, verdict,
-                            max_gap, argmax_T, evidence, gap_fn)
+    return OvertakingReport(verdict, max_gap, argmax_T, evidence, gap_fn)

@@ -83,7 +83,6 @@ class RamseyParams:
 class SteadyState:
     k_star: float
     c_star: float
-    kind: str  # "interior_saddle" | "zero_consumption"
 
 
 def ramsey_steady_state(params: RamseyParams):
@@ -97,8 +96,7 @@ def ramsey_steady_state(params: RamseyParams):
     k_star = (d / a) ** (1.0 / (a - 1.0))
     c_star = (1.0 - a) * (d / a) ** (a / (a - 1.0))
     k_limit = d ** (1.0 / (a - 1.0))
-    return (SteadyState(k_star, c_star, "interior_saddle"),
-            SteadyState(k_limit, 0.0, "zero_consumption"))
+    return SteadyState(k_star, c_star), SteadyState(k_limit, 0.0)
 
 
 def _euler_rates(params: RamseyParams, k, c):
@@ -307,19 +305,14 @@ def ramsey_shoot(params: RamseyParams, t_max: float = 2000.0,
 def ramsey_control_from_orbit(orbit: Trajectory, c_tail: Optional[float] = None) -> ControlSignal:
     """Consumption path of a (k, c) orbit as a control signal.
 
-    Beyond the orbit's last node the signal holds ``c_tail`` (default: the
-    final consumption value), which for a shot saddle orbit is the steady
-    state consumption.
+    Two pieces: the orbit's consumption up to its last node ``orbit.t_end``,
+    then the constant ``c_tail`` (default: the final consumption value),
+    which for a shot saddle orbit is the steady-state consumption.  The
+    switch at ``orbit.t_end`` is a node of every integration across it.
     """
-    t_last = orbit.t_end
-    tail = float(orbit.states[-1, 1]) if c_tail is None else float(c_tail)
-
-    def c_of_t(t):
-        if t >= t_last:
-            return np.array([tail])
-        return np.array([orbit(max(t, orbit.t0))[1]])
-
-    return ControlSignal.closed_form(c_of_t, dim=1)
+    tail = orbit.states[-1, 1] if c_tail is None else c_tail
+    return ControlSignal([orbit.t_end], [None, np.array([float(tail)])], 1,
+                         lambda t: orbit(max(t, orbit.t0))[1:])
 
 
 def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float):
@@ -435,7 +428,7 @@ def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float)
             continue
         ts = np.linspace(lo, hi, 4001)
         # the piece is (lo, hi]: its value at lo is the limit from the right,
-        # not the value an override ending at lo holds there
+        # not the value of a pulse ending at lo
         us = np.array([float(control.evaluate(float(t))[0])
                        for t in (np.nextafter(lo, hi), *ts[1:])])
         integrand = np.sin(T - ts) * (us - 1.0)

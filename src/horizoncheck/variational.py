@@ -35,7 +35,6 @@ from .ode_engine import (
 from .problem_model import ControlProblem, jacobians
 from .verdicts import (
     GROWTH_FACTOR,
-    TAIL_HOLD_TOL,
     ConditionVerdict,
     Verdict,
     tail_status,
@@ -303,8 +302,7 @@ def limit_costate(jx: JxRecord):
     """
     mask = tail_window(jx.T_grid)
     if np.count_nonzero(mask) < 3:
-        return None, ConditionVerdict(Verdict.INCONCLUSIVE, [], TAIL_HOLD_TOL,
-                                      note="tail window too short")
+        return None, ConditionVerdict(Verdict.INCONCLUSIVE, [], note="tail window too short")
     window = jx.values[mask]
     osc = float(np.max(np.max(window, axis=0) - np.min(window, axis=0)))
     series = list(zip(jx.T_grid[mask].tolist(),
@@ -312,14 +310,14 @@ def limit_costate(jx: JxRecord):
 
     status, growth = tail_status(osc), _growth_ratio(jx)
     if status is Verdict.HOLDS:
-        return window.mean(axis=0), ConditionVerdict(status, series, TAIL_HOLD_TOL,
+        return window.mean(axis=0), ConditionVerdict(status, series,
                                                      note=f"tail oscillation {osc:.3g}")
     if growth > GROWTH_FACTOR:
-        return None, ConditionVerdict(Verdict.FAILS, series, TAIL_HOLD_TOL,
+        return None, ConditionVerdict(Verdict.FAILS, series,
                                       note=f"unbounded: growth x{growth:.3g} per two doublings")
     note = (f"bounded, non-convergent: tail oscillation {osc:.3g}" if status is Verdict.FAILS
             else f"tail oscillation {osc:.3g} unresolved")
-    return None, ConditionVerdict(status, series, TAIL_HOLD_TOL, note=note)
+    return None, ConditionVerdict(status, series, note=note)
 
 
 def check_jx_bounded(jx: JxRecord):
@@ -334,13 +332,12 @@ def check_jx_bounded(jx: JxRecord):
     m = jx.bound_estimate
     series = list(zip(jx.T_grid.tolist(), jx.bound_running.tolist()))
     if ratio > GROWTH_FACTOR:
-        v = ConditionVerdict(Verdict.FAILS, series, GROWTH_FACTOR,
+        v = ConditionVerdict(Verdict.FAILS, series,
                              note=f"unbounded: running max grew x{ratio:.3g}")
     elif ratio <= hold_factor:
-        v = ConditionVerdict(Verdict.HOLDS, series, GROWTH_FACTOR,
-                             note=f"bounded, observed max {m:.6g}")
+        v = ConditionVerdict(Verdict.HOLDS, series, note=f"bounded, observed max {m:.6g}")
     else:
-        v = ConditionVerdict(Verdict.INCONCLUSIVE, series, GROWTH_FACTOR,
+        v = ConditionVerdict(Verdict.INCONCLUSIVE, series,
                              note=f"growth ratio {ratio:.3g} unresolved")
     return v, m
 
@@ -485,4 +482,4 @@ def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
     else:
         status = Verdict.INCONCLUSIVE
         note = f"unresolved trend, inf {worst_last:.3g}"
-    return ConditionVerdict(status, series, tol, note=note)
+    return ConditionVerdict(status, series, note=note)

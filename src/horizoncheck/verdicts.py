@@ -39,7 +39,6 @@ class ConditionVerdict:
 
     status: Verdict
     diagnostic_series: List[Tuple[float, float]]
-    tolerance_used: float
     note: str
 
 
@@ -74,5 +73,4 @@ def tail_limit_verdict(params, values, note: str) -> ConditionVerdict:
     series = list(zip(params.tolist(), values.tolist()))
     detail = f"{note}; tail oscillation {osc:.3g}, tail mean {mean:.3g}"
     # abs(mean) first: max keeps it when osc is NaN (an all-infinite tail)
-    return ConditionVerdict(tail_status(max(abs(mean), osc)), series, TAIL_HOLD_TOL,
-                            note=detail)
+    return ConditionVerdict(tail_status(max(abs(mean), osc)), series, note=detail)

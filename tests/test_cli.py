@@ -89,6 +89,11 @@ def test_ramsey_check_solves_the_state_equation_once(monkeypatch):
      "check does not read --grid; only phase-diagram does"),
     (["overtake", "--example", "ramsey", "--k-max", "50"], "does not read --k-max"),
     (["needle", "--example", "integrator", "--lambda", "1"], "does not read --lambda"),
+    # needle takes its horizon from --t-horizon, and only overtake reads --eps
+    (["needle", "--example", "oscillator", "--t-max", "5", "--eps", "0.3"],
+     "needle does not read --t-max; only check, phase-diagram, overtake do"),
+    (["check", "--example", "integrator", "--eps", "0.3"],
+     "check does not read --eps; only overtake does"),
 ])
 def test_flags_the_command_does_not_read_are_rejected(argv, message, capsys):
     assert main(argv) == 1
@@ -96,6 +101,16 @@ def test_flags_the_command_does_not_read_are_rejected(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("horizoncheck: error:")
     assert message in captured.err
+
+
+def test_overtake_reads_eps(capsys):
+    argv = ["overtake", "--example", "oscillator", "--t-max", "40"]
+    assert main(argv) == 0
+    bare = capsys.readouterr().out
+    # gaps of up to 0.63 recur beyond every checkpoint; none exceeds eps = 1
+    assert main(argv + ["--eps", "1"]) == 0
+    wide = capsys.readouterr().out
+    assert "consistent_WOO_only" in bare and "consistent_WOO_only" not in wide
 
 
 def test_check_csv_deterministic(tmp_path):

@@ -311,10 +311,14 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
                for d in cls.decorator_list)
 
 
+def _fields(cls: ast.ClassDef) -> list:
+    """The annotated assignments of a dataclass body: its fields, in order."""
+    return [s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
 def _defaulted_fields(cls: ast.ClassDef) -> list:
     """(field, position) of every field of a dataclass with a default."""
-    fields = [s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
-    return [(s.target.id, i) for i, s in enumerate(fields) if s.value is not None]
+    return [(s.target.id, i) for i, s in enumerate(_fields(cls)) if s.value is not None]
 
 
 def _defaulted_options(tree: ast.Module) -> list:
@@ -472,3 +476,46 @@ def test_always_set_parameter_detector():
         ("a.py", "Model.blank", "fill"), ("a.py", "Settings", "steps"),
         ("a.py", "fit", "rate"), ("a.py", "solve", "strict"), ("a.py", "solve", "tol"),
         ("a.py", "spread", "scale"), ("a.py", "spread", "shift")]
+
+
+def unread_fields(modules: dict, readers: dict) -> list:
+    """(module, dataclass, field) of every dataclass field of ``modules``
+    whose name no attribute read in ``readers`` names.  Reads are matched by
+    the attribute name alone, on any object; a store or a ``getattr`` with a
+    string is no read."""
+    reads = {node.attr for text in readers.values() for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((module, cls.name, s.target.id)
+                  for module, text in modules.items() for cls in ast.parse(text).body
+                  if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                  for s in _fields(cls) if s.target.id not in reads)
+
+
+def test_package_reads_every_dataclass_field():
+    assert unread_fields(*_option_audit_inputs()) == []
+
+
+def test_unread_field_detector():
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    verdict: str\n"
+        "    samples: list\n"
+        "    spread: float = 0.0\n"
+        "    def summary(self):\n"
+        "        return self.verdict\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    k: float\n"
+        "    kind: str\n"
+        "class Plain:\n"
+        "    size: int\n"
+    )
+    reader = (
+        "def show(report, point):\n"
+        "    report.spread = 1.0\n"
+        "    return point.k, getattr(point, 'kind')\n"
+    )
+    assert unread_fields({"a.py": module}, {"a.py": module, "b.py": reader}) == [
+        ("a.py", "Point", "kind"), ("a.py", "Report", "samples"), ("a.py", "Report", "spread")]

@@ -355,32 +355,52 @@ def test_switches_and_needles_follow_the_half_open_convention():
 
     @st.composite
     def signals(draw):
+        """(whether the signal is a closed form, the signal)"""
         kind = draw(st.sampled_from(["constant", "piecewise", "closed_form"]))
         if kind == "constant":
-            return ControlSignal.constant([draw(values)])
+            return False, ControlSignal.constant([draw(values)])
         if kind == "closed_form":
-            return ControlSignal.closed_form(lambda t: np.array([math.sin(t)]), 1)
+            return True, ControlSignal.closed_form(lambda t: np.array([math.sin(t)]), 1)
         times = sorted(draw(st.sets(st.floats(0.0, 10.0), min_size=1, max_size=5)))
-        return ControlSignal.piecewise_constant(
+        return False, ControlSignal.piecewise_constant(
             times, [[draw(values)] for _ in range(len(times) + 1)])
 
-    @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(signals(), st.floats(0.5, 10.0), st.floats(1e-3, 0.5), values)
-    def check(base, tau, alpha, u):
+    def agrees_with_its_segments(signal, closed):
         # a switching time belongs to the interval it ends, (a, b]: evaluation
-        # agrees with the segment values that integration freezes
-        cuts = base.breakpoints()
+        # agrees with the segment values that integration freezes; on a closed
+        # form, a segment outside every pulse has none
+        cuts = signal.breakpoints()
+        assert np.all(np.diff(cuts) > 0)
         edges = [cuts[0] - 1.0, *cuts, cuts[-1] + 1.0] if cuts.size else []
         for a, t, b in zip(edges, edges[1:], edges[2:]):
-            assert np.array_equal(base.evaluate(t), base.segment_value(a, t))
-            assert np.array_equal(base.evaluate(np.nextafter(t, np.inf)),
-                                  base.segment_value(t, b))
+            for seg, at in ((signal.segment_value(a, t), t),
+                            (signal.segment_value(t, b), np.nextafter(t, np.inf))):
+                assert np.array_equal(signal.evaluate(at), seg) or closed and seg is None
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(signals(), st.floats(0.5, 10.0), st.floats(1e-3, 0.5), values,
+                      st.floats(-0.6, 0.6), st.floats(1e-3, 0.5), values)
+    def check(drawn, tau, alpha, u, shift, alpha2, u2):
+        closed, base = drawn
+        agrees_with_its_segments(base, closed)
         needled = base.with_needle(tau, alpha, [u])
         a = tau - alpha
         for t in (np.nextafter(a, np.inf), 0.5 * (a + tau), tau):
             assert needled.evaluate(t)[0] == u
         for t in (a, np.nextafter(tau, np.inf), tau + 1.0, a - 0.1):
             assert np.array_equal(needled.evaluate(t), base.evaluate(t))
+        agrees_with_its_segments(needled, closed)
+        # a second pulse, often overlapping the first: the newer one holds on
+        # its interval and the older one elsewhere, on every kind of base
+        tau2 = tau + shift
+        stacked = needled.with_needle(tau2, alpha2, [u2])
+        a2 = tau2 - alpha2
+        agrees_with_its_segments(stacked, closed)
+        for edge in (a, tau, a2, tau2):
+            for t in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf),
+                      edge - 0.05, edge + 0.05):
+                expected = [u2] if a2 < t <= tau2 else needled.evaluate(t)
+                assert np.array_equal(stacked.evaluate(t), expected)
 
     check()
 

@@ -164,7 +164,7 @@ def test_overtaking_reuses_candidate_path(oscillator, u_one, payoff_solves):
     reused = empirical_overtaking_test(oscillator, u_one, challenger, T_max=100.0,
                                        candidate_path=path)
     assert len(payoff_solves) == 1  # the challenger only
-    for name in ("verdict", "max_gap", "argmax_T", "evidence", "horizon_samples"):
+    for name in ("verdict", "max_gap", "argmax_T", "evidence"):
         assert getattr(reused, name) == getattr(fresh, name)
 
 

@@ -13,7 +13,7 @@ from horizoncheck import (
 )
 from horizoncheck import reference_examples, solve_state
 from horizoncheck.conditions import _state_crossings
-from horizoncheck.reference_examples import ramsey_euler_orbit
+from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
 
 from conftest import FIG1
 
@@ -108,6 +108,10 @@ def test_shoot_from_k0_10(ramsey_params, ramsey_saddle):
     assert math.hypot(k_T - 32.0, c_T - 2.4) <= 1e-3 + 1e-9
     # saddle consumption increases with capital along the stable manifold
     assert c0 < 2.4
+    # as a control: the orbit's consumption up to its end, then the end value
+    control = ramsey_control_from_orbit(orbit)
+    assert control.breakpoints().tolist() == [orbit.t_end]
+    assert control.evaluate(orbit.t_end + 1.0)[0] == c_T
     # bracket invariant: lower side falls to zero consumption, upper hits k=0
     assert history
     for lo, hi in history:
