@@ -68,7 +68,6 @@ from .reference_examples import (
     RamseyParams,
     SteadyState,
     appendix_identity_residual,
-    integrator_reference,
     oscillator_delta_x1,
     oscillator_reference,
     ramsey_classify,

@@ -23,7 +23,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,8 +39,8 @@ from .conditions import (
 from .ode_engine import ControlSignal, IntegrationError, IntegratorSettings
 from .problem_model import make_builtin_problem
 from .reference_examples import (
+    IntegratorReference,
     RamseyParams,
-    integrator_reference,
     oscillator_reference,
     ramsey_classify,
     ramsey_control_from_orbit,
@@ -84,9 +84,13 @@ _EXAMPLE_PARAMS = {
 
 @dataclass
 class RunConfig:
+    """One run of a report builder: the example, its parameters (a subset
+    of its ``_EXAMPLE_PARAMS`` keys) and the horizon, None for the example's
+    default."""
+
     example: str
-    params: dict = field(default_factory=dict)
-    t_max: Optional[float] = None
+    params: dict
+    t_max: Optional[float]
     grid: tuple = (100, 100)
     out: Optional[str] = None
     fmt: str = "csv"
@@ -209,7 +213,7 @@ def _build_linear_check(config: RunConfig) -> ReportData:
         rho = problem_params["rho"]
         candidates = _integrator_candidates(rho, params.get("a0"), params.get("lambda"))
         def terminal_psi(lam, a0):
-            return integrator_reference(rho, a0, lam).psi(t_max)
+            return IntegratorReference(rho, a0, lam).psi(t_max)
     else:
         b = problem_params["b"]
         ref = oscillator_reference(b)
@@ -376,10 +380,9 @@ def build_overtake_report(config: RunConfig) -> ReportData:
     sample_spacing = 0.02 if config.example != "ramsey" else 0.25
     candidate_path = payoff_path(problem, candidate, t_max)
     for label, challenger in challengers:
-        report = empirical_overtaking_test(problem, candidate, challenger,
+        report = empirical_overtaking_test(problem, candidate_path, challenger,
                                            eps=config.eps, T_max=t_max,
-                                           sample_spacing=sample_spacing,
-                                           candidate_path=candidate_path)
+                                           sample_spacing=sample_spacing)
         rows.append(["challenger", label, report.verdict, _fmt(report.max_gap),
                      _fmt(report.argmax_T), report.evidence])
     return ReportData("overtake_report_v1",

@@ -50,14 +50,16 @@ __all__ = [
 
 VERDICT_SLACK = 1e-6       # absolute slack for "<= 0" verdicts
 WINDOW_CONVERGE_TOL = 1e-3  # window-doubling agreement for liminf/limsup estimates
+# control values sampled per axis by the general condition and the maximum principle
+_CONTROL_RESOLUTION = 33
 
 
-def dense_horizon_grid(tau: float, t_max: float, spacing: float = 0.02) -> np.ndarray:
-    """Uniform horizon grid dense enough to resolve almost-periodic tails,
-    with at most 400,000 intervals."""
+def dense_horizon_grid(tau: float, t_max: float) -> np.ndarray:
+    """Uniform horizon grid dense enough to resolve almost-periodic tails:
+    spacing at most 0.02, with at least 64 and at most 400,000 intervals."""
     if t_max <= tau:
         raise ValueError("need t_max > tau")
-    n = int(min(400_000, max(64, math.ceil((t_max - tau) / spacing))))
+    n = int(min(400_000, max(64, math.ceil((t_max - tau) / 0.02))))
     return np.linspace(tau, t_max, n + 1)
 
 
@@ -101,17 +103,18 @@ def _window_verdict(m_early: float, m_mid: float, m_late: float):
 
 
 def check_general(problem: ControlProblem, transition: TransitionOperator,
-                  control: ControlSignal, tau_grid, control_resolution: int = 33, *,
+                  control: ControlSignal, tau_grid, *,
                   T_grid, mode: str) -> GeneralConditionReport:
     """Tail test of the Hamiltonian-difference condition over a (tau, u) grid.
 
-    For each anchor tau and control value u the liminf (mode WOO) or limsup
-    (mode OO) of the Hamiltonian difference over growing horizons is estimated
-    by the min/max over the last half of the horizon grid; the estimate is
-    trusted when two successive window doublings agree to
-    ``WINDOW_CONVERGE_TOL`` or the windows trend monotonically.  Each cell
-    must satisfy estimate <= 0 (within ``VERDICT_SLACK``); the battery verdict aggregates all cells.  The
-    state path is that of ``transition``.
+    The control values are 33 per axis of the control set.  For each anchor
+    tau and control value u the liminf (mode WOO) or limsup (mode OO) of the
+    Hamiltonian difference over growing horizons is estimated by the min/max
+    over the last half of the horizon grid; the estimate is trusted when two
+    successive window doublings agree to ``WINDOW_CONVERGE_TOL`` or the
+    windows trend monotonically.  Each cell must satisfy estimate <= 0
+    (within ``VERDICT_SLACK``); the battery verdict aggregates all cells.
+    The state path is that of ``transition``.
     """
     if mode not in ("WOO", "OO"):
         raise ValueError("mode must be 'WOO' or 'OO'")
@@ -120,7 +123,7 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
     T_grid = np.sort(np.asarray(T_grid, dtype=float))
     if not trajectory.covers(float(T_grid[-1])):
         raise ValueError("horizon grid exceeds the span of the transition operator")
-    control_grid = problem.control_set.sample_grid(control_resolution)
+    control_grid = problem.control_set.sample_grid(_CONTROL_RESOLUTION)
 
     n_tau, n_u = tau_grid.size, control_grid.shape[0]
     windows = np.empty((n_tau, n_u, 3))
@@ -163,10 +166,13 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
 # classical limit conditions
 
 
-def _tail_times(costate: CostatePath):
-    """4000 times across the costate's span, cut to the tail window."""
+def _tail_series(costate: CostatePath, transition: TransitionOperator):
+    """The tail-window times of 4000 across the costate's span, psi(t) on
+    them, and K(t, t0)* psi(t) = Y(t)^T psi(t)."""
     times = np.linspace(costate.trajectory.t0, costate.trajectory.t_end, 4000)
-    return times[tail_window(times)]
+    times = times[tail_window(times)]
+    psi = costate.psi(times)
+    return times, psi, np.einsum("ikj,ik->ij", transition.fundamental(times), psi)
 
 
 def check_classical(problem: ControlProblem, transition: TransitionOperator,
@@ -182,17 +188,14 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
     Each is judged on the tail window by the shared oscillation-plus-mean
     criterion; returns a dict keyed by condition id.
     """
-    times = _tail_times(costate)
-    psi = costate.psi(times)
+    times, psi, yk = _tail_series(costate, transition)
     xs = transition.trajectory(times)
-    Ys = transition.fundamental(times)
 
     s_psi = np.max(np.abs(psi), axis=1)
     s_xpsi = np.einsum("ij,ij->i", xs, psi)
     s_h = np.array([hamiltonian(problem, xs[i], control.evaluate(float(t)),
                                 float(t), psi[i], costate.lam)
                     for i, t in enumerate(times)])
-    yk = np.einsum("ikj,ik->ij", Ys, psi)  # K(t, t0)* psi = Y(t)^T psi
     s_kav = np.linalg.norm(yk, axis=1)
 
     return {
@@ -213,7 +216,7 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
     control values per axis.
     """
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
-    grid = problem.control_set.sample_grid(33)
+    grid = problem.control_set.sample_grid(_CONTROL_RESOLUTION)
     worst = -math.inf
     series = []
     for t in time_grid.tolist():
@@ -234,10 +237,7 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
     at the anchors of ``jx_by_tau`` (psi_hat taken as each record's tail
     limit).  Returns (a0 or None, residual or nan, verdict).
     """
-    times = _tail_times(costate)
-    psi = costate.psi(times)
-    Ys = transition.fundamental(times)
-    v = np.einsum("ikj,ik->ij", Ys, psi)  # K(t, t0)* psi(t)
+    times, _, v = _tail_series(costate, transition)
     osc = float(np.max(np.max(v, axis=0) - np.min(v, axis=0)))
     series = list(zip(times.tolist(), np.max(np.abs(v), axis=1).tolist()))
     status = tail_status(osc)

@@ -109,8 +109,8 @@ class ExitEvent:
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
+    rel_tol: float
+    abs_tol: float
     max_step: float = math.inf
 
     def __post_init__(self):
@@ -118,7 +118,6 @@ class IntegratorSettings:
             raise ValueError("tolerances and max_step must be positive")
 
 
-DEFAULT_SETTINGS = IntegratorSettings()
 # accepted steps after which an integration gives up
 _MAX_STEPS = 4_000_000
 # relative slack of the span tests of a trajectory
@@ -316,10 +315,12 @@ def _inside(v: list, faces: list) -> bool:
 
 
 def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
-              t_end: float, settings: Optional[IntegratorSettings] = None,
+              t_end: float, settings: IntegratorSettings,
               domain: Optional[Box] = None,
               stops: Sequence[tuple] = ()) -> Trajectory:
-    """Integrate ``dy/dt = field(t, y)`` from t0 to t_end (either direction).
+    """Integrate ``dy/dt = field(t, y)`` from t0 to t_end (either direction)
+    under the tolerances and step cap of ``settings``; ``field`` returns a
+    float array of the state's shape.
 
     ``stops`` is a priority-ordered sequence of ``(label, predicate)`` pairs,
     the one event contract of :func:`integrate` and :func:`integrate_batch`.
@@ -342,13 +343,12 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
     boundary or on a non-finite field value that cannot be attributed to a
     boundary crossing.
     """
-    settings = settings or DEFAULT_SETTINGS
     _check_finite_span(t0, t_end)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
     if t_end < t0:
-        rev = lambda s, y: -np.asarray(field(-s, y), dtype=float)
+        rev = lambda s, y: -field(-s, y)
         rstops = [(label, lambda s, y, p=pred: p(-s, y)) for label, pred in stops]
         traj = integrate(rev, -t0, y0, -t_end, settings, domain, rstops)
         ev = traj.exit_event
@@ -461,18 +461,19 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
 
 
 def integrate_batch(field: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: float, Y0,
-                    t_end: float, settings: Optional[IntegratorSettings] = None,
-                    domain: Optional[Box] = None,
-                    stops: Sequence[tuple] = ()):
+                    t_end: float, settings: IntegratorSettings,
+                    domain: Optional[Box], stops: Sequence[tuple]):
     """Integrate B independent members of ``dy/dt = field(t, y)`` from t0 to t_end.
 
     ``field(t[m], Y[m, n])`` returns the slopes [m, n] of any m members.  Each
     member runs the Dormand-Prince 5(4) method of :func:`integrate` with its
     own step size and its own accept/reject decisions, so it takes the steps
     of its solo run up to round-off; one attempt of every running member is
-    evaluated in one vectorised pass.  ``stops`` follows the contract of
-    :func:`integrate`: priority-ordered ``(label, predicate)`` pairs, each
-    predicate written over leading axes and here called on t[m], Y[m, n].
+    evaluated in one vectorised pass.  ``settings`` are those of
+    :func:`integrate`, ``domain`` is an open box or None, and ``stops``
+    follows the contract of :func:`integrate`: priority-ordered
+    ``(label, predicate)`` pairs, each predicate written over leading axes
+    and here called on t[m], Y[m, n].
     A member ends at t_end, on leaving the open ``domain`` (which takes
     precedence) or when a predicate holds, the first label that holds
     naming the event; a member for which a predicate holds at t0 ends
@@ -485,7 +486,6 @@ def integrate_batch(field: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: f
     ``IntegrationError`` for the whole call.  Only finite forward spans are
     supported.
     """
-    settings = settings or DEFAULT_SETTINGS
     _check_finite_span(t0, t_end)
     if t_end < t0:
         raise ValueError("integrate_batch integrates forward: need t_end >= t0")
@@ -810,13 +810,13 @@ class ControlSignal:
 
 def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
                          control: ControlSignal, t0: float, y0, t_end: float,
-                         settings: Optional[IntegratorSettings] = None,
-                         domain: Optional[Box] = None,
-                         stops: Sequence[tuple] = ()) -> Trajectory:
+                         settings: IntegratorSettings,
+                         domain: Optional[Box] = None) -> Trajectory:
     """Integrate ``dy/dt = rhs(y, u(t), t)`` segment-by-segment between control
     breakpoints, so discontinuous controls are handled exactly (a node is
     placed at every switch and the segment value is frozen on each piece).
-    ``domain`` and ``stops`` are those of :func:`integrate`."""
+    ``settings`` and ``domain`` are those of :func:`integrate`; there are no
+    stops."""
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     forward = t_end > t0
     lo, hi = (t0, t_end) if forward else (t_end, t0)
@@ -832,7 +832,7 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
             fld = lambda t, yy, u=u_const: rhs(yy, u, t)
         else:
             fld = lambda t, yy: rhs(yy, control.evaluate(t), t)
-        piece = integrate(fld, a, y, b, settings, domain, stops)
+        piece = integrate(fld, a, y, b, settings, domain)
         pieces.append(piece)
         if piece.exit_event is not None:
             break
@@ -847,13 +847,13 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
 
 
 def solve_state(problem, control: ControlSignal, t_end: float,
-                settings: Optional[IntegratorSettings] = None) -> Trajectory:
+                settings: IntegratorSettings) -> Trajectory:
     """State response of a control problem under a control signal.
 
     Integrates dx/dt = f(x, u(t), t) from the problem's initial point to
-    t_end with the problem's open state domain; a domain exit marks the
-    trajectory non-extendible and is recorded as ``exit_event`` rather than
-    raised.
+    t_end under ``settings``, with the problem's open state domain; a domain
+    exit marks the trajectory non-extendible and is recorded as
+    ``exit_event`` rather than raised.
     """
     x0, t0 = problem.initial_state, problem.initial_time
     if t_end < t0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,12 +42,12 @@ _VALUE_SETTINGS = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)
 def _needled(problem: ControlProblem, base_control: ControlSignal, tau: float,
              alpha: float, u: np.ndarray, T: float) -> ControlSignal:
     """The base control with the constant pulse ``u`` on (tau - alpha, tau],
-    after checking that the pulse is admissible and lies inside [t0, T];
-    ``with_needle`` checks the width."""
+    after checking that the pulse is admissible and lies inside [t0, T] (a
+    NaN tau does not); ``with_needle`` checks the width."""
     if not problem.control_set.contains(u):
         raise ValueError(f"needle control {u} outside the admissible set")
     needled = base_control.with_needle(tau, alpha, u)
-    if tau - alpha < problem.initial_time or tau > T:
+    if not (problem.initial_time <= tau - alpha and tau <= T):
         raise ValueError("needle interval must lie inside [t0, T]")
     return needled
 
@@ -71,34 +71,32 @@ class NeedleCheckReport:
 
 
 def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
-                       tau: float, u, T: float, alphas: Sequence[float],
-                       settings: Optional[IntegratorSettings] = None,
-                       trajectory: Optional[Trajectory] = None) -> NeedleCheckReport:
+                       tau: float, u, T: float,
+                       alphas: Sequence[float]) -> NeedleCheckReport:
     """Tabulate needle payoff slopes against their first-order prediction.
 
     The prediction is the Hamiltonian difference at tau with the payoff
     gradient as multiplier: the gradient times the dynamics jump
     f(x(tau), u, tau) - f(x(tau), u_hat(tau), tau) plus the payoff-rate jump.
     The error is expected to vanish linearly in the width, and its order is
-    fitted over at least two distinct widths.  The base payoff is integrated
-    once and shared by every width.
+    fitted over at least two distinct widths.  The base state path, its
+    gradient and the base payoff are integrated once, under the payoff
+    tolerances of :func:`payoff_path`, and shared by every width.
     """
-    settings = settings or _VALUE_SETTINGS
     u = np.atleast_1d(np.asarray(u, dtype=float))
     alphas = np.sort(np.asarray(list(alphas), dtype=float))[::-1]
     needled = [_needled(problem, base_control, tau, float(alpha), u, T) for alpha in alphas]
     if np.unique(alphas).size < 2:
         raise ValueError(f"need at least two distinct needle widths, got {alphas.tolist()}")
-    if trajectory is None:
-        trajectory = solve_state(problem, base_control, T, settings)
-    jx = accumulate_jx(problem, trajectory, base_control, tau, [tau, T], settings)
+    trajectory = solve_state(problem, base_control, T, _VALUE_SETTINGS)
+    jx = accumulate_jx(problem, trajectory, base_control, tau, [tau, T], _VALUE_SETTINGS)
     prediction = float(hamiltonian_jumps(problem, trajectory(tau), base_control.evaluate(tau),
                                          tau, [u], jx.value_at(T), 1.0)[0])
 
     x0, t0 = problem.initial_state, problem.initial_time
-    j_base = payoff_value(problem, base_control, x0, t0, T, settings)
-    slopes = np.array([(payoff_value(problem, control, x0, t0, T, settings) - j_base) / alpha
-                       for control, alpha in zip(needled, alphas)])
+    j_base = payoff_value(problem, base_control, x0, t0, T, _VALUE_SETTINGS)
+    slopes = np.array([payoff_value(problem, control, x0, t0, T, _VALUE_SETTINGS) - j_base
+                       for control in needled]) / alphas
     errors = np.abs(slopes - prediction)
 
     positive = errors > 0
@@ -129,8 +127,7 @@ class OvertakingReport:
 
 def _window_flags(grid, gaps, eps, checkpoints) -> list:
     """(lo, hi, gap > eps somewhere, gap <= eps somewhere) for each window
-    [checkpoint, next checkpoint], the last one ending at the grid's end.  A
-    window without samples has both flags False."""
+    [checkpoint, next checkpoint], the last one ending at the grid's end."""
     bounds = [*checkpoints, float(grid[-1])]
     flags = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -148,48 +145,33 @@ def payoff_path(problem: ControlProblem, control: ControlSignal, T_max: float) -
     return aug
 
 
-def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
-                              challenger: ControlSignal, eps: float = 1e-6,
-                              T_checkpoints: Optional[Sequence[float]] = None, *,
-                              T_max: float, sample_spacing: float = 0.02,
-                              candidate_path: Optional[Trajectory] = None
-                              ) -> OvertakingReport:
-    """Compare challenger and candidate payoffs on a dense horizon grid.
+def empirical_overtaking_test(problem: ControlProblem, candidate_path: Trajectory,
+                              challenger: ControlSignal, *, eps: float, T_max: float,
+                              sample_spacing: float) -> OvertakingReport:
+    """Compare challenger and candidate payoffs on a horizon grid of spacing
+    at most ``sample_spacing`` (and at least 64 points) over [t0, T_max].
 
+    ``candidate_path`` is the candidate's :func:`payoff_path` from t0 to
+    T_max or later, so that one candidate integration serves every
+    challenger.  The checkpoints are t0 + (T_max - t0) * {1/8, 1/4, 1/2}.
     Verdicts over the sampled range: ``consistent_OO`` when gaps stop
     exceeding eps beyond some checkpoint; ``consistent_WOO_only`` when both
-    events (gap > eps and gap <= eps) recur in every dyadic tail window (a
-    window without samples shows neither, ``-/-`` in the evidence);
+    events (gap > eps and gap <= eps) recur in every dyadic tail window;
     ``violates_WOO`` when beyond some checkpoint every sampled gap exceeds
     eps; ``non_extendible_challenger`` when the challenger's state leaves the
     domain (which counts in the candidate's favor); else ``inconclusive``.
-
-    Every checkpoint must lie inside (t0, T_max), so that each tail holds
-    samples.  ``candidate_path``, the :func:`payoff_path` of the candidate
-    from t0 to T_max or later, spares the candidate's integration when one
-    candidate meets several challengers.
     """
     if not eps >= 0:  # also rejects NaN, against which every gap compares False
         raise ValueError(f"eps must be a nonnegative number, got {eps!r}")
     t0 = problem.initial_time
     n = problem.state_dim
-    if T_checkpoints is None:
-        T_checkpoints = [T_max / 8, T_max / 4, T_max / 2]
-    checkpoints = sorted(float(c) for c in T_checkpoints)
-    if not checkpoints:
-        raise ValueError("need at least one checkpoint")
-    if not t0 < checkpoints[0] or not checkpoints[-1] < T_max:
-        raise ValueError(f"checkpoints {checkpoints} must lie inside "
-                         f"(t0, T_max) = ({t0:.6g}, {T_max:.6g})")
-
-    if candidate_path is None:
-        cand_aug = payoff_path(problem, candidate, T_max)
-    elif candidate_path.dim != n + 1 or candidate_path.t0 != t0 \
+    if not T_max > t0:
+        raise ValueError(f"T_max = {T_max!r} must exceed t0 = {t0:.6g}")
+    checkpoints = [t0 + (T_max - t0) * f for f in (0.125, 0.25, 0.5)]
+    if candidate_path.dim != n + 1 or candidate_path.t0 != t0 \
             or candidate_path.t_end < T_max:
         raise ValueError(f"candidate path must be the augmented (x, payoff) path "
                          f"over [{t0:.6g}, {T_max:.6g}]")
-    else:
-        cand_aug = candidate_path
 
     try:
         _, chal_aug = payoff_value(problem, challenger, problem.initial_state, t0,
@@ -201,7 +183,7 @@ def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
                      f"({exc.event.description})")
 
     grid = np.linspace(t0, T_max, max(64, int(math.ceil((T_max - t0) / sample_spacing))))
-    gaps = chal_aug(grid)[:, n] - cand_aug(grid)[:, n]
+    gaps = chal_aug(grid)[:, n] - candidate_path(grid)[:, n]
 
     i_max = int(np.argmax(gaps))
     max_gap, argmax_T = float(gaps[i_max]), float(grid[i_max])
@@ -211,7 +193,7 @@ def empirical_overtaking_test(problem: ControlProblem, candidate: ControlSignal,
 
     def gap_fn(Ts):
         Ts = np.asarray(Ts, dtype=float)
-        return chal_aug(Ts)[..., n] - cand_aug(Ts)[..., n]
+        return chal_aug(Ts)[..., n] - candidate_path(Ts)[..., n]
 
     # the windows from checkpoint i on cover the tail beyond it
     for i, ck in enumerate(checkpoints):

@@ -260,7 +260,7 @@ def _build_ramsey(params: dict) -> ControlProblem:
         dynamics_jac_x=fx, payoff_grad_x=gx,
         control_set=ControlSet.box([0.0], [10.0 * c_star], lower_open=True),
         state_domain=Box.from_bounds([0.0], [np.inf]),
-        initial_state=[k0], initial_time=0.0, name="ramsey")
+        initial_state=[k0], name="ramsey")
 
 
 def _build_integrator(params: dict) -> ControlProblem:
@@ -284,7 +284,7 @@ def _build_integrator(params: dict) -> ControlProblem:
         dynamics_jac_x=fx, payoff_grad_x=gx,
         control_set=ControlSet.box([0.0], [1.0]),
         state_domain=Box.unbounded(1),
-        initial_state=[0.0], initial_time=0.0, name="integrator")
+        initial_state=[0.0], name="integrator")
 
 
 def _build_oscillator(params: dict) -> ControlProblem:
@@ -309,4 +309,4 @@ def _build_oscillator(params: dict) -> ControlProblem:
         dynamics_jac_x=fx, payoff_grad_x=gx,
         control_set=ControlSet.box([-1.0], [1.0]),
         state_domain=Box.unbounded(2),
-        initial_state=[0.0, 0.0], initial_time=0.0, name="oscillator")
+        initial_state=[0.0, 0.0], name="oscillator")

@@ -33,7 +33,6 @@ __all__ = [
     "RamseyParams",
     "SteadyState",
     "appendix_identity_residual",
-    "integrator_reference",
     "oscillator_delta_x1",
     "oscillator_reference",
     "ramsey_classify",
@@ -176,32 +175,30 @@ def _orbit_label(event) -> str:
                                                               "hits_zero_capital")
 
 
-def ramsey_classify(params: RamseyParams, k0, c0,
-                    t_max: float = 2000.0, ball_radius: float = _BALL_RADIUS):
+def ramsey_classify(params: RamseyParams, k0, c0, t_max: float):
     """Classify the Euler orbit through (k0, c0).
 
-    Returns one of ``saddle`` (enters the ball around the interior steady
-    state), ``hits_zero_capital`` (capital reaches its lower bound),
-    ``to_zero_consumption`` (heads to the zero-consumption rest point), or
-    ``inconclusive`` when t_max is exhausted first.
+    Returns one of ``saddle`` (enters the ball of radius 1e-3 around the
+    interior steady state), ``hits_zero_capital`` (capital reaches its lower
+    bound), ``to_zero_consumption`` (heads to the zero-consumption rest
+    point), or ``inconclusive`` when t_max is exhausted first.
 
     Array-like ``k0`` and ``c0`` broadcast against each other: every cell is
     classified in one :func:`integrate_batch` call and the labels come back
     as an array of the broadcast shape.
     """
     interior, _ = ramsey_steady_state(params)
+    stops = _classify_stops(params, interior.k_star, interior.c_star, _BALL_RADIUS)
     if np.ndim(k0) or np.ndim(c0):
         k0, c0 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(c0, dtype=float))
         if not ((k0 > 0).all() and (c0 > 0).all()):
             raise ValueError("need k0 > 0 and c0 > 0")
         _, _, events = integrate_batch(
             _euler_rows(params), 0.0, np.column_stack((k0.ravel(), c0.ravel())), t_max,
-            _CLASSIFY_SETTINGS, domain=_joint_domain(),
-            stops=_classify_stops(params, interior.k_star, interior.c_star, ball_radius))
+            _CLASSIFY_SETTINGS, _joint_domain(), stops)
         return np.array([_orbit_label(ev) for ev in events], dtype=str).reshape(k0.shape)
     if k0 <= 0 or c0 <= 0:
         raise ValueError("need k0 > 0 and c0 > 0")
-    stops = _classify_stops(params, interior.k_star, interior.c_star, ball_radius)
     traj = ramsey_euler_orbit(params, k0, c0, t_max, stops=stops)
     return _orbit_label(traj.exit_event)
 
@@ -252,9 +249,10 @@ def _saddle_consumption(params: RamseyParams, interior: SteadyState) -> float:
     return float(path(k0)[0])
 
 
-def ramsey_shoot(params: RamseyParams, t_max: float = 2000.0,
+def ramsey_shoot(params: RamseyParams, t_max: float,
                  history: Optional[list] = None):
-    """Shoot the initial consumption of the saddle path.
+    """Shoot the initial consumption of the saddle path, with orbits of
+    length at most t_max.
 
     Above the saddle value orbits crash into k = 0; below they drift to the
     zero-consumption point.  Forward bisection between the two families
@@ -265,7 +263,8 @@ def ramsey_shoot(params: RamseyParams, t_max: float = 2000.0,
     the ball of radius 1e-3 around the interior steady state; one that misses
     it is bisected further, up to 60 levels in all.
     Returns (c0_saddle, orbit) where the orbit is the joint (k, c) trajectory
-    integrated until it enters the ball.
+    integrated until it enters the ball.  Each bracket (lo, hi) that the
+    bisection sets is appended to ``history`` when one is given.
     """
     interior, _ = ramsey_steady_state(params)
     k0 = params.k0
@@ -330,10 +329,10 @@ def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float):
     return k_traj, ramsey_control_from_orbit(orbit)
 
 
-def ramsey_saddle_candidate(params: RamseyParams, t_end: float,
-                            t_max_shoot: float = 2000.0):
-    """The shot saddle-path candidate, with consumption clamped to c* after
-    the orbit enters the steady-state ball."""
+def ramsey_saddle_candidate(params: RamseyParams, t_end: float, t_max_shoot: float):
+    """The shot saddle-path candidate over [0, t_end], with consumption
+    clamped to c* after the orbit enters the steady-state ball; the shooting
+    runs :func:`ramsey_shoot` with t_max_shoot."""
     c0, orbit = ramsey_shoot(params, t_max=t_max_shoot)
     control = ramsey_control_from_orbit(orbit, c_tail=ramsey_steady_state(params)[0].c_star)
     return c0, solve_state(params.problem(), control, t_end, _CLASSIFY_SETTINGS), control
@@ -520,7 +519,3 @@ class IntegratorReference:
         if self.rho > 0:
             return self.a0 >= 0 or self.lam == 0.0 and self.a0 > 0
         return self.lam == 0.0 and self.a0 > 0
-
-
-def integrator_reference(rho: float, a0: float, lam: float) -> IntegratorReference:
-    return IntegratorReference(rho, a0, lam)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 
-_VARIATIONAL_SETTINGS = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
 # horizons of :func:`horizon_grid` beyond the anchor
 _HORIZON_POINTS = 200
 
@@ -360,16 +359,14 @@ def _growth_ratio(jx: JxRecord) -> float:
 
 
 def payoff_value(problem: ControlProblem, control: ControlSignal, x_start,
-                 t_start: float, T: float,
-                 settings: Optional[IntegratorSettings] = None,
+                 t_start: float, T: float, settings: IntegratorSettings,
                  return_trajectory: bool = False):
     """Finite-horizon payoff integral from state x_start at time t_start.
 
     The payoff is accumulated as an extra quadrature component of the state
-    integration.  Raises NonExtendibleError when the state leaves the domain
-    before T.
+    integration under ``settings``.  Raises NonExtendibleError when the state
+    leaves the domain before T.
     """
-    settings = settings or _VARIATIONAL_SETTINGS
     n = problem.state_dim
     x_start = np.atleast_1d(np.asarray(x_start, dtype=float))
 

@@ -17,6 +17,8 @@ from horizoncheck.reference_examples import (
 # tight enough for the 1e-6 oracle comparisons, still fast on the built-ins
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)
 STANDARD = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
+# for tests of the engine's behaviour rather than its accuracy
+COARSE = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-10)
 
 FIG1 = dict(alpha=0.4, delta=0.05, theta=0.5, k0=10.0)
 
@@ -79,7 +81,7 @@ def ramsey_params():
 @pytest.fixture(scope="session")
 def ramsey_saddle(ramsey_params):
     """(c0_saddle, k trajectory to t=150, consumption signal)."""
-    return ramsey_saddle_candidate(ramsey_params, 150.0)
+    return ramsey_saddle_candidate(ramsey_params, 150.0, 2000.0)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import pytest
 
 from horizoncheck import (
     ControlSignal,
+    IntegratorReference,
     IntegratorSettings,
     Verdict,
     accumulate_jx,
@@ -24,13 +25,13 @@ from horizoncheck import (
     fd_gradient,
     horizon_grid,
     integrate_adjoint,
-    integrator_reference,
     jx_scan,
     lemma1_residual,
     limit_costate,
     make_builtin_problem,
     needle_limit_check,
     oscillator_reference,
+    payoff_path,
     ramsey_classify,
     ramsey_steady_state,
     solve_state,
@@ -77,7 +78,7 @@ def test_criterion_01_oscillator_variational_oracle(oscillator, osc_traj_30,
 def test_criterion_02_general_condition_estimates(oscillator, u_one, osc_400pi):
     op, t_max = osc_400pi
     ref = oscillator_reference(0.5)
-    T_grid = dense_horizon_grid(0.0, t_max, spacing=0.02)
+    T_grid = dense_horizon_grid(0.0, t_max)
     woo = check_general(oscillator, op, u_one, [0.0], T_grid=T_grid, mode="WOO")
     oo = check_general(oscillator, op, u_one, [0.0], T_grid=T_grid, mode="OO")
     ugrid = woo.control_grid[:, 0]
@@ -167,7 +168,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
         # candidate-specific decomposition agrees with the scenario
         from horizoncheck import decompose_costate
         if name == "integrator":
-            ref = integrator_reference(params["rho"], extra["a0"], 1.0)
+            ref = IntegratorReference(params["rho"], extra["a0"], 1.0)
             psi_T = [float(ref.psi(250.0))]
         else:
             ref = oscillator_reference(0.5)
@@ -258,7 +259,7 @@ def test_criterion_07_ramsey_quantitative(ramsey_params, ramsey_saddle,
 
     c0_saddle, k_traj, control = ramsey_saddle
     from horizoncheck import ramsey_shoot
-    _, orbit = ramsey_shoot(ramsey_params)
+    _, orbit = ramsey_shoot(ramsey_params, 2000.0)
     k_T, c_T = orbit.states[-1]
     assert math.hypot(k_T - 32.0, c_T - 2.4) <= 1e-3 + 1e-9
 
@@ -301,8 +302,7 @@ def test_criterion_08_needle_first_order(oscillator, integrator, u_one):
     alphas = np.geomspace(1e-1, 1e-4, 10)
     orders = {}
     for problem in (oscillator, integrator):
-        report = needle_limit_check(problem, u_one, 1.0, [0.0], 20.0, alphas,
-                                    TIGHT)
+        report = needle_limit_check(problem, u_one, 1.0, [0.0], 20.0, alphas)
         orders[problem.name] = report.fitted_order
         assert report.fitted_order >= 0.9, (problem.name, report.fitted_order)
         # |dJ/alpha - prediction| <= C * alpha with stable C under halving
@@ -314,7 +314,8 @@ def test_criterion_08_needle_first_order(oscillator, integrator, u_one):
 
 def test_criterion_09_overtaking_verdicts(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    report = empirical_overtaking_test(oscillator, u_one, challenger, T_max=400.0)
+    report = empirical_overtaking_test(oscillator, payoff_path(oscillator, u_one, 400.0),
+                                       challenger, eps=1e-6, T_max=400.0, sample_spacing=0.02)
     assert report.verdict == "consistent_WOO_only"
     assert report.max_gap == pytest.approx(2 - math.pi / 2, abs=1e-3)
     wrap = report.argmax_T % (2 * math.pi)
@@ -328,8 +329,9 @@ def test_criterion_09_overtaking_verdicts(oscillator, u_one):
         assert np.min(window) <= 0.0
 
     problem_15 = make_builtin_problem("oscillator", {"b": 1.5})
-    report_15 = empirical_overtaking_test(problem_15, u_one, challenger,
-                                          T_max=400.0)
+    report_15 = empirical_overtaking_test(problem_15, payoff_path(problem_15, u_one, 400.0),
+                                          challenger, eps=1e-6, T_max=400.0,
+                                          sample_spacing=0.02)
     assert report_15.verdict == "consistent_OO"
 
     rng = np.random.default_rng(77)

@@ -61,7 +61,7 @@ def test_check_integrates_forward_from_t0_once(monkeypatch, example):
         return integrate(field, t0, y0, t_end, *args, **kwargs)
 
     monkeypatch.setattr(ode_engine, "integrate", counted)
-    build_check_report(RunConfig(example=example, t_max=100.0))
+    build_check_report(RunConfig(example=example, params={}, t_max=100.0))
     assert starts.count(0.0) == 1
 
 
@@ -76,7 +76,7 @@ def test_ramsey_check_solves_the_state_equation_once(monkeypatch):
         return solve_state(*args, **kwargs)
 
     monkeypatch.setattr(reference_examples, "solve_state", counted)
-    build_check_report(RunConfig(example="ramsey"))
+    build_check_report(RunConfig(example="ramsey", params={}, t_max=None))
     assert len(calls) == 1
 
 
@@ -191,7 +191,8 @@ def test_phase_diagram_rejects_grid_below_one(grid, capsys):
     assert main(["phase-diagram", "--example", "ramsey", f"--grid={grid}"]) == 1
     assert "grid sizes must be at least 1" in capsys.readouterr().err
     with pytest.raises(ValueError):
-        RunConfig(example="ramsey", grid=tuple(int(n) for n in grid.split("x")))
+        RunConfig(example="ramsey", params={}, t_max=None,
+                  grid=tuple(int(n) for n in grid.split("x")))
 
 
 @pytest.mark.parametrize("flag, value", [("--t-max", "inf"), ("--t-max", "nan"),
@@ -203,9 +204,9 @@ def test_nonfinite_run_settings_are_rejected(flag, value, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("horizoncheck: error:")
     assert flag[2:] in err
-    key = flag[2:].replace("-", "_")
+    settings = {"params": {}, "t_max": None, flag[2:].replace("-", "_"): float(value)}
     with pytest.raises(ValueError):
-        RunConfig(example="ramsey", **{key: float(value)})
+        RunConfig(example="ramsey", **settings)
 
 
 @pytest.mark.parametrize("example, flag, value, message", [
@@ -234,7 +235,7 @@ def test_ramsey_shooting_error_names_a_short_horizon(capsys):
 
 def test_phase_diagram_requires_ramsey():
     with pytest.raises(ValueError):
-        build_phase_diagram_report(RunConfig(example="oscillator"))
+        build_phase_diagram_report(RunConfig(example="oscillator", params={}, t_max=None))
 
 
 def test_overtake_report_oscillator():
@@ -248,7 +249,7 @@ def test_overtake_report_oscillator():
 
 
 def test_needle_report(tmp_path):
-    config = RunConfig(example="oscillator", params={"b": 0.5}, fmt="csv",
+    config = RunConfig(example="oscillator", params={"b": 0.5}, t_max=None, fmt="csv",
                        out=str(tmp_path / "n.csv"))
     report = build_needle_report(config, tau=1.0, u=0.0, T=20.0,
                                  alphas=[1e-1, 1e-2, 1e-3])
@@ -304,3 +305,12 @@ def test_needle_rejects_widths_it_cannot_fit(alphas, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_needle_rejects_a_nan_tau(capsys):
+    # a NaN tau used to pass the interval test and fail later, after the
+    # state solve, with "anchor time outside the trajectory span"
+    assert main(["needle", "--example", "oscillator", "--tau", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needle interval must lie inside [t0, T]" in captured.err

@@ -5,6 +5,7 @@ import pytest
 
 from horizoncheck import (
     ControlSignal,
+    IntegratorReference,
     Verdict,
     accumulate_jx,
     check_classical,
@@ -17,13 +18,13 @@ from horizoncheck import (
     hamiltonian_jumps,
     horizon_grid,
     integrate_adjoint,
-    integrator_reference,
     jx_scan,
     limit_costate,
     oscillator_reference,
     solve_state,
     transition_matrix,
 )
+from horizoncheck import conditions
 from horizoncheck.verdicts import tail_limit_verdict, tail_status
 
 from conftest import STANDARD, TIGHT
@@ -48,7 +49,7 @@ def test_delta_hamiltonian_oracles(oscillator, osc_traj_30, u_one,
 
 
 def test_check_general_oscillator_verdicts(oscillator, osc_op_400, u_one):
-    T_grid = dense_horizon_grid(0.0, 400.0, spacing=0.02)
+    T_grid = dense_horizon_grid(0.0, 400.0)
     woo = check_general(oscillator, osc_op_400, u_one, [0.0], T_grid=T_grid,
                         mode="WOO")
     oo = check_general(oscillator, osc_op_400, u_one, [0.0], T_grid=T_grid,
@@ -65,7 +66,7 @@ def test_check_general_oscillator_verdicts(oscillator, osc_op_400, u_one):
 
 def test_check_general_diagonal_identity(oscillator, osc_op_400, u_one):
     report = check_general(oscillator, osc_op_400, u_one, [0.0, 3.0],
-                           T_grid=dense_horizon_grid(0.0, 400.0, spacing=0.05),
+                           T_grid=np.linspace(0.0, 400.0, 8001),
                            mode="WOO")
     j_one = int(np.argmin(np.abs(report.control_grid[:, 0] - 1.0)))
     assert report.estimates[0, j_one] == 0.0
@@ -76,20 +77,20 @@ def test_check_general_integrator_both_modes(integrator, integrator_undiscounted
                                              u_one):
     for problem in (integrator, integrator_undiscounted):
         op = transition_matrix(problem, u_one, 400.0, settings=STANDARD)
-        grid = dense_horizon_grid(0.0, 400.0, spacing=0.1)
+        grid = np.linspace(0.0, 400.0, 4001)
         for mode in ("WOO", "OO"):
             report = check_general(problem, op, u_one, [0.0], T_grid=grid,
                                    mode=mode)
             assert report.verdict.status is Verdict.HOLDS, (problem.name, mode)
 
 
-def test_check_general_refinement_stability(oscillator, osc_op_400, u_one):
+def test_check_general_refinement_stability(oscillator, osc_op_400, u_one, monkeypatch):
+    monkeypatch.setattr(conditions, "_CONTROL_RESOLUTION", 9)
     coarse = check_general(oscillator, osc_op_400, u_one, [0.0],
-                           T_grid=dense_horizon_grid(0.0, 400.0, spacing=0.04),
-                           mode="OO", control_resolution=9)
+                           T_grid=np.linspace(0.0, 400.0, 10001), mode="OO")
     fine = check_general(oscillator, osc_op_400, u_one, [0.0],
-                         T_grid=dense_horizon_grid(0.0, 400.0, spacing=0.02),
-                         mode="OO", control_resolution=9)
+                         T_grid=dense_horizon_grid(0.0, 400.0), mode="OO")
+    assert fine.control_grid.shape == (9, 1)
     for a, b in zip(coarse.statuses.ravel(), fine.statuses.ravel()):
         if a is not Verdict.INCONCLUSIVE:
             assert a is b
@@ -170,7 +171,7 @@ def test_tail_rule_thresholds():
 def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,
                                          integrator_undiscounted, u_one):
     t_max = 400.0
-    ref = integrator_reference(0.1, 0.0, 1.0)
+    ref = IntegratorReference(0.1, 0.0, 1.0)
     costate = integrate_adjoint(integrator, int_traj_400, u_one,
                                 (t_max, [float(ref.psi(t_max))]), 1.0,
                                 settings=STANDARD)
@@ -189,7 +190,7 @@ def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,
 def test_max_principle_cases(integrator, int_traj_400, integrator_undiscounted,
                              oscillator, osc_traj_400, u_one):
     grid = np.linspace(0.0, 400.0, 201)
-    ref = integrator_reference(0.1, 0.0, 1.0)
+    ref = IntegratorReference(0.1, 0.0, 1.0)
     cp = integrate_adjoint(integrator, int_traj_400, u_one,
                            (400.0, [float(ref.psi(400.0))]), 1.0, settings=STANDARD)
     assert check_max_principle(integrator, int_traj_400, u_one, cp,
@@ -211,7 +212,7 @@ def test_max_principle_cases(integrator, int_traj_400, integrator_undiscounted,
 
 def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_one):
     records = jx_scan(int_op_400, [0.0, 5.0], horizon_grid(0.0, 400.0)[1:])
-    ref = integrator_reference(0.1, 0.7, 1.0)
+    ref = IntegratorReference(0.1, 0.7, 1.0)
     cp = integrate_adjoint(integrator, int_traj_400, u_one,
                            (400.0, [float(ref.psi(400.0))]), 1.0, settings=STANDARD)
     a0, residual, verdict = decompose_costate(cp, int_op_400, records)

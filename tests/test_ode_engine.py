@@ -34,12 +34,12 @@ from horizoncheck.reference_examples import (
     ramsey_steady_state,
 )
 
-from conftest import FIG1, TIGHT
+from conftest import COARSE, FIG1, TIGHT
 
 
 def test_zero_field_stays_constant():
     v = np.array([2.0, -3.0, 0.5])
-    traj = integrate(lambda t, y: np.zeros(3), 0.0, v, 7.0)
+    traj = integrate(lambda t, y: np.zeros(3), 0.0, v, 7.0, COARSE)
     assert np.array_equal(traj.states[-1], v)
     assert np.array_equal(traj(3.1), v)
 
@@ -110,7 +110,7 @@ def test_domain_exit_with_singular_field_beyond_boundary():
 def test_blowup_without_domain_raises():
     field = lambda t, y: np.array([y[0] ** 2])
     with pytest.raises(IntegrationError):
-        integrate(field, 0.0, [1.0], 3.0)
+        integrate(field, 0.0, [1.0], 3.0, COARSE)
 
 
 def test_derivative_checks_the_span_like_evaluation():
@@ -137,15 +137,15 @@ def test_nonfinite_span_is_rejected(t0, t_end):
     # an infinite or NaN end used to give a one-node trajectory, and a NaN
     # end made the batch loop run forever on a NaN step
     with pytest.raises(ValueError, match="must be finite"):
-        integrate(lambda t, y: -y, t0, [1.0], t_end)
+        integrate(lambda t, y: -y, t0, [1.0], t_end, COARSE)
     with pytest.raises(ValueError, match="must be finite"):
-        integrate_batch(lambda t, Y: -Y, t0, [[1.0]], t_end)
+        integrate_batch(lambda t, Y: -Y, t0, [[1.0]], t_end, COARSE, None, ())
 
 
 def test_stop_condition_label_recorded():
     field = lambda t, y: np.array([1.0])
     stops = (("past_two", lambda t, y: y[..., 0] > 2.0),)
-    traj = integrate(field, 0.0, [0.0], 10.0, stops=stops)
+    traj = integrate(field, 0.0, [0.0], 10.0, COARSE, stops=stops)
     assert traj.exit_event is not None
     assert traj.exit_event.description == "past_two"
     assert traj.exit_event.time == pytest.approx(2.0, abs=1e-6)
@@ -154,11 +154,12 @@ def test_stop_condition_label_recorded():
 def test_stops_follow_priority_and_the_true_time():
     field = lambda t, y: np.array([1.0])
     above = lambda t, y: y[..., 0] > 2.0
-    traj = integrate(field, 0.0, [0.0], 10.0, stops=(("first", above), ("second", above)))
+    traj = integrate(field, 0.0, [0.0], 10.0, COARSE,
+                     stops=(("first", above), ("second", above)))
     assert traj.exit_event is not None and traj.exit_event.description == "first"
     # a backward run calls each predicate at the true time t
     stops = (("before_three", lambda t, y: t < 3.0), ("below_one", lambda t, y: y[..., 0] < 1.0))
-    traj = integrate(field, 10.0, [10.0], 0.0, stops=stops)
+    traj = integrate(field, 10.0, [10.0], 0.0, COARSE, stops=stops)
     assert traj.exit_event is not None and traj.exit_event.description == "before_three"
     assert traj.exit_event.time == pytest.approx(3.0, abs=1e-6)
     assert traj.t0 == traj.exit_event.time and traj.t_end == 10.0
@@ -212,7 +213,7 @@ def test_solve_state_non_extendible_marks_exit(ramsey_params=None):
     problem = make_builtin_problem("ramsey",
                                    {"alpha": 0.4, "delta": 0.05, "theta": 0.5, "k0": 32.0})
     # overconsumption from k0 = 32: dk/dt = 4 - 1.6 - 4 < 0 and worsening
-    traj = solve_state(problem, ControlSignal.constant([4.0]), 200.0)
+    traj = solve_state(problem, ControlSignal.constant([4.0]), 200.0, COARSE)
     assert traj.exit_event is not None
     assert "lower bound" in traj.exit_event.description
 
@@ -225,7 +226,7 @@ def test_solve_state_starts_at_the_problem_initial_point():
     assert traj.states[-1, 0] == pytest.approx(5.0, abs=1e-12)
     # an end before the initial time, though after 0, is rejected
     with pytest.raises(ValueError, match="forward"):
-        solve_state(problem, ControlSignal.constant([1.0]), 4.0)
+        solve_state(problem, ControlSignal.constant([1.0]), 4.0, TIGHT)
 
 
 def test_problem_rejects_an_initial_state_outside_its_domain_under_replace():
@@ -519,7 +520,7 @@ def test_batch_row_with_nonfinite_stage_sits_out_the_attempt():
     t_end, Y_end, events = integrate_batch(field, 0.0, [[1.0, 0.0], [100.0, 1.0]], 5.0,
                                            IntegratorSettings(rel_tol=1e-9, abs_tol=1e-12,
                                                               max_step=0.01),
-                                           domain)
+                                           domain, ())
     assert events[0] is not None and "lower bound" in events[0].description
     assert Y_end[0, 0] == pytest.approx(0.0, abs=1e-7)
     assert events[1] is None and t_end[1] == pytest.approx(5.0)
@@ -543,19 +544,19 @@ def test_batch_row_with_nonfinite_stage_sits_out_the_attempt():
 def test_batch_blowup_away_from_boundary_raises():
     # y' = y^2 from y = 1 blows up at t = 1; from 0.1 it would last to t = 10
     with pytest.raises(IntegrationError):
-        integrate_batch(lambda t, Y: Y ** 2, 0.0, [[0.1], [1.0]], 3.0)
+        integrate_batch(lambda t, Y: Y ** 2, 0.0, [[0.1], [1.0]], 3.0, COARSE, None, ())
 
 
 def test_batch_rejects_backward_spans():
     with pytest.raises(ValueError):
-        integrate_batch(lambda t, Y: -Y, 1.0, [[1.0]], 0.0)
+        integrate_batch(lambda t, Y: -Y, 1.0, [[1.0]], 0.0, COARSE, None, ())
 
 
 def test_batch_without_members_calls_no_field():
     def field(t, Y):
         raise AssertionError("field called")
 
-    t_end, Y_end, events = integrate_batch(field, 0.0, np.empty((0, 2)), 1.0)
+    t_end, Y_end, events = integrate_batch(field, 0.0, np.empty((0, 2)), 1.0, COARSE, None, ())
     assert t_end.shape == (0,) and Y_end.shape == (0, 2) and events == []
 
 
@@ -567,14 +568,14 @@ def test_zero_length_span_makes_the_initial_checks():
     box = Box.from_bounds([0.0], [1.0])
     for t_end in (0.0, 1.0):
         with pytest.raises(ValueError, match="outside the open domain"):
-            integrate(lambda t, y: -y, 0.0, [2.0], t_end, domain=box)
+            integrate(lambda t, y: -y, 0.0, [2.0], t_end, COARSE, domain=box)
         with pytest.raises(IntegrationError):
-            integrate(lambda t, y: np.array([np.nan]), 0.0, [0.5], t_end)
-        traj = integrate(lambda t, y: -y, 0.0, [0.5], t_end,
+            integrate(lambda t, y: np.array([np.nan]), 0.0, [0.5], t_end, COARSE)
+        traj = integrate(lambda t, y: -y, 0.0, [0.5], t_end, COARSE,
                          stops=(("start", lambda t, y: t == 0.0),))
         assert traj.exit_event is not None and traj.exit_event.description == "start"
         assert traj.exit_event.time == 0.0 and traj.t_end == 0.0
-    traj = integrate(lambda t, y: -y, 3.0, [0.5], 3.0, domain=box)
+    traj = integrate(lambda t, y: -y, 3.0, [0.5], 3.0, COARSE, domain=box)
     assert traj.exit_event is None
     assert np.array_equal(traj.time_grid, [3.0]) and np.array_equal(traj.derivs, [[-0.5]])
 
@@ -585,12 +586,8 @@ def test_controlled_zero_length_span_makes_the_initial_checks():
     box = Box.from_bounds([0.0], [1.0])
     for t_end in (0.0, 1.0):
         with pytest.raises(ValueError, match="outside the open domain"):
-            integrate_controlled(rhs, control, 0.0, [2.0], t_end, domain=box)
-        traj = integrate_controlled(rhs, control, 0.0, [0.5], t_end,
-                                    stops=(("start", lambda t, y: t == 0.0),))
-        assert traj.exit_event is not None and traj.exit_event.description == "start"
-        assert traj.exit_event.time == 0.0 and traj.t_end == 0.0
-    traj = integrate_controlled(rhs, control, 3.0, [0.5], 3.0, domain=box)
+            integrate_controlled(rhs, control, 0.0, [2.0], t_end, COARSE, domain=box)
+    traj = integrate_controlled(rhs, control, 3.0, [0.5], 3.0, COARSE, domain=box)
     assert traj.exit_event is None
     assert np.array_equal(traj.time_grid, [3.0]) and np.array_equal(traj.derivs, [[-0.5]])
 
@@ -646,7 +643,7 @@ def test_fig1_shooting_orbit_pins():
     # node count and final state of the FIG1 shot orbit, bit for bit; the
     # solo loop's float domain test and the field's float unpacking must not
     # move them
-    _, orbit = ramsey_shoot(RamseyParams(**FIG1))
+    _, orbit = ramsey_shoot(RamseyParams(**FIG1), 2000.0)
     assert orbit.time_grid.size == 156
     assert [float(v).hex() for v in orbit.states[-1]] == ["0x1.fffbe9b01cc89p+4",
                                                           "0x1.33310c44e2350p+1"]
@@ -681,7 +678,7 @@ def test_solo_ramsey_events_land_on_the_bisected_theta(monkeypatch):
         assert event.time == t + theta * h
         return event
 
-    _, orbit = ramsey_shoot(params)
+    _, orbit = ramsey_shoot(params, 2000.0)
     assert last_sweep(orbit).description == "saddle_ball"
     orbit = ramsey_euler_orbit(params, 60.0, 3.0, 600.0, stops=stops)
     assert last_sweep(orbit).description == "to_zero_consumption"
@@ -706,7 +703,7 @@ def test_stop_is_called_once_at_t0():
 
     for t_end in (0.0, 1.0):
         calls.clear()
-        integrate(lambda t, y: -y, 0.0, [0.5], t_end, stops=(("start", start),))
+        integrate(lambda t, y: -y, 0.0, [0.5], t_end, COARSE, stops=(("start", start),))
         assert calls == [0.0]
 
 
@@ -715,11 +712,12 @@ def test_batch_zero_length_span_makes_the_initial_checks():
     stops = (("low", lambda t, Y: Y[:, 0] < 0.15),)
     for t_end in (0.0, 1.0):
         with pytest.raises(ValueError, match="outside the open domain"):
-            integrate_batch(lambda t, Y: -Y, 0.0, [[0.5], [2.0]], t_end, domain=box)
+            integrate_batch(lambda t, Y: -Y, 0.0, [[0.5], [2.0]], t_end, COARSE, box, ())
         with pytest.raises(IntegrationError):
-            integrate_batch(lambda t, Y: np.full_like(Y, np.nan), 0.0, [[0.5]], t_end)
+            integrate_batch(lambda t, Y: np.full_like(Y, np.nan), 0.0, [[0.5]], t_end,
+                            COARSE, None, ())
         t_out, Y_out, events = integrate_batch(lambda t, Y: -Y, 0.0, [[0.5], [0.125]], t_end,
-                                               domain=box, stops=stops)
+                                               COARSE, box, stops)
         assert events[0] is None and t_out[0] == t_end
         assert events[1] is not None and events[1].description == "low"
         assert events[1].time == 0.0 and t_out[1] == 0.0 and Y_out[1, 0] == 0.125
@@ -731,11 +729,11 @@ def test_finite_stages_whose_sum_overflows_are_accepted():
     with np.errstate(over="ignore"):
         assert not math.isfinite(np.add.reduce(np.array([1e308, 1e308])))
     field = lambda t, y: np.array([1e308, 1e308])
-    traj = integrate(field, 0.0, [0.0, 0.0], 1e-10)
+    traj = integrate(field, 0.0, [0.0, 0.0], 1e-10, COARSE)
     assert traj.exit_event is None and traj.t_end == 1e-10
     np.testing.assert_allclose(traj.states[-1], [1e298, 1e298], rtol=1e-12)
     t_out, Y_out, events = integrate_batch(lambda t, Y: np.full_like(Y, 1e308), 0.0,
-                                           [[0.0, 0.0], [1.0, 1.0]], 1e-10)
+                                           [[0.0, 0.0], [1.0, 1.0]], 1e-10, COARSE, None, ())
     assert events == [None, None] and np.array_equal(t_out, [1e-10, 1e-10])
     np.testing.assert_allclose(Y_out, [[1e298, 1e298], [1e298, 1e298]], rtol=1e-12)
 
@@ -753,7 +751,7 @@ def test_nonfinite_stage_ends_the_attempt_before_the_next_field_call(bad):
         return out
 
     with pytest.raises(IntegrationError):
-        integrate(field, 0.0, [0.0, 0.0], 1.0)
+        integrate(field, 0.0, [0.0, 0.0], 1.0, COARSE)
     failed = [k for k, (_, finite) in enumerate(calls) if not finite]
     assert failed
     for k in failed:
@@ -767,13 +765,13 @@ def test_box_without_finite_faces_matches_no_domain():
     settings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11)
     Y0 = [[1.0, 0.0], [0.0, 2.0]]
     free = integrate(field, 0.0, Y0[0], 30.0, settings)
-    free_batch = integrate_batch(rows, 0.0, Y0, 30.0, settings)
+    free_batch = integrate_batch(rows, 0.0, Y0, 30.0, settings, None, ())
     for box in (Box.unbounded(2), Box.from_bounds([-np.inf] * 2, [np.inf] * 2)):
         boxed = integrate(field, 0.0, Y0[0], 30.0, settings, domain=box)
         assert np.array_equal(boxed.time_grid, free.time_grid)
         assert np.array_equal(boxed.states, free.states)
         assert np.array_equal(boxed.derivs, free.derivs)
-        boxed_batch = integrate_batch(rows, 0.0, Y0, 30.0, settings, box)
+        boxed_batch = integrate_batch(rows, 0.0, Y0, 30.0, settings, box, ())
         assert np.array_equal(boxed_batch[0], free_batch[0])
         assert np.array_equal(boxed_batch[1], free_batch[1])
 

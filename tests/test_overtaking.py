@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from horizoncheck import (
     ControlSignal,
-    IntegratorSettings,
     NonExtendibleError,
     accumulate_jx,
     appendix_identity_residual,
@@ -28,6 +28,14 @@ def value(problem, control, T, settings=overtaking._VALUE_SETTINGS):
     """Payoff of the control from the problem's initial point to T."""
     return payoff_value(problem, control, problem.initial_state, problem.initial_time,
                         T, settings)
+
+
+def overtake(problem, candidate, challenger, T_max, sample_spacing=0.02):
+    """The overtaking test of the candidate's payoff path against one
+    challenger, at the CLI's eps and, by default, its oscillator spacing."""
+    return empirical_overtaking_test(problem, payoff_path(problem, candidate, T_max),
+                                     challenger, eps=1e-6, T_max=T_max,
+                                     sample_spacing=sample_spacing)
 
 
 def test_finite_horizon_values(oscillator, integrator, u_one):
@@ -55,7 +63,7 @@ def test_base_path_leaving_the_domain_is_not_extendible(ramsey_params):
         accumulate_jx(problem, traj, base, 1.0, [1.0, 100.0, 200.0], TIGHT)
     assert err.value.event.time == pytest.approx(4.17, abs=0.01)
     with pytest.raises(NonExtendibleError, match="not extendible past t=4.1"):
-        needle_limit_check(problem, base, 1.0, [2.0], 200.0, [0.1, 0.01], TIGHT)
+        needle_limit_check(problem, base, 1.0, [2.0], 200.0, [0.1, 0.01])
 
 
 def test_needle_gap_closed_form(integrator_undiscounted, u_one):
@@ -84,24 +92,22 @@ def test_needle_first_order_matches_hamiltonian_difference(oscillator, u_one):
 def test_needle_limit_check_first_order_rate(example, oscillator, integrator, u_one):
     problem = oscillator if example == "oscillator" else integrator
     alphas = [1e-1 * 2.0 ** -k for k in range(10)]
-    report = needle_limit_check(problem, u_one, 1.0, [0.0], 20.0, alphas, TIGHT)
+    report = needle_limit_check(problem, u_one, 1.0, [0.0], 20.0, alphas)
     assert report.fitted_order >= 0.9
     assert report.errors[-1] < report.errors[0]
 
 
 def test_needle_limit_check_trivial_direction(oscillator, u_one):
-    report = needle_limit_check(oscillator, u_one, 1.0, [1.0], 20.0,
-                                [1e-1, 1e-2], TIGHT)
+    report = needle_limit_check(oscillator, u_one, 1.0, [1.0], 20.0, [1e-1, 1e-2])
     assert report.prediction == 0.0
     assert np.all(report.slopes == 0.0)
 
 
 def test_needle_limit_check_ramsey_saddle(ramsey_params, ramsey_saddle):
-    c0, k_traj, control = ramsey_saddle
+    _, _, control = ramsey_saddle
     problem = ramsey_params.problem()
     u_lower = [0.9 * float(control.evaluate(5.0)[0])]
-    report = needle_limit_check(problem, control, 5.0, u_lower, 100.0,
-                                [1e-1, 1e-2, 1e-3], TIGHT, trajectory=k_traj)
+    report = needle_limit_check(problem, control, 5.0, u_lower, 100.0, [1e-1, 1e-2, 1e-3])
     assert report.fitted_order >= 0.9
 
 
@@ -147,6 +153,19 @@ def test_needle_limit_check_validates_every_width(oscillator, u_one, payoff_solv
     assert payoff_solves == []
 
 
+def test_needle_limit_check_rejects_a_nan_tau_before_integrating(oscillator, u_one,
+                                                                payoff_solves, monkeypatch):
+    # every comparison with a NaN tau is False, so the interval test used to
+    # pass it and the state was solved before the anchor check failed
+    def no_state_solve(*args):
+        raise AssertionError("state solved")
+
+    monkeypatch.setattr(overtaking, "solve_state", no_state_solve)
+    with pytest.raises(ValueError, match=r"inside \[t0, T\]"):
+        needle_limit_check(oscillator, u_one, math.nan, [0.0], 20.0, [1e-1, 1e-2])
+    assert payoff_solves == []
+
+
 def test_payoff_path_step_pin(oscillator, u_one):
     # accepted steps of the payoff solve of u = 1 on the oscillator to T = 100
     # at the overtaking settings; a change to the payoff right-hand side or
@@ -158,34 +177,46 @@ def test_payoff_path_step_pin(oscillator, u_one):
 
 def test_overtaking_reuses_candidate_path(oscillator, u_one, payoff_solves):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    fresh = empirical_overtaking_test(oscillator, u_one, challenger, T_max=100.0)
     path = payoff_path(oscillator, u_one, 100.0)
     del payoff_solves[:]
-    reused = empirical_overtaking_test(oscillator, u_one, challenger, T_max=100.0,
-                                       candidate_path=path)
+    report = empirical_overtaking_test(oscillator, path, challenger, eps=1e-6, T_max=100.0,
+                                       sample_spacing=0.02)
     assert len(payoff_solves) == 1  # the challenger only
-    for name in ("verdict", "max_gap", "argmax_T", "evidence"):
-        assert getattr(reused, name) == getattr(fresh, name)
+    assert report.verdict == "consistent_WOO_only"
+    # a path past T_max serves as well, with the same gaps up to T_max
+    longer = empirical_overtaking_test(oscillator, payoff_path(oscillator, u_one, 150.0),
+                                       challenger, eps=1e-6, T_max=100.0,
+                                       sample_spacing=0.02)
+    assert longer.verdict == report.verdict
+    assert longer.max_gap == pytest.approx(report.max_gap, abs=1e-9)
 
 
 def test_overtaking_rejects_short_candidate_path(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
     short = payoff_path(oscillator, u_one, 50.0)
     with pytest.raises(ValueError, match="candidate path"):
-        empirical_overtaking_test(oscillator, u_one, challenger, T_max=100.0,
-                                  candidate_path=short)
+        empirical_overtaking_test(oscillator, short, challenger, eps=1e-6, T_max=100.0,
+                                  sample_spacing=0.02)
 
 
-@pytest.mark.parametrize("checkpoints", [[50.0, 60.0], [10.0, 40.0], [0.0, 10.0], []])
-def test_overtaking_rejects_checkpoints_outside_horizon(oscillator, u_one, checkpoints,
-                                                        payoff_solves):
-    # a checkpoint at or beyond T_max leaves an empty tail, which used to
-    # give a vacuous consistent_OO
+@pytest.mark.parametrize("T_max", [0.0, -1.0, math.nan])
+def test_overtaking_rejects_a_horizon_not_after_t0(oscillator, u_one, T_max, payoff_solves):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    with pytest.raises(ValueError, match="checkpoint"):
-        empirical_overtaking_test(oscillator, u_one, challenger, T_max=40.0,
-                                  T_checkpoints=checkpoints)
+    path = payoff_path(oscillator, u_one, 40.0)
+    del payoff_solves[:]
+    with pytest.raises(ValueError, match="must exceed t0"):
+        empirical_overtaking_test(oscillator, path, challenger, eps=1e-6, T_max=T_max,
+                                  sample_spacing=0.02)
     assert payoff_solves == []
+
+
+def test_overtaking_checkpoints_follow_t0(oscillator, u_one):
+    # the tail windows start at t0 + (T_max - t0) * {1/8, 1/4, 1/2}
+    late = dataclasses.replace(oscillator, initial_time=10.0)
+    challenger = ControlSignal.piecewise_constant([10.0 + math.pi], [[0.0], [1.0]])
+    report = overtake(late, u_one, challenger, 50.0)
+    assert [w.split(":")[0] for w in report.evidence.split("; ")[-3:]] == [
+        "[15,20]", "[20,30]", "[30,50]"]
 
 
 @pytest.mark.parametrize("eps", [math.nan, -1e-6, -math.inf])
@@ -193,8 +224,11 @@ def test_overtaking_rejects_nan_and_negative_eps(oscillator, u_one, eps, payoff_
     # every comparison with a NaN eps is False, which used to read as gaps
     # that never exceed eps: consistent_OO where the verdict is WOO only
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
+    path = payoff_path(oscillator, u_one, 40.0)
+    del payoff_solves[:]
     with pytest.raises(ValueError, match="eps"):
-        empirical_overtaking_test(oscillator, u_one, challenger, eps=eps, T_max=40.0)
+        empirical_overtaking_test(oscillator, path, challenger, eps=eps, T_max=40.0,
+                                  sample_spacing=0.02)
     assert payoff_solves == []
 
 
@@ -205,22 +239,9 @@ def test_overtake_report_integrates_candidate_once(example, params, payoff_solve
     assert len(payoff_solves) == 1 + len(report.rows)
 
 
-def test_overtaking_evidence_shows_a_window_without_samples(oscillator, u_one):
-    # no sampled horizon falls in [10, 10.001], so that window holds neither
-    # event and the verdict cannot be consistent_WOO_only; the evidence used
-    # to leave the window out and show both events in every window it listed
-    challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    report = empirical_overtaking_test(oscillator, u_one, challenger, T_max=40.0,
-                                       T_checkpoints=[10.0, 10.001, 20.0])
-    assert report.verdict == "inconclusive"
-    assert report.evidence.split("; ") == ["[10,10.001]:-/-",
-                                           "[10.001,20]:gap>eps/gap<=eps",
-                                           "[20,40]:gap>eps/gap<=eps"]
-
-
 def test_overtaking_oscillator_woo_only(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    report = empirical_overtaking_test(oscillator, u_one, challenger, T_max=400.0)
+    report = overtake(oscillator, u_one, challenger, 400.0)
     assert report.verdict == "consistent_WOO_only"
     assert report.max_gap == pytest.approx(2 - math.pi / 2, abs=1e-3)
     assert report.argmax_T % (2 * math.pi) == pytest.approx(0.0, abs=0.05) or \
@@ -232,13 +253,13 @@ def test_overtaking_oscillator_oo_when_b_large(u_one):
 
     problem = make_builtin_problem("oscillator", {"b": 1.5})
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    report = empirical_overtaking_test(problem, u_one, challenger, T_max=400.0)
+    report = overtake(problem, u_one, challenger, 400.0)
     assert report.verdict == "consistent_OO"
 
 
 def test_overtaking_gap_additivity(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    report = empirical_overtaking_test(oscillator, u_one, challenger, T_max=100.0)
+    report = overtake(oscillator, u_one, challenger, 100.0)
     for T in (11.0, 47.0, 93.0):
         direct = value(oscillator, challenger, T, TIGHT) - value(oscillator, u_one, T, TIGHT)
         assert report.gap_fn(T) == pytest.approx(direct, abs=1e-7)
@@ -248,8 +269,7 @@ def test_overtaking_violates_woo_detected(integrator_undiscounted, u_one):
     # swap roles: u = 0 as candidate is beaten by u = 1 at every horizon
     challenger = u_one
     candidate = ControlSignal.constant([0.0])
-    report = empirical_overtaking_test(integrator_undiscounted, candidate,
-                                       challenger, T_max=200.0)
+    report = overtake(integrator_undiscounted, candidate, challenger, 200.0)
     assert report.verdict == "violates_WOO"
 
 
@@ -260,10 +280,8 @@ def test_overtaking_ramsey_challengers(ramsey_params, ramsey_saddle):
         ramsey_euler_orbit(ramsey_params, 10.0, c0 + 0.5, 2000.0))
     low = ramsey_control_from_orbit(
         ramsey_euler_orbit(ramsey_params, 10.0, c0 - 0.5, 2000.0))
-    rep_high = empirical_overtaking_test(problem, candidate, high, T_max=2000.0,
-                                         sample_spacing=0.25)
-    rep_low = empirical_overtaking_test(problem, candidate, low, T_max=2000.0,
-                                        sample_spacing=0.25)
+    rep_high = overtake(problem, candidate, high, 2000.0, sample_spacing=0.25)
+    rep_low = overtake(problem, candidate, low, 2000.0, sample_spacing=0.25)
     assert rep_high.verdict == "non_extendible_challenger"
     assert rep_low.verdict == "consistent_OO"
 

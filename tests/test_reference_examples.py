@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from horizoncheck import (
+    IntegratorReference,
     RamseyParams,
-    integrator_reference,
     oscillator_reference,
     ramsey_classify,
     ramsey_shoot,
@@ -50,9 +50,9 @@ def test_field_values():
 
 def test_classify_examples():
     params = RamseyParams(**FIG1)
-    assert ramsey_classify(params, 32.0, 2.4) == "saddle"
-    assert ramsey_classify(params, 10.0, 5.0) == "hits_zero_capital"
-    assert ramsey_classify(params, 10.0, 0.5) == "to_zero_consumption"
+    assert ramsey_classify(params, 32.0, 2.4, 2000.0) == "saddle"
+    assert ramsey_classify(params, 10.0, 5.0, 2000.0) == "hits_zero_capital"
+    assert ramsey_classify(params, 10.0, 0.5, 2000.0) == "to_zero_consumption"
 
 
 def _per_orbit_labels(params, k_vals, c_vals, t_max):
@@ -76,7 +76,7 @@ def test_grid_labels_match_per_orbit_labels(grid):
 
 
 def test_grid_cell_at_steady_state_is_saddle():
-    labels = ramsey_classify(RamseyParams(**FIG1), [[32.0]], [[2.4]])
+    labels = ramsey_classify(RamseyParams(**FIG1), [[32.0]], [[2.4]], 2000.0)
     assert labels.tolist() == [["saddle"]]
 
 
@@ -85,15 +85,15 @@ def test_empty_grid_calls_no_field(monkeypatch):
         raise AssertionError("field evaluated")
 
     monkeypatch.setattr(reference_examples, "_euler_rates", refuse)
-    labels = ramsey_classify(RamseyParams(**FIG1), np.empty(0), np.empty(0))
+    labels = ramsey_classify(RamseyParams(**FIG1), np.empty(0), np.empty(0), 2000.0)
     assert labels.shape == (0,)
     with pytest.raises(ValueError):
-        ramsey_classify(RamseyParams(**FIG1), [10.0, -1.0], 1.0)
+        ramsey_classify(RamseyParams(**FIG1), [10.0, -1.0], 1.0, 2000.0)
 
 
 def test_shoot_from_steady_state_recovers_c_star():
     params = RamseyParams(alpha=0.4, delta=0.05, theta=0.5, k0=32.0)
-    c0, orbit = ramsey_shoot(params)
+    c0, orbit = ramsey_shoot(params, 2000.0)
     assert c0 == pytest.approx(2.4, abs=1e-6)
     assert orbit.exit_event.description == "saddle_ball"
 
@@ -101,7 +101,7 @@ def test_shoot_from_steady_state_recovers_c_star():
 def test_shoot_from_k0_10(ramsey_params, ramsey_saddle):
     c0, _, _ = ramsey_saddle
     history = []
-    c0_again, orbit = ramsey_shoot(ramsey_params, history=history)
+    c0_again, orbit = ramsey_shoot(ramsey_params, 2000.0, history=history)
     assert c0_again == pytest.approx(c0, abs=1e-8)
     # enters the 1e-3 ball around (32, 2.4)
     k_T, c_T = orbit.states[-1]
@@ -122,14 +122,13 @@ def test_shoot_from_k0_10(ramsey_params, ramsey_saddle):
 
 
 @pytest.mark.parametrize("k0", [2.0, 10.0, 50.0])
-def test_shot_c0_separates_the_families_within_1e_9(k0):
+def test_shot_c0_separates_the_families_within_1e_9(k0, monkeypatch):
     params = RamseyParams(**dict(FIG1, k0=k0))
-    c0, _ = ramsey_shoot(params)
+    c0, _ = ramsey_shoot(params, 2000.0)
     # a ball too small to enter makes every orbit show its side
-    assert ramsey_classify(params, k0, c0 * (1 - 1e-9), t_max=3000,
-                           ball_radius=1e-12) == "to_zero_consumption"
-    assert ramsey_classify(params, k0, c0 * (1 + 1e-9), t_max=3000,
-                           ball_radius=1e-12) == "hits_zero_capital"
+    monkeypatch.setattr(reference_examples, "_BALL_RADIUS", 1e-12)
+    assert ramsey_classify(params, k0, c0 * (1 - 1e-9), t_max=3000) == "to_zero_consumption"
+    assert ramsey_classify(params, k0, c0 * (1 + 1e-9), t_max=3000) == "hits_zero_capital"
 
 
 # At theta = 1/alpha the stable manifold is c = (1 - alpha) k^alpha: on it
@@ -142,7 +141,7 @@ def test_saddle_path_closed_form_at_theta_one_over_alpha(alpha, delta, k0):
     interior, _ = ramsey_steady_state(params)
     assert reference_examples._saddle_consumption(params, interior) == \
         pytest.approx(exact, rel=1e-10)
-    c0, orbit = ramsey_shoot(params)
+    c0, orbit = ramsey_shoot(params, 2000.0)
     assert c0 == pytest.approx(exact, rel=1e-9)
     k, c = orbit.states.T
     assert np.max(np.abs(c / ((1.0 - alpha) * k ** alpha) - 1.0)) <= 1e-5
@@ -192,7 +191,7 @@ def test_saddle_consumption_beyond_zero_consumption_capital():
     ({"k0": 10.0, "theta": 5.0}, 1.6934688985182271),
 ])
 def test_shoot_c0_parity(overrides, c0_before):
-    c0, orbit = ramsey_shoot(RamseyParams(**dict(FIG1, **overrides)))
+    c0, orbit = ramsey_shoot(RamseyParams(**dict(FIG1, **overrides)), 2000.0)
     assert abs(c0 - c0_before) <= 1e-10
     assert orbit.exit_event.description == "saddle_ball"
 
@@ -207,7 +206,7 @@ def test_shoot_c0_parity(overrides, c0_before):
 def test_shoot_reaches_the_ball(alpha, delta, theta, k0):
     params = RamseyParams(alpha=alpha, delta=delta, theta=theta, k0=k0)
     interior, _ = ramsey_steady_state(params)
-    c0, orbit = ramsey_shoot(params)
+    c0, orbit = ramsey_shoot(params, 2000.0)
     assert orbit.exit_event.description == "saddle_ball"
     assert c0 == pytest.approx(reference_examples._saddle_consumption(params, interior),
                                rel=1e-8)
@@ -283,21 +282,21 @@ def test_oscillator_costate_solves_adjoint_identities():
 
 
 def test_integrator_reference():
-    ref = integrator_reference(0.1, 0.0, 1.0)
+    ref = IntegratorReference(0.1, 0.0, 1.0)
     assert ref.psi_hat(0.0) == pytest.approx(10.0)
     assert ref.psi(0.0) == pytest.approx(10.0)
     assert not ref.psi_hat_diverges
     assert ref.max_principle_holds()
 
-    abnormal = integrator_reference(0.0, 1.0, 0.0)
+    abnormal = IntegratorReference(0.0, 1.0, 0.0)
     assert abnormal.psi(123.0) == 1.0
     assert abnormal.psi_hat_diverges
     assert abnormal.max_principle_holds()
     with pytest.raises(ValueError):
         abnormal.psi_hat(0.0)
 
-    doomed = integrator_reference(0.0, 5.0, 1.0)
+    doomed = IntegratorReference(0.0, 5.0, 1.0)
     assert doomed.psi(7.0) == pytest.approx(-2.0)
     assert not doomed.max_principle_holds()
     with pytest.raises(ValueError):
-        integrator_reference(0.0, 0.0, 0.0)
+        IntegratorReference(0.0, 0.0, 0.0)

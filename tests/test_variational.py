@@ -10,13 +10,13 @@ from horizoncheck import (
     ControlSet,
     ControlSignal,
     IntegrationError,
+    IntegratorReference,
     IntegratorSettings,
     accumulate_jx,
     check_assumption_uniform,
     fd_gradient,
     horizon_grid,
     integrate_adjoint,
-    integrator_reference,
     jx_scan,
     lemma1_residual,
     limit_costate,
@@ -97,7 +97,7 @@ def test_adjoint_reproduces_integrator_closed_form(integrator, u_one):
     # step cap keeps dense (between-node) evaluation at the same accuracy
     settings = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13, max_step=0.2)
     traj = solve_state(integrator, u_one, 100.0, settings)
-    ref = integrator_reference(0.1, 0.7, 1.0)
+    ref = IntegratorReference(0.1, 0.7, 1.0)
     costate = integrate_adjoint(integrator, traj, u_one,
                                 (100.0, [float(ref.psi(100.0))]), 1.0,
                                 settings=settings)
@@ -270,4 +270,4 @@ def test_payoff_overflow_is_integration_error_not_domain_exit():
         control_set=ControlSet.box([0.0], [1.0]),
         state_domain=Box.unbounded(1), initial_state=[0.0])
     with pytest.raises(IntegrationError):
-        payoff_value(problem, ControlSignal.constant([0.0]), [0.0], 0.0, 800.0)
+        payoff_value(problem, ControlSignal.constant([0.0]), [0.0], 0.0, 800.0, STANDARD)
