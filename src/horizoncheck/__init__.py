@@ -32,7 +32,6 @@ from .variational import (
     CostatePath,
     JxRecord,
     TransitionOperator,
-    accumulate_jx,
     check_assumption_uniform,
     check_jx_bounded,
     fd_gradient,

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ode_engine import ControlSignal, Trajectory, _hermite_floats
+from .ode_engine import ControlSignal, Trajectory, _dense_floats
 from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
 from .variational import CostatePath, JxRecord, TransitionOperator, limit_costate
 from .verdicts import (
@@ -70,9 +70,9 @@ def dense_horizon_grid(tau: float, t_max: float) -> np.ndarray:
 @dataclass
 class GeneralConditionReport:
     """Per-(tau, u) tail estimates of the Hamiltonian difference and the
-    aggregate verdict of the battery."""
+    aggregate verdict of the battery; column j is the j-th control value of
+    ``control_set.sample_grid(_CONTROL_RESOLUTION)``."""
 
-    control_grid: np.ndarray
     estimates: np.ndarray        # (n_tau, n_u) tail liminf or limsup estimates
     statuses: np.ndarray         # (n_tau, n_u) of Verdict
     verdict: ConditionVerdict
@@ -158,8 +158,7 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
                                      for t, e in zip(np.repeat(tau_grid, n_u),
                                                      estimates.ravel())],
                                note=f"{note}; worst estimate {worst:.3g}")
-    return GeneralConditionReport(control_grid=control_grid, estimates=estimates,
-                                  statuses=statuses, verdict=verdict)
+    return GeneralConditionReport(estimates=estimates, statuses=statuses, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +341,14 @@ def _state_crossings(traj: Trajectory, x_target):
         a, b = grid[idx], grid[idx + 1]
         if b <= a:
             continue
-        # bisect the step's Hermite cubic on floats, as traj(t) evaluates it
-        ends = (*traj.states[idx:idx + 2].tolist(), *traj.derivs[idx:idx + 2].tolist())
+        # bisect the step's dense output on floats, as traj(t) evaluates it
+        ends = (*traj.states[idx:idx + 2].tolist(), *traj.derivs[idx:idx + 2].tolist(),
+                traj.quartic[idx].tolist())
         fa = ends[0][0] - target
         lo, hi = a, b
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            fm = _hermite_floats((mid - a) / (b - a), b - a, *ends)[0] - target
+            fm = _dense_floats((mid - a) / (b - a), b - a, *ends)[0] - target
             if fa * fm <= 0:
                 hi = mid
             else:

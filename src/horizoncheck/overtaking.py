@@ -22,10 +22,9 @@ from .ode_engine import (
     IntegratorSettings,
     NonExtendibleError,
     Trajectory,
-    solve_state,
 )
 from .problem_model import ControlProblem, hamiltonian_jumps
-from .variational import accumulate_jx, payoff_value
+from .variational import payoff_value, transition_matrix
 
 __all__ = [
     "NeedleCheckReport",
@@ -79,19 +78,20 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
     gradient as multiplier: the gradient times the dynamics jump
     f(x(tau), u, tau) - f(x(tau), u_hat(tau), tau) plus the payoff-rate jump.
     The error is expected to vanish linearly in the width, and its order is
-    fitted over at least two distinct widths.  The base state path, its
-    gradient and the base payoff are integrated once, under the payoff
-    tolerances of :func:`payoff_path`, and shared by every width.
+    fitted over at least two distinct widths.  x(tau) and grad(tau, T) are
+    read off one transition pass of the base control from t0 to T, and the
+    base payoff is integrated once; both run under the payoff tolerances of
+    :func:`payoff_path` and serve every width.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     alphas = np.sort(np.asarray(list(alphas), dtype=float))[::-1]
     needled = [_needled(problem, base_control, tau, float(alpha), u, T) for alpha in alphas]
     if np.unique(alphas).size < 2:
         raise ValueError(f"need at least two distinct needle widths, got {alphas.tolist()}")
-    trajectory = solve_state(problem, base_control, T, _VALUE_SETTINGS)
-    jx = accumulate_jx(problem, trajectory, base_control, tau, [tau, T], _VALUE_SETTINGS)
-    prediction = float(hamiltonian_jumps(problem, trajectory(tau), base_control.evaluate(tau),
-                                         tau, [u], jx.value_at(T), 1.0)[0])
+    transition = transition_matrix(problem, base_control, T, _VALUE_SETTINGS)
+    prediction = float(hamiltonian_jumps(problem, transition.trajectory(tau),
+                                         base_control.evaluate(tau), tau, [u],
+                                         transition.gradient(tau, T), 1.0)[0])
 
     x0, t0 = problem.initial_state, problem.initial_time
     j_base = payoff_value(problem, base_control, x0, t0, T, _VALUE_SETTINGS)
@@ -174,8 +174,7 @@ def empirical_overtaking_test(problem: ControlProblem, candidate_path: Trajector
                          f"over [{t0:.6g}, {T_max:.6g}]")
 
     try:
-        _, chal_aug = payoff_value(problem, challenger, problem.initial_state, t0,
-                                   T_max, _VALUE_SETTINGS, return_trajectory=True)
+        chal_aug = payoff_path(problem, challenger, T_max)
     except NonExtendibleError as exc:
         return OvertakingReport(
             verdict="non_extendible_challenger", max_gap=math.nan, argmax_T=math.nan,

@@ -325,7 +325,8 @@ def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float):
     orbit = ramsey_euler_orbit(params, params.k0, c0, t_end)
     if orbit.exit_event is not None:
         raise ValueError(f"candidate c0={c0:g} infeasible: {orbit.exit_event.description}")
-    k_traj = Trajectory(orbit.time_grid, orbit.states[:, :1], orbit.derivs[:, :1])
+    k_traj = Trajectory(orbit.time_grid, orbit.states[:, :1], orbit.derivs[:, :1],
+                        orbit.quartic[:, :1])
     return k_traj, ramsey_control_from_orbit(orbit)
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "CostatePath",
     "JxRecord",
     "TransitionOperator",
-    "accumulate_jx",
     "check_assumption_uniform",
     "check_jx_bounded",
     "fd_gradient",
@@ -82,21 +81,6 @@ def _augmented_rhs(problem: ControlProblem):
     return rhs
 
 
-def _augmented_pass(problem: ControlProblem, x_anchor, control: ControlSignal,
-                    anchor: float, t_end: float,
-                    settings: IntegratorSettings) -> Trajectory:
-    """One forward pass of (x, Y, S) from (x_anchor, I, 0) at time anchor to
-    t_end.  Raises NonExtendibleError when the state leaves the domain
-    before t_end."""
-    n = problem.state_dim
-    z0 = np.concatenate([x_anchor, np.eye(n).ravel(), np.zeros(n)])
-    aug = integrate_controlled(_augmented_rhs(problem), control, anchor, z0, t_end,
-                               settings, domain=problem.state_domain.extended(n * n + n))
-    if aug.exit_event is not None:
-        raise NonExtendibleError(aug.exit_event)
-    return aug
-
-
 class TransitionOperator:
     """Propagator samples K(t, tau) of the dynamics linearized along a
     trajectory, together with the running gradient integral S(t), read off
@@ -106,7 +90,8 @@ class TransitionOperator:
     def __init__(self, aug: Trajectory, n: int):
         self._aug = aug
         self._n = n
-        self.trajectory = Trajectory(aug.time_grid, aug.states[:, :n], aug.derivs[:, :n])
+        self.trajectory = Trajectory(aug.time_grid, aug.states[:, :n], aug.derivs[:, :n],
+                                     aug.quartic[:, :n])
 
     def fundamental(self, t) -> np.ndarray:
         """Y(t) = K(t, t0); an array of times gives a stack of matrices."""
@@ -138,14 +123,18 @@ def transition_matrix(problem: ControlProblem, control: ControlSignal, t_end: fl
     """Build the transition operator of the problem under a control.
 
     Integrates the augmented system (x, Y, S) forward once, from the
-    problem's initial point to t_end; the operator's ``trajectory`` is the
-    state part of that pass, and evaluation at arbitrary (t, tau) pairs is
-    exact via the fundamental matrix.  Raises NonExtendibleError when the
-    state leaves the domain before t_end.
+    problem's initial point (x0, I, 0) to t_end; the operator's
+    ``trajectory`` is the state part of that pass, and evaluation at
+    arbitrary (t, tau) pairs is exact via the fundamental matrix.  Raises
+    NonExtendibleError when the state leaves the domain before t_end.
     """
-    aug = _augmented_pass(problem, problem.initial_state, control, problem.initial_time,
-                          t_end, settings)
-    return TransitionOperator(aug, problem.state_dim)
+    n = problem.state_dim
+    z0 = np.concatenate([problem.initial_state, np.eye(n).ravel(), np.zeros(n)])
+    aug = integrate_controlled(_augmented_rhs(problem), control, problem.initial_time, z0,
+                               t_end, settings, domain=problem.state_domain.extended(n * n + n))
+    if aug.exit_event is not None:
+        raise NonExtendibleError(aug.exit_event)
+    return TransitionOperator(aug, n)
 
 
 @dataclass
@@ -175,38 +164,6 @@ class JxRecord:
         if abs(self.T_grid[idx] - T) > 1e-9 * max(1.0, abs(T)):
             raise ValueError(f"horizon {T:g} not on the record grid")
         return self.values[idx]
-
-
-def accumulate_jx(problem: ControlProblem, trajectory: Trajectory,
-                  control: ControlSignal, tau: float, T_grid,
-                  settings: IntegratorSettings) -> JxRecord:
-    """Payoff gradient over [tau, T] for every horizon T on the grid.
-
-    One forward pass of the augmented system anchored at tau (propagator from
-    identity at tau plus the running integral).  Raises NonExtendibleError,
-    with the exit event, when the base trajectory leaves the domain before
-    the last horizon.
-    """
-    T_grid = np.sort(np.atleast_1d(np.asarray(T_grid, dtype=float)))
-    if T_grid[0] < tau - 1e-12:
-        raise ValueError("all horizons must satisfy T >= tau")
-    if not (trajectory.covers(tau)):
-        raise ValueError("anchor time outside the trajectory span")
-    t_hi = float(T_grid[-1])
-    if not trajectory.covers(t_hi):
-        if trajectory.exit_event is not None:
-            raise NonExtendibleError(trajectory.exit_event)
-        raise ValueError("horizon grid exceeds the trajectory span")
-
-    n = problem.state_dim
-    if t_hi > tau:
-        aug = _augmented_pass(problem, trajectory(tau), control, tau, t_hi, settings)
-        values = aug(T_grid)[:, n * (n + 1):]
-    else:
-        values = np.zeros((T_grid.size, n))
-    # the empty integral is exactly zero
-    values[np.isclose(T_grid, tau, rtol=0, atol=1e-15 * max(1.0, abs(tau)))] = 0.0
-    return JxRecord(tau=tau, T_grid=T_grid, values=values)
 
 
 def jx_scan(transition: TransitionOperator, tau_grid, T_grid) -> list[JxRecord]:
@@ -420,7 +377,7 @@ def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
 
 
 def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
-                             trajectory: Trajectory, tau: float,
+                             transition: TransitionOperator, tau: float,
                              directions: Sequence, alphas: Sequence[float],
                              T_grid, settings: IntegratorSettings) -> ConditionVerdict:
     """Uniform-in-horizon lower bound of the payoff perturbation by its
@@ -429,15 +386,16 @@ def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
     For each direction zeta and scale alpha computes
       q(alpha, zeta, T) = (J(x + alpha*zeta) - J(x))/alpha - <grad(tau,T), zeta>
     and takes the infimum over the horizon grid; the check holds when the
-    infimum stays >= -1e-4 as alpha decreases.  For dynamics and payoff
-    linear in the state the quantity vanishes identically up to integration
-    error.
+    infimum stays >= -1e-4 as alpha decreases.  x(tau) and grad(tau, T) are
+    read off ``transition``, the pass of ``control``.  For dynamics and
+    payoff linear in the state the quantity vanishes identically up to
+    integration error.
     """
     tol = 1e-4
     T_grid = np.sort(np.atleast_1d(np.asarray(T_grid, dtype=float)))
     alphas = sorted((float(a) for a in alphas), reverse=True)
-    jx = accumulate_jx(problem, trajectory, control, tau, T_grid, settings)
-    x_tau = trajectory(tau)
+    grads = transition.gradient(tau, T_grid)
+    x_tau = transition.trajectory(tau)
     _, base_aug = payoff_value(problem, control, x_tau, tau, float(T_grid[-1]),
                                settings, return_trajectory=True)
     n = problem.state_dim
@@ -462,7 +420,7 @@ def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
                     f"{exc.event.description}") from exc
             pert_vals = aug(T_grid)[:, n]
             quotients = (pert_vals - base_vals) / alpha
-            linear = jx.values @ zeta
+            linear = grads @ zeta
             q = quotients - linear
             inf_T = float(np.min(q))
             infs.append(inf_T)

@@ -15,7 +15,6 @@ from horizoncheck import (
     IntegratorReference,
     IntegratorSettings,
     Verdict,
-    accumulate_jx,
     appendix_identity_residual,
     check_general,
     check_gmax,
@@ -37,6 +36,7 @@ from horizoncheck import (
     solve_state,
     transition_matrix,
 )
+from horizoncheck import conditions
 from horizoncheck.cli import RunConfig, build_check_report
 from horizoncheck.reference_examples import _euler_rates
 from horizoncheck.verdicts import ConditionVerdict
@@ -81,7 +81,7 @@ def test_criterion_02_general_condition_estimates(oscillator, u_one, osc_400pi):
     T_grid = dense_horizon_grid(0.0, t_max)
     woo = check_general(oscillator, op, u_one, [0.0], T_grid=T_grid, mode="WOO")
     oo = check_general(oscillator, op, u_one, [0.0], T_grid=T_grid, mode="OO")
-    ugrid = woo.control_grid[:, 0]
+    ugrid = oscillator.control_set.sample_grid(conditions._CONTROL_RESOLUTION)[:, 0]
     worst = 0.0
     for u in (-1.0, -0.5, 0.0, 0.5, 1.0):
         j = int(np.argmin(np.abs(ugrid - u)))
@@ -153,8 +153,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
         problem = make_builtin_problem(name, params)
         traj = solve_state(problem, u_one, 250.0, STANDARD)
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
-        rec = accumulate_jx(problem, traj, u_one, 0.0, horizon_grid(0.0, 250.0),
-                            STANDARD)
+        rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
         _, lc = limit_costate(rec)
 
         surrogate = integrate_adjoint(problem, traj, u_one,
@@ -217,31 +216,31 @@ def test_criterion_05_adjoint_identity(oscillator, osc_traj_30, u_one,
                f"{n_cases} cases (tol 1e-6)")
 
 
-def test_criterion_06_gradient_oracle(oscillator, osc_traj_30, integrator,
+def test_criterion_06_gradient_oracle(oscillator, osc_traj_30, osc_op_30, integrator,
                                       u_one, ramsey_params, ramsey_saddle):
     rng = np.random.default_rng(2024)
     traj_i = solve_state(integrator, u_one, 30.0, TIGHT)
+    op_i = transition_matrix(integrator, u_one, 30.0, settings=TIGHT)
     worst_linear = 0.0
-    for problem, traj in ((oscillator, osc_traj_30), (integrator, traj_i)):
+    for problem, traj, op in ((oscillator, osc_traj_30, osc_op_30), (integrator, traj_i, op_i)):
         for _ in range(20):
             tau = rng.uniform(0.0, 8.0)
             T = tau + rng.uniform(0.5, 18.0)
-            rec = accumulate_jx(problem, traj, u_one, tau, [T], TIGHT)
             grad = fd_gradient(problem, u_one, tau, traj(tau), T, settings=TIGHT)
-            err = float(np.max(np.abs(grad - rec.value_at(T))))
+            err = float(np.max(np.abs(grad - op.gradient(tau, T))))
             worst_linear = max(worst_linear, err)
             assert err <= 1e-5
 
     _, k_traj, control = ramsey_saddle
     problem = ramsey_params.problem()
+    op_k = transition_matrix(problem, control, k_traj.t_end, settings=TIGHT)
     worst_ramsey = 0.0
     for _ in range(5):
         tau = rng.uniform(0.0, 20.0)
         T = tau + rng.uniform(10.0, 60.0)
-        rec = accumulate_jx(problem, k_traj, control, tau, [T], TIGHT)
         grad = fd_gradient(problem, control, tau, k_traj(tau), T, settings=TIGHT)
         scale = max(1.0, float(np.max(np.abs(grad))))
-        err = float(np.max(np.abs(grad - rec.value_at(T)))) / scale
+        err = float(np.max(np.abs(grad - op_k.gradient(tau, T)))) / scale
         worst_ramsey = max(worst_ramsey, err)
         assert err <= 1e-3
     _ok("A06", f"propagator gradients vs central differences: linear examples "
@@ -353,16 +352,14 @@ def test_criterion_09_overtaking_verdicts(oscillator, u_one):
 
 def test_criterion_10_integrator_limit_values(integrator,
                                               integrator_undiscounted, u_one):
-    traj = solve_state(integrator, u_one, 250.0, STANDARD)
-    rec = accumulate_jx(integrator, traj, u_one, 0.0, horizon_grid(0.0, 250.0),
-                        STANDARD)
+    op = transition_matrix(integrator, u_one, 250.0, settings=STANDARD)
+    rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
     psi_hat, verdict = limit_costate(rec)
     assert verdict.status is Verdict.HOLDS
     assert psi_hat[0] == pytest.approx(10.0, abs=1e-4)
 
-    traj0 = solve_state(integrator_undiscounted, u_one, 250.0, STANDARD)
-    rec0 = accumulate_jx(integrator_undiscounted, traj0, u_one, 0.0,
-                         horizon_grid(0.0, 250.0), STANDARD)
+    op0 = transition_matrix(integrator_undiscounted, u_one, 250.0, settings=STANDARD)
+    rec0 = jx_scan(op0, [0.0], horizon_grid(0.0, 250.0))[0]
     psi0, verdict0 = limit_costate(rec0)
     assert psi0 is None and verdict0.status is Verdict.FAILS
     assert "unbounded" in verdict0.note

@@ -7,7 +7,6 @@ from horizoncheck import (
     ControlSignal,
     IntegratorReference,
     Verdict,
-    accumulate_jx,
     check_classical,
     check_general,
     check_gmax,
@@ -30,21 +29,17 @@ from horizoncheck.verdicts import tail_limit_verdict, tail_status
 from conftest import STANDARD, TIGHT
 
 
-def test_delta_hamiltonian_oracles(oscillator, osc_traj_30, u_one,
+def test_delta_hamiltonian_oracles(oscillator, osc_traj_30, osc_op_30, u_one,
                                    integrator_undiscounted):
     # H(x(tau), u, tau, grad(tau, T), 1) - H(x(tau), 1, tau, grad(tau, T), 1)
-    rec = accumulate_jx(oscillator, osc_traj_30, u_one, 0.0,
-                        [0.0, math.pi / 2], TIGHT)
     low, same = hamiltonian_jumps(oscillator, osc_traj_30(0.0), u_one.evaluate(0.0), 0.0,
-                                  [[-1.0], [1.0]], rec.value_at(math.pi / 2), 1.0)
+                                  [[-1.0], [1.0]], osc_op_30.gradient(0.0, math.pi / 2), 1.0)
     assert low == pytest.approx(-3.0, abs=1e-8)
     assert same == 0.0
 
-    traj = solve_state(integrator_undiscounted, u_one, 10.0, TIGHT)
-    rec0 = accumulate_jx(integrator_undiscounted, traj, u_one, 1.0,
-                         [1.0, 5.0], TIGHT)
-    jump = hamiltonian_jumps(integrator_undiscounted, traj(1.0), u_one.evaluate(1.0), 1.0,
-                             [[0.0]], rec0.value_at(5.0), 1.0)[0]
+    op = transition_matrix(integrator_undiscounted, u_one, 10.0, settings=TIGHT)
+    jump = hamiltonian_jumps(integrator_undiscounted, op.trajectory(1.0), u_one.evaluate(1.0),
+                             1.0, [[0.0]], op.gradient(1.0, 5.0), 1.0)[0]
     assert jump == pytest.approx(-4.0, abs=1e-9)
 
 
@@ -57,7 +52,7 @@ def test_check_general_oscillator_verdicts(oscillator, osc_op_400, u_one):
     assert woo.verdict.status is Verdict.HOLDS
     assert oo.verdict.status is Verdict.FAILS
     ref = oscillator_reference(0.5)
-    ugrid = woo.control_grid[:, 0]
+    ugrid = oscillator.control_set.sample_grid(conditions._CONTROL_RESOLUTION)[:, 0]
     for u in (-1.0, 0.0, 0.5):
         j = int(np.argmin(np.abs(ugrid - u)))
         assert woo.estimates[0, j] == pytest.approx(ref.woo_bound(u), abs=5e-3)
@@ -68,7 +63,8 @@ def test_check_general_diagonal_identity(oscillator, osc_op_400, u_one):
     report = check_general(oscillator, osc_op_400, u_one, [0.0, 3.0],
                            T_grid=np.linspace(0.0, 400.0, 8001),
                            mode="WOO")
-    j_one = int(np.argmin(np.abs(report.control_grid[:, 0] - 1.0)))
+    ugrid = oscillator.control_set.sample_grid(conditions._CONTROL_RESOLUTION)[:, 0]
+    j_one = int(np.argmin(np.abs(ugrid - 1.0)))
     assert report.estimates[0, j_one] == 0.0
     assert report.estimates[1, j_one] == 0.0
 
@@ -90,7 +86,7 @@ def test_check_general_refinement_stability(oscillator, osc_op_400, u_one, monke
                            T_grid=np.linspace(0.0, 400.0, 10001), mode="OO")
     fine = check_general(oscillator, osc_op_400, u_one, [0.0],
                          T_grid=dense_horizon_grid(0.0, 400.0), mode="OO")
-    assert fine.control_grid.shape == (9, 1)
+    assert fine.estimates.shape == (1, 9)
     for a, b in zip(coarse.statuses.ravel(), fine.statuses.ravel()):
         if a is not Verdict.INCONCLUSIVE:
             assert a is b
@@ -100,9 +96,8 @@ def test_check_jx_bounded_three_regimes(oscillator, integrator,
                                         integrator_undiscounted, u_one):
     outcomes = []
     for problem in (oscillator, integrator, integrator_undiscounted):
-        traj = solve_state(problem, u_one, 250.0, STANDARD)
-        rec = accumulate_jx(problem, traj, u_one, 0.0, horizon_grid(0.0, 250.0),
-                            STANDARD)
+        op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
+        rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
         verdict, m = check_jx_bounded(rec)
         outcomes.append((verdict.status, m))
     (s_osc, m_osc), (s_int, m_int), (s_und, _) = outcomes
@@ -248,8 +243,7 @@ def test_corollary_equivalence_limit_vs_kav(integrator, integrator_undiscounted,
     for problem in (integrator, integrator_undiscounted, oscillator):
         traj = solve_state(problem, u_one, 250.0, STANDARD)
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
-        rec = accumulate_jx(problem, traj, u_one, 0.0, horizon_grid(0.0, 250.0),
-                            STANDARD)
+        rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
         _, lc = limit_costate(rec)
         surrogate = integrate_adjoint(problem, traj, u_one, (250.0, np.zeros(problem.state_dim)),
                                       1.0, settings=STANDARD)

@@ -578,3 +578,79 @@ def test_unread_field_detector():
     )
     assert unread_fields({"a.py": module}, {"a.py": module, "b.py": reader}) == [
         ("a.py", "Point", "kind"), ("a.py", "Report", "samples"), ("a.py", "Report", "spread")]
+
+
+def unreached_exports(modules: dict, callers: dict) -> list:
+    """(module, name) of every name in the ``__all__`` of ``modules`` that
+    no module of ``modules`` or ``callers`` reads, imports or takes as an
+    attribute.  A name's definition in its own module does not count, nor
+    does its ``__all__`` entry, a string that no reference matches.  Names
+    are matched alone, on any object, as in :func:`dead_private_definitions`."""
+    trees = {module: ast.parse(text) for module, text in modules.items()}
+    refs = {module: _references(tree, None) for module, tree in trees.items()}
+    outside = set().union(*(_references(ast.parse(text), None) for text in callers.values()))
+    unreached = []
+    for module, tree in trees.items():
+        defined = {node.name: node for node in tree.body
+                   if isinstance(node, (*FUNCTIONS, ast.ClassDef))}
+        others = outside.union(*(r for m, r in refs.items() if m != module))
+        for name in sorted(_exported(tree)):
+            if name not in others and name not in _references(tree, defined.get(name)):
+                unreached.append((module, name))
+    return sorted(unreached)
+
+
+# names of a module's __all__ that the program does not reach, with the reason
+EXPORT_EXEMPT = {
+    ("variational.py", "fd_gradient"):
+        "test oracle: the independent finite-difference route to the gradients",
+    ("variational.py", "lemma1_residual"):
+        "test oracle: the Lemma-1 identity between the adjoint and the gradients",
+    ("reference_examples.py", "appendix_identity_residual"):
+        "test oracle: the pulse-response identity of the oscillator's appendix",
+    ("variational.py", "check_assumption_uniform"):
+        "waits for the report row of the paper's uniform-bound assumption",
+}
+
+
+def _export_audit_inputs():
+    # the package __init__ only re-exports, which does not reach a name
+    return ({p.name: p.read_text() for p in MODULES},
+            {str(p): p.read_text() for p in CALLER_SOURCES if p.parent != PACKAGE})
+
+
+def test_program_reaches_every_export():
+    assert [e for e in unreached_exports(*_export_audit_inputs()) if e not in EXPORT_EXEMPT] == []
+
+
+def test_every_export_exemption_is_still_unreached():
+    assert sorted(set(EXPORT_EXEMPT) - set(unreached_exports(*_export_audit_inputs()))) == []
+
+
+def test_unreached_export_detector():
+    modules = {
+        "a.py": (
+            "__all__ = ['solve', 'Model', 'recurse', 'oracle', 'shared']\n"
+            "def solve(f):\n"
+            "    return f\n"
+            "class Model:\n"
+            "    def copy(self):\n"
+            "        return Model()\n"
+            "def recurse(n):\n"
+            "    return recurse(n - 1) if n else 0\n"
+            "def oracle(x):\n"
+            "    return x\n"
+            "def shared():\n"
+            "    return 1\n"
+        ),
+        "b.py": (
+            "from .a import shared\n"
+            "__all__ = ['run', 'shared', 'unused']\n"
+            "unused = 3\n"
+            "def run(m):\n"
+            "    return m.solve(1) + shared()\n"
+        ),
+    }
+    callers = {"bench/run.py": "from pkg import run\n"}
+    assert unreached_exports(modules, callers) == [("a.py", "Model"), ("a.py", "oracle"),
+                                                   ("a.py", "recurse"), ("b.py", "unused")]

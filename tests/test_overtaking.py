@@ -7,7 +7,6 @@ import pytest
 from horizoncheck import (
     ControlSignal,
     NonExtendibleError,
-    accumulate_jx,
     appendix_identity_residual,
     empirical_overtaking_test,
     needle_limit_check,
@@ -16,7 +15,7 @@ from horizoncheck import (
     overtaking,
     payoff_path,
     payoff_value,
-    solve_state,
+    transition_matrix,
 )
 from horizoncheck.cli import RunConfig, build_overtake_report
 from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
@@ -58,9 +57,8 @@ def test_base_path_leaving_the_domain_is_not_extendible(ramsey_params):
     # gradients and the needle check must say so, not work on a cut grid
     problem = ramsey_params.problem()
     base = ControlSignal.constant([4.0])
-    traj = solve_state(problem, base, 200.0, TIGHT)
     with pytest.raises(NonExtendibleError, match="reached lower bound 0") as err:
-        accumulate_jx(problem, traj, base, 1.0, [1.0, 100.0, 200.0], TIGHT)
+        transition_matrix(problem, base, 200.0, TIGHT)
     assert err.value.event.time == pytest.approx(4.17, abs=0.01)
     with pytest.raises(NonExtendibleError, match="not extendible past t=4.1"):
         needle_limit_check(problem, base, 1.0, [2.0], 200.0, [0.1, 0.01])
@@ -157,10 +155,10 @@ def test_needle_limit_check_rejects_a_nan_tau_before_integrating(oscillator, u_o
                                                                 payoff_solves, monkeypatch):
     # every comparison with a NaN tau is False, so the interval test used to
     # pass it and the state was solved before the anchor check failed
-    def no_state_solve(*args):
-        raise AssertionError("state solved")
+    def no_pass(*args):
+        raise AssertionError("transition pass made")
 
-    monkeypatch.setattr(overtaking, "solve_state", no_state_solve)
+    monkeypatch.setattr(overtaking, "transition_matrix", no_pass)
     with pytest.raises(ValueError, match=r"inside \[t0, T\]"):
         needle_limit_check(oscillator, u_one, math.nan, [0.0], 20.0, [1e-1, 1e-2])
     assert payoff_solves == []

@@ -12,7 +12,6 @@ from horizoncheck import (
     IntegrationError,
     IntegratorReference,
     IntegratorSettings,
-    accumulate_jx,
     check_assumption_uniform,
     fd_gradient,
     horizon_grid,
@@ -20,6 +19,7 @@ from horizoncheck import (
     jx_scan,
     lemma1_residual,
     limit_costate,
+    needle_limit_check,
     oscillator_reference,
     payoff_value,
     solve_state,
@@ -67,29 +67,31 @@ def test_transition_trajectory_is_the_pass_state(oscillator, u_one):
     assert np.array_equal(traj.derivs, aug.derivs[:, :2])
     assert np.shares_memory(traj.states, aug.states)
     assert np.shares_memory(traj.derivs, aug.derivs)
+    assert np.array_equal(traj.quartic, aug.quartic[:, :2])
+    assert np.shares_memory(traj.quartic, aug.quartic)
     ts = np.linspace(0.0, 100.0, 20001)
     assert np.max(np.abs(traj(ts) - oscillator_reference(0.5).state(ts))) <= 1e-8
 
 
-def test_accumulate_jx_oracles(oscillator, osc_traj_30, u_one, integrator):
-    rec = accumulate_jx(oscillator, osc_traj_30, u_one, 0.0,
-                        [0.0, math.pi, 2 * math.pi], TIGHT)
+def test_gradient_oracles(osc_op_30, u_one, integrator):
+    rec = jx_scan(osc_op_30, [0.0], [0.0, math.pi, 2 * math.pi])[0]
     assert np.allclose(rec.value_at(math.pi), [-2.0, 0.0], atol=1e-8)
     assert np.array_equal(rec.value_at(0.0), [0.0, 0.0])
 
-    traj = solve_state(integrator, u_one, 50.0, TIGHT)
-    rec2 = accumulate_jx(integrator, traj, u_one, 0.0, [50.0], TIGHT)
-    assert rec2.value_at(50.0)[0] == pytest.approx((1 - math.exp(-5)) / 0.1, abs=1e-8)
+    op = transition_matrix(integrator, u_one, 50.0, settings=TIGHT)
+    assert op.gradient(0.0, 50.0)[0] == pytest.approx((1 - math.exp(-5)) / 0.1, abs=1e-8)
 
 
-def test_jx_scan_agrees_with_anchored_route(oscillator, osc_traj_30, osc_op_30, u_one):
-    T_grid = np.linspace(0.5, 25.0, 9)
-    taus = [0.0, 1.3, 4.0]
-    scanned = jx_scan(osc_op_30, taus, T_grid)
-    for rec in scanned:
-        direct = accumulate_jx(oscillator, osc_traj_30, u_one, rec.tau,
-                               rec.T_grid, TIGHT)
-        assert np.max(np.abs(rec.values - direct.values)) < 1e-8
+def test_one_pass_gradient_inside_a_step_matches_the_closed_form(integrator, u_one):
+    # grad(1, 20) = (e^-0.1 - e^-2) / 0.1 for rho = 0.1.  Read off one pass
+    # from t0 at tau = 1, inside a step: the dense output there must be as
+    # accurate as the nodes (a cubic Hermite one erred by 1.7e-8)
+    exact = (math.exp(-0.1) - math.exp(-2.0)) / 0.1
+    op = transition_matrix(integrator, u_one, 20.0, settings=TIGHT)
+    assert not np.any(op.trajectory.time_grid == 1.0)
+    assert abs(op.gradient(1.0, 20.0)[0] - exact) <= 1e-10
+    report = needle_limit_check(integrator, u_one, 1.0, [0.0], 20.0, [1e-1, 1e-2, 1e-3])
+    assert abs(report.prediction + exact) <= 1e-10
 
 
 def test_adjoint_reproduces_integrator_closed_form(integrator, u_one):
@@ -111,9 +113,9 @@ def test_adjoint_zero_terminal_matches_gradients(integrator, u_one):
     costate = integrate_adjoint(integrator, traj, u_one, (50.0, [0.0]), 1.0,
                                 settings=TIGHT)
     assert costate.psi(0.0)[0] == pytest.approx((1 - math.exp(-5)) / 0.1, abs=1e-8)
+    op = transition_matrix(integrator, u_one, 50.0, settings=TIGHT)
     for tau in (0.0, 5.0, 20.0):
-        rec = accumulate_jx(integrator, traj, u_one, tau, [50.0], TIGHT)
-        assert costate.psi(tau)[0] == pytest.approx(rec.value_at(50.0)[0], abs=1e-6)
+        assert costate.psi(tau)[0] == pytest.approx(op.gradient(tau, 50.0)[0], abs=1e-6)
 
 
 def test_adjoint_oscillator_family_and_homogeneous(oscillator, osc_traj_30, u_one):
@@ -178,17 +180,17 @@ def test_lemma1_closed_form_oscillator_costate(oscillator, osc_traj_30, u_one):
     assert lemma1_residual(costate, records, T, op) <= 1e-6
 
 
-def test_fd_gradient_matches_jx_on_linear_examples(oscillator, osc_traj_30,
+def test_fd_gradient_matches_jx_on_linear_examples(oscillator, osc_traj_30, osc_op_30,
                                                    integrator, u_one):
     rng = np.random.default_rng(17)
     traj_i = solve_state(integrator, u_one, 30.0, TIGHT)
-    for problem, traj in ((oscillator, osc_traj_30), (integrator, traj_i)):
+    op_i = transition_matrix(integrator, u_one, 30.0, settings=TIGHT)
+    for problem, traj, op in ((oscillator, osc_traj_30, osc_op_30), (integrator, traj_i, op_i)):
         for _ in range(20):
             tau = rng.uniform(0.0, 8.0)
             T = tau + rng.uniform(0.5, 18.0)
-            rec = accumulate_jx(problem, traj, u_one, tau, [T], TIGHT)
             grad = fd_gradient(problem, u_one, tau, traj(tau), T, settings=TIGHT)
-            assert np.max(np.abs(grad - rec.value_at(T))) <= 1e-5
+            assert np.max(np.abs(grad - op.gradient(tau, T))) <= 1e-5
 
 
 def test_fd_gradient_trivial_and_oracle_values(oscillator, osc_traj_30, u_one,
@@ -204,22 +206,20 @@ def test_fd_gradient_trivial_and_oracle_values(oscillator, osc_traj_30, u_one,
 
 def test_limit_costate_three_regimes(integrator, integrator_undiscounted,
                                      oscillator, u_one):
-    traj = solve_state(integrator, u_one, 250.0, STANDARD)
-    rec = accumulate_jx(integrator, traj, u_one, 0.0, horizon_grid(0.0, 250.0), STANDARD)
+    op = transition_matrix(integrator, u_one, 250.0, settings=STANDARD)
+    rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
     psi_hat, verdict = limit_costate(rec)
     assert verdict.status is Verdict.HOLDS
     assert psi_hat[0] == pytest.approx(10.0, abs=1e-4)
 
-    traj0 = solve_state(integrator_undiscounted, u_one, 250.0, STANDARD)
-    rec0 = accumulate_jx(integrator_undiscounted, traj0, u_one, 0.0,
-                         horizon_grid(0.0, 250.0), STANDARD)
+    op0 = transition_matrix(integrator_undiscounted, u_one, 250.0, settings=STANDARD)
+    rec0 = jx_scan(op0, [0.0], horizon_grid(0.0, 250.0))[0]
     psi0, verdict0 = limit_costate(rec0)
     assert psi0 is None and verdict0.status is Verdict.FAILS
     assert "unbounded" in verdict0.note
 
-    traj_o = solve_state(oscillator, u_one, 250.0, STANDARD)
-    rec_o = accumulate_jx(oscillator, traj_o, u_one, 0.0,
-                          horizon_grid(0.0, 250.0), STANDARD)
+    op_o = transition_matrix(oscillator, u_one, 250.0, settings=STANDARD)
+    rec_o = jx_scan(op_o, [0.0], horizon_grid(0.0, 250.0))[0]
     psi_o, verdict_o = limit_costate(rec_o)
     assert psi_o is None and verdict_o.status is Verdict.FAILS
     assert "non-convergent" in verdict_o.note
@@ -234,10 +234,10 @@ def test_payoff_value_and_quadrature(integrator, u_one):
 def test_assumption_uniform_linear_problems(oscillator, integrator, u_one):
     settings = IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14, max_step=0.1)
     for problem in (oscillator, integrator):
-        traj = solve_state(problem, u_one, 30.0, settings)
+        op = transition_matrix(problem, u_one, 30.0, settings=settings)
         dirs = [np.ones(problem.state_dim),
                 np.array([0.3, -0.7])[: problem.state_dim]]
-        verdict = check_assumption_uniform(problem, u_one, traj, 1.0, dirs,
+        verdict = check_assumption_uniform(problem, u_one, op, 1.0, dirs,
                                            [1.0, 0.5], np.linspace(1.0, 30.0, 40),
                                            settings)
         assert verdict.status is Verdict.HOLDS
@@ -246,7 +246,9 @@ def test_assumption_uniform_linear_problems(oscillator, integrator, u_one):
 
 def test_assumption_uniform_ramsey_saddle(ramsey_params, ramsey_saddle):
     _, k_traj, control = ramsey_saddle
-    verdict = check_assumption_uniform(ramsey_params.problem(), control, k_traj,
+    problem = ramsey_params.problem()
+    op = transition_matrix(problem, control, k_traj.t_end, settings=TIGHT)
+    verdict = check_assumption_uniform(problem, control, op,
                                        5.0, [[1.0]], [1e-2, 1e-3, 1e-4],
                                        np.linspace(5.0, 80.0, 40), TIGHT)
     assert verdict.status is Verdict.HOLDS
@@ -255,8 +257,9 @@ def test_assumption_uniform_ramsey_saddle(ramsey_params, ramsey_saddle):
 def test_assumption_infeasible_perturbation_reported(ramsey_params, ramsey_saddle):
     _, k_traj, control = ramsey_saddle
     problem = ramsey_params.problem()
+    op = transition_matrix(problem, control, k_traj.t_end, settings=TIGHT)
     with pytest.raises(ValueError):
-        check_assumption_uniform(problem, control, k_traj, 1.0, [[-1.0]],
+        check_assumption_uniform(problem, control, op, 1.0, [[-1.0]],
                                  [20.0], np.linspace(1.0, 50.0, 10), TIGHT)
 
 
