@@ -218,9 +218,11 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
     grid = problem.control_set.sample_grid(_CONTROL_RESOLUTION)
     worst = -math.inf
     series = []
-    for t in time_grid.tolist():
-        gap = float(hamiltonian_jumps(problem, trajectory(t), control.evaluate(t), t,
-                                      grid, costate.psi(t), costate.lam).max())
+    # one vector read each; its rows equal the scalar reads bit for bit
+    xs, psis = trajectory(time_grid), costate.psi(time_grid)
+    for t, x, psi in zip(time_grid.tolist(), xs, psis):
+        gap = float(hamiltonian_jumps(problem, x, control.evaluate(t), t,
+                                      grid, psi, costate.lam).max())
         series.append((t, gap))
         worst = max(worst, gap)
     status = Verdict.HOLDS if worst <= VERDICT_SLACK else Verdict.FAILS
@@ -342,13 +344,13 @@ def _state_crossings(traj: Trajectory, x_target):
         if b <= a:
             continue
         # bisect the step's dense output on floats, as traj(t) evaluates it
-        ends = (*traj.states[idx:idx + 2].tolist(), *traj.derivs[idx:idx + 2].tolist(),
-                traj.quartic[idx].tolist())
-        fa = ends[0][0] - target
+        ra, rb = np.hstack([traj.states[idx:idx + 2], traj.derivs[idx:idx + 2],
+                            traj.quartic[idx:idx + 2]]).tolist()
+        fa = ra[0] - target
         lo, hi = a, b
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            fm = _dense_floats((mid - a) / (b - a), b - a, *ends)[0] - target
+            fm = _dense_floats((mid - a) / (b - a), b - a, ra, rb, 1)[0] - target
             if fa * fm <= 0:
                 hi = mid
             else:

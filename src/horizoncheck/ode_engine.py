@@ -194,9 +194,13 @@ class Trajectory:
                        0, len(self.time_grid) - 2)
 
     @cached_property
-    def _grid(self) -> list:
-        """The time grid as Python floats, searched by scalar lookups."""
-        return self.time_grid.tolist()
+    def _lookup(self) -> tuple:
+        """For scalar reads: the grid as floats, the span padded by
+        ``_SPAN_SLACK``, the width n and the node rows [state | slope | quartic]."""
+        grid = self.time_grid.tolist()
+        pad = _SPAN_SLACK * max(abs(grid[-1] - grid[0]), 1.0)
+        return (grid, grid[0] - pad, grid[-1] + pad, self.dim,
+                np.hstack([self.states, self.derivs, self.quartic]))
 
     def __call__(self, t):
         if isinstance(t, float):
@@ -219,17 +223,18 @@ class Trajectory:
 
     def _at(self, t: float) -> np.ndarray:
         """Scalar evaluation by :func:`_dense_floats`, which agrees with the
-        vector path bit for bit."""
-        grid = self._grid
-        _check_span(t, t, grid[0], grid[-1])
+        vector path bit for bit, on the step's two rows of the packed block."""
+        grid, lo, hi, n, rows = self._lookup
+        if not lo <= t <= hi:
+            _check_span(t, t, grid[0], grid[-1])
         t = min(max(t, grid[0]), grid[-1])
         i = min(max(bisect.bisect_right(grid, t) - 1, 0), len(grid) - 2)
         ta = grid[i]
         h = grid[i + 1] - ta
         s = (t - ta) / h if h > 0 else 0.0
-        return np.array(_dense_floats(s, h, self.states[i].tolist(), self.states[i + 1].tolist(),
-                                      self.derivs[i].tolist(), self.derivs[i + 1].tolist(),
-                                      self.quartic[i].tolist()))
+        # i is -1 on a one-node grid, whose only step joins the node to itself
+        a, b = rows[i:i + 2].tolist() if i >= 0 else 2 * rows.tolist()
+        return np.array(_dense_floats(s, h, a, b, n))
 
     def derivative(self, t):
         """Time derivative of the dense output (used for residual checks)."""
@@ -269,17 +274,19 @@ def _hermite_on_step(y, f0, h, y_new, f_new, theta):
             + (-2 * s3 + 3 * s2) * y_new + (s3 - s2) * h * f_new)
 
 
-def _dense_floats(s, h, y, y_new, f0, f_new, d) -> list:
-    """:class:`Trajectory`'s dense value on Python floats, for float lists of
-    the end states y, y_new, slopes f0, f_new and quartic vector d: it rounds
-    as the array expression does, bit for bit."""
+def _dense_floats(s, h, a, b, n) -> list:
+    """:class:`Trajectory`'s dense value on Python floats, from the float
+    rows a = [y | f0 | d] and b = [y_new | f_new | ...] of the step's end
+    nodes, n components each: it rounds as the array expression does, bit
+    for bit."""
     s2 = s * s
     s3 = s2 * s
     c0, c1 = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h
     c2, c3 = -2 * s3 + 3 * s2, (s3 - s2) * h
     q = s * (1 - s)
-    return [c0 * a + c1 * b + c2 * c + c3 * e + q * q * g
-            for a, b, c, e, g in zip(y, f0, y_new, f_new, d)]
+    # zip stops after the n components of the shortest slice, a[2n:]
+    return [c0 * y + c1 * f + c2 * z + c3 * g + q * q * d
+            for y, f, z, g, d in zip(a, a[n:], b, b[n:], a[2 * n:])]
 
 
 def _hermite_slope_on_step(y, f0, h, y_new, f_new, theta):
@@ -302,24 +309,16 @@ def _initial_step(y0, f0, settings, span):
 
 
 def _error_norm(err, y, y_new, settings):
-    """RMS of the error estimate relative to the mixed tolerance scale, for
-    finite y and y_new.  The scaled squares are formed on Python floats,
-    which round as numpy's elementwise operations do, and summed by
-    ``np.add.reduce`` in numpy's order (a plain ``sum`` departs from it from
-    8 components on), so the result is that of the array expression."""
+    """RMS of the error estimate relative to the mixed tolerance scale, for float
+    sequences err and finite y, y_new.  The scaled squares are formed on floats,
+    which round as numpy's elementwise operations do, and summed in numpy's order
+    (a plain ``sum`` below 8 components, ``np.add.reduce`` from 8 on, where its
+    pairwise order departs), so the result is that of the array expression."""
     atol, rtol = settings.abs_tol, settings.rel_tol
     squares = [(r := e / (atol + rtol * max(abs(a), abs(b)))) * r
-               for e, a, b in zip(err.tolist(), y.tolist(), y_new.tolist())]
-    return math.sqrt(np.add.reduce(squares) / len(squares))
-
-
-def _all_finite(v) -> bool:
-    """Whether every entry of the vector ``v`` is finite.  A finite sum
-    implies finite entries, so the elementwise test runs only when the sum
-    is not finite: a non-finite entry, or finite entries whose sum
-    overflows.  For a few components the Python sum is cheaper than one
-    numpy call."""
-    return math.isfinite(sum(v.tolist())) or bool(np.isfinite(v).all())
+               for e, a, b in zip(err, y, y_new)]
+    total = sum(squares) if len(squares) < 8 else np.add.reduce(squares)
+    return math.sqrt(total / len(squares))
 
 
 def _with_faces(domain: Optional[Box]) -> Optional[Box]:
@@ -405,33 +404,43 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
     domain = _with_faces(domain)
     faces = None if domain is None else list(zip(domain.lower.tolist(), domain.upper.tolist()))
     h = float(_initial_step(y0, f0, settings, span))
+    t_last = t_end - 1e-14 * max(1.0, abs(t_end))
 
     ts, ys, fs, ds = [t0], [y0.copy()], [f0.copy()], []
     t, y, fy = t0, y0.copy(), f0
+    y_floats = y.tolist()
     exit_event = None
     n_taken = 0
     K = np.empty((7, y.size))  # the stages of every attempt; K[0] is the FSAL slope
-    heads = [K[:i] for i in range(7)]  # the stages before stage i, as views
+    # per stage i: its tableau row and node, the view K[:i] and the row view K[i]
+    stages = list(zip(_DP_A[1:], _DP_C[1:], [K[:i] for i in range(1, 7)], K[1:]))
+    k0, f_new = K[0], K[6]
+    h_arr = np.empty(())  # h as a 0-d array, by which numpy scales faster than by a float
 
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+    while t < t_last:
         n_taken += 1
         if n_taken > _MAX_STEPS:
             raise IntegrationError("maximum number of steps exceeded")
         h = min(h, t_end - t, settings.max_step)
-        K[0] = fy
+        k0[...] = fy
 
         # ---- take one step, with retries ----
         while True:
-            # stages are written straight into K, which converts them
-            for i in range(1, 7):
-                yi = y + h * np.dot(_DP_A[i], heads[i])
-                K[i] = field(t + _DP_C[i] * h, yi)
-                finite = _all_finite(K[i])
+            h_arr[...] = h
+            for a, c, head, k in stages:
+                # y + h * np.dot(a, head) bit for bit, as IEEE sums and products commute
+                yi = a.dot(head)
+                yi *= h_arr
+                yi += y
+                k[...] = field(t + c * h, yi)
+                # a finite sum implies finite entries; else the elementwise test decides
+                finite = math.isfinite(sum(k.tolist())) or bool(np.isfinite(k).all())
                 if not finite:
                     break
             # the last stage point is the 5th-order solution (FSAL); one that
             # overflowed fails the step like a non-finite stage does
-            if not (finite and _all_finite(yi)):
+            new_floats = yi.tolist()
+            if not (finite and (math.isfinite(sum(new_floats)) or np.isfinite(yi).all())):
                 h *= 0.5
                 if h < h_floor:
                     ev = _boundary_stall(t, y, fy, domain, h_floor)
@@ -441,8 +450,11 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
                     exit_event = ev
                     break
                 continue
-            y_new, f_new = yi, K[6]
-            err_norm = _error_norm(h * (_DP_E @ K), y, y_new, settings)
+            y_new = yi
+            # h * (_DP_E @ K) bit for bit; a product fused with _DP_D's rounds differently
+            err = _DP_E.dot(K)
+            err *= h_arr
+            err_norm = _error_norm(err.tolist(), y_floats, new_floats, settings)
             if not math.isfinite(err_norm):
                 h *= 0.5
                 if h < h_floor:
@@ -467,7 +479,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
             break
 
         t_new = t + h
-        outside = faces is not None and not _inside(y_new.tolist(), faces)
+        outside = faces is not None and not _inside(new_floats, faces)
         if outside or (stops and any(pred(t_new, y_new) for _, pred in stops)):
             exit_event, theta = _sweep_exit(t, y, fy, h, y_new, f_new,
                                             domain if outside else None, stops, h_floor)
@@ -477,9 +489,11 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
             ds.append(flat)
             break
 
-        ds.append(h * (_DP_D @ K))
+        d = _DP_D.dot(K)
+        d *= h_arr
+        ds.append(d)
         # K is overwritten by the next step's stages, so the slope is copied out
-        t, y, fy = t_new, y_new, f_new.copy()
+        t, y, fy, y_floats = t_new, y_new, f_new.copy(), new_floats
         ts.append(t)
         ys.append(y)
         fs.append(fy)

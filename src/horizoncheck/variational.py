@@ -70,13 +70,18 @@ def _augmented_rhs(problem: ControlProblem):
     """Right-hand side of the augmented system z = (x, Y, S): the state,
     dY/dt = f_x(t) Y and dS/dt = Y* g_x(t)."""
     n = problem.state_dim
+    m = n + n * n  # the end of the Y block
 
     def rhs(z, u, t):
         x = z[:n]
-        Y = z[n:n + n * n].reshape(n, n)
+        Y = z[n:m].reshape(n, n)
         fx, gx = jacobians(problem, x, u, t)
-        dx = problem.dynamics(x, u, t)
-        return np.concatenate([np.atleast_1d(dx), (fx @ Y).ravel(), Y.T @ gx])
+        # the blocks go into one vector, bit-equal to fx @ Y and Y.T @ gx
+        dz = np.empty(m + n)
+        dz[:n] = problem.dynamics(x, u, t)
+        fx.dot(Y, out=dz[n:m].reshape(n, n))
+        Y.T.dot(gx, out=dz[m:])
+        return dz
 
     return rhs
 
@@ -212,8 +217,7 @@ def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
         raise ValueError("terminal time outside the trajectory span")
 
     def rhs(psi, u, t):
-        x = trajectory(t)
-        fx, gx = jacobians(problem, x, u, t)
+        fx, gx = jacobians(problem, trajectory(t), u, t)
         return -(fx.T @ psi + lam * gx)
 
     traj = integrate_controlled(rhs, control, T, psi_T, trajectory.t0, settings)

@@ -307,6 +307,23 @@ def test_step_sequence_pins():
     assert costate.time_grid.size == 2558
 
 
+def test_field_call_count_pin():
+    # beside the step pins: the state solve of test_step_sequence_pins calls
+    # the field once at t0 and six times per attempt, 2,974 attempts for its
+    # 2,945 nodes; a rewrite of the step that adds an evaluation moves this
+    problem = make_builtin_problem("oscillator", {"b": 0.5})
+    u = np.array([1.0])
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return problem.dynamics(y, u, t)
+
+    traj = integrate(field, 0.0, problem.initial_state, 100.0, _CHECK_SETTINGS)
+    assert traj.time_grid.size == 2945
+    assert len(calls) == 17845 == 1 + 6 * 2974
+
+
 # ---------------------------------------------------------------------------
 # property tests of the dense output and the error norm
 
@@ -350,6 +367,41 @@ def test_scalar_dense_output_matches_vector_rows():
             assert np.array_equal(traj(t), row)
 
     check()
+
+
+def _assert_scalar_reads_match_rows(traj, rng):
+    """Scalar reads at the nodes, the step midpoints and random times equal
+    the rows of one vector read bit for bit."""
+    grid = traj.time_grid
+    times = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]),
+                            rng.uniform(traj.t0, traj.t_end, 50)])
+    for t, row in zip(times, traj(times)):
+        assert np.array_equal(traj(float(t)), row)
+
+
+def test_scalar_reads_match_vector_rows_on_program_trajectories():
+    rng = np.random.default_rng(3)
+    problem = make_builtin_problem("oscillator", {"b": 0.5})
+    control = ControlSignal.constant([1.0]).with_needle(4.0, 1.5, [-1.0])
+    # the state path of the (x, Y, S) pass: views of its first two columns
+    transition = transition_matrix(problem, control, 10.0, settings=_CHECK_SETTINGS)
+    assert transition.trajectory.states.base is not None
+    _assert_scalar_reads_match_rows(transition.trajectory, rng)
+    # a backward costate: reversed grid, negated slopes, rolled quartic rows
+    costate = integrate_adjoint(problem, transition.trajectory, control, (10.0, [-1.0, 0.2]),
+                                1.0, settings=_CHECK_SETTINGS)
+    assert costate.trajectory.quartic[-1].tolist() == [0.0, 0.0]
+    _assert_scalar_reads_match_rows(costate.trajectory, rng)
+    # one node, whose only step joins the node to itself: the scalar read
+    # takes its two end rows as the vector read does
+    single = Trajectory([2.0], [[1.5, -0.25]], [[3.0, 7.0]], [[0.125, -4.0]])
+    for t in (2.0, 2.0 + 1e-10):
+        assert np.array_equal(single(t), single(np.array([t]))[0])
+        assert np.array_equal(single(t), [1.5, -0.25])
+    stopped = integrate(lambda t, y: -y, 0.0, [1.0, 2.0], 5.0, _CHECK_SETTINGS,
+                        stops=[("at once", lambda t, y: y[..., 0] > 0.5)])
+    assert stopped.time_grid.size == 1
+    _assert_scalar_reads_match_rows(stopped, rng)
 
 
 def test_dense_output_exact_at_nodes():

@@ -25,6 +25,8 @@ from horizoncheck import (
     solve_state,
     transition_matrix,
 )
+from horizoncheck.problem_model import jacobians
+from horizoncheck.variational import _augmented_rhs
 from horizoncheck.verdicts import Verdict
 
 from conftest import STANDARD, TIGHT
@@ -46,6 +48,48 @@ def test_transition_matches_rotation(oscillator, osc_traj_30, osc_op_30):
     for t, tau in [(math.pi / 2, 0.0), (7.0, 2.5), (29.0, 13.0)]:
         K = osc_op_30.evaluate(t, tau)
         assert np.max(np.abs(K - ref.transition(t, tau))) < 1e-8
+
+
+def _nonlinear_problem(n, analytic):
+    """dx/dt = tanh(M x) + u cos(x), g = u |x|^2 + sin(x_0) on R^n; with
+    analytic Jacobians, or with central differences when ``analytic`` is
+    False."""
+    M = np.arange(1.0, n * n + 1.0).reshape(n, n) / (n * n) - 0.3 * np.eye(n)
+
+    def f(x, u, t):
+        return np.tanh(M @ x) + u[0] * np.cos(x)
+
+    def g(x, u, t):
+        return float(u[0] * (x @ x) + math.sin(x[0]))
+
+    def fx(x, u, t):
+        return (1.0 - np.tanh(M @ x) ** 2)[:, None] * M - u[0] * np.diag(np.sin(x))
+
+    def gx(x, u, t):
+        return 2.0 * u[0] * x + np.eye(n)[0] * math.cos(x[0])
+
+    return ControlProblem(
+        state_dim=n, control_dim=1, dynamics=f, payoff=g,
+        dynamics_jac_x=fx if analytic else None, payoff_grad_x=gx if analytic else None,
+        control_set=ControlSet.box([-1.0], [1.0]), state_domain=Box.unbounded(n),
+        initial_state=np.zeros(n))
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_augmented_rhs_equals_the_concatenated_blocks(n, analytic):
+    # the right-hand side writes its three blocks into one vector; each must
+    # equal its block of np.concatenate([f, (fx @ Y).ravel(), Y.T @ gx])
+    problem = _nonlinear_problem(n, analytic)
+    rhs = _augmented_rhs(problem)
+    rng = np.random.default_rng(10 * n + analytic)
+    for _ in range(50):
+        z = rng.standard_normal(n + n * n + n) * 10.0 ** rng.integers(-3, 3)
+        u, t = rng.uniform(-1.0, 1.0, 1), float(rng.uniform(0.0, 50.0))
+        x, Y = z[:n], z[n:n + n * n].reshape(n, n)
+        fx, gx = jacobians(problem, x, u, t)
+        expected = np.concatenate([problem.dynamics(x, u, t), (fx @ Y).ravel(), Y.T @ gx])
+        assert np.array_equal(rhs(z, u, t), expected)
 
 
 def test_transition_trivial_cases(integrator, u_one, ramsey_params):
