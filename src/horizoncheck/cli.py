@@ -247,18 +247,19 @@ def _build_linear_check(config: RunConfig) -> ReportData:
                  _fmt(m_est), bound_verdict.note])
 
     # adjoint-candidate rows
-    for label, lam, extra in candidates:
-        psi_T = np.atleast_1d(terminal_psi(lam, extra))
-        costate = integrate_adjoint(problem, trajectory, control, (t_max, psi_T),
-                                    lam, settings=_CHECK_SETTINGS)
+    costates = [integrate_adjoint(problem, trajectory, control,
+                                  (t_max, np.atleast_1d(terminal_psi(lam, extra))),
+                                  lam, settings=_CHECK_SETTINGS)
+                for _, lam, extra in candidates]
+    max_principle = check_max_principle(problem, trajectory, control, costates,
+                                        time_grid=np.linspace(problem.initial_time, t_max, 201))
+    for (label, _, _), costate, mp in zip(candidates, costates, max_principle):
         classical = check_classical(problem, transition, control, costate)
         for cond_id, verdict in classical.items():
             rows.append(["classical", label, cond_id, verdict.status.value,
                          _fmt(verdict.diagnostic_series[-1][1]
                               if verdict.diagnostic_series else None),
                          verdict.note])
-        mp = check_max_principle(problem, trajectory, control, costate,
-                                 time_grid=np.linspace(problem.initial_time, t_max, 201))
         rows.append(["max_principle", label, "maxH", mp.status.value,
                      _fmt(max(v for _, v in mp.diagnostic_series)), mp.note])
         a0_est, residual, dec = decompose_costate(costate, transition, records)

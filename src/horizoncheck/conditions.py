@@ -206,27 +206,33 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
 
 
 def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
-                        control: ControlSignal, costate: CostatePath,
-                        time_grid) -> ConditionVerdict:
-    """Pointwise Hamiltonian maximization over a sampled control grid.
+                        control: ControlSignal, costates: Sequence[CostatePath],
+                        time_grid) -> list:
+    """Pointwise Hamiltonian maximization over a sampled control grid, one
+    verdict per adjoint path of ``costates``.
 
-    Holds iff at every time of ``time_grid`` the candidate control's
+    A path holds iff at every time of ``time_grid`` the candidate control's
     Hamiltonian is within ``VERDICT_SLACK`` of the maximum over 33 sampled
-    control values per axis.
+    control values per axis.  The dynamics and payoff jumps over the control
+    grid are evaluated once per time for all paths together, each with its
+    own psi row and lam; a path's verdict is the one it gets alone.
     """
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
     grid = problem.control_set.sample_grid(_CONTROL_RESOLUTION)
-    worst = -math.inf
-    series = []
+    lams = np.array([c.lam for c in costates])
     # one vector read each; its rows equal the scalar reads bit for bit
-    xs, psis = trajectory(time_grid), costate.psi(time_grid)
-    for t, x, psi in zip(time_grid.tolist(), xs, psis):
-        gap = float(hamiltonian_jumps(problem, x, control.evaluate(t), t,
-                                      grid, psi, costate.lam).max())
-        series.append((t, gap))
-        worst = max(worst, gap)
-    status = Verdict.HOLDS if worst <= VERDICT_SLACK else Verdict.FAILS
-    return ConditionVerdict(status, series, note=f"max Hamiltonian shortfall {worst:.3g}")
+    xs = trajectory(time_grid)
+    psis = np.stack([c.psi(time_grid) for c in costates], axis=1)  # (n_t, n_c, n)
+    gaps = np.array([hamiltonian_jumps(problem, x, control.evaluate(t), t,
+                                       grid, rows, lams).max(axis=1)
+                     for t, x, rows in zip(time_grid.tolist(), xs, psis)])
+    verdicts = []
+    for column in gaps.reshape(time_grid.size, len(costates)).T.tolist():
+        worst = max(column, default=-math.inf)
+        status = Verdict.HOLDS if worst <= VERDICT_SLACK else Verdict.FAILS
+        verdicts.append(ConditionVerdict(status, list(zip(time_grid.tolist(), column)),
+                                         note=f"max Hamiltonian shortfall {worst:.3g}"))
+    return verdicts
 
 
 def decompose_costate(costate: CostatePath, transition: TransitionOperator,

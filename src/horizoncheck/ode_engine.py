@@ -188,6 +188,18 @@ class Trajectory:
         pad = _SPAN_SLACK * max(1.0, abs(self.t_end - self.t0))
         return self.t0 - pad <= t <= self.t_end + pad
 
+    def reflected(self) -> "Trajectory":
+        """The same solution in reflected time s = -t, on the increasing grid
+        -t: states in reverse order, slopes negated, the exit event at -t."""
+        ev = self.exit_event
+        if ev is not None:
+            ev = ExitEvent(-ev.time, ev.state, ev.description)
+        # the quartic term is symmetric under theta -> 1 - theta, so each step
+        # keeps its d; it moves to the step's new first node, and the zero
+        # row of the last node to the end
+        return Trajectory(-self.time_grid[::-1], self.states[::-1], -self.derivs[::-1],
+                          np.roll(self.quartic[::-1], -1, axis=0), exit_event=ev)
+
     def _segments(self, tq):
         """Index of the grid interval holding each (clipped) query time."""
         return np.clip(np.searchsorted(self.time_grid, tq, side="right") - 1,
@@ -371,15 +383,7 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
     if t_end < t0:
         rev = lambda s, y: -field(-s, y)
         rstops = [(label, lambda s, y, p=pred: p(-s, y)) for label, pred in stops]
-        traj = integrate(rev, -t0, y0, -t_end, settings, domain, rstops)
-        ev = traj.exit_event
-        if ev is not None:
-            ev = ExitEvent(-ev.time, ev.state, ev.description)
-        # the quartic term is symmetric under theta -> 1 - theta, so each step
-        # keeps its d; it moves to the step's new first node, and the zero
-        # row of the last node to the end
-        return Trajectory(-traj.time_grid[::-1], traj.states[::-1], -traj.derivs[::-1],
-                          np.roll(traj.quartic[::-1], -1, axis=0), exit_event=ev)
+        return integrate(rev, -t0, y0, -t_end, settings, domain, rstops).reflected()
 
     span = t_end - t0
     h_floor = 1e-9 * span
@@ -785,7 +789,7 @@ class ControlSignal:
     lists the same way for every signal, so where pulses overlap the newest
     one holds.  Integration never evaluates a signal across a switch:
     ``integrate_controlled`` cuts the time span at every switching time and
-    freezes each constant piece.
+    integrates each segment under the piece that covers it.
     """
 
     def __init__(self, times, pieces, dim, fn=None):
@@ -819,17 +823,31 @@ class ControlSignal:
     # -- evaluation ----------------------------------------------------
     def evaluate(self, t: float) -> np.ndarray:
         piece = self._pieces[bisect.bisect_left(self._times, t)]
-        if piece is None:
-            return np.atleast_1d(np.asarray(self._fn(t), dtype=float))
-        return piece
+        return self._closed(t) if piece is None else piece
+
+    def _closed(self, t: float) -> np.ndarray:
+        return np.atleast_1d(np.asarray(self._fn(t), dtype=float))
 
     def breakpoints(self) -> np.ndarray:
         return np.array(self._times)
 
-    def segment_value(self, a: float, b: float) -> Optional[np.ndarray]:
-        """Constant value on (a, b] if one constant piece covers it, else None."""
+    def segment_piece(self, a: float, b: float):
+        """The piece that covers (a, b]: its constant vector, or the closed
+        form as a function of t; None when no one piece covers it."""
         i = bisect.bisect_left(self._times, b)
-        return self._pieces[i] if i == 0 or self._times[i - 1] <= a else None
+        if i and self._times[i - 1] > a:
+            return None
+        piece = self._pieces[i]
+        return self._closed if piece is None else piece
+
+    def reflected(self) -> "ControlSignal":
+        """The signal v(s) = u(-s) in reflected time s = -t.  Its pieces are
+        those of u in reverse order, so on every open interval between
+        switching times it equals u(-s); at a switching time it takes, as every
+        signal does, the piece that ends there."""
+        fn = self._fn
+        return ControlSignal([-t for t in reversed(self._times)], self._pieces[::-1],
+                             self.dim, None if fn is None else lambda s: fn(-s))
 
     def with_needle(self, tau: float, alpha: float, u) -> "ControlSignal":
         """The signal with the constant ``u`` spliced in on the pulse interval
@@ -857,52 +875,46 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
                          control: ControlSignal, t0: float, y0, t_end: float,
                          settings: IntegratorSettings,
                          domain: Optional[Box] = None) -> Trajectory:
-    """Integrate ``dy/dt = rhs(y, u(t), t)`` segment-by-segment between control
-    breakpoints, so discontinuous controls are handled exactly (a node is
-    placed at every switch and the segment value is frozen on each piece).
-    ``settings`` and ``domain`` are those of :func:`integrate`; there are no
-    stops."""
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    forward = t_end > t0
-    lo, hi = (t0, t_end) if forward else (t_end, t0)
-    cuts = [c for c in control.breakpoints() if lo < c < hi]
-    nodes = [t0] + (sorted(cuts) if forward else sorted(cuts, reverse=True)) + [t_end]
+    """Integrate ``dy/dt = rhs(y, u(t), t)`` forward from t0 to t_end, one
+    :func:`integrate` call per segment between the control's switching times,
+    so a discontinuous control is handled exactly: a node is placed at every
+    switch, and each segment runs under the piece that covers it, a constant
+    piece frozen and a closed-form piece called as its own function, also at
+    the segment's first node, where the signal takes the piece that ends
+    there.  ``settings`` and ``domain`` are those of :func:`integrate`; there
+    are no stops.  A backward span raises ``ValueError``."""
+    if t_end < t0:
+        raise ValueError("integrate_controlled integrates forward: need t_end >= t0")
+    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    nodes = [t0] + [c for c in control.breakpoints() if t0 < c < t_end] + [t_end]
 
     pieces = []
-    y = y0
     for a, b in zip(nodes[:-1], nodes[1:]):
-        seg_lo, seg_hi = (a, b) if a < b else (b, a)
-        u_const = control.segment_value(seg_lo, seg_hi)
-        if u_const is not None:
-            fld = lambda t, yy, u=u_const: rhs(yy, u, t)
+        piece = control.segment_piece(a, b)
+        if callable(piece):
+            fld = lambda t, yy, fn=piece: rhs(yy, fn(t), t)
         else:
-            fld = lambda t, yy: rhs(yy, control.evaluate(t), t)
-        piece = integrate(fld, a, y, b, settings, domain)
-        pieces.append(piece)
-        if piece.exit_event is not None:
+            fld = lambda t, yy, u=piece: rhs(yy, u, t)
+        pieces.append(integrate(fld, a, y, b, settings, domain))
+        if pieces[-1].exit_event is not None:
             break
-        y = piece.states[-1] if forward else piece.states[0]
+        y = pieces[-1].states[-1]
 
-    if not forward:
-        pieces.reverse()
-    event = next((p.exit_event for p in pieces if p.exit_event is not None), None)
     return Trajectory(np.concatenate([p.time_grid for p in pieces]),
                       np.vstack([p.states for p in pieces]),
                       np.vstack([p.derivs for p in pieces]),
-                      np.vstack([p.quartic for p in pieces]), exit_event=event)
+                      np.vstack([p.quartic for p in pieces]), exit_event=pieces[-1].exit_event)
 
 
 def solve_state(problem, control: ControlSignal, t_end: float,
                 settings: IntegratorSettings) -> Trajectory:
     """State response of a control problem under a control signal.
 
-    Integrates dx/dt = f(x, u(t), t) from the problem's initial point to
-    t_end under ``settings``, with the problem's open state domain; a domain
-    exit marks the trajectory non-extendible and is recorded as
-    ``exit_event`` rather than raised.
+    Integrates dx/dt = f(x, u(t), t) forward from the problem's initial
+    point to t_end under ``settings``, with the problem's open state domain;
+    a domain exit marks the trajectory non-extendible and is recorded as
+    ``exit_event`` rather than raised.  A t_end before the initial time
+    raises ``ValueError``, as :func:`integrate_controlled` does.
     """
-    x0, t0 = problem.initial_state, problem.initial_time
-    if t_end < t0:
-        raise ValueError("solve_state integrates forward: need t_end >= t0")
-    return integrate_controlled(problem.dynamics, control, t0, x0, t_end,
-                                settings, problem.state_domain)
+    return integrate_controlled(problem.dynamics, control, problem.initial_time,
+                                problem.initial_state, t_end, settings, problem.state_domain)

@@ -34,6 +34,7 @@ DynamicsFn = Callable[[Array, Array, float], Array]
 PayoffFn = Callable[[Array, Array, float], float]
 
 FD_STEP_DEFAULT = 1e-6  # central-difference sweet spot at double precision
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,16 @@ def hamiltonian(problem: ControlProblem, x, u, t: float, psi, lam: float) -> flo
 
 
 def hamiltonian_jumps(problem: ControlProblem, x, u_hat, t: float, controls, psi,
-                      lam: float) -> Array:
+                      lam) -> Array:
     """H(x, u, t, psi, lam) - H(x, u_hat, t, psi, lam) for every control u in
     ``controls``, as lam * (g(u) - g(u_hat)) + <psi, f(u) - f(u_hat)>.
 
     ``psi`` is one vector, giving shape (n_u,), or a stack of rows, giving
-    shape (n_T, n_u).  The jump is exactly zero where u equals u_hat.  Raises
-    ValueError when a jump is non-finite, as :func:`hamiltonian` does.
+    shape (n_T, n_u).  ``lam`` is a scalar, or one multiplier per row of the
+    stack; then each row is formed as a lone vector is, so every row equals
+    the jumps of its own (psi, lam) bit for bit.  The jump is exactly zero
+    where u equals u_hat.  Raises ValueError when a jump is non-finite, as
+    :func:`hamiltonian` does.
     """
     x, u_hat = _vector(x), _vector(u_hat)
     controls = np.asarray(controls, dtype=float).reshape(-1, problem.control_dim)
@@ -142,8 +146,14 @@ def hamiltonian_jumps(problem: ControlProblem, x, u_hat, t: float, controls, psi
         g_hat = float(problem.payoff(x, u_hat, t))
         df = np.array([_vector(problem.dynamics(x, u, t)) - f_hat for u in controls])
         dg = np.array([float(problem.payoff(x, u, t)) - g_hat for u in controls])
-        jumps = np.asarray(psi, dtype=float) @ df.reshape(-1, f_hat.size).T
-        jumps += lam * dg  # in place: no second (n_T, n_u) array
+        df_t = df.reshape(-1, f_hat.size).T
+        if np.ndim(lam):
+            # row by row: a stacked product rounds otherwise than a lone one
+            jumps = np.array([row @ df_t for row in psi])
+            jumps += np.multiply.outer(lam, dg)
+        else:
+            jumps = np.asarray(psi, dtype=float) @ df_t
+            jumps += lam * dg  # in place: no second (n_T, n_u) array
     if not np.isfinite(jumps).all():
         raise ValueError(f"non-finite Hamiltonian jump at x={x}, u_hat={u_hat}, t={t:g}")
     return jumps
@@ -157,7 +167,10 @@ def jacobians(problem: ControlProblem, x, u, t: float):
     h = ``FD_STEP_DEFAULT``, shrinking the step when a probe point would
     leave the state domain.
     """
-    x, u = _vector(x), _vector(u)
+    # the variational fields hand over 1-D float arrays, which pass as they are
+    if not (type(x) is type(u) is np.ndarray and x.ndim == u.ndim == 1
+            and x.dtype is u.dtype is _FLOAT):
+        x, u = _vector(x), _vector(u)
     n = problem.state_dim
     if problem.dynamics_jac_x is not None:
         fx = np.asarray(problem.dynamics_jac_x(x, u, t), dtype=float)
@@ -170,7 +183,9 @@ def jacobians(problem: ControlProblem, x, u, t: float):
             fx[:, i] = (np.atleast_1d(problem.dynamics(plus, u, t))
                         - np.atleast_1d(problem.dynamics(minus, u, t))) / (2 * hi)
     if problem.payoff_grad_x is not None:
-        gx = _vector(problem.payoff_grad_x(x, u, t))
+        gx = problem.payoff_grad_x(x, u, t)
+        if not (type(gx) is np.ndarray and gx.ndim == 1 and gx.dtype is _FLOAT):
+            gx = _vector(gx)
     else:
         gx = np.empty(n)
         for i in range(n):

@@ -421,16 +421,13 @@ def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float)
     nodes = [a] + sorted(cuts) + [b]
     total = 0.0
     for lo, hi in zip(nodes[:-1], nodes[1:]):
-        u = control.segment_value(lo, hi)
-        if u is not None:
+        piece = control.segment_piece(lo, hi)
+        if not callable(piece):
             # integral of sin(T - t) over [lo, hi] is cos(T - hi) - cos(T - lo)
-            total += (float(u[0]) - 1.0) * (math.cos(T - hi) - math.cos(T - lo))
+            total += (float(piece[0]) - 1.0) * (math.cos(T - hi) - math.cos(T - lo))
             continue
         ts = np.linspace(lo, hi, 4001)
-        # the piece is (lo, hi]: its value at lo is the limit from the right,
-        # not the value of a pulse ending at lo
-        us = np.array([float(control.evaluate(float(t))[0])
-                       for t in (np.nextafter(lo, hi), *ts[1:])])
+        us = np.array([float(piece(float(t))[0]) for t in ts])
         integrand = np.sin(T - ts) * (us - 1.0)
         # trapezoid rule written out: np.trapz is gone from numpy 2.x and its
         # successor np.trapezoid is missing before numpy 2.0

@@ -205,23 +205,34 @@ class CostatePath:
 def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
                       control: ControlSignal, terminal, lam: float,
                       settings: IntegratorSettings) -> CostatePath:
-    """Integrate -dpsi/dt = f_x(t)* psi + lam * g_x(t) backward from psi(T).
+    """Solve the adjoint equation -dpsi/dt = f_x(t)* psi + lam * g_x(t)
+    backward from psi(T) down to the base trajectory's initial time.
 
-    ``terminal`` is the pair (T, psi_T).  The path extends down to the base
-    trajectory's initial time.
+    ``terminal`` is the pair (T, psi_T).  The solve runs forward in reversed
+    time s = -t, dpsi/ds = f_x(-s)* psi + lam * g_x(-s) under the reflected
+    control, and the path is that solution reflected back.  Its field reads
+    x(t) and calls :func:`jacobians` once per distinct (time, control) pair:
+    the last two Dormand-Prince stages share their time, and a switching
+    time is met under two controls.  A closed-form piece hands over a new
+    control array at every call, so there every call reads afresh.
     """
     T, psi_T = terminal
     T = float(T)
     psi_T = np.atleast_1d(np.asarray(psi_T, dtype=float))
     if not trajectory.covers(T):
         raise ValueError("terminal time outside the trajectory span")
+    last = [None, None, None, None]  # the key (s, u), f_x and lam * g_x read there
 
-    def rhs(psi, u, t):
-        fx, gx = jacobians(problem, trajectory(t), u, t)
-        return -(fx.T @ psi + lam * gx)
+    def rhs(psi, u, s):
+        if s != last[0] or u is not last[1]:
+            fx, gx = jacobians(problem, trajectory(-s), u, -s)
+            last[:] = s, u, fx, lam * gx
+        dpsi = psi.dot(last[2])  # f_x* psi, bit for bit
+        dpsi += last[3]
+        return dpsi
 
-    traj = integrate_controlled(rhs, control, T, psi_T, trajectory.t0, settings)
-    return CostatePath(trajectory=traj, lam=lam)
+    traj = integrate_controlled(rhs, control.reflected(), -T, psi_T, -trajectory.t0, settings)
+    return CostatePath(trajectory=traj.reflected(), lam=lam)
 
 
 def lemma1_residual(costate: CostatePath, jx_by_tau: Sequence[JxRecord], T: float,
@@ -322,11 +333,12 @@ def _growth_ratio(jx: JxRecord) -> float:
 def payoff_value(problem: ControlProblem, control: ControlSignal, x_start,
                  t_start: float, T: float, settings: IntegratorSettings,
                  return_trajectory: bool = False):
-    """Finite-horizon payoff integral from state x_start at time t_start.
+    """Finite-horizon payoff integral from state x_start at time t_start
+    forward to T >= t_start.
 
     The payoff is accumulated as an extra quadrature component of the state
     integration under ``settings``.  Raises NonExtendibleError when the state
-    leaves the domain before T.
+    leaves the domain before T, and ValueError for T < t_start.
     """
     n = problem.state_dim
     x_start = np.atleast_1d(np.asarray(x_start, dtype=float))
@@ -343,7 +355,7 @@ def payoff_value(problem: ControlProblem, control: ControlSignal, x_start,
                                domain=problem.state_domain.extended(1))
     if aug.exit_event is not None:
         raise NonExtendibleError(aug.exit_event)
-    value = float(aug.states[-1, n]) if T >= t_start else float(aug.states[0, n])
+    value = float(aug.states[-1, n])
     if return_trajectory:
         return value, aug
     return value

@@ -188,21 +188,43 @@ def test_max_principle_cases(integrator, int_traj_400, integrator_undiscounted,
     ref = IntegratorReference(0.1, 0.0, 1.0)
     cp = integrate_adjoint(integrator, int_traj_400, u_one,
                            (400.0, [float(ref.psi(400.0))]), 1.0, settings=STANDARD)
-    assert check_max_principle(integrator, int_traj_400, u_one, cp,
-                               time_grid=grid).status is Verdict.HOLDS
+    [held] = check_max_principle(integrator, int_traj_400, u_one, [cp], time_grid=grid)
+    assert held.status is Verdict.HOLDS
 
     traj0 = solve_state(integrator_undiscounted, u_one, 400.0, STANDARD)
     doomed = integrate_adjoint(integrator_undiscounted, traj0, u_one,
                                (400.0, [0.5 - 400.0]), 1.0, settings=STANDARD)
-    assert check_max_principle(integrator_undiscounted, traj0, u_one, doomed,
-                               time_grid=grid).status is Verdict.FAILS
+    [failed] = check_max_principle(integrator_undiscounted, traj0, u_one, [doomed],
+                                   time_grid=grid)
+    assert failed.status is Verdict.FAILS
 
     osc_ref = oscillator_reference(0.5)
     cp_osc = integrate_adjoint(oscillator, osc_traj_400, u_one,
                                (400.0, osc_ref.costate(0.5, 1.1, 400.0)), 1.0,
                                settings=STANDARD)
-    assert check_max_principle(oscillator, osc_traj_400, u_one, cp_osc,
-                               time_grid=grid).status is Verdict.HOLDS
+    [held_osc] = check_max_principle(oscillator, osc_traj_400, u_one, [cp_osc], time_grid=grid)
+    assert held_osc.status is Verdict.HOLDS
+
+
+def test_max_principle_over_mixed_multipliers_matches_lone_calls(oscillator, osc_traj_30,
+                                                                  u_one):
+    # the oscillator's payoff depends on u, so a lam given to the wrong psi
+    # row would move its jumps; the costates with lam = 0 fail the check
+    ref = oscillator_reference(0.5)
+    grid = np.linspace(0.0, 30.0, 61)
+    costates = [integrate_adjoint(oscillator, osc_traj_30, u_one,
+                                  (30.0, ref.costate(r, phi, 30.0)), lam, settings=STANDARD)
+                for r, phi, lam in ((0.5, -math.pi / 2, 1.0), (0.3, 0.7, 0.0),
+                                    (0.25, 0.7, 1.0), (0.5, 0.0, 0.0))]
+    together = check_max_principle(oscillator, osc_traj_30, u_one, costates, time_grid=grid)
+    assert [v.status for v in together] == [Verdict.HOLDS, Verdict.FAILS,
+                                            Verdict.HOLDS, Verdict.FAILS]
+    for costate, verdict in zip(costates, together):
+        [alone] = check_max_principle(oscillator, osc_traj_30, u_one, [costate],
+                                      time_grid=grid)
+        assert verdict.status is alone.status
+        assert verdict.diagnostic_series == alone.diagnostic_series
+        assert verdict.note == alone.note
 
 
 def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_one):

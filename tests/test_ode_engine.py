@@ -18,7 +18,7 @@ from horizoncheck import (
     solve_state,
     transition_matrix,
 )
-from horizoncheck import ode_engine
+from horizoncheck import ode_engine, variational
 from horizoncheck.cli import _CHECK_SETTINGS
 from horizoncheck.ode_engine import (
     _error_norm,
@@ -34,7 +34,7 @@ from horizoncheck.reference_examples import (
     ramsey_steady_state,
 )
 
-from conftest import COARSE, FIG1, TIGHT
+from conftest import COARSE, FIG1, STANDARD, TIGHT
 
 
 def test_zero_field_stays_constant():
@@ -227,8 +227,8 @@ def test_piecewise_control_semantics():
     assert sig.evaluate(1.2)[0] == 5.0
     assert sig.evaluate(2.0)[0] == 5.0
     assert sig.evaluate(2.5)[0] == 1.0
-    assert sig.segment_value(1.0, 2.0)[0] == 5.0
-    assert sig.segment_value(0.5, 1.5) is None
+    assert sig.segment_piece(1.0, 2.0)[0] == 5.0
+    assert sig.segment_piece(0.5, 1.5) is None
 
 
 def test_needle_composition_on_constant_signal():
@@ -262,6 +262,49 @@ def test_controlled_integration_exact_across_switch():
     assert traj(2.5)[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_closed_form_piece_that_starts_at_a_switch_runs_from_its_first_node():
+    # cos(t) with a pulse of 5 on (1.0, 1.2]: the segment from 1.2 on runs
+    # under the cos piece also at its first node, where the signal itself
+    # takes the pulse that ends there.  Given the pulse's slope there, the
+    # first step shrank to 3e-8 and y(3) was off by 1.3e-8.
+    sig = (ControlSignal.closed_form(lambda t: np.array([np.cos(t)]), 1)
+           .with_needle(1.2, 0.2, [5.0]))
+    traj = integrate_controlled(lambda y, u, t: u, sig, 0.0, [0.0], 3.0, STANDARD)
+    first, second = np.flatnonzero(traj.time_grid == 1.2)
+    assert traj.derivs[first, 0] == 5.0 and traj.derivs[second, 0] == np.cos(1.2)
+    assert traj.time_grid[second + 1] - 1.2 > 1e-3
+    exact = math.sin(1.0) + 5.0 * 0.2 + math.sin(3.0) - math.sin(1.2)
+    assert abs(traj.states[-1, 0] - exact) <= 1e-9
+
+
+def test_controlled_integration_runs_forward_only():
+    with pytest.raises(ValueError, match="forward"):
+        integrate_controlled(lambda y, u, t: u, ControlSignal.constant([1.0]), 2.0, [0.0],
+                             1.0, COARSE)
+
+
+def test_reflected_signal_and_trajectory():
+    # v(s) = u(-s) off the switching times, on every kind of piece
+    for sig in (ControlSignal.piecewise_constant([1.0, 2.0], [[0.0], [5.0], [1.0]]),
+                ControlSignal.closed_form(lambda t: np.array([math.sin(t)]), 1)
+                .with_needle(1.2, 0.2, [5.0])):
+        back = sig.reflected()
+        assert np.array_equal(back.breakpoints(), -sig.breakpoints()[::-1])
+        for t in (-1.0, 0.5, 1.1, 1.5, 2.5, 3.0):
+            assert np.array_equal(back.evaluate(-t), sig.evaluate(t))
+    # the reflection of a run in s = -t is the solution in t, dense values
+    # and slopes included, and the backward run is that reflection
+    field = lambda t, y: np.array([math.cos(t) * y[0]])
+    forward = integrate(lambda s, y: -field(-s, y), -2.0, [1.0], 1.0, COARSE)
+    mirrored = forward.reflected()
+    ts = np.linspace(-1.0, 2.0, 61)
+    assert np.allclose(mirrored(ts), forward(-ts), rtol=1e-13, atol=0.0)
+    assert np.allclose(mirrored.derivative(ts), -forward.derivative(-ts), rtol=1e-12, atol=0.0)
+    back = integrate(field, 2.0, [1.0], -1.0, COARSE)
+    for name in ("time_grid", "states", "derivs", "quartic"):
+        assert np.array_equal(getattr(back, name), getattr(mirrored, name))
+
+
 def test_solve_state_non_extendible_marks_exit(ramsey_params=None):
     from horizoncheck import make_builtin_problem
 
@@ -293,18 +336,25 @@ def test_problem_rejects_an_initial_state_outside_its_domain_under_replace():
             dataclasses.replace(ramsey, initial_state=x0)
 
 
-def test_step_sequence_pins():
+def test_step_sequence_pins(monkeypatch):
     # accepted steps of the oscillator check solves at b = 0.5, t_max = 100;
     # a change to the stepping core that moves them must update these counts
     problem = make_builtin_problem("oscillator", {"b": 0.5})
     control = ControlSignal.constant([1.0])
     traj = solve_state(problem, control, 100.0, _CHECK_SETTINGS)
     transition = transition_matrix(problem, control, 100.0, settings=_CHECK_SETTINGS)
+    jacobians, calls = variational.jacobians, []
+    monkeypatch.setattr(variational, "jacobians",
+                        lambda *args: calls.append(args[3]) or jacobians(*args))
     costate = integrate_adjoint(problem, traj, control, (100.0, [-1.0, 0.2]), 1.0,
                                 settings=_CHECK_SETTINGS)
     assert traj.time_grid.size == 2945
     assert transition._aug.time_grid.size == 3147
     assert costate.time_grid.size == 2558
+    # the costate solve reads f_x and g_x at the start and then once per
+    # distinct stage time of each of its 2,558 attempts, five: the last two
+    # Dormand-Prince stages share the node c = 1
+    assert len(calls) == 12791 == 1 + 5 * 2558
 
 
 def test_field_call_count_pin():
@@ -464,47 +514,45 @@ def test_switches_and_needles_follow_the_half_open_convention():
 
     @st.composite
     def signals(draw):
-        """(whether the signal is a closed form, the signal)"""
         kind = draw(st.sampled_from(["constant", "piecewise", "closed_form"]))
         if kind == "constant":
-            return False, ControlSignal.constant([draw(values)])
+            return ControlSignal.constant([draw(values)])
         if kind == "closed_form":
-            return True, ControlSignal.closed_form(lambda t: np.array([math.sin(t)]), 1)
+            return ControlSignal.closed_form(lambda t: np.array([math.sin(t)]), 1)
         times = sorted(draw(st.sets(st.floats(0.0, 10.0), min_size=1, max_size=5)))
-        return False, ControlSignal.piecewise_constant(
+        return ControlSignal.piecewise_constant(
             times, [[draw(values)] for _ in range(len(times) + 1)])
 
-    def agrees_with_its_segments(signal, closed):
+    def agrees_with_its_segments(signal):
         # a switching time belongs to the interval it ends, (a, b]: evaluation
-        # agrees with the segment values that integration freezes; on a closed
-        # form, a segment outside every pulse has none
+        # agrees with the pieces that integration runs each segment under, a
+        # constant or a closed form
         cuts = signal.breakpoints()
         assert np.all(np.diff(cuts) > 0)
         edges = [cuts[0] - 1.0, *cuts, cuts[-1] + 1.0] if cuts.size else []
         for a, t, b in zip(edges, edges[1:], edges[2:]):
-            for seg, at in ((signal.segment_value(a, t), t),
-                            (signal.segment_value(t, b), np.nextafter(t, np.inf))):
-                assert np.array_equal(signal.evaluate(at), seg) or closed and seg is None
+            for seg, at in ((signal.segment_piece(a, t), t),
+                            (signal.segment_piece(t, b), np.nextafter(t, np.inf))):
+                assert np.array_equal(signal.evaluate(at), seg(at) if callable(seg) else seg)
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(signals(), st.floats(0.5, 10.0), st.floats(1e-3, 0.5), values,
                       st.floats(-0.6, 0.6), st.floats(1e-3, 0.5), values)
-    def check(drawn, tau, alpha, u, shift, alpha2, u2):
-        closed, base = drawn
-        agrees_with_its_segments(base, closed)
+    def check(base, tau, alpha, u, shift, alpha2, u2):
+        agrees_with_its_segments(base)
         needled = base.with_needle(tau, alpha, [u])
         a = tau - alpha
         for t in (np.nextafter(a, np.inf), 0.5 * (a + tau), tau):
             assert needled.evaluate(t)[0] == u
         for t in (a, np.nextafter(tau, np.inf), tau + 1.0, a - 0.1):
             assert np.array_equal(needled.evaluate(t), base.evaluate(t))
-        agrees_with_its_segments(needled, closed)
+        agrees_with_its_segments(needled)
         # a second pulse, often overlapping the first: the newer one holds on
         # its interval and the older one elsewhere, on every kind of base
         tau2 = tau + shift
         stacked = needled.with_needle(tau2, alpha2, [u2])
         a2 = tau2 - alpha2
-        agrees_with_its_segments(stacked, closed)
+        agrees_with_its_segments(stacked)
         for edge in (a, tau, a2, tau2):
             for t in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf),
                       edge - 0.05, edge + 0.05):

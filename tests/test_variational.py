@@ -15,6 +15,7 @@ from horizoncheck import (
     check_assumption_uniform,
     fd_gradient,
     horizon_grid,
+    integrate,
     integrate_adjoint,
     jx_scan,
     lemma1_residual,
@@ -177,6 +178,54 @@ def test_adjoint_oscillator_family_and_homogeneous(oscillator, osc_traj_30, u_on
     assert np.max(np.abs(norms - math.hypot(0.4, 0.6))) < 1e-9
 
 
+def _adjoint_by_backward_integration(problem, trajectory, control, T, psi_T, lam, settings):
+    """The adjoint solve written the other way: ``integrate`` run backward on
+    -(f_x* psi + lam g_x), segment by segment between the switches of a
+    piecewise-constant control.  Returns grid, states, slopes and quartic
+    rows."""
+    cuts = [c for c in control.breakpoints() if trajectory.t0 < c < T]
+    nodes = [T, *cuts[::-1], trajectory.t0]
+    pieces, psi = [], np.asarray(psi_T, dtype=float)
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        def field(t, y, u=control.segment_piece(b, a)):
+            fx, gx = jacobians(problem, trajectory(t), u, t)
+            return -(fx.T @ y + lam * gx)
+
+        pieces.insert(0, integrate(field, a, psi, b, settings))
+        psi = pieces[0].states[0]
+    return [np.concatenate([getattr(p, name) for p in pieces])
+            for name in ("time_grid", "states", "derivs", "quartic")]
+
+
+def test_reversed_time_adjoint_equals_backward_integration_bit_for_bit(oscillator,
+                                                                       integrator):
+    # switches inside the span, a pulse that ends at the terminal time T = 7,
+    # lam = 1 and 0, the integrator's time-dependent g_x, and a problem whose
+    # f_x = u/10 and g_x = u change at every switch, where the field is read
+    # under both controls at one time
+    control = (ControlSignal.constant([1.0]).with_needle(4.0, 1.5, [-1.0])
+               .with_needle(7.0, 0.5, [0.25]))
+    switched = ControlProblem(
+        state_dim=1, control_dim=1, dynamics=lambda x, u, t: 0.1 * u * x,
+        payoff=lambda x, u, t: float(u[0] * x[0]), control_set=ControlSet.box([-1.0], [1.0]),
+        state_domain=Box.unbounded(1), initial_state=[1.0],
+        dynamics_jac_x=lambda x, u, t: np.array([[0.1 * u[0]]]),
+        payoff_grad_x=lambda x, u, t: np.array([u[0]]))
+    for problem, T, psi_T in ((oscillator, 12.0, [-1.0, 0.2]), (oscillator, 7.0, [0.3, 0.5]),
+                              (integrator, 12.0, [0.4]), (switched, 12.0, [0.4])):
+        traj = transition_matrix(problem, control, 12.0, settings=STANDARD).trajectory
+        for lam in (1.0, 0.0):
+            costate = integrate_adjoint(problem, traj, control, (T, psi_T), lam,
+                                        settings=STANDARD)
+            expected = _adjoint_by_backward_integration(problem, traj, control, T, psi_T,
+                                                        lam, STANDARD)
+            got = costate.trajectory
+            switches = np.count_nonzero(control.breakpoints() < T)
+            assert np.count_nonzero(np.diff(got.time_grid) == 0.0) == switches
+            for name, want in zip(("time_grid", "states", "derivs", "quartic"), expected):
+                assert np.array_equal(getattr(got, name), want), (problem.name, T, lam, name)
+
+
 def test_costate_ode_residual_at_midpoints(oscillator, osc_traj_30, u_one):
     settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12, max_step=0.05)
     costate = integrate_adjoint(oscillator, osc_traj_30, u_one,
@@ -273,6 +322,11 @@ def test_payoff_value_and_quadrature(integrator, u_one):
     value = payoff_value(integrator, u_one, [0.0], 0.0, 10.0, TIGHT)
     expect = (1 - math.exp(-1.0) * (1 + 1.0)) / 0.01
     assert value == pytest.approx(expect, abs=1e-8)
+
+
+def test_payoff_value_runs_forward_only(integrator, u_one):
+    with pytest.raises(ValueError, match="forward"):
+        payoff_value(integrator, u_one, [0.0], 10.0, 5.0, TIGHT)
 
 
 def test_assumption_uniform_linear_problems(oscillator, integrator, u_one):
