@@ -215,7 +215,7 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
     Hamiltonian is within ``VERDICT_SLACK`` of the maximum over 33 sampled
     control values per axis.  The dynamics and payoff jumps over the control
     grid are evaluated once per time for all paths together, each with its
-    own psi row and lam; a path's verdict is the one it gets alone.
+    own psi row and lam.
     """
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
     grid = problem.control_set.sample_grid(_CONTROL_RESOLUTION)

@@ -134,10 +134,8 @@ def hamiltonian_jumps(problem: ControlProblem, x, u_hat, t: float, controls, psi
 
     ``psi`` is one vector, giving shape (n_u,), or a stack of rows, giving
     shape (n_T, n_u).  ``lam`` is a scalar, or one multiplier per row of the
-    stack; then each row is formed as a lone vector is, so every row equals
-    the jumps of its own (psi, lam) bit for bit.  The jump is exactly zero
-    where u equals u_hat.  Raises ValueError when a jump is non-finite, as
-    :func:`hamiltonian` does.
+    stack.  The jump is exactly zero where u equals u_hat.  Raises ValueError
+    when a jump is non-finite, as :func:`hamiltonian` does.
     """
     x, u_hat = _vector(x), _vector(u_hat)
     controls = np.asarray(controls, dtype=float).reshape(-1, problem.control_dim)
@@ -146,14 +144,8 @@ def hamiltonian_jumps(problem: ControlProblem, x, u_hat, t: float, controls, psi
         g_hat = float(problem.payoff(x, u_hat, t))
         df = np.array([_vector(problem.dynamics(x, u, t)) - f_hat for u in controls])
         dg = np.array([float(problem.payoff(x, u, t)) - g_hat for u in controls])
-        df_t = df.reshape(-1, f_hat.size).T
-        if np.ndim(lam):
-            # row by row: a stacked product rounds otherwise than a lone one
-            jumps = np.array([row @ df_t for row in psi])
-            jumps += np.multiply.outer(lam, dg)
-        else:
-            jumps = np.asarray(psi, dtype=float) @ df_t
-            jumps += lam * dg  # in place: no second (n_T, n_u) array
+        jumps = np.asarray(psi, dtype=float) @ df.reshape(-1, f_hat.size).T
+        jumps += np.multiply.outer(lam, dg)  # in place: no second (n_T, n_u) array
     if not np.isfinite(jumps).all():
         raise ValueError(f"non-finite Hamiltonian jump at x={x}, u_hat={u_hat}, t={t:g}")
     return jumps

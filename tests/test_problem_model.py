@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from horizoncheck import (
-    Box,
-    ControlProblem,
     ControlSet,
     hamiltonian,
     hamiltonian_jumps,
@@ -157,26 +155,6 @@ def test_hamiltonian_jumps_match_per_cell_hamiltonian():
         assert np.all(jumps[:, np.all(grid == u_hat, axis=1)] == 0.0)
 
     check()
-
-
-def test_hamiltonian_jumps_with_one_multiplier_per_row_equal_lone_rows():
-    # both components of f move with u, where a stacked product of the psi
-    # rows rounds otherwise than a lone one; every row must be its own call's
-    problem = ControlProblem(
-        state_dim=2, control_dim=1,
-        dynamics=lambda x, u, t: np.array([math.sin(u[0]) * x[0], math.cos(u[0]) + x[1]]),
-        payoff=lambda x, u, t: float(u[0] ** 2 * x[0]),
-        control_set=ControlSet.box([-1.0], [1.0]), state_domain=Box.unbounded(2),
-        initial_state=[0.3, -0.7])
-    rng = np.random.default_rng(5)
-    grid = problem.control_set.sample_grid(33)
-    x, u_hat = problem.initial_state, grid[20]
-    psi, lams = rng.normal(size=(6, 2)), [1.0, 0.0, *rng.uniform(0.0, 2.0, 4)]
-    rows = hamiltonian_jumps(problem, x, u_hat, 2.0, grid, psi, lams)
-    assert rows.shape == (6, 33)
-    for row, p, lam in zip(rows, psi, lams):
-        lone = hamiltonian_jumps(problem, x, u_hat, 2.0, grid, p, lam)
-        np.testing.assert_array_equal(row, lone)
 
 
 def test_hamiltonian_jumps_nonfinite_raises():
