@@ -29,9 +29,11 @@ from .problem_model import (
     make_builtin_problem,
 )
 from .variational import (
+    AdjointBasis,
     CostatePath,
     JxRecord,
     TransitionOperator,
+    adjoint_basis,
     check_assumption_uniform,
     check_jx_bounded,
     fd_gradient,

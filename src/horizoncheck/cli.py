@@ -52,6 +52,7 @@ from .reference_examples import (
 )
 from .overtaking import empirical_overtaking_test, needle_limit_check, payoff_path
 from .variational import (
+    adjoint_basis,
     check_jx_bounded,
     horizon_grid,
     integrate_adjoint,
@@ -246,16 +247,16 @@ def _build_linear_check(config: RunConfig) -> ReportData:
     rows.append(["limit", "(gradient route)", "jx_bounded", bound_verdict.status.value,
                  _fmt(m_est), bound_verdict.note])
 
-    # adjoint-candidate rows
-    costates = [integrate_adjoint(problem, trajectory, control,
-                                  (t_max, np.atleast_1d(terminal_psi(lam, extra))),
-                                  lam, settings=_CHECK_SETTINGS)
+    # adjoint-candidate rows, every costate read off one basis solve
+    basis = adjoint_basis(problem, trajectory, control, t_max, _CHECK_SETTINGS)
+    costates = [integrate_adjoint(basis, terminal_psi(lam, extra), lam)
                 for _, lam, extra in candidates]
     max_principle = check_max_principle(problem, trajectory, control, costates,
                                         time_grid=np.linspace(problem.initial_time, t_max, 201))
-    for (label, _, _), costate, mp in zip(candidates, costates, max_principle):
-        classical = check_classical(problem, transition, control, costate)
-        for cond_id, verdict in classical.items():
+    classical = check_classical(problem, transition, control, costates)
+    for (label, _, _), costate, verdicts, mp in zip(candidates, costates, classical,
+                                                    max_principle):
+        for cond_id, verdict in verdicts.items():
             rows.append(["classical", label, cond_id, verdict.status.value,
                          _fmt(verdict.diagnostic_series[-1][1]
                               if verdict.diagnostic_series else None),

@@ -165,19 +165,19 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
 # classical limit conditions
 
 
-def _tail_series(costate: CostatePath, transition: TransitionOperator):
-    """The tail-window times of 4000 across the costate's span, psi(t) on
-    them, and K(t, t0)* psi(t) = Y(t)^T psi(t)."""
-    times = np.linspace(costate.trajectory.t0, costate.trajectory.t_end, 4000)
+def _tail_grid(transition: TransitionOperator, t0: float, t_end: float):
+    """The tail-window times of 4000 across [t0, t_end], and the
+    fundamental matrices Y(t) = K(t, t0) of ``transition`` on them."""
+    times = np.linspace(t0, t_end, 4000)
     times = times[tail_window(times)]
-    psi = costate.psi(times)
-    return times, psi, np.einsum("ikj,ik->ij", transition.fundamental(times), psi)
+    return times, transition.fundamental(times)
 
 
 def check_classical(problem: ControlProblem, transition: TransitionOperator,
-                    control: ControlSignal, costate: CostatePath) -> dict:
-    """The four classical limit conditions on an adjoint path, with x(t) the
-    state path of ``transition`` and lam that of ``costate``.
+                    control: ControlSignal, costates: Sequence[CostatePath]) -> list:
+    """The four classical limit conditions on each adjoint path of
+    ``costates``, with x(t) the state path of ``transition`` and lam that of
+    the path.
 
     tcPSI:  |psi(t)| -> 0
     tcXPSI: <x(t), psi(t)> -> 0
@@ -185,24 +185,26 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
     tcKAV:  |K(t, t0)* psi(t)| -> 0
 
     Each is judged on the tail window by the shared oscillation-plus-mean
-    criterion; returns a dict keyed by condition id.
+    criterion; returns one dict keyed by condition id per path.  The paths
+    share one span, as those read off one adjoint basis do.
     """
-    times, psi, yk = _tail_series(costate, transition)
+    spans = {(c.trajectory.t0, c.trajectory.t_end) for c in costates}
+    if len(spans) != 1:
+        raise ValueError("the adjoint paths must share one span")
+    times, Ys = _tail_grid(transition, *spans.pop())
     xs = transition.trajectory(times)
-
-    s_psi = np.max(np.abs(psi), axis=1)
-    s_xpsi = np.einsum("ij,ij->i", xs, psi)
-    s_h = np.array([hamiltonian(problem, xs[i], control.evaluate(float(t)),
-                                float(t), psi[i], costate.lam)
-                    for i, t in enumerate(times)])
-    s_kav = np.linalg.norm(yk, axis=1)
-
-    return {
-        "tcPSI": tail_limit_verdict(times, s_psi, "|psi(t)|"),
-        "tcXPSI": tail_limit_verdict(times, s_xpsi, "<x(t), psi(t)>"),
-        "tcM": tail_limit_verdict(times, s_h, "H along the candidate"),
-        "tcKAV": tail_limit_verdict(times, s_kav, "|K(t,t0)* psi(t)|"),
-    }
+    psis = [c.psi(times) for c in costates]
+    lams = np.array([c.lam for c in costates])
+    s_h = np.array([hamiltonian(problem, x, control.evaluate(t), t, rows, lams)
+                    for t, x, rows in zip(times.tolist(), xs, np.stack(psis, axis=1))])
+    return [{"tcPSI": tail_limit_verdict(times, np.max(np.abs(psi), axis=1), "|psi(t)|"),
+             "tcXPSI": tail_limit_verdict(times, np.einsum("ij,ij->i", xs, psi),
+                                          "<x(t), psi(t)>"),
+             "tcM": tail_limit_verdict(times, h, "H along the candidate"),
+             # K(t, t0)* psi(t) = Y(t)^T psi(t)
+             "tcKAV": tail_limit_verdict(times, np.linalg.norm(
+                 np.einsum("ikj,ik->ij", Ys, psi), axis=1), "|K(t,t0)* psi(t)|")}
+            for psi, h in zip(psis, s_h.T)]
 
 
 def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
@@ -244,7 +246,8 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
     at the anchors of ``jx_by_tau`` (psi_hat taken as each record's tail
     limit).  Returns (a0 or None, residual or nan, verdict).
     """
-    times, _, v = _tail_series(costate, transition)
+    times, Ys = _tail_grid(transition, costate.trajectory.t0, costate.trajectory.t_end)
+    v = np.einsum("ikj,ik->ij", Ys, costate.psi(times))  # K(t, t0)* psi(t)
     osc = float(np.max(np.max(v, axis=0) - np.min(v, axis=0)))
     series = list(zip(times.tolist(), np.max(np.abs(v), axis=1).tolist()))
     status = tail_status(osc)

@@ -112,19 +112,20 @@ class ControlProblem:
             raise ValueError("initial state outside the open state domain")
 
 
-def hamiltonian(problem: ControlProblem, x, u, t: float, psi, lam: float) -> float:
+def hamiltonian(problem: ControlProblem, x, u, t: float, psi, lam):
     """lam * g(x, u, t) + <psi, f(x, u, t)>.
 
-    Raises ValueError when the result is non-finite, which signals payoff or
-    dynamics blow-up at the evaluation point (e.g. CRRA utility as c -> 0
-    with theta > 1).
+    ``psi`` is one vector, giving a float, or a stack of rows with one lam
+    each, giving one value per row.  Raises ValueError when a value is
+    non-finite, which signals payoff or dynamics blow-up at the evaluation
+    point (e.g. CRRA utility as c -> 0 with theta > 1).
     """
     x, u, psi = _vector(x), _vector(u), _vector(psi)
     with np.errstate(all="ignore"):
-        value = lam * float(problem.payoff(x, u, t)) + float(psi @ problem.dynamics(x, u, t))
-    if not np.isfinite(value):
+        value = lam * float(problem.payoff(x, u, t)) + psi @ problem.dynamics(x, u, t)
+    if not np.isfinite(value).all():
         raise ValueError(f"non-finite Hamiltonian at x={x}, u={u}, t={t:g}")
-    return value
+    return value if psi.ndim == 2 else float(value)
 
 
 def hamiltonian_jumps(problem: ControlProblem, x, u_hat, t: float, controls, psi,

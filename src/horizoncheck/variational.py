@@ -9,9 +9,9 @@ The central objects are
   the state path, K(t, tau) = Y(t) Y(tau)^-1 and the finite-horizon payoff
   gradient with respect to the state at time tau,
   grad(tau, T) = integral_tau^T K(t, tau)* g_x(t) dt = Y(tau)^-* (S(T) - S(tau));
-* backward adjoint integration along a given state path, which reproduces
-  the same gradients when started from a zero terminal condition (an
-  identity the test-suite checks both ways);
+* the adjoint basis along a given state path, one backward solve off which
+  every adjoint path is read; from a zero terminal condition it reproduces
+  the same gradients (an identity the test-suite checks both ways);
 * tail analysis of grad(tau, T) as the horizon grows, by the tail rule of
   :mod:`.verdicts` on the horizons of :func:`horizon_grid`: convergence to a
   limit costate, bounded oscillation, or unbounded growth.
@@ -42,9 +42,11 @@ from .verdicts import (
 )
 
 __all__ = [
+    "AdjointBasis",
     "CostatePath",
     "JxRecord",
     "TransitionOperator",
+    "adjoint_basis",
     "check_assumption_uniform",
     "check_jx_bounded",
     "fd_gradient",
@@ -189,50 +191,66 @@ def jx_scan(transition: TransitionOperator, tau_grid, T_grid) -> list[JxRecord]:
 
 @dataclass
 class CostatePath:
-    """Adjoint path psi(.) integrated backward from a terminal condition."""
+    """Adjoint path psi(.) with its multiplier lam."""
 
     trajectory: Trajectory
     lam: float
-
-    @property
-    def time_grid(self) -> np.ndarray:
-        return self.trajectory.time_grid
 
     def psi(self, t):
         return self.trajectory(t)
 
 
-def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
-                      control: ControlSignal, terminal, lam: float,
-                      settings: IntegratorSettings) -> CostatePath:
-    """Solve the adjoint equation -dpsi/dt = f_x(t)* psi + lam * g_x(t)
-    backward from psi(T) down to the base trajectory's initial time.
+@dataclass
+class AdjointBasis:
+    """The rows [Phi(t)* | r(t)], n + 1 of n columns, held row-major in
+    ``trajectory``: every adjoint path that ends at T is
+    psi(t) = Phi(t) psi_T + lam r(t), with Phi(t) = K(T, t)*."""
 
-    ``terminal`` is the pair (T, psi_T).  The solve runs forward in reversed
-    time s = -t, dpsi/ds = f_x(-s)* psi + lam * g_x(-s) under the reflected
-    control, and the path is that solution reflected back.  Its field reads
-    x(t) and calls :func:`jacobians` once per distinct (time, control) pair:
-    the last two Dormand-Prince stages share their time, and a switching
-    time is met under two controls.  A closed-form piece hands over a new
-    control array at every call, so there every call reads afresh.
+    trajectory: Trajectory
+
+
+def adjoint_basis(problem: ControlProblem, trajectory: Trajectory, control: ControlSignal,
+                  T: float, settings: IntegratorSettings) -> AdjointBasis:
+    """Solve -dB/dt = B f_x(t) + [0 | g_x(t)] for the basis rows B backward
+    from [I | 0] at T down to the base trajectory's initial time.
+
+    The solve runs forward in reversed time s = -t under the reflected
+    control, and the basis is that solution reflected back.  Its field reads
+    x(t) and calls :func:`jacobians` once per distinct (time, control value)
+    pair: the last two Dormand-Prince stages share their time, and a
+    switching time is met under two controls.
     """
-    T, psi_T = terminal
     T = float(T)
-    psi_T = np.atleast_1d(np.asarray(psi_T, dtype=float))
     if not trajectory.covers(T):
         raise ValueError("terminal time outside the trajectory span")
-    last = [None, None, None, None]  # the key (s, u), f_x and lam * g_x read there
+    n = problem.state_dim
+    last = [None, None, None, None]  # the key (s, u), f_x and g_x read there
 
-    def rhs(psi, u, s):
-        if s != last[0] or u is not last[1]:
-            fx, gx = jacobians(problem, trajectory(-s), u, -s)
-            last[:] = s, u, fx, lam * gx
-        dpsi = psi.dot(last[2])  # f_x* psi, bit for bit
-        dpsi += last[3]
-        return dpsi
+    def rhs(rows, u, s):
+        # keyed on u's value: a closed-form piece hands over a new array per call
+        if s != last[0] or (u is not last[1] and u.tolist() != last[1].tolist()):
+            last[:] = s, u, *jacobians(problem, trajectory(-s), u, -s)
+        dB = rows.reshape(n + 1, n).dot(last[2])
+        dB[n] += last[3]
+        return dB.ravel()
 
-    traj = integrate_controlled(rhs, control.reflected(), -T, psi_T, -trajectory.t0, settings)
-    return CostatePath(trajectory=traj.reflected(), lam=lam)
+    traj = integrate_controlled(rhs, control.reflected(), -T, np.eye(n + 1, n).ravel(),
+                                -trajectory.t0, settings)
+    return AdjointBasis(traj.reflected())
+
+
+def integrate_adjoint(basis: AdjointBasis, psi_T, lam: float) -> CostatePath:
+    """The adjoint path psi(t) = Phi(t) psi_T + lam r(t) from psi(T) = psi_T,
+    read off the nodes, slopes and quartic rows of ``basis``.  Every
+    Dormand-Prince stage is affine in the solution, so this is the
+    Dormand-Prince solution of the adjoint equation on the basis's steps."""
+    w = np.append(np.asarray(psi_T, dtype=float), lam)
+    basis_traj = basis.trajectory
+    if w.size * (w.size - 1) != basis_traj.dim:
+        raise ValueError("terminal costate does not match the basis dimension")
+    rows = [w @ a.reshape(-1, w.size, w.size - 1)
+            for a in (basis_traj.states, basis_traj.derivs, basis_traj.quartic)]
+    return CostatePath(Trajectory(basis_traj.time_grid, *rows), lam)
 
 
 def lemma1_residual(costate: CostatePath, jx_by_tau: Sequence[JxRecord], T: float,

@@ -15,6 +15,7 @@ from horizoncheck import (
     IntegratorReference,
     IntegratorSettings,
     Verdict,
+    adjoint_basis,
     appendix_identity_residual,
     check_general,
     check_gmax,
@@ -156,11 +157,11 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
         rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
         _, lc = limit_costate(rec)
 
-        surrogate = integrate_adjoint(problem, traj, u_one,
-                                      (250.0, np.zeros(problem.state_dim)),
-                                      1.0, settings=STANDARD)
+        basis = adjoint_basis(problem, traj, u_one, 250.0, STANDARD)
+        surrogate = integrate_adjoint(basis, np.zeros(problem.state_dim), 1.0)
         from horizoncheck import check_classical
-        kav = check_classical(problem, op, u_one, surrogate)["tcKAV"]
+        [verdicts] = check_classical(problem, op, u_one, [surrogate])
+        kav = verdicts["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), \
             (name, params, extra)
 
@@ -172,8 +173,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
         else:
             ref = oscillator_reference(0.5)
             psi_T = ref.costate(extra["r"], extra["phi"], 250.0)
-        candidate = integrate_adjoint(problem, traj, u_one, (250.0, psi_T), 1.0,
-                                      settings=STANDARD)
+        candidate = integrate_adjoint(basis, psi_T, 1.0)
         records = jx_scan(op, [0.0], horizon_grid(0.0, 250.0)[1:])
         a0_est, residual, dec = decompose_costate(candidate, op, records)
         if name == "integrator" and params["rho"] > 0:
@@ -202,11 +202,10 @@ def test_criterion_05_adjoint_identity(oscillator, osc_traj_30, u_one,
     for problem, traj, ctrl, taus in cases:
         op = transition_matrix(problem, ctrl, traj.t_end, settings=TIGHT)
         records = jx_scan(op, taus, [T])
+        basis = adjoint_basis(problem, traj, ctrl, T, TIGHT)
         for lam in (0.0, 1.0):
             for term in terminals:
-                costate = integrate_adjoint(problem, traj, ctrl,
-                                            (T, term(problem.state_dim)), lam,
-                                            settings=TIGHT)
+                costate = integrate_adjoint(basis, term(problem.state_dim), lam)
                 res = lemma1_residual(costate, records, T, op)
                 worst = max(worst, res)
                 n_cases += 1

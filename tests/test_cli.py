@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from horizoncheck import ode_engine, reference_examples
+from horizoncheck import cli, ode_engine, reference_examples
 from horizoncheck.cli import (
     RunConfig,
     build_check_report,
@@ -63,6 +63,29 @@ def test_check_integrates_forward_from_t0_once(monkeypatch, example):
     monkeypatch.setattr(ode_engine, "integrate", counted)
     build_check_report(RunConfig(example=example, params={}, t_max=100.0))
     assert starts.count(0.0) == 1
+
+
+@pytest.mark.parametrize("example, params, lams", [
+    ("oscillator", {"b": 0.5}, [1.0] * 3),
+    ("oscillator", {"b": 1.5}, [1.0] * 4),
+    ("integrator", {"rho": 0.1}, [1.0, 0.0]),
+])
+def test_check_solves_one_adjoint_basis_for_all_candidates(monkeypatch, example, params, lams):
+    # two solves per report, the (x, Y, S) pass from t0 and one basis solve
+    # from s = -T in reversed time; every candidate's costate is read off it
+    starts, reads = [], []
+    integrate, read = ode_engine.integrate, cli.integrate_adjoint
+
+    def counted(field, t0, y0, t_end, *args, **kwargs):
+        starts.append(t0)
+        return integrate(field, t0, y0, t_end, *args, **kwargs)
+
+    monkeypatch.setattr(ode_engine, "integrate", counted)
+    monkeypatch.setattr(cli, "integrate_adjoint",
+                        lambda basis, psi_T, lam: reads.append(lam) or read(basis, psi_T, lam))
+    build_check_report(RunConfig(example=example, params=params, t_max=100.0))
+    assert starts == [0.0, -100.0]
+    assert reads == lams
 
 
 def test_ramsey_check_solves_the_state_equation_once(monkeypatch):

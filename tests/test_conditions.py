@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from horizoncheck import (
+    Box,
+    ControlProblem,
+    ControlSet,
     ControlSignal,
     IntegratorReference,
     Verdict,
+    adjoint_basis,
     check_classical,
     check_general,
     check_gmax,
@@ -120,13 +124,10 @@ def _oscillator_battery(b, t_max, settings=STANDARD):
 def test_classical_conditions_oscillator_battery():
     t_max = 400.0
     problem, ref, u_one, traj, op = _oscillator_battery(0.5, t_max)
-    table = {}
-    for r, phi in [(0.0, 0.0), (0.25, 0.7), (0.5, -math.pi / 2)]:
-        costate = integrate_adjoint(problem, traj, u_one,
-                                    (t_max, ref.costate(r, phi, t_max)), 1.0,
-                                    settings=STANDARD)
-        table[(r, phi)] = check_classical(problem, op, u_one, costate)
-    for key, verdicts in table.items():
+    keys = [(0.0, 0.0), (0.25, 0.7), (0.5, -math.pi / 2)]
+    basis = adjoint_basis(problem, traj, u_one, t_max, STANDARD)
+    costates = [integrate_adjoint(basis, ref.costate(r, phi, t_max), 1.0) for r, phi in keys]
+    for key, verdicts in zip(keys, check_classical(problem, op, u_one, costates)):
         assert verdicts["tcPSI"].status is Verdict.FAILS
         assert verdicts["tcXPSI"].status is Verdict.FAILS
         assert verdicts["tcKAV"].status is Verdict.FAILS
@@ -137,10 +138,9 @@ def test_classical_conditions_oscillator_battery():
 def test_classical_xpsi_branch_needs_b_at_least_one():
     t_max = 400.0
     problem, ref, u_one, traj, op = _oscillator_battery(1.5, t_max)
-    costate = integrate_adjoint(problem, traj, u_one,
-                                (t_max, ref.costate(1.0, 0.0, t_max)), 1.0,
-                                settings=STANDARD)
-    verdicts = check_classical(problem, op, u_one, costate)
+    costate = integrate_adjoint(adjoint_basis(problem, traj, u_one, t_max, STANDARD),
+                                ref.costate(1.0, 0.0, t_max), 1.0)
+    [verdicts] = check_classical(problem, op, u_one, [costate])
     assert verdicts["tcXPSI"].status is Verdict.HOLDS
     assert verdicts["tcPSI"].status is Verdict.FAILS
     assert verdicts["tcKAV"].status is Verdict.FAILS
@@ -167,41 +167,87 @@ def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,
                                          integrator_undiscounted, u_one):
     t_max = 400.0
     ref = IntegratorReference(0.1, 0.0, 1.0)
-    costate = integrate_adjoint(integrator, int_traj_400, u_one,
-                                (t_max, [float(ref.psi(t_max))]), 1.0,
-                                settings=STANDARD)
-    verdicts = check_classical(integrator, int_op_400, u_one, costate)
+    costate = integrate_adjoint(adjoint_basis(integrator, int_traj_400, u_one, t_max, STANDARD),
+                                [float(ref.psi(t_max))], 1.0)
+    [verdicts] = check_classical(integrator, int_op_400, u_one, [costate])
     assert all(v.status is Verdict.HOLDS for v in verdicts.values())
 
     traj0 = solve_state(integrator_undiscounted, u_one, t_max, STANDARD)
     op0 = transition_matrix(integrator_undiscounted, u_one, t_max,
                             settings=STANDARD)
-    abnormal = integrate_adjoint(integrator_undiscounted, traj0, u_one,
-                                 (t_max, [1.0]), 0.0, settings=STANDARD)
-    verdicts0 = check_classical(integrator_undiscounted, op0, u_one, abnormal)
+    abnormal = integrate_adjoint(
+        adjoint_basis(integrator_undiscounted, traj0, u_one, t_max, STANDARD), [1.0], 0.0)
+    [verdicts0] = check_classical(integrator_undiscounted, op0, u_one, [abnormal])
     assert all(v.status is Verdict.FAILS for v in verdicts0.values())
+
+
+def test_classical_over_many_costates_matches_lone_calls(oscillator, osc_traj_30, osc_op_30,
+                                                        u_one):
+    # one shared sweep judges every costate as a lone call does; only the
+    # Hamiltonian, formed from a stack of psi rows, may differ by round-off
+    ref = oscillator_reference(0.5)
+    basis = adjoint_basis(oscillator, osc_traj_30, u_one, 30.0, TIGHT)
+    costates = [integrate_adjoint(basis, ref.costate(r, phi, 30.0), lam)
+                for r, phi, lam in ((0.5, -math.pi / 2, 1.0), (0.3, 0.7, 0.0),
+                                    (0.25, 0.7, 1.0), (0.0, 0.0, 1.0))]
+    together = check_classical(oscillator, osc_op_30, u_one, costates)
+    # H is constant along each path: r sin(phi) + b = 0 only for the first
+    assert [v["tcM"].status for v in together] == [Verdict.HOLDS, Verdict.FAILS,
+                                                   Verdict.FAILS, Verdict.FAILS]
+    for costate, verdicts in zip(costates, together):
+        [alone] = check_classical(oscillator, osc_op_30, u_one, [costate])
+        assert list(verdicts) == list(alone) == ["tcPSI", "tcXPSI", "tcM", "tcKAV"]
+        for cond_id, verdict in verdicts.items():
+            assert verdict.status is alone[cond_id].status, cond_id
+            got = np.array(verdict.diagnostic_series)
+            want = np.array(alone[cond_id].diagnostic_series)
+            assert np.array_equal(got[:, 0], want[:, 0])
+            if cond_id == "tcM":
+                assert np.max(np.abs(got[:, 1] - want[:, 1])) <= 1e-12
+            else:
+                assert np.array_equal(got, want), cond_id
+
+
+def test_classical_raises_on_a_non_finite_hamiltonian_in_the_tail(u_one):
+    # the payoff turns NaN at t = 20, inside the tail window of [0, 30];
+    # its analytic gradient keeps the basis and the pass finite
+    problem = ControlProblem(
+        state_dim=1, control_dim=1, dynamics=lambda x, u, t: np.array([u[0]]),
+        payoff=lambda x, u, t: float(x[0]) if t < 20.0 else math.nan,
+        control_set=ControlSet.box([0.0], [1.0]), state_domain=Box.unbounded(1),
+        initial_state=[0.0], dynamics_jac_x=lambda x, u, t: np.zeros((1, 1)),
+        payoff_grad_x=lambda x, u, t: np.ones(1))
+    op = transition_matrix(problem, u_one, 30.0, settings=STANDARD)
+    basis = adjoint_basis(problem, op.trajectory, u_one, 30.0, STANDARD)
+    costates = [integrate_adjoint(basis, [0.0], 1.0), integrate_adjoint(basis, [1.0], 0.0)]
+    with pytest.raises(ValueError, match="non-finite Hamiltonian"):
+        check_classical(problem, op, u_one, costates)
+    # paths of two spans share no tail grid
+    short = integrate_adjoint(adjoint_basis(problem, op.trajectory, u_one, 25.0, STANDARD),
+                              [0.0], 1.0)
+    with pytest.raises(ValueError, match="share one span"):
+        check_classical(problem, op, u_one, [costates[0], short])
 
 
 def test_max_principle_cases(integrator, int_traj_400, integrator_undiscounted,
                              oscillator, osc_traj_400, u_one):
     grid = np.linspace(0.0, 400.0, 201)
     ref = IntegratorReference(0.1, 0.0, 1.0)
-    cp = integrate_adjoint(integrator, int_traj_400, u_one,
-                           (400.0, [float(ref.psi(400.0))]), 1.0, settings=STANDARD)
+    cp = integrate_adjoint(adjoint_basis(integrator, int_traj_400, u_one, 400.0, STANDARD),
+                           [float(ref.psi(400.0))], 1.0)
     [held] = check_max_principle(integrator, int_traj_400, u_one, [cp], time_grid=grid)
     assert held.status is Verdict.HOLDS
 
     traj0 = solve_state(integrator_undiscounted, u_one, 400.0, STANDARD)
-    doomed = integrate_adjoint(integrator_undiscounted, traj0, u_one,
-                               (400.0, [0.5 - 400.0]), 1.0, settings=STANDARD)
+    doomed = integrate_adjoint(
+        adjoint_basis(integrator_undiscounted, traj0, u_one, 400.0, STANDARD), [0.5 - 400.0], 1.0)
     [failed] = check_max_principle(integrator_undiscounted, traj0, u_one, [doomed],
                                    time_grid=grid)
     assert failed.status is Verdict.FAILS
 
     osc_ref = oscillator_reference(0.5)
-    cp_osc = integrate_adjoint(oscillator, osc_traj_400, u_one,
-                               (400.0, osc_ref.costate(0.5, 1.1, 400.0)), 1.0,
-                               settings=STANDARD)
+    cp_osc = integrate_adjoint(adjoint_basis(oscillator, osc_traj_400, u_one, 400.0, STANDARD),
+                               osc_ref.costate(0.5, 1.1, 400.0), 1.0)
     [held_osc] = check_max_principle(oscillator, osc_traj_400, u_one, [cp_osc], time_grid=grid)
     assert held_osc.status is Verdict.HOLDS
 
@@ -212,8 +258,8 @@ def test_max_principle_over_mixed_multipliers_matches_lone_calls(oscillator, osc
     # row would move its jumps; the costates with lam = 0 fail the check
     ref = oscillator_reference(0.5)
     grid = np.linspace(0.0, 30.0, 61)
-    costates = [integrate_adjoint(oscillator, osc_traj_30, u_one,
-                                  (30.0, ref.costate(r, phi, 30.0)), lam, settings=STANDARD)
+    basis = adjoint_basis(oscillator, osc_traj_30, u_one, 30.0, STANDARD)
+    costates = [integrate_adjoint(basis, ref.costate(r, phi, 30.0), lam)
                 for r, phi, lam in ((0.5, -math.pi / 2, 1.0), (0.3, 0.7, 0.0),
                                     (0.25, 0.7, 1.0), (0.5, 0.0, 0.0))]
     together = check_max_principle(oscillator, osc_traj_30, u_one, costates, time_grid=grid)
@@ -230,15 +276,14 @@ def test_max_principle_over_mixed_multipliers_matches_lone_calls(oscillator, osc
 def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_one):
     records = jx_scan(int_op_400, [0.0, 5.0], horizon_grid(0.0, 400.0)[1:])
     ref = IntegratorReference(0.1, 0.7, 1.0)
-    cp = integrate_adjoint(integrator, int_traj_400, u_one,
-                           (400.0, [float(ref.psi(400.0))]), 1.0, settings=STANDARD)
+    basis = adjoint_basis(integrator, int_traj_400, u_one, 400.0, STANDARD)
+    cp = integrate_adjoint(basis, [float(ref.psi(400.0))], 1.0)
     a0, residual, verdict = decompose_costate(cp, int_op_400, records)
     assert verdict.status is Verdict.HOLDS
     assert a0[0] == pytest.approx(0.7, abs=1e-6)
     assert residual <= 1e-4
 
-    homon = integrate_adjoint(integrator, int_traj_400, u_one, (400.0, [0.7]),
-                              0.0, settings=STANDARD)
+    homon = integrate_adjoint(basis, [0.7], 0.0)
     a0h, resh, verdicth = decompose_costate(homon, int_op_400, records)
     assert verdicth.status is Verdict.HOLDS
     assert a0h[0] == pytest.approx(0.7, abs=1e-9)
@@ -249,10 +294,9 @@ def test_decompose_costate_oscillator_never_settles(oscillator, osc_traj_400,
                                                     osc_op_400, u_one):
     ref = oscillator_reference(0.5)
     records = jx_scan(osc_op_400, [0.0], horizon_grid(0.0, 400.0)[1:])
+    basis = adjoint_basis(oscillator, osc_traj_400, u_one, 400.0, STANDARD)
     for r in (0.0, 0.3):
-        cp = integrate_adjoint(oscillator, osc_traj_400, u_one,
-                               (400.0, ref.costate(r, 0.0, 400.0)), 1.0,
-                               settings=STANDARD)
+        cp = integrate_adjoint(basis, ref.costate(r, 0.0, 400.0), 1.0)
         a0, residual, verdict = decompose_costate(cp, osc_op_400, records)
         assert a0 is None
         assert verdict.status is Verdict.FAILS
@@ -267,9 +311,10 @@ def test_corollary_equivalence_limit_vs_kav(integrator, integrator_undiscounted,
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
         rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
         _, lc = limit_costate(rec)
-        surrogate = integrate_adjoint(problem, traj, u_one, (250.0, np.zeros(problem.state_dim)),
-                                      1.0, settings=STANDARD)
-        kav = check_classical(problem, op, u_one, surrogate)["tcKAV"]
+        surrogate = integrate_adjoint(adjoint_basis(problem, traj, u_one, 250.0, STANDARD),
+                                      np.zeros(problem.state_dim), 1.0)
+        [verdicts] = check_classical(problem, op, u_one, [surrogate])
+        kav = verdicts["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), problem.name
 
 

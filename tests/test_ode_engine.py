@@ -10,6 +10,7 @@ from horizoncheck import (
     IntegrationError,
     IntegratorSettings,
     Trajectory,
+    adjoint_basis,
     integrate,
     integrate_adjoint,
     integrate_batch,
@@ -346,15 +347,17 @@ def test_step_sequence_pins(monkeypatch):
     jacobians, calls = variational.jacobians, []
     monkeypatch.setattr(variational, "jacobians",
                         lambda *args: calls.append(args[3]) or jacobians(*args))
-    costate = integrate_adjoint(problem, traj, control, (100.0, [-1.0, 0.2]), 1.0,
-                                settings=_CHECK_SETTINGS)
+    basis = adjoint_basis(problem, traj, control, 100.0, _CHECK_SETTINGS)
     assert traj.time_grid.size == 2945
     assert transition._aug.time_grid.size == 3147
-    assert costate.time_grid.size == 2558
-    # the costate solve reads f_x and g_x at the start and then once per
-    # distinct stage time of each of its 2,558 attempts, five: the last two
+    assert basis.trajectory.time_grid.size == 3160
+    # the basis solve reads f_x and g_x at the start and then once per
+    # distinct stage time of each of its 3,207 attempts, five: the last two
     # Dormand-Prince stages share the node c = 1
-    assert len(calls) == 12791 == 1 + 5 * 2558
+    assert len(calls) == 16036 == 1 + 5 * 3207
+    # a costate read off the basis integrates nothing
+    costate = integrate_adjoint(basis, [-1.0, 0.2], 1.0)
+    assert costate.trajectory.time_grid is basis.trajectory.time_grid and len(calls) == 16036
 
 
 def test_field_call_count_pin():
@@ -438,8 +441,10 @@ def test_scalar_reads_match_vector_rows_on_program_trajectories():
     assert transition.trajectory.states.base is not None
     _assert_scalar_reads_match_rows(transition.trajectory, rng)
     # a backward costate: reversed grid, negated slopes, rolled quartic rows
-    costate = integrate_adjoint(problem, transition.trajectory, control, (10.0, [-1.0, 0.2]),
-                                1.0, settings=_CHECK_SETTINGS)
+    basis = adjoint_basis(problem, transition.trajectory, control, 10.0, _CHECK_SETTINGS)
+    assert not basis.trajectory.quartic[-1].any()
+    _assert_scalar_reads_match_rows(basis.trajectory, rng)
+    costate = integrate_adjoint(basis, [-1.0, 0.2], 1.0)
     assert costate.trajectory.quartic[-1].tolist() == [0.0, 0.0]
     _assert_scalar_reads_match_rows(costate.trajectory, rng)
     # one node, whose only step joins the node to itself: the scalar read

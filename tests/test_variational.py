@@ -12,6 +12,8 @@ from horizoncheck import (
     IntegrationError,
     IntegratorReference,
     IntegratorSettings,
+    Trajectory,
+    adjoint_basis,
     check_assumption_uniform,
     fd_gradient,
     horizon_grid,
@@ -26,6 +28,7 @@ from horizoncheck import (
     solve_state,
     transition_matrix,
 )
+from horizoncheck import variational
 from horizoncheck.problem_model import jacobians
 from horizoncheck.variational import _augmented_rhs
 from horizoncheck.verdicts import Verdict
@@ -145,9 +148,8 @@ def test_adjoint_reproduces_integrator_closed_form(integrator, u_one):
     settings = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13, max_step=0.2)
     traj = solve_state(integrator, u_one, 100.0, settings)
     ref = IntegratorReference(0.1, 0.7, 1.0)
-    costate = integrate_adjoint(integrator, traj, u_one,
-                                (100.0, [float(ref.psi(100.0))]), 1.0,
-                                settings=settings)
+    costate = integrate_adjoint(adjoint_basis(integrator, traj, u_one, 100.0, settings),
+                                [float(ref.psi(100.0))], 1.0)
     ts = np.linspace(0.0, 100.0, 300)
     err = np.max(np.abs(costate.psi(ts)[:, 0] - ref.psi(ts)))
     assert err <= 1e-8
@@ -155,8 +157,7 @@ def test_adjoint_reproduces_integrator_closed_form(integrator, u_one):
 
 def test_adjoint_zero_terminal_matches_gradients(integrator, u_one):
     traj = solve_state(integrator, u_one, 50.0, TIGHT)
-    costate = integrate_adjoint(integrator, traj, u_one, (50.0, [0.0]), 1.0,
-                                settings=TIGHT)
+    costate = integrate_adjoint(adjoint_basis(integrator, traj, u_one, 50.0, TIGHT), [0.0], 1.0)
     assert costate.psi(0.0)[0] == pytest.approx((1 - math.exp(-5)) / 0.1, abs=1e-8)
     op = transition_matrix(integrator, u_one, 50.0, settings=TIGHT)
     for tau in (0.0, 5.0, 20.0):
@@ -165,44 +166,49 @@ def test_adjoint_zero_terminal_matches_gradients(integrator, u_one):
 
 def test_adjoint_oscillator_family_and_homogeneous(oscillator, osc_traj_30, u_one):
     ref = oscillator_reference(0.5)
-    costate = integrate_adjoint(oscillator, osc_traj_30, u_one,
-                                (20.0, ref.costate(0.3, 0.0, 20.0)), 1.0,
-                                settings=TIGHT)
+    costate = integrate_adjoint(adjoint_basis(oscillator, osc_traj_30, u_one, 20.0, TIGHT),
+                                ref.costate(0.3, 0.0, 20.0), 1.0)
     ts = np.linspace(0.0, 20.0, 101)
     assert np.max(np.abs(costate.psi(ts) - ref.costate(0.3, 0.0, ts))) < 1e-8
 
-    flat = integrate_adjoint(oscillator, osc_traj_30, u_one,
-                             (20.0, [0.4, -0.6]), 0.0, settings=TIGHT)
+    flat = integrate_adjoint(adjoint_basis(oscillator, osc_traj_30, u_one, 20.0, TIGHT),
+                             [0.4, -0.6], 0.0)
     # lam = 0 keeps the rotation norm: |psi| is conserved
     norms = np.linalg.norm(flat.psi(ts), axis=1)
     assert np.max(np.abs(norms - math.hypot(0.4, 0.6))) < 1e-9
 
 
-def _adjoint_by_backward_integration(problem, trajectory, control, T, psi_T, lam, settings):
-    """The adjoint solve written the other way: ``integrate`` run backward on
-    -(f_x* psi + lam g_x), segment by segment between the switches of a
-    piecewise-constant control.  Returns grid, states, slopes and quartic
-    rows."""
+def _adjoint_by_backward_integration(problem, trajectory, control, T, y_T, slope, settings):
+    """An adjoint solve written the other way: ``integrate`` run backward
+    from y_T at T on dy/dt = -slope(f_x, g_x, y), segment by segment between
+    the switches of a piecewise-constant control.  Returns grid, states,
+    slopes and quartic rows."""
     cuts = [c for c in control.breakpoints() if trajectory.t0 < c < T]
     nodes = [T, *cuts[::-1], trajectory.t0]
-    pieces, psi = [], np.asarray(psi_T, dtype=float)
+    pieces, y = [], np.asarray(y_T, dtype=float)
     for a, b in zip(nodes[:-1], nodes[1:]):
         def field(t, y, u=control.segment_piece(b, a)):
-            fx, gx = jacobians(problem, trajectory(t), u, t)
-            return -(fx.T @ y + lam * gx)
+            return -slope(*jacobians(problem, trajectory(t), u, t), y)
 
-        pieces.insert(0, integrate(field, a, psi, b, settings))
-        psi = pieces[0].states[0]
+        pieces.insert(0, integrate(field, a, y, b, settings))
+        y = pieces[0].states[0]
     return [np.concatenate([getattr(p, name) for p in pieces])
             for name in ("time_grid", "states", "derivs", "quartic")]
 
 
-def test_reversed_time_adjoint_equals_backward_integration_bit_for_bit(oscillator,
-                                                                       integrator):
-    # switches inside the span, a pulse that ends at the terminal time T = 7,
-    # lam = 1 and 0, the integrator's time-dependent g_x, and a problem whose
-    # f_x = u/10 and g_x = u change at every switch, where the field is read
-    # under both controls at one time
+def _basis_slope(fx, gx, y):
+    """[Phi* | r] f_x + [0 | g_x] on the flattened rows y of the basis."""
+    rows = y.reshape(-1, fx.shape[0]) @ fx
+    rows[-1] += gx
+    return rows.ravel()
+
+
+def _switched_adjoint_cases(oscillator, integrator):
+    """(problem, T, psi_T) cases and one control with switches inside the
+    span and a pulse that ends at the terminal time T = 7: lam = 1 and 0,
+    the integrator's time-dependent g_x, and a problem whose f_x = u/10 and
+    g_x = u change at every switch, where the field is read under both
+    controls at one time."""
     control = (ControlSignal.constant([1.0]).with_needle(4.0, 1.5, [-1.0])
                .with_needle(7.0, 0.5, [0.25]))
     switched = ControlProblem(
@@ -211,25 +217,76 @@ def test_reversed_time_adjoint_equals_backward_integration_bit_for_bit(oscillato
         state_domain=Box.unbounded(1), initial_state=[1.0],
         dynamics_jac_x=lambda x, u, t: np.array([[0.1 * u[0]]]),
         payoff_grad_x=lambda x, u, t: np.array([u[0]]))
-    for problem, T, psi_T in ((oscillator, 12.0, [-1.0, 0.2]), (oscillator, 7.0, [0.3, 0.5]),
-                              (integrator, 12.0, [0.4]), (switched, 12.0, [0.4])):
-        traj = transition_matrix(problem, control, 12.0, settings=STANDARD).trajectory
+    cases = ((oscillator, 12.0, [-1.0, 0.2]), (oscillator, 7.0, [0.3, 0.5]),
+             (integrator, 12.0, [0.4]), (switched, 12.0, [0.4]))
+    return control, [(problem, transition_matrix(problem, control, 12.0,
+                                                 settings=STANDARD).trajectory, T, psi_T)
+                     for problem, T, psi_T in cases]
+
+
+def test_reversed_time_adjoint_equals_backward_integration_bit_for_bit(oscillator,
+                                                                       integrator):
+    # the basis [Phi* | r] solved in reversed time equals the backward
+    # ``integrate`` of the (n + 1) x n system on the switched cases
+    control, cases = _switched_adjoint_cases(oscillator, integrator)
+    for problem, traj, T, _ in cases:
+        n = problem.state_dim
+        basis = adjoint_basis(problem, traj, control, T, STANDARD)
+        rows_T = np.vstack([np.eye(n), np.zeros(n)]).ravel()
+        expected = _adjoint_by_backward_integration(problem, traj, control, T, rows_T,
+                                                    _basis_slope, STANDARD)
+        got = basis.trajectory
+        switches = np.count_nonzero(control.breakpoints() < T)
+        assert np.count_nonzero(np.diff(got.time_grid) == 0.0) == switches
+        for name, want in zip(("time_grid", "states", "derivs", "quartic"), expected):
+            assert np.array_equal(getattr(got, name), want), (problem.name, T, name)
+
+
+def test_costates_read_off_the_basis_match_solo_backward_solves(oscillator, integrator):
+    # psi = Phi psi_T + lam r is the solo adjoint solve up to the error of
+    # the two step sequences: compared at the nodes of both, lam = 0 and 1,
+    # relative to the largest |psi|; the worst case measured is 4.2e-10
+    # (the integrator at lam = 1, between nodes)
+    control, cases = _switched_adjoint_cases(oscillator, integrator)
+    worst = 0.0
+    for problem, traj, T, psi_T in cases:
+        basis = adjoint_basis(problem, traj, control, T, STANDARD)
         for lam in (1.0, 0.0):
-            costate = integrate_adjoint(problem, traj, control, (T, psi_T), lam,
-                                        settings=STANDARD)
-            expected = _adjoint_by_backward_integration(problem, traj, control, T, psi_T,
-                                                        lam, STANDARD)
-            got = costate.trajectory
-            switches = np.count_nonzero(control.breakpoints() < T)
-            assert np.count_nonzero(np.diff(got.time_grid) == 0.0) == switches
-            for name, want in zip(("time_grid", "states", "derivs", "quartic"), expected):
-                assert np.array_equal(getattr(got, name), want), (problem.name, T, lam, name)
+            costate = integrate_adjoint(basis, psi_T, lam)
+            solo = Trajectory(*_adjoint_by_backward_integration(
+                problem, traj, control, T, psi_T,
+                lambda fx, gx, y: fx.T @ y + lam * gx, STANDARD))
+            times = np.concatenate([solo.time_grid, costate.trajectory.time_grid])
+            scale = max(1.0, np.max(np.abs(solo.states)))
+            worst = max(worst, np.max(np.abs(costate.psi(times) - solo(times))) / scale)
+    assert worst <= 1e-9
+    # a terminal time past the state path, or a psi_T of another dimension
+    with pytest.raises(ValueError, match="terminal time outside"):
+        adjoint_basis(problem, traj, control, 13.0, STANDARD)
+    with pytest.raises(ValueError, match="basis dimension"):
+        integrate_adjoint(basis, [0.4, 0.2], 1.0)
+
+
+def test_basis_reads_each_stage_time_once_under_a_closed_form_control(ramsey_params,
+                                                                      ramsey_saddle,
+                                                                      monkeypatch):
+    # the FIG1 saddle control is a closed form up to t ~ 151.9, whose piece
+    # hands over a new array at every call; keyed on the control's value,
+    # the two c = 1 stages of an attempt share one read (keyed on the
+    # array's identity, 56 of 337 calls fell at the time of the call before)
+    _, k_traj, control = ramsey_saddle
+    jacobians_, calls = variational.jacobians, []
+    monkeypatch.setattr(variational, "jacobians",
+                        lambda *args: calls.append(args[3]) or jacobians_(*args))
+    adjoint_basis(ramsey_params.problem(), k_traj, control, 150.0, STANDARD)
+    assert all(a != b for a, b in zip(calls, calls[1:]))
+    assert len(calls) == 266 == 1 + 5 * 53
 
 
 def test_costate_ode_residual_at_midpoints(oscillator, osc_traj_30, u_one):
     settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12, max_step=0.05)
-    costate = integrate_adjoint(oscillator, osc_traj_30, u_one,
-                                (10.0, [0.2, -0.1]), 1.0, settings=settings)
+    costate = integrate_adjoint(adjoint_basis(oscillator, osc_traj_30, u_one, 10.0, settings),
+                                [0.2, -0.1], 1.0)
     grid = costate.trajectory.time_grid
     mids = 0.5 * (grid[:-1] + grid[1:])
     lhs = costate.trajectory.derivative(mids)
@@ -254,11 +311,10 @@ def test_lemma1_identity_all_examples(oscillator, osc_traj_30, u_one,
     for problem, traj, ctrl, taus in cases:
         op = transition_matrix(problem, ctrl, traj.t_end, settings=TIGHT)
         records = jx_scan(op, taus, [T])
+        basis = adjoint_basis(problem, traj, ctrl, T, TIGHT)
         for lam in (0.0, 1.0):
             for term in terminals:
-                costate = integrate_adjoint(problem, traj, ctrl,
-                                            (T, term(problem.state_dim)), lam,
-                                            settings=TIGHT)
+                costate = integrate_adjoint(basis, term(problem.state_dim), lam)
                 res = lemma1_residual(costate, records, T, op)
                 assert res <= 1e-6, (problem.name, lam, res)
 
@@ -268,8 +324,8 @@ def test_lemma1_closed_form_oscillator_costate(oscillator, osc_traj_30, u_one):
     T = 20.0
     op = transition_matrix(oscillator, u_one, 30.0, settings=TIGHT)
     records = jx_scan(op, [0.0, 2.0, 9.0], [T])
-    costate = integrate_adjoint(oscillator, osc_traj_30, u_one,
-                                (T, ref.costate(0.3, 0.0, T)), 1.0, settings=TIGHT)
+    costate = integrate_adjoint(adjoint_basis(oscillator, osc_traj_30, u_one, T, TIGHT),
+                                ref.costate(0.3, 0.0, T), 1.0)
     assert lemma1_residual(costate, records, T, op) <= 1e-6
 
 
