@@ -29,11 +29,9 @@ from .problem_model import (
     make_builtin_problem,
 )
 from .variational import (
-    AdjointBasis,
     CostatePath,
     JxRecord,
     TransitionOperator,
-    adjoint_basis,
     check_assumption_uniform,
     check_jx_bounded,
     fd_gradient,

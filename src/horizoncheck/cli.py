@@ -52,7 +52,6 @@ from .reference_examples import (
 )
 from .overtaking import empirical_overtaking_test, needle_limit_check, payoff_path
 from .variational import (
-    adjoint_basis,
     check_jx_bounded,
     horizon_grid,
     integrate_adjoint,
@@ -247,9 +246,8 @@ def _build_linear_check(config: RunConfig) -> ReportData:
     rows.append(["limit", "(gradient route)", "jx_bounded", bound_verdict.status.value,
                  _fmt(m_est), bound_verdict.note])
 
-    # adjoint-candidate rows, every costate read off one basis solve
-    basis = adjoint_basis(problem, trajectory, control, t_max, _CHECK_SETTINGS)
-    costates = [integrate_adjoint(basis, terminal_psi(lam, extra), lam)
+    # adjoint-candidate rows, every costate read off the (x, Y, S) pass
+    costates = [integrate_adjoint(transition, t_max, terminal_psi(lam, extra), lam)
                 for _, lam, extra in candidates]
     max_principle = check_max_principle(problem, trajectory, control, costates,
                                         time_grid=np.linspace(problem.initial_time, t_max, 201))

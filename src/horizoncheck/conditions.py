@@ -165,12 +165,10 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
 # classical limit conditions
 
 
-def _tail_grid(transition: TransitionOperator, t0: float, t_end: float):
-    """The tail-window times of 4000 across [t0, t_end], and the
-    fundamental matrices Y(t) = K(t, t0) of ``transition`` on them."""
+def _tail_grid(t0: float, t_end: float) -> np.ndarray:
+    """The tail-window times of 4000 across [t0, t_end]."""
     times = np.linspace(t0, t_end, 4000)
-    times = times[tail_window(times)]
-    return times, transition.fundamental(times)
+    return times[tail_window(times)]
 
 
 def check_classical(problem: ControlProblem, transition: TransitionOperator,
@@ -186,12 +184,12 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
 
     Each is judged on the tail window by the shared oscillation-plus-mean
     criterion; returns one dict keyed by condition id per path.  The paths
-    share one span, as those read off one adjoint basis do.
+    share one span, as those of one terminal time do.
     """
-    spans = {(c.trajectory.t0, c.trajectory.t_end) for c in costates}
+    spans = {(c.t0, c.t_end) for c in costates}
     if len(spans) != 1:
         raise ValueError("the adjoint paths must share one span")
-    times, Ys = _tail_grid(transition, *spans.pop())
+    times = _tail_grid(*spans.pop())
     xs = transition.trajectory(times)
     psis = [c.psi(times) for c in costates]
     lams = np.array([c.lam for c in costates])
@@ -201,10 +199,9 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
              "tcXPSI": tail_limit_verdict(times, np.einsum("ij,ij->i", xs, psi),
                                           "<x(t), psi(t)>"),
              "tcM": tail_limit_verdict(times, h, "H along the candidate"),
-             # K(t, t0)* psi(t) = Y(t)^T psi(t)
-             "tcKAV": tail_limit_verdict(times, np.linalg.norm(
-                 np.einsum("ikj,ik->ij", Ys, psi), axis=1), "|K(t,t0)* psi(t)|")}
-            for psi, h in zip(psis, s_h.T)]
+             "tcKAV": tail_limit_verdict(times, np.linalg.norm(c.pulled_back(times), axis=1),
+                                         "|K(t,t0)* psi(t)|")}
+            for c, psi, h in zip(costates, psis, s_h.T)]
 
 
 def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
@@ -246,8 +243,8 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
     at the anchors of ``jx_by_tau`` (psi_hat taken as each record's tail
     limit).  Returns (a0 or None, residual or nan, verdict).
     """
-    times, Ys = _tail_grid(transition, costate.trajectory.t0, costate.trajectory.t_end)
-    v = np.einsum("ikj,ik->ij", Ys, costate.psi(times))  # K(t, t0)* psi(t)
+    times = _tail_grid(costate.t0, costate.t_end)
+    v = costate.pulled_back(times)  # K(t, t0)* psi(t)
     osc = float(np.max(np.max(v, axis=0) - np.min(v, axis=0)))
     series = list(zip(times.tolist(), np.max(np.abs(v), axis=1).tolist()))
     status = tail_status(osc)

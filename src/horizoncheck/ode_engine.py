@@ -840,15 +840,6 @@ class ControlSignal:
         piece = self._pieces[i]
         return self._closed if piece is None else piece
 
-    def reflected(self) -> "ControlSignal":
-        """The signal v(s) = u(-s) in reflected time s = -t.  Its pieces are
-        those of u in reverse order, so on every open interval between
-        switching times it equals u(-s); at a switching time it takes, as every
-        signal does, the piece that ends there."""
-        fn = self._fn
-        return ControlSignal([-t for t in reversed(self._times)], self._pieces[::-1],
-                             self.dim, None if fn is None else lambda s: fn(-s))
-
     def with_needle(self, tau: float, alpha: float, u) -> "ControlSignal":
         """The signal with the constant ``u`` spliced in on the pulse interval
         (tau - alpha, tau]; the signal itself when every piece that meets the
@@ -874,7 +865,7 @@ class ControlSignal:
 def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
                          control: ControlSignal, t0: float, y0, t_end: float,
                          settings: IntegratorSettings,
-                         domain: Optional[Box] = None) -> Trajectory:
+                         domain: Optional[Box]) -> Trajectory:
     """Integrate ``dy/dt = rhs(y, u(t), t)`` forward from t0 to t_end, one
     :func:`integrate` call per segment between the control's switching times,
     so a discontinuous control is handled exactly: a node is placed at every

@@ -9,9 +9,11 @@ The central objects are
   the state path, K(t, tau) = Y(t) Y(tau)^-1 and the finite-horizon payoff
   gradient with respect to the state at time tau,
   grad(tau, T) = integral_tau^T K(t, tau)* g_x(t) dt = Y(tau)^-* (S(T) - S(tau));
-* the adjoint basis along a given state path, one backward solve off which
-  every adjoint path is read; from a zero terminal condition it reproduces
-  the same gradients (an identity the test-suite checks both ways);
+* adjoint paths read off the same pass by Lemma 1, with no solve of their
+  own: psi(t) = K(T, t)* psi(T) + lam grad(t, T)
+  = Y(t)^-* (Y(T)* psi(T) + lam (S(T) - S(t))), the explicit adjoint formula
+  of Aseev and Kryazhimskiy (2004); the test-suite checks it against an
+  adjoint equation solved backward;
 * tail analysis of grad(tau, T) as the horizon grows, by the tail rule of
   :mod:`.verdicts` on the horizons of :func:`horizon_grid`: convergence to a
   limit costate, bounded oscillation, or unbounded growth.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,11 +45,9 @@ from .verdicts import (
 )
 
 __all__ = [
-    "AdjointBasis",
     "CostatePath",
     "JxRecord",
     "TransitionOperator",
-    "adjoint_basis",
     "check_assumption_uniform",
     "check_jx_bounded",
     "fd_gradient",
@@ -62,6 +63,9 @@ __all__ = [
 
 # horizons of :func:`horizon_grid` beyond the anchor
 _HORIZON_POINTS = 200
+# a smallest singular value of Y below this many abs_tol has lost its
+# relative accuracy: the pass resolves Y only to abs_tol
+_Y_RESOLVED = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -91,24 +95,35 @@ def _augmented_rhs(problem: ControlProblem):
 class TransitionOperator:
     """Propagator samples K(t, tau) of the dynamics linearized along a
     trajectory, together with the running gradient integral S(t), read off
-    the augmented pass ``aug`` of an n-dimensional state.  ``trajectory`` is
-    the state path of that pass, on views of its first n columns."""
+    the augmented pass ``aug`` of an n-dimensional state, integrated to
+    ``abs_tol``.  ``trajectory`` is the state path of that pass, on views of
+    its first n columns."""
 
-    def __init__(self, aug: Trajectory, n: int):
+    def __init__(self, aug: Trajectory, n: int, abs_tol: float):
         self._aug = aug
         self._n = n
+        self._abs_tol = abs_tol
         self.trajectory = Trajectory(aug.time_grid, aug.states[:, :n], aug.derivs[:, :n],
                                      aug.quartic[:, :n])
 
-    def fundamental(self, t) -> np.ndarray:
-        """Y(t) = K(t, t0); an array of times gives a stack of matrices."""
+    def _blocks(self, t):
+        """Y(t) and S(t) from one dense read; an array of times gives a stack
+        of matrices and a stack of rows."""
         n = self._n
         z = self._aug(t)
-        return z[..., n:n + n * n].reshape(z.shape[:-1] + (n, n))
+        return z[..., n:n + n * n].reshape(z.shape[:-1] + (n, n)), z[..., n + n * n:]
 
-    def gradient_integral(self, t) -> np.ndarray:
-        """S(t); an array of times gives a stack of rows."""
-        return self._aug(t)[..., self._n * (self._n + 1):]
+    @cached_property
+    def _smallest_singular(self) -> np.ndarray:
+        """The running minimum, node by node, of the smallest singular value
+        of Y at the nodes of the pass."""
+        n = self._n
+        Ys = self._aug.states[:, n:n + n * n].reshape(-1, n, n)
+        return np.minimum.accumulate(np.linalg.svd(Ys, compute_uv=False)[:, -1])
+
+    def fundamental(self, t) -> np.ndarray:
+        """Y(t) = K(t, t0); an array of times gives a stack of matrices."""
+        return self._blocks(t)[0]
 
     def evaluate(self, t: float, tau: float) -> np.ndarray:
         """K(t, tau) = Y(t) Y(tau)^-1."""
@@ -120,8 +135,8 @@ class TransitionOperator:
 
     def gradient(self, tau: float, T) -> np.ndarray:
         """Payoff gradient over [tau, T]: Y(tau)^-* (S(T) - S(tau))."""
-        Ytau = self.fundamental(tau)
-        diff = self.gradient_integral(T) - self.gradient_integral(tau)
+        Ytau, Stau = self._blocks(tau)
+        diff = self._blocks(T)[1] - Stau
         return np.linalg.solve(Ytau.T, diff.T).T
 
 
@@ -141,7 +156,7 @@ def transition_matrix(problem: ControlProblem, control: ControlSignal, t_end: fl
                                t_end, settings, domain=problem.state_domain.extended(n * n + n))
     if aug.exit_event is not None:
         raise NonExtendibleError(aug.exit_event)
-    return TransitionOperator(aug, n)
+    return TransitionOperator(aug, n, settings.abs_tol)
 
 
 @dataclass
@@ -191,73 +206,68 @@ def jx_scan(transition: TransitionOperator, tau_grid, T_grid) -> list[JxRecord]:
 
 @dataclass
 class CostatePath:
-    """Adjoint path psi(.) with its multiplier lam."""
+    """Adjoint path psi(.) on [t0, t_end] with its multiplier lam, read off
+    the (x, Y, S) pass of ``transition`` by Lemma 1:
+    psi(t) = Y(t)^-* (c - lam S(t)) with c = Y(T)* psi(T) + lam S(T), T = t_end.
+    Every read is one dense read of the pass and one n x n solve per time."""
 
-    trajectory: Trajectory
+    transition: TransitionOperator
+    t_end: float
+    c: np.ndarray
     lam: float
 
+    @property
+    def t0(self) -> float:
+        return self.transition.trajectory.t0
+
     def psi(self, t):
-        return self.trajectory(t)
+        """psi(t); an array of times gives a stack of rows."""
+        Y, S = self.transition._blocks(t)
+        rhs = (self.c - self.lam * S)[..., None]
+        return np.linalg.solve(np.swapaxes(Y, -1, -2), rhs)[..., 0]
+
+    def pulled_back(self, t):
+        """K(t, t0)* psi(t) = Y(t)* psi(t) = c - lam S(t), with no solve; an
+        array of times gives a stack of rows."""
+        return self.c - self.lam * self.transition._blocks(t)[1]
 
 
-@dataclass
-class AdjointBasis:
-    """The rows [Phi(t)* | r(t)], n + 1 of n columns, held row-major in
-    ``trajectory``: every adjoint path that ends at T is
-    psi(t) = Phi(t) psi_T + lam r(t), with Phi(t) = K(T, t)*."""
+def integrate_adjoint(transition: TransitionOperator, T: float, psi_T,
+                      lam: float) -> CostatePath:
+    """The adjoint path psi(t) = K(T, t)* psi_T + lam grad(t, T) on [t0, T],
+    read off the pass of ``transition``; no equation is solved.  (The name
+    is that of the solve this read replaced; callers that wrap it by name
+    keep working.)
 
-    trajectory: Trajectory
-
-
-def adjoint_basis(problem: ControlProblem, trajectory: Trajectory, control: ControlSignal,
-                  T: float, settings: IntegratorSettings) -> AdjointBasis:
-    """Solve -dB/dt = B f_x(t) + [0 | g_x(t)] for the basis rows B backward
-    from [I | 0] at T down to the base trajectory's initial time.
-
-    The solve runs forward in reversed time s = -t under the reflected
-    control, and the basis is that solution reflected back.  Its field reads
-    x(t) and calls :func:`jacobians` once per distinct (time, control value)
-    pair: the last two Dormand-Prince stages share their time, and a
-    switching time is met under two controls.
+    The formula divides by Y(t), so it needs Y to keep its relative accuracy
+    on [t0, T]: a smallest singular value of Y below 1e6 times the pass's
+    abs_tol at a node of the steps that cover [t0, T] raises ``ValueError``,
+    as do a T outside the pass and a psi_T of another dimension than the
+    state.
     """
     T = float(T)
+    trajectory = transition.trajectory
     if not trajectory.covers(T):
-        raise ValueError("terminal time outside the trajectory span")
-    n = problem.state_dim
-    last = [None, None, None, None]  # the key (s, u), f_x and g_x read there
-
-    def rhs(rows, u, s):
-        # keyed on u's value: a closed-form piece hands over a new array per call
-        if s != last[0] or (u is not last[1] and u.tolist() != last[1].tolist()):
-            last[:] = s, u, *jacobians(problem, trajectory(-s), u, -s)
-        dB = rows.reshape(n + 1, n).dot(last[2])
-        dB[n] += last[3]
-        return dB.ravel()
-
-    traj = integrate_controlled(rhs, control.reflected(), -T, np.eye(n + 1, n).ravel(),
-                                -trajectory.t0, settings)
-    return AdjointBasis(traj.reflected())
+        raise ValueError("terminal time outside the transition operator's pass")
+    psi_T = np.atleast_1d(np.asarray(psi_T, dtype=float))
+    if psi_T.shape != (trajectory.dim,):
+        raise ValueError("terminal costate does not match the state dimension")
+    grid = trajectory.time_grid
+    smallest = float(transition._smallest_singular[min(np.searchsorted(grid, T), grid.size - 1)])
+    if smallest < _Y_RESOLVED * transition._abs_tol:
+        raise ValueError(f"costate unresolved: Y(t) lost its relative accuracy on [t0, T] "
+                         f"(smallest singular value {smallest:.3g})")
+    Y_T, S_T = transition._blocks(T)
+    return CostatePath(transition, T, Y_T.T @ psi_T + lam * S_T, lam)
 
 
-def integrate_adjoint(basis: AdjointBasis, psi_T, lam: float) -> CostatePath:
-    """The adjoint path psi(t) = Phi(t) psi_T + lam r(t) from psi(T) = psi_T,
-    read off the nodes, slopes and quartic rows of ``basis``.  Every
-    Dormand-Prince stage is affine in the solution, so this is the
-    Dormand-Prince solution of the adjoint equation on the basis's steps."""
-    w = np.append(np.asarray(psi_T, dtype=float), lam)
-    basis_traj = basis.trajectory
-    if w.size * (w.size - 1) != basis_traj.dim:
-        raise ValueError("terminal costate does not match the basis dimension")
-    rows = [w @ a.reshape(-1, w.size, w.size - 1)
-            for a in (basis_traj.states, basis_traj.derivs, basis_traj.quartic)]
-    return CostatePath(Trajectory(basis_traj.time_grid, *rows), lam)
-
-
-def lemma1_residual(costate: CostatePath, jx_by_tau: Sequence[JxRecord], T: float,
+def lemma1_residual(costate, jx_by_tau: Sequence[JxRecord], T: float,
                     transition: TransitionOperator) -> float:
     """Max-norm defect of psi(tau) = K(T, tau)* psi(T) + lam * grad(tau, T)
-    over the anchors of ``jx_by_tau``.  This is an exact identity for any
-    adjoint solution, so the residual measures integration error only.
+    over the anchors of ``jx_by_tau``, for an adjoint path with ``psi(t)``
+    and ``lam``.  This is an exact identity for any adjoint solution, so the
+    residual measures integration error only.  A :class:`CostatePath` meets
+    it by construction; the identity tests feed it a path solved on its own.
     """
     psi_T = costate.psi(T)
     worst = 0.0

@@ -1,0 +1,93 @@
+"""Independent routes that the identity tests compare the program with.
+
+The program reads every adjoint path off the one (x, Y, S) pass by Lemma 1
+(:func:`horizoncheck.integrate_adjoint`), so a Lemma-1 test on such a path
+would hold by construction.  The oracle here solves the adjoint equation
+itself: the basis rows [Phi(t)* | r(t)] of -dB/dt = B f_x(t) + [0 | g_x(t)],
+integrated forward in reversed time s = -t once, off which every adjoint
+path psi(t) = Phi(t) psi_T + lam r(t) is read by superposition.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from horizoncheck import ControlProblem, ControlSignal, IntegratorSettings, Trajectory
+from horizoncheck.ode_engine import integrate_controlled
+from horizoncheck.problem_model import jacobians
+
+
+def reflected_signal(signal: ControlSignal) -> ControlSignal:
+    """The signal v(s) = u(-s) in reflected time s = -t.  Its pieces are
+    those of u in reverse order, so on every open interval between switching
+    times it equals u(-s); at a switching time it takes, as every signal
+    does, the piece that ends there."""
+    fn = signal._fn
+    return ControlSignal([-t for t in reversed(signal._times)], signal._pieces[::-1],
+                         signal.dim, None if fn is None else lambda s: fn(-s))
+
+
+@dataclass
+class AdjointBasis:
+    """The rows [Phi(t)* | r(t)], n + 1 of n columns, held row-major in
+    ``trajectory``: every adjoint path that ends at T is
+    psi(t) = Phi(t) psi_T + lam r(t), with Phi(t) = K(T, t)*."""
+
+    trajectory: Trajectory
+
+
+@dataclass
+class SolvedCostate:
+    """An adjoint path psi(.) read off a basis, with its multiplier lam."""
+
+    trajectory: Trajectory
+    lam: float
+
+    def psi(self, t):
+        return self.trajectory(t)
+
+
+def adjoint_basis(problem: ControlProblem, trajectory: Trajectory, control: ControlSignal,
+                  T: float, settings: IntegratorSettings) -> AdjointBasis:
+    """Solve -dB/dt = B f_x(t) + [0 | g_x(t)] for the basis rows B backward
+    from [I | 0] at T down to the base trajectory's initial time.
+
+    The solve runs forward in reversed time s = -t under the reflected
+    control, and the basis is that solution reflected back.  Its field reads
+    x(t) and calls :func:`jacobians` once per distinct (time, control value)
+    pair: the last two Dormand-Prince stages share their time, and a
+    switching time is met under two controls.
+    """
+    T = float(T)
+    if not trajectory.covers(T):
+        raise ValueError("terminal time outside the trajectory span")
+    n = problem.state_dim
+    last = [None, None, None, None]  # the key (s, u), f_x and g_x read there
+
+    def rhs(rows, u, s):
+        # keyed on u's value: a closed-form piece hands over a new array per call
+        if s != last[0] or (u is not last[1] and u.tolist() != last[1].tolist()):
+            last[:] = s, u, *jacobians(problem, trajectory(-s), u, -s)
+        dB = rows.reshape(n + 1, n).dot(last[2])
+        dB[n] += last[3]
+        return dB.ravel()
+
+    traj = integrate_controlled(rhs, reflected_signal(control), -T, np.eye(n + 1, n).ravel(),
+                                -trajectory.t0, settings, domain=None)
+    return AdjointBasis(traj.reflected())
+
+
+def basis_costate(basis: AdjointBasis, psi_T, lam: float) -> SolvedCostate:
+    """The adjoint path psi(t) = Phi(t) psi_T + lam r(t) from psi(T) = psi_T,
+    read off the nodes, slopes and quartic rows of ``basis``.  Every
+    Dormand-Prince stage is affine in the solution, so this is the
+    Dormand-Prince solution of the adjoint equation on the basis's steps."""
+    w = np.append(np.asarray(psi_T, dtype=float), lam)
+    basis_traj = basis.trajectory
+    if w.size * (w.size - 1) != basis_traj.dim:
+        raise ValueError("terminal costate does not match the basis dimension")
+    rows = [w @ a.reshape(-1, w.size, w.size - 1)
+            for a in (basis_traj.states, basis_traj.derivs, basis_traj.quartic)]
+    return SolvedCostate(Trajectory(basis_traj.time_grid, *rows), lam)

@@ -15,7 +15,6 @@ from horizoncheck import (
     IntegratorReference,
     IntegratorSettings,
     Verdict,
-    adjoint_basis,
     appendix_identity_residual,
     check_general,
     check_gmax,
@@ -43,6 +42,7 @@ from horizoncheck.reference_examples import _euler_rates
 from horizoncheck.verdicts import ConditionVerdict
 
 from conftest import STANDARD, TIGHT
+from oracles import adjoint_basis, basis_costate
 
 
 def _ok(tag, message):
@@ -152,13 +152,11 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
 
     for name, params, extra in scenarios:
         problem = make_builtin_problem(name, params)
-        traj = solve_state(problem, u_one, 250.0, STANDARD)
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
         rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
         _, lc = limit_costate(rec)
 
-        basis = adjoint_basis(problem, traj, u_one, 250.0, STANDARD)
-        surrogate = integrate_adjoint(basis, np.zeros(problem.state_dim), 1.0)
+        surrogate = integrate_adjoint(op, 250.0, np.zeros(problem.state_dim), 1.0)
         from horizoncheck import check_classical
         [verdicts] = check_classical(problem, op, u_one, [surrogate])
         kav = verdicts["tcKAV"]
@@ -173,7 +171,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
         else:
             ref = oscillator_reference(0.5)
             psi_T = ref.costate(extra["r"], extra["phi"], 250.0)
-        candidate = integrate_adjoint(basis, psi_T, 1.0)
+        candidate = integrate_adjoint(op, 250.0, psi_T, 1.0)
         records = jx_scan(op, [0.0], horizon_grid(0.0, 250.0)[1:])
         a0_est, residual, dec = decompose_costate(candidate, op, records)
         if name == "integrator" and params["rho"] > 0:
@@ -205,7 +203,7 @@ def test_criterion_05_adjoint_identity(oscillator, osc_traj_30, u_one,
         basis = adjoint_basis(problem, traj, ctrl, T, TIGHT)
         for lam in (0.0, 1.0):
             for term in terminals:
-                costate = integrate_adjoint(basis, term(problem.state_dim), lam)
+                costate = basis_costate(basis, term(problem.state_dim), lam)
                 res = lemma1_residual(costate, records, T, op)
                 worst = max(worst, res)
                 n_cases += 1

@@ -70,9 +70,9 @@ def test_check_integrates_forward_from_t0_once(monkeypatch, example):
     ("oscillator", {"b": 1.5}, [1.0] * 4),
     ("integrator", {"rho": 0.1}, [1.0, 0.0]),
 ])
-def test_check_solves_one_adjoint_basis_for_all_candidates(monkeypatch, example, params, lams):
-    # two solves per report, the (x, Y, S) pass from t0 and one basis solve
-    # from s = -T in reversed time; every candidate's costate is read off it
+def test_check_makes_one_forward_pass_for_all_candidates(monkeypatch, example, params, lams):
+    # one solve per report, the (x, Y, S) pass from t0; every candidate's
+    # costate is read off it, with no adjoint solve of its own
     starts, reads = [], []
     integrate, read = ode_engine.integrate, cli.integrate_adjoint
 
@@ -82,9 +82,9 @@ def test_check_solves_one_adjoint_basis_for_all_candidates(monkeypatch, example,
 
     monkeypatch.setattr(ode_engine, "integrate", counted)
     monkeypatch.setattr(cli, "integrate_adjoint",
-                        lambda basis, psi_T, lam: reads.append(lam) or read(basis, psi_T, lam))
+                        lambda op, T, psi_T, lam: reads.append(lam) or read(op, T, psi_T, lam))
     build_check_report(RunConfig(example=example, params=params, t_max=100.0))
-    assert starts == [0.0, -100.0]
+    assert starts == [0.0]
     assert reads == lams
 
 

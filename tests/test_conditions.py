@@ -10,7 +10,6 @@ from horizoncheck import (
     ControlSignal,
     IntegratorReference,
     Verdict,
-    adjoint_basis,
     check_classical,
     check_general,
     check_gmax,
@@ -24,7 +23,6 @@ from horizoncheck import (
     jx_scan,
     limit_costate,
     oscillator_reference,
-    solve_state,
     transition_matrix,
 )
 from horizoncheck import conditions
@@ -116,17 +114,15 @@ def _oscillator_battery(b, t_max, settings=STANDARD):
     problem = make_builtin_problem("oscillator", {"b": b})
     ref = oscillator_reference(b)
     u_one = ControlSignal.constant([1.0])
-    traj = solve_state(problem, u_one, t_max, settings)
     op = transition_matrix(problem, u_one, t_max, settings=settings)
-    return problem, ref, u_one, traj, op
+    return problem, ref, u_one, op
 
 
 def test_classical_conditions_oscillator_battery():
     t_max = 400.0
-    problem, ref, u_one, traj, op = _oscillator_battery(0.5, t_max)
+    problem, ref, u_one, op = _oscillator_battery(0.5, t_max)
     keys = [(0.0, 0.0), (0.25, 0.7), (0.5, -math.pi / 2)]
-    basis = adjoint_basis(problem, traj, u_one, t_max, STANDARD)
-    costates = [integrate_adjoint(basis, ref.costate(r, phi, t_max), 1.0) for r, phi in keys]
+    costates = [integrate_adjoint(op, t_max, ref.costate(r, phi, t_max), 1.0) for r, phi in keys]
     for key, verdicts in zip(keys, check_classical(problem, op, u_one, costates)):
         assert verdicts["tcPSI"].status is Verdict.FAILS
         assert verdicts["tcXPSI"].status is Verdict.FAILS
@@ -137,9 +133,8 @@ def test_classical_conditions_oscillator_battery():
 
 def test_classical_xpsi_branch_needs_b_at_least_one():
     t_max = 400.0
-    problem, ref, u_one, traj, op = _oscillator_battery(1.5, t_max)
-    costate = integrate_adjoint(adjoint_basis(problem, traj, u_one, t_max, STANDARD),
-                                ref.costate(1.0, 0.0, t_max), 1.0)
+    problem, ref, u_one, op = _oscillator_battery(1.5, t_max)
+    costate = integrate_adjoint(op, t_max, ref.costate(1.0, 0.0, t_max), 1.0)
     [verdicts] = check_classical(problem, op, u_one, [costate])
     assert verdicts["tcXPSI"].status is Verdict.HOLDS
     assert verdicts["tcPSI"].status is Verdict.FAILS
@@ -167,16 +162,13 @@ def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,
                                          integrator_undiscounted, u_one):
     t_max = 400.0
     ref = IntegratorReference(0.1, 0.0, 1.0)
-    costate = integrate_adjoint(adjoint_basis(integrator, int_traj_400, u_one, t_max, STANDARD),
-                                [float(ref.psi(t_max))], 1.0)
+    costate = integrate_adjoint(int_op_400, t_max, [float(ref.psi(t_max))], 1.0)
     [verdicts] = check_classical(integrator, int_op_400, u_one, [costate])
     assert all(v.status is Verdict.HOLDS for v in verdicts.values())
 
-    traj0 = solve_state(integrator_undiscounted, u_one, t_max, STANDARD)
     op0 = transition_matrix(integrator_undiscounted, u_one, t_max,
                             settings=STANDARD)
-    abnormal = integrate_adjoint(
-        adjoint_basis(integrator_undiscounted, traj0, u_one, t_max, STANDARD), [1.0], 0.0)
+    abnormal = integrate_adjoint(op0, t_max, [1.0], 0.0)
     [verdicts0] = check_classical(integrator_undiscounted, op0, u_one, [abnormal])
     assert all(v.status is Verdict.FAILS for v in verdicts0.values())
 
@@ -186,8 +178,7 @@ def test_classical_over_many_costates_matches_lone_calls(oscillator, osc_traj_30
     # one shared sweep judges every costate as a lone call does; only the
     # Hamiltonian, formed from a stack of psi rows, may differ by round-off
     ref = oscillator_reference(0.5)
-    basis = adjoint_basis(oscillator, osc_traj_30, u_one, 30.0, TIGHT)
-    costates = [integrate_adjoint(basis, ref.costate(r, phi, 30.0), lam)
+    costates = [integrate_adjoint(osc_op_30, 30.0, ref.costate(r, phi, 30.0), lam)
                 for r, phi, lam in ((0.5, -math.pi / 2, 1.0), (0.3, 0.7, 0.0),
                                     (0.25, 0.7, 1.0), (0.0, 0.0, 1.0))]
     together = check_classical(oscillator, osc_op_30, u_one, costates)
@@ -210,7 +201,7 @@ def test_classical_over_many_costates_matches_lone_calls(oscillator, osc_traj_30
 
 def test_classical_raises_on_a_non_finite_hamiltonian_in_the_tail(u_one):
     # the payoff turns NaN at t = 20, inside the tail window of [0, 30];
-    # its analytic gradient keeps the basis and the pass finite
+    # its analytic gradient keeps the pass finite
     problem = ControlProblem(
         state_dim=1, control_dim=1, dynamics=lambda x, u, t: np.array([u[0]]),
         payoff=lambda x, u, t: float(x[0]) if t < 20.0 else math.nan,
@@ -218,48 +209,43 @@ def test_classical_raises_on_a_non_finite_hamiltonian_in_the_tail(u_one):
         initial_state=[0.0], dynamics_jac_x=lambda x, u, t: np.zeros((1, 1)),
         payoff_grad_x=lambda x, u, t: np.ones(1))
     op = transition_matrix(problem, u_one, 30.0, settings=STANDARD)
-    basis = adjoint_basis(problem, op.trajectory, u_one, 30.0, STANDARD)
-    costates = [integrate_adjoint(basis, [0.0], 1.0), integrate_adjoint(basis, [1.0], 0.0)]
+    costates = [integrate_adjoint(op, 30.0, [0.0], 1.0), integrate_adjoint(op, 30.0, [1.0], 0.0)]
     with pytest.raises(ValueError, match="non-finite Hamiltonian"):
         check_classical(problem, op, u_one, costates)
     # paths of two spans share no tail grid
-    short = integrate_adjoint(adjoint_basis(problem, op.trajectory, u_one, 25.0, STANDARD),
-                              [0.0], 1.0)
+    short = integrate_adjoint(op, 25.0, [0.0], 1.0)
     with pytest.raises(ValueError, match="share one span"):
         check_classical(problem, op, u_one, [costates[0], short])
 
 
-def test_max_principle_cases(integrator, int_traj_400, integrator_undiscounted,
-                             oscillator, osc_traj_400, u_one):
+def test_max_principle_cases(integrator, int_traj_400, int_op_400, integrator_undiscounted,
+                             oscillator, osc_traj_400, osc_op_400, u_one):
     grid = np.linspace(0.0, 400.0, 201)
     ref = IntegratorReference(0.1, 0.0, 1.0)
-    cp = integrate_adjoint(adjoint_basis(integrator, int_traj_400, u_one, 400.0, STANDARD),
-                           [float(ref.psi(400.0))], 1.0)
+    cp = integrate_adjoint(int_op_400, 400.0, [float(ref.psi(400.0))], 1.0)
     [held] = check_max_principle(integrator, int_traj_400, u_one, [cp], time_grid=grid)
     assert held.status is Verdict.HOLDS
 
-    traj0 = solve_state(integrator_undiscounted, u_one, 400.0, STANDARD)
-    doomed = integrate_adjoint(
-        adjoint_basis(integrator_undiscounted, traj0, u_one, 400.0, STANDARD), [0.5 - 400.0], 1.0)
+    op0 = transition_matrix(integrator_undiscounted, u_one, 400.0, settings=STANDARD)
+    traj0 = op0.trajectory
+    doomed = integrate_adjoint(op0, 400.0, [0.5 - 400.0], 1.0)
     [failed] = check_max_principle(integrator_undiscounted, traj0, u_one, [doomed],
                                    time_grid=grid)
     assert failed.status is Verdict.FAILS
 
     osc_ref = oscillator_reference(0.5)
-    cp_osc = integrate_adjoint(adjoint_basis(oscillator, osc_traj_400, u_one, 400.0, STANDARD),
-                               osc_ref.costate(0.5, 1.1, 400.0), 1.0)
+    cp_osc = integrate_adjoint(osc_op_400, 400.0, osc_ref.costate(0.5, 1.1, 400.0), 1.0)
     [held_osc] = check_max_principle(oscillator, osc_traj_400, u_one, [cp_osc], time_grid=grid)
     assert held_osc.status is Verdict.HOLDS
 
 
 def test_max_principle_over_mixed_multipliers_matches_lone_calls(oscillator, osc_traj_30,
-                                                                  u_one):
+                                                                  osc_op_30, u_one):
     # the oscillator's payoff depends on u, so a lam given to the wrong psi
     # row would move its jumps; the costates with lam = 0 fail the check
     ref = oscillator_reference(0.5)
     grid = np.linspace(0.0, 30.0, 61)
-    basis = adjoint_basis(oscillator, osc_traj_30, u_one, 30.0, STANDARD)
-    costates = [integrate_adjoint(basis, ref.costate(r, phi, 30.0), lam)
+    costates = [integrate_adjoint(osc_op_30, 30.0, ref.costate(r, phi, 30.0), lam)
                 for r, phi, lam in ((0.5, -math.pi / 2, 1.0), (0.3, 0.7, 0.0),
                                     (0.25, 0.7, 1.0), (0.5, 0.0, 0.0))]
     together = check_max_principle(oscillator, osc_traj_30, u_one, costates, time_grid=grid)
@@ -276,14 +262,13 @@ def test_max_principle_over_mixed_multipliers_matches_lone_calls(oscillator, osc
 def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_one):
     records = jx_scan(int_op_400, [0.0, 5.0], horizon_grid(0.0, 400.0)[1:])
     ref = IntegratorReference(0.1, 0.7, 1.0)
-    basis = adjoint_basis(integrator, int_traj_400, u_one, 400.0, STANDARD)
-    cp = integrate_adjoint(basis, [float(ref.psi(400.0))], 1.0)
+    cp = integrate_adjoint(int_op_400, 400.0, [float(ref.psi(400.0))], 1.0)
     a0, residual, verdict = decompose_costate(cp, int_op_400, records)
     assert verdict.status is Verdict.HOLDS
     assert a0[0] == pytest.approx(0.7, abs=1e-6)
     assert residual <= 1e-4
 
-    homon = integrate_adjoint(basis, [0.7], 0.0)
+    homon = integrate_adjoint(int_op_400, 400.0, [0.7], 0.0)
     a0h, resh, verdicth = decompose_costate(homon, int_op_400, records)
     assert verdicth.status is Verdict.HOLDS
     assert a0h[0] == pytest.approx(0.7, abs=1e-9)
@@ -294,9 +279,8 @@ def test_decompose_costate_oscillator_never_settles(oscillator, osc_traj_400,
                                                     osc_op_400, u_one):
     ref = oscillator_reference(0.5)
     records = jx_scan(osc_op_400, [0.0], horizon_grid(0.0, 400.0)[1:])
-    basis = adjoint_basis(oscillator, osc_traj_400, u_one, 400.0, STANDARD)
     for r in (0.0, 0.3):
-        cp = integrate_adjoint(basis, ref.costate(r, 0.0, 400.0), 1.0)
+        cp = integrate_adjoint(osc_op_400, 400.0, ref.costate(r, 0.0, 400.0), 1.0)
         a0, residual, verdict = decompose_costate(cp, osc_op_400, records)
         assert a0 is None
         assert verdict.status is Verdict.FAILS
@@ -307,12 +291,10 @@ def test_corollary_equivalence_limit_vs_kav(integrator, integrator_undiscounted,
     # the limit costate exists iff the homogeneous-part condition holds for
     # the zero-terminal adjoint surrogate, across all scenarios
     for problem in (integrator, integrator_undiscounted, oscillator):
-        traj = solve_state(problem, u_one, 250.0, STANDARD)
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
         rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
         _, lc = limit_costate(rec)
-        surrogate = integrate_adjoint(adjoint_basis(problem, traj, u_one, 250.0, STANDARD),
-                                      np.zeros(problem.state_dim), 1.0)
+        surrogate = integrate_adjoint(op, 250.0, np.zeros(problem.state_dim), 1.0)
         [verdicts] = check_classical(problem, op, u_one, [surrogate])
         kav = verdicts["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), problem.name

@@ -10,16 +10,14 @@ from horizoncheck import (
     IntegrationError,
     IntegratorSettings,
     Trajectory,
-    adjoint_basis,
     integrate,
-    integrate_adjoint,
     integrate_batch,
     integrate_controlled,
     make_builtin_problem,
     solve_state,
     transition_matrix,
 )
-from horizoncheck import ode_engine, variational
+from horizoncheck import ode_engine
 from horizoncheck.cli import _CHECK_SETTINGS
 from horizoncheck.ode_engine import (
     _error_norm,
@@ -36,6 +34,8 @@ from horizoncheck.reference_examples import (
 )
 
 from conftest import COARSE, FIG1, STANDARD, TIGHT
+import oracles
+from oracles import adjoint_basis, basis_costate, reflected_signal
 
 
 def test_zero_field_stays_constant():
@@ -136,7 +136,7 @@ def test_quartic_rows_vanish_where_the_cubic_holds():
     assert np.array_equal(stopped.quartic, [[0.0]])
     switched = integrate_controlled(lambda y, u, t: u - y,
                                     ControlSignal.piecewise_constant([1.0], [0.0, 2.0]),
-                                    0.0, [0.5], 3.0, COARSE)
+                                    0.0, [0.5], 3.0, COARSE, domain=None)
     k = int(np.flatnonzero(np.diff(switched.time_grid) == 0.0)[0])
     assert switched.time_grid[k] == 1.0 and np.array_equal(switched.quartic[k], [0.0])
     assert np.all(np.delete(switched.quartic[:-1], k, axis=0) != 0.0)
@@ -257,7 +257,7 @@ def test_controlled_integration_exact_across_switch():
     # dx/dt = u with a switch: node placed exactly at the breakpoint
     sig = ControlSignal.piecewise_constant([1.0], [[1.0], [0.0]])
     rhs = lambda y, u, t: np.array([u[0]])
-    traj = integrate_controlled(rhs, sig, 0.0, [0.0], 3.0, TIGHT)
+    traj = integrate_controlled(rhs, sig, 0.0, [0.0], 3.0, TIGHT, domain=None)
     assert 1.0 in traj.time_grid
     assert traj.states[-1, 0] == pytest.approx(1.0, abs=1e-12)
     assert traj(2.5)[0] == pytest.approx(1.0, abs=1e-12)
@@ -270,7 +270,7 @@ def test_closed_form_piece_that_starts_at_a_switch_runs_from_its_first_node():
     # first step shrank to 3e-8 and y(3) was off by 1.3e-8.
     sig = (ControlSignal.closed_form(lambda t: np.array([np.cos(t)]), 1)
            .with_needle(1.2, 0.2, [5.0]))
-    traj = integrate_controlled(lambda y, u, t: u, sig, 0.0, [0.0], 3.0, STANDARD)
+    traj = integrate_controlled(lambda y, u, t: u, sig, 0.0, [0.0], 3.0, STANDARD, domain=None)
     first, second = np.flatnonzero(traj.time_grid == 1.2)
     assert traj.derivs[first, 0] == 5.0 and traj.derivs[second, 0] == np.cos(1.2)
     assert traj.time_grid[second + 1] - 1.2 > 1e-3
@@ -281,7 +281,7 @@ def test_closed_form_piece_that_starts_at_a_switch_runs_from_its_first_node():
 def test_controlled_integration_runs_forward_only():
     with pytest.raises(ValueError, match="forward"):
         integrate_controlled(lambda y, u, t: u, ControlSignal.constant([1.0]), 2.0, [0.0],
-                             1.0, COARSE)
+                             1.0, COARSE, domain=None)
 
 
 def test_reflected_signal_and_trajectory():
@@ -289,7 +289,7 @@ def test_reflected_signal_and_trajectory():
     for sig in (ControlSignal.piecewise_constant([1.0, 2.0], [[0.0], [5.0], [1.0]]),
                 ControlSignal.closed_form(lambda t: np.array([math.sin(t)]), 1)
                 .with_needle(1.2, 0.2, [5.0])):
-        back = sig.reflected()
+        back = reflected_signal(sig)
         assert np.array_equal(back.breakpoints(), -sig.breakpoints()[::-1])
         for t in (-1.0, 0.5, 1.1, 1.5, 2.5, 3.0):
             assert np.array_equal(back.evaluate(-t), sig.evaluate(t))
@@ -338,14 +338,15 @@ def test_problem_rejects_an_initial_state_outside_its_domain_under_replace():
 
 
 def test_step_sequence_pins(monkeypatch):
-    # accepted steps of the oscillator check solves at b = 0.5, t_max = 100;
-    # a change to the stepping core that moves them must update these counts
+    # accepted steps of the oscillator state solve, the check's (x, Y, S)
+    # pass and the oracle's adjoint-basis solve at b = 0.5, t_max = 100; a
+    # change to the stepping core that moves them must update these counts
     problem = make_builtin_problem("oscillator", {"b": 0.5})
     control = ControlSignal.constant([1.0])
     traj = solve_state(problem, control, 100.0, _CHECK_SETTINGS)
     transition = transition_matrix(problem, control, 100.0, settings=_CHECK_SETTINGS)
-    jacobians, calls = variational.jacobians, []
-    monkeypatch.setattr(variational, "jacobians",
+    jacobians, calls = oracles.jacobians, []
+    monkeypatch.setattr(oracles, "jacobians",
                         lambda *args: calls.append(args[3]) or jacobians(*args))
     basis = adjoint_basis(problem, traj, control, 100.0, _CHECK_SETTINGS)
     assert traj.time_grid.size == 2945
@@ -356,7 +357,7 @@ def test_step_sequence_pins(monkeypatch):
     # Dormand-Prince stages share the node c = 1
     assert len(calls) == 16036 == 1 + 5 * 3207
     # a costate read off the basis integrates nothing
-    costate = integrate_adjoint(basis, [-1.0, 0.2], 1.0)
+    costate = basis_costate(basis, [-1.0, 0.2], 1.0)
     assert costate.trajectory.time_grid is basis.trajectory.time_grid and len(calls) == 16036
 
 
@@ -440,11 +441,12 @@ def test_scalar_reads_match_vector_rows_on_program_trajectories():
     transition = transition_matrix(problem, control, 10.0, settings=_CHECK_SETTINGS)
     assert transition.trajectory.states.base is not None
     _assert_scalar_reads_match_rows(transition.trajectory, rng)
-    # a backward costate: reversed grid, negated slopes, rolled quartic rows
+    # the oracle's backward costate: reversed grid, negated slopes, rolled
+    # quartic rows, as every backward ``integrate`` returns them
     basis = adjoint_basis(problem, transition.trajectory, control, 10.0, _CHECK_SETTINGS)
     assert not basis.trajectory.quartic[-1].any()
     _assert_scalar_reads_match_rows(basis.trajectory, rng)
-    costate = integrate_adjoint(basis, [-1.0, 0.2], 1.0)
+    costate = basis_costate(basis, [-1.0, 0.2], 1.0)
     assert costate.trajectory.quartic[-1].tolist() == [0.0, 0.0]
     _assert_scalar_reads_match_rows(costate.trajectory, rng)
     # one node, whose only step joins the node to itself: the scalar read

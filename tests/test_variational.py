@@ -13,7 +13,6 @@ from horizoncheck import (
     IntegratorReference,
     IntegratorSettings,
     Trajectory,
-    adjoint_basis,
     check_assumption_uniform,
     fd_gradient,
     horizon_grid,
@@ -28,12 +27,13 @@ from horizoncheck import (
     solve_state,
     transition_matrix,
 )
-from horizoncheck import variational
 from horizoncheck.problem_model import jacobians
 from horizoncheck.variational import _augmented_rhs
 from horizoncheck.verdicts import Verdict
 
 from conftest import STANDARD, TIGHT
+import oracles
+from oracles import adjoint_basis, basis_costate
 
 
 def test_transition_identity_and_semigroup(osc_op_30):
@@ -143,39 +143,43 @@ def test_one_pass_gradient_inside_a_step_matches_the_closed_form(integrator, u_o
 
 
 def test_adjoint_reproduces_integrator_closed_form(integrator, u_one):
-    # psi(t) = a0 + exp(-rho t)/rho integrated backward from T = 100; the
-    # step cap keeps dense (between-node) evaluation at the same accuracy
+    # psi(t) = a0 + exp(-rho t)/rho from T = 100, read off the pass and
+    # integrated backward by the oracle; the step cap keeps dense
+    # (between-node) evaluation at the same accuracy
     settings = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13, max_step=0.2)
-    traj = solve_state(integrator, u_one, 100.0, settings)
+    op = transition_matrix(integrator, u_one, 100.0, settings=settings)
     ref = IntegratorReference(0.1, 0.7, 1.0)
-    costate = integrate_adjoint(adjoint_basis(integrator, traj, u_one, 100.0, settings),
-                                [float(ref.psi(100.0))], 1.0)
+    psi_T = [float(ref.psi(100.0))]
     ts = np.linspace(0.0, 100.0, 300)
-    err = np.max(np.abs(costate.psi(ts)[:, 0] - ref.psi(ts)))
-    assert err <= 1e-8
+    for costate in (integrate_adjoint(op, 100.0, psi_T, 1.0),
+                    basis_costate(adjoint_basis(integrator, op.trajectory, u_one, 100.0,
+                                                settings), psi_T, 1.0)):
+        err = np.max(np.abs(costate.psi(ts)[:, 0] - ref.psi(ts)))
+        assert err <= 1e-8
 
 
 def test_adjoint_zero_terminal_matches_gradients(integrator, u_one):
     traj = solve_state(integrator, u_one, 50.0, TIGHT)
-    costate = integrate_adjoint(adjoint_basis(integrator, traj, u_one, 50.0, TIGHT), [0.0], 1.0)
+    costate = basis_costate(adjoint_basis(integrator, traj, u_one, 50.0, TIGHT), [0.0], 1.0)
     assert costate.psi(0.0)[0] == pytest.approx((1 - math.exp(-5)) / 0.1, abs=1e-8)
     op = transition_matrix(integrator, u_one, 50.0, settings=TIGHT)
     for tau in (0.0, 5.0, 20.0):
         assert costate.psi(tau)[0] == pytest.approx(op.gradient(tau, 50.0)[0], abs=1e-6)
 
 
-def test_adjoint_oscillator_family_and_homogeneous(oscillator, osc_traj_30, u_one):
+def test_adjoint_oscillator_family_and_homogeneous(oscillator, osc_traj_30, osc_op_30, u_one):
     ref = oscillator_reference(0.5)
-    costate = integrate_adjoint(adjoint_basis(oscillator, osc_traj_30, u_one, 20.0, TIGHT),
-                                ref.costate(0.3, 0.0, 20.0), 1.0)
     ts = np.linspace(0.0, 20.0, 101)
-    assert np.max(np.abs(costate.psi(ts) - ref.costate(0.3, 0.0, ts))) < 1e-8
+    basis = adjoint_basis(oscillator, osc_traj_30, u_one, 20.0, TIGHT)
+    for read in (lambda psi_T, lam: integrate_adjoint(osc_op_30, 20.0, psi_T, lam),
+                 lambda psi_T, lam: basis_costate(basis, psi_T, lam)):
+        costate = read(ref.costate(0.3, 0.0, 20.0), 1.0)
+        assert np.max(np.abs(costate.psi(ts) - ref.costate(0.3, 0.0, ts))) < 1e-8
 
-    flat = integrate_adjoint(adjoint_basis(oscillator, osc_traj_30, u_one, 20.0, TIGHT),
-                             [0.4, -0.6], 0.0)
-    # lam = 0 keeps the rotation norm: |psi| is conserved
-    norms = np.linalg.norm(flat.psi(ts), axis=1)
-    assert np.max(np.abs(norms - math.hypot(0.4, 0.6))) < 1e-9
+        flat = read([0.4, -0.6], 0.0)
+        # lam = 0 keeps the rotation norm: |psi| is conserved
+        norms = np.linalg.norm(flat.psi(ts), axis=1)
+        assert np.max(np.abs(norms - math.hypot(0.4, 0.6))) < 1e-9
 
 
 def _adjoint_by_backward_integration(problem, trajectory, control, T, y_T, slope, settings):
@@ -204,7 +208,7 @@ def _basis_slope(fx, gx, y):
 
 
 def _switched_adjoint_cases(oscillator, integrator):
-    """(problem, T, psi_T) cases and one control with switches inside the
+    """(problem, pass, T, psi_T) cases and one control with switches inside the
     span and a pulse that ends at the terminal time T = 7: lam = 1 and 0,
     the integrator's time-dependent g_x, and a problem whose f_x = u/10 and
     g_x = u change at every switch, where the field is read under both
@@ -219,8 +223,8 @@ def _switched_adjoint_cases(oscillator, integrator):
         payoff_grad_x=lambda x, u, t: np.array([u[0]]))
     cases = ((oscillator, 12.0, [-1.0, 0.2]), (oscillator, 7.0, [0.3, 0.5]),
              (integrator, 12.0, [0.4]), (switched, 12.0, [0.4]))
-    return control, [(problem, transition_matrix(problem, control, 12.0,
-                                                 settings=STANDARD).trajectory, T, psi_T)
+    return control, [(problem, transition_matrix(problem, control, 12.0, settings=STANDARD),
+                      T, psi_T)
                      for problem, T, psi_T in cases]
 
 
@@ -229,7 +233,8 @@ def test_reversed_time_adjoint_equals_backward_integration_bit_for_bit(oscillato
     # the basis [Phi* | r] solved in reversed time equals the backward
     # ``integrate`` of the (n + 1) x n system on the switched cases
     control, cases = _switched_adjoint_cases(oscillator, integrator)
-    for problem, traj, T, _ in cases:
+    for problem, op, T, _ in cases:
+        traj = op.trajectory
         n = problem.state_dim
         basis = adjoint_basis(problem, traj, control, T, STANDARD)
         rows_T = np.vstack([np.eye(n), np.zeros(n)]).ravel()
@@ -249,10 +254,11 @@ def test_costates_read_off_the_basis_match_solo_backward_solves(oscillator, inte
     # (the integrator at lam = 1, between nodes)
     control, cases = _switched_adjoint_cases(oscillator, integrator)
     worst = 0.0
-    for problem, traj, T, psi_T in cases:
+    for problem, op, T, psi_T in cases:
+        traj = op.trajectory
         basis = adjoint_basis(problem, traj, control, T, STANDARD)
         for lam in (1.0, 0.0):
-            costate = integrate_adjoint(basis, psi_T, lam)
+            costate = basis_costate(basis, psi_T, lam)
             solo = Trajectory(*_adjoint_by_backward_integration(
                 problem, traj, control, T, psi_T,
                 lambda fx, gx, y: fx.T @ y + lam * gx, STANDARD))
@@ -264,7 +270,91 @@ def test_costates_read_off_the_basis_match_solo_backward_solves(oscillator, inte
     with pytest.raises(ValueError, match="terminal time outside"):
         adjoint_basis(problem, traj, control, 13.0, STANDARD)
     with pytest.raises(ValueError, match="basis dimension"):
-        integrate_adjoint(basis, [0.4, 0.2], 1.0)
+        basis_costate(basis, [0.4, 0.2], 1.0)
+
+
+def test_costates_read_off_the_pass_match_the_basis_oracle(oscillator, integrator):
+    # psi(t) = Y(t)^-* (Y(T)* psi_T + lam (S(T) - S(t))) against the oracle's
+    # backward solve, at the nodes of both and the midpoints of their steps,
+    # lam = 0 and 1, relative to the largest |psi|; the worst case measured
+    # is 6.0e-10 (the integrator at lam = 1)
+    control, cases = _switched_adjoint_cases(oscillator, integrator)
+    worst = 0.0
+    for problem, op, T, psi_T in cases:
+        basis = adjoint_basis(problem, op.trajectory, control, T, STANDARD)
+        grid = np.concatenate([basis.trajectory.time_grid,
+                               op.trajectory.time_grid[op.trajectory.time_grid <= T]])
+        times = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])
+        for lam in (1.0, 0.0):
+            read, solved = integrate_adjoint(op, T, psi_T, lam), basis_costate(basis, psi_T, lam)
+            assert (read.t0, read.t_end) == (solved.trajectory.t0, solved.trajectory.t_end)
+            scale = max(1.0, np.max(np.abs(solved.trajectory.states)))
+            worst = max(worst, np.max(np.abs(read.psi(times) - solved.psi(times))) / scale)
+    assert worst <= 1e-9
+
+
+def test_pass_costate_rejects_a_terminal_time_or_costate_off_the_pass(osc_op_30):
+    with pytest.raises(ValueError, match="terminal time outside"):
+        integrate_adjoint(osc_op_30, 31.0, [0.4, 0.2], 1.0)
+    with pytest.raises(ValueError, match="terminal time outside"):
+        integrate_adjoint(osc_op_30, -1.0, [0.4, 0.2], 1.0)
+    for psi_T in ([0.4], [0.4, 0.2, 0.1], [[0.4, 0.2]]):
+        with pytest.raises(ValueError, match="state dimension"):
+            integrate_adjoint(osc_op_30, 20.0, psi_T, 1.0)
+
+
+def test_pulled_back_costate_equals_the_fundamental_product(osc_op_400, int_op_400):
+    # K(t, t0)* psi(t) = Y(t)* psi(t) = c - lam S(t), read with no solve
+    for op, psi_T in ((osc_op_400, [0.3, -1.2]), (int_op_400, [2.5])):
+        ts = np.linspace(0.0, 400.0, 1001)
+        for lam in (1.0, 0.0):
+            costate = integrate_adjoint(op, 400.0, psi_T, lam)
+            product = np.einsum("ikj,ik->ij", op.fundamental(ts), costate.psi(ts))
+            assert np.max(np.abs(costate.pulled_back(ts) - product)) <= 1e-12
+
+
+def _decaying_problem(a):
+    """dx/dt = a x + u, g = x: Y(t) = e^{at}, grad(t, T) = (e^{a(T - t)} - 1)/a."""
+    return ControlProblem(
+        state_dim=1, control_dim=1, dynamics=lambda x, u, t: a * x + u,
+        payoff=lambda x, u, t: float(x[0]), control_set=ControlSet.box([-1.0], [1.0]),
+        state_domain=Box.unbounded(1), initial_state=[1.0],
+        dynamics_jac_x=lambda x, u, t: np.array([[a]]),
+        payoff_grad_x=lambda x, u, t: np.ones(1))
+
+
+def test_pass_costate_reports_a_fundamental_matrix_without_relative_accuracy(u_one):
+    # on dx/dt = -x + u the costate psi(t) = grad(t, T) = 1 - e^{-(T - t)}
+    # divides by Y(t) = e^{-t}, which the pass resolves only to abs_tol:
+    # past T ~ 14 (Y below 1e6 abs_tol) the read would err by about
+    # 2.5e-13 / Y, so it raises instead
+    op = transition_matrix(_decaying_problem(-1.0), u_one, 100.0, settings=STANDARD)
+    for T in (30.0, 100.0):
+        with pytest.raises(ValueError, match="costate unresolved"):
+            integrate_adjoint(op, T, [0.0], 1.0)
+    ts = np.linspace(0.0, 10.0, 201)
+    costate = integrate_adjoint(op, 10.0, [0.0], 1.0)
+    assert np.max(np.abs(costate.psi(ts)[:, 0] - (np.exp(-(10.0 - ts)) - 1.0) / -1.0)) <= 1e-8
+    # slow decay and slow growth keep Y resolved over [0, 100]; relative to
+    # max(1, |psi|), as psi reaches 2,948 at a = 0.05
+    ts = np.linspace(0.0, 100.0, 501)
+    for a in (-0.05, 0.05):
+        op = transition_matrix(_decaying_problem(a), u_one, 100.0, settings=STANDARD)
+        costate = integrate_adjoint(op, 100.0, [0.0], 1.0)
+        exact = (np.exp(a * (100.0 - ts)) - 1.0) / a
+        err = np.abs(costate.psi(ts)[:, 0] - exact) / np.maximum(1.0, np.abs(exact))
+        assert np.max(err) <= 1e-8
+
+
+def test_pass_costate_guard_never_fires_on_the_linear_built_ins(osc_op_400, int_op_400,
+                                                                  integrator_undiscounted,
+                                                                  u_one):
+    # Y is a rotation on the oscillator (up to its integration error) and 1
+    # on the integrator, far above the 1e6 abs_tol = 1e-6 that the guard needs
+    undiscounted = transition_matrix(integrator_undiscounted, u_one, 400.0, settings=STANDARD)
+    for op in (osc_op_400, int_op_400, undiscounted):
+        assert np.allclose(op._smallest_singular, 1.0, atol=1e-8, rtol=0.0)
+        integrate_adjoint(op, 400.0, np.zeros(op.trajectory.dim), 1.0)
 
 
 def test_basis_reads_each_stage_time_once_under_a_closed_form_control(ramsey_params,
@@ -275,8 +365,8 @@ def test_basis_reads_each_stage_time_once_under_a_closed_form_control(ramsey_par
     # the two c = 1 stages of an attempt share one read (keyed on the
     # array's identity, 56 of 337 calls fell at the time of the call before)
     _, k_traj, control = ramsey_saddle
-    jacobians_, calls = variational.jacobians, []
-    monkeypatch.setattr(variational, "jacobians",
+    jacobians_, calls = oracles.jacobians, []
+    monkeypatch.setattr(oracles, "jacobians",
                         lambda *args: calls.append(args[3]) or jacobians_(*args))
     adjoint_basis(ramsey_params.problem(), k_traj, control, 150.0, STANDARD)
     assert all(a != b for a, b in zip(calls, calls[1:]))
@@ -285,8 +375,8 @@ def test_basis_reads_each_stage_time_once_under_a_closed_form_control(ramsey_par
 
 def test_costate_ode_residual_at_midpoints(oscillator, osc_traj_30, u_one):
     settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12, max_step=0.05)
-    costate = integrate_adjoint(adjoint_basis(oscillator, osc_traj_30, u_one, 10.0, settings),
-                                [0.2, -0.1], 1.0)
+    costate = basis_costate(adjoint_basis(oscillator, osc_traj_30, u_one, 10.0, settings),
+                            [0.2, -0.1], 1.0)
     grid = costate.trajectory.time_grid
     mids = 0.5 * (grid[:-1] + grid[1:])
     lhs = costate.trajectory.derivative(mids)
@@ -314,7 +404,7 @@ def test_lemma1_identity_all_examples(oscillator, osc_traj_30, u_one,
         basis = adjoint_basis(problem, traj, ctrl, T, TIGHT)
         for lam in (0.0, 1.0):
             for term in terminals:
-                costate = integrate_adjoint(basis, term(problem.state_dim), lam)
+                costate = basis_costate(basis, term(problem.state_dim), lam)
                 res = lemma1_residual(costate, records, T, op)
                 assert res <= 1e-6, (problem.name, lam, res)
 
@@ -324,8 +414,8 @@ def test_lemma1_closed_form_oscillator_costate(oscillator, osc_traj_30, u_one):
     T = 20.0
     op = transition_matrix(oscillator, u_one, 30.0, settings=TIGHT)
     records = jx_scan(op, [0.0, 2.0, 9.0], [T])
-    costate = integrate_adjoint(adjoint_basis(oscillator, osc_traj_30, u_one, T, TIGHT),
-                                ref.costate(0.3, 0.0, T), 1.0)
+    costate = basis_costate(adjoint_basis(oscillator, osc_traj_30, u_one, T, TIGHT),
+                            ref.costate(0.3, 0.0, T), 1.0)
     assert lemma1_residual(costate, records, T, op) <= 1e-6
 
 
