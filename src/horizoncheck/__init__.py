@@ -16,7 +16,6 @@ from .ode_engine import (
     NonExtendibleError,
     Trajectory,
     integrate,
-    integrate_batch,
     integrate_controlled,
     solve_state,
 )
@@ -66,8 +65,6 @@ from .reference_examples import (
     OscillatorReference,
     RamseyParams,
     SteadyState,
-    appendix_identity_residual,
-    oscillator_delta_x1,
     oscillator_reference,
     ramsey_classify,
     ramsey_shoot,

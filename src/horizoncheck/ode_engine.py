@@ -1,12 +1,14 @@
 """Explicit Runge-Kutta integration with dense output and domain-exit detection.
 
-One engine serves every ODE in the package: state equations under a control
-signal, variational (transition-matrix) systems, backward adjoint equations,
-and payoff/gradient quadratures folded into the state vector.  Trajectories
-carry the quartic continuous extension of Dormand-Prince 5(4): the cubic
-Hermite of node states and node derivatives plus one stored vector per step,
-formed from the step's stages without an extra field evaluation.  Dense values
-are exact at the nodes and between them as accurate as the nodes.
+One engine serves every ODE in the package, one state vector per call: state
+equations under a control signal, variational (transition-matrix) systems,
+backward adjoint equations, the Ramsey phase-plane orbits and the
+time-eliminated stable manifold, and payoff/gradient quadratures folded into
+the state vector.  Trajectories carry the quartic continuous extension of
+Dormand-Prince 5(4): the cubic Hermite of node states and node derivatives
+plus one stored vector per step, formed from the step's stages without an
+extra field evaluation.  Dense values are exact at the nodes and between
+them as accurate as the nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "NonExtendibleError",
     "Trajectory",
     "integrate",
-    "integrate_batch",
     "integrate_controlled",
     "solve_state",
 ]
@@ -310,14 +311,13 @@ def _hermite_slope_on_step(y, f0, h, y_new, f_new, theta):
             + (-6 * s2 + 6 * s) * y_new * inv_h + (3 * s2 - 2 * s) * f_new)
 
 
-def _initial_step(y0, f0, settings, span):
-    """First step size from states y0 and slopes f0, over leading axes: a
-    0-d array for one state y0[n], one step per row for rows Y0[m, n]."""
+def _initial_step(y0, f0, settings, span) -> float:
+    """First step size from the initial state y0 and its slope f0."""
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2, axis=-1))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=-1))
-    h = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6 * max(span, 1.0), 0.01 * d0 / d1)
-    return np.minimum(np.minimum(h, span), settings.max_step)
+    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    h = 1e-6 * max(span, 1.0) if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    return min(h, span, settings.max_step)
 
 
 def _error_norm(err, y, y_new, settings):
@@ -355,14 +355,14 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
     under the tolerances and step cap of ``settings``; ``field`` returns a
     float array of the state's shape.
 
-    ``stops`` is a priority-ordered sequence of ``(label, predicate)`` pairs,
-    the one event contract of :func:`integrate` and :func:`integrate_batch`.
-    A predicate is written over leading axes: it maps (t, y[n]) to a bool and
-    (t[m], Y[m, n]) to bool[m], so it reads components as ``Y.T`` or
-    ``Y[..., i]``.  The run stops early with an ``exit_event`` when the
-    solution reaches the boundary of the open ``domain`` box or when a
-    predicate holds; a domain exit takes precedence, then the first label
-    that holds.  The event is localized on the accepted step's cubic Hermite
+    ``stops`` is a priority-ordered sequence of ``(label, predicate)`` pairs.
+    A predicate is written over leading axes: it maps (t, y[n]) to a bool
+    after each accepted step and (t[m], Y[m, n]) to bool[m] on the rows of
+    interior points that localise an event, so it reads components as
+    ``Y.T`` or ``Y[..., i]``.  The run stops early with an ``exit_event``
+    when the solution reaches the boundary of the open ``domain`` box or
+    when a predicate holds; a domain exit takes precedence, then the first
+    label that holds.  The event is localized on the accepted step's cubic Hermite
     interpolant to within h_floor = 1e-9 of the span (see
     :func:`_sweep_exit`).  A stop that holds at t0 ends the run there.
     Backward integration is performed by time reversal of the field, with
@@ -407,7 +407,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
         return Trajectory([t0], [y0], [f0], [flat], exit_event=ExitEvent(t0, y0.copy(), label))
     domain = _with_faces(domain)
     faces = None if domain is None else list(zip(domain.lower.tolist(), domain.upper.tolist()))
-    h = float(_initial_step(y0, f0, settings, span))
+    h = _initial_step(y0, f0, settings, span)
     t_last = t_end - 1e-14 * max(1.0, abs(t_end))
 
     ts, ys, fs, ds = [t0], [y0.copy()], [f0.copy()], []
@@ -509,161 +509,9 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
                       exit_event=exit_event)
 
 
-def integrate_batch(field: Callable[[np.ndarray, np.ndarray], np.ndarray], t0: float, Y0,
-                    t_end: float, settings: IntegratorSettings,
-                    domain: Optional[Box], stops: Sequence[tuple]):
-    """Integrate B independent members of ``dy/dt = field(t, y)`` from t0 to t_end.
-
-    ``field(t[m], Y[m, n])`` returns the slopes [m, n] of any m members.  Each
-    member runs the Dormand-Prince 5(4) method of :func:`integrate` with its
-    own step size and its own accept/reject decisions, so it takes the steps
-    of its solo run up to round-off; one attempt of every running member is
-    evaluated in one vectorised pass.  ``settings`` are those of
-    :func:`integrate`, ``domain`` is an open box or None, and ``stops``
-    follows the contract of :func:`integrate`: priority-ordered
-    ``(label, predicate)`` pairs, each predicate written over leading axes
-    and here called on t[m], Y[m, n].
-    A member ends at t_end, on leaving the open ``domain`` (which takes
-    precedence) or when a predicate holds, the first label that holds
-    naming the event; a member for which a predicate holds at t0 ends
-    there, also on a zero-length span.  Events are localized per member by
-    :func:`_sweep_exit`, the localiser of :func:`integrate`.
-
-    Returns the end times [B], the end states [B, n] and the exit events
-    (None for a member that reached t_end); no dense output is kept.  A
-    failure that :func:`integrate` would raise for one member raises
-    ``IntegrationError`` for the whole call.  Only finite forward spans are
-    supported.
-    """
-    _check_finite_span(t0, t_end)
-    if t_end < t0:
-        raise ValueError("integrate_batch integrates forward: need t_end >= t0")
-    Y_out = np.array(Y0, dtype=float)
-    if Y_out.ndim != 2:
-        raise ValueError("initial states must be an array of shape [B, n]")
-    if not np.isfinite(Y_out).all():
-        raise ValueError("initial states must be finite")
-    t_out = np.full(Y_out.shape[0], float(t0))
-    events = [None] * Y_out.shape[0]
-    if Y_out.shape[0]:
-        with np.errstate(all="ignore"):
-            _batch_loop(field, float(t0), float(t_end), settings, domain, stops,
-                        t_out, Y_out, events)
-    return t_out, Y_out, events
-
-
-def _batch_loop(field, t0, t_end, settings, domain, stops, t_out, Y_out, events):
-    """The checks of :func:`_forward_loop`, applied row by row to every
-    running member at once.  Fills ``t_out``, ``Y_out`` and ``events``."""
-    n = Y_out.shape[1]
-    span = t_end - t0
-    h_floor = 1e-9 * span
-    t_last = t_end - 1e-14 * max(1.0, abs(t_end))
-    domain = _with_faces(domain)
-
-    members = np.arange(Y_out.shape[0])  # member of each running row
-    t = np.full(members.size, t0)
-    Y = Y_out.copy()
-    F = np.asarray(field(t, Y), dtype=float)
-    if not np.isfinite(F).all():
-        raise IntegrationError(f"field non-finite at initial point t={t0:g}")
-    if domain is not None and not domain.contains(Y).all():
-        raise ValueError("initial state outside the open domain")
-    h = _initial_step(Y, F, settings, span)
-    n_acc = np.zeros(members.size, dtype=int)
-    found = {}  # running row -> exit event that ends it
-    for label, pred in stops:
-        for i in np.flatnonzero(pred(t, Y)):
-            found.setdefault(i, ExitEvent(t0, Y[i].copy(), label))
-
-    while True:
-        ended = t >= t_last
-        ended[list(found)] = True
-        if ended.any():
-            for i in np.flatnonzero(ended):
-                ev = found.get(i)
-                events[members[i]] = ev
-                t_out[members[i]], Y_out[members[i]] = (ev.time, ev.state) if ev else (t[i], Y[i])
-            keep = ~ended
-            members, t, Y, F, h, n_acc = (a[keep] for a in (members, t, Y, F, h, n_acc))
-            found = {}
-        m = members.size
-        if not m:
-            return
-        if n_acc.max() >= _MAX_STEPS:
-            raise IntegrationError("maximum number of steps exceeded")
-        h = np.minimum(np.minimum(h, t_end - t), settings.max_step)
-
-        # ---- one attempt of every running member ----
-        K = np.empty((7, m, n))
-        K[0] = F
-        ok = np.ones(m, dtype=bool)  # rows whose stages are finite so far
-        for i in range(1, 7):
-            Yi = Y + h[:, None] * (_DP_A[i] @ K[:i].reshape(i, -1)).reshape(m, n)
-            ti = t + _DP_C[i] * h
-            if ok.all():
-                K[i] = field(ti, Yi)
-            else:
-                # a row with a non-finite stage sits out the rest of the attempt
-                K[i, ok] = field(ti[ok], Yi[ok])
-            if not math.isfinite(np.add.reduce(K[i], axis=None)):
-                ok &= np.isfinite(K[i]).all(axis=1)
-            if not ok.any():
-                break
-        # the last stage point is the 5th-order solution (FSAL); one that
-        # overflowed fails the step like a non-finite stage does
-        if not math.isfinite(np.add.reduce(Yi, axis=None)):
-            ok &= np.isfinite(Yi).all(axis=1)
-        r = (h[:, None] * (_DP_E @ K.reshape(7, -1)).reshape(m, n)
-             / (settings.abs_tol + settings.rel_tol * np.maximum(np.abs(Y), np.abs(Yi))))
-        err = np.sqrt((r * r).sum(axis=1) / n)
-        factor = 0.9 * err ** -0.2
-        acc = ok & (err <= 1.0)
-
-        if not acc.all():
-            estimated = ok & np.isfinite(err)
-            h = np.where(acc, h, np.where(estimated,
-                                          h * np.minimum(1.0, np.maximum(0.2, factor)),
-                                          h * 0.5))
-            for i in np.flatnonzero(~acc & (h < h_floor)):
-                if ok[i] and not estimated[i]:
-                    raise IntegrationError(
-                        f"step size underflow near t={t[i]:g} (error estimate failed)")
-                ev = _boundary_stall(t[i], Y[i], F[i], domain, h_floor)
-                if ev is None:
-                    cause = "stiffness or blow-up" if ok[i] else "field or solution blow-up"
-                    raise IntegrationError(f"step size underflow near t={t[i]:g} ({cause})")
-                found[i] = ev
-            if not acc.any():
-                continue
-
-        # ---- exits and stops on the accepted steps ----
-        t_new = t + h
-        rows = np.flatnonzero(acc)
-        Ya, ta = (Yi, t_new) if rows.size == m else (Yi[rows], t_new[rows])
-        outside = ~domain.contains(Ya) if domain is not None else np.zeros(rows.size, bool)
-        flagged = outside.copy()
-        for _, pred in stops:
-            flagged |= pred(ta, Ya)
-        for i, out in zip(rows[flagged], outside[flagged]):
-            found[i], _ = _sweep_exit(t[i], Y[i], F[i], h[i], Yi[i], K[6, i],
-                                      domain if out else None, stops, h_floor)
-
-        grow = np.where(err == 0.0, 5.0, np.minimum(5.0, np.maximum(0.2, factor)))
-        if rows.size == m:
-            t, Y, F = t_new, Yi, K[6]
-        else:
-            t = np.where(acc, t_new, t)
-            Y[acc] = Yi[acc]
-            F[acc] = K[6, acc]
-        h = np.where(acc, np.maximum(h * grow, h_floor), h)
-        n_acc += acc
-
-
 def _sweep_exit(t, y, fy, h, y_new, f_new, domain, stops, h_floor):
     """Exit event on the accepted step from (t, y) to (t + h, y_new) and its
-    step fraction theta; the one localiser of :func:`integrate` and
-    :func:`integrate_batch`.
+    step fraction theta; the event localiser of :func:`integrate`.
 
     ``domain`` is given only when y_new has left it, and a domain exit takes
     precedence; otherwise some predicate of ``stops`` holds at y_new.  The

@@ -2,10 +2,9 @@
 
 The oscillator and discounted-integrator bundles hold exact transition
 matrices, adjoint families and payoff gradients against which the numerical
-machinery is tested; the oscillator's pulse response to a control and its
-half-period identity live here too.  The Ramsey helpers provide the Euler
-phase-plane orbits, their steady states, orbit classification and
-saddle-path shooting.
+machinery is tested.  The Ramsey helpers provide the Euler phase-plane
+orbits, their steady states, the time-eliminated stable manifold, orbit
+classification and saddle-path shooting.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .ode_engine import (
     IntegratorSettings,
     Trajectory,
     integrate,
-    integrate_batch,
     solve_state,
 )
 from .problem_model import ControlProblem, make_builtin_problem
@@ -32,8 +30,6 @@ __all__ = [
     "OscillatorReference",
     "RamseyParams",
     "SteadyState",
-    "appendix_identity_residual",
-    "oscillator_delta_x1",
     "oscillator_reference",
     "ramsey_classify",
     "ramsey_control_from_orbit",
@@ -115,10 +111,6 @@ _SHOOT_C0_TOL = 1e-10
 _SHOOT_MAX_ITER = 60
 
 
-def _joint_domain() -> Box:
-    return Box.from_bounds([0.0, 0.0], [np.inf, 1e12])
-
-
 def ramsey_euler_orbit(params: RamseyParams, k0: float, c0: float, t_end: float,
                        stops: Sequence[tuple] = ()) -> Trajectory:
     """Integrate the joint (k, c) phase-plane system from (k0, c0), with the
@@ -127,25 +119,17 @@ def ramsey_euler_orbit(params: RamseyParams, k0: float, c0: float, t_end: float,
         k, c = y.tolist()
         return np.array(_euler_rates(params, k, c) if k > 0 and c > 0 else (np.nan, np.nan))
     return integrate(field, 0.0, np.array([k0, c0]), t_end,
-                     _CLASSIFY_SETTINGS, domain=_joint_domain(), stops=stops)
+                     _CLASSIFY_SETTINGS, domain=Box.from_bounds([0.0, 0.0], [np.inf, 1e12]),
+                     stops=stops)
 
 
-def _euler_rows(params: RamseyParams):
-    """The joint (k, c) field on rows: t[m], Y[m, 2] -> [m, 2], NaN where
-    k <= 0 or c <= 0."""
-    def field(t, Y):
-        k, c = Y.T
-        out = np.column_stack(_euler_rates(params, k, c))
-        out[(k <= 0) | (c <= 0)] = np.nan
-        return out
-    return field
-
-
-def _classify_stops(params, k_star, c_star, radius):
-    """The Ramsey orbit stops in priority order: the ball of ``radius`` around
-    (k*, c*), then the way to zero consumption.  The predicates follow the
-    contract of :func:`integrate`, so one definition serves solo orbits and
-    :func:`integrate_batch`."""
+def _classify_stops(k_star, c_star, radius):
+    """The Ramsey orbit stops in priority order, written over leading axes as
+    :func:`integrate` asks: the ball of ``radius`` around (k*, c*), then the
+    region k > k* + 0.5, c < c* - 0.25 of the way to zero consumption.  The
+    region lies below the right branch of the stable manifold, where
+    c_s(k) > c*, and no orbit crosses the manifold, so only orbits heading to
+    zero consumption enter it."""
     r2 = radius * radius
 
     def in_ball(t, Y):
@@ -153,26 +137,76 @@ def _classify_stops(params, k_star, c_star, radius):
         return (k - k_star) ** 2 + (c - c_star) ** 2 <= r2
 
     def to_zero(t, Y):
-        # region membership plus outward radial velocity from (k*, c*); the
-        # region k > k* + margin, c < c* - margin lies strictly below the
-        # right branch of the stable manifold, so only orbits heading to zero
-        # consumption enter it while moving away from the saddle.
         k, c = Y.T
-        region = (k > k_star + 0.5) & (c < c_star - 0.25)
-        if not region.any():
-            return region
-        dk, dc = _euler_rates(params, k, c)
-        return region & ((k - k_star) * dk + (c - c_star) * dc > 0)
+        return (k > k_star + 0.5) & (c < c_star - 0.25)
 
     return (("saddle_ball", in_ball), ("to_zero_consumption", to_zero))
 
 
-def _orbit_label(event) -> str:
+def _orbit_class(params: RamseyParams, k0: float, c0: float, t_max: float) -> str:
+    """Label of the Euler orbit through (k0, c0), run by itself to at most
+    t_max under the stops of :func:`_classify_stops`."""
+    interior, _ = ramsey_steady_state(params)
+    stops = _classify_stops(interior.k_star, interior.c_star, _BALL_RADIUS)
+    event = ramsey_euler_orbit(params, k0, c0, t_max, stops=stops).exit_event
     if event is None:
         return "inconclusive"
     return {"saddle_ball": "saddle",
             "to_zero_consumption": "to_zero_consumption"}.get(event.description,
                                                               "hits_zero_capital")
+
+
+# tolerances of the time-elimination quadrature along the stable manifold
+_MANIFOLD_SETTINGS = IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def _saddle_consumption(params: RamseyParams, interior: SteadyState, ks) -> np.ndarray:
+    """Saddle-path consumption c_s(k) at each capital level of the 1-d
+    ``ks``, by time elimination.
+
+    Integrates the policy dc/dk = (dc/dt)/(dk/dt) from the saddle outward,
+    one :func:`integrate` call per branch of the manifold that holds a level:
+    from a small step eps along the stable eigenvector of the Jacobian at
+    (k*, c*) to the branch's farthest level, reading every level of the
+    branch off the dense path.  eps is 1e-3 of the smaller of k* and the
+    distance from k* to the branch's nearest level, so every level lies past
+    the start, and a single level gets the quadrature of its own.  Along
+    that direction the manifold attracts nearby policies, so the quadrature
+    is well conditioned where forward shooting is not.  Within 1e-6 k* of k*
+    the eigenvector's linear value is returned.
+    """
+    ks = np.asarray(ks, dtype=float)
+    if not ks.size:
+        return ks
+    k_star, c_star = interior.k_star, interior.c_star
+    a, d, th = params.alpha, params.delta, params.theta
+    j11 = a * k_star ** (a - 1.0) - d          # d(dk/dt)/dk; d(dk/dt)/dc = -1
+    j21 = c_star * a * (a - 1.0) * k_star ** (a - 2.0) / th
+    j22 = _euler_rates(params, k_star, 1.0)[1]  # dc/dt is linear in c
+    trace, det = j11 + j22, j11 * j22 + j21
+    lam_s = 0.5 * (trace - math.sqrt(trace * trace - 4.0 * det))
+    slope = j11 - lam_s                        # dc/dk along the stable eigenvector
+    gaps = ks - k_star
+    c = c_star + slope * gaps
+
+    def policy(k, y):
+        dk, dc = _euler_rates(params, k, y[0])
+        return np.array([dc / dk])
+
+    for side in (1.0, -1.0):
+        branch = side * gaps > 1e-6 * k_star
+        if branch.any():
+            reach = np.abs(gaps[branch])
+            eps = math.copysign(1e-3 * min(float(reach.min()), k_star), side)
+            path = integrate(policy, k_star + eps, [c_star + slope * eps],
+                             float(ks[branch][reach.argmax()]), _MANIFOLD_SETTINGS)
+            c[branch] = path(ks[branch])[:, 0]
+    return c
+
+
+# relative distance to the stable manifold within which an array cell runs
+# its own orbit instead of taking its side of the manifold
+_MANIFOLD_BAND = 1e-8
 
 
 def ramsey_classify(params: RamseyParams, k0, c0, t_max: float):
@@ -181,26 +215,26 @@ def ramsey_classify(params: RamseyParams, k0, c0, t_max: float):
     Returns one of ``saddle`` (enters the ball of radius 1e-3 around the
     interior steady state), ``hits_zero_capital`` (capital reaches its lower
     bound), ``to_zero_consumption`` (heads to the zero-consumption rest
-    point), or ``inconclusive`` when t_max is exhausted first.
+    point), or ``inconclusive`` when t_max is exhausted first.  A scalar
+    (k0, c0) runs its orbit.
 
-    Array-like ``k0`` and ``c0`` broadcast against each other: every cell is
-    classified in one :func:`integrate_batch` call and the labels come back
-    as an array of the broadcast shape.
+    Array-like ``k0`` and ``c0`` broadcast against each other, and the labels
+    come back as an array of the broadcast shape.  The stable manifold
+    c = c_s(k) of :func:`_saddle_consumption` separates the two families of
+    orbits, so a cell above it is labelled ``hits_zero_capital`` and a cell
+    below it ``to_zero_consumption``.  Only a cell within the relative band
+    1e-8 of c_s runs its orbit, so ``t_max`` bounds only those cells.
     """
-    interior, _ = ramsey_steady_state(params)
-    stops = _classify_stops(params, interior.k_star, interior.c_star, _BALL_RADIUS)
-    if np.ndim(k0) or np.ndim(c0):
-        k0, c0 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(c0, dtype=float))
-        if not ((k0 > 0).all() and (c0 > 0).all()):
-            raise ValueError("need k0 > 0 and c0 > 0")
-        _, _, events = integrate_batch(
-            _euler_rows(params), 0.0, np.column_stack((k0.ravel(), c0.ravel())), t_max,
-            _CLASSIFY_SETTINGS, _joint_domain(), stops)
-        return np.array([_orbit_label(ev) for ev in events], dtype=str).reshape(k0.shape)
-    if k0 <= 0 or c0 <= 0:
+    k, c = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(c0, dtype=float))
+    if not ((k > 0).all() and (c > 0).all()):
         raise ValueError("need k0 > 0 and c0 > 0")
-    traj = ramsey_euler_orbit(params, k0, c0, t_max, stops=stops)
-    return _orbit_label(traj.exit_event)
+    if not k.ndim:
+        return _orbit_class(params, float(k), float(c), t_max)
+    c_s = _saddle_consumption(params, ramsey_steady_state(params)[0], k.ravel()).reshape(k.shape)
+    labels = np.where(c > c_s, "hits_zero_capital", "to_zero_consumption")
+    for i in np.flatnonzero(np.abs(c - c_s) <= _MANIFOLD_BAND * c_s):
+        labels.flat[i] = _orbit_class(params, float(k.flat[i]), float(c.flat[i]), t_max)
+    return labels
 
 
 def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float) -> str:
@@ -208,45 +242,12 @@ def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float) -> 
     zero consumption).  The saddle ball is not used as a stop here so that
     near-saddle orbits resolve their side after hovering."""
     interior, _ = ramsey_steady_state(params)
-    to_zero = _classify_stops(params, interior.k_star, interior.c_star, 0.0)[1:]
+    to_zero = _classify_stops(interior.k_star, interior.c_star, 0.0)[1:]
     traj = ramsey_euler_orbit(params, k0, c0, t_max, stops=to_zero)
     if traj.exit_event is None:
         # t_max exhausted while hovering; decide by final position
         return "lo" if traj.states[-1, 0] > interior.k_star else "hi"
     return "lo" if traj.exit_event.description == "to_zero_consumption" else "hi"
-
-
-# tolerances of the time-elimination quadrature along the stable manifold
-_MANIFOLD_SETTINGS = IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14)
-
-
-def _saddle_consumption(params: RamseyParams, interior: SteadyState) -> float:
-    """Saddle-path consumption at k0 by time elimination.
-
-    Integrates the policy dc/dk = (dc/dt)/(dk/dt) from the saddle outward to
-    k0, starting a small step along the stable eigenvector of the Jacobian at
-    (k*, c*).  Along that direction the manifold attracts nearby policies, so
-    the quadrature is well conditioned where forward shooting is not.
-    """
-    k_star, c_star, k0 = interior.k_star, interior.c_star, params.k0
-    a, d, th = params.alpha, params.delta, params.theta
-    j11 = a * k_star ** (a - 1.0) - d          # d(dk/dt)/dk; d(dk/dt)/dc = -1
-    j21 = c_star * a * (a - 1.0) * k_star ** (a - 2.0) / th
-    j22 = _euler_rates(params, k_star, 1.0)[1]  # dc/dt is linear in c
-    trace, det = j11 + j22, j11 * j22 + j21
-    lam_s = 0.5 * (trace - math.sqrt(trace * trace - 4.0 * det))
-    slope = j11 - lam_s                        # dc/dk along the stable eigenvector
-    gap = k0 - k_star
-    if abs(gap) <= 1e-6 * k_star:
-        return c_star + slope * gap
-    eps = math.copysign(1e-3 * min(abs(gap), k_star), gap)
-
-    def policy(k, c):
-        dk, dc = _euler_rates(params, k, c[0])
-        return np.array([dc / dk])
-
-    path = integrate(policy, k_star + eps, [c_star + slope * eps], k0, _MANIFOLD_SETTINGS)
-    return float(path(k0)[0])
 
 
 def ramsey_shoot(params: RamseyParams, t_max: float,
@@ -269,7 +270,7 @@ def ramsey_shoot(params: RamseyParams, t_max: float,
     interior, _ = ramsey_steady_state(params)
     k0 = params.k0
 
-    c_manifold = _saddle_consumption(params, interior)
+    c_manifold = float(_saddle_consumption(params, interior, [k0])[0])
     eta = 1e-9
     while True:
         lo, hi = c_manifold * (1.0 - eta), c_manifold * (1.0 + eta)
@@ -282,7 +283,7 @@ def ramsey_shoot(params: RamseyParams, t_max: float,
                                f"consumption {c_manifold:g}")
 
     # the c0 whose forward orbits enter the ball can span less than _SHOOT_C0_TOL
-    ball = _classify_stops(params, interior.k_star, interior.c_star, _BALL_RADIUS)[:1]
+    ball = _classify_stops(interior.k_star, interior.c_star, _BALL_RADIUS)[:1]
     for _ in range(_SHOOT_MAX_ITER):
         c0 = 0.5 * (lo + hi)
         if hi - lo <= _SHOOT_C0_TOL:
@@ -407,62 +408,6 @@ class OscillatorReference:
 
 def oscillator_reference(b: float) -> OscillatorReference:
     return OscillatorReference(b)
-
-
-def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float) -> float:
-    """integral_a^b sin(T - t) (u(t) - 1) dt, split at the control's breakpoints.
-
-    Exact on each piece where u is constant; elsewhere the trapezoid rule on
-    4001 nodes per piece.
-    """
-    if b <= a:
-        return 0.0
-    cuts = [c for c in control.breakpoints() if a < c < b]
-    nodes = [a] + sorted(cuts) + [b]
-    total = 0.0
-    for lo, hi in zip(nodes[:-1], nodes[1:]):
-        piece = control.segment_piece(lo, hi)
-        if not callable(piece):
-            # integral of sin(T - t) over [lo, hi] is cos(T - hi) - cos(T - lo)
-            total += (float(piece[0]) - 1.0) * (math.cos(T - hi) - math.cos(T - lo))
-            continue
-        ts = np.linspace(lo, hi, 4001)
-        us = np.array([float(piece(float(t))[0]) for t in ts])
-        integrand = np.sin(T - ts) * (us - 1.0)
-        # trapezoid rule written out: np.trapz is gone from numpy 2.x and its
-        # successor np.trapezoid is missing before numpy 2.0
-        total += float((np.diff(ts) * (integrand[1:] + integrand[:-1])).sum() / 2.0)
-    return total
-
-
-def oscillator_delta_x1(control: ControlSignal, T: float) -> float:
-    """Pulse response of the first oscillator state relative to u = 1:
-    integral_0^T sin(T - t) (u(t) - 1) dt.
-
-    Exact on every piece between breakpoints where the control is constant,
-    dense trapezoidal quadrature on the other pieces.
-    """
-    return _sin_response_integral(control, 0.0, T, T)
-
-
-def appendix_identity_residual(control: ControlSignal, n: int):
-    """Half-period recursion of the pulse response at full periods.
-
-    For controls mapping into [0, 1],
-      dx1(2*n*pi) = -dx1((2n-1)*pi) - integral_{(2n-1)pi}^{2n pi} sin(t)(u(t)-1) dt
-    and the trailing integral is nonnegative (sin <= 0 and u <= 1 there).
-    Returns (identity residual, trailing integral).
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    lhs = oscillator_delta_x1(control, 2 * n * math.pi)
-    half = oscillator_delta_x1(control, (2 * n - 1) * math.pi)
-    # integral of sin(t)(u-1) over [(2n-1)pi, 2n pi] equals the T = 2n pi
-    # response restricted to that window, since sin(2n pi - t) = -sin(t)
-    tail = -_sin_response_integral(control, (2 * n - 1) * math.pi,
-                                   2 * n * math.pi, 2 * n * math.pi)
-    residual = abs(lhs - (-half - tail))
-    return residual, tail
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,14 @@ would hold by construction.  The oracle here solves the adjoint equation
 itself: the basis rows [Phi(t)* | r(t)] of -dB/dt = B f_x(t) + [0 | g_x(t)],
 integrated forward in reversed time s = -t once, off which every adjoint
 path psi(t) = Phi(t) psi_T + lam r(t) is read by superposition.
+
+The oscillator's pulse response to a control and its half-period identity
+are quadratures of the closed form, for the overtaking tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,3 +95,59 @@ def basis_costate(basis: AdjointBasis, psi_T, lam: float) -> SolvedCostate:
     rows = [w @ a.reshape(-1, w.size, w.size - 1)
             for a in (basis_traj.states, basis_traj.derivs, basis_traj.quartic)]
     return SolvedCostate(Trajectory(basis_traj.time_grid, *rows), lam)
+
+
+def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float) -> float:
+    """integral_a^b sin(T - t) (u(t) - 1) dt, split at the control's breakpoints.
+
+    Exact on each piece where u is constant; elsewhere the trapezoid rule on
+    4001 nodes per piece.
+    """
+    if b <= a:
+        return 0.0
+    cuts = [c for c in control.breakpoints() if a < c < b]
+    nodes = [a] + sorted(cuts) + [b]
+    total = 0.0
+    for lo, hi in zip(nodes[:-1], nodes[1:]):
+        piece = control.segment_piece(lo, hi)
+        if not callable(piece):
+            # integral of sin(T - t) over [lo, hi] is cos(T - hi) - cos(T - lo)
+            total += (float(piece[0]) - 1.0) * (math.cos(T - hi) - math.cos(T - lo))
+            continue
+        ts = np.linspace(lo, hi, 4001)
+        us = np.array([float(piece(float(t))[0]) for t in ts])
+        integrand = np.sin(T - ts) * (us - 1.0)
+        # trapezoid rule written out: np.trapz is gone from numpy 2.x and its
+        # successor np.trapezoid is missing before numpy 2.0
+        total += float((np.diff(ts) * (integrand[1:] + integrand[:-1])).sum() / 2.0)
+    return total
+
+
+def oscillator_delta_x1(control: ControlSignal, T: float) -> float:
+    """Pulse response of the first oscillator state relative to u = 1:
+    integral_0^T sin(T - t) (u(t) - 1) dt.
+
+    Exact on every piece between breakpoints where the control is constant,
+    dense trapezoidal quadrature on the other pieces.
+    """
+    return _sin_response_integral(control, 0.0, T, T)
+
+
+def appendix_identity_residual(control: ControlSignal, n: int):
+    """Half-period recursion of the pulse response at full periods.
+
+    For controls mapping into [0, 1],
+      dx1(2*n*pi) = -dx1((2n-1)*pi) - integral_{(2n-1)pi}^{2n pi} sin(t)(u(t)-1) dt
+    and the trailing integral is nonnegative (sin <= 0 and u <= 1 there).
+    Returns (identity residual, trailing integral).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    lhs = oscillator_delta_x1(control, 2 * n * math.pi)
+    half = oscillator_delta_x1(control, (2 * n - 1) * math.pi)
+    # integral of sin(t)(u-1) over [(2n-1)pi, 2n pi] equals the T = 2n pi
+    # response restricted to that window, since sin(2n pi - t) = -sin(t)
+    tail = -_sin_response_integral(control, (2 * n - 1) * math.pi,
+                                   2 * n * math.pi, 2 * n * math.pi)
+    residual = abs(lhs - (-half - tail))
+    return residual, tail

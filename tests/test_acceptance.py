@@ -15,7 +15,6 @@ from horizoncheck import (
     IntegratorReference,
     IntegratorSettings,
     Verdict,
-    appendix_identity_residual,
     check_general,
     check_gmax,
     check_jx_bounded,
@@ -42,7 +41,7 @@ from horizoncheck.reference_examples import _euler_rates
 from horizoncheck.verdicts import ConditionVerdict
 
 from conftest import STANDARD, TIGHT
-from oracles import adjoint_basis, basis_costate
+from oracles import adjoint_basis, appendix_identity_residual, basis_costate
 
 
 def _ok(tag, message):

@@ -1,6 +1,7 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -606,8 +607,6 @@ EXPORT_EXEMPT = {
         "test oracle: the independent finite-difference route to the gradients",
     ("variational.py", "lemma1_residual"):
         "test oracle: the Lemma-1 identity between the adjoint and the gradients",
-    ("reference_examples.py", "appendix_identity_residual"):
-        "test oracle: the pulse-response identity of the oscillator's appendix",
     ("variational.py", "check_assumption_uniform"):
         "waits for the report row of the paper's uniform-bound assumption",
 }
@@ -654,3 +653,54 @@ def test_unreached_export_detector():
     callers = {"bench/run.py": "from pkg import run\n"}
     assert unreached_exports(modules, callers) == [("a.py", "Model"), ("a.py", "oracle"),
                                                    ("a.py", "recurse"), ("b.py", "unused")]
+
+
+# a Sphinx cross-reference in a docstring: :func:`name`, :class:`~mod.Name`,
+# :meth:`Class.method()`
+DOC_REFERENCE = re.compile(r":(?:func|class|meth):`~?([\w.]+?)(?:\(\))?`")
+
+
+def stale_doc_references(sources: dict) -> list:
+    """(module, line, reference) of every :func:, :class: or :meth:
+    reference in a docstring of ``sources`` whose last dotted part no module
+    of ``sources`` defines as a function, class or method.  The line is that
+    of the docstring's first line."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (*FUNCTIONS, ast.ClassDef))}
+    stale = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTIONS)):
+                doc = ast.get_docstring(node, clean=False)
+                for ref in DOC_REFERENCE.findall(doc or ""):
+                    if ref.split(".")[-1] not in defined:
+                        stale.append((module, node.body[0].lineno, ref))
+    return sorted(stale)
+
+
+def test_docstrings_reference_only_defined_names():
+    assert stale_doc_references({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_stale_doc_reference_detector():
+    sources = {
+        "a.py": (
+            '"""Uses :func:`solve` and :class:`Model`."""\n'
+            "def solve():\n"
+            '    """See :meth:`Model.fit` and :func:`gone`."""\n'
+            "class Model:\n"
+            '    """Wraps :func:`~pkg.a.solve` and :func:`b.helper()`."""\n'
+            "    def fit(self):\n"
+            '        """Unlike :meth:`Model.predict`, or :func:`fit` in\n'
+            '        :func:`other_fit`; ``fit`` and :attr:`gone` are no references."""\n'
+            "# :func:`in_a_comment` is no docstring\n"
+        ),
+        "b.py": (
+            "def helper():\n"
+            '    """Calls :func:`removed_batch`."""\n'
+        ),
+    }
+    assert stale_doc_references(sources) == [("a.py", 3, "gone"), ("a.py", 7, "Model.predict"),
+                                             ("a.py", 7, "other_fit"),
+                                             ("b.py", 2, "removed_batch")]

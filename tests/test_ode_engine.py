@@ -11,7 +11,6 @@ from horizoncheck import (
     IntegratorSettings,
     Trajectory,
     integrate,
-    integrate_batch,
     integrate_controlled,
     make_builtin_problem,
     solve_state,
@@ -190,12 +189,9 @@ def test_derivative_checks_the_span_like_evaluation():
 @pytest.mark.parametrize("t0, t_end", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0),
                                        (-math.inf, 0.0), (1.0, -math.inf)])
 def test_nonfinite_span_is_rejected(t0, t_end):
-    # an infinite or NaN end used to give a one-node trajectory, and a NaN
-    # end made the batch loop run forever on a NaN step
+    # an infinite or NaN end used to give a one-node trajectory
     with pytest.raises(ValueError, match="must be finite"):
         integrate(lambda t, y: -y, t0, [1.0], t_end, COARSE)
-    with pytest.raises(ValueError, match="must be finite"):
-        integrate_batch(lambda t, Y: -Y, t0, [[1.0]], t_end, COARSE, None, ())
 
 
 def test_stop_condition_label_recorded():
@@ -618,100 +614,6 @@ def test_domain_exit_localized_within_h_floor():
 
 
 # ---------------------------------------------------------------------------
-# batch integration
-
-
-def _spiral_rows(t, Y):
-    """Damped oscillator drifting to the rest point (0.5, 0), on rows."""
-    x, v = Y.T
-    return np.column_stack((v, 0.5 - x - 0.2 * v))
-
-
-_SPIRAL_BOX = Box.from_bounds([-1.5, -2.0], [1.5, 2.0])
-_SPIRAL_STOPS = (("rest", lambda t, Y: (Y[..., 0] - 0.5) ** 2 + Y[..., 1] ** 2 <= 0.01),
-                 ("fast", lambda t, Y: np.abs(Y[..., 1]) > 1.8))
-
-
-def test_batch_members_match_solo_runs():
-    hypothesis, st, _ = _hypothesis()
-    settings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11)
-
-    @hypothesis.settings(max_examples=25, deadline=None)
-    @hypothesis.given(st.lists(st.tuples(st.floats(-1.45, 1.45), st.floats(-1.95, 1.95)),
-                               min_size=1, max_size=6))
-    def check(starts):
-        Y0 = np.array(starts)
-        t_end, Y_end, events = integrate_batch(_spiral_rows, 0.0, Y0, 40.0, settings,
-                                               _SPIRAL_BOX, _SPIRAL_STOPS)
-        for y0, t_b, y_b, ev in zip(Y0, t_end, Y_end, events):
-            traj = integrate(lambda t, y: _spiral_rows(np.array([t]), y[None])[0],
-                             0.0, y0, 40.0, settings, _SPIRAL_BOX, _SPIRAL_STOPS)
-            solo = traj.exit_event
-            assert (ev and ev.description) == (solo and solo.description)
-            assert t_b == pytest.approx(traj.t_end, abs=1e-6)
-            np.testing.assert_allclose(y_b, traj.states[-1], rtol=0.0, atol=1e-6)
-            if ev is not None:
-                assert ev.time == t_b and np.array_equal(ev.state, y_b)
-
-    check()
-
-
-def test_batch_row_with_nonfinite_stage_sits_out_the_attempt():
-    # sqrt(y) is NaN past y = 0: member 0 (id 0) keeps failing stages until
-    # its stall resolves into an exit; member 1 (id 1), held to small steps,
-    # outlasts it and runs to t_end
-    calls = []
-
-    def field(t, Y):
-        out = np.column_stack((-np.sqrt(Y[:, 0]) - 1.0, np.zeros(len(Y))))
-        calls.append((list(Y[:, 1]), list(np.isfinite(out).all(axis=1))))
-        return out
-
-    domain = Box.from_bounds([0.0, -np.inf], [np.inf, np.inf])
-    t_end, Y_end, events = integrate_batch(field, 0.0, [[1.0, 0.0], [100.0, 1.0]], 5.0,
-                                           IntegratorSettings(rel_tol=1e-9, abs_tol=1e-12,
-                                                              max_step=0.01),
-                                           domain, ())
-    assert events[0] is not None and "lower bound" in events[0].description
-    assert Y_end[0, 0] == pytest.approx(0.0, abs=1e-7)
-    assert events[1] is None and t_end[1] == pytest.approx(5.0)
-    # member 1 is finite at every stage, so after the initial slope the calls
-    # come in attempts of six stages each
-    stages = calls[1:]
-    assert len(stages) % 6 == 0
-    sat_out = 0
-    for start in range(0, len(stages), 6):
-        failed = False
-        for ids, finite in stages[start:start + 6]:
-            assert 1.0 in ids
-            if failed:
-                assert 0.0 not in ids
-                sat_out += 1
-            elif 0.0 in ids and not finite[ids.index(0.0)]:
-                failed = True
-    assert sat_out > 0
-
-
-def test_batch_blowup_away_from_boundary_raises():
-    # y' = y^2 from y = 1 blows up at t = 1; from 0.1 it would last to t = 10
-    with pytest.raises(IntegrationError):
-        integrate_batch(lambda t, Y: Y ** 2, 0.0, [[0.1], [1.0]], 3.0, COARSE, None, ())
-
-
-def test_batch_rejects_backward_spans():
-    with pytest.raises(ValueError):
-        integrate_batch(lambda t, Y: -Y, 1.0, [[1.0]], 0.0, COARSE, None, ())
-
-
-def test_batch_without_members_calls_no_field():
-    def field(t, Y):
-        raise AssertionError("field called")
-
-    t_end, Y_end, events = integrate_batch(field, 0.0, np.empty((0, 2)), 1.0, COARSE, None, ())
-    assert t_end.shape == (0,) and Y_end.shape == (0, 2) and events == []
-
-
-# ---------------------------------------------------------------------------
 # zero-length spans, finiteness checks and event sweeps
 
 
@@ -726,6 +628,15 @@ def test_zero_length_span_makes_the_initial_checks():
                          stops=(("start", lambda t, y: t == 0.0),))
         assert traj.exit_event is not None and traj.exit_event.description == "start"
         assert traj.exit_event.time == 0.0 and traj.t_end == 0.0
+        # a state predicate that holds at t0 ends the run there too, inside
+        # the domain; one that does not hold lets the run reach t_end
+        low = (("low", lambda t, y: y[..., 0] < 0.15),)
+        traj = integrate(lambda t, y: -y, 0.0, [0.125], t_end, COARSE, domain=box, stops=low)
+        assert traj.exit_event is not None and traj.exit_event.description == "low"
+        assert traj.exit_event.time == 0.0 and traj.t_end == 0.0
+        assert traj.states[-1, 0] == 0.125
+        traj = integrate(lambda t, y: -y, 0.0, [0.5], t_end, COARSE, domain=box, stops=low)
+        assert traj.exit_event is None and traj.t_end == t_end
     traj = integrate(lambda t, y: -y, 3.0, [0.5], 3.0, COARSE, domain=box)
     assert traj.exit_event is None
     assert np.array_equal(traj.time_grid, [3.0]) and np.array_equal(traj.derivs, [[-0.5]])
@@ -814,7 +725,7 @@ def test_solo_ramsey_events_land_on_the_bisected_theta(monkeypatch):
     monkeypatch.setattr(ode_engine, "_sweep_exit", recorded)
     params = RamseyParams(**FIG1)
     interior, _ = ramsey_steady_state(params)
-    stops = _classify_stops(params, interior.k_star, interior.c_star, 1e-3)
+    stops = _classify_stops(interior.k_star, interior.c_star, 1e-3)
 
     def last_sweep(orbit):
         args, event, theta = sweeps[-1]
@@ -858,22 +769,6 @@ def test_stop_is_called_once_at_t0():
         assert calls == [0.0]
 
 
-def test_batch_zero_length_span_makes_the_initial_checks():
-    box = Box.from_bounds([0.0], [1.0])
-    stops = (("low", lambda t, Y: Y[:, 0] < 0.15),)
-    for t_end in (0.0, 1.0):
-        with pytest.raises(ValueError, match="outside the open domain"):
-            integrate_batch(lambda t, Y: -Y, 0.0, [[0.5], [2.0]], t_end, COARSE, box, ())
-        with pytest.raises(IntegrationError):
-            integrate_batch(lambda t, Y: np.full_like(Y, np.nan), 0.0, [[0.5]], t_end,
-                            COARSE, None, ())
-        t_out, Y_out, events = integrate_batch(lambda t, Y: -Y, 0.0, [[0.5], [0.125]], t_end,
-                                               COARSE, box, stops)
-        assert events[0] is None and t_out[0] == t_end
-        assert events[1] is not None and events[1].description == "low"
-        assert events[1].time == 0.0 and t_out[1] == 0.0 and Y_out[1, 0] == 0.125
-
-
 def test_finite_stages_whose_sum_overflows_are_accepted():
     # each stage [1e308, 1e308] is finite, but its sum overflows; the exact
     # finiteness test must still accept the step
@@ -883,10 +778,6 @@ def test_finite_stages_whose_sum_overflows_are_accepted():
     traj = integrate(field, 0.0, [0.0, 0.0], 1e-10, COARSE)
     assert traj.exit_event is None and traj.t_end == 1e-10
     np.testing.assert_allclose(traj.states[-1], [1e298, 1e298], rtol=1e-12)
-    t_out, Y_out, events = integrate_batch(lambda t, Y: np.full_like(Y, 1e308), 0.0,
-                                           [[0.0, 0.0], [1.0, 1.0]], 1e-10, COARSE, None, ())
-    assert events == [None, None] and np.array_equal(t_out, [1e-10, 1e-10])
-    np.testing.assert_allclose(Y_out, [[1e298, 1e298], [1e298, 1e298]], rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, -np.inf], [np.inf, 1.0]],
@@ -912,19 +803,13 @@ def test_nonfinite_stage_ends_the_attempt_before_the_next_field_call(bad):
 
 def test_box_without_finite_faces_matches_no_domain():
     field = lambda t, y: np.array([y[1], -y[0] - 0.1 * y[1]])
-    rows = lambda t, Y: np.column_stack((Y[:, 1], -Y[:, 0] - 0.1 * Y[:, 1]))
     settings = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11)
-    Y0 = [[1.0, 0.0], [0.0, 2.0]]
-    free = integrate(field, 0.0, Y0[0], 30.0, settings)
-    free_batch = integrate_batch(rows, 0.0, Y0, 30.0, settings, None, ())
+    free = integrate(field, 0.0, [1.0, 0.0], 30.0, settings)
     for box in (Box.unbounded(2), Box.from_bounds([-np.inf] * 2, [np.inf] * 2)):
-        boxed = integrate(field, 0.0, Y0[0], 30.0, settings, domain=box)
+        boxed = integrate(field, 0.0, [1.0, 0.0], 30.0, settings, domain=box)
         assert np.array_equal(boxed.time_grid, free.time_grid)
         assert np.array_equal(boxed.states, free.states)
         assert np.array_equal(boxed.derivs, free.derivs)
-        boxed_batch = integrate_batch(rows, 0.0, Y0, 30.0, settings, box, ())
-        assert np.array_equal(boxed_batch[0], free_batch[0])
-        assert np.array_equal(boxed_batch[1], free_batch[1])
 
 
 def _bisect_predicate(outside, h, h_floor, max_iter=80):

@@ -7,10 +7,8 @@ import pytest
 from horizoncheck import (
     ControlSignal,
     NonExtendibleError,
-    appendix_identity_residual,
     empirical_overtaking_test,
     needle_limit_check,
-    oscillator_delta_x1,
     oscillator_reference,
     overtaking,
     payoff_path,
@@ -21,6 +19,7 @@ from horizoncheck.cli import RunConfig, build_overtake_report
 from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
 
 from conftest import TIGHT
+from oracles import appendix_identity_residual, oscillator_delta_x1
 
 
 def value(problem, control, T, settings=overtaking._VALUE_SETTINGS):

@@ -60,8 +60,17 @@ def _per_orbit_labels(params, k_vals, c_vals, t_max):
                      for k in k_vals])
 
 
+def _refuse_orbits(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cell run as an orbit")
+
+    monkeypatch.setattr(reference_examples, "_orbit_class", refuse)
+
+
 @pytest.mark.parametrize("grid", ["A07", "bench"])
-def test_grid_labels_match_per_orbit_labels(grid):
+def test_grid_labels_match_per_orbit_labels(grid, monkeypatch):
+    # every cell takes its side of the stable manifold; its solo orbit is the
+    # oracle
     params = RamseyParams(**FIG1)
     if grid == "A07":
         k_hi, c_hi = 160.0, 8.0
@@ -70,9 +79,51 @@ def test_grid_labels_match_per_orbit_labels(grid):
         k_hi, c_hi = 1.1 * limit.k_star, 3.3 * interior.c_star
     k_vals = [k_hi * (i + 1) / 16 for i in range(16)]
     c_vals = [c_hi * (j + 1) / 16 for j in range(16)]
-    labels = ramsey_classify(params, np.array(k_vals)[:, None], np.array(c_vals), t_max=600.0)
+    with monkeypatch.context() as patch:
+        _refuse_orbits(patch)
+        labels = ramsey_classify(params, np.array(k_vals)[:, None], np.array(c_vals),
+                                 t_max=600.0)
     assert labels.shape == (16, 16)
     assert np.array_equal(labels, _per_orbit_labels(params, k_vals, c_vals, 600.0))
+
+
+# the cells of the default 100x100 phase diagram, at k = k_hi i / 100 with
+# c = c_hi j / 100 for j <= count, that start in the to-zero region beyond
+# the zero-consumption capital, where dk/dt < 0: their orbits approach k*
+# while they fall to the zero-consumption point
+CORNER_COUNTS = {93: 1, 94: 1, 95: 2, 96: 3, 97: 3, 98: 4, 99: 5, 100: 5}
+
+
+def test_corner_cells_go_to_zero_consumption_on_both_routes(monkeypatch):
+    params = RamseyParams(**FIG1)
+    interior, limit = ramsey_steady_state(params)
+    k_hi, c_hi = 1.1 * limit.k_star, 3.3 * interior.c_star
+    cells = [(k_hi * i / 100, c_hi * j / 100)
+             for i, count in CORNER_COUNTS.items() for j in range(1, count + 1)]
+    assert len(cells) == 24
+    k0, c0 = (np.array(v) for v in zip(*cells))
+    assert all(ramsey_classify(params, k, c, t_max=600.0) == "to_zero_consumption"
+               for k, c in cells)
+    _refuse_orbits(monkeypatch)
+    assert set(ramsey_classify(params, k0, c0, t_max=600.0)) == {"to_zero_consumption"}
+
+
+@pytest.mark.parametrize("k0", [10.0, 50.0])
+def test_only_cells_in_the_band_run_their_orbits(k0, monkeypatch):
+    params = RamseyParams(**FIG1)
+    c_s = reference_examples._saddle_consumption(params, ramsey_steady_state(params)[0], [k0])[0]
+    runs = []
+
+    def solo(params, k, c, t_max):
+        runs.append((k, c))
+        return "solo"
+
+    monkeypatch.setattr(reference_examples, "_orbit_class", solo)
+    near = [c_s * (1 - 1e-10), c_s * (1 + 1e-10)]
+    far = [c_s * (1 - 1e-6), c_s * (1 + 1e-6)]
+    labels = ramsey_classify(params, [k0], near + far, t_max=600.0)
+    assert labels.tolist() == ["solo", "solo", "to_zero_consumption", "hits_zero_capital"]
+    assert runs == [(k0, c) for c in near]
 
 
 def test_grid_cell_at_steady_state_is_saddle():
@@ -139,7 +190,7 @@ def test_saddle_path_closed_form_at_theta_one_over_alpha(alpha, delta, k0):
     params = RamseyParams(alpha=alpha, delta=delta, theta=1.0 / alpha, k0=k0)
     exact = (1.0 - alpha) * k0 ** alpha
     interior, _ = ramsey_steady_state(params)
-    assert reference_examples._saddle_consumption(params, interior) == \
+    assert reference_examples._saddle_consumption(params, interior, [k0])[0] == \
         pytest.approx(exact, rel=1e-10)
     c0, orbit = ramsey_shoot(params, 2000.0)
     assert c0 == pytest.approx(exact, rel=1e-9)
@@ -160,16 +211,37 @@ def test_saddle_consumption_linear_branch_next_to_the_saddle(monkeypatch, factor
         raise AssertionError("quadrature run next to the saddle")
 
     monkeypatch.setattr(reference_examples, "integrate", refuse)
-    c = reference_examples._saddle_consumption(params, interior)
+    c = reference_examples._saddle_consumption(params, interior, [params.k0])[0]
     assert c == pytest.approx(
         interior.c_star + math.sqrt(-j21) * (params.k0 - interior.k_star), rel=1e-12)
+
+
+def test_manifold_levels_read_off_one_path_per_branch(monkeypatch):
+    # levels on both branches, two of them within 1e-3 of the farthest
+    # level's distance from k*, read off one quadrature per branch, against
+    # a quadrature of each level alone
+    params = RamseyParams(**FIG1)
+    interior, limit = ramsey_steady_state(params)
+    ks = [0.5, 10.0, 31.99, 32.0, 32.01, 32.5, 100.0, 1.1 * limit.k_star]
+    alone = [reference_examples._saddle_consumption(params, interior, [k])[0] for k in ks]
+    starts = []
+    integrate = reference_examples.integrate
+
+    def counted(field, t0, *args):
+        starts.append(t0)
+        return integrate(field, t0, *args)
+
+    monkeypatch.setattr(reference_examples, "integrate", counted)
+    together = reference_examples._saddle_consumption(params, interior, ks)
+    assert len(starts) == 2 and starts[0] > interior.k_star > starts[1]
+    np.testing.assert_allclose(together, alone, rtol=1e-10, atol=0.0)
 
 
 def test_saddle_consumption_at_the_rounded_steady_state():
     # k* is not bit-equal to 32.0, so 32.0 must not start the quadrature at 0/0
     params = RamseyParams(**dict(FIG1, k0=32.0))
     interior, _ = ramsey_steady_state(params)
-    assert reference_examples._saddle_consumption(params, interior) == \
+    assert reference_examples._saddle_consumption(params, interior, [32.0])[0] == \
         pytest.approx(2.4, abs=1e-9)
 
 
@@ -178,7 +250,7 @@ def test_saddle_consumption_beyond_zero_consumption_capital():
     interior, limit = ramsey_steady_state(params)
     assert params.k0 > limit.k_star
     # the generic bracket search bisected to this value at c0_tol = 1e-10
-    c = reference_examples._saddle_consumption(params, interior)
+    c = reference_examples._saddle_consumption(params, interior, [params.k0])[0]
     assert c == pytest.approx(18.554963428649152, abs=1e-10)
 
 
@@ -208,7 +280,7 @@ def test_shoot_reaches_the_ball(alpha, delta, theta, k0):
     interior, _ = ramsey_steady_state(params)
     c0, orbit = ramsey_shoot(params, 2000.0)
     assert orbit.exit_event.description == "saddle_ball"
-    assert c0 == pytest.approx(reference_examples._saddle_consumption(params, interior),
+    assert c0 == pytest.approx(reference_examples._saddle_consumption(params, interior, [k0])[0],
                                rel=1e-8)
 
 
