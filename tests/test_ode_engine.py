@@ -628,18 +628,29 @@ def test_zero_length_span_makes_the_initial_checks():
                          stops=(("start", lambda t, y: t == 0.0),))
         assert traj.exit_event is not None and traj.exit_event.description == "start"
         assert traj.exit_event.time == 0.0 and traj.t_end == 0.0
-        # a state predicate that holds at t0 ends the run there too, inside
-        # the domain; one that does not hold lets the run reach t_end
-        low = (("low", lambda t, y: y[..., 0] < 0.15),)
-        traj = integrate(lambda t, y: -y, 0.0, [0.125], t_end, COARSE, domain=box, stops=low)
-        assert traj.exit_event is not None and traj.exit_event.description == "low"
-        assert traj.exit_event.time == 0.0 and traj.t_end == 0.0
-        assert traj.states[-1, 0] == 0.125
-        traj = integrate(lambda t, y: -y, 0.0, [0.5], t_end, COARSE, domain=box, stops=low)
-        assert traj.exit_event is None and traj.t_end == t_end
     traj = integrate(lambda t, y: -y, 3.0, [0.5], 3.0, COARSE, domain=box)
     assert traj.exit_event is None
     assert np.array_equal(traj.time_grid, [3.0]) and np.array_equal(traj.derivs, [[-0.5]])
+
+
+def test_batch_zero_length_span_makes_the_initial_checks():
+    # a batch of starts, each run on its own as the band cells of a phase
+    # diagram are: a state stop that holds at t0 ends that start's run there,
+    # inside the domain, while the other start reaches t_end
+    box = Box.from_bounds([0.0], [1.0])
+    low = (("low", lambda t, y: y[..., 0] < 0.15),)
+    for t_end in (0.0, 1.0):
+        with pytest.raises(ValueError, match="outside the open domain"):
+            for y0 in ([0.5], [2.0]):
+                integrate(lambda t, y: -y, 0.0, y0, t_end, COARSE, domain=box, stops=low)
+        with pytest.raises(IntegrationError):
+            integrate(lambda t, y: np.full_like(y, np.nan), 0.0, [0.5], t_end, COARSE)
+        reach, stop = (integrate(lambda t, y: -y, 0.0, y0, t_end, COARSE, domain=box, stops=low)
+                       for y0 in ([0.5], [0.125]))
+        assert reach.exit_event is None and reach.t_end == t_end
+        assert stop.exit_event is not None and stop.exit_event.description == "low"
+        assert stop.exit_event.time == 0.0 and stop.t_end == 0.0
+        assert stop.states[-1, 0] == 0.125
 
 
 def test_controlled_zero_length_span_makes_the_initial_checks():
