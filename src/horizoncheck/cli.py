@@ -164,6 +164,9 @@ def _fmt(value) -> str:
 
 
 _CHECK_SETTINGS = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
+# the (kind, condition) rows of each adjoint candidate of ``check``, in order
+_COSTATE_ROWS = [*(("classical", c) for c in ("tcPSI", "tcXPSI", "tcM", "tcKAV")),
+                 ("max_principle", "maxH"), ("decomposition", "a0_limit")]
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +249,25 @@ def _build_linear_check(config: RunConfig) -> ReportData:
     rows.append(["limit", "(gradient route)", "jx_bounded", bound_verdict.status.value,
                  _fmt(m_est), bound_verdict.note])
 
-    # adjoint-candidate rows, every costate read off the (x, Y, S) pass
-    costates = [integrate_adjoint(transition, t_max, terminal_psi(lam, extra), lam)
-                for _, lam, extra in candidates]
-    max_principle = check_max_principle(problem, trajectory, control, costates,
-                                        time_grid=np.linspace(problem.initial_time, t_max, 201))
-    classical = check_classical(problem, transition, control, costates)
-    for (label, _, _), costate, verdicts, mp in zip(candidates, costates, classical,
-                                                    max_principle):
+    # adjoint-candidate rows, every costate read off the (x, Y, S) pass; a
+    # costate the pass cannot resolve gives inconclusive rows with the reason
+    costates, unresolved = [], {}
+    for k, (_, lam, extra) in enumerate(candidates):
+        try:
+            costates.append(integrate_adjoint(transition, t_max, terminal_psi(lam, extra), lam))
+        except ValueError as exc:
+            unresolved[k] = str(exc)
+    judged = iter(zip(costates,
+                      check_max_principle(problem, trajectory, control, costates,
+                                          time_grid=np.linspace(problem.initial_time, t_max, 201)),
+                      check_classical(problem, transition, control, costates))
+                  if costates else ())
+    for k, (label, _, _) in enumerate(candidates):
+        if k in unresolved:
+            rows += [[kind, label, cond_id, "inconclusive", "", unresolved[k]]
+                     for kind, cond_id in _COSTATE_ROWS]
+            continue
+        costate, mp, verdicts = next(judged)
         for cond_id, verdict in verdicts.items():
             rows.append(["classical", label, cond_id, verdict.status.value,
                          _fmt(verdict.diagnostic_series[-1][1]

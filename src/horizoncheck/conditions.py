@@ -13,8 +13,10 @@ Four families of checks:
   and, for state-independent payoffs under state constraints, the pointwise
   payoff-rate maximization rule over a family of feasible candidates.
 
-Verdicts are three-way (holds / fails / inconclusive); a verdict is only
-committed when the tail rule of :mod:`.verdicts` is met.
+Verdicts are three-way (holds / fails / inconclusive).  Every limit verdict
+comes from the one tail rule of :mod:`.verdicts`, applied to per-window
+excesses that each check builds from its own windows; a tail that still
+shrinks toward its target beyond the rule's slack is never failed.
 """
 
 from __future__ import annotations
@@ -29,11 +31,14 @@ from .ode_engine import ControlSignal, Trajectory, _dense_floats
 from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
 from .variational import CostatePath, JxRecord, TransitionOperator, limit_costate
 from .verdicts import (
+    TAIL_FAIL_TOL,
+    TAIL_HOLD_TOL,
     ConditionVerdict,
     Verdict,
     tail_limit_verdict,
-    tail_status,
-    tail_window,
+    tail_rule,
+    tail_windows,
+    window_oscillation,
 )
 
 __all__ = [
@@ -48,8 +53,7 @@ __all__ = [
     "dense_horizon_grid",
 ]
 
-VERDICT_SLACK = 1e-6       # absolute slack for "<= 0" verdicts
-WINDOW_CONVERGE_TOL = 1e-3  # window-doubling agreement for liminf/limsup estimates
+VERDICT_SLACK = 1e-6  # absolute slack for "<= 0" verdicts
 # control values sampled per axis by the general condition and the maximum principle
 _CONTROL_RESOLUTION = 33
 
@@ -78,30 +82,6 @@ class GeneralConditionReport:
     verdict: ConditionVerdict
 
 
-def _window_verdict(m_early: float, m_mid: float, m_late: float):
-    """Three-way verdict for '<= 0', within ``VERDICT_SLACK``, from three
-    dyadic-window estimates.
-
-    Windows that agree to ``WINDOW_CONVERGE_TOL`` decide directly.  A
-    monotone trend in the favorable direction (estimates sinking below zero)
-    also decides: the tail estimate
-    then bounds the limit from above (liminf case) or tracks a divergence to
-    -inf (limsup case).  Everything else stays inconclusive.
-    """
-    hold_tol, converge_tol = VERDICT_SLACK, WINDOW_CONVERGE_TOL
-    converged = (abs(m_late - m_mid) < converge_tol
-                 and abs(m_mid - m_early) < converge_tol)
-    if converged:
-        return (Verdict.HOLDS if m_late <= hold_tol else Verdict.FAILS)
-    decreasing = m_late <= m_mid + converge_tol and m_mid <= m_early + converge_tol
-    increasing = m_late >= m_mid - converge_tol and m_mid >= m_early - converge_tol
-    if decreasing and m_late <= hold_tol:
-        return Verdict.HOLDS
-    if increasing and m_late > hold_tol:
-        return Verdict.FAILS
-    return Verdict.INCONCLUSIVE
-
-
 def check_general(problem: ControlProblem, transition: TransitionOperator,
                   control: ControlSignal, tau_grid, *,
                   T_grid, mode: str) -> GeneralConditionReport:
@@ -110,11 +90,11 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
     The control values are 33 per axis of the control set.  For each anchor
     tau and control value u the liminf (mode WOO) or limsup (mode OO) of the
     Hamiltonian difference over growing horizons is estimated by the min/max
-    over the last half of the horizon grid; the estimate is trusted when two
-    successive window doublings agree to ``WINDOW_CONVERGE_TOL`` or the
-    windows trend monotonically.  Each cell must satisfy estimate <= 0
-    (within ``VERDICT_SLACK``); the battery verdict aggregates all cells.
-    The state path is that of ``transition``.
+    over the last half of the horizon span.  With the same extremum over the
+    quarter and the eighth of the span before it, these three dyadic windows
+    are judged by the tail rule of :mod:`.verdicts` as excesses over 0, with
+    ``VERDICT_SLACK`` as hold and fail tolerance.  The battery verdict
+    aggregates all cells.  The state path is that of ``transition``.
     """
     if mode not in ("WOO", "OO"):
         raise ValueError("mode must be 'WOO' or 'OO'")
@@ -143,8 +123,10 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
             windows[i, :, k] = extremum(dH[mask], axis=0) if np.any(mask) else math.nan
     estimates = windows[:, :, 2].copy()
     statuses = np.empty((n_tau, n_u), dtype=object)
+    kept = []  # (estimate, trend note) of each cell the trend kept from failing
     for i, j in np.ndindex(n_tau, n_u):
-        statuses[i, j] = _window_verdict(*windows[i, j])
+        statuses[i, j], trend = tail_rule(windows[i, j], VERDICT_SLACK, VERDICT_SLACK)
+        kept += [(estimates[i, j], trend)] if trend else []
 
     flat = statuses.ravel()
     if any(s is Verdict.FAILS for s in flat):
@@ -154,10 +136,12 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
     else:
         agg, note = Verdict.HOLDS, "all (tau, u) cells satisfy the tail condition"
     worst = float(np.nanmax(estimates))
+    # an unresolved battery names the shrink of its largest kept estimate
+    trend = max(kept)[1] if kept and agg is Verdict.INCONCLUSIVE else ""
     verdict = ConditionVerdict(agg, [(float(t), float(e))
                                      for t, e in zip(np.repeat(tau_grid, n_u),
                                                      estimates.ravel())],
-                               note=f"{note}; worst estimate {worst:.3g}")
+                               note=f"{note}; worst estimate {worst:.3g}{trend}")
     return GeneralConditionReport(estimates=estimates, statuses=statuses, verdict=verdict)
 
 
@@ -165,10 +149,12 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
 # classical limit conditions
 
 
-def _tail_grid(t0: float, t_end: float) -> np.ndarray:
-    """The tail-window times of 4000 across [t0, t_end]."""
+def _tail_grid(t0: float, t_end: float):
+    """The window before the tail, at every 8th time since it only decides
+    the trend, and the tail window of 4000 times across [t0, t_end]."""
     times = np.linspace(t0, t_end, 4000)
-    return times[tail_window(times)]
+    earlier, tail = tail_windows(times)
+    return times[earlier][::8], times[tail]
 
 
 def check_classical(problem: ControlProblem, transition: TransitionOperator,
@@ -182,25 +168,29 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
     tcM:    H(x(t), u(t), t, psi(t), lam) -> 0
     tcKAV:  |K(t, t0)* psi(t)| -> 0
 
-    Each is judged on the tail window by the shared oscillation-plus-mean
-    criterion; returns one dict keyed by condition id per path.  The paths
-    share one span, as those of one terminal time do.
+    Each is judged by :func:`.tail_limit_verdict` on the tail window against
+    the window before it; returns one dict keyed by condition id per path.
+    The paths share one span, as those of one terminal time do.
     """
     spans = {(c.t0, c.t_end) for c in costates}
     if len(spans) != 1:
         raise ValueError("the adjoint paths must share one span")
-    times = _tail_grid(*spans.pop())
+    earlier, tail = _tail_grid(*spans.pop())
+    times = np.concatenate([earlier, tail])
     xs = transition.trajectory(times)
     psis = [c.psi(times) for c in costates]
     lams = np.array([c.lam for c in costates])
     s_h = np.array([hamiltonian(problem, x, control.evaluate(t), t, rows, lams)
                     for t, x, rows in zip(times.tolist(), xs, np.stack(psis, axis=1))])
-    return [{"tcPSI": tail_limit_verdict(times, np.max(np.abs(psi), axis=1), "|psi(t)|"),
-             "tcXPSI": tail_limit_verdict(times, np.einsum("ij,ij->i", xs, psi),
-                                          "<x(t), psi(t)>"),
-             "tcM": tail_limit_verdict(times, h, "H along the candidate"),
-             "tcKAV": tail_limit_verdict(times, np.linalg.norm(c.pulled_back(times), axis=1),
-                                         "|K(t,t0)* psi(t)|")}
+
+    def verdict(values, note):
+        return tail_limit_verdict(tail, values[earlier.size:], values[:earlier.size], note)
+
+    return [{"tcPSI": verdict(np.max(np.abs(psi), axis=1), "|psi(t)|"),
+             "tcXPSI": verdict(np.einsum("ij,ij->i", xs, psi), "<x(t), psi(t)>"),
+             "tcM": verdict(h, "H along the candidate"),
+             "tcKAV": verdict(np.linalg.norm(c.pulled_back(times), axis=1),
+                              "|K(t,t0)* psi(t)|")}
             for c, psi, h in zip(costates, psis, s_h.T)]
 
 
@@ -238,20 +228,23 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
                       jx_by_tau: Sequence[JxRecord]):
     """Split an adjoint path into homogeneous and payoff-driven parts.
 
-    Estimates a0 as the tail limit of K(T, t0)* psi(T); when that limit exists
-    the defect of psi(tau) = K(t0, tau)* a0 + lam * psi_hat(tau) is evaluated
-    at the anchors of ``jx_by_tau`` (psi_hat taken as each record's tail
-    limit).  Returns (a0 or None, residual or nan, verdict).
+    Estimates a0 as the tail limit of K(T, t0)* psi(T), whose component
+    oscillation the tail rule judges on the tail window against the one
+    before it; when that limit exists the defect of psi(tau) = K(t0, tau)* a0
+    + lam * psi_hat(tau) is evaluated at the anchors of ``jx_by_tau``
+    (psi_hat taken as each record's tail limit).  Returns (a0 or None,
+    residual or nan, verdict).
     """
-    times = _tail_grid(costate.t0, costate.t_end)
+    earlier, times = _tail_grid(costate.t0, costate.t_end)
     v = costate.pulled_back(times)  # K(t, t0)* psi(t)
-    osc = float(np.max(np.max(v, axis=0) - np.min(v, axis=0)))
+    osc = window_oscillation(v)
     series = list(zip(times.tolist(), np.max(np.abs(v), axis=1).tolist()))
-    status = tail_status(osc)
+    status, trend = tail_rule([window_oscillation(costate.pulled_back(earlier)), osc],
+                              TAIL_HOLD_TOL, TAIL_FAIL_TOL)
     if status is not Verdict.HOLDS:
         return None, math.nan, ConditionVerdict(
             status, series,
-            note=f"K(T,t0)*psi(T) does not settle (tail oscillation {osc:.3g})")
+            note=f"K(T,t0)*psi(T) does not settle (tail oscillation {osc:.3g}){trend}")
 
     a0 = v.mean(axis=0)
     lam = costate.lam

@@ -14,9 +14,11 @@ The central objects are
   = Y(t)^-* (Y(T)* psi(T) + lam (S(T) - S(t))), the explicit adjoint formula
   of Aseev and Kryazhimskiy (2004); the test-suite checks it against an
   adjoint equation solved backward;
-* tail analysis of grad(tau, T) as the horizon grows, by the tail rule of
-  :mod:`.verdicts` on the horizons of :func:`horizon_grid`: convergence to a
-  limit costate, bounded oscillation, or unbounded growth.
+* tail analysis of grad(tau, T) as the horizon grows, on the horizons of
+  :func:`horizon_grid`, by the one tail rule of :mod:`.verdicts`: the
+  component oscillation on the last two quarters of the horizons decides the
+  limit costate, and the running max's growth over the last two horizon
+  doublings, against the two before them, decides boundedness.
 """
 
 from __future__ import annotations
@@ -38,10 +40,14 @@ from .ode_engine import (
 from .problem_model import ControlProblem, jacobians
 from .verdicts import (
     GROWTH_FACTOR,
+    TAIL_FAIL_TOL,
+    TAIL_HOLD_TOL,
+    TREND_SLACK,
     ConditionVerdict,
     Verdict,
-    tail_status,
-    tail_window,
+    tail_rule,
+    tail_windows,
+    window_oscillation,
 )
 
 __all__ = [
@@ -295,63 +301,57 @@ def horizon_grid(tau: float, t_max: float) -> np.ndarray:
 def limit_costate(jx: JxRecord):
     """Tail limit of the payoff gradient as the horizon grows.
 
-    The largest component oscillation over the tail window is judged by
-    :func:`tail_status`.  When it holds the limit exists, estimated by the
-    window average; otherwise unbounded growth fails, else its status stands.
+    The tail rule judges the largest component oscillation on the last
+    quarter of the horizons against the quarter before it.  When it holds,
+    the limit is estimated by the tail window's average; a failing limit of
+    a gradient that :func:`check_jx_bounded` fails is called unbounded.
     """
-    mask = tail_window(jx.T_grid)
-    if np.count_nonzero(mask) < 3:
-        return None, ConditionVerdict(Verdict.INCONCLUSIVE, [], note="tail window too short")
-    window = jx.values[mask]
-    osc = float(np.max(np.max(window, axis=0) - np.min(window, axis=0)))
-    series = list(zip(jx.T_grid[mask].tolist(),
-                      np.max(np.abs(window), axis=1).tolist()))
-
-    status, growth = tail_status(osc), _growth_ratio(jx)
+    earlier, tail = tail_windows(jx.T_grid)
+    window, osc = jx.values[tail], window_oscillation(jx.values[tail])
+    series = list(zip(jx.T_grid[tail].tolist(), np.max(np.abs(window), axis=1).tolist()))
+    status, trend = tail_rule([window_oscillation(jx.values[earlier]), osc],
+                              TAIL_HOLD_TOL, TAIL_FAIL_TOL)
     if status is Verdict.HOLDS:
         return window.mean(axis=0), ConditionVerdict(status, series,
                                                      note=f"tail oscillation {osc:.3g}")
-    if growth > GROWTH_FACTOR:
-        return None, ConditionVerdict(Verdict.FAILS, series,
-                                      note=f"unbounded: growth x{growth:.3g} per two doublings")
-    note = (f"bounded, non-convergent: tail oscillation {osc:.3g}" if status is Verdict.FAILS
-            else f"tail oscillation {osc:.3g} unresolved")
+    if status is Verdict.INCONCLUSIVE:
+        note = f"tail oscillation {osc:.3g} unresolved{trend}"
+    elif check_jx_bounded(jx)[0].status is Verdict.FAILS:
+        note = f"unbounded: growth x{_growth_ratios(jx)[-1]:.3g} per two doublings"
+    else:
+        note = f"bounded, non-convergent: tail oscillation {osc:.3g}"
     return None, ConditionVerdict(status, series, note=note)
 
 
 def check_jx_bounded(jx: JxRecord):
     """Empirical horizon-uniform bound on the payoff gradient.
 
-    Compares the running max across the last two horizon doublings: flat
-    (ratio <= 1.1) holds with the observed max as the bound estimate; growth
-    beyond ``GROWTH_FACTOR`` fails as unbounded; in between is inconclusive.
+    A window's excess is the running max's growth ratio minus 1 over two
+    horizon doublings, T/16 to T/4 and then T/4 to T.  The tail rule holds
+    growth below ``TREND_SLACK``, with the observed max as the bound
+    estimate, and fails growth by ``GROWTH_FACTOR`` or more as unbounded.
     """
-    hold_factor = 1.1
-    ratio = _growth_ratio(jx)
-    m = jx.bound_estimate
-    series = list(zip(jx.T_grid.tolist(), jx.bound_running.tolist()))
-    if ratio > GROWTH_FACTOR:
-        v = ConditionVerdict(Verdict.FAILS, series,
-                             note=f"unbounded: running max grew x{ratio:.3g}")
-    elif ratio <= hold_factor:
-        v = ConditionVerdict(Verdict.HOLDS, series, note=f"bounded, observed max {m:.6g}")
+    ratios, m = _growth_ratios(jx), jx.bound_estimate
+    status, trend = tail_rule([r - 1 for r in ratios], TREND_SLACK, GROWTH_FACTOR - 1)
+    if status is Verdict.HOLDS:
+        note = f"bounded, observed max {m:.6g}"
+    elif status is Verdict.FAILS:
+        note = f"unbounded: running max grew x{ratios[-1]:.3g}"
     else:
-        v = ConditionVerdict(Verdict.INCONCLUSIVE, series,
-                             note=f"growth ratio {ratio:.3g} unresolved")
-    return v, m
+        note = f"growth ratio {ratios[-1]:.3g} unresolved{trend}"
+    series = list(zip(jx.T_grid.tolist(), jx.bound_running.tolist()))
+    return ConditionVerdict(status, series, note=note), m
 
 
-def _growth_ratio(jx: JxRecord) -> float:
-    """Running-max growth across the last two horizon doublings."""
+def _growth_ratios(jx: JxRecord) -> list:
+    """Running-max growth from T/16 to T/4 and from T/4 to T, with T counted
+    from the anchor."""
     t = jx.T_grid
-    tau, t_max = float(t[0]), float(t[-1])
-    quarter = tau + 0.25 * (t_max - tau)
-    idx_q = int(np.searchsorted(t, quarter))
-    m_quarter = jx.bound_running[min(idx_q, t.size - 1)]
-    m_full = jx.bound_running[-1]
-    if m_quarter <= 0:
-        return math.inf if m_full > 0 else 1.0
-    return float(m_full / m_quarter)
+    tau, span = float(t[0]), float(t[-1]) - float(t[0])
+    idx = np.minimum(np.searchsorted(t, [tau + span / 16, tau + 0.25 * span]), t.size - 1)
+    maxima = [*jx.bound_running[idx], jx.bound_running[-1]]
+    return [float(hi / lo) if lo > 0 else (math.inf if hi > 0 else 1.0)
+            for lo, hi in zip(maxima, maxima[1:])]
 
 
 # ---------------------------------------------------------------------------

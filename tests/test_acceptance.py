@@ -363,3 +363,61 @@ def test_criterion_10_integrator_limit_values(integrator,
     assert bounded_verdict.status is Verdict.FAILS
     _ok("A10", f"limit costate {psi_hat[0]:.6f} (tol 1e-4 around 10) at "
                "rho = 0.1; gradient divergence flagged at rho = 0")
+
+
+def _statuses(example, params, t_max):
+    """(candidate, condition) -> status of a ``check`` report."""
+    rows = build_check_report(RunConfig(example, params, t_max)).rows
+    return {(row[1], row[2]): row[3] for row in rows}
+
+
+# integrator horizons too short to see psi = e^{-rho t}/rho reach its limits
+SLOW_LIMITS = [(0.01, 400.0), (0.02, 400.0), (0.03, 400.0), (0.04, 400.0),
+               (0.05, 100.0), (0.02, 100.0), (0.1, 50.0), (0.1, 100.0)]
+
+
+@pytest.mark.parametrize("rho, t_max", SLOW_LIMITS)
+def test_criterion_11_slow_limits_are_never_failed(rho, t_max):
+    statuses = _statuses("integrator", {"rho": rho}, t_max)
+    normal = {key: s for key, s in statuses.items()
+              if key[0] == "psi(lam=1,a0=0)"
+              or key[1] in ("limit_costate", "jx_bounded")}
+    assert len(normal) == 8
+    assert [key for key, s in normal.items() if s == "fails"] == []
+    # the abnormal candidate's psi = 1 keeps failing every classical limit
+    abnormal = {cond: s for (label, cond), s in statuses.items() if label == "psi(lam=0,a0=1)"}
+    assert abnormal == {"tcPSI": "fails", "tcXPSI": "fails", "tcM": "fails", "tcKAV": "fails",
+                        "maxH": "holds", "a0_limit": "holds"}
+    _ok("A11", f"rho = {rho:g}, t_max {t_max:g}: no limit of the normal candidate "
+               "is failed, the abnormal one fails all four")
+
+
+@pytest.mark.parametrize("t_max", [50.0, 100.0, 400.0])
+def test_criterion_11_undiscounted_limits_keep_failing(t_max):
+    # grad(0, T) = T: no limit exists and the normal adjoint is unbounded
+    statuses = _statuses("integrator", {"rho": 0.0}, t_max)
+    holding = {("(gradient route)", "prop_general_WOO"), ("(gradient route)", "prop_general_OO"),
+               ("psi(lam=0,a0=0.5)", "maxH"), ("psi(lam=0,a0=0.5)", "a0_limit")}
+    assert {key for key, s in statuses.items() if s != "fails"} == holding
+    assert all(statuses[key] == "holds" for key in holding)
+
+
+@pytest.mark.parametrize("b, t_max", [(0.5, 30.0), (0.5, 100.0), (1.5, 30.0), (1.5, 100.0)])
+def test_criterion_11_oscillating_limits_keep_failing(b, t_max):
+    # the oscillator's tails neither shrink nor grow; t_max 400 is pinned
+    # byte for byte by the golden reports
+    failing = {key for key, s in _statuses("oscillator", {"b": b}, t_max).items()
+               if s == "fails"}
+    expected = {("(gradient route)", "limit_costate")}
+    if b < 1.0:
+        expected.add(("(gradient route)", "prop_general_OO"))
+    candidates = ["psi(r=0,phi=0)", f"psi(r={b / 2:g},phi=0.7)", f"psi(r={b:g},phi=-pi/2)"]
+    if b >= 1.0:
+        candidates.append("psi(r=1,phi=0)")
+    for label in candidates:
+        expected |= {(label, "tcPSI"), (label, "tcKAV"), (label, "a0_limit")}
+        if label != "psi(r=1,phi=0)":
+            expected.add((label, "tcXPSI"))
+        if not label.endswith("phi=-pi/2)"):
+            expected.add((label, "tcM"))
+    assert failing == expected

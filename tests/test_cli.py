@@ -337,3 +337,33 @@ def test_needle_rejects_a_nan_tau(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needle interval must lie inside [t0, T]" in captured.err
+
+
+def test_costate_breakdown_makes_only_its_candidate_inconclusive(monkeypatch, tmp_path):
+    argv = ["check", "--example", "oscillator", "--t-max", "30"]
+    assert main([*argv, "--out", str(tmp_path / "plain.csv")]) == 0
+    message = ("costate unresolved: Y(t) lost its relative accuracy on [t0, T] "
+               "(smallest singular value 1e-07)")
+    read = cli.integrate_adjoint
+    calls = []
+
+    def second_breaks(transition, T, psi_T, lam):
+        calls.append(lam)
+        if len(calls) == 2:
+            raise ValueError(message)
+        return read(transition, T, psi_T, lam)
+
+    monkeypatch.setattr(cli, "integrate_adjoint", second_breaks)
+    assert main([*argv, "--out", str(tmp_path / "broken.csv")]) == 0
+    assert len(calls) == 3
+    plain, broken = (list(csv.reader((tmp_path / f"{name}.csv").open()))
+                     for name in ("plain", "broken"))
+    label = "psi(r=0.25,phi=0.7)"
+    assert [row for row in broken if row[1] != label] == [row for row in plain
+                                                          if row[1] != label]
+    assert [row for row in broken if row[1] == label] == [
+        [kind, label, condition, "inconclusive", "", message]
+        for kind, condition in [("classical", "tcPSI"), ("classical", "tcXPSI"),
+                                ("classical", "tcM"), ("classical", "tcKAV"),
+                                ("max_principle", "maxH"), ("decomposition", "a0_limit")]]
+    assert [row[:3] for row in broken] == [row[:3] for row in plain]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from horizoncheck import (
     ControlSet,
     ControlSignal,
     IntegratorReference,
+    JxRecord,
     Verdict,
     check_classical,
     check_general,
@@ -26,7 +28,13 @@ from horizoncheck import (
     transition_matrix,
 )
 from horizoncheck import conditions
-from horizoncheck.verdicts import tail_limit_verdict, tail_status
+from horizoncheck.verdicts import (
+    TAIL_FAIL_TOL,
+    TAIL_HOLD_TOL,
+    tail_limit_verdict,
+    tail_rule,
+    tail_windows,
+)
 
 from conftest import STANDARD, TIGHT
 
@@ -145,17 +153,84 @@ def test_classical_xpsi_branch_needs_b_at_least_one():
 
 
 def test_tail_rule_thresholds():
-    assert [tail_status(s) for s in (0.0, 9.9e-5, 1e-4, 9.9e-3, 1e-2, math.inf, math.nan)] == [
+    # a flat tail has no trend: its excess alone decides
+    assert [tail_rule([s, s], TAIL_HOLD_TOL, TAIL_FAIL_TOL)[0]
+            for s in (0.0, 9.9e-5, 1e-4, 9.9e-3, 1e-2, math.inf, math.nan)] == [
         Verdict.HOLDS, Verdict.HOLDS, Verdict.INCONCLUSIVE, Verdict.INCONCLUSIVE,
         Verdict.FAILS, Verdict.FAILS, Verdict.INCONCLUSIVE]
     times = [1.0, 2.0, 3.0]
     # a limit of zero needs both a flat tail and a small mean
-    assert tail_limit_verdict(times, [5e-5] * 3, "flat").status is Verdict.HOLDS
-    assert tail_limit_verdict(times, [0.5] * 3, "offset").status is Verdict.FAILS
-    assert tail_limit_verdict(times, [0.0, 1e-3, 0.0], "wobble").status is Verdict.INCONCLUSIVE
+    assert tail_limit_verdict(times, [5e-5] * 3, [5e-5] * 3, "flat").status is Verdict.HOLDS
+    assert tail_limit_verdict(times, [0.5] * 3, [0.5] * 3, "offset").status is Verdict.FAILS
+    wobble = [0.0, 1e-3, 0.0]
+    assert tail_limit_verdict(times, wobble, wobble, "wobble").status is Verdict.INCONCLUSIVE
     # an all-infinite tail has a NaN oscillation but fails on its mean
-    with np.errstate(invalid="ignore"):
-        assert tail_limit_verdict(times, [math.inf] * 3, "blow-up").status is Verdict.FAILS
+    assert tail_limit_verdict(times, [math.inf] * 3, [math.inf] * 3,
+                              "blow-up").status is Verdict.FAILS
+
+
+def test_tail_rule_sees_a_trend_beyond_its_slack():
+    # each window must leave (1 +- 0.1) times the one before, widened by 1e-3
+    assert tail_rule([1.0, 0.89], TAIL_HOLD_TOL, TAIL_FAIL_TOL)[0] is Verdict.INCONCLUSIVE
+    assert tail_rule([1.0, 0.9], TAIL_HOLD_TOL, TAIL_FAIL_TOL)[0] is Verdict.FAILS
+    assert tail_rule([0.0, 5e-4], 1e-6, 1e-6)[0] is Verdict.FAILS
+    assert tail_rule([-1.0, -0.5, 0.0], 1e-6, 1e-6)[0] is Verdict.INCONCLUSIVE
+    assert tail_rule([-0.5, -1.0, -1.05], 1e-6, 1e-6)[0] is Verdict.HOLDS
+    # the note gives the mean shrink per window
+    status, note = tail_rule([1.0, 0.5, 0.25], TAIL_HOLD_TOL, TAIL_FAIL_TOL)
+    assert status is Verdict.INCONCLUSIVE
+    assert note == "; shrinks x0.5 per window, a longer horizon may decide"
+    # a tail that fell but ends above where it began is no failure either,
+    # and it earns no shrink note
+    assert tail_rule([0.25, 1.0, 0.5], TAIL_HOLD_TOL, TAIL_FAIL_TOL) == (Verdict.INCONCLUSIVE, "")
+
+
+def _tail_of(f, t_end=400.0):
+    """The tail window of f on 4000 times across [0, t_end] and the window
+    before it."""
+    t = np.linspace(0.0, t_end, 4000)
+    earlier, tail = tail_windows(t)
+    return t[tail], f(t[tail]), f(t[earlier])
+
+
+@pytest.mark.parametrize("f, status, shrink", [
+    # per-window factors e^-1 = 0.37 and e^-0.5 = 0.61 on windows of 100
+    (lambda t: np.exp(-t / 100), Verdict.INCONCLUSIVE, math.exp(-1.0)),
+    (lambda t: np.exp(-t / 200), Verdict.INCONCLUSIVE, math.exp(-0.5)),
+    (lambda t: np.full_like(t, 0.5), Verdict.FAILS, None),
+    (np.sin, Verdict.FAILS, None),
+    (lambda t: t / 100, Verdict.FAILS, None),
+    (lambda t: 1e-5 * np.exp(-t / 100), Verdict.HOLDS, None),
+    (lambda t: np.full_like(t, np.inf), Verdict.FAILS, None),
+    (lambda t: np.full_like(t, np.nan), Verdict.INCONCLUSIVE, None),
+], ids=["decay-0.37", "decay-0.61", "offset", "sine", "linear", "below-hold", "inf", "nan"])
+def test_tail_rule_on_synthetic_tails(f, status, shrink):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = tail_limit_verdict(*_tail_of(f), "synthetic")
+    assert verdict.status is status
+    if shrink is None:
+        assert "shrinks" not in verdict.note
+    else:
+        factor = float(verdict.note.split("shrinks x")[1].split()[0])
+        assert factor == pytest.approx(shrink, rel=1e-2)
+        assert verdict.note.endswith(", a longer horizon may decide")
+
+
+def test_tail_windows_of_fewer_than_three_points_are_inconclusive():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 1, 2):
+            times = [1.0 + k for k in range(n)]
+            for earlier in ([0.5] * n, [0.5] * 3):
+                verdict = tail_limit_verdict(times, [0.5] * n, earlier, "short")
+                assert verdict.status is Verdict.INCONCLUSIVE
+            assert tail_limit_verdict([1.0] * 3, [0.5] * 3, [0.5] * n,
+                                      "short").status is Verdict.INCONCLUSIVE
+        # four horizons leave one point in the last quarter
+        record = JxRecord(tau=0.0, T_grid=[0.0, 1.0, 2.0, 3.0], values=[[0.0], [1.0], [1.5], [1.6]])
+        psi_hat, verdict = limit_costate(record)
+    assert psi_hat is None and verdict.status is Verdict.INCONCLUSIVE
 
 
 def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,

@@ -1,0 +1,58 @@
+"""Report pins: whole CLI reports against committed golden files, and the
+oscillator status table that the benchmark's check gate encodes."""
+
+import csv
+import io
+import math
+from pathlib import Path
+
+import pytest
+
+from horizoncheck.cli import RunConfig, build_check_report, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# golden file stem -> CLI arguments of the report it pins
+GOLDEN_REPORTS = {
+    "check_oscillator_b0.5": ["check", "--example", "oscillator", "--b", "0.5"],
+    "check_oscillator_b1.5": ["check", "--example", "oscillator", "--b", "1.5"],
+    "check_integrator_rho0.1": ["check", "--example", "integrator", "--rho", "0.1"],
+    "check_integrator_rho0": ["check", "--example", "integrator", "--rho", "0"],
+    "check_ramsey": ["check", "--example", "ramsey"],
+    "overtake_oscillator_tmax100": ["overtake", "--example", "oscillator", "--t-max", "100"],
+    "needle_oscillator_b0.5": ["needle", "--example", "oscillator", "--b", "0.5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_matches_its_golden_file(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert main([*GOLDEN_REPORTS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def _oscillator_table(b):
+    """(kind, condition, status) rows of the oscillator ``check`` report for
+    b in (0, 1), from the closed forms: grad(tau, T) = (cos(T-tau) - 1,
+    sin(T-tau)) is bounded without a limit, and H along the candidate is
+    r sin(phi) + b, zero only for (r, phi) = (b, -pi/2)."""
+    table = [("general", "prop_general_WOO", "holds"),
+             ("general", "prop_general_OO", "fails"),
+             ("limit", "limit_costate", "fails"),
+             ("limit", "jx_bounded", "holds")]
+    for phi in (0.0, 0.7, -math.pi / 2):
+        table += [("classical", "tcPSI", "fails"),
+                  ("classical", "tcXPSI", "fails"),
+                  ("classical", "tcM", "holds" if phi == -math.pi / 2 else "fails"),
+                  ("classical", "tcKAV", "fails"),
+                  ("max_principle", "maxH", "holds"),
+                  ("decomposition", "a0_limit", "fails")]
+    return table
+
+
+@pytest.mark.parametrize("t_max", [30.0, 100.0])
+@pytest.mark.parametrize("b", [0.4, 0.45, 0.5, 0.55, 0.6])
+def test_oscillator_status_table(b, t_max):
+    text = build_check_report(RunConfig("oscillator", {"b": b}, t_max)).to_csv()
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert [(row[0], row[2], row[3]) for row in rows] == _oscillator_table(b)
