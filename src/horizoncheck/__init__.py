@@ -33,11 +33,9 @@ from .variational import (
     TransitionOperator,
     check_assumption_uniform,
     check_jx_bounded,
-    fd_gradient,
     horizon_grid,
     integrate_adjoint,
     jx_scan,
-    lemma1_residual,
     limit_costate,
     payoff_value,
     transition_matrix,

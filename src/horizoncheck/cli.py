@@ -29,6 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .conditions import (
+    ConditionVerdict,
+    Verdict,
     check_classical,
     check_general,
     check_gmax,
@@ -153,8 +155,6 @@ class ReportData:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
     if value is None:
         return ""
     v = float(value)
@@ -207,8 +207,6 @@ def build_check_report(config: RunConfig) -> ReportData:
 def _build_linear_check(config: RunConfig) -> ReportData:
     t_max = config.resolved_t_max()
     params = dict(config.params)
-    rows = []
-
     problem_params = _problem_params(config)
     problem = make_builtin_problem(config.example, problem_params)
     control = ControlSignal.constant([1.0])
@@ -227,58 +225,43 @@ def _build_linear_check(config: RunConfig) -> ReportData:
             return ref.costate(rphi[0], rphi[1], t_max)
 
     transition = transition_matrix(problem, control, t_max, settings=_CHECK_SETTINGS)
-    trajectory = transition.trajectory
 
     # gradient-route rows: tail conditions, boundedness, limit costate
     tau_grid = [problem.initial_time]
     T_dense = dense_horizon_grid(problem.initial_time, t_max)
-    for mode in ("WOO", "OO"):
-        report = check_general(problem, transition, control, tau_grid,
-                               T_grid=T_dense, mode=mode)
-        rows.append(["general", "(gradient route)", f"prop_general_{mode}",
-                     report.verdict.status.value,
-                     _fmt(float(np.nanmax(report.estimates))), report.verdict.note])
-
+    judged = [("general", "(gradient route)", f"prop_general_{mode}",
+               check_general(problem, transition, control, tau_grid,
+                             T_grid=T_dense, mode=mode).verdict)
+              for mode in ("WOO", "OO")]
     records = jx_scan(transition, tau_grid, horizon_grid(problem.initial_time, t_max)[1:])
-    jx0 = records[0]
-    psi_hat, lc_verdict = limit_costate(jx0)
-    rows.append(["limit", "(gradient route)", "limit_costate", lc_verdict.status.value,
-                 _fmt(float(np.max(np.abs(psi_hat))) if psi_hat is not None else None),
-                 lc_verdict.note])
-    bound_verdict, m_est = check_jx_bounded(jx0)
-    rows.append(["limit", "(gradient route)", "jx_bounded", bound_verdict.status.value,
-                 _fmt(m_est), bound_verdict.note])
+    judged += [("limit", "(gradient route)", "limit_costate", limit_costate(records[0])[1]),
+               ("limit", "(gradient route)", "jx_bounded", check_jx_bounded(records[0]))]
 
     # adjoint-candidate rows, every costate read off the (x, Y, S) pass; a
     # costate the pass cannot resolve gives inconclusive rows with the reason
-    costates, unresolved = [], {}
+    costates, by_candidate = {}, {}
     for k, (_, lam, extra) in enumerate(candidates):
         try:
-            costates.append(integrate_adjoint(transition, t_max, terminal_psi(lam, extra), lam))
+            costates[k] = integrate_adjoint(transition, t_max, terminal_psi(lam, extra), lam)
         except ValueError as exc:
-            unresolved[k] = str(exc)
-    judged = iter(zip(costates,
-                      check_max_principle(problem, trajectory, control, costates,
-                                          time_grid=np.linspace(problem.initial_time, t_max, 201)),
-                      check_classical(problem, transition, control, costates))
-                  if costates else ())
-    for k, (label, _, _) in enumerate(candidates):
-        if k in unresolved:
-            rows += [[kind, label, cond_id, "inconclusive", "", unresolved[k]]
-                     for kind, cond_id in _COSTATE_ROWS]
-            continue
-        costate, mp, verdicts = next(judged)
-        for cond_id, verdict in verdicts.items():
-            rows.append(["classical", label, cond_id, verdict.status.value,
-                         _fmt(verdict.diagnostic_series[-1][1]
-                              if verdict.diagnostic_series else None),
-                         verdict.note])
-        rows.append(["max_principle", label, "maxH", mp.status.value,
-                     _fmt(max(v for _, v in mp.diagnostic_series)), mp.note])
-        a0_est, residual, dec = decompose_costate(costate, transition, records)
-        rows.append(["decomposition", label, "a0_limit", dec.status.value,
-                     _fmt(residual), dec.note])
+            refused = ConditionVerdict(Verdict.INCONCLUSIVE, None, str(exc))
+            by_candidate[k] = [refused] * len(_COSTATE_ROWS)
+    if costates:
+        paths = list(costates.values())
+        grid = np.linspace(problem.initial_time, t_max, 201)
+        for (k, costate), mp, classical in zip(
+                costates.items(),
+                check_max_principle(problem, transition.trajectory, control, paths,
+                                    time_grid=grid),
+                check_classical(problem, transition, control, paths)):
+            by_candidate[k] = [*classical.values(), mp,
+                               decompose_costate(costate, transition, records)[1]]
+    judged += [(kind, label, cond_id, verdict)
+               for k, (label, _, _) in enumerate(candidates)
+               for (kind, cond_id), verdict in zip(_COSTATE_ROWS, by_candidate[k])]
 
+    rows = [[kind, label, cond_id, v.status.value, _fmt(v.estimate), v.note]
+            for kind, label, cond_id, v in judged]
     return ReportData("horizon_check_report_v1",
                       ["candidate", "condition", "status", "estimate", "note"], rows)
 
@@ -304,12 +287,8 @@ def _build_ramsey_check(config: RunConfig) -> ReportData:
         traj, ctrl = ramsey_feasible_candidate(params, c0, t_family)
         family.append((traj, ctrl))
         labels.append(f"c0={c0:.6g}")
-    sample_times = [1.0, 2.0, 4.0, 6.0, 9.0]
-    verdicts = check_gmax(problem, family, sample_times)
-    for label, verdict in zip(labels, verdicts):
-        worst = max(v for _, v in verdict.diagnostic_series)
-        rows.append(["gmax", label, "payoff_rate_max", verdict.status.value,
-                     _fmt(worst), verdict.note])
+    rows += [["gmax", label, "payoff_rate_max", v.status.value, _fmt(v.estimate), v.note]
+             for label, v in zip(labels, check_gmax(problem, family, [1.0, 2.0, 4.0, 6.0, 9.0]))]
     return ReportData("horizon_check_report_v1",
                       ["candidate", "condition", "status", "estimate", "note"],
                       rows)

@@ -13,10 +13,11 @@ Four families of checks:
   and, for state-independent payoffs under state constraints, the pointwise
   payoff-rate maximization rule over a family of feasible candidates.
 
-Verdicts are three-way (holds / fails / inconclusive).  Every limit verdict
-comes from the one tail rule of :mod:`.verdicts`, applied to per-window
-excesses that each check builds from its own windows; a tail that still
-shrinks toward its target beyond the rule's slack is never failed.
+Verdicts are three-way (holds / fails / inconclusive), each with the one
+number its report row prints.  Every limit verdict comes from the one tail
+rule of :mod:`.verdicts`, applied to per-window excesses that each check
+builds from its own windows; a tail that still shrinks toward its target
+beyond the rule's slack is never failed.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ def dense_horizon_grid(tau: float, t_max: float) -> np.ndarray:
 @dataclass
 class GeneralConditionReport:
     """Per-(tau, u) tail estimates of the Hamiltonian difference and the
-    aggregate verdict of the battery; column j is the j-th control value of
+    aggregate verdict of the battery, whose estimate is the worst cell;
+    column j is the j-th control value of
     ``control_set.sample_grid(_CONTROL_RESOLUTION)``."""
 
     estimates: np.ndarray        # (n_tau, n_u) tail liminf or limsup estimates
-    statuses: np.ndarray         # (n_tau, n_u) of Verdict
     verdict: ConditionVerdict
 
 
@@ -122,27 +123,21 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
         for k, mask in enumerate(masks):
             windows[i, :, k] = extremum(dH[mask], axis=0) if np.any(mask) else math.nan
     estimates = windows[:, :, 2].copy()
-    statuses = np.empty((n_tau, n_u), dtype=object)
-    kept = []  # (estimate, trend note) of each cell the trend kept from failing
-    for i, j in np.ndindex(n_tau, n_u):
-        statuses[i, j], trend = tail_rule(windows[i, j], VERDICT_SLACK, VERDICT_SLACK)
-        kept += [(estimates[i, j], trend)] if trend else []
-
-    flat = statuses.ravel()
-    if any(s is Verdict.FAILS for s in flat):
+    cells = [tail_rule(w, VERDICT_SLACK, VERDICT_SLACK) for w in windows.reshape(-1, 3)]
+    found = {status for status, _ in cells}
+    if Verdict.FAILS in found:
         agg, note = Verdict.FAILS, "some (tau, u) cells violate the tail condition"
-    elif any(s is Verdict.INCONCLUSIVE for s in flat):
+    elif Verdict.INCONCLUSIVE in found:
         agg, note = Verdict.INCONCLUSIVE, "some cells unresolved at this horizon"
     else:
         agg, note = Verdict.HOLDS, "all (tau, u) cells satisfy the tail condition"
     worst = float(np.nanmax(estimates))
-    # an unresolved battery names the shrink of its largest kept estimate
+    # an unresolved battery names the shrink of the largest estimate among
+    # the cells that the trend kept from failing
+    kept = [(e, trend) for e, (_, trend) in zip(estimates.ravel().tolist(), cells) if trend]
     trend = max(kept)[1] if kept and agg is Verdict.INCONCLUSIVE else ""
-    verdict = ConditionVerdict(agg, [(float(t), float(e))
-                                     for t, e in zip(np.repeat(tau_grid, n_u),
-                                                     estimates.ravel())],
-                               note=f"{note}; worst estimate {worst:.3g}{trend}")
-    return GeneralConditionReport(estimates=estimates, statuses=statuses, verdict=verdict)
+    verdict = ConditionVerdict(agg, worst, note=f"{note}; worst estimate {worst:.3g}{trend}")
+    return GeneralConditionReport(estimates=estimates, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +164,8 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
     tcKAV:  |K(t, t0)* psi(t)| -> 0
 
     Each is judged by :func:`.tail_limit_verdict` on the tail window against
-    the window before it; returns one dict keyed by condition id per path.
+    the window before it, with the last tail value as estimate; returns one
+    dict keyed by condition id per path.
     The paths share one span, as those of one terminal time do.
     """
     spans = {(c.t0, c.t_end) for c in costates}
@@ -184,7 +180,7 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
                     for t, x, rows in zip(times.tolist(), xs, np.stack(psis, axis=1))])
 
     def verdict(values, note):
-        return tail_limit_verdict(tail, values[earlier.size:], values[:earlier.size], note)
+        return tail_limit_verdict(values[earlier.size:], values[:earlier.size], note)
 
     return [{"tcPSI": verdict(np.max(np.abs(psi), axis=1), "|psi(t)|"),
              "tcXPSI": verdict(np.einsum("ij,ij->i", xs, psi), "<x(t), psi(t)>"),
@@ -202,9 +198,9 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
 
     A path holds iff at every time of ``time_grid`` the candidate control's
     Hamiltonian is within ``VERDICT_SLACK`` of the maximum over 33 sampled
-    control values per axis.  The dynamics and payoff jumps over the control
-    grid are evaluated once per time for all paths together, each with its
-    own psi row and lam.
+    control values per axis; the estimate is the worst shortfall.  The
+    dynamics and payoff jumps over the control grid are evaluated once per
+    time for all paths together, each with its own psi row and lam.
     """
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
     grid = problem.control_set.sample_grid(_CONTROL_RESOLUTION)
@@ -219,7 +215,7 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
     for column in gaps.reshape(time_grid.size, len(costates)).T.tolist():
         worst = max(column, default=-math.inf)
         status = Verdict.HOLDS if worst <= VERDICT_SLACK else Verdict.FAILS
-        verdicts.append(ConditionVerdict(status, list(zip(time_grid.tolist(), column)),
+        verdicts.append(ConditionVerdict(status, worst,
                                          note=f"max Hamiltonian shortfall {worst:.3g}"))
     return verdicts
 
@@ -233,17 +229,16 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
     before it; when that limit exists the defect of psi(tau) = K(t0, tau)* a0
     + lam * psi_hat(tau) is evaluated at the anchors of ``jx_by_tau``
     (psi_hat taken as each record's tail limit).  Returns (a0 or None,
-    residual or nan, verdict).
+    verdict), the verdict's estimate the residual or NaN.
     """
     earlier, times = _tail_grid(costate.t0, costate.t_end)
     v = costate.pulled_back(times)  # K(t, t0)* psi(t)
     osc = window_oscillation(v)
-    series = list(zip(times.tolist(), np.max(np.abs(v), axis=1).tolist()))
     status, trend = tail_rule([window_oscillation(costate.pulled_back(earlier)), osc],
                               TAIL_HOLD_TOL, TAIL_FAIL_TOL)
     if status is not Verdict.HOLDS:
-        return None, math.nan, ConditionVerdict(
-            status, series,
+        return None, ConditionVerdict(
+            status, math.nan,
             note=f"K(T,t0)*psi(T) does not settle (tail oscillation {osc:.3g}){trend}")
 
     a0 = v.mean(axis=0)
@@ -254,8 +249,8 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
         if lam != 0.0:
             psi_hat, verdict_hat = limit_costate(rec)
             if psi_hat is None:
-                return a0, math.nan, ConditionVerdict(
-                    Verdict.INCONCLUSIVE, series,
+                return a0, ConditionVerdict(
+                    Verdict.INCONCLUSIVE, math.nan,
                     note="a0 exists but the limit costate does not converge")
         else:
             psi_hat = np.zeros_like(a0)
@@ -264,8 +259,8 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
         k_part = np.linalg.solve(Ytau.T, a0)
         defect = float(np.max(np.abs(costate.psi(tau) - k_part - lam * psi_hat)))
         residual = max(residual, defect)
-    return a0, residual, ConditionVerdict(
-        Verdict.HOLDS, series,
+    return a0, ConditionVerdict(
+        Verdict.HOLDS, residual,
         note=f"a0 = {np.array2string(a0, precision=6)}, residual {residual:.3g}")
 
 
@@ -281,7 +276,7 @@ def check_gmax(problem: ControlProblem, feasible_pairs: Sequence, time_grid) -> 
     sampled time t, the fiber of competing control values consists of every
     family member's control evaluated where its own trajectory passes through
     the same state; the candidate holds iff its payoff rate is maximal, to
-    within 1e-9, on every fiber.
+    within 1e-9, on every fiber.  The estimate is the worst shortfall.
     """
     tol = 1e-9
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
@@ -293,7 +288,6 @@ def check_gmax(problem: ControlProblem, feasible_pairs: Sequence, time_grid) -> 
     verdicts = []
     for i, (traj_i, ctrl_i) in enumerate(pairs):
         worst = -math.inf
-        series = []
         for t in time_grid.tolist():
             x_i = traj_i(t)
             u_i = ctrl_i.evaluate(t)
@@ -305,12 +299,10 @@ def check_gmax(problem: ControlProblem, feasible_pairs: Sequence, time_grid) -> 
                 for s in _state_crossings(traj_j, x_i):
                     u_j = ctrl_j.evaluate(s)
                     g_best = max(g_best, float(problem.payoff(x_i, u_j, t)))
-            shortfall = g_best - g_i
-            series.append((t, shortfall))
-            worst = max(worst, shortfall)
+            worst = max(worst, g_best - g_i)
         status = Verdict.HOLDS if worst <= tol else Verdict.FAILS
         verdicts.append(ConditionVerdict(
-            status, series,
+            status, worst,
             note=f"candidate {i}: max payoff-rate shortfall {worst:.3g}"))
     return verdicts
 

@@ -56,11 +56,9 @@ __all__ = [
     "TransitionOperator",
     "check_assumption_uniform",
     "check_jx_bounded",
-    "fd_gradient",
     "horizon_grid",
     "integrate_adjoint",
     "jx_scan",
-    "lemma1_residual",
     "limit_costate",
     "payoff_value",
     "transition_matrix",
@@ -183,16 +181,6 @@ class JxRecord:
         norms = np.max(np.abs(self.values), axis=1)
         self.bound_running = np.maximum.accumulate(norms)
 
-    @property
-    def bound_estimate(self) -> float:
-        return float(self.bound_running[-1])
-
-    def value_at(self, T: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.T_grid - T)))
-        if abs(self.T_grid[idx] - T) > 1e-9 * max(1.0, abs(T)):
-            raise ValueError(f"horizon {T:g} not on the record grid")
-        return self.values[idx]
-
 
 def jx_scan(transition: TransitionOperator, tau_grid, T_grid) -> list[JxRecord]:
     """Gradient records for many anchors from one transition-operator pass."""
@@ -267,25 +255,6 @@ def integrate_adjoint(transition: TransitionOperator, T: float, psi_T,
     return CostatePath(transition, T, Y_T.T @ psi_T + lam * S_T, lam)
 
 
-def lemma1_residual(costate, jx_by_tau: Sequence[JxRecord], T: float,
-                    transition: TransitionOperator) -> float:
-    """Max-norm defect of psi(tau) = K(T, tau)* psi(T) + lam * grad(tau, T)
-    over the anchors of ``jx_by_tau``, for an adjoint path with ``psi(t)``
-    and ``lam``.  This is an exact identity for any adjoint solution, so the
-    residual measures integration error only.  A :class:`CostatePath` meets
-    it by construction; the identity tests feed it a path solved on its own.
-    """
-    psi_T = costate.psi(T)
-    worst = 0.0
-    for rec in jx_by_tau:
-        tau = rec.tau
-        K = transition.evaluate(T, tau)
-        reconstructed = K.T @ psi_T + costate.lam * rec.value_at(T)
-        defect = float(np.max(np.abs(costate.psi(tau) - reconstructed)))
-        worst = max(worst, defect)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # tail limits
 
@@ -303,24 +272,25 @@ def limit_costate(jx: JxRecord):
 
     The tail rule judges the largest component oscillation on the last
     quarter of the horizons against the quarter before it.  When it holds,
-    the limit is estimated by the tail window's average; a failing limit of
-    a gradient that :func:`check_jx_bounded` fails is called unbounded.
+    the limit is estimated by the tail window's average, and the estimate is
+    its max-norm; a failing limit of a gradient that :func:`check_jx_bounded`
+    fails is called unbounded.
     """
     earlier, tail = tail_windows(jx.T_grid)
     window, osc = jx.values[tail], window_oscillation(jx.values[tail])
-    series = list(zip(jx.T_grid[tail].tolist(), np.max(np.abs(window), axis=1).tolist()))
     status, trend = tail_rule([window_oscillation(jx.values[earlier]), osc],
                               TAIL_HOLD_TOL, TAIL_FAIL_TOL)
     if status is Verdict.HOLDS:
-        return window.mean(axis=0), ConditionVerdict(status, series,
-                                                     note=f"tail oscillation {osc:.3g}")
+        psi_hat = window.mean(axis=0)
+        return psi_hat, ConditionVerdict(status, float(np.max(np.abs(psi_hat))),
+                                         note=f"tail oscillation {osc:.3g}")
     if status is Verdict.INCONCLUSIVE:
         note = f"tail oscillation {osc:.3g} unresolved{trend}"
-    elif check_jx_bounded(jx)[0].status is Verdict.FAILS:
+    elif check_jx_bounded(jx).status is Verdict.FAILS:
         note = f"unbounded: growth x{_growth_ratios(jx)[-1]:.3g} per two doublings"
     else:
         note = f"bounded, non-convergent: tail oscillation {osc:.3g}"
-    return None, ConditionVerdict(status, series, note=note)
+    return None, ConditionVerdict(status, None, note=note)
 
 
 def check_jx_bounded(jx: JxRecord):
@@ -328,10 +298,10 @@ def check_jx_bounded(jx: JxRecord):
 
     A window's excess is the running max's growth ratio minus 1 over two
     horizon doublings, T/16 to T/4 and then T/4 to T.  The tail rule holds
-    growth below ``TREND_SLACK``, with the observed max as the bound
-    estimate, and fails growth by ``GROWTH_FACTOR`` or more as unbounded.
+    growth below ``TREND_SLACK`` and fails growth by ``GROWTH_FACTOR`` or
+    more as unbounded; the estimate is the observed max.
     """
-    ratios, m = _growth_ratios(jx), jx.bound_estimate
+    ratios, m = _growth_ratios(jx), float(jx.bound_running[-1])
     status, trend = tail_rule([r - 1 for r in ratios], TREND_SLACK, GROWTH_FACTOR - 1)
     if status is Verdict.HOLDS:
         note = f"bounded, observed max {m:.6g}"
@@ -339,8 +309,7 @@ def check_jx_bounded(jx: JxRecord):
         note = f"unbounded: running max grew x{ratios[-1]:.3g}"
     else:
         note = f"growth ratio {ratios[-1]:.3g} unresolved{trend}"
-    series = list(zip(jx.T_grid.tolist(), jx.bound_running.tolist()))
-    return ConditionVerdict(status, series, note=note), m
+    return ConditionVerdict(status, m, note=note)
 
 
 def _growth_ratios(jx: JxRecord) -> list:
@@ -355,7 +324,7 @@ def _growth_ratios(jx: JxRecord) -> list:
 
 
 # ---------------------------------------------------------------------------
-# payoff values and finite-difference oracles
+# payoff values and the uniform-bound assumption
 
 
 def payoff_value(problem: ControlProblem, control: ControlSignal, x_start,
@@ -389,37 +358,6 @@ def payoff_value(problem: ControlProblem, control: ControlSignal, x_start,
     return value
 
 
-def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
-                x_tau, T: float, settings: IntegratorSettings) -> np.ndarray:
-    """Central-difference gradient of the frozen-control payoff over [tau, T]
-    with respect to the state at tau; the independent oracle for the
-    propagator-based gradient.
-
-    The step is max(1e-3, 1e-3 * |x_i|) per component, and it shrinks when a
-    probe leaves the state domain; a perturbed trajectory that exits the
-    domain mid-horizon raises the NonExtendibleError of :func:`payoff_value`,
-    which carries the exit event.
-    """
-    x_tau = np.atleast_1d(np.asarray(x_tau, dtype=float))
-    n = problem.state_dim
-    grad = np.empty(n)
-    for i in range(n):
-        hi = max(1e-3, 1e-3 * abs(x_tau[i]))
-        for _ in range(60):
-            plus, minus = x_tau.copy(), x_tau.copy()
-            plus[i] += hi
-            minus[i] -= hi
-            if problem.state_domain.contains(plus) and problem.state_domain.contains(minus):
-                break
-            hi *= 0.5
-        else:
-            raise ValueError(f"cannot perturb component {i} inside the state domain")
-        j_plus = payoff_value(problem, control, plus, tau, T, settings)
-        j_minus = payoff_value(problem, control, minus, tau, T, settings)
-        grad[i] = (j_plus - j_minus) / (2 * hi)
-    return grad
-
-
 def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
                              transition: TransitionOperator, tau: float,
                              directions: Sequence, alphas: Sequence[float],
@@ -429,13 +367,13 @@ def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
 
     For each direction zeta and scale alpha computes
       q(alpha, zeta, T) = (J(x + alpha*zeta) - J(x))/alpha - <grad(tau,T), zeta>
-    and takes the infimum over the horizon grid; the check holds when the
-    infimum stays >= -1e-4 as alpha decreases.  x(tau) and grad(tau, T) are
-    read off ``transition``, the pass of ``control``.  For dynamics and
-    payoff linear in the state the quantity vanishes identically up to
-    integration error.
+    and takes the infimum over the horizon grid and the directions.  The tail
+    rule judges the excesses max(0, -inf), largest alpha first, with hold
+    tolerance 1e-4 and fail tolerance 1e-3; the estimate is the infimum at
+    the smallest alpha.  x(tau) and grad(tau, T) are read off
+    ``transition``, the pass of ``control``.  For dynamics and payoff linear
+    in the state the quantity vanishes identically up to integration error.
     """
-    tol = 1e-4
     T_grid = np.sort(np.atleast_1d(np.asarray(T_grid, dtype=float)))
     alphas = sorted((float(a) for a in alphas), reverse=True)
     grads = transition.gradient(tau, T_grid)
@@ -445,13 +383,10 @@ def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
     n = problem.state_dim
     base_vals = base_aug(T_grid)[:, n]
 
-    series = []
-    worst_last = np.inf
-    trend_ok = True
-    for zeta in directions:
+    infs = np.empty((len(alphas), len(directions)))  # inf over T per (alpha, zeta)
+    for j, zeta in enumerate(directions):
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-        infs = []
-        for alpha in alphas:
+        for k, alpha in enumerate(alphas):
             x_pert = x_tau + alpha * zeta
             if not problem.state_domain.contains(x_pert):
                 raise ValueError(f"perturbation alpha={alpha:g}, zeta={zeta} leaves the domain")
@@ -462,23 +397,14 @@ def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
                 raise ValueError(
                     f"perturbed trajectory (alpha={alpha:g}, zeta={zeta}) not extendible: "
                     f"{exc.event.description}") from exc
-            pert_vals = aug(T_grid)[:, n]
-            quotients = (pert_vals - base_vals) / alpha
-            linear = grads @ zeta
-            q = quotients - linear
-            inf_T = float(np.min(q))
-            infs.append(inf_T)
-            series.append((alpha, inf_T))
-        worst_last = min(worst_last, infs[-1])
-        if len(infs) >= 2 and infs[-1] < infs[0] - tol:
-            trend_ok = trend_ok and infs[-1] >= -tol
-    if worst_last >= -tol:
-        status = Verdict.HOLDS
-        note = f"inf over horizons at smallest alpha: {worst_last:.3g}"
-    elif worst_last < -10 * tol and not trend_ok:
-        status = Verdict.FAILS
-        note = f"lower bound violated: {worst_last:.3g}"
+            infs[k, j] = np.min((aug(T_grid)[:, n] - base_vals) / alpha - grads @ zeta)
+    worst = infs.min(axis=1)
+    status, trend = tail_rule(np.maximum(0.0, -worst), 1e-4, 1e-3)
+    last = float(worst[-1])
+    if status is Verdict.HOLDS:
+        note = f"inf over horizons at smallest alpha: {last:.3g}"
+    elif status is Verdict.FAILS:
+        note = f"lower bound violated: {last:.3g}"
     else:
-        status = Verdict.INCONCLUSIVE
-        note = f"unresolved trend, inf {worst_last:.3g}"
-    return ConditionVerdict(status, series, note=note)
+        note = f"unresolved trend, inf {last:.3g}{trend}"
+    return ConditionVerdict(status, last, note=note)

@@ -1,13 +1,14 @@
-"""Three-way condition verdicts and the one tail rule of every limit row:
-each row measures its excess over the target on successive windows, and
-:func:`tail_rule` never fails a tail that still shrinks beyond its slack."""
+"""Three-way condition verdicts, each with the number its report row prints,
+and the one tail rule of every limit row: each row measures its excess over
+the target on successive windows, and :func:`tail_rule` never fails a tail
+that still shrinks beyond its slack."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,14 +38,11 @@ class Verdict(str, Enum):
 
 @dataclass
 class ConditionVerdict:
-    """Outcome of one condition check plus the series that justified it.
-
-    ``diagnostic_series`` is a list of (parameter, value) pairs, e.g. sampled
-    times against the quantity whose limit the condition constrains.
-    """
+    """Outcome of one condition check: its status, the number its report
+    row prints (None for none) and a note that says what decided it."""
 
     status: Verdict
-    diagnostic_series: List[Tuple[float, float]]
+    estimate: Optional[float]
     note: str
 
 
@@ -89,13 +87,14 @@ def tail_rule(excesses, hold_tol: float, fail_tol: float) -> Tuple[Verdict, str]
                                   "a longer horizon may decide")
 
 
-def tail_limit_verdict(params, values, earlier, note: str) -> ConditionVerdict:
-    """Judge whether a sampled scalar series, ``values`` at ``params`` on
-    the tail window and ``earlier`` on the window before, tends to zero.
+def tail_limit_verdict(values, earlier, note: str) -> ConditionVerdict:
+    """Judge whether a sampled scalar quantity, ``values`` on the tail window
+    and ``earlier`` on the window before, tends to zero.
 
     A window's excess is the larger of its oscillation and its |mean|, judged
     by :func:`tail_rule` with ``TAIL_HOLD_TOL`` and ``TAIL_FAIL_TOL``; slow or
-    unresolved limits are never over-claimed.  ``note`` names the series.
+    unresolved limits are never over-claimed.  ``note`` names the quantity;
+    the estimate is its last tail value, None for an empty tail.
     """
     stats = [(window_oscillation(w), float(np.mean(w)) if len(w) >= 3 else math.nan)
              for w in (earlier, values)]
@@ -103,7 +102,5 @@ def tail_limit_verdict(params, values, earlier, note: str) -> ConditionVerdict:
     status, trend = tail_rule([max(abs(mean), osc) for osc, mean in stats],
                               TAIL_HOLD_TOL, TAIL_FAIL_TOL)
     osc, mean = stats[-1]
-    series = list(zip(np.asarray(params, dtype=float).tolist(),
-                      np.asarray(values, dtype=float).tolist()))
     detail = f"{note}; tail oscillation {osc:.3g}, tail mean {mean:.3g}{trend}"
-    return ConditionVerdict(status, series, note=detail)
+    return ConditionVerdict(status, float(values[-1]) if len(values) else None, note=detail)

@@ -5,7 +5,9 @@ The program reads every adjoint path off the one (x, Y, S) pass by Lemma 1
 would hold by construction.  The oracle here solves the adjoint equation
 itself: the basis rows [Phi(t)* | r(t)] of -dB/dt = B f_x(t) + [0 | g_x(t)],
 integrated forward in reversed time s = -t once, off which every adjoint
-path psi(t) = Phi(t) psi_T + lam r(t) is read by superposition.
+path psi(t) = Phi(t) psi_T + lam r(t) is read by superposition.  The
+Lemma-1 residual ties such a path to the gradients, and central differences
+of the payoff are the independent route to the gradients themselves.
 
 The oscillator's pulse response to a control and its half-period identity
 are quadratures of the closed form, for the overtaking tests.
@@ -18,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from horizoncheck import ControlProblem, ControlSignal, IntegratorSettings, Trajectory
+from horizoncheck import (
+    ControlProblem,
+    ControlSignal,
+    IntegratorSettings,
+    JxRecord,
+    Trajectory,
+    TransitionOperator,
+    payoff_value,
+)
 from horizoncheck.ode_engine import integrate_controlled
 from horizoncheck.problem_model import jacobians
 
@@ -95,6 +105,64 @@ def basis_costate(basis: AdjointBasis, psi_T, lam: float) -> SolvedCostate:
     rows = [w @ a.reshape(-1, w.size, w.size - 1)
             for a in (basis_traj.states, basis_traj.derivs, basis_traj.quartic)]
     return SolvedCostate(Trajectory(basis_traj.time_grid, *rows), lam)
+
+
+def record_value_at(record: JxRecord, T: float) -> np.ndarray:
+    """The gradient of ``record`` over [tau, T], for a horizon T on its grid."""
+    idx = int(np.argmin(np.abs(record.T_grid - T)))
+    if abs(record.T_grid[idx] - T) > 1e-9 * max(1.0, abs(T)):
+        raise ValueError(f"horizon {T:g} not on the record grid")
+    return record.values[idx]
+
+
+def lemma1_residual(costate, jx_by_tau, T: float, transition: TransitionOperator) -> float:
+    """Max-norm defect of psi(tau) = K(T, tau)* psi(T) + lam * grad(tau, T)
+    over the anchors of the records ``jx_by_tau``, for an adjoint path with
+    ``psi(t)`` and ``lam``.  This is an exact identity for any adjoint
+    solution, so the residual measures integration error only.  A
+    :class:`horizoncheck.CostatePath` meets it by construction; the identity
+    tests feed it a path solved on its own.
+    """
+    psi_T = costate.psi(T)
+    worst = 0.0
+    for rec in jx_by_tau:
+        tau = rec.tau
+        K = transition.evaluate(T, tau)
+        reconstructed = K.T @ psi_T + costate.lam * record_value_at(rec, T)
+        defect = float(np.max(np.abs(costate.psi(tau) - reconstructed)))
+        worst = max(worst, defect)
+    return worst
+
+
+def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
+                x_tau, T: float, settings: IntegratorSettings) -> np.ndarray:
+    """Central-difference gradient of the frozen-control payoff over [tau, T]
+    with respect to the state at tau; the independent oracle for the
+    propagator-based gradient.
+
+    The step is max(1e-3, 1e-3 * |x_i|) per component, and it shrinks when a
+    probe leaves the state domain; a perturbed trajectory that exits the
+    domain mid-horizon raises the NonExtendibleError of
+    :func:`horizoncheck.payoff_value`, which carries the exit event.
+    """
+    x_tau = np.atleast_1d(np.asarray(x_tau, dtype=float))
+    n = problem.state_dim
+    grad = np.empty(n)
+    for i in range(n):
+        hi = max(1e-3, 1e-3 * abs(x_tau[i]))
+        for _ in range(60):
+            plus, minus = x_tau.copy(), x_tau.copy()
+            plus[i] += hi
+            minus[i] -= hi
+            if problem.state_domain.contains(plus) and problem.state_domain.contains(minus):
+                break
+            hi *= 0.5
+        else:
+            raise ValueError(f"cannot perturb component {i} inside the state domain")
+        j_plus = payoff_value(problem, control, plus, tau, T, settings)
+        j_minus = payoff_value(problem, control, minus, tau, T, settings)
+        grad[i] = (j_plus - j_minus) / (2 * hi)
+    return grad
 
 
 def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float) -> float:

@@ -603,10 +603,6 @@ def unreached_exports(modules: dict, callers: dict) -> list:
 
 # names of a module's __all__ that the program does not reach, with the reason
 EXPORT_EXEMPT = {
-    ("variational.py", "fd_gradient"):
-        "test oracle: the independent finite-difference route to the gradients",
-    ("variational.py", "lemma1_residual"):
-        "test oracle: the Lemma-1 identity between the adjoint and the gradients",
     ("variational.py", "check_assumption_uniform"):
         "waits for the report row of the paper's uniform-bound assumption",
 }

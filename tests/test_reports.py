@@ -18,6 +18,11 @@ GOLDEN_REPORTS = {
     "check_oscillator_b1.5": ["check", "--example", "oscillator", "--b", "1.5"],
     "check_integrator_rho0.1": ["check", "--example", "integrator", "--rho", "0.1"],
     "check_integrator_rho0": ["check", "--example", "integrator", "--rho", "0"],
+    "check_integrator_rho0.1_lambda0_a0_1": ["check", "--example", "integrator", "--rho", "0.1",
+                                             "--lambda", "0", "--a0", "1"],
+    "check_oscillator_b0.5_r0.3_phi0.2_tmax100": ["check", "--example", "oscillator", "--b", "0.5",
+                                                  "--r", "0.3", "--phi", "0.2",
+                                                  "--t-max", "100"],
     "check_ramsey": ["check", "--example", "ramsey"],
     "overtake_oscillator_tmax100": ["overtake", "--example", "oscillator", "--t-max", "100"],
     "needle_oscillator_b0.5": ["needle", "--example", "oscillator", "--b", "0.5"],

@@ -14,12 +14,10 @@ from horizoncheck import (
     IntegratorSettings,
     Trajectory,
     check_assumption_uniform,
-    fd_gradient,
     horizon_grid,
     integrate,
     integrate_adjoint,
     jx_scan,
-    lemma1_residual,
     limit_costate,
     needle_limit_check,
     oscillator_reference,
@@ -33,7 +31,7 @@ from horizoncheck.verdicts import Verdict
 
 from conftest import STANDARD, TIGHT
 import oracles
-from oracles import adjoint_basis, basis_costate
+from oracles import adjoint_basis, basis_costate, fd_gradient, lemma1_residual, record_value_at
 
 
 def test_transition_identity_and_semigroup(osc_op_30):
@@ -123,8 +121,8 @@ def test_transition_trajectory_is_the_pass_state(oscillator, u_one):
 
 def test_gradient_oracles(osc_op_30, u_one, integrator):
     rec = jx_scan(osc_op_30, [0.0], [0.0, math.pi, 2 * math.pi])[0]
-    assert np.allclose(rec.value_at(math.pi), [-2.0, 0.0], atol=1e-8)
-    assert np.array_equal(rec.value_at(0.0), [0.0, 0.0])
+    assert np.allclose(record_value_at(rec, math.pi), [-2.0, 0.0], atol=1e-8)
+    assert np.array_equal(record_value_at(rec, 0.0), [0.0, 0.0])
 
     op = transition_matrix(integrator, u_one, 50.0, settings=TIGHT)
     assert op.gradient(0.0, 50.0)[0] == pytest.approx((1 - math.exp(-5)) / 0.1, abs=1e-8)
@@ -485,7 +483,13 @@ def test_assumption_uniform_linear_problems(oscillator, integrator, u_one):
                                            [1.0, 0.5], np.linspace(1.0, 30.0, 40),
                                            settings)
         assert verdict.status is Verdict.HOLDS
-        assert max(abs(v) for _, v in verdict.diagnostic_series) <= 1e-8
+        # one call per (alpha, zeta): each estimate is that pair's infimum
+        for alpha in (1.0, 0.5):
+            for zeta in dirs:
+                alone = check_assumption_uniform(problem, u_one, op, 1.0, [zeta], [alpha],
+                                                 np.linspace(1.0, 30.0, 40), settings)
+                assert alone.status is Verdict.HOLDS
+                assert abs(alone.estimate) <= 1e-8
 
 
 def test_assumption_uniform_ramsey_saddle(ramsey_params, ramsey_saddle):
@@ -496,6 +500,22 @@ def test_assumption_uniform_ramsey_saddle(ramsey_params, ramsey_saddle):
                                        5.0, [[1.0]], [1e-2, 1e-3, 1e-4],
                                        np.linspace(5.0, 80.0, 40), TIGHT)
     assert verdict.status is Verdict.HOLDS
+
+
+def test_assumption_uniform_fails_a_violation_that_stays_flat(u_one):
+    # x' = 0 with payoff -|x| from x = 0: grad = 0, so q = -(T - tau) |zeta|
+    # at every alpha, a violation that shrinking alpha does not move
+    problem = ControlProblem(
+        state_dim=1, control_dim=1, dynamics=lambda x, u, t: np.zeros(1),
+        payoff=lambda x, u, t: -abs(float(x[0])), control_set=ControlSet.box([0.0], [1.0]),
+        state_domain=Box.unbounded(1), initial_state=[0.0],
+        dynamics_jac_x=lambda x, u, t: np.zeros((1, 1)),
+        payoff_grad_x=lambda x, u, t: -np.sign(x))
+    op = transition_matrix(problem, u_one, 10.0, settings=TIGHT)
+    verdict = check_assumption_uniform(problem, u_one, op, 1.0, [[1.0], [-0.5]],
+                                       [1e-1, 1e-2, 1e-3], np.linspace(1.0, 10.0, 10), TIGHT)
+    assert verdict.status is Verdict.FAILS
+    assert verdict.estimate == pytest.approx(-9.0, abs=1e-8)
 
 
 def test_assumption_infeasible_perturbation_reported(ramsey_params, ramsey_saddle):
