@@ -233,9 +233,14 @@ def _build_linear_check(config: RunConfig) -> ReportData:
                check_general(problem, transition, control, tau_grid,
                              T_grid=T_dense, mode=mode).verdict)
               for mode in ("WOO", "OO")]
+    # each record judged once: its bound, then its limit, which the
+    # decomposition rows of every candidate share
     records = jx_scan(transition, tau_grid, horizon_grid(problem.initial_time, t_max)[1:])
-    judged += [("limit", "(gradient route)", "limit_costate", limit_costate(records[0])[1]),
-               ("limit", "(gradient route)", "jx_bounded", check_jx_bounded(records[0]))]
+    bounded = [check_jx_bounded(rec) for rec in records]
+    limits = [limit_costate(rec, b) for rec, b in zip(records, bounded)]
+    judged += [("limit", "(gradient route)", "limit_costate", limits[0][1]),
+               ("limit", "(gradient route)", "jx_bounded", bounded[0])]
+    psi_hats = [(rec.tau, psi_hat) for rec, (psi_hat, _) in zip(records, limits)]
 
     # adjoint-candidate rows, every costate read off the (x, Y, S) pass; a
     # costate the pass cannot resolve gives inconclusive rows with the reason
@@ -255,7 +260,7 @@ def _build_linear_check(config: RunConfig) -> ReportData:
                                     time_grid=grid),
                 check_classical(problem, transition, control, paths)):
             by_candidate[k] = [*classical.values(), mp,
-                               decompose_costate(costate, transition, records)[1]]
+                               decompose_costate(costate, transition, psi_hats)[1]]
     judged += [(kind, label, cond_id, verdict)
                for k, (label, _, _) in enumerate(candidates)
                for (kind, cond_id), verdict in zip(_COSTATE_ROWS, by_candidate[k])]

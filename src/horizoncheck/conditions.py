@@ -30,7 +30,7 @@ import numpy as np
 
 from .ode_engine import ControlSignal, Trajectory, _dense_floats
 from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
-from .variational import CostatePath, JxRecord, TransitionOperator, limit_costate
+from .variational import CostatePath, TransitionOperator
 from .verdicts import (
     TAIL_FAIL_TOL,
     TAIL_HOLD_TOL,
@@ -221,15 +221,16 @@ def check_max_principle(problem: ControlProblem, trajectory: Trajectory,
 
 
 def decompose_costate(costate: CostatePath, transition: TransitionOperator,
-                      jx_by_tau: Sequence[JxRecord]):
+                      limits: Sequence[tuple]):
     """Split an adjoint path into homogeneous and payoff-driven parts.
 
     Estimates a0 as the tail limit of K(T, t0)* psi(T), whose component
     oscillation the tail rule judges on the tail window against the one
     before it; when that limit exists the defect of psi(tau) = K(t0, tau)* a0
-    + lam * psi_hat(tau) is evaluated at the anchors of ``jx_by_tau``
-    (psi_hat taken as each record's tail limit).  Returns (a0 or None,
-    verdict), the verdict's estimate the residual or NaN.
+    + lam * psi_hat(tau) is evaluated at each (tau, psi_hat) of ``limits``,
+    psi_hat the tail limit of the gradient record anchored at tau (the first
+    value of :func:`limit_costate`, None when there is none).  Returns (a0 or
+    None, verdict), the verdict's estimate the residual or NaN.
     """
     earlier, times = _tail_grid(costate.t0, costate.t_end)
     v = costate.pulled_back(times)  # K(t, t0)* psi(t)
@@ -244,16 +245,13 @@ def decompose_costate(costate: CostatePath, transition: TransitionOperator,
     a0 = v.mean(axis=0)
     lam = costate.lam
     residual = 0.0
-    for rec in jx_by_tau:
-        tau = rec.tau
-        if lam != 0.0:
-            psi_hat, verdict_hat = limit_costate(rec)
-            if psi_hat is None:
-                return a0, ConditionVerdict(
-                    Verdict.INCONCLUSIVE, math.nan,
-                    note="a0 exists but the limit costate does not converge")
-        else:
+    for tau, psi_hat in limits:
+        if lam == 0.0:
             psi_hat = np.zeros_like(a0)
+        elif psi_hat is None:
+            return a0, ConditionVerdict(
+                Verdict.INCONCLUSIVE, math.nan,
+                note="a0 exists but the limit costate does not converge")
         Ytau = transition.fundamental(tau)
         # K(t0, tau)* a0 = Y(tau)^-* a0
         k_part = np.linalg.solve(Ytau.T, a0)
@@ -336,7 +334,7 @@ def _state_crossings(traj: Trajectory, x_target):
             continue
         # bisect the step's dense output on floats, as traj(t) evaluates it
         ra, rb = np.hstack([traj.states[idx:idx + 2], traj.derivs[idx:idx + 2],
-                            traj.quartic[idx:idx + 2]]).tolist()
+                            traj.coeffs[idx:idx + 2].reshape(2, -1)]).tolist()
         fa = ra[0] - target
         lo, hi = a, b
         for _ in range(60):

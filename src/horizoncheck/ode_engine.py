@@ -4,11 +4,13 @@ One engine serves every ODE in the package, one state vector per call: state
 equations under a control signal, variational (transition-matrix) systems,
 backward adjoint equations, the Ramsey phase-plane orbits and the
 time-eliminated stable manifold, and payoff/gradient quadratures folded into
-the state vector.  Trajectories carry the quartic continuous extension of
-Dormand-Prince 5(4): the cubic Hermite of node states and node derivatives
-plus one stored vector per step, formed from the step's stages without an
-extra field evaluation.  Dense values are exact at the nodes and between
-them as accurate as the nodes.
+the state vector.  Every step is one of the eighth-order Dormand-Prince pair
+DOP853 (Prince & Dormand 1981; Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.5-II.6), and trajectories carry its seventh-order dense output: the cubic
+Hermite of node states and node slopes plus four coefficient vectors per step,
+formed from the step's stages and three extra ones.  Dense values are exact at
+the nodes and between them close to the nodes' accuracy (see
+``_MEASURE_LIMIT``), and exit events are localised on them.
 """
 
 from __future__ import annotations
@@ -114,64 +116,173 @@ class ExitEvent:
 class IntegratorSettings:
     rel_tol: float
     abs_tol: float
-    max_step: float = math.inf
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_step <= 0:
-            raise ValueError("tolerances and max_step must be positive")
+        if self.rel_tol <= 0 or self.abs_tol <= 0:
+            raise ValueError("tolerances must be positive")
 
 
 # accepted steps after which an integration gives up
 _MAX_STEPS = 4_000_000
+# Hairer's measure (:func:`_error_norm`) bounds the error of the eighth-order
+# solution, but the seventh-order dense output errs more between the nodes,
+# most where the measure dips by cancellation.  A step is accepted when the
+# measure is at most this limit rather than 1: on dx/dt = -x + u a costate
+# read between the nodes of the (x, Y, S) pass then errs 4.2e-9 instead of
+# 1.2e-8, for 20 % more field evaluations
+_MEASURE_LIMIT = 0.2
 # relative slack of the span tests of a trajectory
 _SPAN_SLACK = 1e-9
 
-# Dormand-Prince 5(4) tableau; row 7 equals the 5th-order weights (FSAL).
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# weights of the quartic term of the continuous extension (DOPRI5 of Hairer,
-# Norsett & Wanner, Solving ODEs I, II.6): d = h * (_DP_D @ K)
-_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-                  -10690763975 / 1880347072, 701980252875 / 199316789632,
-                  -1453857185 / 822651844, 69997945 / 29380423])
+# DOP853 of Hairer, Norsett & Wanner (Solving ODEs I, II.5-II.6; Prince &
+# Dormand 1981).  Stages 0-11 form the step, and row 12 of _A holds the
+# eighth-order weights: stage 12 is the slope at the new state (FSAL).
+# Stages 13-15 serve only the dense output.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778])
+_A = np.zeros((16, 16))
+# each row from column 0 to its last nonzero entry
+_A[1, :1] = [5.26001519587677318785587544488e-2]
+_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_A[3, :3] = [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2]
+_A[4, :4] = [2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+             9.24834003261792003115737966543e-1]
+_A[5, :5] = [3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+             1.25467687566822425016691814123e-1]
+_A[6, :6] = [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+             6.02165389804559606850219397283e-2, -1.7578125e-2]
+_A[7, :7] = [3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+             1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+             8.27378916381402288758473766002e-3]
+_A[8, :8] = [6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+             -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+             2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1]
+_A[9, :9] = [4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+             -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+             1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+             -2.03312017085086261358222928593e-2]
+_A[10, :10] = [-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+               1.09143734899672957818500254654, -8.14978701074692612513997267357,
+               -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+               2.49360555267965238987089396762, -3.0467644718982195003823669022]
+_A[11, :11] = [2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+               -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+               2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+               -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+               6.43392746015763530355970484046e-1]
+_A[12, :12] = [5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+               4.45031289275240888144113950566, 1.89151789931450038304281599044,
+               -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+               -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+               4.47106157277725905176885569043e-2]
+_A[13, :13] = [5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
+               2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+               -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+               8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3,
+               -8.298e-3]
+_A[14, :14] = [3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+               2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+               -5.49237485713909884646569340306e-2, 0.0, 0.0,
+               -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+               -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1]
+_A[15, :15] = [-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+               -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+               4.06898981839711007970213554331, 3.56727187455281109270669543021e-1,
+               0.0, 0.0, 0.0, -1.39902416515901462129418009734e-3,
+               2.9475147891527723389556272149, -9.15095847217987001081870187138]
+_B = _A[12, :12]
+# error weights of the fifth-order and the third-order estimate; Hairer's
+# combined measure (:func:`_error_norm`) is of order five with the exponent
+# of order eight in the step controller
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1])
+_E3 = _B - np.array([0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                     0.733846688281611857341361741547, 0.0, 0.0,
+                     0.220588235294117647058823529412e-1])
+_ERR = np.array([_E5, _E3])
+# dense output: on a step of width h the value at fraction theta is the cubic
+# Hermite of the step's ends plus theta^2 (1 - theta)^2 (d0 + theta (d1 +
+# (1 - theta) (d2 + theta d3))), with rows d = h * (_D @ K) over all 16 stages
+_D = np.zeros((4, 16))
+_D[0] = [-0.84289382761090128651353491142e+1, 0.0, 0.0, 0.0, 0.0,
+         0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
+         0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
+         -0.87139158377797299206789907490, 0.22404374302607882758541771650e+1,
+         0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+         0.18148505520854727256656404962e+2, -0.91946323924783554000451984436e+1,
+         -0.44360363875948939664310572000e+1]
+_D[1] = [0.10427508642579134603413151009e+2, 0.0, 0.0, 0.0, 0.0,
+         0.24228349177525818288430175319e+3, 0.16520045171727028198505394887e+3,
+         -0.37454675472269020279518312152e+3, -0.22113666853125306036270938578e+2,
+         0.77334326684722638389603898808e+1, -0.30674084731089398182061213626e+2,
+         -0.93321305264302278729567221706e+1, 0.15697238121770843886131091075e+2,
+         -0.31139403219565177677282850411e+2, -0.93529243588444783865713862664e+1,
+         0.35816841486394083752465898540e+2]
+_D[2] = [0.19985053242002433820987653617e+2, 0.0, 0.0, 0.0, 0.0,
+         -0.38703730874935176555105901742e+3, -0.18917813819516756882830838328e+3,
+         0.52780815920542364900561016686e+3, -0.11573902539959630126141871134e+2,
+         0.68812326946963000169666922661e+1, -0.10006050966910838403183860980e+1,
+         0.77771377980534432092869265740, -0.27782057523535084065932004339e+1,
+         -0.60196695231264120758267380846e+2, 0.84320405506677161018159903784e+2,
+         0.11992291136182789328035130030e+2]
+_D[3] = [-0.25693933462703749003312586129e+2, 0.0, 0.0, 0.0, 0.0,
+         -0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
+         0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+         -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
+         0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
+         0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
+         -0.14972683625798562581422125276e+3]
+# A trajectory stores that cubic factor in powers of u = 2 theta - 1 instead,
+# e0 + u (e1 + u (e2 + u e3)): u -> -u reverses a step, so reflection negates
+# e1 and e3 and is exact.  Row k of this map gives e_k from d0..d3.
+_U_BASIS = np.array([[1.0, 0.5, 0.25, 0.125], [0.0, 0.5, 0.0, 0.125],
+                     [0.0, 0.0, -0.25, -0.125], [0.0, 0.0, 0.0, -0.125]])
+_DENSE = _U_BASIS @ _D
+# sign of each coefficient row under reflection
+_REFLECT = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+# a step cut at fraction theta is refitted on four interior fractions sigma of
+# the cut step: its cubic factor there, interpolated in powers of u
+_CUT_SIGMA = np.array([0.2, 0.4, 0.6, 0.8])[:, None]
+_CUT_FIT = np.linalg.inv(np.vander(2 * _CUT_SIGMA[:, 0] - 1, 4, increasing=True))
 
 
 class Trajectory:
     """Dense solution of an ODE on an increasing time grid.
 
     ``time_grid`` is nondecreasing; a repeated node marks a derivative jump
-    (control switching time).  Row i of ``quartic`` is the vector d of the
-    step from node i; at fraction theta the step evaluates to the cubic
-    Hermite of its end states and slopes plus theta^2 (1 - theta)^2 d, the
-    continuous extension of Dormand-Prince 5(4).  It is exact at the nodes
-    and between them about as accurate (4.3e-8 inside a step against 1.7e-9
-    at the nodes for a linear 2-D system at rel_tol 1e-10; the cubic alone
-    errs by 7.0e-6).  d is zero on the last node, on a step cut short by an
-    exit event and on a zero-length step, where the cubic holds.
+    (control switching time).  ``coeffs[i]`` holds the four rows e0..e3 of
+    the step from node i: at fraction theta the step evaluates to the cubic
+    Hermite of its end states and slopes plus theta^2 (1 - theta)^2 (e0 +
+    u (e1 + u (e2 + u e3))) with u = 2 theta - 1, the seventh-order dense
+    output of DOP853.  It is exact at the nodes and between them close to
+    their accuracy.  The rows are zero on the last node, on a zero-length
+    step and on a step ended by a step-size stall, where the cubic holds; a
+    step cut short by an exit event keeps its polynomial, restricted to the
+    part before the event.
     """
 
-    def __init__(self, time_grid, states, derivs, quartic,
+    def __init__(self, time_grid, states, derivs, coeffs,
                  exit_event: Optional[ExitEvent] = None):
         self.time_grid = np.asarray(time_grid, dtype=float)
         self.states = np.atleast_2d(np.asarray(states, dtype=float))
         self.derivs = np.atleast_2d(np.asarray(derivs, dtype=float))
-        self.quartic = np.atleast_2d(np.asarray(quartic, dtype=float))
+        self.coeffs = np.asarray(coeffs, dtype=float)
         self.exit_event = exit_event
         if np.any(np.diff(self.time_grid) < 0):
             raise ValueError("time grid must be nondecreasing")
         # rows of another shape would broadcast in the vector path
-        if not (self.time_grid.size == len(self.states)
-                and self.states.shape == self.derivs.shape == self.quartic.shape):
-            raise ValueError("states, derivs and quartic need one row per node, all of one width")
+        n_nodes, dim = self.states.shape
+        if not (self.time_grid.size == n_nodes and self.derivs.shape == self.states.shape
+                and self.coeffs.shape == (n_nodes, 4, dim)):
+            raise ValueError("states, derivs and coeffs need one row per node, all of one width")
 
     @property
     def t0(self) -> float:
@@ -195,44 +306,47 @@ class Trajectory:
         ev = self.exit_event
         if ev is not None:
             ev = ExitEvent(-ev.time, ev.state, ev.description)
-        # the quartic term is symmetric under theta -> 1 - theta, so each step
-        # keeps its d; it moves to the step's new first node, and the zero
-        # row of the last node to the end
+        # each step runs from its other end, u -> -u: its rows move to the
+        # step's new first node with e1 and e3 negated, and the zero rows of
+        # the last node to the end
         return Trajectory(-self.time_grid[::-1], self.states[::-1], -self.derivs[::-1],
-                          np.roll(self.quartic[::-1], -1, axis=0), exit_event=ev)
+                          np.roll(self.coeffs[::-1], -1, axis=0) * _REFLECT, exit_event=ev)
 
     def _segments(self, tq):
         """Index of the grid interval holding each (clipped) query time."""
         return np.clip(np.searchsorted(self.time_grid, tq, side="right") - 1,
                        0, len(self.time_grid) - 2)
 
-    @cached_property
-    def _lookup(self) -> tuple:
-        """For scalar reads: the grid as floats, the span padded by
-        ``_SPAN_SLACK``, the width n and the node rows [state | slope | quartic]."""
-        grid = self.time_grid.tolist()
-        pad = _SPAN_SLACK * max(abs(grid[-1] - grid[0]), 1.0)
-        return (grid, grid[0] - pad, grid[-1] + pad, self.dim,
-                np.hstack([self.states, self.derivs, self.quartic]))
-
-    def __call__(self, t):
-        if isinstance(t, float):
-            return self._at(float(t))
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return self._at(float(t_arr))
-        tq = np.atleast_1d(t_arr)
-        if tq.size:
-            _check_span(tq.min(), tq.max(), self.t0, self.t_end)
-        tq = np.clip(tq, self.t0, self.t_end)
+    def _steps(self, t):
+        """Span-checked query times as the step index, fraction s, width h and
+        safe width of each (h = 1 where h = 0, s = 0 there), s and the widths
+        as columns; a one-node grid's only step joins the node to itself."""
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if t_arr.size:
+            _check_span(t_arr.min(), t_arr.max(), self.t0, self.t_end)
+        tq = np.clip(t_arr, self.t0, self.t_end)
         idx = self._segments(tq)
         ta = self.time_grid[idx]
         h = self.time_grid[idx + 1] - ta
-        s = np.where(h > 0, (tq - ta) / np.where(h > 0, h, 1.0), 0.0)[:, None]
-        q = s * (1 - s)
-        return (_hermite_on_step(self.states[idx], self.derivs[idx], h[:, None],
-                                 self.states[idx + 1], self.derivs[idx + 1], s)
-                + q * q * self.quartic[idx])
+        safe_h = np.where(h > 0, h, 1.0)
+        s = np.where(h > 0, (tq - ta) / safe_h, 0.0)[:, None]
+        return idx, s, h[:, None], safe_h[:, None]
+
+    @cached_property
+    def _lookup(self) -> tuple:
+        """For scalar reads: the grid as floats, the span padded by
+        ``_SPAN_SLACK``, the width n and the node rows [state | slope | e0..e3]."""
+        grid = self.time_grid.tolist()
+        pad = _SPAN_SLACK * max(abs(grid[-1] - grid[0]), 1.0)
+        return (grid, grid[0] - pad, grid[-1] + pad, self.dim,
+                np.hstack([self.states, self.derivs, self.coeffs.reshape(len(grid), -1)]))
+
+    def __call__(self, t):
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return self._at(float(t))
+        i, s, h, _ = self._steps(t)
+        return _dense_on_step(self.states[i], self.derivs[i], h, self.states[i + 1],
+                              self.derivs[i + 1], self.coeffs[i], s)
 
     def _at(self, t: float) -> np.ndarray:
         """Scalar evaluation by :func:`_dense_floats`, which agrees with the
@@ -251,20 +365,10 @@ class Trajectory:
 
     def derivative(self, t):
         """Time derivative of the dense output (used for residual checks)."""
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        if t_arr.size:
-            _check_span(t_arr.min(), t_arr.max(), self.t0, self.t_end)
-        tq = np.atleast_1d(np.clip(t_arr, self.t0, self.t_end))
-        idx = self._segments(tq)
-        ta, tb = self.time_grid[idx], self.time_grid[idx + 1]
-        h = tb - ta
-        safe_h = np.where(h > 0, h, 1.0)
-        s = np.where(h > 0, (tq - ta) / safe_h, 0.0)[:, None]
-        out = (_hermite_slope_on_step(self.states[idx], self.derivs[idx], safe_h[:, None],
-                                      self.states[idx + 1], self.derivs[idx + 1], s)
-               + 2 * s * (1 - s) * (1 - 2 * s) / safe_h[:, None] * self.quartic[idx])
-        return out[0] if scalar else out
+        i, s, _, safe_h = self._steps(t)
+        out = _dense_slope_on_step(self.states[i], self.derivs[i], safe_h, self.states[i + 1],
+                                   self.derivs[i + 1], self.coeffs[i], s)
+        return out[0] if np.ndim(t) == 0 else out
 
 
 def _check_span(lo, hi, t0, t_end):
@@ -277,9 +381,7 @@ def _check_span(lo, hi, t0, t_end):
 
 def _hermite_on_step(y, f0, h, y_new, f_new, theta):
     """Cubic Hermite at fraction ``theta`` of a step of width ``h`` from y to
-    y_new with end slopes f0, f_new.  Scalar or column-vector theta and h.
-    :class:`Trajectory` adds its quartic term to it; event localisation
-    (:func:`_sweep_exit`) uses the cubic alone, as the cut step stores d = 0."""
+    y_new with end slopes f0, f_new.  Scalar or column-vector theta and h."""
     s = theta
     s2 = s * s
     s3 = s2 * s
@@ -287,28 +389,48 @@ def _hermite_on_step(y, f0, h, y_new, f_new, theta):
             + (-2 * s3 + 3 * s2) * y_new + (s3 - s2) * h * f_new)
 
 
+def _dense_on_step(y, f0, h, y_new, f_new, c, theta):
+    """DOP853 dense value at fraction ``theta`` of a step: the cubic Hermite
+    plus theta^2 (1 - theta)^2 times the cubic in u = 2 theta - 1 of the
+    coefficient rows ``c[..., k, :]`` (one step's rows, or one per row of
+    theta)."""
+    q = theta * (1 - theta)
+    u = 2 * theta - 1
+    e0, e1, e2, e3 = c[..., 0, :], c[..., 1, :], c[..., 2, :], c[..., 3, :]
+    return (_hermite_on_step(y, f0, h, y_new, f_new, theta)
+            + q * q * (e0 + u * (e1 + u * (e2 + u * e3))))
+
+
 def _dense_floats(s, h, a, b, n) -> list:
     """:class:`Trajectory`'s dense value on Python floats, from the float
-    rows a = [y | f0 | d] and b = [y_new | f_new | ...] of the step's end
-    nodes, n components each: it rounds as the array expression does, bit
-    for bit."""
+    rows a = [y | f0 | e0 | e1 | e2 | e3] and b = [y_new | f_new | ...] of the
+    step's end nodes, n components each: it rounds as the array expression
+    does, bit for bit."""
     s2 = s * s
     s3 = s2 * s
     c0, c1 = 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h
     c2, c3 = -2 * s3 + 3 * s2, (s3 - s2) * h
     q = s * (1 - s)
-    # zip stops after the n components of the shortest slice, a[2n:]
-    return [c0 * y + c1 * f + c2 * z + c3 * g + q * q * d
-            for y, f, z, g, d in zip(a, a[n:], b, b[n:], a[2 * n:])]
+    qq, u = q * q, 2 * s - 1
+    # zip stops after the n components of the shortest slice, a[5n:]
+    return [c0 * y + c1 * f + c2 * z + c3 * g + qq * (e0 + u * (e1 + u * (e2 + u * e3)))
+            for y, f, z, g, e0, e1, e2, e3
+            in zip(a, a[n:], b, b[n:], a[2 * n:], a[3 * n:], a[4 * n:], a[5 * n:])]
 
 
-def _hermite_slope_on_step(y, f0, h, y_new, f_new, theta):
-    """Time derivative of :func:`_hermite_on_step`, in closed form."""
+def _dense_slope_on_step(y, f0, h, y_new, f_new, c, theta):
+    """Time derivative of :func:`_dense_on_step`, in closed form."""
     s = theta
     s2 = s * s
     inv_h = 1.0 / h
+    q = s * (1 - s)
+    u = 2 * s - 1
+    e0, e1, e2, e3 = c[..., 0, :], c[..., 1, :], c[..., 2, :], c[..., 3, :]
+    r = e0 + u * (e1 + u * (e2 + u * e3))
+    dr = 2 * (e1 + u * (2 * e2 + 3 * u * e3))  # dr / dtheta
     return ((6 * s2 - 6 * s) * y * inv_h + (3 * s2 - 4 * s + 1) * f0
-            + (-6 * s2 + 6 * s) * y_new * inv_h + (3 * s2 - 2 * s) * f_new)
+            + (-6 * s2 + 6 * s) * y_new * inv_h + (3 * s2 - 2 * s) * f_new
+            + q * (q * dr - 2 * u * r) * inv_h)
 
 
 def _initial_step(y0, f0, settings, span) -> float:
@@ -317,20 +439,29 @@ def _initial_step(y0, f0, settings, span) -> float:
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h = 1e-6 * max(span, 1.0) if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    return min(h, span, settings.max_step)
+    return min(h, span)
 
 
-def _error_norm(err, y, y_new, settings):
-    """RMS of the error estimate relative to the mixed tolerance scale, for float
-    sequences err and finite y, y_new.  The scaled squares are formed on floats,
-    which round as numpy's elementwise operations do, and summed in numpy's order
-    (a plain ``sum`` below 8 components, ``np.add.reduce`` from 8 on, where its
-    pairwise order departs), so the result is that of the array expression."""
+def _error_norm(err5, err3, y, y_new, settings):
+    """Hairer's error measure of DOP853: e5 / sqrt((e5 + 0.01 e3) n), where e5
+    and e3 sum the squares of the fifth- and third-order estimates err5, err3
+    (each already times the step) over the mixed tolerance scale, and 0
+    where e5 is; for float sequences and finite y, y_new.  The squares are
+    formed on floats, which round as numpy's elementwise operations do, and
+    summed in numpy's order (a plain ``sum`` below 8 components,
+    ``np.add.reduce`` from 8 on, where its pairwise order departs), so the
+    result is that of the array expression."""
     atol, rtol = settings.abs_tol, settings.rel_tol
-    squares = [(r := e / (atol + rtol * max(abs(a), abs(b)))) * r
-               for e, a, b in zip(err, y, y_new)]
-    total = sum(squares) if len(squares) < 8 else np.add.reduce(squares)
-    return math.sqrt(total / len(squares))
+    scales = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+    n = len(scales)
+    sums = []
+    for err in (err5, err3):
+        squares = [(r := e / sc) * r for e, sc in zip(err, scales)]
+        sums.append(sum(squares) if n < 8 else np.add.reduce(squares))
+    e5, e3 = sums
+    if e5 == 0.0:
+        return 0.0
+    return e5 / math.sqrt((e5 + 0.01 * e3) * n)
 
 
 def _with_faces(domain: Optional[Box]) -> Optional[Box]:
@@ -352,7 +483,7 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
               domain: Optional[Box] = None,
               stops: Sequence[tuple] = ()) -> Trajectory:
     """Integrate ``dy/dt = field(t, y)`` from t0 to t_end (either direction)
-    under the tolerances and step cap of ``settings``; ``field`` returns a
+    under the tolerances of ``settings``, by DOP853 steps; ``field`` returns a
     float array of the state's shape.
 
     ``stops`` is a priority-ordered sequence of ``(label, predicate)`` pairs.
@@ -362,8 +493,8 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
     ``Y.T`` or ``Y[..., i]``.  The run stops early with an ``exit_event``
     when the solution reaches the boundary of the open ``domain`` box or
     when a predicate holds; a domain exit takes precedence, then the first
-    label that holds.  The event is localized on the accepted step's cubic Hermite
-    interpolant to within h_floor = 1e-9 of the span (see
+    label that holds.  The event is localized on the accepted step's
+    seventh-order dense output to within h_floor = 1e-9 of the span (see
     :func:`_sweep_exit`).  A stop that holds at t0 ends the run there.
     Backward integration is performed by time reversal of the field, with
     each predicate called as ``p(-s, y)``; the returned grid is always
@@ -402,7 +533,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
         raise IntegrationError(f"field non-finite at initial point t={t0:g}")
     if domain is not None and not domain.contains(y0):
         raise ValueError("initial state outside the open domain")
-    flat = np.zeros_like(y0)  # the quartic row of a last node or a cut step
+    flat = np.zeros((4, y0.size))  # the coefficient rows of a last node or a stalled step
     if (label := _first_label(stops, t0, y0)) is not None:
         return Trajectory([t0], [y0], [f0], [flat], exit_event=ExitEvent(t0, y0.copy(), label))
     domain = _with_faces(domain)
@@ -410,119 +541,141 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
     h = _initial_step(y0, f0, settings, span)
     t_last = t_end - 1e-14 * max(1.0, abs(t_end))
 
-    ts, ys, fs, ds = [t0], [y0.copy()], [f0.copy()], []
+    ts, ys, fs, cs = [t0], [y0.copy()], [f0.copy()], []
     t, y, fy = t0, y0.copy(), f0
     y_floats = y.tolist()
     exit_event = None
     n_taken = 0
-    K = np.empty((7, y.size))  # the stages of every attempt; K[0] is the FSAL slope
-    # per stage i: its tableau row and node, the view K[:i] and the row view K[i]
-    stages = list(zip(_DP_A[1:], _DP_C[1:], [K[:i] for i in range(1, 7)], K[1:]))
-    k0, f_new = K[0], K[6]
+    # the stages of every attempt, each times h: the tableau's weights reach
+    # 44 in size, and scaled stages keep its sums finite for a field of any
+    # finite size on a short enough step; hK[0] is h times the FSAL slope
+    hK = np.empty((16, y.size))
+    # per stage i: its tableau row and node, the view hK[:i] and the row view
+    # hK[i]; stages 1-12 make the step, 13-15 its dense output
+    stages = [(_A[i, :i], _C[i], hK[:i], hK[i]) for i in range(1, 16)]
+    step_stages, dense_stages = stages[:12], stages[12:]
+    hk0, hK12 = hK[0], hK[:12]
     h_arr = np.empty(())  # h as a 0-d array, by which numpy scales faster than by a float
 
     while t < t_last:
         n_taken += 1
         if n_taken > _MAX_STEPS:
             raise IntegrationError("maximum number of steps exceeded")
-        h = min(h, t_end - t, settings.max_step)
-        k0[...] = fy
+        h = min(h, t_end - t)
 
         # ---- take one step, with retries ----
         while True:
             h_arr[...] = h
-            for a, c, head, k in stages:
-                # y + h * np.dot(a, head) bit for bit, as IEEE sums and products commute
-                yi = a.dot(head)
-                yi *= h_arr
-                yi += y
-                k[...] = field(t + c * h, yi)
-                # a finite sum implies finite entries; else the elementwise test decides
-                finite = math.isfinite(sum(k.tolist())) or bool(np.isfinite(k).all())
-                if not finite:
-                    break
-            # the last stage point is the 5th-order solution (FSAL); one that
-            # overflowed fails the step like a non-finite stage does
-            new_floats = yi.tolist()
-            if not (finite and (math.isfinite(sum(new_floats)) or np.isfinite(yi).all())):
-                h *= 0.5
-                if h < h_floor:
-                    ev = _boundary_stall(t, y, fy, domain, h_floor)
-                    if ev is None:
-                        raise IntegrationError(
-                            f"step size underflow near t={t:g} (field or solution blow-up)")
-                    exit_event = ev
-                    break
-                continue
-            y_new = yi
-            # h * (_DP_E @ K) bit for bit; a product fused with _DP_D's rounds differently
-            err = _DP_E.dot(K)
-            err *= h_arr
-            err_norm = _error_norm(err.tolist(), y_floats, new_floats, settings)
-            if not math.isfinite(err_norm):
-                h *= 0.5
-                if h < h_floor:
-                    raise IntegrationError(f"step size underflow near t={t:g} (error estimate failed)")
-                continue
-            if err_norm > 1.0:
-                h *= min(1.0, max(0.2, 0.9 * err_norm ** -0.2))
-                if h < h_floor:
-                    ev = _boundary_stall(t, y, fy, domain, h_floor)
-                    if ev is None:
-                        raise IntegrationError(f"step size underflow near t={t:g} (stiffness or blow-up)")
-                    exit_event = ev
-                    break
-                continue
-            break
+            np.multiply(fy, h_arr, out=hk0)
+            # stage 12's point is the eighth-order solution (FSAL); a solution
+            # that overflowed fails the step like a non-finite stage does
+            y_new, f_last = _run_stages(field, t, y, h, h_arr, step_stages)
+            if y_new is not None:
+                new_floats = y_new.tolist()
+                if math.isfinite(sum(new_floats)) or np.isfinite(y_new).all():
+                    err5, err3 = _ERR.dot(hK12).tolist()
+                    err_norm = (_error_norm(err5, err3, y_floats, new_floats, settings)
+                                / _MEASURE_LIMIT)
+                    if err_norm > 1.0:
+                        h *= max(0.2, 0.9 * err_norm ** -0.125)
+                        if h < h_floor:
+                            ev = _boundary_stall(t, y, fy, domain, h_floor)
+                            if ev is None:
+                                raise IntegrationError(
+                                    f"step size underflow near t={t:g} (stiffness or blow-up)")
+                            exit_event = ev
+                            break
+                        continue
+                    # the slope is copied out before the dense stages call the field
+                    f_new = np.array(f_last, dtype=float)
+                    if (math.isfinite(err_norm)
+                            and _run_stages(field, t, y, h, h_arr, dense_stages)[0] is not None):
+                        break
+            h *= 0.5
+            if h < h_floor:
+                ev = _boundary_stall(t, y, fy, domain, h_floor)
+                if ev is None:
+                    raise IntegrationError(
+                        f"step size underflow near t={t:g} (field or solution blow-up)")
+                exit_event = ev
+                break
 
         if exit_event is not None:
             ts.append(exit_event.time)
             ys.append(exit_event.state.copy())
             fs.append(fs[-1].copy())
-            ds.append(flat)
+            cs.append(flat)
             break
 
+        coeffs = _DENSE.dot(hK)
         t_new = t + h
         outside = faces is not None and not _inside(new_floats, faces)
         if outside or (stops and any(pred(t_new, y_new) for _, pred in stops)):
-            exit_event, theta = _sweep_exit(t, y, fy, h, y_new, f_new,
+            exit_event, theta = _sweep_exit(t, y, fy, h, y_new, f_new, coeffs,
                                             domain if outside else None, stops, h_floor)
+            f_ev = _dense_slope_on_step(y, fy, h, y_new, f_new, coeffs, theta)
             ts.append(exit_event.time)
             ys.append(exit_event.state)
-            fs.append(_hermite_slope_on_step(y, fy, h, y_new, f_new, theta))
-            ds.append(flat)
+            fs.append(f_ev)
+            cs.append(_cut_coeffs(y, fy, h, y_new, f_new, coeffs, theta, exit_event.state, f_ev))
             break
 
-        d = _DP_D.dot(K)
-        d *= h_arr
-        ds.append(d)
-        # K is overwritten by the next step's stages, so the slope is copied out
-        t, y, fy, y_floats = t_new, y_new, f_new.copy(), new_floats
+        cs.append(coeffs)
+        t, y, fy, y_floats = t_new, y_new, f_new, new_floats
         ts.append(t)
         ys.append(y)
         fs.append(fy)
-        grow = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        grow = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.125)
         h = max(h * grow, h_floor)
 
-    ds.append(flat)
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs), np.array(ds),
+    cs.append(flat)
+    return Trajectory(np.array(ts), np.array(ys), np.array(fs), np.array(cs),
                       exit_event=exit_event)
 
 
-def _sweep_exit(t, y, fy, h, y_new, f_new, domain, stops, h_floor):
-    """Exit event on the accepted step from (t, y) to (t + h, y_new) and its
-    step fraction theta; the event localiser of :func:`integrate`.
+def _run_stages(field, t, y, h, h_arr, stages):
+    """Evaluate ``stages`` of the step of width h (also as the 0-d ``h_arr``)
+    from (t, y) into their rows of hK, each slope times h.  Returns the last
+    stage's point and its field value, or (None, None) from the first stage
+    whose slope times h is not finite."""
+    for a, c, head, hk in stages:
+        yi = a.dot(head)
+        yi += y
+        f = field(t + c * h, yi)
+        np.multiply(f, h_arr, out=hk)
+        # a finite sum implies finite entries; else the elementwise test decides
+        if not (math.isfinite(sum(hk.tolist())) or np.isfinite(hk).all()):
+            return None, None
+    return yi, f
+
+
+def _cut_coeffs(y, fy, h, y_new, f_new, c, theta, y_ev, f_ev):
+    """Coefficient rows of the step's polynomial restricted to [0, theta],
+    the step to the event state y_ev with slope f_ev: the polynomial less the
+    cubic Hermite of the cut step, divided by sigma^2 (1 - sigma)^2 at the
+    fractions sigma of ``_CUT_SIGMA``, and interpolated there in powers of u."""
+    sig = _CUT_SIGMA
+    rest = (_dense_on_step(y, fy, h, y_new, f_new, c, theta * sig)
+            - _hermite_on_step(y, fy, theta * h, y_ev, f_ev, sig))
+    q = sig * (1 - sig)
+    return _CUT_FIT @ (rest / (q * q))
+
+
+def _sweep_exit(t, y, fy, h, y_new, f_new, c, domain, stops, h_floor):
+    """Exit event on the accepted step from (t, y) to (t + h, y_new), with
+    dense coefficient rows c, and its step fraction theta; the event
+    localiser of :func:`integrate`.
 
     ``domain`` is given only when y_new has left it, and a domain exit takes
     precedence; otherwise some predicate of ``stops`` holds at y_new.  The
-    event is localized by :func:`_sweep_predicate` on the step's Hermite
-    interpolant (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), which
-    calls the domain test and each predicate on rows of interior points, as
-    the contract of :func:`integrate` allows.  The event's label is the first
-    of ``stops`` that holds there, else the first that holds at y_new.
+    event is localized by :func:`_sweep_predicate` on the step's dense output
+    (:func:`_dense_on_step`), which calls the domain test and each predicate
+    on rows of interior points, as the contract of :func:`integrate` allows.
+    The event's label is the first of ``stops`` that holds there, else the
+    first that holds at y_new.
     """
     def rows(theta):
-        return _hermite_on_step(y, fy, h, y_new, f_new, theta)
+        return _dense_on_step(y, fy, h, y_new, f_new, c, theta)
 
     if domain is not None:
         theta = _sweep_predicate(lambda th: ~domain.contains(rows(th)), h, h_floor)
@@ -742,7 +895,7 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
     return Trajectory(np.concatenate([p.time_grid for p in pieces]),
                       np.vstack([p.states for p in pieces]),
                       np.vstack([p.derivs for p in pieces]),
-                      np.vstack([p.quartic for p in pieces]), exit_event=pieces[-1].exit_event)
+                      np.concatenate([p.coeffs for p in pieces]), exit_event=pieces[-1].exit_event)
 
 
 def solve_state(problem, control: ControlSignal, t_end: float,

@@ -102,7 +102,7 @@ def _euler_rates(params: RamseyParams, k, c):
     return k ** a - d * k - c, c * (a * k ** (a - 1.0) - d) / th
 
 
-_CLASSIFY_SETTINGS = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11, max_step=1.0)
+_CLASSIFY_SETTINGS = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)
 # radius of the ball around the interior steady state that ends a saddle orbit
 _BALL_RADIUS = 1e-3
 # the shooting bisects the initial consumption to this width, in at most
@@ -327,7 +327,7 @@ def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float):
     if orbit.exit_event is not None:
         raise ValueError(f"candidate c0={c0:g} infeasible: {orbit.exit_event.description}")
     k_traj = Trajectory(orbit.time_grid, orbit.states[:, :1], orbit.derivs[:, :1],
-                        orbit.quartic[:, :1])
+                        orbit.coeffs[:, :, :1])
     return k_traj, ramsey_control_from_orbit(orbit)
 
 

@@ -108,7 +108,7 @@ class TransitionOperator:
         self._n = n
         self._abs_tol = abs_tol
         self.trajectory = Trajectory(aug.time_grid, aug.states[:, :n], aug.derivs[:, :n],
-                                     aug.quartic[:, :n])
+                                     aug.coeffs[:, :, :n])
 
     def _blocks(self, t):
         """Y(t) and S(t) from one dense read; an array of times gives a stack
@@ -129,17 +129,33 @@ class TransitionOperator:
         """Y(t) = K(t, t0); an array of times gives a stack of matrices."""
         return self._blocks(t)[0]
 
+    def _smallest_singular_to(self, t: float) -> float:
+        """The smallest singular value of Y at the nodes of the pass up to t."""
+        grid = self._aug.time_grid
+        return float(self._smallest_singular[min(np.searchsorted(grid, t), grid.size - 1)])
+
+    def _resolved_blocks(self, tau: float):
+        """Y(tau) and S(tau), or ValueError naming tau when Y has lost its
+        relative accuracy on [t0, tau], by the guard of :func:`integrate_adjoint`;
+        a Y(tau) that decayed into the integration noise, or to zero, is
+        refused rather than inverted."""
+        smallest = self._smallest_singular_to(tau)
+        if smallest < _Y_RESOLVED * self._abs_tol:
+            raise ValueError(f"K(t, tau) unresolved at tau={tau:g}: Y(t) lost its relative "
+                             f"accuracy on [t0, tau] (smallest singular value {smallest:.3g})")
+        return self._blocks(tau)
+
     def evaluate(self, t: float, tau: float) -> np.ndarray:
         """K(t, tau) = Y(t) Y(tau)^-1."""
         if t == tau:
             return np.eye(self._n)
         Yt = self.fundamental(t)
-        Ytau = self.fundamental(tau)
+        Ytau = self._resolved_blocks(tau)[0]
         return np.linalg.solve(Ytau.T, Yt.T).T
 
     def gradient(self, tau: float, T) -> np.ndarray:
         """Payoff gradient over [tau, T]: Y(tau)^-* (S(T) - S(tau))."""
-        Ytau, Stau = self._blocks(tau)
+        Ytau, Stau = self._resolved_blocks(tau)
         diff = self._blocks(T)[1] - Stau
         return np.linalg.solve(Ytau.T, diff.T).T
 
@@ -246,8 +262,7 @@ def integrate_adjoint(transition: TransitionOperator, T: float, psi_T,
     psi_T = np.atleast_1d(np.asarray(psi_T, dtype=float))
     if psi_T.shape != (trajectory.dim,):
         raise ValueError("terminal costate does not match the state dimension")
-    grid = trajectory.time_grid
-    smallest = float(transition._smallest_singular[min(np.searchsorted(grid, T), grid.size - 1)])
+    smallest = transition._smallest_singular_to(T)
     if smallest < _Y_RESOLVED * transition._abs_tol:
         raise ValueError(f"costate unresolved: Y(t) lost its relative accuracy on [t0, T] "
                          f"(smallest singular value {smallest:.3g})")
@@ -267,14 +282,14 @@ def horizon_grid(tau: float, t_max: float) -> np.ndarray:
     return np.concatenate([[tau], np.geomspace(tau + 1.0, t_max, _HORIZON_POINTS)])
 
 
-def limit_costate(jx: JxRecord):
+def limit_costate(jx: JxRecord, bounded: ConditionVerdict):
     """Tail limit of the payoff gradient as the horizon grows.
 
     The tail rule judges the largest component oscillation on the last
     quarter of the horizons against the quarter before it.  When it holds,
     the limit is estimated by the tail window's average, and the estimate is
-    its max-norm; a failing limit of a gradient that :func:`check_jx_bounded`
-    fails is called unbounded.
+    its max-norm; a failing limit is called unbounded when ``bounded``, the
+    verdict of :func:`check_jx_bounded` on the same record, fails.
     """
     earlier, tail = tail_windows(jx.T_grid)
     window, osc = jx.values[tail], window_oscillation(jx.values[tail])
@@ -286,7 +301,7 @@ def limit_costate(jx: JxRecord):
                                          note=f"tail oscillation {osc:.3g}")
     if status is Verdict.INCONCLUSIVE:
         note = f"tail oscillation {osc:.3g} unresolved{trend}"
-    elif check_jx_bounded(jx).status is Verdict.FAILS:
+    elif bounded.status is Verdict.FAILS:
         note = f"unbounded: growth x{_growth_ratios(jx)[-1]:.3g} per two doublings"
     else:
         note = f"bounded, non-convergent: tail oscillation {osc:.3g}"

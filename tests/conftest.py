@@ -5,6 +5,8 @@ from horizoncheck import (
     ControlSignal,
     IntegratorSettings,
     RamseyParams,
+    check_jx_bounded,
+    limit_costate,
     make_builtin_problem,
     solve_state,
     transition_matrix,
@@ -21,6 +23,12 @@ STANDARD = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
 COARSE = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-10)
 
 FIG1 = dict(alpha=0.4, delta=0.05, theta=0.5, k0=10.0)
+
+
+def record_limits(records):
+    """The (tau, psi_hat) of each gradient record, psi_hat its limit costate
+    or None, as ``check`` hands them to ``decompose_costate``."""
+    return [(rec.tau, limit_costate(rec, check_jx_bounded(rec))[0]) for rec in records]
 
 
 @pytest.fixture(scope="session")

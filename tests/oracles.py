@@ -71,8 +71,8 @@ def adjoint_basis(problem: ControlProblem, trajectory: Trajectory, control: Cont
     The solve runs forward in reversed time s = -t under the reflected
     control, and the basis is that solution reflected back.  Its field reads
     x(t) and calls :func:`jacobians` once per distinct (time, control value)
-    pair: the last two Dormand-Prince stages share their time, and a
-    switching time is met under two controls.
+    pair: the last two DOP853 step stages share their time, and a switching
+    time is met under two controls.
     """
     T = float(T)
     if not trajectory.covers(T):
@@ -95,15 +95,15 @@ def adjoint_basis(problem: ControlProblem, trajectory: Trajectory, control: Cont
 
 def basis_costate(basis: AdjointBasis, psi_T, lam: float) -> SolvedCostate:
     """The adjoint path psi(t) = Phi(t) psi_T + lam r(t) from psi(T) = psi_T,
-    read off the nodes, slopes and quartic rows of ``basis``.  Every
-    Dormand-Prince stage is affine in the solution, so this is the
-    Dormand-Prince solution of the adjoint equation on the basis's steps."""
+    read off the nodes, slopes and dense coefficient rows of ``basis``.
+    Every DOP853 stage is affine in the solution, so this is the DOP853
+    solution of the adjoint equation on the basis's steps."""
     w = np.append(np.asarray(psi_T, dtype=float), lam)
     basis_traj = basis.trajectory
     if w.size * (w.size - 1) != basis_traj.dim:
         raise ValueError("terminal costate does not match the basis dimension")
-    rows = [w @ a.reshape(-1, w.size, w.size - 1)
-            for a in (basis_traj.states, basis_traj.derivs, basis_traj.quartic)]
+    rows = [w @ a.reshape(*a.shape[:-1], w.size, w.size - 1)
+            for a in (basis_traj.states, basis_traj.derivs, basis_traj.coeffs)]
     return SolvedCostate(Trajectory(basis_traj.time_grid, *rows), lam)
 
 

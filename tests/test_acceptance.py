@@ -38,7 +38,7 @@ from horizoncheck.cli import RunConfig, build_check_report
 from horizoncheck.reference_examples import _euler_rates
 from horizoncheck.verdicts import ConditionVerdict
 
-from conftest import STANDARD, TIGHT
+from conftest import STANDARD, TIGHT, record_limits
 from oracles import (
     adjoint_basis,
     appendix_identity_residual,
@@ -157,7 +157,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
         problem = make_builtin_problem(name, params)
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
         rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
-        _, lc = limit_costate(rec)
+        _, lc = limit_costate(rec, check_jx_bounded(rec))
 
         surrogate = integrate_adjoint(op, 250.0, np.zeros(problem.state_dim), 1.0)
         from horizoncheck import check_classical
@@ -176,7 +176,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
             psi_T = ref.costate(extra["r"], extra["phi"], 250.0)
         candidate = integrate_adjoint(op, 250.0, psi_T, 1.0)
         records = jx_scan(op, [0.0], horizon_grid(0.0, 250.0)[1:])
-        a0_est, dec = decompose_costate(candidate, op, records)
+        a0_est, dec = decompose_costate(candidate, op, record_limits(records))
         if name == "integrator" and params["rho"] > 0:
             assert dec.status is Verdict.HOLDS
             assert a0_est[0] == pytest.approx(extra["a0"], abs=1e-4)
@@ -354,13 +354,13 @@ def test_criterion_10_integrator_limit_values(integrator,
                                               integrator_undiscounted, u_one):
     op = transition_matrix(integrator, u_one, 250.0, settings=STANDARD)
     rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
-    psi_hat, verdict = limit_costate(rec)
+    psi_hat, verdict = limit_costate(rec, check_jx_bounded(rec))
     assert verdict.status is Verdict.HOLDS
     assert psi_hat[0] == pytest.approx(10.0, abs=1e-4)
 
     op0 = transition_matrix(integrator_undiscounted, u_one, 250.0, settings=STANDARD)
     rec0 = jx_scan(op0, [0.0], horizon_grid(0.0, 250.0))[0]
-    psi0, verdict0 = limit_costate(rec0)
+    psi0, verdict0 = limit_costate(rec0, check_jx_bounded(rec0))
     assert psi0 is None and verdict0.status is Verdict.FAILS
     assert "unbounded" in verdict0.note
     assert check_jx_bounded(rec0).status is Verdict.FAILS

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from horizoncheck import cli, ode_engine, reference_examples
+from horizoncheck import cli, conditions, ode_engine, reference_examples, variational
 from horizoncheck.cli import (
     RunConfig,
     build_check_report,
@@ -17,6 +17,30 @@ from horizoncheck.cli import (
 
 def _rows(report):
     return [dict(zip(["kind", *report.columns], row)) for row in report.rows]
+
+
+@pytest.mark.parametrize("example, params", [("oscillator", {"b": 0.5}),
+                                             ("integrator", {"rho": 0.1})])
+def test_check_judges_each_gradient_record_once(example, params, monkeypatch):
+    # one check_jx_bounded and one limit_costate call per gradient record: the
+    # limit takes the bound's verdict, and every candidate's decomposition row
+    # shares the limit (the oscillator's limit fails, which consults the
+    # bound; the integrator's holds, and its candidate with lam = 1 reads it)
+    calls = {"check_jx_bounded": [], "limit_costate": []}
+    for module in (cli, conditions, variational):
+        for name, seen in calls.items():
+            if hasattr(module, name):
+                fn = getattr(variational, name)
+                monkeypatch.setattr(module, name,
+                                    lambda rec, *rest, fn=fn, seen=seen:
+                                    seen.append(rec) or fn(rec, *rest))
+    records = []
+    monkeypatch.setattr(cli, "jx_scan", lambda *args: records.extend(
+        variational.jx_scan(*args)) or records)
+    report = build_check_report(RunConfig(example, params, None))
+    assert len(records) == 1
+    assert calls["check_jx_bounded"] == records and calls["limit_costate"] == records
+    assert sum(row[2] == "a0_limit" for row in report.rows) >= 2
 
 
 def test_list_examples(capsys):

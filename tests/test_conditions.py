@@ -37,7 +37,7 @@ from horizoncheck.verdicts import (
     tail_windows,
 )
 
-from conftest import STANDARD, TIGHT
+from conftest import STANDARD, TIGHT, record_limits
 
 
 def test_delta_hamiltonian_oracles(oscillator, osc_traj_30, osc_op_30, u_one,
@@ -234,7 +234,7 @@ def test_tail_windows_of_fewer_than_three_points_are_inconclusive():
                                       "short").status is Verdict.INCONCLUSIVE
         # four horizons leave one point in the last quarter
         record = JxRecord(tau=0.0, T_grid=[0.0, 1.0, 2.0, 3.0], values=[[0.0], [1.0], [1.5], [1.6]])
-        psi_hat, verdict = limit_costate(record)
+        psi_hat, verdict = limit_costate(record, check_jx_bounded(record))
     assert psi_hat is None and verdict.status is Verdict.INCONCLUSIVE
 
 
@@ -357,13 +357,13 @@ def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_on
     records = jx_scan(int_op_400, [0.0, 5.0], horizon_grid(0.0, 400.0)[1:])
     ref = IntegratorReference(0.1, 0.7, 1.0)
     cp = integrate_adjoint(int_op_400, 400.0, [float(ref.psi(400.0))], 1.0)
-    a0, verdict = decompose_costate(cp, int_op_400, records)
+    a0, verdict = decompose_costate(cp, int_op_400, record_limits(records))
     assert verdict.status is Verdict.HOLDS
     assert a0[0] == pytest.approx(0.7, abs=1e-6)
     assert verdict.estimate <= 1e-4
 
     homon = integrate_adjoint(int_op_400, 400.0, [0.7], 0.0)
-    a0h, verdicth = decompose_costate(homon, int_op_400, records)
+    a0h, verdicth = decompose_costate(homon, int_op_400, record_limits(records))
     assert verdicth.status is Verdict.HOLDS
     assert a0h[0] == pytest.approx(0.7, abs=1e-9)
     assert verdicth.estimate <= 1e-6
@@ -375,7 +375,7 @@ def test_decompose_costate_oscillator_never_settles(oscillator, osc_traj_400,
     records = jx_scan(osc_op_400, [0.0], horizon_grid(0.0, 400.0)[1:])
     for r in (0.0, 0.3):
         cp = integrate_adjoint(osc_op_400, 400.0, ref.costate(r, 0.0, 400.0), 1.0)
-        a0, verdict = decompose_costate(cp, osc_op_400, records)
+        a0, verdict = decompose_costate(cp, osc_op_400, record_limits(records))
         assert a0 is None and math.isnan(verdict.estimate)
         assert verdict.status is Verdict.FAILS
 
@@ -387,7 +387,7 @@ def test_corollary_equivalence_limit_vs_kav(integrator, integrator_undiscounted,
     for problem in (integrator, integrator_undiscounted, oscillator):
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
         rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
-        _, lc = limit_costate(rec)
+        _, lc = limit_costate(rec, check_jx_bounded(rec))
         surrogate = integrate_adjoint(op, 250.0, np.zeros(problem.state_dim), 1.0)
         [verdicts] = check_classical(problem, op, u_one, [surrogate])
         kav = verdicts["tcKAV"]

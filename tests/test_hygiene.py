@@ -248,27 +248,44 @@ def test_unread_parameter_detector():
 
 # the runtime depends on numpy alone
 ALLOWED_TOP_LEVEL = frozenset(sys.stdlib_module_names) | {"numpy", PACKAGE.name}
+# the tests also lean on pytest, hypothesis and their own helper modules.
+# scipy may be installed but is no dependency: no oracle may use its tables
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+TEST_ALLOWED_TOP_LEVEL = ALLOWED_TOP_LEVEL | {"pytest", "hypothesis", "conftest", "oracles"}
+# calls that import the module named by their first argument
+_IMPORTING_CALLS = frozenset({"importorskip", "import_module", "__import__"})
 
 
-def foreign_imports(source: str) -> list:
+def foreign_imports(source: str, allowed=ALLOWED_TOP_LEVEL) -> list:
     """(module, line) of every import, module-level or inside a function or
-    class, of anything but the stdlib, numpy and the package's own modules."""
+    class, of anything outside ``allowed`` (by default the stdlib, numpy and
+    the package's own modules); a call such as ``pytest.importorskip("m")``
+    counts as an import of m."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) in _IMPORTING_CALLS):
+            names = [node.args[0].value]
         else:  # relative imports stay inside the package
             continue
         found += [(name, node.lineno) for name in names
-                  if name.split(".")[0] not in ALLOWED_TOP_LEVEL]
+                  if name.split(".")[0] not in allowed]
     return sorted(found)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_package_module_imports_only_stdlib_and_numpy(path):
     assert foreign_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_test_module_imports_only_stdlib_numpy_pytest_and_hypothesis(path):
+    assert foreign_imports(path.read_text(), TEST_ALLOWED_TOP_LEVEL) == []
 
 
 def test_foreign_import_detector():
@@ -288,6 +305,27 @@ def test_foreign_import_detector():
     )
     assert foreign_imports(source) == [("jax.numpy", 12), ("numba", 8),
                                        ("scipy.integrate", 6), ("torch", 9)]
+    # the tests' wider set still refuses scipy, also through importorskip,
+    # importlib and __import__, and refuses pytest to the package
+    source = (
+        "import pytest\n"
+        "import hypothesis.strategies as st\n"
+        "from conftest import TIGHT\n"
+        "import oracles\n"
+        "from horizoncheck import ode_engine\n"
+        "from scipy.integrate._ivp import dop853_coefficients\n"
+        "def test_a():\n"
+        "    hnp = pytest.importorskip('hypothesis.extra.numpy')\n"
+        "    tables = pytest.importorskip('scipy.integrate')\n"
+        "    mp = importlib.import_module('mpmath')\n"
+        "    sp = __import__('sympy')\n"
+    )
+    assert foreign_imports(source, TEST_ALLOWED_TOP_LEVEL) == [
+        ("mpmath", 10), ("scipy.integrate", 9), ("scipy.integrate._ivp", 6), ("sympy", 11)]
+    assert foreign_imports(source) == [
+        ("conftest", 3), ("hypothesis.extra.numpy", 8), ("hypothesis.strategies", 2),
+        ("mpmath", 10), ("oracles", 4), ("pytest", 1), ("scipy.integrate", 9),
+        ("scipy.integrate._ivp", 6), ("sympy", 11)]
 
 
 ROOT = PACKAGE.parent.parent

@@ -19,6 +19,7 @@ from horizoncheck import (
 from horizoncheck import ode_engine
 from horizoncheck.cli import _CHECK_SETTINGS
 from horizoncheck.ode_engine import (
+    _dense_on_step,
     _error_norm,
     _hermite_on_step,
     _sweep_predicate,
@@ -74,13 +75,13 @@ def test_interpolant_exact_at_nodes_and_order():
         grid = np.linspace(0.0, 6.0, round(6.0 / h) + 1)
         y = np.exp(1.0 - np.cos(grid))
         traj = Trajectory(grid, y[:, None], (np.sin(grid) * y)[:, None],
-                          np.zeros((grid.size, 1)))
+                          np.zeros((grid.size, 4, 1)))
         k = len(traj.time_grid) // 2
         assert np.array_equal(traj(traj.time_grid[k]), traj.states[k])
         mids = 0.5 * (grid[:-1] + grid[1:])
         return np.max(np.abs(traj(mids)[:, 0] - np.exp(1.0 - np.cos(mids))))
 
-    # with d = 0 the dense output is the cubic Hermite, 4th order between
+    # with zero coefficient rows the dense output is the cubic Hermite, 4th order between
     # nodes: halving the step cuts the midpoint error ~16x
     e1, e2 = midpoint_error(0.1), midpoint_error(0.05)
     assert e2 < 1e-6
@@ -89,8 +90,9 @@ def test_interpolant_exact_at_nodes_and_order():
 
 def test_dense_output_is_as_accurate_as_the_nodes():
     # y = exp(1 - cos t) solves y' = sin(t) y.  Forward and backward, the
-    # quartic errs between the nodes within 10x the node error (6.3x and
-    # 6.6x here), where the cubic Hermite of the same steps errs 2,500x more
+    # dense output errs between the nodes within 10x the node error (2.3x
+    # both ways here), where the cubic Hermite of the same steps errs about
+    # 100,000x more
     field = lambda t, y: np.sin(t) * y
     exact = lambda t: np.exp(1.0 - np.cos(t))
     settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
@@ -99,7 +101,7 @@ def test_dense_output_is_as_accurate_as_the_nodes():
                  integrate(field, 20.0, [exact(20.0)], 0.0, settings)):
         node = np.max(np.abs(traj.states[:, 0] - exact(traj.time_grid)))
         dense = np.max(np.abs(traj(ts)[:, 0] - exact(ts)))
-        cubic = Trajectory(traj.time_grid, traj.states, traj.derivs, np.zeros_like(traj.quartic))
+        cubic = Trajectory(traj.time_grid, traj.states, traj.derivs, np.zeros_like(traj.coeffs))
         assert dense <= 10 * node
         assert np.max(np.abs(cubic(ts)[:, 0] - exact(ts))) >= 100 * dense
         slope = np.max(np.abs(traj.derivative(ts)[:, 0] - np.sin(ts) * exact(ts)))
@@ -107,38 +109,88 @@ def test_dense_output_is_as_accurate_as_the_nodes():
         assert np.max(np.abs(cubic.derivative(ts)[:, 0] - np.sin(ts) * exact(ts))) >= 100 * slope
 
 
+def test_dop853_tableau_conditions():
+    # the coefficients as written out in ode_engine: every node is its row
+    # sum, the eighth-order weights integrate t^(k-1) exactly for k <= 8, and
+    # both error-weight vectors sum to zero (each estimate vanishes on y' = 1)
+    A, C, B = ode_engine._A, ode_engine._C, ode_engine._B
+    assert A.shape == (16, 16) and not np.triu(A).any()
+    assert np.max(np.abs(A.sum(axis=1) - C)) <= 2e-15
+    for k in range(1, 9):
+        assert abs(np.sum(B * C[:12] ** (k - 1)) - 1 / k) <= 1e-15
+    assert abs(ode_engine._E5.sum()) <= 1e-15 and abs(ode_engine._E3.sum()) <= 1e-15
+
+
+def _one_step(field, y, h):
+    """End state, end slope and dense coefficient rows of one DOP853 step of
+    width h from (0, y), formed from the tableau of ode_engine."""
+    hK = np.zeros((16, y.size))
+    hK[0] = h * field(0.0, y)
+    for i in range(1, 16):
+        hK[i] = h * field(ode_engine._C[i] * h, y + ode_engine._A[i, :i] @ hK[:i])
+    return y + ode_engine._B @ hK[:12], hK[12] / h, ode_engine._DENSE @ hK
+
+
+def test_dop853_dense_output_is_of_order_seven():
+    # on y' = y from y(0) = 1, halving h cuts the mid-step error of the dense
+    # output by about 2^8 (local order 8) and the step's end error by about
+    # 2^9 (log2 ratios 8.07 and 8.05, and 9.42 and 9.22)
+    mid_errors, end_errors = [], []
+    for h in (1.0, 0.5, 0.25):
+        y0 = np.array([1.0])
+        y1, f1, coeffs = _one_step(lambda t, y: y, y0, h)
+        mid = _dense_on_step(y0, y0, h, y1, f1, coeffs, 0.5)
+        mid_errors.append(abs(mid[0] - math.exp(h / 2)))
+        end_errors.append(abs(y1[0] - math.exp(h)))
+    for errors, order in ((mid_errors, 8), (end_errors, 9)):
+        for coarse, fine in zip(errors, errors[1:]):
+            assert order - 0.5 <= math.log2(coarse / fine) <= order + 0.5
+
+
 def test_trajectory_rejects_rows_of_another_shape():
     # a narrower row would broadcast in the vector path and be cut short in
     # the scalar one, so the two paths would silently disagree
     grid, states = [0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]]
-    for derivs, quartic in (([[1.0], [1.0]], np.zeros((2, 2))),
-                            (np.ones((2, 2)), [[1.0], [0.0]]),
-                            (np.ones((2, 2)), np.zeros((1, 2)))):
+    for derivs, coeffs in (([[1.0], [1.0]], np.zeros((2, 4, 2))),
+                           (np.ones((2, 2)), np.zeros((2, 4, 1))),
+                           (np.ones((2, 2)), np.zeros((2, 2))),
+                           (np.ones((2, 2)), np.zeros((2, 3, 2))),
+                           (np.ones((2, 2)), np.zeros((1, 4, 2)))):
         with pytest.raises(ValueError, match="one row per node"):
-            Trajectory(grid, states, derivs, quartic)
+            Trajectory(grid, states, derivs, coeffs)
     with pytest.raises(ValueError, match="one row per node"):
-        Trajectory([0.0, 1.0, 2.0], states, np.ones((2, 2)), np.zeros((2, 2)))
+        Trajectory([0.0, 1.0, 2.0], states, np.ones((2, 2)), np.zeros((2, 4, 2)))
 
 
-def test_quartic_rows_vanish_where_the_cubic_holds():
-    # d = 0 on the last node, on a step cut short by an exit event, on a
-    # one-node run and on a zero-length switching interval
+def test_coeff_rows_vanish_where_the_cubic_holds():
+    # zero rows on the last node, on a step ended by a step-size stall, on a
+    # one-node run and on a zero-length switching interval; a step cut short
+    # by an exit event keeps its polynomial, restricted to the part before
+    # the event
     field = lambda t, y: -y - 1.0
-    cut = integrate(field, 0.0, [1.0], 5.0, COARSE, domain=Box.from_bounds([0.0], [np.inf]))
+    cut = integrate(field, 0.0, [1.0], 5.0, COARSE, stops=(("zero", lambda t, y: y[..., 0] <= 0),))
     assert cut.exit_event is not None and cut.exit_event.time == pytest.approx(math.log(2.0))
-    assert np.all(cut.quartic[:-2] != 0.0) and np.array_equal(cut.quartic[-2:], [[0.0], [0.0]])
+    assert cut.coeffs[:-1].any(axis=(1, 2)).all() and not cut.coeffs[-1].any()
+    # the steps before the event are those of the run without the stop
+    free = integrate(field, 0.0, [1.0], 5.0, COARSE)
+    k = cut.time_grid.size - 2
+    assert np.array_equal(cut.time_grid[:k + 1], free.time_grid[:k + 1])
+    inside = np.linspace(cut.time_grid[k], cut.t_end, 17)
+    np.testing.assert_allclose(cut(inside), free(inside), rtol=0.0, atol=1e-15)
     back = integrate(field, 1.0, [1.0], -5.0, COARSE, domain=Box.from_bounds([-np.inf], [5.0]))
     assert back.exit_event is not None
-    assert np.array_equal(back.quartic[:1], [[0.0]]) and np.array_equal(back.quartic[-1], [0.0])
-    assert np.all(back.quartic[1:-1] != 0.0)
+    assert back.coeffs[:-1].any(axis=(1, 2)).all() and not back.coeffs[-1].any()
+    stalled = integrate(lambda t, y: np.array([-np.sqrt(y[0]) - 1.0]), 0.0, [1.0], 5.0, COARSE,
+                        domain=Box.from_bounds([0.0], [np.inf]))
+    assert stalled.exit_event is not None and not stalled.coeffs[-2:].any()
     stopped = integrate(field, 0.0, [1.0], 5.0, COARSE, stops=(("start", lambda t, y: t == 0.0),))
-    assert np.array_equal(stopped.quartic, [[0.0]])
+    assert np.array_equal(stopped.coeffs, np.zeros((1, 4, 1)))
     switched = integrate_controlled(lambda y, u, t: u - y,
                                     ControlSignal.piecewise_constant([1.0], [0.0, 2.0]),
                                     0.0, [0.5], 3.0, COARSE, domain=None)
     k = int(np.flatnonzero(np.diff(switched.time_grid) == 0.0)[0])
-    assert switched.time_grid[k] == 1.0 and np.array_equal(switched.quartic[k], [0.0])
-    assert np.all(np.delete(switched.quartic[:-1], k, axis=0) != 0.0)
+    assert switched.time_grid[k] == 1.0 and not switched.coeffs[k].any()
+    assert np.delete(switched.coeffs[:-1], k, axis=0).any(axis=(1, 2)).all()
 
 
 def test_domain_exit_event_localized():
@@ -298,8 +350,13 @@ def test_reflected_signal_and_trajectory():
     assert np.allclose(mirrored(ts), forward(-ts), rtol=1e-13, atol=0.0)
     assert np.allclose(mirrored.derivative(ts), -forward.derivative(-ts), rtol=1e-12, atol=0.0)
     back = integrate(field, 2.0, [1.0], -1.0, COARSE)
-    for name in ("time_grid", "states", "derivs", "quartic"):
+    for name in ("time_grid", "states", "derivs", "coeffs"):
         assert np.array_equal(getattr(back, name), getattr(mirrored, name))
+    # u -> -u negates two of the four rows, so a second reflection restores
+    # the run bit for bit
+    twice = mirrored.reflected()
+    for name in ("time_grid", "states", "derivs", "coeffs"):
+        assert np.array_equal(getattr(twice, name), getattr(forward, name))
 
 
 def test_solve_state_non_extendible_marks_exit(ramsey_params=None):
@@ -345,22 +402,24 @@ def test_step_sequence_pins(monkeypatch):
     monkeypatch.setattr(oracles, "jacobians",
                         lambda *args: calls.append(args[3]) or jacobians(*args))
     basis = adjoint_basis(problem, traj, control, 100.0, _CHECK_SETTINGS)
-    assert traj.time_grid.size == 2945
-    assert transition._aug.time_grid.size == 3147
-    assert basis.trajectory.time_grid.size == 3160
-    # the basis solve reads f_x and g_x at the start and then once per
-    # distinct stage time of each of its 3,207 attempts, five: the last two
-    # Dormand-Prince stages share the node c = 1
-    assert len(calls) == 16036 == 1 + 5 * 3207
+    assert traj.time_grid.size == 410
+    assert transition._aug.time_grid.size == 410
+    assert basis.trajectory.time_grid.size == 408
+    # the basis solve reads f_x and g_x at the start, then once per distinct
+    # stage time of each of its 432 attempts, eleven: the last two step
+    # stages share the node c = 1; and three dense-output stages for each of
+    # its 407 accepted steps
+    assert len(calls) == 5974 == 1 + 11 * 432 + 3 * 407
     # a costate read off the basis integrates nothing
     costate = basis_costate(basis, [-1.0, 0.2], 1.0)
-    assert costate.trajectory.time_grid is basis.trajectory.time_grid and len(calls) == 16036
+    assert costate.trajectory.time_grid is basis.trajectory.time_grid and len(calls) == 5974
 
 
 def test_field_call_count_pin():
     # beside the step pins: the state solve of test_step_sequence_pins calls
-    # the field once at t0 and six times per attempt, 2,974 attempts for its
-    # 2,945 nodes; a rewrite of the step that adds an evaluation moves this
+    # the field once at t0, twelve times per attempt, 445 attempts for its
+    # 410 nodes, and three times per accepted step for the dense output; a
+    # rewrite of the step that adds an evaluation moves this
     problem = make_builtin_problem("oscillator", {"b": 0.5})
     u = np.array([1.0])
     calls = []
@@ -370,8 +429,8 @@ def test_field_call_count_pin():
         return problem.dynamics(y, u, t)
 
     traj = integrate(field, 0.0, problem.initial_state, 100.0, _CHECK_SETTINGS)
-    assert traj.time_grid.size == 2945
-    assert len(calls) == 17845 == 1 + 6 * 2974
+    assert traj.time_grid.size == 410
+    assert len(calls) == 6568 == 1 + 12 * 445 + 3 * 409
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +454,11 @@ def _trajectories(st, hnp):
         values = st.floats(-1e3, 1e3)
         states = draw(hnp.arrays(float, (grid.size, dim), elements=values))
         derivs = draw(hnp.arrays(float, (grid.size, dim), elements=values))
-        quartic = draw(hnp.arrays(float, (grid.size, dim), elements=values))
+        coeffs = draw(hnp.arrays(float, (grid.size, 4, dim), elements=values))
         for k, step in enumerate(steps, start=1):
             if step == 0.0:
                 states[k] = states[k - 1]
-        return Trajectory(grid, states, derivs, quartic)
+        return Trajectory(grid, states, derivs, coeffs)
     return build()
 
 
@@ -438,16 +497,16 @@ def test_scalar_reads_match_vector_rows_on_program_trajectories():
     assert transition.trajectory.states.base is not None
     _assert_scalar_reads_match_rows(transition.trajectory, rng)
     # the oracle's backward costate: reversed grid, negated slopes, rolled
-    # quartic rows, as every backward ``integrate`` returns them
+    # and reflected coefficient rows, as every backward ``integrate`` returns them
     basis = adjoint_basis(problem, transition.trajectory, control, 10.0, _CHECK_SETTINGS)
-    assert not basis.trajectory.quartic[-1].any()
+    assert not basis.trajectory.coeffs[-1].any()
     _assert_scalar_reads_match_rows(basis.trajectory, rng)
     costate = basis_costate(basis, [-1.0, 0.2], 1.0)
-    assert costate.trajectory.quartic[-1].tolist() == [0.0, 0.0]
+    assert costate.trajectory.coeffs[-1].tolist() == [[0.0, 0.0]] * 4
     _assert_scalar_reads_match_rows(costate.trajectory, rng)
     # one node, whose only step joins the node to itself: the scalar read
     # takes its two end rows as the vector read does
-    single = Trajectory([2.0], [[1.5, -0.25]], [[3.0, 7.0]], [[0.125, -4.0]])
+    single = Trajectory([2.0], [[1.5, -0.25]], [[3.0, 7.0]], [[[0.125, -4.0]] * 4])
     for t in (2.0, 2.0 + 1e-10):
         assert np.array_equal(single(t), single(np.array([t]))[0])
         assert np.array_equal(single(t), [1.5, -0.25])
@@ -492,21 +551,27 @@ def test_dense_output_span_check_and_clipping():
 
 
 def test_error_norm_is_rms_of_scaled_error():
-    # the norm is formed on floats but must equal the array expression bit
-    # for bit; a plain sum of the squares departs from np.add.reduce's
-    # pairwise order from n = 8 on
+    # Hairer's measure of the fifth- and third-order estimates is formed on
+    # floats but must equal the array expression bit for bit; a plain sum of
+    # the squares departs from np.add.reduce's pairwise order from n = 8 on.
+    # Without a third-order error it is the RMS of the scaled fifth-order one
     hypothesis, st, hnp = _hypothesis()
     values = st.floats(-1e6, 1e6)
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(st.integers(1, 12).flatmap(
-                          lambda n: st.tuples(*[hnp.arrays(float, n, elements=values)] * 3)),
+                          lambda n: st.tuples(*[hnp.arrays(float, n, elements=values)] * 4)),
                       st.floats(1e-12, 1e-2), st.floats(1e-14, 1e-2))
     def check(arrays, rel_tol, abs_tol):
-        err, y, y_new = arrays
+        err5, err3, y, y_new = arrays
         settings = IntegratorSettings(rel_tol=rel_tol, abs_tol=abs_tol)
-        r = err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
-        assert _error_norm(err, y, y_new, settings) == math.sqrt(np.add.reduce(r * r) / r.size)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        r5, r3 = err5 / scale, err3 / scale
+        e5, e3 = np.add.reduce(r5 * r5), np.add.reduce(r3 * r3)
+        expected = 0.0 if e5 == 0.0 else e5 / np.sqrt((e5 + 0.01 * e3) * r5.size)
+        assert _error_norm(err5, err3, y, y_new, settings) == expected
+        rms = math.sqrt(e5 / r5.size)
+        assert _error_norm(err5, 0 * err3, y, y_new, settings) == pytest.approx(rms, rel=1e-15)
 
     check()
 
@@ -599,7 +664,7 @@ def test_domain_exit_localized_within_h_floor():
                       st.floats(1.1, 20.0))
     def check(y0, speed, accel, stretch):
         # y = y0 - speed t - accel t^2 / 2 reaches the face y = 0 at t_hit; the
-        # steps and their Hermite interpolant reproduce it up to round-off
+        # steps and their dense output reproduce it up to round-off
         t_hit = (2 * y0 / (speed + math.sqrt(speed * speed + 2 * accel * y0)))
         t_end = stretch * t_hit
         traj = integrate(lambda t, y: np.array([-(speed + accel * t)]), 0.0, [y0], t_end,
@@ -717,9 +782,9 @@ def test_fig1_shooting_orbit_pins():
     # solo loop's float domain test and the field's float unpacking must not
     # move them
     _, orbit = ramsey_shoot(RamseyParams(**FIG1), 2000.0)
-    assert orbit.time_grid.size == 156
-    assert [float(v).hex() for v in orbit.states[-1]] == ["0x1.fffbe9b01cc89p+4",
-                                                          "0x1.33310c44e2350p+1"]
+    assert orbit.time_grid.size == 37
+    assert [float(v).hex() for v in orbit.states[-1]] == ["0x1.fffbe9dbbc502p+4",
+                                                          "0x1.3330f7ee68d00p+1"]
 
 
 def test_solo_ramsey_events_land_on_the_bisected_theta(monkeypatch):
@@ -741,8 +806,8 @@ def test_solo_ramsey_events_land_on_the_bisected_theta(monkeypatch):
     def last_sweep(orbit):
         args, event, theta = sweeps[-1]
         assert orbit.exit_event is event and orbit.t_end == event.time
-        t, y, fy, h, y_new, f_new, domain, sweep_stops, h_floor = args
-        point = lambda th: _hermite_on_step(y, fy, h, y_new, f_new, th)
+        t, y, fy, h, y_new, f_new, coeffs, domain, sweep_stops, h_floor = args
+        point = lambda th: _dense_on_step(y, fy, h, y_new, f_new, coeffs, th)
         if domain is not None:
             holds = lambda th: not domain.contains(point(th))
         else:
@@ -781,14 +846,20 @@ def test_stop_is_called_once_at_t0():
 
 
 def test_finite_stages_whose_sum_overflows_are_accepted():
-    # each stage [1e308, 1e308] is finite, but its sum overflows; the exact
-    # finiteness test must still accept the step
+    # each stage [1e308, 1e308] is finite, but its sum overflows; the step
+    # must still be accepted
     with np.errstate(over="ignore"):
         assert not math.isfinite(np.add.reduce(np.array([1e308, 1e308])))
     field = lambda t, y: np.array([1e308, 1e308])
     traj = integrate(field, 0.0, [0.0, 0.0], 1e-10, COARSE)
     assert traj.exit_event is None and traj.t_end == 1e-10
     np.testing.assert_allclose(traj.states[-1], [1e298, 1e298], rtol=1e-12)
+    # the stages are kept times h; on a unit step that product's sum
+    # overflows too, and the exact finiteness test must accept the stage
+    hK = np.full((16, 2), 1e308)
+    stages = [(ode_engine._A[i, :i], ode_engine._C[i], hK[:i], hK[i]) for i in (1, 2)]
+    point, slope = ode_engine._run_stages(field, 0.0, np.zeros(2), 1.0, np.array(1.0), stages)
+    assert point is not None and slope.tolist() == [1e308, 1e308]
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, -np.inf], [np.inf, 1.0]],

@@ -168,7 +168,7 @@ def test_payoff_path_step_pin(oscillator, u_one):
     # at the overtaking settings; a change to the payoff right-hand side or
     # the stepping core that moves them must update this count
     path = payoff_path(oscillator, u_one, 100.0)
-    assert path.time_grid.size == 4493
+    assert path.time_grid.size == 531
     assert path.states[-1, 2] == pytest.approx(1.0 - math.cos(100.0) + 50.0, abs=1e-9)
 
 

@@ -318,7 +318,7 @@ def test_state_crossings_match_bisection_on_the_trajectory(ramsey_family):
 
     _, family = ramsey_family
     for traj, _ in family:
-        for target in (9.0, 10.0, 10.5, 13.7, 25.0, float(traj.states[40, 0])):
+        for target in (9.0, 10.0, 10.5, 13.7, 25.0, float(traj.states[10, 0])):
             assert _state_crossings(traj, [target]) == bisected(traj, target)
 
 

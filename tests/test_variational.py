@@ -14,6 +14,7 @@ from horizoncheck import (
     IntegratorSettings,
     Trajectory,
     check_assumption_uniform,
+    check_jx_bounded,
     horizon_grid,
     integrate,
     integrate_adjoint,
@@ -113,8 +114,8 @@ def test_transition_trajectory_is_the_pass_state(oscillator, u_one):
     assert np.array_equal(traj.derivs, aug.derivs[:, :2])
     assert np.shares_memory(traj.states, aug.states)
     assert np.shares_memory(traj.derivs, aug.derivs)
-    assert np.array_equal(traj.quartic, aug.quartic[:, :2])
-    assert np.shares_memory(traj.quartic, aug.quartic)
+    assert np.array_equal(traj.coeffs, aug.coeffs[:, :, :2])
+    assert np.shares_memory(traj.coeffs, aug.coeffs)
     ts = np.linspace(0.0, 100.0, 20001)
     assert np.max(np.abs(traj(ts) - oscillator_reference(0.5).state(ts))) <= 1e-8
 
@@ -142,9 +143,9 @@ def test_one_pass_gradient_inside_a_step_matches_the_closed_form(integrator, u_o
 
 def test_adjoint_reproduces_integrator_closed_form(integrator, u_one):
     # psi(t) = a0 + exp(-rho t)/rho from T = 100, read off the pass and
-    # integrated backward by the oracle; the step cap keeps dense
-    # (between-node) evaluation at the same accuracy
-    settings = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13, max_step=0.2)
+    # integrated backward by the oracle; dense (between-node) values are as
+    # accurate as the nodes
+    settings = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)
     op = transition_matrix(integrator, u_one, 100.0, settings=settings)
     ref = IntegratorReference(0.1, 0.7, 1.0)
     psi_T = [float(ref.psi(100.0))]
@@ -184,7 +185,7 @@ def _adjoint_by_backward_integration(problem, trajectory, control, T, y_T, slope
     """An adjoint solve written the other way: ``integrate`` run backward
     from y_T at T on dy/dt = -slope(f_x, g_x, y), segment by segment between
     the switches of a piecewise-constant control.  Returns grid, states,
-    slopes and quartic rows."""
+    slopes and dense coefficient rows."""
     cuts = [c for c in control.breakpoints() if trajectory.t0 < c < T]
     nodes = [T, *cuts[::-1], trajectory.t0]
     pieces, y = [], np.asarray(y_T, dtype=float)
@@ -195,7 +196,7 @@ def _adjoint_by_backward_integration(problem, trajectory, control, T, y_T, slope
         pieces.insert(0, integrate(field, a, y, b, settings))
         y = pieces[0].states[0]
     return [np.concatenate([getattr(p, name) for p in pieces])
-            for name in ("time_grid", "states", "derivs", "quartic")]
+            for name in ("time_grid", "states", "derivs", "coeffs")]
 
 
 def _basis_slope(fx, gx, y):
@@ -241,7 +242,7 @@ def test_reversed_time_adjoint_equals_backward_integration_bit_for_bit(oscillato
         got = basis.trajectory
         switches = np.count_nonzero(control.breakpoints() < T)
         assert np.count_nonzero(np.diff(got.time_grid) == 0.0) == switches
-        for name, want in zip(("time_grid", "states", "derivs", "quartic"), expected):
+        for name, want in zip(("time_grid", "states", "derivs", "coeffs"), expected):
             assert np.array_equal(getattr(got, name), want), (problem.name, T, name)
 
 
@@ -321,6 +322,21 @@ def _decaying_problem(a):
         payoff_grad_x=lambda x, u, t: np.ones(1))
 
 
+def test_propagator_refuses_an_anchor_where_y_has_decayed_into_noise(u_one):
+    # on dx/dt = -10 x, Y(100) = e^-1000 underflows, and the pass's Y(100) is
+    # integration noise of size abs_tol: K(t, 100) and grad(100, T) would
+    # divide by it (or by zero), so both raise a ValueError naming tau, as
+    # the costate guard does; an anchor where Y is resolved still reads
+    # e^-10 (t - tau)
+    op = transition_matrix(_decaying_problem(-10.0), u_one, 100.0, settings=STANDARD)
+    for read in (lambda: op.evaluate(1.0, 100.0), lambda: op.gradient(100.0, 100.0),
+                 lambda: op.gradient(100.0, np.array([100.0]))):
+        with pytest.raises(ValueError, match="unresolved at tau=100"):
+            read()
+    assert op.evaluate(1.0, 0.5)[0, 0] == pytest.approx(math.exp(-5.0), rel=1e-6)
+    assert op.gradient(0.5, 1.0)[0] == pytest.approx((math.exp(-5.0) - 1.0) / -10.0, rel=1e-6)
+
+
 def test_pass_costate_reports_a_fundamental_matrix_without_relative_accuracy(u_one):
     # on dx/dt = -x + u the costate psi(t) = grad(t, T) = 1 - e^{-(T - t)}
     # divides by Y(t) = e^{-t}, which the pass resolves only to abs_tol:
@@ -361,18 +377,20 @@ def test_basis_reads_each_stage_time_once_under_a_closed_form_control(ramsey_par
     # the FIG1 saddle control is a closed form up to t ~ 151.9, whose piece
     # hands over a new array at every call; keyed on the control's value,
     # the two c = 1 stages of an attempt share one read (keyed on the
-    # array's identity, 56 of 337 calls fell at the time of the call before)
+    # array's identity, the second would read again at the time of the
+    # first): one read at the start, eleven per attempt and three per
+    # accepted step
     _, k_traj, control = ramsey_saddle
     jacobians_, calls = oracles.jacobians, []
     monkeypatch.setattr(oracles, "jacobians",
                         lambda *args: calls.append(args[3]) or jacobians_(*args))
     adjoint_basis(ramsey_params.problem(), k_traj, control, 150.0, STANDARD)
     assert all(a != b for a, b in zip(calls, calls[1:]))
-    assert len(calls) == 266 == 1 + 5 * 53
+    assert len(calls) == 551 == 1 + 11 * 44 + 3 * 22
 
 
 def test_costate_ode_residual_at_midpoints(oscillator, osc_traj_30, u_one):
-    settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12, max_step=0.05)
+    settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
     costate = basis_costate(adjoint_basis(oscillator, osc_traj_30, u_one, 10.0, settings),
                             [0.2, -0.1], 1.0)
     grid = costate.trajectory.time_grid
@@ -445,19 +463,19 @@ def test_limit_costate_three_regimes(integrator, integrator_undiscounted,
                                      oscillator, u_one):
     op = transition_matrix(integrator, u_one, 250.0, settings=STANDARD)
     rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
-    psi_hat, verdict = limit_costate(rec)
+    psi_hat, verdict = limit_costate(rec, check_jx_bounded(rec))
     assert verdict.status is Verdict.HOLDS
     assert psi_hat[0] == pytest.approx(10.0, abs=1e-4)
 
     op0 = transition_matrix(integrator_undiscounted, u_one, 250.0, settings=STANDARD)
     rec0 = jx_scan(op0, [0.0], horizon_grid(0.0, 250.0))[0]
-    psi0, verdict0 = limit_costate(rec0)
+    psi0, verdict0 = limit_costate(rec0, check_jx_bounded(rec0))
     assert psi0 is None and verdict0.status is Verdict.FAILS
     assert "unbounded" in verdict0.note
 
     op_o = transition_matrix(oscillator, u_one, 250.0, settings=STANDARD)
     rec_o = jx_scan(op_o, [0.0], horizon_grid(0.0, 250.0))[0]
-    psi_o, verdict_o = limit_costate(rec_o)
+    psi_o, verdict_o = limit_costate(rec_o, check_jx_bounded(rec_o))
     assert psi_o is None and verdict_o.status is Verdict.FAILS
     assert "non-convergent" in verdict_o.note
 
@@ -474,7 +492,7 @@ def test_payoff_value_runs_forward_only(integrator, u_one):
 
 
 def test_assumption_uniform_linear_problems(oscillator, integrator, u_one):
-    settings = IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14, max_step=0.1)
+    settings = IntegratorSettings(rel_tol=1e-12, abs_tol=1e-14)
     for problem in (oscillator, integrator):
         op = transition_matrix(problem, u_one, 30.0, settings=settings)
         dirs = [np.ones(problem.state_dim),
