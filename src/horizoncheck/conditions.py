@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from .ode_engine import ControlSignal, Trajectory, _dense_floats
+from .ode_engine import ControlSignal, Trajectory
 from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
 from .variational import CostatePath, TransitionOperator
 from .verdicts import (
@@ -321,28 +322,4 @@ def _state_crossings(traj: Trajectory, x_target):
     """Up to 8 times where a (scalar-state) trajectory passes through x_target."""
     if traj.dim != 1:
         raise ValueError("fiber matching implemented for scalar states")
-    target = float(np.atleast_1d(x_target)[0])
-    vals = traj.states[:, 0] - target
-    hits = []
-    grid = traj.time_grid.tolist()
-    sign_change = np.where(vals[:-1] * vals[1:] <= 0)[0]
-    for idx in sign_change.tolist():
-        if len(hits) >= 8:
-            break
-        a, b = grid[idx], grid[idx + 1]
-        if b <= a:
-            continue
-        # bisect the step's dense output on floats, as traj(t) evaluates it
-        ra, rb = np.hstack([traj.states[idx:idx + 2], traj.derivs[idx:idx + 2],
-                            traj.coeffs[idx:idx + 2].reshape(2, -1)]).tolist()
-        fa = ra[0] - target
-        lo, hi = a, b
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = _dense_floats((mid - a) / (b - a), b - a, ra, rb, 1)[0] - target
-            if fa * fm <= 0:
-                hi = mid
-            else:
-                lo, fa = mid, fm
-        hits.append(0.5 * (lo + hi))
-    return hits
+    return list(islice(traj.crossings(0, float(np.atleast_1d(x_target)[0])), 8))

@@ -312,6 +312,29 @@ class Trajectory:
         return Trajectory(-self.time_grid[::-1], self.states[::-1], -self.derivs[::-1],
                           np.roll(self.coeffs[::-1], -1, axis=0) * _REFLECT, exit_event=ev)
 
+    def leading(self, n: int) -> "Trajectory":
+        """The solution's first n components, on views of this trajectory's
+        rows; the exit event, a state of every component, is not carried."""
+        return Trajectory(self.time_grid, self.states[:, :n], self.derivs[:, :n],
+                          self.coeffs[:, :, :n])
+
+    def crossings(self, i: int, value: float):
+        """Times, in increasing order, at which component i reaches ``value``:
+        on each step of positive width whose end nodes do not lie strictly on
+        one side of it, the first fraction where the dense output lies at it
+        or past it, by :func:`_bisect` to within 1e-15 of the step.  A
+        generator, so a caller that takes the first few localises no more."""
+        grid, _, _, n, rows = self._lookup
+        vals = self.states[:, i] - value
+        for k in np.flatnonzero(vals[:-1] * vals[1:] <= 0).tolist():
+            h = grid[k + 1] - grid[k]
+            if h > 0:
+                # component i's entries [y | f | e0..e3] of the step's end nodes
+                a, b = rows[k:k + 2, i::n].tolist()
+                first = a[0] - value
+                yield grid[k] + h * _bisect(
+                    lambda s: first * (_dense_floats(s, h, a, b, 1)[0] - value) <= 0, 0.0)
+
     def _segments(self, tq):
         """Index of the grid interval holding each (clipped) query time."""
         return np.clip(np.searchsorted(self.time_grid, tq, side="right") - 1,
@@ -334,8 +357,8 @@ class Trajectory:
 
     @cached_property
     def _lookup(self) -> tuple:
-        """For scalar reads: the grid as floats, the span padded by
-        ``_SPAN_SLACK``, the width n and the node rows [state | slope | e0..e3]."""
+        """For scalar reads and crossings: the grid as floats, the span padded
+        by ``_SPAN_SLACK``, the width n and the node rows [state | slope | e0..e3]."""
         grid = self.time_grid.tolist()
         pad = _SPAN_SLACK * max(abs(grid[-1] - grid[0]), 1.0)
         return (grid, grid[0] - pad, grid[-1] + pad, self.dim,
@@ -487,15 +510,14 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
     float array of the state's shape.
 
     ``stops`` is a priority-ordered sequence of ``(label, predicate)`` pairs.
-    A predicate is written over leading axes: it maps (t, y[n]) to a bool
-    after each accepted step and (t[m], Y[m, n]) to bool[m] on the rows of
-    interior points that localise an event, so it reads components as
-    ``Y.T`` or ``Y[..., i]``.  The run stops early with an ``exit_event``
-    when the solution reaches the boundary of the open ``domain`` box or
-    when a predicate holds; a domain exit takes precedence, then the first
-    label that holds.  The event is localized on the accepted step's
-    seventh-order dense output to within h_floor = 1e-9 of the span (see
-    :func:`_sweep_exit`).  A stop that holds at t0 ends the run there.
+    A predicate maps a float time t and one state y[n] to a bool; it is
+    called at each accepted step's end and at the interior points that
+    localise an event.  The run stops early with an ``exit_event`` when the
+    solution reaches the boundary of the open ``domain`` box or when a
+    predicate holds; a domain exit takes precedence, then the first label
+    that holds.  The event is localized on the accepted step's seventh-order
+    dense output to within h_floor = 1e-9 of the span (see
+    :func:`_locate_exit`).  A stop that holds at t0 ends the run there.
     Backward integration is performed by time reversal of the field, with
     each predicate called as ``p(-s, y)``; the returned grid is always
     increasing.  A zero-length span makes the same initial checks as any
@@ -567,8 +589,10 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
         while True:
             h_arr[...] = h
             np.multiply(fy, h_arr, out=hk0)
-            # stage 12's point is the eighth-order solution (FSAL); a solution
-            # that overflowed fails the step like a non-finite stage does
+            # a failed attempt halves h, unless it failed only on the error
+            # measure; stage 12's point is the eighth-order solution (FSAL),
+            # and one that overflowed fails the step like a non-finite stage
+            shrink, cause = 0.5, "field or solution blow-up"
             y_new, f_last = _run_stages(field, t, y, h, h_arr, step_stages)
             if y_new is not None:
                 new_floats = y_new.tolist()
@@ -577,27 +601,18 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
                     err_norm = (_error_norm(err5, err3, y_floats, new_floats, settings)
                                 / _MEASURE_LIMIT)
                     if err_norm > 1.0:
-                        h *= max(0.2, 0.9 * err_norm ** -0.125)
-                        if h < h_floor:
-                            ev = _boundary_stall(t, y, fy, domain, h_floor)
-                            if ev is None:
-                                raise IntegrationError(
-                                    f"step size underflow near t={t:g} (stiffness or blow-up)")
-                            exit_event = ev
+                        shrink, cause = max(0.2, 0.9 * err_norm ** -0.125), "stiffness or blow-up"
+                    else:
+                        # the slope is copied out before the dense stages call the field
+                        f_new = np.array(f_last, dtype=float)
+                        if (math.isfinite(err_norm) and _run_stages(
+                                field, t, y, h, h_arr, dense_stages)[0] is not None):
                             break
-                        continue
-                    # the slope is copied out before the dense stages call the field
-                    f_new = np.array(f_last, dtype=float)
-                    if (math.isfinite(err_norm)
-                            and _run_stages(field, t, y, h, h_arr, dense_stages)[0] is not None):
-                        break
-            h *= 0.5
+            h *= shrink
             if h < h_floor:
-                ev = _boundary_stall(t, y, fy, domain, h_floor)
-                if ev is None:
-                    raise IntegrationError(
-                        f"step size underflow near t={t:g} (field or solution blow-up)")
-                exit_event = ev
+                exit_event = _boundary_stall(t, y, fy, domain, h_floor)
+                if exit_event is None:
+                    raise IntegrationError(f"step size underflow near t={t:g} ({cause})")
                 break
 
         if exit_event is not None:
@@ -611,8 +626,8 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
         t_new = t + h
         outside = faces is not None and not _inside(new_floats, faces)
         if outside or (stops and any(pred(t_new, y_new) for _, pred in stops)):
-            exit_event, theta = _sweep_exit(t, y, fy, h, y_new, f_new, coeffs,
-                                            domain if outside else None, stops, h_floor)
+            exit_event, theta = _locate_exit(t, y, fy, h, y_new, f_new, coeffs,
+                                             domain if outside else None, stops, h_floor)
             f_ev = _dense_slope_on_step(y, fy, h, y_new, f_new, coeffs, theta)
             ts.append(exit_event.time)
             ys.append(exit_event.state)
@@ -661,39 +676,34 @@ def _cut_coeffs(y, fy, h, y_new, f_new, c, theta, y_ev, f_ev):
     return _CUT_FIT @ (rest / (q * q))
 
 
-def _sweep_exit(t, y, fy, h, y_new, f_new, c, domain, stops, h_floor):
+def _locate_exit(t, y, fy, h, y_new, f_new, c, domain, stops, h_floor):
     """Exit event on the accepted step from (t, y) to (t + h, y_new), with
     dense coefficient rows c, and its step fraction theta; the event
     localiser of :func:`integrate`.
 
     ``domain`` is given only when y_new has left it, and a domain exit takes
     precedence; otherwise some predicate of ``stops`` holds at y_new.  The
-    event is localized by :func:`_sweep_predicate` on the step's dense output
-    (:func:`_dense_on_step`), which calls the domain test and each predicate
-    on rows of interior points, as the contract of :func:`integrate` allows.
-    The event's label is the first of ``stops`` that holds there, else the
-    first that holds at y_new.
+    event is localized by :func:`_bisect` to within h_floor on the step's
+    dense output, read by :func:`_dense_floats`, with the domain test and
+    each predicate called on one interior state at a time; its label is the
+    first of ``stops`` that holds there (at y_new when none holds before).
     """
-    def rows(theta):
-        return _dense_on_step(y, fy, h, y_new, f_new, c, theta)
+    n = y.size
+    a, b = [*y.tolist(), *fy.tolist(), *c.ravel().tolist()], [*y_new.tolist(), *f_new.tolist()]
+
+    def state(theta):
+        return np.array(_dense_floats(theta, h, a, b, n))
 
     if domain is not None:
-        theta = _sweep_predicate(lambda th: ~domain.contains(rows(th)), h, h_floor)
-        y_ev = _snap_to_faces(rows(theta), domain)
+        faces = list(zip(domain.lower.tolist(), domain.upper.tolist()))
+        theta = _bisect(lambda th: not _inside(_dense_floats(th, h, a, b, n), faces), h_floor / h)
+        y_ev = _snap_to_faces(state(theta), domain)
         return ExitEvent(t + theta * h, y_ev, domain.describe_exit(y_ev)), theta
 
-    def any_stop(th):
-        t_rows, y_rows = t + th[:, 0] * h, rows(th)
-        hit = np.zeros(th.shape[0], dtype=bool)
-        for _, pred in stops:
-            hit |= pred(t_rows, y_rows)
-        return hit
-
-    theta = _sweep_predicate(any_stop, h, h_floor)
-    t_ev = t + theta * h
-    y_ev = rows(theta)
-    label = _first_label(stops, t_ev, y_ev) or _first_label(stops, t + h, y_new)
-    return ExitEvent(t_ev, y_ev, str(label)), theta
+    theta = _bisect(lambda th: _first_label(stops, t + th * h, state(th)) is not None,
+                    h_floor / h)
+    y_ev = state(theta)
+    return ExitEvent(t + theta * h, y_ev, str(_first_label(stops, t + theta * h, y_ev))), theta
 
 
 def _first_label(stops, t, y):
@@ -701,35 +711,23 @@ def _first_label(stops, t, y):
     return next((label for label, pred in stops if pred(t, y)), None)
 
 
-def _sweep_predicate(outside, h, h_floor):
-    """Smallest theta in (0, 1] with outside(theta) true, to within
-    h_floor/h (at most 80 bisection levels), found by dyadic sweeps.
-
-    ``outside`` maps a column of thetas [p, 1] to bool[p].  Each round
-    evaluates it once on the 2**j - 1 interior points of the bracket
-    (j <= 6) and keeps the first sampled point where it holds, which settles
-    j bisection levels at once; the level count is bisection's.  Every point
-    is a dyadic rational, computed exactly, so for a predicate that holds
-    from some theta on the result equals that of bisection bit for bit; for
-    one that holds and fails again within the step the sweep keeps the first
-    sampled crossing, where bisection may land on a later one.
-    """
-    tol = max(h_floor / h, 1e-15)
-    levels, width = 0, 1.0
-    while levels < 80 and width > tol:  # bisection halves until width <= tol
-        levels += 1
-        width *= 0.5
+def _bisect(holds, tol):
+    """Smallest theta in (0, 1] at which ``holds(theta)``, by bisection on one
+    float theta per level: [0, 1] is halved until its width is at most
+    max(tol, 1e-15), in at most 80 levels, and its upper end is returned.
+    For a predicate that holds from some theta on, that is the theta to
+    within the width; for one that holds and fails again within the step, it
+    is one of the crossings."""
+    tol = max(tol, 1e-15)
     lo, hi = 0.0, 1.0
-    while levels:
-        j = min(levels, 6)
-        levels -= j
-        points = lo + (hi - lo) / (1 << j) * np.arange(1.0, 1 << j)
-        first = np.flatnonzero(outside(points[:, None]))
-        if first.size:
-            k = first[0]
-            lo, hi = (float(points[k - 1]) if k else lo), float(points[k])
+    for _ in range(80):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
         else:
-            lo = float(points[-1])
+            lo = mid
     return hi
 
 

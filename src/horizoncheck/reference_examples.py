@@ -124,21 +124,21 @@ def ramsey_euler_orbit(params: RamseyParams, k0: float, c0: float, t_end: float,
 
 
 def _classify_stops(k_star, c_star, radius):
-    """The Ramsey orbit stops in priority order, written over leading axes as
-    :func:`integrate` asks: the ball of ``radius`` around (k*, c*), then the
-    region k > k* + 0.5, c < c* - 0.25 of the way to zero consumption.  The
-    region lies below the right branch of the stable manifold, where
+    """The Ramsey orbit stops of :func:`integrate` in priority order, each a
+    test of one state (k, c): the ball of ``radius`` around (k*, c*), then
+    the region k > k* + 0.5, c < c* - 0.25 of the way to zero consumption.
+    The region lies below the right branch of the stable manifold, where
     c_s(k) > c*, and no orbit crosses the manifold, so only orbits heading to
     zero consumption enter it."""
     r2 = radius * radius
 
-    def in_ball(t, Y):
-        k, c = Y.T
+    def in_ball(t, y):
+        k, c = y.tolist()
         return (k - k_star) ** 2 + (c - c_star) ** 2 <= r2
 
-    def to_zero(t, Y):
-        k, c = Y.T
-        return (k > k_star + 0.5) & (c < c_star - 0.25)
+    def to_zero(t, y):
+        k, c = y.tolist()
+        return k > k_star + 0.5 and c < c_star - 0.25
 
     return (("saddle_ball", in_ball), ("to_zero_consumption", to_zero))
 
@@ -326,9 +326,7 @@ def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float):
     orbit = ramsey_euler_orbit(params, params.k0, c0, t_end)
     if orbit.exit_event is not None:
         raise ValueError(f"candidate c0={c0:g} infeasible: {orbit.exit_event.description}")
-    k_traj = Trajectory(orbit.time_grid, orbit.states[:, :1], orbit.derivs[:, :1],
-                        orbit.coeffs[:, :, :1])
-    return k_traj, ramsey_control_from_orbit(orbit)
+    return orbit.leading(1), ramsey_control_from_orbit(orbit)
 
 
 def ramsey_saddle_candidate(params: RamseyParams, t_end: float, t_max_shoot: float):

@@ -107,8 +107,7 @@ class TransitionOperator:
         self._aug = aug
         self._n = n
         self._abs_tol = abs_tol
-        self.trajectory = Trajectory(aug.time_grid, aug.states[:, :n], aug.derivs[:, :n],
-                                     aug.coeffs[:, :, :n])
+        self.trajectory = aug.leading(n)
 
     def _blocks(self, t):
         """Y(t) and S(t) from one dense read; an array of times gives a stack
@@ -129,20 +128,21 @@ class TransitionOperator:
         """Y(t) = K(t, t0); an array of times gives a stack of matrices."""
         return self._blocks(t)[0]
 
-    def _smallest_singular_to(self, t: float) -> float:
-        """The smallest singular value of Y at the nodes of the pass up to t."""
+    def _require_resolved(self, t: float, what: str, end: str):
+        """ValueError opening with ``what`` when Y has lost its relative
+        accuracy on [t0, ``end``] = [t0, t], the guard of every division by
+        Y: a Y that decayed into the integration noise, or to zero, is
+        refused rather than inverted."""
         grid = self._aug.time_grid
-        return float(self._smallest_singular[min(np.searchsorted(grid, t), grid.size - 1)])
+        smallest = float(self._smallest_singular[min(np.searchsorted(grid, t), grid.size - 1)])
+        if smallest < _Y_RESOLVED * self._abs_tol:
+            raise ValueError(f"{what}: Y(t) lost its relative accuracy on [t0, {end}] "
+                             f"(smallest singular value {smallest:.3g})")
 
     def _resolved_blocks(self, tau: float):
         """Y(tau) and S(tau), or ValueError naming tau when Y has lost its
-        relative accuracy on [t0, tau], by the guard of :func:`integrate_adjoint`;
-        a Y(tau) that decayed into the integration noise, or to zero, is
-        refused rather than inverted."""
-        smallest = self._smallest_singular_to(tau)
-        if smallest < _Y_RESOLVED * self._abs_tol:
-            raise ValueError(f"K(t, tau) unresolved at tau={tau:g}: Y(t) lost its relative "
-                             f"accuracy on [t0, tau] (smallest singular value {smallest:.3g})")
+        relative accuracy on [t0, tau]."""
+        self._require_resolved(tau, f"K(t, tau) unresolved at tau={tau:g}", "tau")
         return self._blocks(tau)
 
     def evaluate(self, t: float, tau: float) -> np.ndarray:
@@ -262,10 +262,7 @@ def integrate_adjoint(transition: TransitionOperator, T: float, psi_T,
     psi_T = np.atleast_1d(np.asarray(psi_T, dtype=float))
     if psi_T.shape != (trajectory.dim,):
         raise ValueError("terminal costate does not match the state dimension")
-    smallest = transition._smallest_singular_to(T)
-    if smallest < _Y_RESOLVED * transition._abs_tol:
-        raise ValueError(f"costate unresolved: Y(t) lost its relative accuracy on [t0, T] "
-                         f"(smallest singular value {smallest:.3g})")
+    transition._require_resolved(T, "costate unresolved", "T")
     Y_T, S_T = transition._blocks(T)
     return CostatePath(transition, T, Y_T.T @ psi_T + lam * S_T, lam)
 

@@ -738,3 +738,51 @@ def test_stale_doc_reference_detector():
     assert stale_doc_references(sources) == [("a.py", 3, "gone"), ("a.py", 7, "Model.predict"),
                                              ("a.py", 7, "other_fit"),
                                              ("b.py", 2, "removed_batch")]
+
+
+# a trajectory's node rows, which only the engine reads; every other module
+# goes through Trajectory's methods
+ENGINE_ROWS = frozenset({"derivs", "coeffs"})
+
+
+def engine_internals(sources: dict) -> list:
+    """(module, line, name) of every attribute ``derivs`` or ``coeffs`` and
+    every underscore name imported from ``ode_engine`` in a module of
+    ``sources`` other than ode_engine.py itself."""
+    found = []
+    for module, text in sources.items():
+        if module == "ode_engine.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and node.attr in ENGINE_ROWS:
+                found.append((module, node.lineno, node.attr))
+            elif (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "ode_engine"):
+                found.extend((module, node.lineno, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    return sorted(found)
+
+
+def test_package_keeps_the_trajectory_format_inside_the_engine():
+    assert engine_internals({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_engine_internals_detector():
+    sources = {
+        "ode_engine.py": (
+            "def _dense_floats(rows):\n"
+            "    return rows\n"
+            "def rows(traj):\n"
+            "    return traj.derivs, traj.coeffs\n"
+        ),
+        "a.py": (
+            "from .ode_engine import Trajectory, _dense_floats\n"
+            "from horizoncheck.ode_engine import _bisect as bisect\n"
+            "from .verdicts import _private\n"
+            "def rows(traj, coeffs):\n"
+            "    traj.coeffs = coeffs\n"
+            "    return traj.states, traj.derivs[0], coeffs\n"
+        ),
+    }
+    assert engine_internals(sources) == [("a.py", 1, "_dense_floats"), ("a.py", 2, "_bisect"),
+                                         ("a.py", 5, "coeffs"), ("a.py", 6, "derivs")]

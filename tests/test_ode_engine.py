@@ -18,12 +18,7 @@ from horizoncheck import (
 )
 from horizoncheck import ode_engine
 from horizoncheck.cli import _CHECK_SETTINGS
-from horizoncheck.ode_engine import (
-    _dense_on_step,
-    _error_norm,
-    _hermite_on_step,
-    _sweep_predicate,
-)
+from horizoncheck.ode_engine import _dense_on_step, _error_norm
 from horizoncheck.reference_examples import (
     RamseyParams,
     _classify_stops,
@@ -168,7 +163,7 @@ def test_coeff_rows_vanish_where_the_cubic_holds():
     # by an exit event keeps its polynomial, restricted to the part before
     # the event
     field = lambda t, y: -y - 1.0
-    cut = integrate(field, 0.0, [1.0], 5.0, COARSE, stops=(("zero", lambda t, y: y[..., 0] <= 0),))
+    cut = integrate(field, 0.0, [1.0], 5.0, COARSE, stops=(("zero", lambda t, y: y[0] <= 0),))
     assert cut.exit_event is not None and cut.exit_event.time == pytest.approx(math.log(2.0))
     assert cut.coeffs[:-1].any(axis=(1, 2)).all() and not cut.coeffs[-1].any()
     # the steps before the event are those of the run without the stop
@@ -248,7 +243,7 @@ def test_nonfinite_span_is_rejected(t0, t_end):
 
 def test_stop_condition_label_recorded():
     field = lambda t, y: np.array([1.0])
-    stops = (("past_two", lambda t, y: y[..., 0] > 2.0),)
+    stops = (("past_two", lambda t, y: y[0] > 2.0),)
     traj = integrate(field, 0.0, [0.0], 10.0, COARSE, stops=stops)
     assert traj.exit_event is not None
     assert traj.exit_event.description == "past_two"
@@ -257,12 +252,12 @@ def test_stop_condition_label_recorded():
 
 def test_stops_follow_priority_and_the_true_time():
     field = lambda t, y: np.array([1.0])
-    above = lambda t, y: y[..., 0] > 2.0
+    above = lambda t, y: y[0] > 2.0
     traj = integrate(field, 0.0, [0.0], 10.0, COARSE,
                      stops=(("first", above), ("second", above)))
     assert traj.exit_event is not None and traj.exit_event.description == "first"
     # a backward run calls each predicate at the true time t
-    stops = (("before_three", lambda t, y: t < 3.0), ("below_one", lambda t, y: y[..., 0] < 1.0))
+    stops = (("before_three", lambda t, y: t < 3.0), ("below_one", lambda t, y: y[0] < 1.0))
     traj = integrate(field, 10.0, [10.0], 0.0, COARSE, stops=stops)
     assert traj.exit_event is not None and traj.exit_event.description == "before_three"
     assert traj.exit_event.time == pytest.approx(3.0, abs=1e-6)
@@ -511,7 +506,7 @@ def test_scalar_reads_match_vector_rows_on_program_trajectories():
         assert np.array_equal(single(t), single(np.array([t]))[0])
         assert np.array_equal(single(t), [1.5, -0.25])
     stopped = integrate(lambda t, y: -y, 0.0, [1.0, 2.0], 5.0, _CHECK_SETTINGS,
-                        stops=[("at once", lambda t, y: y[..., 0] > 0.5)])
+                        stops=[("at once", lambda t, y: y[0] > 0.5)])
     assert stopped.time_grid.size == 1
     _assert_scalar_reads_match_rows(stopped, rng)
 
@@ -679,7 +674,7 @@ def test_domain_exit_localized_within_h_floor():
 
 
 # ---------------------------------------------------------------------------
-# zero-length spans, finiteness checks and event sweeps
+# zero-length spans, finiteness checks and event localisation
 
 
 def test_zero_length_span_makes_the_initial_checks():
@@ -703,7 +698,7 @@ def test_batch_zero_length_span_makes_the_initial_checks():
     # diagram are: a state stop that holds at t0 ends that start's run there,
     # inside the domain, while the other start reaches t_end
     box = Box.from_bounds([0.0], [1.0])
-    low = (("low", lambda t, y: y[..., 0] < 0.15),)
+    low = (("low", lambda t, y: y[0] < 0.15),)
     for t_end in (0.0, 1.0):
         with pytest.raises(ValueError, match="outside the open domain"):
             for y0 in ([0.5], [2.0]):
@@ -788,48 +783,49 @@ def test_fig1_shooting_orbit_pins():
 
 
 def test_solo_ramsey_events_land_on_the_bisected_theta(monkeypatch):
-    # each event of a solo orbit is localized by _sweep_exit; its theta must
-    # be the one that bisection with scalar predicate calls finds
-    sweeps = []
-    sweep_exit = ode_engine._sweep_exit
+    # each event of a solo orbit is localized by _locate_exit on the float
+    # dense output; its theta must be the one that bisection finds on the
+    # vector dense output
+    located = []
+    locate_exit = ode_engine._locate_exit
 
     def recorded(*args):
-        event, theta = sweep_exit(*args)
-        sweeps.append((args, event, theta))
+        event, theta = locate_exit(*args)
+        located.append((args, event, theta))
         return event, theta
 
-    monkeypatch.setattr(ode_engine, "_sweep_exit", recorded)
+    monkeypatch.setattr(ode_engine, "_locate_exit", recorded)
     params = RamseyParams(**FIG1)
     interior, _ = ramsey_steady_state(params)
     stops = _classify_stops(interior.k_star, interior.c_star, 1e-3)
 
-    def last_sweep(orbit):
-        args, event, theta = sweeps[-1]
+    def last_located(orbit):
+        args, event, theta = located[-1]
         assert orbit.exit_event is event and orbit.t_end == event.time
-        t, y, fy, h, y_new, f_new, coeffs, domain, sweep_stops, h_floor = args
+        t, y, fy, h, y_new, f_new, coeffs, domain, event_stops, h_floor = args
         point = lambda th: _dense_on_step(y, fy, h, y_new, f_new, coeffs, th)
         if domain is not None:
             holds = lambda th: not domain.contains(point(th))
         else:
-            holds = lambda th: any(pred(t + th * h, point(th)) for _, pred in sweep_stops)
+            holds = lambda th: any(pred(t + th * h, point(th)) for _, pred in event_stops)
         assert theta == _bisect_predicate(holds, h, h_floor)
         assert event.time == t + theta * h
         return event
 
     _, orbit = ramsey_shoot(params, 2000.0)
-    assert last_sweep(orbit).description == "saddle_ball"
+    assert last_located(orbit).description == "saddle_ball"
     orbit = ramsey_euler_orbit(params, 60.0, 3.0, 600.0, stops=stops)
-    assert last_sweep(orbit).description == "to_zero_consumption"
+    assert last_located(orbit).description == "to_zero_consumption"
     # past k = 0 the field is NaN, so no step across that face is accepted
     # and the exit comes from the step-size stall; a face at k = 2 is crossed
-    # by an accepted step and localized by the sweep
-    sweeps.clear()
+    # by an accepted step and localized by bisection
+    located.clear()
     orbit = ramsey_euler_orbit(params, 10.0, 3.0, 600.0, stops=stops)
-    assert not sweeps and orbit.exit_event.state[0] == 0.0
+    assert not located and orbit.exit_event.state[0] == 0.0
     orbit = integrate(lambda t, y: np.array(_euler_rates(params, *y)), 0.0, [10.0, 3.0], 600.0,
                       IntegratorSettings(rel_tol=1e-9, abs_tol=1e-11),
                       domain=Box.from_bounds([2.0, 0.0], [np.inf, 1e12]), stops=stops)
-    assert last_sweep(orbit).description == "y[0] reached lower bound 2"
+    assert last_located(orbit).description == "y[0] reached lower bound 2"
 
 
 def test_stop_is_called_once_at_t0():
@@ -896,7 +892,8 @@ def test_box_without_finite_faces_matches_no_domain():
 
 def _bisect_predicate(outside, h, h_floor, max_iter=80):
     """Smallest theta in (0, 1] with outside(theta) true, to within h_floor/h,
-    by bisection with one scalar theta per level: the oracle of the sweeps."""
+    by bisection with one scalar theta per level: the oracle of the event
+    localiser."""
     lo, hi = 0.0, 1.0
     tol = max(h_floor / h, 1e-15)
     for _ in range(max_iter):
@@ -910,34 +907,49 @@ def _bisect_predicate(outside, h, h_floor, max_iter=80):
     return hi
 
 
-def test_sweep_matches_bisection_on_monotone_predicates():
-    hypothesis, st, _ = _hypothesis()
+def test_integrate_calls_every_test_with_a_float_time_and_one_state(monkeypatch):
+    # the stops and the domain test see a float t and one state y[n], after
+    # each accepted step and at every interior point that localises an
+    # event, forward and backward
+    shapes, times = [], []
+    contains, inside = Box.contains, ode_engine._inside
+    monkeypatch.setattr(Box, "contains",
+                        lambda box, y: shapes.append(np.shape(y)) or contains(box, y))
+    monkeypatch.setattr(ode_engine, "_inside",
+                        lambda v, faces: shapes.append(np.shape(v)) or inside(v, faces))
 
-    @st.composite
-    def steps(draw):
-        # a cubic Hermite step with end slopes inside the Fritsch-Carlson
-        # region (alpha^2 + beta^2 < 9), so its first component increases
-        y = draw(st.floats(-1.0, 1.0))
-        rise = draw(st.floats(0.5, 2.0))
-        h = draw(st.floats(1e-3, 10.0))
-        alpha = draw(st.floats(0.1, 2.0))
-        beta = draw(st.floats(0.1, math.sqrt(8.0 - alpha * alpha)))
-        other = draw(st.floats(-5.0, 5.0))
-        return (np.array([y, other]), np.array([alpha * rise / h, other]), h,
-                np.array([y + rise, -other]), np.array([beta * rise / h, 1.0]))
+    def recorded(holds):
+        def pred(t, y):
+            times.append(t)
+            shapes.append(np.shape(y))
+            return holds(y)
+        return pred
 
-    @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(steps(), st.floats(-0.5, 1.5), st.floats(0.0, 1.0),
-                      st.floats(1e-10, 0.75))
-    def check(step, level, cut, floor_ratio):
-        y, f0, h, y_new, f_new = step
-        h_floor = floor_ratio * h
-        target = y[0] + level * (y_new[0] - y[0])
-        above = lambda th: _hermite_on_step(y, f0, h, y_new, f_new, th)[..., 0] >= target
-        assert (_sweep_predicate(above, h, h_floor)
-                == _bisect_predicate(lambda th: bool(above(th)), h, h_floor))
-        late = lambda th: th >= cut
-        assert (_sweep_predicate(lambda th: late(th)[:, 0], h, h_floor)
-                == _bisect_predicate(late, h, h_floor))
+    field = lambda t, y: np.array([-1.0, y[0]])
+    runs = [dict(t_end=5.0, domain=Box.from_bounds([0.0, -np.inf], [np.inf, np.inf])),
+            dict(t_end=5.0, stops=(("half", recorded(lambda y: y[0] < 0.5)),)),
+            dict(t_end=-5.0, stops=(("two", recorded(lambda y: y[0] > 2.0)),))]
+    for run, t_hit in zip(runs, (1.0, 0.5, -1.0)):
+        shapes.clear()
+        t_end = run.pop("t_end")
+        traj = integrate(field, 0.0, [1.0, 0.0], t_end, COARSE, **run)
+        assert traj.exit_event is not None
+        assert traj.exit_event.time == pytest.approx(t_hit, abs=1e-8)
+        # more tests than nodes: the event was localised between two of them
+        assert len(shapes) > traj.time_grid.size
+        assert set(shapes) == {(2,)}
+    assert times and all(type(t) is float for t in times)
 
-    check()
+
+def test_crossings_of_a_sine_match_the_closed_form():
+    # y = (sin t, cos t) on [0, 20]: sin t = 0.5 at pi/6 + 2 pi k and
+    # 5 pi/6 + 2 pi k, cos t = 0.5 at pi/3 + 2 pi k and 5 pi/3 + 2 pi k,
+    # seven times each
+    traj = integrate(lambda t, y: np.array([y[1], -y[0]]), 0.0, [0.0, 1.0], 20.0, TIGHT)
+    for i, roots in ((0, (math.pi / 6, 5 * math.pi / 6)), (1, (math.pi / 3, 5 * math.pi / 3))):
+        exact = sorted(r + 2 * math.pi * k for r in roots for k in range(4)
+                       if r + 2 * math.pi * k <= 20.0)
+        found = list(traj.crossings(i, 0.5))
+        assert len(found) == len(exact) == 7
+        np.testing.assert_allclose(found, exact, rtol=0.0, atol=1e-10)
+    assert list(traj.crossings(0, 1.5)) == []

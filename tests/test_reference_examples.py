@@ -301,8 +301,8 @@ def test_feasible_k_path_agrees_with_the_state_equation(ramsey_params, ramsey_fa
 
 
 def test_state_crossings_match_bisection_on_the_trajectory(ramsey_family):
-    # the float bisection of each crossing step gives the times that
-    # bisecting traj(t) itself gives, bit for bit
+    # the bisection of each crossing step on its fraction gives the times
+    # that bisecting traj(t) itself in time gives, to within 1e-14 of the step
     def bisected(traj, target):
         vals = traj.states[:, 0] - target
         hits = []
@@ -313,13 +313,16 @@ def test_state_crossings_match_bisection_on_the_trajectory(ramsey_family):
                 mid = 0.5 * (lo + hi)
                 fm = float(traj(mid)[0]) - target
                 hi, lo, fa = (mid, lo, fa) if fa * fm <= 0 else (hi, mid, fm)
-            hits.append(0.5 * (lo + hi))
+            hits.append((0.5 * (lo + hi), traj.time_grid[idx + 1] - traj.time_grid[idx]))
         return hits
 
     _, family = ramsey_family
     for traj, _ in family:
         for target in (9.0, 10.0, 10.5, 13.7, 25.0, float(traj.states[10, 0])):
-            assert _state_crossings(traj, [target]) == bisected(traj, target)
+            found, expected = _state_crossings(traj, [target]), bisected(traj, target)
+            assert len(found) == len(expected)
+            for t, (t_bisected, width) in zip(found, expected):
+                assert abs(t - t_bisected) <= 1e-14 * width
 
 
 def test_sub_saddle_orbit_stays_feasible(ramsey_params):
