@@ -33,7 +33,6 @@ from .variational import (
     TransitionOperator,
     check_assumption_uniform,
     check_jx_bounded,
-    horizon_grid,
     integrate_adjoint,
     jx_scan,
     limit_costate,

@@ -55,7 +55,6 @@ from .reference_examples import (
 from .overtaking import empirical_overtaking_test, needle_limit_check, payoff_path
 from .variational import (
     check_jx_bounded,
-    horizon_grid,
     integrate_adjoint,
     jx_scan,
     limit_costate,
@@ -226,16 +225,13 @@ def _build_linear_check(config: RunConfig) -> ReportData:
 
     transition = transition_matrix(problem, control, t_max, settings=_CHECK_SETTINGS)
 
-    # gradient-route rows: tail conditions, boundedness, limit costate
-    tau_grid = [problem.initial_time]
-    T_dense = dense_horizon_grid(problem.initial_time, t_max)
+    # gradient-route rows, from one gradient read per anchor; each record is
+    # judged once: its bound, then its limit, which every candidate shares
+    records = jx_scan(transition, [problem.initial_time],
+                      dense_horizon_grid(problem.initial_time, t_max)[1:])
     judged = [("general", "(gradient route)", f"prop_general_{mode}",
-               check_general(problem, transition, control, tau_grid,
-                             T_grid=T_dense, mode=mode).verdict)
+               check_general(problem, transition, control, records, mode=mode).verdict)
               for mode in ("WOO", "OO")]
-    # each record judged once: its bound, then its limit, which the
-    # decomposition rows of every candidate share
-    records = jx_scan(transition, tau_grid, horizon_grid(problem.initial_time, t_max)[1:])
     bounded = [check_jx_bounded(rec) for rec in records]
     limits = [limit_costate(rec, b) for rec, b in zip(records, bounded)]
     judged += [("limit", "(gradient route)", "limit_costate", limits[0][1]),

@@ -31,7 +31,7 @@ import numpy as np
 
 from .ode_engine import ControlSignal, Trajectory
 from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
-from .variational import CostatePath, TransitionOperator
+from .variational import CostatePath, JxRecord, TransitionOperator
 from .verdicts import (
     TAIL_FAIL_TOL,
     TAIL_HOLD_TOL,
@@ -85,43 +85,34 @@ class GeneralConditionReport:
 
 
 def check_general(problem: ControlProblem, transition: TransitionOperator,
-                  control: ControlSignal, tau_grid, *,
-                  T_grid, mode: str) -> GeneralConditionReport:
+                  control: ControlSignal, records: Sequence[JxRecord], *,
+                  mode: str) -> GeneralConditionReport:
     """Tail test of the Hamiltonian-difference condition over a (tau, u) grid.
 
-    The control values are 33 per axis of the control set.  For each anchor
-    tau and control value u the liminf (mode WOO) or limsup (mode OO) of the
-    Hamiltonian difference over growing horizons is estimated by the min/max
-    over the last half of the horizon span.  With the same extremum over the
-    quarter and the eighth of the span before it, these three dyadic windows
-    are judged by the tail rule of :mod:`.verdicts` as excesses over 0, with
-    ``VERDICT_SLACK`` as hold and fail tolerance.  The battery verdict
-    aggregates all cells.  The state path is that of ``transition``.
+    The anchors tau are those of the gradient ``records`` of
+    :func:`~horizoncheck.variational.jx_scan`, the control values 33 per
+    axis of the control set.  For each cell the liminf (mode WOO) or limsup
+    (mode OO) of the Hamiltonian difference, built from the record's values,
+    is estimated by the min/max over the last half of its horizon span.
+    With the same extremum over the quarter and the eighth of the span
+    before it, these three dyadic windows are judged by the tail rule of
+    :mod:`.verdicts` as excesses over 0, with ``VERDICT_SLACK`` as hold and
+    fail tolerance.  The battery verdict aggregates all cells.  The state
+    path is that of ``transition``.
     """
     if mode not in ("WOO", "OO"):
         raise ValueError("mode must be 'WOO' or 'OO'")
-    trajectory = transition.trajectory
-    tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    T_grid = np.sort(np.asarray(T_grid, dtype=float))
-    if not trajectory.covers(float(T_grid[-1])):
-        raise ValueError("horizon grid exceeds the span of the transition operator")
     control_grid = problem.control_set.sample_grid(_CONTROL_RESOLUTION)
-
-    n_tau, n_u = tau_grid.size, control_grid.shape[0]
-    windows = np.empty((n_tau, n_u, 3))
+    windows = np.empty((len(records), control_grid.shape[0], 3))
     extremum = np.min if mode == "WOO" else np.max
 
-    for i, tau in enumerate(tau_grid):
-        tau = float(tau)
-        Ts = T_grid[T_grid >= tau + 1e-12]
-        grads = transition.gradient(tau, Ts)  # (n_T, n)
-        dH = hamiltonian_jumps(problem, trajectory(tau), control.evaluate(tau), tau,
-                               control_grid, grads, 1.0)  # (n_T, n_u)
+    for i, rec in enumerate(records):
+        tau, Ts = rec.tau, rec.T_grid
+        dH = hamiltonian_jumps(problem, transition.trajectory(tau), control.evaluate(tau), tau,
+                               control_grid, rec.values, 1.0)  # (n_T, n_u)
         span = float(Ts[-1] - tau)
-        masks = [(Ts > tau + span / 8) & (Ts <= tau + span / 4),
-                 (Ts > tau + span / 4) & (Ts <= tau + span / 2),
-                 (Ts > tau + span / 2)]
-        for k, mask in enumerate(masks):
+        for k, (lo, hi) in enumerate([(1 / 8, 1 / 4), (1 / 4, 1 / 2), (1 / 2, math.inf)]):
+            mask = (Ts > tau + lo * span) & (Ts <= tau + hi * span)
             windows[i, :, k] = extremum(dH[mask], axis=0) if np.any(mask) else math.nan
     estimates = windows[:, :, 2].copy()
     cells = [tail_rule(w, VERDICT_SLACK, VERDICT_SLACK) for w in windows.reshape(-1, 3)]
@@ -165,8 +156,8 @@ def check_classical(problem: ControlProblem, transition: TransitionOperator,
     tcKAV:  |K(t, t0)* psi(t)| -> 0
 
     Each is judged by :func:`.tail_limit_verdict` on the tail window against
-    the window before it, with the last tail value as estimate; returns one
-    dict keyed by condition id per path.
+    the window before it, with the tail window's excess max(|mean|,
+    oscillation) as estimate; returns one dict keyed by condition id per path.
     The paths share one span, as those of one terminal time do.
     """
     spans = {(c.t0, c.t_end) for c in costates}

@@ -322,11 +322,13 @@ class Trajectory:
         """Times, in increasing order, at which component i reaches ``value``:
         on each step of positive width whose end nodes do not lie strictly on
         one side of it, the first fraction where the dense output lies at it
-        or past it, by :func:`_bisect` to within 1e-15 of the step.  A
-        generator, so a caller that takes the first few localises no more."""
+        or past it, by :func:`_bisect` to within 1e-15 of the step; a node
+        at it belongs to the step that ends there.  A generator, so a caller
+        that takes the first few localises no more."""
         grid, _, _, n, rows = self._lookup
         vals = self.states[:, i] - value
-        for k in np.flatnonzero(vals[:-1] * vals[1:] <= 0).tolist():
+        hits = (vals[:-1] * vals[1:] <= 0) & np.r_[True, vals[1:-1] != 0]
+        for k in np.flatnonzero(hits).tolist():
             h = grid[k + 1] - grid[k]
             if h > 0:
                 # component i's entries [y | f | e0..e3] of the step's end nodes

@@ -14,8 +14,9 @@ The central objects are
   = Y(t)^-* (Y(T)* psi(T) + lam (S(T) - S(t))), the explicit adjoint formula
   of Aseev and Kryazhimskiy (2004); the test-suite checks it against an
   adjoint equation solved backward;
-* tail analysis of grad(tau, T) as the horizon grows, on the horizons of
-  :func:`horizon_grid`, by the one tail rule of :mod:`.verdicts`: the
+* tail analysis of grad(tau, T) as the horizon grows, by the one tail rule
+  of :mod:`.verdicts`, on the records of :func:`jx_scan`, which ``check``
+  reads once per anchor and shares with the general condition: the
   component oscillation on the last two quarters of the horizons decides the
   limit costate, and the running max's growth over the last two horizon
   doublings, against the two before them, decides boundedness.
@@ -56,7 +57,6 @@ __all__ = [
     "TransitionOperator",
     "check_assumption_uniform",
     "check_jx_bounded",
-    "horizon_grid",
     "integrate_adjoint",
     "jx_scan",
     "limit_costate",
@@ -65,8 +65,6 @@ __all__ = [
 ]
 
 
-# horizons of :func:`horizon_grid` beyond the anchor
-_HORIZON_POINTS = 200
 # a smallest singular value of Y below this many abs_tol has lost its
 # relative accuracy: the pass resolves Y only to abs_tol
 _Y_RESOLVED = 1e6
@@ -199,7 +197,8 @@ class JxRecord:
 
 
 def jx_scan(transition: TransitionOperator, tau_grid, T_grid) -> list[JxRecord]:
-    """Gradient records for many anchors from one transition-operator pass."""
+    """Gradient records for many anchors from one transition-operator pass,
+    one read per anchor tau over tau and the horizons beyond it."""
     records = []
     T_grid = np.sort(np.atleast_1d(np.asarray(T_grid, dtype=float)))
     for tau in np.atleast_1d(np.asarray(tau_grid, dtype=float)):
@@ -271,22 +270,15 @@ def integrate_adjoint(transition: TransitionOperator, T: float, psi_T,
 # tail limits
 
 
-def horizon_grid(tau: float, t_max: float) -> np.ndarray:
-    """Horizons of a tail analysis anchored at tau: tau itself, then 200
-    points geometric from tau + 1 to t_max."""
-    if t_max <= tau + 1.0:
-        raise ValueError("t_max must exceed tau + 1")
-    return np.concatenate([[tau], np.geomspace(tau + 1.0, t_max, _HORIZON_POINTS)])
-
-
 def limit_costate(jx: JxRecord, bounded: ConditionVerdict):
     """Tail limit of the payoff gradient as the horizon grows.
 
     The tail rule judges the largest component oscillation on the last
-    quarter of the horizons against the quarter before it.  When it holds,
-    the limit is estimated by the tail window's average, and the estimate is
-    its max-norm; a failing limit is called unbounded when ``bounded``, the
-    verdict of :func:`check_jx_bounded` on the same record, fails.
+    quarter of the record's horizon span against the quarter before it.
+    When it holds, the limit psi_hat is the tail window's average, and the
+    estimate is its max-norm; a failing limit is called unbounded when
+    ``bounded``, the verdict of :func:`check_jx_bounded` on the same record,
+    fails.  Returns (psi_hat or None, verdict).
     """
     earlier, tail = tail_windows(jx.T_grid)
     window, osc = jx.values[tail], window_oscillation(jx.values[tail])
@@ -306,7 +298,7 @@ def limit_costate(jx: JxRecord, bounded: ConditionVerdict):
 
 
 def check_jx_bounded(jx: JxRecord):
-    """Empirical horizon-uniform bound on the payoff gradient.
+    """Empirical horizon-uniform bound on the payoff gradient of a record.
 
     A window's excess is the running max's growth ratio minus 1 over two
     horizon doublings, T/16 to T/4 and then T/4 to T.  The tail rule holds

@@ -94,13 +94,13 @@ def tail_limit_verdict(values, earlier, note: str) -> ConditionVerdict:
     A window's excess is the larger of its oscillation and its |mean|, judged
     by :func:`tail_rule` with ``TAIL_HOLD_TOL`` and ``TAIL_FAIL_TOL``; slow or
     unresolved limits are never over-claimed.  ``note`` names the quantity;
-    the estimate is its last tail value, None for an empty tail.
+    the estimate is the tail window's excess, None for an empty tail.
     """
     stats = [(window_oscillation(w), float(np.mean(w)) if len(w) >= 3 else math.nan)
              for w in (earlier, values)]
     # abs(mean) first: max keeps it when osc is NaN (an all-infinite tail)
-    status, trend = tail_rule([max(abs(mean), osc) for osc, mean in stats],
-                              TAIL_HOLD_TOL, TAIL_FAIL_TOL)
+    excesses = [max(abs(mean), osc) for osc, mean in stats]
+    status, trend = tail_rule(excesses, TAIL_HOLD_TOL, TAIL_FAIL_TOL)
     osc, mean = stats[-1]
     detail = f"{note}; tail oscillation {osc:.3g}, tail mean {mean:.3g}{trend}"
-    return ConditionVerdict(status, float(values[-1]) if len(values) else None, note=detail)
+    return ConditionVerdict(status, excesses[-1] if len(values) else None, note=detail)

@@ -14,13 +14,13 @@ from horizoncheck import (
     ControlSignal,
     IntegratorReference,
     IntegratorSettings,
+    JxRecord,
     Verdict,
     check_general,
     check_gmax,
     check_jx_bounded,
     dense_horizon_grid,
     empirical_overtaking_test,
-    horizon_grid,
     integrate_adjoint,
     jx_scan,
     limit_costate,
@@ -82,9 +82,9 @@ def test_criterion_01_oscillator_variational_oracle(oscillator, osc_traj_30,
 def test_criterion_02_general_condition_estimates(oscillator, u_one, osc_400pi):
     op, t_max = osc_400pi
     ref = oscillator_reference(0.5)
-    T_grid = dense_horizon_grid(0.0, t_max)
-    woo = check_general(oscillator, op, u_one, [0.0], T_grid=T_grid, mode="WOO")
-    oo = check_general(oscillator, op, u_one, [0.0], T_grid=T_grid, mode="OO")
+    records = jx_scan(op, [0.0], dense_horizon_grid(0.0, t_max))
+    woo = check_general(oscillator, op, u_one, records, mode="WOO")
+    oo = check_general(oscillator, op, u_one, records, mode="OO")
     ugrid = oscillator.control_set.sample_grid(conditions._CONTROL_RESOLUTION)[:, 0]
     worst = 0.0
     for u in (-1.0, -0.5, 0.0, 0.5, 1.0):
@@ -156,8 +156,8 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
     for name, params, extra in scenarios:
         problem = make_builtin_problem(name, params)
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
-        rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
-        _, lc = limit_costate(rec, check_jx_bounded(rec))
+        records = jx_scan(op, [0.0], dense_horizon_grid(0.0, 250.0))
+        _, lc = limit_costate(records[0], check_jx_bounded(records[0]))
 
         surrogate = integrate_adjoint(op, 250.0, np.zeros(problem.state_dim), 1.0)
         from horizoncheck import check_classical
@@ -175,7 +175,6 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
             ref = oscillator_reference(0.5)
             psi_T = ref.costate(extra["r"], extra["phi"], 250.0)
         candidate = integrate_adjoint(op, 250.0, psi_T, 1.0)
-        records = jx_scan(op, [0.0], horizon_grid(0.0, 250.0)[1:])
         a0_est, dec = decompose_costate(candidate, op, record_limits(records))
         if name == "integrator" and params["rho"] > 0:
             assert dec.status is Verdict.HOLDS
@@ -353,13 +352,13 @@ def test_criterion_09_overtaking_verdicts(oscillator, u_one):
 def test_criterion_10_integrator_limit_values(integrator,
                                               integrator_undiscounted, u_one):
     op = transition_matrix(integrator, u_one, 250.0, settings=STANDARD)
-    rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
+    rec = jx_scan(op, [0.0], dense_horizon_grid(0.0, 250.0))[0]
     psi_hat, verdict = limit_costate(rec, check_jx_bounded(rec))
     assert verdict.status is Verdict.HOLDS
     assert psi_hat[0] == pytest.approx(10.0, abs=1e-4)
 
     op0 = transition_matrix(integrator_undiscounted, u_one, 250.0, settings=STANDARD)
-    rec0 = jx_scan(op0, [0.0], horizon_grid(0.0, 250.0))[0]
+    rec0 = jx_scan(op0, [0.0], dense_horizon_grid(0.0, 250.0))[0]
     psi0, verdict0 = limit_costate(rec0, check_jx_bounded(rec0))
     assert psi0 is None and verdict0.status is Verdict.FAILS
     assert "unbounded" in verdict0.note
@@ -405,10 +404,12 @@ def test_criterion_11_undiscounted_limits_keep_failing(t_max):
     assert all(statuses[key] == "holds" for key in holding)
 
 
-@pytest.mark.parametrize("b, t_max", [(0.5, 30.0), (0.5, 100.0), (1.5, 30.0), (1.5, 100.0)])
+@pytest.mark.parametrize("b, t_max", [(0.5, 30.0), (0.5, 100.0), (0.5, 800.0),
+                                      (1.5, 30.0), (1.5, 100.0), (1.5, 800.0)])
 def test_criterion_11_oscillating_limits_keep_failing(b, t_max):
     # the oscillator's tails neither shrink nor grow; t_max 400 is pinned
-    # byte for byte by the golden reports
+    # byte for byte by the golden reports, and at 800 a limit costate read
+    # off too few horizons took sampling noise for a shrinking tail
     failing = {key for key, s in _statuses("oscillator", {"b": b}, t_max).items()
                if s == "fails"}
     expected = {("(gradient route)", "limit_costate")}
@@ -424,3 +425,20 @@ def test_criterion_11_oscillating_limits_keep_failing(b, t_max):
         if not label.endswith("phi=-pi/2)"):
             expected.add((label, "tcM"))
     assert failing == expected
+
+
+@pytest.mark.parametrize("t_max", [400.0, 800.0, 1600.0, 3200.0])
+def test_criterion_12_oscillator_limit_costate_fails_at_every_horizon(t_max):
+    # grad(0, T) = (cos T - 1, sin T) has period 2 pi; on horizons at most
+    # 0.02 apart every tail window sweeps whole periods, so the oscillation
+    # is 2 at every horizon: the limit fails, and the gradient stays bounded
+    T = dense_horizon_grid(0.0, t_max)
+    record = JxRecord(0.0, T, oscillator_reference(0.5).jx(0.0, T))
+    bounded = check_jx_bounded(record)
+    psi_hat, verdict = limit_costate(record, bounded)
+    assert psi_hat is None and verdict.status is Verdict.FAILS
+    assert verdict.note == "bounded, non-convergent: tail oscillation 2"
+    assert bounded.status is Verdict.HOLDS
+    assert bounded.estimate == pytest.approx(2.0, abs=1e-6)
+    _ok("A12", f"t_max {t_max:g}: limit costate fails on the closed-form gradient, "
+               "bounded by 2")

@@ -43,6 +43,19 @@ def test_check_judges_each_gradient_record_once(example, params, monkeypatch):
     assert sum(row[2] == "a0_limit" for row in report.rows) >= 2
 
 
+@pytest.mark.parametrize("example, params", [("oscillator", {"b": 0.5}),
+                                             ("integrator", {"rho": 0.1})])
+def test_check_reads_the_gradient_once_per_anchor(example, params, monkeypatch):
+    # one read feeds both general rows, the bound, the limit costate and,
+    # through it, the decomposition rows
+    anchors = []
+    gradient = variational.TransitionOperator.gradient
+    monkeypatch.setattr(variational.TransitionOperator, "gradient",
+                        lambda self, tau, T: anchors.append(tau) or gradient(self, tau, T))
+    build_check_report(RunConfig(example, params, 100.0))
+    assert anchors == [0.0]
+
+
 def test_list_examples(capsys):
     assert main(["list-examples"]) == 0
     # --c-max bounds the phase-diagram axis; it is no parameter of the model

@@ -21,7 +21,6 @@ from horizoncheck import (
     dense_horizon_grid,
     hamiltonian,
     hamiltonian_jumps,
-    horizon_grid,
     integrate_adjoint,
     jx_scan,
     limit_costate,
@@ -55,11 +54,9 @@ def test_delta_hamiltonian_oracles(oscillator, osc_traj_30, osc_op_30, u_one,
 
 
 def test_check_general_oscillator_verdicts(oscillator, osc_op_400, u_one):
-    T_grid = dense_horizon_grid(0.0, 400.0)
-    woo = check_general(oscillator, osc_op_400, u_one, [0.0], T_grid=T_grid,
-                        mode="WOO")
-    oo = check_general(oscillator, osc_op_400, u_one, [0.0], T_grid=T_grid,
-                       mode="OO")
+    records = jx_scan(osc_op_400, [0.0], dense_horizon_grid(0.0, 400.0))
+    woo = check_general(oscillator, osc_op_400, u_one, records, mode="WOO")
+    oo = check_general(oscillator, osc_op_400, u_one, records, mode="OO")
     assert woo.verdict.status is Verdict.HOLDS
     assert oo.verdict.status is Verdict.FAILS
     ref = oscillator_reference(0.5)
@@ -71,9 +68,8 @@ def test_check_general_oscillator_verdicts(oscillator, osc_op_400, u_one):
 
 
 def test_check_general_diagonal_identity(oscillator, osc_op_400, u_one):
-    report = check_general(oscillator, osc_op_400, u_one, [0.0, 3.0],
-                           T_grid=np.linspace(0.0, 400.0, 8001),
-                           mode="WOO")
+    records = jx_scan(osc_op_400, [0.0, 3.0], dense_horizon_grid(0.0, 400.0))
+    report = check_general(oscillator, osc_op_400, u_one, records, mode="WOO")
     ugrid = oscillator.control_set.sample_grid(conditions._CONTROL_RESOLUTION)[:, 0]
     j_one = int(np.argmin(np.abs(ugrid - 1.0)))
     assert report.estimates[0, j_one] == 0.0
@@ -84,19 +80,18 @@ def test_check_general_integrator_both_modes(integrator, integrator_undiscounted
                                              u_one):
     for problem in (integrator, integrator_undiscounted):
         op = transition_matrix(problem, u_one, 400.0, settings=STANDARD)
-        grid = np.linspace(0.0, 400.0, 4001)
+        records = jx_scan(op, [0.0], dense_horizon_grid(0.0, 400.0))
         for mode in ("WOO", "OO"):
-            report = check_general(problem, op, u_one, [0.0], T_grid=grid,
-                                   mode=mode)
+            report = check_general(problem, op, u_one, records, mode=mode)
             assert report.verdict.status is Verdict.HOLDS, (problem.name, mode)
 
 
 def test_check_general_refinement_stability(oscillator, osc_op_400, u_one, monkeypatch):
     monkeypatch.setattr(conditions, "_CONTROL_RESOLUTION", 9)
-    coarse = check_general(oscillator, osc_op_400, u_one, [0.0],
-                           T_grid=np.linspace(0.0, 400.0, 10001), mode="OO")
-    fine = check_general(oscillator, osc_op_400, u_one, [0.0],
-                         T_grid=dense_horizon_grid(0.0, 400.0), mode="OO")
+    coarse = check_general(oscillator, osc_op_400, u_one,
+                           jx_scan(osc_op_400, [0.0], np.linspace(0.0, 400.0, 10001)), mode="OO")
+    fine = check_general(oscillator, osc_op_400, u_one,
+                         jx_scan(osc_op_400, [0.0], dense_horizon_grid(0.0, 400.0)), mode="OO")
     assert fine.estimates.shape == (1, 9)
 
     def side(e):  # above +VERDICT_SLACK, within it, or below -VERDICT_SLACK
@@ -111,7 +106,7 @@ def test_check_jx_bounded_three_regimes(oscillator, integrator,
     outcomes = []
     for problem in (oscillator, integrator, integrator_undiscounted):
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
-        rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
+        rec = jx_scan(op, [0.0], dense_horizon_grid(0.0, 250.0))[0]
         verdict = check_jx_bounded(rec)
         outcomes.append((verdict.status, verdict.estimate))
     (s_osc, m_osc), (s_int, m_int), (s_und, _) = outcomes
@@ -170,8 +165,10 @@ def test_tail_rule_thresholds():
     # an all-infinite tail has a NaN oscillation but fails on its mean
     assert tail_limit_verdict([math.inf] * 3, [math.inf] * 3,
                               "blow-up").status is Verdict.FAILS
-    # the estimate is the last tail value
-    assert tail_limit_verdict([0.1, 0.2, 0.3], [0.5] * 3, "last").estimate == 0.3
+    # the estimate is the tail's judged excess max(|mean|, oscillation),
+    # not its last value
+    assert tail_limit_verdict([0.0, 1.0, -1.0], [0.5] * 3, "swing").estimate == 2.0
+    assert tail_limit_verdict([-0.5] * 3, [0.5] * 3, "offset").estimate == 0.5
 
 
 def test_tail_rule_sees_a_trend_beyond_its_slack():
@@ -229,7 +226,11 @@ def test_tail_windows_of_fewer_than_three_points_are_inconclusive():
             for earlier in ([0.5] * n, [0.5] * 3):
                 verdict = tail_limit_verdict([0.5] * n, earlier, "short")
                 assert verdict.status is Verdict.INCONCLUSIVE
-                assert verdict.estimate == (0.5 if n else None)
+                # fewer than 3 samples have no excess; an empty tail has none
+                if n:
+                    assert math.isnan(verdict.estimate)
+                else:
+                    assert verdict.estimate is None
             assert tail_limit_verdict([0.5] * 3, [0.5] * n,
                                       "short").status is Verdict.INCONCLUSIVE
         # four horizons leave one point in the last quarter
@@ -354,7 +355,7 @@ def test_max_principle_over_mixed_multipliers_matches_lone_calls(oscillator, osc
 
 
 def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_one):
-    records = jx_scan(int_op_400, [0.0, 5.0], horizon_grid(0.0, 400.0)[1:])
+    records = jx_scan(int_op_400, [0.0, 5.0], dense_horizon_grid(0.0, 400.0))
     ref = IntegratorReference(0.1, 0.7, 1.0)
     cp = integrate_adjoint(int_op_400, 400.0, [float(ref.psi(400.0))], 1.0)
     a0, verdict = decompose_costate(cp, int_op_400, record_limits(records))
@@ -372,7 +373,7 @@ def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_on
 def test_decompose_costate_oscillator_never_settles(oscillator, osc_traj_400,
                                                     osc_op_400, u_one):
     ref = oscillator_reference(0.5)
-    records = jx_scan(osc_op_400, [0.0], horizon_grid(0.0, 400.0)[1:])
+    records = jx_scan(osc_op_400, [0.0], dense_horizon_grid(0.0, 400.0))
     for r in (0.0, 0.3):
         cp = integrate_adjoint(osc_op_400, 400.0, ref.costate(r, 0.0, 400.0), 1.0)
         a0, verdict = decompose_costate(cp, osc_op_400, record_limits(records))
@@ -386,7 +387,7 @@ def test_corollary_equivalence_limit_vs_kav(integrator, integrator_undiscounted,
     # the zero-terminal adjoint surrogate, across all scenarios
     for problem in (integrator, integrator_undiscounted, oscillator):
         op = transition_matrix(problem, u_one, 250.0, settings=STANDARD)
-        rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
+        rec = jx_scan(op, [0.0], dense_horizon_grid(0.0, 250.0))[0]
         _, lc = limit_costate(rec, check_jx_bounded(rec))
         surrogate = integrate_adjoint(op, 250.0, np.zeros(problem.state_dim), 1.0)
         [verdicts] = check_classical(problem, op, u_one, [surrogate])

@@ -689,6 +689,106 @@ def test_unreached_export_detector():
                                                    ("a.py", "recurse"), ("b.py", "unused")]
 
 
+def _attributes(tree: ast.AST, skip: ast.AST = None) -> set:
+    """Names taken as attributes anywhere in the tree outside the ``skip``
+    subtree."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            if isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unreached_methods(modules: dict, callers: dict) -> list:
+    """(module, class.method) of every public method or property of a public
+    class of ``modules`` that no module of ``modules`` or ``callers`` takes
+    as an attribute outside the method's own body.  Dunder and private
+    methods are not audited.  Attributes are matched by name alone, on any
+    object, so a method is reached when any object's attribute of its name
+    is; a bare name is no call of a method."""
+    trees = {module: ast.parse(text) for module, text in modules.items()}
+    outside = set().union(*(_attributes(ast.parse(text)) for text in callers.values()))
+    unreached = []
+    for module, tree in trees.items():
+        others = outside.union(*(_attributes(t) for m, t in trees.items() if m != module))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for item in cls.body:
+                if (isinstance(item, FUNCTIONS) and not item.name.startswith("_")
+                        and item.name not in others
+                        and item.name not in _attributes(tree, item)):
+                    unreached.append((module, f"{cls.name}.{item.name}"))
+    return sorted(unreached)
+
+
+# public methods that the program does not reach, with the reason
+METHOD_EXEMPT = {
+    ("ode_engine.py", "ControlSignal.closed_form"):
+        "public constructor of user controls: a control given as a function of time",
+    ("ode_engine.py", "Trajectory.derivative"):
+        "oracle of the dense output's slope for the dense-accuracy and costate-residual tests",
+    ("reference_examples.py", "IntegratorReference.max_principle_holds"):
+        "closed-form oracle that only tests compare against",
+    ("reference_examples.py", "IntegratorReference.psi_hat"):
+        "closed-form oracle that only tests compare against",
+    ("reference_examples.py", "OscillatorReference.delta_hamiltonian"):
+        "closed-form oracle that only tests compare against",
+    ("reference_examples.py", "OscillatorReference.oo_bound"):
+        "closed-form oracle that only tests compare against",
+    ("reference_examples.py", "OscillatorReference.woo_bound"):
+        "closed-form oracle that only tests compare against",
+}
+
+
+def test_program_reaches_every_method():
+    assert [m for m in unreached_methods(*_export_audit_inputs()) if m not in METHOD_EXEMPT] == []
+
+
+def test_every_method_exemption_is_still_unreached():
+    assert sorted(set(METHOD_EXEMPT) - set(unreached_methods(*_export_audit_inputs()))) == []
+
+
+def test_unreached_method_detector():
+    modules = {
+        "a.py": (
+            "class Model:\n"
+            "    def fit(self, x):\n"
+            "        return self.predict(x)\n"
+            "    def predict(self, x):\n"
+            "        return x\n"
+            "    def refit(self, n):\n"
+            "        return self.refit(n - 1) if n else self\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 1\n"
+            "    @staticmethod\n"
+            "    def blank():\n"
+            "        return Model()\n"
+            "    def oracle(self):\n"
+            "        return 0\n"
+            "    def _hidden(self):\n"
+            "        return 0\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "class _Private:\n"
+            "    def orphan(self):\n"
+            "        return 0\n"
+        ),
+        "b.py": (
+            "def run(model, size):\n"
+            "    return model.fit(size)\n"
+        ),
+    }
+    callers = {"bench/run.py": "import pkg\nblank = pkg.Model.blank()\n"}
+    assert unreached_methods(modules, callers) == [("a.py", "Model.oracle"),
+                                                   ("a.py", "Model.refit"),
+                                                   ("a.py", "Model.size")]
+
+
 # a Sphinx cross-reference in a docstring: :func:`name`, :class:`~mod.Name`,
 # :meth:`Class.method()`
 DOC_REFERENCE = re.compile(r":(?:func|class|meth):`~?([\w.]+?)(?:\(\))?`")

@@ -302,11 +302,14 @@ def test_feasible_k_path_agrees_with_the_state_equation(ramsey_params, ramsey_fa
 
 def test_state_crossings_match_bisection_on_the_trajectory(ramsey_family):
     # the bisection of each crossing step on its fraction gives the times
-    # that bisecting traj(t) itself in time gives, to within 1e-14 of the step
+    # that bisecting traj(t) itself in time gives, to within 1e-14 of the
+    # step; a node at the target belongs to the step that ends there
     def bisected(traj, target):
         vals = traj.states[:, 0] - target
         hits = []
-        for idx in np.flatnonzero(vals[:-1] * vals[1:] <= 0)[:8]:
+        steps = [k for k in range(vals.size - 1)
+                 if vals[k] * vals[k + 1] <= 0 and (k == 0 or vals[k] != 0)]
+        for idx in steps[:8]:
             lo, hi = traj.time_grid[idx], traj.time_grid[idx + 1]
             fa = vals[idx]
             for _ in range(60):
@@ -323,6 +326,16 @@ def test_state_crossings_match_bisection_on_the_trajectory(ramsey_family):
             assert len(found) == len(expected)
             for t, (t_bisected, width) in zip(found, expected):
                 assert abs(t - t_bisected) <= 1e-14 * width
+
+
+def test_a_crossing_at_a_node_is_reported_once(ramsey_params):
+    # both steps that meet at node 10 touch the target there; the crossing
+    # is the node's time, reported once
+    traj, _ = reference_examples.ramsey_feasible_candidate(ramsey_params, 0.772071, 150.0)
+    found = list(traj.crossings(0, float(traj.states[10, 0])))
+    width = traj.time_grid[10] - traj.time_grid[9]
+    assert len(found) == 1
+    assert abs(found[0] - traj.time_grid[10]) <= 1e-14 * width
 
 
 def test_sub_saddle_orbit_stays_feasible(ramsey_params):

@@ -15,7 +15,7 @@ from horizoncheck import (
     Trajectory,
     check_assumption_uniform,
     check_jx_bounded,
-    horizon_grid,
+    dense_horizon_grid,
     integrate,
     integrate_adjoint,
     jx_scan,
@@ -462,19 +462,19 @@ def test_fd_gradient_trivial_and_oracle_values(oscillator, osc_traj_30, u_one,
 def test_limit_costate_three_regimes(integrator, integrator_undiscounted,
                                      oscillator, u_one):
     op = transition_matrix(integrator, u_one, 250.0, settings=STANDARD)
-    rec = jx_scan(op, [0.0], horizon_grid(0.0, 250.0))[0]
+    rec = jx_scan(op, [0.0], dense_horizon_grid(0.0, 250.0))[0]
     psi_hat, verdict = limit_costate(rec, check_jx_bounded(rec))
     assert verdict.status is Verdict.HOLDS
     assert psi_hat[0] == pytest.approx(10.0, abs=1e-4)
 
     op0 = transition_matrix(integrator_undiscounted, u_one, 250.0, settings=STANDARD)
-    rec0 = jx_scan(op0, [0.0], horizon_grid(0.0, 250.0))[0]
+    rec0 = jx_scan(op0, [0.0], dense_horizon_grid(0.0, 250.0))[0]
     psi0, verdict0 = limit_costate(rec0, check_jx_bounded(rec0))
     assert psi0 is None and verdict0.status is Verdict.FAILS
     assert "unbounded" in verdict0.note
 
     op_o = transition_matrix(oscillator, u_one, 250.0, settings=STANDARD)
-    rec_o = jx_scan(op_o, [0.0], horizon_grid(0.0, 250.0))[0]
+    rec_o = jx_scan(op_o, [0.0], dense_horizon_grid(0.0, 250.0))[0]
     psi_o, verdict_o = limit_costate(rec_o, check_jx_bounded(rec_o))
     assert psi_o is None and verdict_o.status is Verdict.FAILS
     assert "non-convergent" in verdict_o.note
