@@ -17,7 +17,6 @@ from .ode_engine import (
     Trajectory,
     integrate,
     integrate_controlled,
-    solve_state,
 )
 from .problem_model import (
     ControlProblem,
@@ -31,12 +30,10 @@ from .variational import (
     CostatePath,
     JxRecord,
     TransitionOperator,
-    check_assumption_uniform,
     check_jx_bounded,
     integrate_adjoint,
     jx_scan,
     limit_costate,
-    payoff_value,
     transition_matrix,
 )
 from .conditions import (
@@ -55,7 +52,7 @@ from .overtaking import (
     OvertakingReport,
     empirical_overtaking_test,
     needle_limit_check,
-    payoff_path,
+    payoff_value,
 )
 from .reference_examples import (
     IntegratorReference,

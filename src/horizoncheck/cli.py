@@ -52,7 +52,8 @@ from .reference_examples import (
     ramsey_shoot,
     ramsey_steady_state,
 )
-from .overtaking import empirical_overtaking_test, needle_limit_check, payoff_path
+from . import overtaking
+from .overtaking import empirical_overtaking_test, needle_limit_check
 from .variational import (
     check_jx_bounded,
     integrate_adjoint,
@@ -372,7 +373,9 @@ def build_overtake_report(config: RunConfig) -> ReportData:
             challengers.append((f"euler(c0={c0:.6g})", ramsey_control_from_orbit(orbit)))
 
     sample_spacing = 0.02 if config.example != "ramsey" else 0.25
-    candidate_path = payoff_path(problem, candidate, t_max)
+    # looked up in its module, like every payoff integration: a wrapper of
+    # overtaking.payoff_value sees them all
+    candidate_path = overtaking.payoff_value(problem, candidate, t_max)
     for label, challenger in challengers:
         report = empirical_overtaking_test(problem, candidate_path, challenger,
                                            eps=config.eps, T_max=t_max,

@@ -1,8 +1,8 @@
 """Explicit Runge-Kutta integration with dense output and domain-exit detection.
 
-One engine serves every ODE in the package, one state vector per call: state
-equations under a control signal, variational (transition-matrix) systems,
-backward adjoint equations, the Ramsey phase-plane orbits and the
+One engine serves every ODE in the package, one state vector per call and
+always forward in time: state equations under a control signal, variational
+(transition-matrix) systems, the Ramsey phase-plane orbits and the
 time-eliminated stable manifold, and payoff/gradient quadratures folded into
 the state vector.  Every step is one of the eighth-order Dormand-Prince pair
 DOP853 (Prince & Dormand 1981; Hairer, Norsett & Wanner, *Solving ODEs I*,
@@ -33,7 +33,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "integrate_controlled",
-    "solve_state",
 ]
 
 
@@ -241,13 +240,10 @@ _D[3] = [-0.25693933462703749003312586129e+2, 0.0, 0.0, 0.0, 0.0,
          0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
          -0.14972683625798562581422125276e+3]
 # A trajectory stores that cubic factor in powers of u = 2 theta - 1 instead,
-# e0 + u (e1 + u (e2 + u e3)): u -> -u reverses a step, so reflection negates
-# e1 and e3 and is exact.  Row k of this map gives e_k from d0..d3.
+# e0 + u (e1 + u (e2 + u e3)); row k of this map gives e_k from d0..d3.
 _U_BASIS = np.array([[1.0, 0.5, 0.25, 0.125], [0.0, 0.5, 0.0, 0.125],
                      [0.0, 0.0, -0.25, -0.125], [0.0, 0.0, 0.0, -0.125]])
 _DENSE = _U_BASIS @ _D
-# sign of each coefficient row under reflection
-_REFLECT = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 # a step cut at fraction theta is refitted on four interior fractions sigma of
 # the cut step: its cubic factor there, interpolated in powers of u
 _CUT_SIGMA = np.array([0.2, 0.4, 0.6, 0.8])[:, None]
@@ -299,18 +295,6 @@ class Trajectory:
     def covers(self, t: float) -> bool:
         pad = _SPAN_SLACK * max(1.0, abs(self.t_end - self.t0))
         return self.t0 - pad <= t <= self.t_end + pad
-
-    def reflected(self) -> "Trajectory":
-        """The same solution in reflected time s = -t, on the increasing grid
-        -t: states in reverse order, slopes negated, the exit event at -t."""
-        ev = self.exit_event
-        if ev is not None:
-            ev = ExitEvent(-ev.time, ev.state, ev.description)
-        # each step runs from its other end, u -> -u: its rows move to the
-        # step's new first node with e1 and e3 negated, and the zero rows of
-        # the last node to the end
-        return Trajectory(-self.time_grid[::-1], self.states[::-1], -self.derivs[::-1],
-                          np.roll(self.coeffs[::-1], -1, axis=0) * _REFLECT, exit_event=ev)
 
     def leading(self, n: int) -> "Trajectory":
         """The solution's first n components, on views of this trajectory's
@@ -387,13 +371,6 @@ class Trajectory:
         # i is -1 on a one-node grid, whose only step joins the node to itself
         a, b = rows[i:i + 2].tolist() if i >= 0 else 2 * rows.tolist()
         return np.array(_dense_floats(s, h, a, b, n))
-
-    def derivative(self, t):
-        """Time derivative of the dense output (used for residual checks)."""
-        i, s, _, safe_h = self._steps(t)
-        out = _dense_slope_on_step(self.states[i], self.derivs[i], safe_h, self.states[i + 1],
-                                   self.derivs[i + 1], self.coeffs[i], s)
-        return out[0] if np.ndim(t) == 0 else out
 
 
 def _check_span(lo, hi, t0, t_end):
@@ -507,7 +484,7 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
               t_end: float, settings: IntegratorSettings,
               domain: Optional[Box] = None,
               stops: Sequence[tuple] = ()) -> Trajectory:
-    """Integrate ``dy/dt = field(t, y)`` from t0 to t_end (either direction)
+    """Integrate ``dy/dt = field(t, y)`` forward from t0 to t_end >= t0
     under the tolerances of ``settings``, by DOP853 steps; ``field`` returns a
     float array of the state's shape.
 
@@ -519,26 +496,21 @@ def integrate(field: Callable[[float, np.ndarray], np.ndarray], t0: float, y0,
     predicate holds; a domain exit takes precedence, then the first label
     that holds.  The event is localized on the accepted step's seventh-order
     dense output to within h_floor = 1e-9 of the span (see
-    :func:`_locate_exit`).  A stop that holds at t0 ends the run there.
-    Backward integration is performed by time reversal of the field, with
-    each predicate called as ``p(-s, y)``; the returned grid is always
-    increasing.  A zero-length span makes the same initial checks as any
-    other: a finite initial slope, an initial state inside the domain, and
-    the stops at t0.
+    :func:`_locate_exit`).  A stop that holds at t0 ends the run there.  A
+    zero-length span makes the same initial checks as any other: a finite
+    initial slope, an initial state inside the domain, and the stops at t0.
 
-    Raises ``ValueError`` for a non-finite t0 or t_end, and
+    Raises ``ValueError`` for a non-finite t0 or t_end or for t_end < t0, and
     ``IntegrationError`` on step-size underflow away from the domain
     boundary or on a non-finite field value that cannot be attributed to a
     boundary crossing.
     """
     _check_finite_span(t0, t_end)
+    if t_end < t0:
+        raise ValueError(f"integrate runs forward: need t_end >= t0, got [{t0:g}, {t_end:g}]")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
-    if t_end < t0:
-        rev = lambda s, y: -field(-s, y)
-        rstops = [(label, lambda s, y, p=pred: p(-s, y)) for label, pred in stops]
-        return integrate(rev, -t0, y0, -t_end, settings, domain, rstops).reflected()
 
     span = t_end - t0
     h_floor = 1e-9 * span
@@ -809,8 +781,6 @@ class ControlSignal:
     def piecewise_constant(times, values) -> "ControlSignal":
         times = np.asarray(times, dtype=float)
         vals = np.atleast_2d(np.asarray(values, dtype=float))
-        if vals.shape[0] == 1 and vals.shape[1] == times.size + 1:
-            vals = vals.T  # accept 1-d control given as a flat list
         if vals.shape[0] != times.size + 1:
             raise ValueError("need len(times) + 1 control values")
         if np.any(np.diff(times) <= 0):
@@ -874,9 +844,8 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
     piece frozen and a closed-form piece called as its own function, also at
     the segment's first node, where the signal takes the piece that ends
     there.  ``settings`` and ``domain`` are those of :func:`integrate`; there
-    are no stops.  A backward span raises ``ValueError``."""
-    if t_end < t0:
-        raise ValueError("integrate_controlled integrates forward: need t_end >= t0")
+    are no stops.  A backward span raises the ``ValueError`` of
+    :func:`integrate`."""
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     nodes = [t0] + [c for c in control.breakpoints() if t0 < c < t_end] + [t_end]
 
@@ -897,16 +866,3 @@ def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarr
                       np.vstack([p.derivs for p in pieces]),
                       np.concatenate([p.coeffs for p in pieces]), exit_event=pieces[-1].exit_event)
 
-
-def solve_state(problem, control: ControlSignal, t_end: float,
-                settings: IntegratorSettings) -> Trajectory:
-    """State response of a control problem under a control signal.
-
-    Integrates dx/dt = f(x, u(t), t) forward from the problem's initial
-    point to t_end under ``settings``, with the problem's open state domain;
-    a domain exit marks the trajectory non-extendible and is recorded as
-    ``exit_event`` rather than raised.  A t_end before the initial time
-    raises ``ValueError``, as :func:`integrate_controlled` does.
-    """
-    return integrate_controlled(problem.dynamics, control, problem.initial_time,
-                                problem.initial_state, t_end, settings, problem.state_domain)

@@ -22,9 +22,10 @@ from .ode_engine import (
     IntegratorSettings,
     NonExtendibleError,
     Trajectory,
+    integrate_controlled,
 )
 from .problem_model import ControlProblem, hamiltonian_jumps
-from .variational import payoff_value, transition_matrix
+from .variational import transition_matrix
 
 __all__ = [
     "NeedleCheckReport",
@@ -32,10 +33,38 @@ __all__ = [
     "OvertakingReport",
     "empirical_overtaking_test",
     "needle_limit_check",
-    "payoff_path",
+    "payoff_value",
 ]
 
 _VALUE_SETTINGS = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)
+
+
+def payoff_value(problem: ControlProblem, control: ControlSignal, T: float) -> Trajectory:
+    """Finite-horizon payoff of the control from the problem's initial point
+    at every horizon up to T, as the augmented (x, payoff) trajectory over
+    [t0, T]: column ``state_dim`` is the running payoff, and its last row
+    holds the payoff over [t0, T].
+
+    The payoff is accumulated as an extra quadrature component of the state
+    integration, under the tolerances that every payoff comparison of this
+    module uses.  Raises NonExtendibleError when the state leaves the domain
+    before T, and ValueError for T < t0.
+    """
+    n = problem.state_dim
+
+    def rhs(z, u, t):
+        x = z[:n]
+        dz = np.empty(n + 1)
+        dz[:n] = problem.dynamics(x, u, t)
+        dz[n] = problem.payoff(x, u, t)
+        return dz
+
+    z0 = np.concatenate([problem.initial_state, [0.0]])
+    aug = integrate_controlled(rhs, control, problem.initial_time, z0, T, _VALUE_SETTINGS,
+                               domain=problem.state_domain.extended(1))
+    if aug.exit_event is not None:
+        raise NonExtendibleError(aug.exit_event)
+    return aug
 
 
 def _needled(problem: ControlProblem, base_control: ControlSignal, tau: float,
@@ -81,7 +110,7 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
     fitted over at least two distinct widths.  x(tau) and grad(tau, T) are
     read off one transition pass of the base control from t0 to T, and the
     base payoff is integrated once; both run under the payoff tolerances of
-    :func:`payoff_path` and serve every width.
+    :func:`payoff_value` and serve every width.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     alphas = np.sort(np.asarray(list(alphas), dtype=float))[::-1]
@@ -93,9 +122,9 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
                                          base_control.evaluate(tau), tau, [u],
                                          transition.gradient(tau, T), 1.0)[0])
 
-    x0, t0 = problem.initial_state, problem.initial_time
-    j_base = payoff_value(problem, base_control, x0, t0, T, _VALUE_SETTINGS)
-    slopes = np.array([payoff_value(problem, control, x0, t0, T, _VALUE_SETTINGS) - j_base
+    n = problem.state_dim
+    j_base = payoff_value(problem, base_control, T).states[-1, n]
+    slopes = np.array([payoff_value(problem, control, T).states[-1, n] - j_base
                        for control in needled]) / alphas
     errors = np.abs(slopes - prediction)
 
@@ -136,23 +165,16 @@ def _window_flags(grid, gaps, eps, checkpoints) -> list:
     return flags
 
 
-def payoff_path(problem: ControlProblem, control: ControlSignal, T_max: float) -> Trajectory:
-    """Augmented (x, payoff) trajectory of the control from the problem's
-    initial point to T_max; column ``state_dim`` is the running payoff."""
-    _, aug = payoff_value(problem, control, problem.initial_state,
-                          problem.initial_time, T_max, _VALUE_SETTINGS,
-                          return_trajectory=True)
-    return aug
-
-
 def empirical_overtaking_test(problem: ControlProblem, candidate_path: Trajectory,
                               challenger: ControlSignal, *, eps: float, T_max: float,
                               sample_spacing: float) -> OvertakingReport:
-    """Compare challenger and candidate payoffs on a horizon grid of spacing
-    at most ``sample_spacing`` (and at least 64 points) over [t0, T_max].
+    """Compare challenger and candidate payoffs on the horizon grid of
+    max(64, ceil((T_max - t0) / sample_spacing)) evenly spaced points from t0
+    to T_max, both included: its spacing is (T_max - t0) / (points - 1),
+    slightly above ``sample_spacing`` when the ceiling sets the count.
 
-    ``candidate_path`` is the candidate's :func:`payoff_path` from t0 to
-    T_max or later, so that one candidate integration serves every
+    ``candidate_path`` is the candidate's :func:`payoff_value` path from t0
+    to T_max or later, so that one candidate integration serves every
     challenger.  The checkpoints are t0 + (T_max - t0) * {1/8, 1/4, 1/2}.
     Verdicts over the sampled range: ``consistent_OO`` when gaps stop
     exceeding eps beyond some checkpoint; ``consistent_WOO_only`` when both
@@ -174,7 +196,7 @@ def empirical_overtaking_test(problem: ControlProblem, candidate_path: Trajector
                          f"over [{t0:.6g}, {T_max:.6g}]")
 
     try:
-        chal_aug = payoff_path(problem, challenger, T_max)
+        chal_aug = payoff_value(problem, challenger, T_max)
     except NonExtendibleError as exc:
         return OvertakingReport(
             verdict="non_extendible_challenger", max_gap=math.nan, argmax_T=math.nan,

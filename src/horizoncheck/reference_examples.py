@@ -1,10 +1,11 @@
-"""Closed-form oracles and solvers for the three built-in problems.
+"""Closed forms and solvers for the three built-in problems.
 
-The oscillator and discounted-integrator bundles hold exact transition
-matrices, adjoint families and payoff gradients against which the numerical
-machinery is tested.  The Ramsey helpers provide the Euler phase-plane
-orbits, their steady states, the time-eliminated stable manifold, orbit
-classification and saddle-path shooting.
+The oscillator bundle holds the exact transition matrix, adjoint family,
+payoff gradient and challenger gap, and the discounted-integrator bundle its
+adjoint family: ``check`` takes its candidates' terminal costates from them.
+The Ramsey helpers provide the Euler phase-plane orbits, their steady
+states, the time-eliminated stable manifold, orbit classification and
+saddle-path shooting.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .ode_engine import (
     IntegratorSettings,
     Trajectory,
     integrate,
-    solve_state,
+    integrate_controlled,
 )
 from .problem_model import ControlProblem, make_builtin_problem
 
@@ -165,7 +166,8 @@ def _saddle_consumption(params: RamseyParams, interior: SteadyState, ks) -> np.n
     ``ks``, by time elimination.
 
     Integrates the policy dc/dk = (dc/dt)/(dk/dt) from the saddle outward,
-    one :func:`integrate` call per branch of the manifold that holds a level:
+    one forward :func:`integrate` call per branch of the manifold that holds
+    a level, in s = side * k with side +1 right of k* and -1 left of it:
     from a small step eps along the stable eigenvector of the Jacobian at
     (k*, c*) to the branch's farthest level, reading every level of the
     branch off the dense path.  eps is 1e-3 of the smaller of k* and the
@@ -198,9 +200,10 @@ def _saddle_consumption(params: RamseyParams, interior: SteadyState, ks) -> np.n
         if branch.any():
             reach = np.abs(gaps[branch])
             eps = math.copysign(1e-3 * min(float(reach.min()), k_star), side)
-            path = integrate(policy, k_star + eps, [c_star + slope * eps],
-                             float(ks[branch][reach.argmax()]), _MANIFOLD_SETTINGS)
-            c[branch] = path(ks[branch])[:, 0]
+            path = integrate(lambda s, y, side=side: side * policy(side * s, y),
+                             side * (k_star + eps), [c_star + slope * eps],
+                             side * float(ks[branch][reach.argmax()]), _MANIFOLD_SETTINGS)
+            c[branch] = path(side * ks[branch])[:, 0]
     return c
 
 
@@ -250,8 +253,7 @@ def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float) -> 
     return "lo" if traj.exit_event.description == "to_zero_consumption" else "hi"
 
 
-def ramsey_shoot(params: RamseyParams, t_max: float,
-                 history: Optional[list] = None):
+def ramsey_shoot(params: RamseyParams, t_max: float):
     """Shoot the initial consumption of the saddle path, with orbits of
     length at most t_max.
 
@@ -264,8 +266,7 @@ def ramsey_shoot(params: RamseyParams, t_max: float,
     the ball of radius 1e-3 around the interior steady state; one that misses
     it is bisected further, up to 60 levels in all.
     Returns (c0_saddle, orbit) where the orbit is the joint (k, c) trajectory
-    integrated until it enters the ball.  Each bracket (lo, hi) that the
-    bisection sets is appended to ``history`` when one is given.
+    integrated until it enters the ball.
     """
     interior, _ = ramsey_steady_state(params)
     k0 = params.k0
@@ -296,8 +297,6 @@ def ramsey_shoot(params: RamseyParams, t_max: float,
             hi = c0
         else:
             lo = c0
-        if history is not None:
-            history.append((lo, hi))
     raise RuntimeError("ramsey_shoot: no bisected orbit reached the steady-state ball "
                        f"by t_max = {t_max:g}")
 
@@ -332,10 +331,16 @@ def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float):
 def ramsey_saddle_candidate(params: RamseyParams, t_end: float, t_max_shoot: float):
     """The shot saddle-path candidate over [0, t_end], with consumption
     clamped to c* after the orbit enters the steady-state ball; the shooting
-    runs :func:`ramsey_shoot` with t_max_shoot."""
+    runs :func:`ramsey_shoot` with t_max_shoot.  The state path runs from
+    the problem's initial point under that control; a domain exit is
+    recorded as its ``exit_event`` rather than raised."""
     c0, orbit = ramsey_shoot(params, t_max=t_max_shoot)
     control = ramsey_control_from_orbit(orbit, c_tail=ramsey_steady_state(params)[0].c_star)
-    return c0, solve_state(params.problem(), control, t_end, _CLASSIFY_SETTINGS), control
+    problem = params.problem()
+    k_path = integrate_controlled(problem.dynamics, control, problem.initial_time,
+                                  problem.initial_state, t_end, _CLASSIFY_SETTINGS,
+                                  problem.state_domain)
+    return c0, k_path, control
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +368,6 @@ class OscillatorReference:
         c, s = math.cos(dt), math.sin(dt)
         return np.array([[c, s], [-s, c]])
 
-    def state(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.stack([1.0 - np.cos(t), np.sin(t)], axis=-1)
-
     def _check_rphi(self, r: float):
         if abs(r) > self.b + 1e-12:
             raise ValueError(f"adjoint family requires |r| <= b = {self.b:g}")
@@ -379,17 +380,6 @@ class OscillatorReference:
     def jx(self, tau: float, T) -> np.ndarray:
         dt = np.asarray(T, dtype=float) - tau
         return np.stack([np.cos(dt) - 1.0, np.sin(dt)], axis=-1)
-
-    def delta_hamiltonian(self, u: float, tau: float, T: float) -> float:
-        return (u - 1.0) * (math.sin(T - tau) + self.b)
-
-    def woo_bound(self, u: float) -> float:
-        """Tail lower estimate of the Hamiltonian difference: (u-1)(1+b)."""
-        return (u - 1.0) * (1.0 + self.b)
-
-    def oo_bound(self, u: float) -> float:
-        """Tail upper estimate of the Hamiltonian difference: (u-1)(b-1)."""
-        return (u - 1.0) * (self.b - 1.0)
 
     def hamiltonian_along(self, r: float, phi: float) -> float:
         """H along the candidate solution with the (r, phi) adjoint, constant
@@ -434,29 +424,8 @@ class IntegratorReference:
         if self.lam == 0.0 and self.a0 == 0.0:
             raise ValueError("(lam, a0) must not both vanish")
 
-    @property
-    def psi_hat_diverges(self) -> bool:
-        return self.rho == 0.0
-
     def psi(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if self.rho == 0.0:
             return self.a0 - self.lam * t
         return self.a0 + self.lam * np.exp(-self.rho * t) / self.rho
-
-    def psi_hat(self, t) -> np.ndarray:
-        if self.psi_hat_diverges:
-            raise ValueError("limit costate diverges at rho = 0")
-        t = np.asarray(t, dtype=float)
-        return np.exp(-self.rho * t) / self.rho
-
-    def jx(self, tau: float, T) -> np.ndarray:
-        T = np.asarray(T, dtype=float)
-        if self.rho == 0.0:
-            return T - tau
-        return (np.exp(-self.rho * tau) - np.exp(-self.rho * T)) / self.rho
-
-    def max_principle_holds(self) -> bool:
-        if self.rho > 0:
-            return self.a0 >= 0 or self.lam == 0.0 and self.a0 > 0
-        return self.lam == 0.0 and self.a0 > 0

@@ -12,8 +12,7 @@ The central objects are
 * adjoint paths read off the same pass by Lemma 1, with no solve of their
   own: psi(t) = K(T, t)* psi(T) + lam grad(t, T)
   = Y(t)^-* (Y(T)* psi(T) + lam (S(T) - S(t))), the explicit adjoint formula
-  of Aseev and Kryazhimskiy (2004); the test-suite checks it against an
-  adjoint equation solved backward;
+  of Aseev and Kryazhimskiy (2004);
 * tail analysis of grad(tau, T) as the horizon grows, by the one tail rule
   of :mod:`.verdicts`, on the records of :func:`jx_scan`, which ``check``
   reads once per anchor and shares with the general condition: the
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -55,12 +53,10 @@ __all__ = [
     "CostatePath",
     "JxRecord",
     "TransitionOperator",
-    "check_assumption_uniform",
     "check_jx_bounded",
     "integrate_adjoint",
     "jx_scan",
     "limit_costate",
-    "payoff_value",
     "transition_matrix",
 ]
 
@@ -326,89 +322,3 @@ def _growth_ratios(jx: JxRecord) -> list:
     return [float(hi / lo) if lo > 0 else (math.inf if hi > 0 else 1.0)
             for lo, hi in zip(maxima, maxima[1:])]
 
-
-# ---------------------------------------------------------------------------
-# payoff values and the uniform-bound assumption
-
-
-def payoff_value(problem: ControlProblem, control: ControlSignal, x_start,
-                 t_start: float, T: float, settings: IntegratorSettings,
-                 return_trajectory: bool = False):
-    """Finite-horizon payoff integral from state x_start at time t_start
-    forward to T >= t_start.
-
-    The payoff is accumulated as an extra quadrature component of the state
-    integration under ``settings``.  Raises NonExtendibleError when the state
-    leaves the domain before T, and ValueError for T < t_start.
-    """
-    n = problem.state_dim
-    x_start = np.atleast_1d(np.asarray(x_start, dtype=float))
-
-    def rhs(z, u, t):
-        x = z[:n]
-        dz = np.empty(n + 1)
-        dz[:n] = problem.dynamics(x, u, t)
-        dz[n] = problem.payoff(x, u, t)
-        return dz
-
-    z0 = np.concatenate([x_start, [0.0]])
-    aug = integrate_controlled(rhs, control, t_start, z0, T, settings,
-                               domain=problem.state_domain.extended(1))
-    if aug.exit_event is not None:
-        raise NonExtendibleError(aug.exit_event)
-    value = float(aug.states[-1, n])
-    if return_trajectory:
-        return value, aug
-    return value
-
-
-def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
-                             transition: TransitionOperator, tau: float,
-                             directions: Sequence, alphas: Sequence[float],
-                             T_grid, settings: IntegratorSettings) -> ConditionVerdict:
-    """Uniform-in-horizon lower bound of the payoff perturbation by its
-    linearization.
-
-    For each direction zeta and scale alpha computes
-      q(alpha, zeta, T) = (J(x + alpha*zeta) - J(x))/alpha - <grad(tau,T), zeta>
-    and takes the infimum over the horizon grid and the directions.  The tail
-    rule judges the excesses max(0, -inf), largest alpha first, with hold
-    tolerance 1e-4 and fail tolerance 1e-3; the estimate is the infimum at
-    the smallest alpha.  x(tau) and grad(tau, T) are read off
-    ``transition``, the pass of ``control``.  For dynamics and payoff linear
-    in the state the quantity vanishes identically up to integration error.
-    """
-    T_grid = np.sort(np.atleast_1d(np.asarray(T_grid, dtype=float)))
-    alphas = sorted((float(a) for a in alphas), reverse=True)
-    grads = transition.gradient(tau, T_grid)
-    x_tau = transition.trajectory(tau)
-    _, base_aug = payoff_value(problem, control, x_tau, tau, float(T_grid[-1]),
-                               settings, return_trajectory=True)
-    n = problem.state_dim
-    base_vals = base_aug(T_grid)[:, n]
-
-    infs = np.empty((len(alphas), len(directions)))  # inf over T per (alpha, zeta)
-    for j, zeta in enumerate(directions):
-        zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-        for k, alpha in enumerate(alphas):
-            x_pert = x_tau + alpha * zeta
-            if not problem.state_domain.contains(x_pert):
-                raise ValueError(f"perturbation alpha={alpha:g}, zeta={zeta} leaves the domain")
-            try:
-                _, aug = payoff_value(problem, control, x_pert, tau, float(T_grid[-1]),
-                                      settings, return_trajectory=True)
-            except NonExtendibleError as exc:
-                raise ValueError(
-                    f"perturbed trajectory (alpha={alpha:g}, zeta={zeta}) not extendible: "
-                    f"{exc.event.description}") from exc
-            infs[k, j] = np.min((aug(T_grid)[:, n] - base_vals) / alpha - grads @ zeta)
-    worst = infs.min(axis=1)
-    status, trend = tail_rule(np.maximum(0.0, -worst), 1e-4, 1e-3)
-    last = float(worst[-1])
-    if status is Verdict.HOLDS:
-        note = f"inf over horizons at smallest alpha: {last:.3g}"
-    elif status is Verdict.FAILS:
-        note = f"lower bound violated: {last:.3g}"
-    else:
-        note = f"unresolved trend, inf {last:.3g}{trend}"
-    return ConditionVerdict(status, last, note=note)

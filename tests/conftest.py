@@ -8,13 +8,14 @@ from horizoncheck import (
     check_jx_bounded,
     limit_costate,
     make_builtin_problem,
-    solve_state,
     transition_matrix,
 )
 from horizoncheck.reference_examples import (
     ramsey_feasible_candidate,
     ramsey_saddle_candidate,
 )
+
+from oracles import solve_state
 
 # tight enough for the 1e-6 oracle comparisons, still fast on the built-ins
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)

@@ -5,32 +5,101 @@ The program reads every adjoint path off the one (x, Y, S) pass by Lemma 1
 would hold by construction.  The oracle here solves the adjoint equation
 itself: the basis rows [Phi(t)* | r(t)] of -dB/dt = B f_x(t) + [0 | g_x(t)],
 integrated forward in reversed time s = -t once, off which every adjoint
-path psi(t) = Phi(t) psi_T + lam r(t) is read by superposition.  The
-Lemma-1 residual ties such a path to the gradients, and central differences
-of the payoff are the independent route to the gradients themselves.
+path psi(t) = Phi(t) psi_T + lam r(t) is read at s = -t by superposition.
+The Lemma-1 residual ties such a path to the gradients, and central
+differences of the payoff are the independent route to the gradients
+themselves.  The state equation is solved alone, and the slope of a dense
+output is read in closed form, for the residual tests.
 
-The oscillator's pulse response to a control and its half-period identity
-are quadratures of the closed form, for the overtaking tests.
+The closed forms that only tests compare against extend the program's
+reference bundles, and the paper's uniform-bound assumption is checked by
+payoff perturbations.  The oscillator's pulse response to a control and its
+half-period identity are quadratures of the closed form, for the overtaking
+tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from horizoncheck import (
+    ConditionVerdict,
     ControlProblem,
     ControlSignal,
+    IntegratorReference,
     IntegratorSettings,
     JxRecord,
+    NonExtendibleError,
+    OscillatorReference,
     Trajectory,
     TransitionOperator,
-    payoff_value,
+    Verdict,
 )
-from horizoncheck.ode_engine import integrate_controlled
+from horizoncheck.ode_engine import _dense_slope_on_step, integrate_controlled
 from horizoncheck.problem_model import jacobians
+from horizoncheck.verdicts import tail_rule
+
+
+def solve_state(problem: ControlProblem, control: ControlSignal, t_end: float,
+                settings: IntegratorSettings) -> Trajectory:
+    """State response x(.) of the problem under the control, from its
+    initial point forward to t_end, solved alone; a domain exit is recorded
+    as the trajectory's ``exit_event``."""
+    return integrate_controlled(problem.dynamics, control, problem.initial_time,
+                                problem.initial_state, t_end, settings, problem.state_domain)
+
+
+def dense_slope(traj: Trajectory, t):
+    """Time derivative of the dense output of ``traj`` at t, in closed form
+    on each step's polynomial; times are span-checked and clipped as a read
+    of ``traj`` is."""
+    i, s, _, safe_h = traj._steps(t)
+    out = _dense_slope_on_step(traj.states[i], traj.derivs[i], safe_h, traj.states[i + 1],
+                               traj.derivs[i + 1], traj.coeffs[i], s)
+    return out[0] if np.ndim(t) == 0 else out
+
+
+class OscillatorOracle(OscillatorReference):
+    """The oscillator's closed forms, with those that only tests use."""
+
+    def state(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.stack([1.0 - np.cos(t), np.sin(t)], axis=-1)
+
+    def delta_hamiltonian(self, u: float, tau: float, T: float) -> float:
+        return (u - 1.0) * (math.sin(T - tau) + self.b)
+
+    def woo_bound(self, u: float) -> float:
+        """Tail lower estimate of the Hamiltonian difference: (u-1)(1+b)."""
+        return (u - 1.0) * (1.0 + self.b)
+
+    def oo_bound(self, u: float) -> float:
+        """Tail upper estimate of the Hamiltonian difference: (u-1)(b-1)."""
+        return (u - 1.0) * (self.b - 1.0)
+
+
+class IntegratorOracle(IntegratorReference):
+    """The discounted integrator's closed forms, with those that only tests
+    use."""
+
+    @property
+    def psi_hat_diverges(self) -> bool:
+        return self.rho == 0.0
+
+    def psi_hat(self, t) -> np.ndarray:
+        if self.psi_hat_diverges:
+            raise ValueError("limit costate diverges at rho = 0")
+        t = np.asarray(t, dtype=float)
+        return np.exp(-self.rho * t) / self.rho
+
+    def max_principle_holds(self) -> bool:
+        if self.rho > 0:
+            return self.a0 >= 0 or self.lam == 0.0 and self.a0 > 0
+        return self.lam == 0.0 and self.a0 > 0
 
 
 def reflected_signal(signal: ControlSignal) -> ControlSignal:
@@ -46,21 +115,22 @@ def reflected_signal(signal: ControlSignal) -> ControlSignal:
 @dataclass
 class AdjointBasis:
     """The rows [Phi(t)* | r(t)], n + 1 of n columns, held row-major in
-    ``trajectory``: every adjoint path that ends at T is
-    psi(t) = Phi(t) psi_T + lam r(t), with Phi(t) = K(T, t)*."""
+    ``trajectory`` in reversed time s = -t: every adjoint path that ends at
+    T is psi(t) = Phi(t) psi_T + lam r(t), with Phi(t) = K(T, t)*."""
 
     trajectory: Trajectory
 
 
 @dataclass
 class SolvedCostate:
-    """An adjoint path psi(.) read off a basis, with its multiplier lam."""
+    """An adjoint path psi(.) read off a basis, with its multiplier lam;
+    ``trajectory`` holds it in reversed time s = -t."""
 
     trajectory: Trajectory
     lam: float
 
     def psi(self, t):
-        return self.trajectory(t)
+        return self.trajectory(-np.asarray(t, dtype=float))
 
 
 def adjoint_basis(problem: ControlProblem, trajectory: Trajectory, control: ControlSignal,
@@ -69,7 +139,7 @@ def adjoint_basis(problem: ControlProblem, trajectory: Trajectory, control: Cont
     from [I | 0] at T down to the base trajectory's initial time.
 
     The solve runs forward in reversed time s = -t under the reflected
-    control, and the basis is that solution reflected back.  Its field reads
+    control, and the basis is that solution, read at s = -t.  Its field reads
     x(t) and calls :func:`jacobians` once per distinct (time, control value)
     pair: the last two DOP853 step stages share their time, and a switching
     time is met under two controls.
@@ -90,12 +160,13 @@ def adjoint_basis(problem: ControlProblem, trajectory: Trajectory, control: Cont
 
     traj = integrate_controlled(rhs, reflected_signal(control), -T, np.eye(n + 1, n).ravel(),
                                 -trajectory.t0, settings, domain=None)
-    return AdjointBasis(traj.reflected())
+    return AdjointBasis(traj)
 
 
 def basis_costate(basis: AdjointBasis, psi_T, lam: float) -> SolvedCostate:
     """The adjoint path psi(t) = Phi(t) psi_T + lam r(t) from psi(T) = psi_T,
-    read off the nodes, slopes and dense coefficient rows of ``basis``.
+    read off the nodes, slopes and dense coefficient rows of ``basis``, in
+    reversed time as the basis is.
     Every DOP853 stage is affine in the solution, so this is the DOP853
     solution of the adjoint equation on the basis's steps."""
     w = np.append(np.asarray(psi_T, dtype=float), lam)
@@ -142,8 +213,8 @@ def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
 
     The step is max(1e-3, 1e-3 * |x_i|) per component, and it shrinks when a
     probe leaves the state domain; a perturbed trajectory that exits the
-    domain mid-horizon raises the NonExtendibleError of
-    :func:`horizoncheck.payoff_value`, which carries the exit event.
+    domain mid-horizon raises the NonExtendibleError of :func:`payoff_from`,
+    which carries the exit event.
     """
     x_tau = np.atleast_1d(np.asarray(x_tau, dtype=float))
     n = problem.state_dim
@@ -159,10 +230,79 @@ def fd_gradient(problem: ControlProblem, control: ControlSignal, tau: float,
             hi *= 0.5
         else:
             raise ValueError(f"cannot perturb component {i} inside the state domain")
-        j_plus = payoff_value(problem, control, plus, tau, T, settings)
-        j_minus = payoff_value(problem, control, minus, tau, T, settings)
+        j_plus = payoff_from(problem, control, plus, tau, T, settings).states[-1, n]
+        j_minus = payoff_from(problem, control, minus, tau, T, settings).states[-1, n]
         grad[i] = (j_plus - j_minus) / (2 * hi)
     return grad
+
+
+def payoff_from(problem: ControlProblem, control: ControlSignal, x_start, t_start: float,
+                T: float, settings: IntegratorSettings) -> Trajectory:
+    """The augmented (x, payoff) trajectory of the control from the state
+    x_start at t_start forward to T under ``settings``: column ``state_dim``
+    is the running payoff.  Raises NonExtendibleError when the state leaves
+    the domain before T."""
+    n = problem.state_dim
+
+    def rhs(z, u, t):
+        return np.append(problem.dynamics(z[:n], u, t), problem.payoff(z[:n], u, t))
+
+    z0 = np.append(np.asarray(x_start, dtype=float), 0.0)
+    aug = integrate_controlled(rhs, control, t_start, z0, T, settings,
+                               domain=problem.state_domain.extended(1))
+    if aug.exit_event is not None:
+        raise NonExtendibleError(aug.exit_event)
+    return aug
+
+
+def check_assumption_uniform(problem: ControlProblem, control: ControlSignal,
+                             transition: TransitionOperator, tau: float,
+                             directions: Sequence, alphas: Sequence[float],
+                             T_grid, settings: IntegratorSettings) -> ConditionVerdict:
+    """Uniform-in-horizon lower bound of the payoff perturbation by its
+    linearization, the paper's uniform-bound assumption.
+
+    For each direction zeta and scale alpha computes
+      q(alpha, zeta, T) = (J(x + alpha*zeta) - J(x))/alpha - <grad(tau,T), zeta>
+    and takes the infimum over the horizon grid and the directions.  The tail
+    rule judges the excesses max(0, -inf), largest alpha first, with hold
+    tolerance 1e-4 and fail tolerance 1e-3; the estimate is the infimum at
+    the smallest alpha.  x(tau) and grad(tau, T) are read off
+    ``transition``, the pass of ``control``.  For dynamics and payoff linear
+    in the state the quantity vanishes identically up to integration error.
+    """
+    T_grid = np.sort(np.atleast_1d(np.asarray(T_grid, dtype=float)))
+    alphas = sorted((float(a) for a in alphas), reverse=True)
+    grads = transition.gradient(tau, T_grid)
+    x_tau = transition.trajectory(tau)
+    n = problem.state_dim
+    T_end = float(T_grid[-1])
+    base_vals = payoff_from(problem, control, x_tau, tau, T_end, settings)(T_grid)[:, n]
+
+    infs = np.empty((len(alphas), len(directions)))  # inf over T per (alpha, zeta)
+    for j, zeta in enumerate(directions):
+        zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
+        for k, alpha in enumerate(alphas):
+            x_pert = x_tau + alpha * zeta
+            if not problem.state_domain.contains(x_pert):
+                raise ValueError(f"perturbation alpha={alpha:g}, zeta={zeta} leaves the domain")
+            try:
+                aug = payoff_from(problem, control, x_pert, tau, T_end, settings)
+            except NonExtendibleError as exc:
+                raise ValueError(
+                    f"perturbed trajectory (alpha={alpha:g}, zeta={zeta}) not extendible: "
+                    f"{exc.event.description}") from exc
+            infs[k, j] = np.min((aug(T_grid)[:, n] - base_vals) / alpha - grads @ zeta)
+    worst = infs.min(axis=1)
+    status, trend = tail_rule(np.maximum(0.0, -worst), 1e-4, 1e-3)
+    last = float(worst[-1])
+    if status is Verdict.HOLDS:
+        note = f"inf over horizons at smallest alpha: {last:.3g}"
+    elif status is Verdict.FAILS:
+        note = f"lower bound violated: {last:.3g}"
+    else:
+        note = f"unresolved trend, inf {last:.3g}{trend}"
+    return ConditionVerdict(status, last, note=note)
 
 
 def _sin_response_integral(control: ControlSignal, a: float, b: float, T: float) -> float:

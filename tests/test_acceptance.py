@@ -27,10 +27,9 @@ from horizoncheck import (
     make_builtin_problem,
     needle_limit_check,
     oscillator_reference,
-    payoff_path,
+    payoff_value,
     ramsey_classify,
     ramsey_steady_state,
-    solve_state,
     transition_matrix,
 )
 from horizoncheck import conditions
@@ -40,11 +39,13 @@ from horizoncheck.verdicts import ConditionVerdict
 
 from conftest import STANDARD, TIGHT, record_limits
 from oracles import (
+    OscillatorOracle,
     adjoint_basis,
     appendix_identity_residual,
     basis_costate,
     fd_gradient,
     lemma1_residual,
+    solve_state,
 )
 
 
@@ -81,7 +82,7 @@ def test_criterion_01_oscillator_variational_oracle(oscillator, osc_traj_30,
 
 def test_criterion_02_general_condition_estimates(oscillator, u_one, osc_400pi):
     op, t_max = osc_400pi
-    ref = oscillator_reference(0.5)
+    ref = OscillatorOracle(0.5)
     records = jx_scan(op, [0.0], dense_horizon_grid(0.0, t_max))
     woo = check_general(oscillator, op, u_one, records, mode="WOO")
     oo = check_general(oscillator, op, u_one, records, mode="OO")
@@ -312,7 +313,7 @@ def test_criterion_08_needle_first_order(oscillator, integrator, u_one):
 
 def test_criterion_09_overtaking_verdicts(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    report = empirical_overtaking_test(oscillator, payoff_path(oscillator, u_one, 400.0),
+    report = empirical_overtaking_test(oscillator, payoff_value(oscillator, u_one, 400.0),
                                        challenger, eps=1e-6, T_max=400.0, sample_spacing=0.02)
     assert report.verdict == "consistent_WOO_only"
     assert report.max_gap == pytest.approx(2 - math.pi / 2, abs=1e-3)
@@ -327,7 +328,7 @@ def test_criterion_09_overtaking_verdicts(oscillator, u_one):
         assert np.min(window) <= 0.0
 
     problem_15 = make_builtin_problem("oscillator", {"b": 1.5})
-    report_15 = empirical_overtaking_test(problem_15, payoff_path(problem_15, u_one, 400.0),
+    report_15 = empirical_overtaking_test(problem_15, payoff_value(problem_15, u_one, 400.0),
                                           challenger, eps=1e-6, T_max=400.0,
                                           sample_spacing=0.02)
     assert report_15.verdict == "consistent_OO"

@@ -129,13 +129,13 @@ def test_ramsey_check_solves_the_state_equation_once(monkeypatch):
     # the feasible candidates read k off their joint (k, c) orbits; only the
     # saddle candidate solves the state equation under its consumption
     calls = []
-    solve_state = reference_examples.solve_state
+    integrate_controlled = reference_examples.integrate_controlled
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return solve_state(*args, **kwargs)
+        return integrate_controlled(*args, **kwargs)
 
-    monkeypatch.setattr(reference_examples, "solve_state", counted)
+    monkeypatch.setattr(reference_examples, "integrate_controlled", counted)
     build_check_report(RunConfig(example="ramsey", params={}, t_max=None))
     assert len(calls) == 1
 

@@ -37,6 +37,7 @@ from horizoncheck.verdicts import (
 )
 
 from conftest import STANDARD, TIGHT, record_limits
+from oracles import OscillatorOracle
 
 
 def test_delta_hamiltonian_oracles(oscillator, osc_traj_30, osc_op_30, u_one,
@@ -59,7 +60,7 @@ def test_check_general_oscillator_verdicts(oscillator, osc_op_400, u_one):
     oo = check_general(oscillator, osc_op_400, u_one, records, mode="OO")
     assert woo.verdict.status is Verdict.HOLDS
     assert oo.verdict.status is Verdict.FAILS
-    ref = oscillator_reference(0.5)
+    ref = OscillatorOracle(0.5)
     ugrid = oscillator.control_set.sample_grid(conditions._CONTROL_RESOLUTION)[:, 0]
     for u in (-1.0, 0.0, 0.5):
         j = int(np.argmin(np.abs(ugrid - u)))

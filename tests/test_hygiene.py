@@ -346,8 +346,6 @@ CALLER_SOURCES = program_sources(ROOT)
 EXEMPT = {
     ("cli.py", "main", "argv"):
         "test seam: the console script parses sys.argv, tests pass argv",
-    ("reference_examples.py", "ramsey_shoot", "history"):
-        "test seam: records the bisection brackets for the bracket-invariant test",
     ("problem_model.py", "ControlProblem", "initial_time"):
         "public constructor of user problems: a problem may start at t0 != 0",
     ("problem_model.py", "ControlProblem", "name"):
@@ -640,10 +638,7 @@ def unreached_exports(modules: dict, callers: dict) -> list:
 
 
 # names of a module's __all__ that the program does not reach, with the reason
-EXPORT_EXEMPT = {
-    ("variational.py", "check_assumption_uniform"):
-        "waits for the report row of the paper's uniform-bound assumption",
-}
+EXPORT_EXEMPT = {}
 
 
 def _export_audit_inputs():
@@ -729,18 +724,6 @@ def unreached_methods(modules: dict, callers: dict) -> list:
 METHOD_EXEMPT = {
     ("ode_engine.py", "ControlSignal.closed_form"):
         "public constructor of user controls: a control given as a function of time",
-    ("ode_engine.py", "Trajectory.derivative"):
-        "oracle of the dense output's slope for the dense-accuracy and costate-residual tests",
-    ("reference_examples.py", "IntegratorReference.max_principle_holds"):
-        "closed-form oracle that only tests compare against",
-    ("reference_examples.py", "IntegratorReference.psi_hat"):
-        "closed-form oracle that only tests compare against",
-    ("reference_examples.py", "OscillatorReference.delta_hamiltonian"):
-        "closed-form oracle that only tests compare against",
-    ("reference_examples.py", "OscillatorReference.oo_bound"):
-        "closed-form oracle that only tests compare against",
-    ("reference_examples.py", "OscillatorReference.woo_bound"):
-        "closed-form oracle that only tests compare against",
 }
 
 

@@ -9,9 +9,7 @@ from horizoncheck import (
     NonExtendibleError,
     empirical_overtaking_test,
     needle_limit_check,
-    oscillator_reference,
     overtaking,
-    payoff_path,
     payoff_value,
     transition_matrix,
 )
@@ -19,19 +17,18 @@ from horizoncheck.cli import RunConfig, build_overtake_report
 from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
 
 from conftest import TIGHT
-from oracles import appendix_identity_residual, oscillator_delta_x1
+from oracles import OscillatorOracle, appendix_identity_residual, oscillator_delta_x1
 
 
-def value(problem, control, T, settings=overtaking._VALUE_SETTINGS):
+def value(problem, control, T):
     """Payoff of the control from the problem's initial point to T."""
-    return payoff_value(problem, control, problem.initial_state, problem.initial_time,
-                        T, settings)
+    return payoff_value(problem, control, T).states[-1, problem.state_dim]
 
 
 def overtake(problem, candidate, challenger, T_max, sample_spacing=0.02):
     """The overtaking test of the candidate's payoff path against one
     challenger, at the CLI's eps and, by default, its oscillator spacing."""
-    return empirical_overtaking_test(problem, payoff_path(problem, candidate, T_max),
+    return empirical_overtaking_test(problem, payoff_value(problem, candidate, T_max),
                                      challenger, eps=1e-6, T_max=T_max,
                                      sample_spacing=sample_spacing)
 
@@ -65,22 +62,22 @@ def test_base_path_leaving_the_domain_is_not_extendible(ramsey_params):
 
 def test_needle_gap_closed_form(integrator_undiscounted, u_one):
     problem = integrator_undiscounted
-    gap = (value(problem, u_one.with_needle(1.0, 0.1, [0.0]), 5.0, TIGHT)
-           - value(problem, u_one, 5.0, TIGHT))
+    gap = (value(problem, u_one.with_needle(1.0, 0.1, [0.0]), 5.0)
+           - value(problem, u_one, 5.0))
     assert gap == pytest.approx(-0.405, abs=1e-6)
 
 
 def test_needle_noop_is_exactly_zero(oscillator, u_one):
-    gap = (value(oscillator, u_one.with_needle(2.0, 0.5, [1.0]), 10.0, TIGHT)
-           - value(oscillator, u_one, 10.0, TIGHT))
+    gap = (value(oscillator, u_one.with_needle(2.0, 0.5, [1.0]), 10.0)
+           - value(oscillator, u_one, 10.0))
     assert gap == 0.0
 
 
 def test_needle_first_order_matches_hamiltonian_difference(oscillator, u_one):
-    ref = oscillator_reference(0.5)
+    ref = OscillatorOracle(0.5)
     alpha = 0.01
-    gap = (value(oscillator, u_one.with_needle(math.pi, alpha, [-1.0]), 2 * math.pi, TIGHT)
-           - value(oscillator, u_one, 2 * math.pi, TIGHT))
+    gap = (value(oscillator, u_one.with_needle(math.pi, alpha, [-1.0]), 2 * math.pi)
+           - value(oscillator, u_one, 2 * math.pi))
     predict = alpha * ref.delta_hamiltonian(-1.0, math.pi, 2 * math.pi)
     assert gap == pytest.approx(predict, abs=5 * alpha ** 2)
 
@@ -167,21 +164,21 @@ def test_payoff_path_step_pin(oscillator, u_one):
     # accepted steps of the payoff solve of u = 1 on the oscillator to T = 100
     # at the overtaking settings; a change to the payoff right-hand side or
     # the stepping core that moves them must update this count
-    path = payoff_path(oscillator, u_one, 100.0)
+    path = payoff_value(oscillator, u_one, 100.0)
     assert path.time_grid.size == 531
     assert path.states[-1, 2] == pytest.approx(1.0 - math.cos(100.0) + 50.0, abs=1e-9)
 
 
 def test_overtaking_reuses_candidate_path(oscillator, u_one, payoff_solves):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    path = payoff_path(oscillator, u_one, 100.0)
+    path = payoff_value(oscillator, u_one, 100.0)
     del payoff_solves[:]
     report = empirical_overtaking_test(oscillator, path, challenger, eps=1e-6, T_max=100.0,
                                        sample_spacing=0.02)
     assert len(payoff_solves) == 1  # the challenger only
     assert report.verdict == "consistent_WOO_only"
     # a path past T_max serves as well, with the same gaps up to T_max
-    longer = empirical_overtaking_test(oscillator, payoff_path(oscillator, u_one, 150.0),
+    longer = empirical_overtaking_test(oscillator, payoff_value(oscillator, u_one, 150.0),
                                        challenger, eps=1e-6, T_max=100.0,
                                        sample_spacing=0.02)
     assert longer.verdict == report.verdict
@@ -190,7 +187,7 @@ def test_overtaking_reuses_candidate_path(oscillator, u_one, payoff_solves):
 
 def test_overtaking_rejects_short_candidate_path(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    short = payoff_path(oscillator, u_one, 50.0)
+    short = payoff_value(oscillator, u_one, 50.0)
     with pytest.raises(ValueError, match="candidate path"):
         empirical_overtaking_test(oscillator, short, challenger, eps=1e-6, T_max=100.0,
                                   sample_spacing=0.02)
@@ -199,7 +196,7 @@ def test_overtaking_rejects_short_candidate_path(oscillator, u_one):
 @pytest.mark.parametrize("T_max", [0.0, -1.0, math.nan])
 def test_overtaking_rejects_a_horizon_not_after_t0(oscillator, u_one, T_max, payoff_solves):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    path = payoff_path(oscillator, u_one, 40.0)
+    path = payoff_value(oscillator, u_one, 40.0)
     del payoff_solves[:]
     with pytest.raises(ValueError, match="must exceed t0"):
         empirical_overtaking_test(oscillator, path, challenger, eps=1e-6, T_max=T_max,
@@ -221,7 +218,7 @@ def test_overtaking_rejects_nan_and_negative_eps(oscillator, u_one, eps, payoff_
     # every comparison with a NaN eps is False, which used to read as gaps
     # that never exceed eps: consistent_OO where the verdict is WOO only
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    path = payoff_path(oscillator, u_one, 40.0)
+    path = payoff_value(oscillator, u_one, 40.0)
     del payoff_solves[:]
     with pytest.raises(ValueError, match="eps"):
         empirical_overtaking_test(oscillator, path, challenger, eps=eps, T_max=40.0,
@@ -258,7 +255,7 @@ def test_overtaking_gap_additivity(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
     report = overtake(oscillator, u_one, challenger, 100.0)
     for T in (11.0, 47.0, 93.0):
-        direct = value(oscillator, challenger, T, TIGHT) - value(oscillator, u_one, T, TIGHT)
+        direct = value(oscillator, challenger, T) - value(oscillator, u_one, T)
         assert report.gap_fn(T) == pytest.approx(direct, abs=1e-7)
 
 

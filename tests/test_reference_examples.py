@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from horizoncheck import (
-    IntegratorReference,
     RamseyParams,
     oscillator_reference,
     ramsey_classify,
     ramsey_shoot,
     ramsey_steady_state,
 )
-from horizoncheck import reference_examples, solve_state
+from horizoncheck import reference_examples
 from horizoncheck.conditions import _state_crossings
 from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
 
 from conftest import FIG1
+from oracles import IntegratorOracle, OscillatorOracle, solve_state
 
 
 def test_steady_state_closed_form_exact():
@@ -149,10 +149,18 @@ def test_shoot_from_steady_state_recovers_c_star():
     assert orbit.exit_event.description == "saddle_ball"
 
 
-def test_shoot_from_k0_10(ramsey_params, ramsey_saddle):
+def test_shoot_from_k0_10(ramsey_params, ramsey_saddle, monkeypatch):
     c0, _, _ = ramsey_saddle
-    history = []
-    c0_again, orbit = ramsey_shoot(ramsey_params, 2000.0, history=history)
+    judged = []  # (c0, side) of every orbit the shooting classifies
+    classify_side = reference_examples._classify_side
+
+    def recorded(params, k0, c0, t_max):
+        side = classify_side(params, k0, c0, t_max)
+        judged.append((c0, side))
+        return side
+
+    monkeypatch.setattr(reference_examples, "_classify_side", recorded)
+    c0_again, orbit = ramsey_shoot(ramsey_params, 2000.0)
     assert c0_again == pytest.approx(c0, abs=1e-8)
     # enters the 1e-3 ball around (32, 2.4)
     k_T, c_T = orbit.states[-1]
@@ -163,13 +171,16 @@ def test_shoot_from_k0_10(ramsey_params, ramsey_saddle):
     control = ramsey_control_from_orbit(orbit)
     assert control.breakpoints().tolist() == [orbit.t_end]
     assert control.evaluate(orbit.t_end + 1.0)[0] == c_T
-    # bracket invariant: lower side falls to zero consumption, upper hits k=0
-    assert history
-    for lo, hi in history:
-        assert ramsey_classify(ramsey_params, 10.0, hi * 1.000001, t_max=3000) \
-            in ("hits_zero_capital",)
-        assert ramsey_classify(ramsey_params, 10.0, lo * 0.999999, t_max=3000) \
-            in ("to_zero_consumption",)
+    # bracket invariant: above a c0 judged 'hi' the orbit hits k = 0, below
+    # one judged 'lo' it falls to zero consumption
+    assert {side for _, side in judged} == {"lo", "hi"}
+    for c0_judged, side in judged:
+        if side == "hi":
+            assert ramsey_classify(ramsey_params, 10.0, c0_judged * 1.000001,
+                                   t_max=3000) == "hits_zero_capital"
+        else:
+            assert ramsey_classify(ramsey_params, 10.0, c0_judged * 0.999999,
+                                   t_max=3000) == "to_zero_consumption"
 
 
 @pytest.mark.parametrize("k0", [2.0, 10.0, 50.0])
@@ -345,7 +356,7 @@ def test_sub_saddle_orbit_stays_feasible(ramsey_params):
 
 
 def test_oscillator_reference_values():
-    ref = oscillator_reference(0.5)
+    ref = OscillatorOracle(0.5)
     assert np.allclose(ref.transition(math.pi / 2, 0.0), [[0.0, 1.0], [-1.0, 0.0]],
                        atol=1e-15)
     assert np.allclose(ref.jx(0.0, math.pi), [-2.0, 0.0], atol=1e-15)
@@ -370,21 +381,21 @@ def test_oscillator_costate_solves_adjoint_identities():
 
 
 def test_integrator_reference():
-    ref = IntegratorReference(0.1, 0.0, 1.0)
+    ref = IntegratorOracle(0.1, 0.0, 1.0)
     assert ref.psi_hat(0.0) == pytest.approx(10.0)
     assert ref.psi(0.0) == pytest.approx(10.0)
     assert not ref.psi_hat_diverges
     assert ref.max_principle_holds()
 
-    abnormal = IntegratorReference(0.0, 1.0, 0.0)
+    abnormal = IntegratorOracle(0.0, 1.0, 0.0)
     assert abnormal.psi(123.0) == 1.0
     assert abnormal.psi_hat_diverges
     assert abnormal.max_principle_holds()
     with pytest.raises(ValueError):
         abnormal.psi_hat(0.0)
 
-    doomed = IntegratorReference(0.0, 5.0, 1.0)
+    doomed = IntegratorOracle(0.0, 5.0, 1.0)
     assert doomed.psi(7.0) == pytest.approx(-2.0)
     assert not doomed.max_principle_holds()
     with pytest.raises(ValueError):
-        IntegratorReference(0.0, 0.0, 0.0)
+        IntegratorOracle(0.0, 0.0, 0.0)

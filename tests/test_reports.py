@@ -24,6 +24,9 @@ GOLDEN_REPORTS = {
                                                   "--r", "0.3", "--phi", "0.2",
                                                   "--t-max", "100"],
     "check_ramsey": ["check", "--example", "ramsey"],
+    "check_ramsey_k040": ["check", "--example", "ramsey", "--k0", "40"],
+    "overtake_ramsey": ["overtake", "--example", "ramsey"],
+    "phase_diagram_ramsey_16x16": ["phase-diagram", "--example", "ramsey", "--grid", "16x16"],
     "overtake_oscillator_tmax100": ["overtake", "--example", "oscillator", "--t-max", "100"],
     "needle_oscillator_b0.5": ["needle", "--example", "oscillator", "--b", "0.5"],
 }

@@ -13,7 +13,6 @@ from horizoncheck import (
     IntegratorReference,
     IntegratorSettings,
     Trajectory,
-    check_assumption_uniform,
     check_jx_bounded,
     dense_horizon_grid,
     integrate,
@@ -23,7 +22,6 @@ from horizoncheck import (
     needle_limit_check,
     oscillator_reference,
     payoff_value,
-    solve_state,
     transition_matrix,
 )
 from horizoncheck.problem_model import jacobians
@@ -32,7 +30,17 @@ from horizoncheck.verdicts import Verdict
 
 from conftest import STANDARD, TIGHT
 import oracles
-from oracles import adjoint_basis, basis_costate, fd_gradient, lemma1_residual, record_value_at
+from oracles import (
+    OscillatorOracle,
+    adjoint_basis,
+    basis_costate,
+    check_assumption_uniform,
+    dense_slope,
+    fd_gradient,
+    lemma1_residual,
+    record_value_at,
+    solve_state,
+)
 
 
 def test_transition_identity_and_semigroup(osc_op_30):
@@ -117,7 +125,7 @@ def test_transition_trajectory_is_the_pass_state(oscillator, u_one):
     assert np.array_equal(traj.coeffs, aug.coeffs[:, :, :2])
     assert np.shares_memory(traj.coeffs, aug.coeffs)
     ts = np.linspace(0.0, 100.0, 20001)
-    assert np.max(np.abs(traj(ts) - oscillator_reference(0.5).state(ts))) <= 1e-8
+    assert np.max(np.abs(traj(ts) - OscillatorOracle(0.5).state(ts))) <= 1e-8
 
 
 def test_gradient_oracles(osc_op_30, u_one, integrator):
@@ -181,20 +189,20 @@ def test_adjoint_oscillator_family_and_homogeneous(oscillator, osc_traj_30, osc_
         assert np.max(np.abs(norms - math.hypot(0.4, 0.6))) < 1e-9
 
 
-def _adjoint_by_backward_integration(problem, trajectory, control, T, y_T, slope, settings):
-    """An adjoint solve written the other way: ``integrate`` run backward
-    from y_T at T on dy/dt = -slope(f_x, g_x, y), segment by segment between
-    the switches of a piecewise-constant control.  Returns grid, states,
-    slopes and dense coefficient rows."""
+def _adjoint_in_reversed_time(problem, trajectory, control, T, y_T, slope, settings):
+    """An adjoint solve written the other way: ``integrate`` run forward in
+    reversed time s = -t from y_T at s = -T on dy/ds = slope(f_x, g_x, y),
+    one call per segment between the switches of a piecewise-constant
+    control.  Returns grid, states, slopes and dense coefficient rows, in s."""
     cuts = [c for c in control.breakpoints() if trajectory.t0 < c < T]
     nodes = [T, *cuts[::-1], trajectory.t0]
     pieces, y = [], np.asarray(y_T, dtype=float)
     for a, b in zip(nodes[:-1], nodes[1:]):
-        def field(t, y, u=control.segment_piece(b, a)):
-            return -slope(*jacobians(problem, trajectory(t), u, t), y)
+        def field(s, y, u=control.segment_piece(b, a)):
+            return slope(*jacobians(problem, trajectory(-s), u, -s), y)
 
-        pieces.insert(0, integrate(field, a, y, b, settings))
-        y = pieces[0].states[0]
+        pieces.append(integrate(field, -a, y, -b, settings))
+        y = pieces[-1].states[-1]
     return [np.concatenate([getattr(p, name) for p in pieces])
             for name in ("time_grid", "states", "derivs", "coeffs")]
 
@@ -229,16 +237,17 @@ def _switched_adjoint_cases(oscillator, integrator):
 
 def test_reversed_time_adjoint_equals_backward_integration_bit_for_bit(oscillator,
                                                                        integrator):
-    # the basis [Phi* | r] solved in reversed time equals the backward
-    # ``integrate`` of the (n + 1) x n system on the switched cases
+    # the basis [Phi* | r], solved under the reflected control, equals the
+    # segment-by-segment reversed-time ``integrate`` of the (n + 1) x n
+    # system on the switched cases
     control, cases = _switched_adjoint_cases(oscillator, integrator)
     for problem, op, T, _ in cases:
         traj = op.trajectory
         n = problem.state_dim
         basis = adjoint_basis(problem, traj, control, T, STANDARD)
         rows_T = np.vstack([np.eye(n), np.zeros(n)]).ravel()
-        expected = _adjoint_by_backward_integration(problem, traj, control, T, rows_T,
-                                                    _basis_slope, STANDARD)
+        expected = _adjoint_in_reversed_time(problem, traj, control, T, rows_T,
+                                             _basis_slope, STANDARD)
         got = basis.trajectory
         switches = np.count_nonzero(control.breakpoints() < T)
         assert np.count_nonzero(np.diff(got.time_grid) == 0.0) == switches
@@ -258,12 +267,13 @@ def test_costates_read_off_the_basis_match_solo_backward_solves(oscillator, inte
         basis = adjoint_basis(problem, traj, control, T, STANDARD)
         for lam in (1.0, 0.0):
             costate = basis_costate(basis, psi_T, lam)
-            solo = Trajectory(*_adjoint_by_backward_integration(
+            solo = Trajectory(*_adjoint_in_reversed_time(
                 problem, traj, control, T, psi_T,
                 lambda fx, gx, y: fx.T @ y + lam * gx, STANDARD))
-            times = np.concatenate([solo.time_grid, costate.trajectory.time_grid])
+            # both grids are in s = -t
+            times = -np.concatenate([solo.time_grid, costate.trajectory.time_grid])
             scale = max(1.0, np.max(np.abs(solo.states)))
-            worst = max(worst, np.max(np.abs(costate.psi(times) - solo(times))) / scale)
+            worst = max(worst, np.max(np.abs(costate.psi(times) - solo(-times))) / scale)
     assert worst <= 1e-9
     # a terminal time past the state path, or a psi_T of another dimension
     with pytest.raises(ValueError, match="terminal time outside"):
@@ -281,12 +291,12 @@ def test_costates_read_off_the_pass_match_the_basis_oracle(oscillator, integrato
     worst = 0.0
     for problem, op, T, psi_T in cases:
         basis = adjoint_basis(problem, op.trajectory, control, T, STANDARD)
-        grid = np.concatenate([basis.trajectory.time_grid,
+        grid = np.concatenate([-basis.trajectory.time_grid,
                                op.trajectory.time_grid[op.trajectory.time_grid <= T]])
         times = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])
         for lam in (1.0, 0.0):
             read, solved = integrate_adjoint(op, T, psi_T, lam), basis_costate(basis, psi_T, lam)
-            assert (read.t0, read.t_end) == (solved.trajectory.t0, solved.trajectory.t_end)
+            assert (read.t0, read.t_end) == (-solved.trajectory.t_end, -solved.trajectory.t0)
             scale = max(1.0, np.max(np.abs(solved.trajectory.states)))
             worst = max(worst, np.max(np.abs(read.psi(times) - solved.psi(times))) / scale)
     assert worst <= 1e-9
@@ -393,9 +403,11 @@ def test_costate_ode_residual_at_midpoints(oscillator, osc_traj_30, u_one):
     settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
     costate = basis_costate(adjoint_basis(oscillator, osc_traj_30, u_one, 10.0, settings),
                             [0.2, -0.1], 1.0)
+    # the basis runs in s = -t: its step midpoints are at -mids, and
+    # d psi / dt there is minus the slope in s
     grid = costate.trajectory.time_grid
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    lhs = costate.trajectory.derivative(mids)
+    mids = -0.5 * (grid[:-1] + grid[1:])
+    lhs = -dense_slope(costate.trajectory, -mids)
     psi = costate.psi(mids)
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     rhs = -(psi @ A) - np.array([0.0, 1.0])
@@ -481,14 +493,14 @@ def test_limit_costate_three_regimes(integrator, integrator_undiscounted,
 
 
 def test_payoff_value_and_quadrature(integrator, u_one):
-    value = payoff_value(integrator, u_one, [0.0], 0.0, 10.0, TIGHT)
+    value = payoff_value(integrator, u_one, 10.0).states[-1, 1]
     expect = (1 - math.exp(-1.0) * (1 + 1.0)) / 0.01
     assert value == pytest.approx(expect, abs=1e-8)
 
 
 def test_payoff_value_runs_forward_only(integrator, u_one):
     with pytest.raises(ValueError, match="forward"):
-        payoff_value(integrator, u_one, [0.0], 10.0, 5.0, TIGHT)
+        payoff_value(integrator, u_one, -5.0)
 
 
 def test_assumption_uniform_linear_problems(oscillator, integrator, u_one):
@@ -555,4 +567,4 @@ def test_payoff_overflow_is_integration_error_not_domain_exit():
         control_set=ControlSet.box([0.0], [1.0]),
         state_domain=Box.unbounded(1), initial_state=[0.0])
     with pytest.raises(IntegrationError):
-        payoff_value(problem, ControlSignal.constant([0.0]), [0.0], 0.0, 800.0, STANDARD)
+        payoff_value(problem, ControlSignal.constant([0.0]), 800.0)
