@@ -30,10 +30,8 @@ from .variational import (
     CostatePath,
     JxRecord,
     TransitionOperator,
-    check_jx_bounded,
     integrate_adjoint,
     jx_scan,
-    limit_costate,
     transition_matrix,
 )
 from .conditions import (
@@ -43,9 +41,11 @@ from .conditions import (
     check_classical,
     check_general,
     check_gmax,
+    check_jx_bounded,
     check_max_principle,
     decompose_costate,
     dense_horizon_grid,
+    limit_costate,
 )
 from .overtaking import (
     NeedleCheckReport,

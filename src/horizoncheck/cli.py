@@ -34,9 +34,11 @@ from .conditions import (
     check_classical,
     check_general,
     check_gmax,
+    check_jx_bounded,
     check_max_principle,
     decompose_costate,
     dense_horizon_grid,
+    limit_costate,
 )
 from .ode_engine import ControlSignal, IntegrationError, IntegratorSettings
 from .problem_model import make_builtin_problem
@@ -54,13 +56,7 @@ from .reference_examples import (
 )
 from . import overtaking
 from .overtaking import empirical_overtaking_test, needle_limit_check
-from .variational import (
-    check_jx_bounded,
-    integrate_adjoint,
-    jx_scan,
-    limit_costate,
-    transition_matrix,
-)
+from .variational import integrate_adjoint, jx_scan, transition_matrix
 
 __all__ = [
     "RunConfig",
@@ -173,29 +169,32 @@ _COSTATE_ROWS = [*(("classical", c) for c in ("tcPSI", "tcXPSI", "tcM", "tcKAV")
 # check
 
 
-def _integrator_candidates(rho: float, a0: Optional[float], lam: Optional[float]):
-    """Adjoint candidates (label, lam, a0) for the integrator battery."""
+def _integrator_candidates(rho: float, a0: Optional[float], lam: Optional[float],
+                           t_max: float):
+    """Adjoint candidates (label, lam, psi(t_max)) of the integrator battery;
+    ValueError for an inadmissible (lam, a0)."""
     if lam is not None:
-        base_a0 = a0 if a0 is not None else (0.0 if lam == 1.0 else 1.0)
-        return [(f"psi(lam={lam:g},a0={base_a0:g})", lam, base_a0)]
-    if a0 is None:
-        a0 = 0.0 if rho > 0 else 0.5
-    abnormal_a0 = a0 if a0 > 0 else 1.0
-    return [(f"psi(lam=1,a0={a0:g})", 1.0, a0),
-            (f"psi(lam=0,a0={abnormal_a0:g})", 0.0, abnormal_a0)]
+        battery = [(lam, a0 if a0 is not None else (0.0 if lam == 1.0 else 1.0))]
+    else:
+        a0 = (0.0 if rho > 0 else 0.5) if a0 is None else a0
+        battery = [(1.0, a0), (0.0, a0 if a0 > 0 else 1.0)]
+    return [(f"psi(lam={lam:g},a0={a0:g})", lam, IntegratorReference(rho, a0, lam).psi(t_max))
+            for lam, a0 in battery]
 
 
-def _oscillator_candidates(b: float, r: Optional[float], phi: Optional[float]):
+def _oscillator_candidates(b: float, r: Optional[float], phi: Optional[float],
+                           t_max: float):
+    """Adjoint candidates (label, 1, psi(t_max)) of the oscillator battery,
+    each the normal costate of the (r, phi) family; ValueError for |r| > b."""
     if r is not None or phi is not None:
-        r = 0.0 if r is None else r
-        phi = 0.0 if phi is None else phi
-        return [(f"psi(r={r:g},phi={phi:g})", r, phi)]
-    battery = [("psi(r=0,phi=0)", 0.0, 0.0),
-               (f"psi(r={b / 2:g},phi=0.7)", b / 2, 0.7)]
-    if b >= 1.0:
-        battery.append(("psi(r=1,phi=0)", 1.0, 0.0))
-    battery.append((f"psi(r={b:g},phi=-pi/2)", b, -math.pi / 2))
-    return battery
+        r, phi = (0.0 if r is None else r), (0.0 if phi is None else phi)
+        battery = [(f"psi(r={r:g},phi={phi:g})", r, phi)]
+    else:
+        battery = [("psi(r=0,phi=0)", 0.0, 0.0), (f"psi(r={b / 2:g},phi=0.7)", b / 2, 0.7),
+                   *([("psi(r=1,phi=0)", 1.0, 0.0)] if b >= 1.0 else []),
+                   (f"psi(r={b:g},phi=-pi/2)", b, -math.pi / 2)]
+    ref = oscillator_reference(b)
+    return [(label, 1.0, ref.costate(r, phi, t_max)) for label, r, phi in battery]
 
 
 def build_check_report(config: RunConfig) -> ReportData:
@@ -206,23 +205,16 @@ def build_check_report(config: RunConfig) -> ReportData:
 
 def _build_linear_check(config: RunConfig) -> ReportData:
     t_max = config.resolved_t_max()
-    params = dict(config.params)
+    params = config.params
     problem_params = _problem_params(config)
     problem = make_builtin_problem(config.example, problem_params)
     control = ControlSignal.constant([1.0])
     if config.example == "integrator":
-        rho = problem_params["rho"]
-        candidates = _integrator_candidates(rho, params.get("a0"), params.get("lambda"))
-        def terminal_psi(lam, a0):
-            return IntegratorReference(rho, a0, lam).psi(t_max)
+        candidates = _integrator_candidates(problem_params["rho"], params.get("a0"),
+                                            params.get("lambda"), t_max)
     else:
-        b = problem_params["b"]
-        ref = oscillator_reference(b)
-        candidates = [(label, 1.0, (r, phi))
-                      for label, r, phi in _oscillator_candidates(
-                          b, params.get("r"), params.get("phi"))]
-        def terminal_psi(lam, rphi):
-            return ref.costate(rphi[0], rphi[1], t_max)
+        candidates = _oscillator_candidates(problem_params["b"], params.get("r"),
+                                            params.get("phi"), t_max)
 
     transition = transition_matrix(problem, control, t_max, settings=_CHECK_SETTINGS)
 
@@ -242,9 +234,9 @@ def _build_linear_check(config: RunConfig) -> ReportData:
     # adjoint-candidate rows, every costate read off the (x, Y, S) pass; a
     # costate the pass cannot resolve gives inconclusive rows with the reason
     costates, by_candidate = {}, {}
-    for k, (_, lam, extra) in enumerate(candidates):
+    for k, (_, lam, psi_T) in enumerate(candidates):
         try:
-            costates[k] = integrate_adjoint(transition, t_max, terminal_psi(lam, extra), lam)
+            costates[k] = integrate_adjoint(transition, t_max, psi_T, lam)
         except ValueError as exc:
             refused = ConditionVerdict(Verdict.INCONCLUSIVE, None, str(exc))
             by_candidate[k] = [refused] * len(_COSTATE_ROWS)
@@ -253,11 +245,9 @@ def _build_linear_check(config: RunConfig) -> ReportData:
         grid = np.linspace(problem.initial_time, t_max, 201)
         for (k, costate), mp, classical in zip(
                 costates.items(),
-                check_max_principle(problem, transition.trajectory, control, paths,
-                                    time_grid=grid),
-                check_classical(problem, transition, control, paths)):
-            by_candidate[k] = [*classical.values(), mp,
-                               decompose_costate(costate, transition, psi_hats)[1]]
+                check_max_principle(problem, control, paths, time_grid=grid),
+                check_classical(problem, control, paths)):
+            by_candidate[k] = [*classical.values(), mp, decompose_costate(costate, psi_hats)[1]]
     judged += [(kind, label, cond_id, verdict)
                for k, (label, _, _) in enumerate(candidates)
                for (kind, cond_id), verdict in zip(_COSTATE_ROWS, by_candidate[k])]

@@ -327,9 +327,9 @@ class Trajectory:
                        0, len(self.time_grid) - 2)
 
     def _steps(self, t):
-        """Span-checked query times as the step index, fraction s, width h and
-        safe width of each (h = 1 where h = 0, s = 0 there), s and the widths
-        as columns; a one-node grid's only step joins the node to itself."""
+        """Span-checked query times as the step index, fraction s and width
+        h of each (s = 0 where h = 0), s and h as columns; a one-node grid's
+        only step joins the node to itself."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if t_arr.size:
             _check_span(t_arr.min(), t_arr.max(), self.t0, self.t_end)
@@ -339,7 +339,7 @@ class Trajectory:
         h = self.time_grid[idx + 1] - ta
         safe_h = np.where(h > 0, h, 1.0)
         s = np.where(h > 0, (tq - ta) / safe_h, 0.0)[:, None]
-        return idx, s, h[:, None], safe_h[:, None]
+        return idx, s, h[:, None]
 
     @cached_property
     def _lookup(self) -> tuple:
@@ -353,7 +353,7 @@ class Trajectory:
     def __call__(self, t):
         if isinstance(t, float) or np.ndim(t) == 0:
             return self._at(float(t))
-        i, s, h, _ = self._steps(t)
+        i, s, h = self._steps(t)
         return _dense_on_step(self.states[i], self.derivs[i], h, self.states[i + 1],
                               self.derivs[i + 1], self.coeffs[i], s)
 
@@ -756,20 +756,19 @@ class ControlSignal:
     """A control as a function of time: switching times t_1 < ... < t_m and
     one piece per interval (t_{i-1}, t_i], with t_0 = -inf and t_{m+1} = +inf.
 
-    A piece is a constant control vector, or None for the closed form
-    ``fn(t)``.  A switching time belongs to the interval it ends, the (a, b]
-    convention of needle pulses.  ``with_needle`` splices a pulse into the
-    lists the same way for every signal, so where pulses overlap the newest
-    one holds.  Integration never evaluates a signal across a switch:
+    A piece is a constant control vector, or a callable that maps t to the
+    control vector, its own closed form.  A switching time belongs to the
+    interval it ends, the (a, b] convention of needle pulses.  ``with_needle``
+    splices a pulse into the lists the same way for every signal, so where
+    pulses overlap the newest one holds.  Integration never evaluates a signal across a switch:
     ``integrate_controlled`` cuts the time span at every switching time and
     integrates each segment under the piece that covers it.
     """
 
-    def __init__(self, times, pieces, dim, fn=None):
+    def __init__(self, times, pieces, dim):
         self._times = [float(t) for t in times]
         self._pieces = list(pieces)
         self.dim = int(dim)
-        self._fn = fn
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -787,29 +786,21 @@ class ControlSignal:
             raise ValueError("switching times must be strictly increasing")
         return ControlSignal(times, vals, vals.shape[1])
 
-    @staticmethod
-    def closed_form(fn: Callable[[float], np.ndarray], dim: int) -> "ControlSignal":
-        return ControlSignal([], [None], dim, fn)
-
     # -- evaluation ----------------------------------------------------
     def evaluate(self, t: float) -> np.ndarray:
         piece = self._pieces[bisect.bisect_left(self._times, t)]
-        return self._closed(t) if piece is None else piece
-
-    def _closed(self, t: float) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self._fn(t), dtype=float))
+        return piece(t) if callable(piece) else piece
 
     def breakpoints(self) -> np.ndarray:
         return np.array(self._times)
 
     def segment_piece(self, a: float, b: float):
-        """The piece that covers (a, b]: its constant vector, or the closed
-        form as a function of t; None when no one piece covers it."""
+        """The piece that covers (a, b], a constant vector or a callable;
+        None when no one piece covers it."""
         i = bisect.bisect_left(self._times, b)
         if i and self._times[i - 1] > a:
             return None
-        piece = self._pieces[i]
-        return self._closed if piece is None else piece
+        return self._pieces[i]
 
     def with_needle(self, tau: float, alpha: float, u) -> "ControlSignal":
         """The signal with the constant ``u`` spliced in on the pulse interval
@@ -822,15 +813,14 @@ class ControlSignal:
         # pieces i..j meet (a, b]: piece i holds on until a, piece j on from b
         i = bisect.bisect_right(self._times, a)
         j = bisect.bisect_left(self._times, b)
-        if all(p is not None and np.array_equal(p, u) for p in self._pieces[i:j + 1]):
+        if all(not callable(p) and np.array_equal(p, u) for p in self._pieces[i:j + 1]):
             return self
         times = self._times[:i] + [a, b] + self._times[j:]
         pieces = self._pieces[:i + 1] + [u] + self._pieces[j:]
         # a switching time already at a or b leaves an empty piece: drop both
         empty = {k for k in range(1, len(times)) if times[k] == times[k - 1]}
         return ControlSignal([t for k, t in enumerate(times) if k not in empty],
-                             [p for k, p in enumerate(pieces) if k not in empty],
-                             self.dim, self._fn)
+                             [p for k, p in enumerate(pieces) if k not in empty], self.dim)
 
 
 def integrate_controlled(rhs: Callable[[np.ndarray, np.ndarray, float], np.ndarray],

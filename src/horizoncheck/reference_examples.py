@@ -310,8 +310,8 @@ def ramsey_control_from_orbit(orbit: Trajectory, c_tail: Optional[float] = None)
     switch at ``orbit.t_end`` is a node of every integration across it.
     """
     tail = orbit.states[-1, 1] if c_tail is None else c_tail
-    return ControlSignal([orbit.t_end], [None, np.array([float(tail)])], 1,
-                         lambda t: orbit(max(t, orbit.t0))[1:])
+    return ControlSignal([orbit.t_end], [lambda t: orbit(max(t, orbit.t0))[1:],
+                                         np.array([float(tail)])], 1)
 
 
 def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float):

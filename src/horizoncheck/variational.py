@@ -1,4 +1,6 @@
-"""Linearized propagators, payoff gradients, and adjoint paths.
+"""Linearized propagators, payoff gradients, and adjoint paths: the numbers
+that :mod:`.conditions` judges.  This module integrates and reads; it holds
+no verdict.
 
 The central objects are
 
@@ -9,21 +11,18 @@ The central objects are
   the state path, K(t, tau) = Y(t) Y(tau)^-1 and the finite-horizon payoff
   gradient with respect to the state at time tau,
   grad(tau, T) = integral_tau^T K(t, tau)* g_x(t) dt = Y(tau)^-* (S(T) - S(tau));
+* the gradient records of :func:`jx_scan`, one read of the pass per anchor
+  tau over a horizon grid, which ``check`` shares between the general
+  condition, the limit costate and the bound;
 * adjoint paths read off the same pass by Lemma 1, with no solve of their
   own: psi(t) = K(T, t)* psi(T) + lam grad(t, T)
   = Y(t)^-* (Y(T)* psi(T) + lam (S(T) - S(t))), the explicit adjoint formula
-  of Aseev and Kryazhimskiy (2004);
-* tail analysis of grad(tau, T) as the horizon grows, by the one tail rule
-  of :mod:`.verdicts`, on the records of :func:`jx_scan`, which ``check``
-  reads once per anchor and shares with the general condition: the
-  component oscillation on the last two quarters of the horizons decides the
-  limit costate, and the running max's growth over the last two horizon
-  doublings, against the two before them, decides boundedness.
+  of Aseev and Kryazhimskiy (2004).  Each path keeps its pass, so a check of
+  several paths reads x, Y and S from theirs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,26 +36,13 @@ from .ode_engine import (
     integrate_controlled,
 )
 from .problem_model import ControlProblem, jacobians
-from .verdicts import (
-    GROWTH_FACTOR,
-    TAIL_FAIL_TOL,
-    TAIL_HOLD_TOL,
-    TREND_SLACK,
-    ConditionVerdict,
-    Verdict,
-    tail_rule,
-    tail_windows,
-    window_oscillation,
-)
 
 __all__ = [
     "CostatePath",
     "JxRecord",
     "TransitionOperator",
-    "check_jx_bounded",
     "integrate_adjoint",
     "jx_scan",
-    "limit_costate",
     "transition_matrix",
 ]
 
@@ -260,65 +246,4 @@ def integrate_adjoint(transition: TransitionOperator, T: float, psi_T,
     transition._require_resolved(T, "costate unresolved", "T")
     Y_T, S_T = transition._blocks(T)
     return CostatePath(transition, T, Y_T.T @ psi_T + lam * S_T, lam)
-
-
-# ---------------------------------------------------------------------------
-# tail limits
-
-
-def limit_costate(jx: JxRecord, bounded: ConditionVerdict):
-    """Tail limit of the payoff gradient as the horizon grows.
-
-    The tail rule judges the largest component oscillation on the last
-    quarter of the record's horizon span against the quarter before it.
-    When it holds, the limit psi_hat is the tail window's average, and the
-    estimate is its max-norm; a failing limit is called unbounded when
-    ``bounded``, the verdict of :func:`check_jx_bounded` on the same record,
-    fails.  Returns (psi_hat or None, verdict).
-    """
-    earlier, tail = tail_windows(jx.T_grid)
-    window, osc = jx.values[tail], window_oscillation(jx.values[tail])
-    status, trend = tail_rule([window_oscillation(jx.values[earlier]), osc],
-                              TAIL_HOLD_TOL, TAIL_FAIL_TOL)
-    if status is Verdict.HOLDS:
-        psi_hat = window.mean(axis=0)
-        return psi_hat, ConditionVerdict(status, float(np.max(np.abs(psi_hat))),
-                                         note=f"tail oscillation {osc:.3g}")
-    if status is Verdict.INCONCLUSIVE:
-        note = f"tail oscillation {osc:.3g} unresolved{trend}"
-    elif bounded.status is Verdict.FAILS:
-        note = f"unbounded: growth x{_growth_ratios(jx)[-1]:.3g} per two doublings"
-    else:
-        note = f"bounded, non-convergent: tail oscillation {osc:.3g}"
-    return None, ConditionVerdict(status, None, note=note)
-
-
-def check_jx_bounded(jx: JxRecord):
-    """Empirical horizon-uniform bound on the payoff gradient of a record.
-
-    A window's excess is the running max's growth ratio minus 1 over two
-    horizon doublings, T/16 to T/4 and then T/4 to T.  The tail rule holds
-    growth below ``TREND_SLACK`` and fails growth by ``GROWTH_FACTOR`` or
-    more as unbounded; the estimate is the observed max.
-    """
-    ratios, m = _growth_ratios(jx), float(jx.bound_running[-1])
-    status, trend = tail_rule([r - 1 for r in ratios], TREND_SLACK, GROWTH_FACTOR - 1)
-    if status is Verdict.HOLDS:
-        note = f"bounded, observed max {m:.6g}"
-    elif status is Verdict.FAILS:
-        note = f"unbounded: running max grew x{ratios[-1]:.3g}"
-    else:
-        note = f"growth ratio {ratios[-1]:.3g} unresolved{trend}"
-    return ConditionVerdict(status, m, note=note)
-
-
-def _growth_ratios(jx: JxRecord) -> list:
-    """Running-max growth from T/16 to T/4 and from T/4 to T, with T counted
-    from the anchor."""
-    t = jx.T_grid
-    tau, span = float(t[0]), float(t[-1]) - float(t[0])
-    idx = np.minimum(np.searchsorted(t, [tau + span / 16, tau + 0.25 * span]), t.size - 1)
-    maxima = [*jx.bound_running[idx], jx.bound_running[-1]]
-    return [float(hi / lo) if lo > 0 else (math.inf if hi > 0 else 1.0)
-            for lo, hi in zip(maxima, maxima[1:])]
 

@@ -41,7 +41,7 @@ from horizoncheck import (
 )
 from horizoncheck.ode_engine import _dense_slope_on_step, integrate_controlled
 from horizoncheck.problem_model import jacobians
-from horizoncheck.verdicts import tail_rule
+from horizoncheck.conditions import tail_rule
 
 
 def solve_state(problem: ControlProblem, control: ControlSignal, t_end: float,
@@ -57,8 +57,9 @@ def dense_slope(traj: Trajectory, t):
     """Time derivative of the dense output of ``traj`` at t, in closed form
     on each step's polynomial; times are span-checked and clipped as a read
     of ``traj`` is."""
-    i, s, _, safe_h = traj._steps(t)
-    out = _dense_slope_on_step(traj.states[i], traj.derivs[i], safe_h, traj.states[i + 1],
+    i, s, h = traj._steps(t)
+    out = _dense_slope_on_step(traj.states[i], traj.derivs[i], np.where(h > 0, h, 1.0),
+                               traj.states[i + 1],
                                traj.derivs[i + 1], traj.coeffs[i], s)
     return out[0] if np.ndim(t) == 0 else out
 
@@ -107,9 +108,9 @@ def reflected_signal(signal: ControlSignal) -> ControlSignal:
     those of u in reverse order, so on every open interval between switching
     times it equals u(-s); at a switching time it takes, as every signal
     does, the piece that ends there."""
-    fn = signal._fn
-    return ControlSignal([-t for t in reversed(signal._times)], signal._pieces[::-1],
-                         signal.dim, None if fn is None else lambda s: fn(-s))
+    return ControlSignal([-t for t in reversed(signal._times)],
+                         [(lambda s, p=p: p(-s)) if callable(p) else p
+                          for p in reversed(signal._pieces)], signal.dim)
 
 
 @dataclass

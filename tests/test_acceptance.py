@@ -35,7 +35,7 @@ from horizoncheck import (
 from horizoncheck import conditions
 from horizoncheck.cli import RunConfig, build_check_report
 from horizoncheck.reference_examples import _euler_rates
-from horizoncheck.verdicts import ConditionVerdict
+from horizoncheck.conditions import ConditionVerdict
 
 from conftest import STANDARD, TIGHT, record_limits
 from oracles import (
@@ -162,7 +162,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
 
         surrogate = integrate_adjoint(op, 250.0, np.zeros(problem.state_dim), 1.0)
         from horizoncheck import check_classical
-        [verdicts] = check_classical(problem, op, u_one, [surrogate])
+        [verdicts] = check_classical(problem, u_one, [surrogate])
         kav = verdicts["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), \
             (name, params, extra)
@@ -176,7 +176,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
             ref = oscillator_reference(0.5)
             psi_T = ref.costate(extra["r"], extra["phi"], 250.0)
         candidate = integrate_adjoint(op, 250.0, psi_T, 1.0)
-        a0_est, dec = decompose_costate(candidate, op, record_limits(records))
+        a0_est, dec = decompose_costate(candidate, record_limits(records))
         if name == "integrator" and params["rho"] > 0:
             assert dec.status is Verdict.HOLDS
             assert a0_est[0] == pytest.approx(extra["a0"], abs=1e-4)

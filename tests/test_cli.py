@@ -14,6 +14,8 @@ from horizoncheck.cli import (
     main,
 )
 
+from oracles import IntegratorOracle
+
 
 def _rows(report):
     return [dict(zip(["kind", *report.columns], row)) for row in report.rows]
@@ -27,10 +29,10 @@ def test_check_judges_each_gradient_record_once(example, params, monkeypatch):
     # shares the limit (the oscillator's limit fails, which consults the
     # bound; the integrator's holds, and its candidate with lam = 1 reads it)
     calls = {"check_jx_bounded": [], "limit_costate": []}
-    for module in (cli, conditions, variational):
+    for module in (cli, conditions):
         for name, seen in calls.items():
             if hasattr(module, name):
-                fn = getattr(variational, name)
+                fn = getattr(conditions, name)
                 monkeypatch.setattr(module, name,
                                     lambda rec, *rest, fn=fn, seen=seen:
                                     seen.append(rec) or fn(rec, *rest))
@@ -285,6 +287,42 @@ def test_bad_example_parameters_are_rejected(example, flag, value, message, caps
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("horizoncheck: error:")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--example", "integrator", "--lambda", "0.5"], "lam must be 0 or 1"),
+    (["--example", "integrator", "--lambda", "0", "--a0", "0"], "must not both vanish"),
+    (["--example", "oscillator", "--b", "0.5", "--r", "2"], "requires |r| <= b = 0.5"),
+])
+def test_inadmissible_candidates_are_rejected_before_the_pass(argv, message, capsys,
+                                                             monkeypatch):
+    # an inadmissible adjoint candidate is an input error, not six
+    # inconclusive rows: it is refused before the (x, Y, S) pass is built
+    passes = []
+    monkeypatch.setattr(cli, "transition_matrix", lambda *args, **kwargs: passes.append(args))
+    assert main(["check", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and passes == []
+    assert captured.err.count("\n") == 1 and captured.err.startswith("horizoncheck: error:")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+def test_integrator_check_rows_match_the_closed_forms(rho):
+    # each candidate's maxH row against the closed-form maximum principle,
+    # and the limit costate against psi_hat(0) = 1/rho, or a failure where
+    # psi_hat diverges
+    for lam, a0 in ((1.0, 0.0), (1.0, -0.5), (0.0, 1.0)):
+        config = RunConfig("integrator", {"rho": rho, "lambda": lam, "a0": a0}, None)
+        rows = {row[2]: row for row in build_check_report(config).rows}
+        oracle = IntegratorOracle(rho, a0, lam)
+        assert rows["maxH"][3] == ("holds" if oracle.max_principle_holds() else "fails"), (lam, a0)
+        status, estimate = rows["limit_costate"][3:5]
+        if oracle.psi_hat_diverges:
+            assert status == "fails"
+        else:
+            assert status == "holds"
+            assert abs(float(estimate) - float(oracle.psi_hat(0.0))) <= 1e-6
 
 
 def test_ramsey_shooting_error_names_a_short_horizon(capsys):

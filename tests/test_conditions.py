@@ -28,7 +28,7 @@ from horizoncheck import (
     transition_matrix,
 )
 from horizoncheck import conditions
-from horizoncheck.verdicts import (
+from horizoncheck.conditions import (
     TAIL_FAIL_TOL,
     TAIL_HOLD_TOL,
     tail_limit_verdict,
@@ -131,7 +131,7 @@ def test_classical_conditions_oscillator_battery():
     problem, ref, u_one, op = _oscillator_battery(0.5, t_max)
     keys = [(0.0, 0.0), (0.25, 0.7), (0.5, -math.pi / 2)]
     costates = [integrate_adjoint(op, t_max, ref.costate(r, phi, t_max), 1.0) for r, phi in keys]
-    for key, verdicts in zip(keys, check_classical(problem, op, u_one, costates)):
+    for key, verdicts in zip(keys, check_classical(problem, u_one, costates)):
         assert verdicts["tcPSI"].status is Verdict.FAILS
         assert verdicts["tcXPSI"].status is Verdict.FAILS
         assert verdicts["tcKAV"].status is Verdict.FAILS
@@ -143,7 +143,7 @@ def test_classical_xpsi_branch_needs_b_at_least_one():
     t_max = 400.0
     problem, ref, u_one, op = _oscillator_battery(1.5, t_max)
     costate = integrate_adjoint(op, t_max, ref.costate(1.0, 0.0, t_max), 1.0)
-    [verdicts] = check_classical(problem, op, u_one, [costate])
+    [verdicts] = check_classical(problem, u_one, [costate])
     assert verdicts["tcXPSI"].status is Verdict.HOLDS
     assert verdicts["tcPSI"].status is Verdict.FAILS
     assert verdicts["tcKAV"].status is Verdict.FAILS
@@ -245,13 +245,13 @@ def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,
     t_max = 400.0
     ref = IntegratorReference(0.1, 0.0, 1.0)
     costate = integrate_adjoint(int_op_400, t_max, [float(ref.psi(t_max))], 1.0)
-    [verdicts] = check_classical(integrator, int_op_400, u_one, [costate])
+    [verdicts] = check_classical(integrator, u_one, [costate])
     assert all(v.status is Verdict.HOLDS for v in verdicts.values())
 
     op0 = transition_matrix(integrator_undiscounted, u_one, t_max,
                             settings=STANDARD)
     abnormal = integrate_adjoint(op0, t_max, [1.0], 0.0)
-    [verdicts0] = check_classical(integrator_undiscounted, op0, u_one, [abnormal])
+    [verdicts0] = check_classical(integrator_undiscounted, u_one, [abnormal])
     assert all(v.status is Verdict.FAILS for v in verdicts0.values())
 
 
@@ -263,12 +263,12 @@ def test_classical_over_many_costates_matches_lone_calls(oscillator, osc_traj_30
     costates = [integrate_adjoint(osc_op_30, 30.0, ref.costate(r, phi, 30.0), lam)
                 for r, phi, lam in ((0.5, -math.pi / 2, 1.0), (0.3, 0.7, 0.0),
                                     (0.25, 0.7, 1.0), (0.0, 0.0, 1.0))]
-    together = check_classical(oscillator, osc_op_30, u_one, costates)
+    together = check_classical(oscillator, u_one, costates)
     # H is constant along each path: r sin(phi) + b = 0 only for the first
     assert [v["tcM"].status for v in together] == [Verdict.HOLDS, Verdict.FAILS,
                                                    Verdict.FAILS, Verdict.FAILS]
     for costate, verdicts in zip(costates, together):
-        [alone] = check_classical(oscillator, osc_op_30, u_one, [costate])
+        [alone] = check_classical(oscillator, u_one, [costate])
         assert list(verdicts) == list(alone) == ["tcPSI", "tcXPSI", "tcM", "tcKAV"]
         for cond_id, verdict in verdicts.items():
             assert verdict.status is alone[cond_id].status, cond_id
@@ -298,31 +298,44 @@ def test_classical_raises_on_a_non_finite_hamiltonian_in_the_tail(u_one):
     op = transition_matrix(problem, u_one, 30.0, settings=STANDARD)
     costates = [integrate_adjoint(op, 30.0, [0.0], 1.0), integrate_adjoint(op, 30.0, [1.0], 0.0)]
     with pytest.raises(ValueError, match="non-finite Hamiltonian"):
-        check_classical(problem, op, u_one, costates)
+        check_classical(problem, u_one, costates)
     # paths of two spans share no tail grid
     short = integrate_adjoint(op, 25.0, [0.0], 1.0)
     with pytest.raises(ValueError, match="share one span"):
-        check_classical(problem, op, u_one, [costates[0], short])
+        check_classical(problem, u_one, [costates[0], short])
 
 
-def test_max_principle_cases(integrator, int_traj_400, int_op_400, integrator_undiscounted,
-                             oscillator, osc_traj_400, osc_op_400, u_one):
+def test_costate_checks_refuse_paths_of_two_passes(integrator, u_one):
+    # each check reads x, Y and S from its costates' own pass: paths of two
+    # passes, even of one problem and one span, are refused, not mixed
+    passes = [transition_matrix(integrator, u_one, 30.0, settings=settings)
+              for settings in (STANDARD, TIGHT)]
+    costates = [integrate_adjoint(op, 30.0, [1.0], 0.0) for op in passes]
+    with pytest.raises(ValueError, match="share one span"):
+        check_classical(integrator, u_one, costates)
+    with pytest.raises(ValueError, match="share one span"):
+        check_max_principle(integrator, u_one, costates, time_grid=[0.0, 15.0, 30.0])
+    # one pass alone is judged
+    assert len(check_classical(integrator, u_one, costates[:1])) == 1
+    assert len(check_max_principle(integrator, u_one, costates[1:], time_grid=[0.0])) == 1
+
+
+def test_max_principle_cases(integrator, int_op_400, integrator_undiscounted, oscillator,
+                             osc_op_400, u_one):
     grid = np.linspace(0.0, 400.0, 201)
     ref = IntegratorReference(0.1, 0.0, 1.0)
     cp = integrate_adjoint(int_op_400, 400.0, [float(ref.psi(400.0))], 1.0)
-    [held] = check_max_principle(integrator, int_traj_400, u_one, [cp], time_grid=grid)
+    [held] = check_max_principle(integrator, u_one, [cp], time_grid=grid)
     assert held.status is Verdict.HOLDS
 
     op0 = transition_matrix(integrator_undiscounted, u_one, 400.0, settings=STANDARD)
-    traj0 = op0.trajectory
     doomed = integrate_adjoint(op0, 400.0, [0.5 - 400.0], 1.0)
-    [failed] = check_max_principle(integrator_undiscounted, traj0, u_one, [doomed],
-                                   time_grid=grid)
+    [failed] = check_max_principle(integrator_undiscounted, u_one, [doomed], time_grid=grid)
     assert failed.status is Verdict.FAILS
 
     osc_ref = oscillator_reference(0.5)
     cp_osc = integrate_adjoint(osc_op_400, 400.0, osc_ref.costate(0.5, 1.1, 400.0), 1.0)
-    [held_osc] = check_max_principle(oscillator, osc_traj_400, u_one, [cp_osc], time_grid=grid)
+    [held_osc] = check_max_principle(oscillator, u_one, [cp_osc], time_grid=grid)
     assert held_osc.status is Verdict.HOLDS
 
 
@@ -335,12 +348,11 @@ def test_max_principle_over_mixed_multipliers_matches_lone_calls(oscillator, osc
     costates = [integrate_adjoint(osc_op_30, 30.0, ref.costate(r, phi, 30.0), lam)
                 for r, phi, lam in ((0.5, -math.pi / 2, 1.0), (0.3, 0.7, 0.0),
                                     (0.25, 0.7, 1.0), (0.5, 0.0, 0.0))]
-    together = check_max_principle(oscillator, osc_traj_30, u_one, costates, time_grid=grid)
+    together = check_max_principle(oscillator, u_one, costates, time_grid=grid)
     assert [v.status for v in together] == [Verdict.HOLDS, Verdict.FAILS,
                                             Verdict.HOLDS, Verdict.FAILS]
     for costate, verdict in zip(costates, together):
-        [alone] = check_max_principle(oscillator, osc_traj_30, u_one, [costate],
-                                      time_grid=grid)
+        [alone] = check_max_principle(oscillator, u_one, [costate], time_grid=grid)
         assert (verdict.status, verdict.estimate, verdict.note) == (alone.status, alone.estimate,
                                                                    alone.note)
     # the jumps of the stacked psi rows equal the lone rows' at every time
@@ -359,13 +371,13 @@ def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_on
     records = jx_scan(int_op_400, [0.0, 5.0], dense_horizon_grid(0.0, 400.0))
     ref = IntegratorReference(0.1, 0.7, 1.0)
     cp = integrate_adjoint(int_op_400, 400.0, [float(ref.psi(400.0))], 1.0)
-    a0, verdict = decompose_costate(cp, int_op_400, record_limits(records))
+    a0, verdict = decompose_costate(cp, record_limits(records))
     assert verdict.status is Verdict.HOLDS
     assert a0[0] == pytest.approx(0.7, abs=1e-6)
     assert verdict.estimate <= 1e-4
 
     homon = integrate_adjoint(int_op_400, 400.0, [0.7], 0.0)
-    a0h, verdicth = decompose_costate(homon, int_op_400, record_limits(records))
+    a0h, verdicth = decompose_costate(homon, record_limits(records))
     assert verdicth.status is Verdict.HOLDS
     assert a0h[0] == pytest.approx(0.7, abs=1e-9)
     assert verdicth.estimate <= 1e-6
@@ -377,7 +389,7 @@ def test_decompose_costate_oscillator_never_settles(oscillator, osc_traj_400,
     records = jx_scan(osc_op_400, [0.0], dense_horizon_grid(0.0, 400.0))
     for r in (0.0, 0.3):
         cp = integrate_adjoint(osc_op_400, 400.0, ref.costate(r, 0.0, 400.0), 1.0)
-        a0, verdict = decompose_costate(cp, osc_op_400, record_limits(records))
+        a0, verdict = decompose_costate(cp, record_limits(records))
         assert a0 is None and math.isnan(verdict.estimate)
         assert verdict.status is Verdict.FAILS
 
@@ -391,7 +403,7 @@ def test_corollary_equivalence_limit_vs_kav(integrator, integrator_undiscounted,
         rec = jx_scan(op, [0.0], dense_horizon_grid(0.0, 250.0))[0]
         _, lc = limit_costate(rec, check_jx_bounded(rec))
         surrogate = integrate_adjoint(op, 250.0, np.zeros(problem.state_dim), 1.0)
-        [verdicts] = check_classical(problem, op, u_one, [surrogate])
+        [verdicts] = check_classical(problem, u_one, [surrogate])
         kav = verdicts["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), problem.name
 

@@ -289,7 +289,7 @@ def test_needle_width_must_be_finite_and_positive(width):
     # it at -inf
     for base in (ControlSignal.constant([1.0]),
                  ControlSignal.piecewise_constant([2.0], [[1.0], [0.0]]),
-                 ControlSignal.closed_form(lambda t: np.array([1.0]), 1)):
+                 ControlSignal([], [lambda t: np.array([1.0])], 1)):
         with pytest.raises(ValueError, match="finite and positive"):
             base.with_needle(1.0, width, [0.0])
 
@@ -309,7 +309,7 @@ def test_closed_form_piece_that_starts_at_a_switch_runs_from_its_first_node():
     # under the cos piece also at its first node, where the signal itself
     # takes the pulse that ends there.  Given the pulse's slope there, the
     # first step shrank to 3e-8 and y(3) was off by 1.3e-8.
-    sig = (ControlSignal.closed_form(lambda t: np.array([np.cos(t)]), 1)
+    sig = (ControlSignal([], [lambda t: np.array([np.cos(t)])], 1)
            .with_needle(1.2, 0.2, [5.0]))
     traj = integrate_controlled(lambda y, u, t: u, sig, 0.0, [0.0], 3.0, STANDARD, domain=None)
     first, second = np.flatnonzero(traj.time_grid == 1.2)
@@ -328,7 +328,7 @@ def test_controlled_integration_runs_forward_only():
 def test_reflected_signal_and_trajectory():
     # v(s) = u(-s) off the switching times, on every kind of piece
     for sig in (ControlSignal.piecewise_constant([1.0, 2.0], [[0.0], [5.0], [1.0]]),
-                ControlSignal.closed_form(lambda t: np.array([math.sin(t)]), 1)
+                ControlSignal([], [lambda t: np.array([math.sin(t)])], 1)
                 .with_needle(1.2, 0.2, [5.0])):
         back = reflected_signal(sig)
         assert np.array_equal(back.breakpoints(), -sig.breakpoints()[::-1])
@@ -574,7 +574,7 @@ def test_switches_and_needles_follow_the_half_open_convention():
         if kind == "constant":
             return ControlSignal.constant([draw(values)])
         if kind == "closed_form":
-            return ControlSignal.closed_form(lambda t: np.array([math.sin(t)]), 1)
+            return ControlSignal([], [lambda t: np.array([math.sin(t)])], 1)
         times = sorted(draw(st.sets(st.floats(0.0, 10.0), min_size=1, max_size=5)))
         return ControlSignal.piecewise_constant(
             times, [[draw(values)] for _ in range(len(times) + 1)])

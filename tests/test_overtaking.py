@@ -306,7 +306,7 @@ def test_oscillator_delta_x1_closed_form_control_quadrature():
     # value is -0.5 (1 - cos T), and the trapezoid error on n nodes is at
     # most T dt^2 / 12 * max|f''| with |f''| = 0.5 |sin| <= 0.5
     T, n_quad = 10.0, 4001
-    closed = ControlSignal.closed_form(lambda t: np.array([0.5]), 1)
+    closed = ControlSignal([], [lambda t: np.array([0.5])], 1)
     exact = oscillator_delta_x1(ControlSignal.constant([0.5]), T)
     assert exact == pytest.approx(-0.5 * (1.0 - math.cos(T)), abs=1e-14)
     dt = T / (n_quad - 1)
@@ -318,7 +318,7 @@ def test_oscillator_delta_x1_closed_form_control_with_needle():
     # vanishes off the needle, so the result is the piecewise-constant value
     # -(cos(T - 3) - cos(T - 2.7)) up to the 2.6e-6 trapezoid bound
     T = 10.0
-    closed = ControlSignal.closed_form(lambda t: np.array([1.0]), 1).with_needle(3.0, 0.3, [0.0])
+    closed = ControlSignal([], [lambda t: np.array([1.0])], 1).with_needle(3.0, 0.3, [0.0])
     exact = oscillator_delta_x1(ControlSignal.constant([1.0]).with_needle(3.0, 0.3, [0.0]), T)
     assert exact == pytest.approx(-(math.cos(T - 3.0) - math.cos(T - 2.7)), abs=1e-14)
     assert abs(oscillator_delta_x1(closed, T) - exact) <= 2.6e-6

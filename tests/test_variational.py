@@ -26,7 +26,7 @@ from horizoncheck import (
 )
 from horizoncheck.problem_model import jacobians
 from horizoncheck.variational import _augmented_rhs
-from horizoncheck.verdicts import Verdict
+from horizoncheck.conditions import Verdict
 
 from conftest import STANDARD, TIGHT
 import oracles
