@@ -127,10 +127,13 @@ def ramsey_euler_orbit(params: RamseyParams, k0: float, c0: float, t_end: float,
 def _classify_stops(k_star, c_star, radius):
     """The Ramsey orbit stops of :func:`integrate` in priority order, each a
     test of one state (k, c): the ball of ``radius`` around (k*, c*), then
-    the region k > k* + 0.5, c < c* - 0.25 of the way to zero consumption.
-    The region lies below the right branch of the stable manifold, where
-    c_s(k) > c*, and no orbit crosses the manifold, so only orbits heading to
-    zero consumption enter it."""
+    the region k > k* + 0.5, c < c* - 0.25 of the way to zero consumption,
+    then its mirror image k < k* - 0.5, c > c* + 0.25 of the way to zero
+    capital.  The stable manifold c = c_s(k) is increasing through
+    c_s(k*) = c*, so the first region lies below its right branch and the
+    second above its left branch; no orbit crosses the manifold, so only
+    orbits heading to zero consumption enter the first, and every orbit that
+    enters the second hits k = 0."""
     r2 = radius * radius
 
     def in_ball(t, y):
@@ -141,12 +144,19 @@ def _classify_stops(k_star, c_star, radius):
         k, c = y.tolist()
         return k > k_star + 0.5 and c < c_star - 0.25
 
-    return (("saddle_ball", in_ball), ("to_zero_consumption", to_zero))
+    def to_crash(t, y):
+        k, c = y.tolist()
+        return k < k_star - 0.5 and c > c_star + 0.25
+
+    return (("saddle_ball", in_ball), ("to_zero_consumption", to_zero),
+            ("hits_zero_capital", to_crash))
 
 
 def _orbit_class(params: RamseyParams, k0: float, c0: float, t_max: float) -> str:
     """Label of the Euler orbit through (k0, c0), run by itself to at most
-    t_max under the stops of :func:`_classify_stops`."""
+    t_max under the stops of :func:`_classify_stops`: an orbit that enters
+    the hits_zero_capital region or reaches the k = 0 face before it is
+    labelled ``hits_zero_capital``."""
     interior, _ = ramsey_steady_state(params)
     stops = _classify_stops(interior.k_star, interior.c_star, _BALL_RADIUS)
     event = ramsey_euler_orbit(params, k0, c0, t_max, stops=stops).exit_event
@@ -217,9 +227,10 @@ def ramsey_classify(params: RamseyParams, k0, c0, t_max: float):
 
     Returns one of ``saddle`` (enters the ball of radius 1e-3 around the
     interior steady state), ``hits_zero_capital`` (capital reaches its lower
-    bound), ``to_zero_consumption`` (heads to the zero-consumption rest
-    point), or ``inconclusive`` when t_max is exhausted first.  A scalar
-    (k0, c0) runs its orbit.
+    bound, or the orbit enters the region k < k* - 0.5, c > c* + 0.25 above
+    the stable manifold, from which every orbit does), ``to_zero_consumption``
+    (heads to the zero-consumption rest point), or ``inconclusive`` when t_max
+    is exhausted first.  A scalar (k0, c0) runs its orbit.
 
     Array-like ``k0`` and ``c0`` broadcast against each other, and the labels
     come back as an array of the broadcast shape.  The stable manifold
@@ -241,12 +252,14 @@ def ramsey_classify(params: RamseyParams, k0, c0, t_max: float):
 
 
 def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float) -> str:
-    """Bracket side for shooting: 'hi' (hits zero capital) or 'lo' (falls to
-    zero consumption).  The saddle ball is not used as a stop here so that
-    near-saddle orbits resolve their side after hovering."""
+    """Bracket side for shooting: 'hi' (enters the hits_zero_capital region
+    of :func:`_classify_stops`, or reaches k = 0 before it) or 'lo' (enters
+    the region of the way to zero consumption).  The saddle ball is not used
+    as a stop here so that near-saddle orbits resolve their side after
+    hovering."""
     interior, _ = ramsey_steady_state(params)
-    to_zero = _classify_stops(interior.k_star, interior.c_star, 0.0)[1:]
-    traj = ramsey_euler_orbit(params, k0, c0, t_max, stops=to_zero)
+    regions = _classify_stops(interior.k_star, interior.c_star, 0.0)[1:]
+    traj = ramsey_euler_orbit(params, k0, c0, t_max, stops=regions)
     if traj.exit_event is None:
         # t_max exhausted while hovering; decide by final position
         return "lo" if traj.states[-1, 0] > interior.k_star else "hi"
@@ -257,14 +270,16 @@ def ramsey_shoot(params: RamseyParams, t_max: float):
     """Shoot the initial consumption of the saddle path, with orbits of
     length at most t_max.
 
-    Above the saddle value orbits crash into k = 0; below they drift to the
-    zero-consumption point.  Forward bisection between the two families
-    defines c0.  Its bracket comes from the time-eliminated stable manifold
-    (:func:`_saddle_consumption`): the relative band 1e-9 around that value,
-    each side confirmed by a forward orbit and the band widened tenfold until
-    both are.  Once the bracket is within 1e-10 its midpoint orbit must enter
-    the ball of radius 1e-3 around the interior steady state; one that misses
-    it is bisected further, up to 60 levels in all.
+    Above the saddle value orbits head for k = 0, and each stops when it
+    enters the region above the stable manifold from which every orbit
+    crashes there; below they drift to the zero-consumption point.  Forward
+    bisection between the two families defines c0.  Its bracket comes from
+    the time-eliminated stable manifold (:func:`_saddle_consumption`): the
+    relative band 1e-9 around that value, each side confirmed by a forward
+    orbit and the band widened tenfold until both are.  Once the bracket is
+    within 1e-10 its midpoint orbit must enter the ball of radius 1e-3 around
+    the interior steady state; one that misses it is bisected further, up to
+    60 levels in all.
     Returns (c0_saddle, orbit) where the orbit is the joint (k, c) trajectory
     integrated until it enters the ball.
     """

@@ -53,6 +53,14 @@ def test_classify_examples():
     assert ramsey_classify(params, 32.0, 2.4, 2000.0) == "saddle"
     assert ramsey_classify(params, 10.0, 5.0, 2000.0) == "hits_zero_capital"
     assert ramsey_classify(params, 10.0, 0.5, 2000.0) == "to_zero_consumption"
+    # this orbit reaches k = 0 below c* + 0.25, so the k = 0 face ends it and
+    # not the hits_zero_capital region
+    assert ramsey_classify(params, 0.1, 1.0, 2000.0) == "hits_zero_capital"
+    interior, _ = ramsey_steady_state(params)
+    stops = reference_examples._classify_stops(interior.k_star, interior.c_star, 1e-3)
+    exit_event = ramsey_euler_orbit(params, 0.1, 1.0, 2000.0, stops=stops).exit_event
+    assert exit_event.description == "y[0] reached lower bound 0"
+    assert exit_event.state[1] < interior.c_star + 0.25
 
 
 def _per_orbit_labels(params, k_vals, c_vals, t_max):
@@ -181,6 +189,53 @@ def test_shoot_from_k0_10(ramsey_params, ramsey_saddle, monkeypatch):
         else:
             assert ramsey_classify(ramsey_params, 10.0, c0_judged * 0.999999,
                                    t_max=3000) == "to_zero_consumption"
+
+
+def test_shooting_runs_no_orbit_into_the_k_0_face(ramsey_params, monkeypatch):
+    exits = []
+    euler_orbit = reference_examples.ramsey_euler_orbit
+
+    def recorded(*args, **kwargs):
+        orbit = euler_orbit(*args, **kwargs)
+        exits.append(orbit.exit_event.description)
+        return orbit
+
+    monkeypatch.setattr(reference_examples, "ramsey_euler_orbit", recorded)
+    ramsey_shoot(ramsey_params, 2000.0)
+    assert len(exits) == 8
+    assert "hits_zero_capital" in exits and "y[0] reached lower bound 0" not in exits
+
+
+def _side_by_the_crash(params, k0, c0, t_max):
+    # the orbit of _classify_side without the hits_zero_capital stop: a 'hi'
+    # orbit runs into the k = 0 face, a 'lo' one into the to_zero region
+    interior, _ = ramsey_steady_state(params)
+    to_zero = [stop for stop in reference_examples._classify_stops(
+        interior.k_star, interior.c_star, 0.0) if stop[0] == "to_zero_consumption"]
+    exit_event = ramsey_euler_orbit(params, k0, c0, t_max, stops=to_zero).exit_event
+    sides = {"y[0] reached lower bound 0": "hi", "to_zero_consumption": "lo"}
+    assert exit_event is not None and exit_event.description in sides
+    return sides[exit_event.description]
+
+
+def test_crash_stop_gives_the_side_of_the_crash():
+    rng = np.random.default_rng(29)
+    sets = [FIG1]
+    for _ in range(10):
+        a, d, th = rng.uniform(0.2, 0.7), rng.uniform(0.02, 0.12), rng.uniform(0.3, 5.0)
+        k_star = (d / a) ** (1.0 / (a - 1.0))
+        sets.append(dict(alpha=a, delta=d, theta=th, k0=k_star * 10 ** rng.uniform(-2.5, 0.8)))
+    sides = set()
+    for values in sets:
+        params = RamseyParams(**values)
+        interior, _ = ramsey_steady_state(params)
+        c_s = reference_examples._saddle_consumption(params, interior, [params.k0])[0]
+        for factor in (1 - 1e-6, 1 - 1e-9, 1 + 1e-9, 1 + 1e-6):
+            # a t_max long enough for every orbit to leave the saddle
+            side = reference_examples._classify_side(params, params.k0, c_s * factor, 1e4)
+            assert side == _side_by_the_crash(params, params.k0, c_s * factor, 1e4), values
+            sides.add(side)
+    assert sides == {"lo", "hi"}
 
 
 @pytest.mark.parametrize("k0", [2.0, 10.0, 50.0])
