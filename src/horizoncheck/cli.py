@@ -363,11 +363,14 @@ def build_overtake_report(config: RunConfig) -> ReportData:
             challengers.append((f"euler(c0={c0:.6g})", ramsey_control_from_orbit(orbit)))
 
     sample_spacing = 0.02 if config.example != "ramsey" else 0.25
-    # looked up in its module, like every payoff integration: a wrapper of
-    # overtaking.payoff_value sees them all
-    candidate_path = overtaking.payoff_value(problem, candidate, t_max)
-    for label, challenger in challengers:
-        report = empirical_overtaking_test(problem, candidate_path, challenger,
+    # one call for the candidate and every challenger, looked up in its
+    # module like every payoff integration: a wrapper of
+    # overtaking.payoff_value sees them all.  A candidate that leaves the
+    # domain raises NonExtendibleError in the first comparison.
+    candidate_path, *paths = overtaking.payoff_value(
+        problem, [candidate, *(challenger for _, challenger in challengers)], t_max)
+    for (label, _), path in zip(challengers, paths):
+        report = empirical_overtaking_test(problem, candidate_path, path,
                                            eps=config.eps, T_max=t_max,
                                            sample_spacing=sample_spacing)
         rows.append(["challenger", label, report.verdict, _fmt(report.max_gap),

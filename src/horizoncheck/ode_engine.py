@@ -4,7 +4,8 @@ One engine serves every ODE in the package, one state vector per call and
 always forward in time: state equations under a control signal, variational
 (transition-matrix) systems, the Ramsey phase-plane orbits and the
 time-eliminated stable manifold, and payoff/gradient quadratures folded into
-the state vector.  Every step is one of the eighth-order Dormand-Prince pair
+the state vector, the payoffs of several controls side by side under one
+stacked signal.  Every step is one of the eighth-order Dormand-Prince pair
 DOP853 (Prince & Dormand 1981; Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.5-II.6), and trajectories carry its seventh-order dense output: the cubic
 Hermite of node states and node slopes plus four coefficient vectors per step,
@@ -296,11 +297,12 @@ class Trajectory:
         pad = _SPAN_SLACK * max(1.0, abs(self.t_end - self.t0))
         return self.t0 - pad <= t <= self.t_end + pad
 
-    def leading(self, n: int) -> "Trajectory":
-        """The solution's first n components, on views of this trajectory's
-        rows; the exit event, a state of every component, is not carried."""
-        return Trajectory(self.time_grid, self.states[:, :n], self.derivs[:, :n],
-                          self.coeffs[:, :, :n])
+    def columns(self, start: int, stop: int) -> "Trajectory":
+        """The solution's components start..stop - 1, on views of this
+        trajectory's rows; the exit event, a state of every component, is
+        not carried."""
+        return Trajectory(self.time_grid, self.states[:, start:stop],
+                          self.derivs[:, start:stop], self.coeffs[:, :, start:stop])
 
     def crossings(self, i: int, value: float):
         """Times, in increasing order, at which component i reaches ``value``:
@@ -786,7 +788,28 @@ class ControlSignal:
             raise ValueError("switching times must be strictly increasing")
         return ControlSignal(times, vals, vals.shape[1])
 
+    @staticmethod
+    def stacked(signals: Sequence["ControlSignal"]) -> "ControlSignal":
+        """The signals side by side, one control vector the concatenation of
+        theirs: its switching times are the union of the members', and its
+        piece on each interval between them joins the members' pieces there.
+        Only signals whose pieces are all constant stack; a single signal is
+        returned as it is."""
+        if len(signals) == 1:
+            return signals[0]
+        if any(s.has_closed_form for s in signals):
+            raise ValueError("only signals with constant pieces stack")
+        times = sorted(set().union(*(s._times for s in signals)))
+        # each interval read at its right end, which belongs to it
+        pieces = [np.concatenate([s.evaluate(t) for s in signals]) for t in [*times, math.inf]]
+        return ControlSignal(times, pieces, sum(s.dim for s in signals))
+
     # -- evaluation ----------------------------------------------------
+    @property
+    def has_closed_form(self) -> bool:
+        """Whether some piece is a callable rather than a constant vector."""
+        return any(callable(p) for p in self._pieces)
+
     def evaluate(self, t: float) -> np.ndarray:
         piece = self._pieces[bisect.bisect_left(self._times, t)]
         return piece(t) if callable(piece) else piece

@@ -5,8 +5,11 @@ candidate is consistent with overtaking optimality when challengers eventually
 never beat it by more than eps, and with weak overtaking optimality when, for
 every horizon, some later horizon exists at which no challenger is ahead by
 more than eps.  Tail quantifiers are approximated by recurrence over dyadic
-windows of the sampled horizon range.  Needle checks compare the payoff
-change of a short constant-control pulse with its first-order prediction.
+windows of the sampled horizon range.  The candidate's and every
+challenger's payoff paths come from one :func:`payoff_value` call, which
+integrates all controls with only constant pieces in one pass on their
+stacked state.  Needle checks compare the payoff change of a short
+constant-control pulse with its first-order prediction.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .ode_engine import (
+    Box,
     ControlSignal,
+    ExitEvent,
     IntegratorSettings,
     NonExtendibleError,
     Trajectory,
@@ -39,32 +44,93 @@ __all__ = [
 _VALUE_SETTINGS = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)
 
 
-def payoff_value(problem: ControlProblem, control: ControlSignal, T: float) -> Trajectory:
-    """Finite-horizon payoff of the control from the problem's initial point
-    at every horizon up to T, as the augmented (x, payoff) trajectory over
-    [t0, T]: column ``state_dim`` is the running payoff, and its last row
-    holds the payoff over [t0, T].
+def payoff_value(problem: ControlProblem, controls: Sequence[ControlSignal],
+                 T: float) -> list:
+    """Finite-horizon payoff of each control from the problem's initial point
+    at every horizon up to T, as one augmented (x, payoff) trajectory per
+    control over [t0, T]: column ``state_dim`` is the running payoff, and
+    its last row holds the payoff over [t0, T].
 
     The payoff is accumulated as an extra quadrature component of the state
     integration, under the tolerances that every payoff comparison of this
-    module uses.  Raises NonExtendibleError when the state leaves the domain
-    before T, and ValueError for T < t0.
+    module uses.  The controls whose pieces are all constant run in one pass
+    on the stacked state [(x, payoff) per control], under their
+    :meth:`ControlSignal.stacked` signal, so they share its steps; a control
+    with a closed-form piece runs in a pass of its own, so that no other
+    member pays for its steps or calls it.  A path whose state leaves the
+    domain before T ends there and carries its own ``exit_event`` (see
+    :func:`_stacked_pass`).  Raises ValueError for T < t0.
     """
-    n = problem.state_dim
+    controls = list(controls)
+    stackable = [i for i, c in enumerate(controls) if not c.has_closed_form]
+    groups = [stackable] if stackable else []
+    groups += [[i] for i, c in enumerate(controls) if c.has_closed_form]
+    paths = [None] * len(controls)
+    for group in groups:
+        for i, path in zip(group, _stacked_pass(problem, [controls[i] for i in group], T)):
+            paths[i] = path
+    return paths
+
+
+def _stacked_pass(problem: ControlProblem, controls: list, T: float) -> list:
+    """The augmented paths of :func:`payoff_value` for ``controls``, from
+    one :func:`integrate_controlled` call on their stacked state, each a
+    column block of the stacked trajectory.  When a member leaves the
+    domain, the pass ends there: each member whose block lies outside its
+    own (x, payoff) box at that point gets the exit time, its block of the
+    state and its box's description of the exit as its event, and the
+    others are run again in one pass of their own."""
+    m, width = len(controls), problem.state_dim + 1
+    box = problem.state_domain.extended(1)
+    stack = integrate_controlled(
+        _stacked_rhs(problem, m), ControlSignal.stacked(controls), problem.initial_time,
+        np.tile(np.append(problem.initial_state, 0.0), m), T, _VALUE_SETTINGS,
+        domain=Box(np.tile(box.lower, m), np.tile(box.upper, m)))
+    event = stack.exit_event
+    paths = [stack.columns(a, a + width) for a in range(0, m * width, width)]
+    rerun = []
+    if event is not None:
+        for i, path in enumerate(paths):
+            state = path.states[-1]  # the event state's block
+            if box.contains(state):
+                rerun.append(i)
+            else:
+                path.exit_event = ExitEvent(event.time, state, box.describe_exit(state))
+    if rerun:
+        for i, path in zip(rerun, _stacked_pass(problem, [controls[i] for i in rerun], T)):
+            paths[i] = path
+    return paths
+
+
+def _stacked_rhs(problem: ControlProblem, members: int):
+    """Right-hand side of the stacked (x, payoff) state of ``members``
+    controls under their stacked control vector: member i's block holds
+    f(x_i, u_i, t) and then g(x_i, u_i, t)."""
+    n, d = problem.state_dim, problem.control_dim
+    f, g = problem.dynamics, problem.payoff
+    size = members * (n + 1)
+    blocks = [(slice(a, a + n), a + n, slice(i * d, (i + 1) * d))
+              for i, a in enumerate(range(0, size, n + 1))]
 
     def rhs(z, u, t):
-        x = z[:n]
-        dz = np.empty(n + 1)
-        dz[:n] = problem.dynamics(x, u, t)
-        dz[n] = problem.payoff(x, u, t)
+        dz = np.empty(size)
+        for xs, j, us in blocks:
+            x, ui = z[xs], u[us]
+            dz[xs] = f(x, ui, t)
+            dz[j] = g(x, ui, t)
         return dz
 
-    z0 = np.concatenate([problem.initial_state, [0.0]])
-    aug = integrate_controlled(rhs, control, problem.initial_time, z0, T, _VALUE_SETTINGS,
-                               domain=problem.state_domain.extended(1))
-    if aug.exit_event is not None:
-        raise NonExtendibleError(aug.exit_event)
-    return aug
+    return rhs
+
+
+def _final_payoff(problem: ControlProblem, control: ControlSignal, T: float) -> float:
+    """The control's payoff over [t0, T], from a :func:`payoff_value` pass
+    of its own; raises NonExtendibleError when its state leaves the domain
+    before T."""
+    path, = payoff_value(problem, [control], T)
+    if path.exit_event is not None:
+        raise NonExtendibleError(path.exit_event)
+    return path.states[-1, problem.state_dim]
 
 
 def _needled(problem: ControlProblem, base_control: ControlSignal, tau: float,
@@ -122,9 +188,8 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
                                          base_control.evaluate(tau), tau, [u],
                                          transition.gradient(tau, T), 1.0)[0])
 
-    n = problem.state_dim
-    j_base = payoff_value(problem, base_control, T).states[-1, n]
-    slopes = np.array([payoff_value(problem, control, T).states[-1, n] - j_base
+    j_base = _final_payoff(problem, base_control, T)
+    slopes = np.array([_final_payoff(problem, control, T) - j_base
                        for control in needled]) / alphas
     errors = np.abs(slopes - prediction)
 
@@ -165,23 +230,31 @@ def _window_flags(grid, gaps, eps, checkpoints) -> list:
     return flags
 
 
+def _exits_by(path: Trajectory, T: float) -> bool:
+    """Whether the path's state leaves the domain at or before T."""
+    return path.exit_event is not None and path.exit_event.time <= T
+
+
 def empirical_overtaking_test(problem: ControlProblem, candidate_path: Trajectory,
-                              challenger: ControlSignal, *, eps: float, T_max: float,
+                              challenger_path: Trajectory, *, eps: float, T_max: float,
                               sample_spacing: float) -> OvertakingReport:
     """Compare challenger and candidate payoffs on the horizon grid of
     max(64, ceil((T_max - t0) / sample_spacing)) evenly spaced points from t0
     to T_max, both included: its spacing is (T_max - t0) / (points - 1),
     slightly above ``sample_spacing`` when the ceiling sets the count.
 
-    ``candidate_path`` is the candidate's :func:`payoff_value` path from t0
-    to T_max or later, so that one candidate integration serves every
-    challenger.  The checkpoints are t0 + (T_max - t0) * {1/8, 1/4, 1/2}.
+    ``candidate_path`` and ``challenger_path`` are :func:`payoff_value`
+    paths from t0 to T_max or later, so that one pass serves the candidate
+    and every challenger; either may end early at its exit event.  A
+    candidate that leaves the domain by T_max raises NonExtendibleError.
+    The checkpoints are t0 + (T_max - t0) * {1/8, 1/4, 1/2}.
     Verdicts over the sampled range: ``consistent_OO`` when gaps stop
     exceeding eps beyond some checkpoint; ``consistent_WOO_only`` when both
     events (gap > eps and gap <= eps) recur in every dyadic tail window;
     ``violates_WOO`` when beyond some checkpoint every sampled gap exceeds
     eps; ``non_extendible_challenger`` when the challenger's state leaves the
-    domain (which counts in the candidate's favor); else ``inconclusive``.
+    domain by T_max (which counts in the candidate's favor); else
+    ``inconclusive``.
     """
     if not eps >= 0:  # also rejects NaN, against which every gap compares False
         raise ValueError(f"eps must be a nonnegative number, got {eps!r}")
@@ -190,21 +263,23 @@ def empirical_overtaking_test(problem: ControlProblem, candidate_path: Trajector
     if not T_max > t0:
         raise ValueError(f"T_max = {T_max!r} must exceed t0 = {t0:.6g}")
     checkpoints = [t0 + (T_max - t0) * f for f in (0.125, 0.25, 0.5)]
-    if candidate_path.dim != n + 1 or candidate_path.t0 != t0 \
-            or candidate_path.t_end < T_max:
-        raise ValueError(f"candidate path must be the augmented (x, payoff) path "
-                         f"over [{t0:.6g}, {T_max:.6g}]")
+    for name, path in (("candidate", candidate_path), ("challenger", challenger_path)):
+        if path.dim != n + 1 or path.t0 != t0 or (path.exit_event is None
+                                                  and path.t_end < T_max):
+            raise ValueError(f"{name} path must be the augmented (x, payoff) path "
+                             f"over [{t0:.6g}, {T_max:.6g}]")
+    if _exits_by(candidate_path, T_max):
+        raise NonExtendibleError(candidate_path.exit_event)
 
-    try:
-        chal_aug = payoff_value(problem, challenger, T_max)
-    except NonExtendibleError as exc:
+    if _exits_by(challenger_path, T_max):
+        event = challenger_path.exit_event
         return OvertakingReport(
             verdict="non_extendible_challenger", max_gap=math.nan, argmax_T=math.nan,
-            evidence=f"challenger exits the state domain at t={exc.event.time:.6g} "
-                     f"({exc.event.description})")
+            evidence=f"challenger exits the state domain at t={event.time:.6g} "
+                     f"({event.description})")
 
     grid = np.linspace(t0, T_max, max(64, int(math.ceil((T_max - t0) / sample_spacing))))
-    gaps = chal_aug(grid)[:, n] - candidate_path(grid)[:, n]
+    gaps = challenger_path(grid)[:, n] - candidate_path(grid)[:, n]
 
     i_max = int(np.argmax(gaps))
     max_gap, argmax_T = float(gaps[i_max]), float(grid[i_max])
@@ -214,7 +289,7 @@ def empirical_overtaking_test(problem: ControlProblem, candidate_path: Trajector
 
     def gap_fn(Ts):
         Ts = np.asarray(Ts, dtype=float)
-        return chal_aug(Ts)[..., n] - candidate_path(Ts)[..., n]
+        return challenger_path(Ts)[..., n] - candidate_path(Ts)[..., n]
 
     # the windows from checkpoint i on cover the tail beyond it
     for i, ck in enumerate(checkpoints):

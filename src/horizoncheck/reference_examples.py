@@ -127,14 +127,17 @@ def ramsey_euler_orbit(params: RamseyParams, k0: float, c0: float, t_end: float,
 def _classify_stops(k_star, c_star, radius):
     """The Ramsey orbit stops of :func:`integrate` in priority order, each a
     test of one state (k, c): the ball of ``radius`` around (k*, c*), then
-    the region k > k* + 0.5, c < c* - 0.25 of the way to zero consumption,
-    then its mirror image k < k* - 0.5, c > c* + 0.25 of the way to zero
-    capital.  The stable manifold c = c_s(k) is increasing through
+    the region k > k* + dk, c < c* - dc of the way to zero consumption, then
+    its mirror image k < k* - dk, c > c* + dc of the way to zero capital,
+    with the margins dk = k*/64 and dc = 5 c*/48 relative to the steady
+    state (0.5 and 0.25 at k* = 32, c* = 2.4), so that neither region is
+    empty.  The stable manifold c = c_s(k) is increasing through
     c_s(k*) = c*, so the first region lies below its right branch and the
     second above its left branch; no orbit crosses the manifold, so only
     orbits heading to zero consumption enter the first, and every orbit that
     enters the second hits k = 0."""
     r2 = radius * radius
+    dk, dc = k_star / 64.0, c_star * 5.0 / 48.0
 
     def in_ball(t, y):
         k, c = y.tolist()
@@ -142,11 +145,11 @@ def _classify_stops(k_star, c_star, radius):
 
     def to_zero(t, y):
         k, c = y.tolist()
-        return k > k_star + 0.5 and c < c_star - 0.25
+        return k > k_star + dk and c < c_star - dc
 
     def to_crash(t, y):
         k, c = y.tolist()
-        return k < k_star - 0.5 and c > c_star + 0.25
+        return k < k_star - dk and c > c_star + dc
 
     return (("saddle_ball", in_ball), ("to_zero_consumption", to_zero),
             ("hits_zero_capital", to_crash))
@@ -227,8 +230,8 @@ def ramsey_classify(params: RamseyParams, k0, c0, t_max: float):
 
     Returns one of ``saddle`` (enters the ball of radius 1e-3 around the
     interior steady state), ``hits_zero_capital`` (capital reaches its lower
-    bound, or the orbit enters the region k < k* - 0.5, c > c* + 0.25 above
-    the stable manifold, from which every orbit does), ``to_zero_consumption``
+    bound, or the orbit enters the region k < k* - k*/64, c > c* + 5 c*/48
+    above the stable manifold, from which every orbit does), ``to_zero_consumption``
     (heads to the zero-consumption rest point), or ``inconclusive`` when t_max
     is exhausted first.  A scalar (k0, c0) runs its orbit.
 
@@ -340,7 +343,7 @@ def ramsey_feasible_candidate(params: RamseyParams, c0: float, t_end: float):
     orbit = ramsey_euler_orbit(params, params.k0, c0, t_end)
     if orbit.exit_event is not None:
         raise ValueError(f"candidate c0={c0:g} infeasible: {orbit.exit_event.description}")
-    return orbit.leading(1), ramsey_control_from_orbit(orbit)
+    return orbit.columns(0, 1), ramsey_control_from_orbit(orbit)
 
 
 def ramsey_saddle_candidate(params: RamseyParams, t_end: float, t_max_shoot: float):

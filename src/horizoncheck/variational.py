@@ -87,7 +87,7 @@ class TransitionOperator:
         self._aug = aug
         self._n = n
         self._abs_tol = abs_tol
-        self.trajectory = aug.leading(n)
+        self.trajectory = aug.columns(0, n)
 
     def _blocks(self, t):
         """Y(t) and S(t) from one dense read; an array of times gives a stack

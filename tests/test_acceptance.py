@@ -313,8 +313,9 @@ def test_criterion_08_needle_first_order(oscillator, integrator, u_one):
 
 def test_criterion_09_overtaking_verdicts(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    report = empirical_overtaking_test(oscillator, payoff_value(oscillator, u_one, 400.0),
-                                       challenger, eps=1e-6, T_max=400.0, sample_spacing=0.02)
+    report = empirical_overtaking_test(oscillator, *payoff_value(oscillator, [u_one, challenger],
+                                                                 400.0),
+                                       eps=1e-6, T_max=400.0, sample_spacing=0.02)
     assert report.verdict == "consistent_WOO_only"
     assert report.max_gap == pytest.approx(2 - math.pi / 2, abs=1e-3)
     wrap = report.argmax_T % (2 * math.pi)
@@ -328,9 +329,9 @@ def test_criterion_09_overtaking_verdicts(oscillator, u_one):
         assert np.min(window) <= 0.0
 
     problem_15 = make_builtin_problem("oscillator", {"b": 1.5})
-    report_15 = empirical_overtaking_test(problem_15, payoff_value(problem_15, u_one, 400.0),
-                                          challenger, eps=1e-6, T_max=400.0,
-                                          sample_spacing=0.02)
+    report_15 = empirical_overtaking_test(problem_15,
+                                          *payoff_value(problem_15, [u_one, challenger], 400.0),
+                                          eps=1e-6, T_max=400.0, sample_spacing=0.02)
     assert report_15.verdict == "consistent_OO"
 
     rng = np.random.default_rng(77)

@@ -273,6 +273,41 @@ def test_piecewise_control_semantics():
             ControlSignal.piecewise_constant(times, [[0.0], [5.0], [1.0]])
 
 
+def test_stacked_signal_joins_the_members_on_the_union_of_their_switches():
+    first = ControlSignal.piecewise_constant([1.0, 2.0], [[0.0], [5.0], [1.0]])
+    second = ControlSignal.constant([7.0, 8.0]).with_needle(1.5, 0.25, [-1.0, -2.0])
+    third = ControlSignal.constant([3.0])
+    stacked = ControlSignal.stacked([first, second, third])
+    assert stacked.dim == 4
+    assert stacked.breakpoints().tolist() == [1.0, 1.25, 1.5, 2.0]
+    # each member's own value everywhere, switching times included
+    for t in (-1.0, 0.5, 1.0, 1.1, 1.25, 1.4, 1.5, 1.75, 2.0, 2.5, 100.0):
+        assert stacked.evaluate(t).tolist() == [*first.evaluate(t), *second.evaluate(t),
+                                                *third.evaluate(t)]
+    assert stacked.segment_piece(1.25, 1.5).tolist() == [5.0, -1.0, -2.0, 3.0]
+    assert not stacked.has_closed_form
+    # one signal is returned as it is, a closed-form one too; two do not stack
+    closed = ControlSignal([], [lambda t: np.array([np.cos(t)])], 1)
+    assert closed.has_closed_form and not first.has_closed_form
+    assert ControlSignal.stacked([closed]) is closed
+    assert ControlSignal.stacked([first]) is first
+    with pytest.raises(ValueError, match="constant pieces"):
+        ControlSignal.stacked([first, closed.with_needle(1.0, 0.5, [0.0])])
+
+
+def test_column_block_is_a_view_without_the_exit_event():
+    box = Box.from_bounds([-np.inf, -np.inf, -np.inf], [np.inf, 1.0, np.inf])
+    traj = integrate(lambda t, y: np.array([1.0, 0.5, -y[2]]), 0.0, [0.0, 0.0, 1.0], 5.0,
+                     COARSE, domain=box)
+    assert traj.exit_event is not None
+    block = traj.columns(1, 3)
+    assert block.dim == 2 and block.exit_event is None
+    assert np.shares_memory(block.states, traj.states)
+    ts = np.linspace(0.0, traj.t_end, 7)
+    assert np.array_equal(block(ts), traj(ts)[:, 1:3])
+    assert block(1.3).tolist() == traj(1.3)[1:3].tolist()
+
+
 def test_needle_composition_on_constant_signal():
     base = ControlSignal.constant([1.0])
     needled = base.with_needle(1.0, 0.1, [0.0])

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from horizoncheck import (
+    Box,
+    ControlProblem,
+    ControlSet,
     ControlSignal,
     NonExtendibleError,
     empirical_overtaking_test,
+    make_builtin_problem,
     needle_limit_check,
     overtaking,
     payoff_value,
@@ -16,21 +20,25 @@ from horizoncheck import (
 from horizoncheck.cli import RunConfig, build_overtake_report
 from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
 
-from conftest import TIGHT
+from conftest import FIG1, TIGHT
 from oracles import OscillatorOracle, appendix_identity_residual, oscillator_delta_x1
 
 
 def value(problem, control, T):
-    """Payoff of the control from the problem's initial point to T."""
-    return payoff_value(problem, control, T).states[-1, problem.state_dim]
+    """Payoff of the control from the problem's initial point to T, from a
+    payoff pass of its own."""
+    path, = payoff_value(problem, [control], T)
+    assert path.exit_event is None
+    return path.states[-1, problem.state_dim]
 
 
 def overtake(problem, candidate, challenger, T_max, sample_spacing=0.02):
     """The overtaking test of the candidate's payoff path against one
-    challenger, at the CLI's eps and, by default, its oscillator spacing."""
-    return empirical_overtaking_test(problem, payoff_value(problem, candidate, T_max),
-                                     challenger, eps=1e-6, T_max=T_max,
-                                     sample_spacing=sample_spacing)
+    challenger's, both from one payoff_value call, at the CLI's eps and, by
+    default, its oscillator spacing."""
+    return empirical_overtaking_test(problem, *payoff_value(problem, [candidate, challenger],
+                                                            T_max),
+                                     eps=1e-6, T_max=T_max, sample_spacing=sample_spacing)
 
 
 def test_finite_horizon_values(oscillator, integrator, u_one):
@@ -42,10 +50,11 @@ def test_finite_horizon_values(oscillator, integrator, u_one):
 
 
 def test_finite_horizon_non_extendible(ramsey_params):
+    # the path ends at its exit event, which is set rather than raised
     problem = ramsey_params.problem()
-    with pytest.raises(NonExtendibleError) as err:
-        value(problem, ControlSignal.constant([4.0]), 500.0)
-    assert err.value.event.time < 500.0
+    path, = payoff_value(problem, [ControlSignal.constant([4.0])], 500.0)
+    assert path.exit_event is not None and path.t_end == path.exit_event.time
+    assert path.exit_event.time < 500.0
 
 
 def test_base_path_leaving_the_domain_is_not_extendible(ramsey_params):
@@ -164,22 +173,22 @@ def test_payoff_path_step_pin(oscillator, u_one):
     # accepted steps of the payoff solve of u = 1 on the oscillator to T = 100
     # at the overtaking settings; a change to the payoff right-hand side or
     # the stepping core that moves them must update this count
-    path = payoff_value(oscillator, u_one, 100.0)
+    path, = payoff_value(oscillator, [u_one], 100.0)
     assert path.time_grid.size == 531
     assert path.states[-1, 2] == pytest.approx(1.0 - math.cos(100.0) + 50.0, abs=1e-9)
 
 
 def test_overtaking_reuses_candidate_path(oscillator, u_one, payoff_solves):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    path = payoff_value(oscillator, u_one, 100.0)
+    path, chal_path = payoff_value(oscillator, [u_one, challenger], 100.0)
     del payoff_solves[:]
-    report = empirical_overtaking_test(oscillator, path, challenger, eps=1e-6, T_max=100.0,
+    report = empirical_overtaking_test(oscillator, path, chal_path, eps=1e-6, T_max=100.0,
                                        sample_spacing=0.02)
-    assert len(payoff_solves) == 1  # the challenger only
+    assert payoff_solves == []  # both paths are given
     assert report.verdict == "consistent_WOO_only"
     # a path past T_max serves as well, with the same gaps up to T_max
-    longer = empirical_overtaking_test(oscillator, payoff_value(oscillator, u_one, 150.0),
-                                       challenger, eps=1e-6, T_max=100.0,
+    longer, = payoff_value(oscillator, [u_one], 150.0)
+    longer = empirical_overtaking_test(oscillator, longer, chal_path, eps=1e-6, T_max=100.0,
                                        sample_spacing=0.02)
     assert longer.verdict == report.verdict
     assert longer.max_gap == pytest.approx(report.max_gap, abs=1e-9)
@@ -187,19 +196,23 @@ def test_overtaking_reuses_candidate_path(oscillator, u_one, payoff_solves):
 
 def test_overtaking_rejects_short_candidate_path(oscillator, u_one):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    short = payoff_value(oscillator, u_one, 50.0)
+    short, chal_short = payoff_value(oscillator, [u_one, challenger], 50.0)
+    path, chal_path = payoff_value(oscillator, [u_one, challenger], 100.0)
     with pytest.raises(ValueError, match="candidate path"):
-        empirical_overtaking_test(oscillator, short, challenger, eps=1e-6, T_max=100.0,
+        empirical_overtaking_test(oscillator, short, chal_path, eps=1e-6, T_max=100.0,
+                                  sample_spacing=0.02)
+    with pytest.raises(ValueError, match="challenger path"):
+        empirical_overtaking_test(oscillator, path, chal_short, eps=1e-6, T_max=100.0,
                                   sample_spacing=0.02)
 
 
 @pytest.mark.parametrize("T_max", [0.0, -1.0, math.nan])
 def test_overtaking_rejects_a_horizon_not_after_t0(oscillator, u_one, T_max, payoff_solves):
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    path = payoff_value(oscillator, u_one, 40.0)
+    paths = payoff_value(oscillator, [u_one, challenger], 40.0)
     del payoff_solves[:]
     with pytest.raises(ValueError, match="must exceed t0"):
-        empirical_overtaking_test(oscillator, path, challenger, eps=1e-6, T_max=T_max,
+        empirical_overtaking_test(oscillator, *paths, eps=1e-6, T_max=T_max,
                                   sample_spacing=0.02)
     assert payoff_solves == []
 
@@ -218,10 +231,10 @@ def test_overtaking_rejects_nan_and_negative_eps(oscillator, u_one, eps, payoff_
     # every comparison with a NaN eps is False, which used to read as gaps
     # that never exceed eps: consistent_OO where the verdict is WOO only
     challenger = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
-    path = payoff_value(oscillator, u_one, 40.0)
+    paths = payoff_value(oscillator, [u_one, challenger], 40.0)
     del payoff_solves[:]
     with pytest.raises(ValueError, match="eps"):
-        empirical_overtaking_test(oscillator, path, challenger, eps=eps, T_max=40.0,
+        empirical_overtaking_test(oscillator, *paths, eps=eps, T_max=40.0,
                                   sample_spacing=0.02)
     assert payoff_solves == []
 
@@ -229,8 +242,105 @@ def test_overtaking_rejects_nan_and_negative_eps(oscillator, u_one, eps, payoff_
 @pytest.mark.parametrize("example, params", [("oscillator", {"b": 0.5}),
                                              ("integrator", {"rho": 0.1})])
 def test_overtake_report_integrates_candidate_once(example, params, payoff_solves):
+    # one payoff_value call, for the candidate and every challenger
     report = build_overtake_report(RunConfig(example, params, t_max=40.0))
-    assert len(payoff_solves) == 1 + len(report.rows)
+    assert [len(controls) for controls in payoff_solves] == [1 + len(report.rows)]
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Count the integrate_controlled passes that the overtaking module makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    original = overtaking.integrate_controlled
+    monkeypatch.setattr(overtaking, "integrate_controlled", counting)
+    return calls
+
+
+@pytest.mark.parametrize("example, params, count", [("oscillator", {"b": 0.5}, 1),
+                                                    ("integrator", {"rho": 0.1}, 1),
+                                                    ("ramsey", FIG1, 3)])
+def test_overtake_report_passes(example, params, count, passes):
+    # the piecewise-constant controls share one pass; each Ramsey control,
+    # read off an orbit, runs in a pass of its own
+    build_overtake_report(RunConfig(example, params, t_max=40.0 if example != "ramsey" else None))
+    assert len(passes) == count
+
+
+def _assert_same_paths(path, solo, n):
+    """path agrees with solo on a grid and at its end, within 1e-9 max(1, |J|)."""
+    assert path.t_end == solo.t_end
+    ts = np.linspace(solo.t0, solo.t_end, 401)
+    got, want = path(ts), solo(ts)
+    scale = np.maximum(1.0, np.abs(want[:, n]))[:, None]
+    assert np.all(np.abs(got - want) <= 1e-9 * scale)
+    assert np.all(np.abs(path.states[-1] - solo.states[-1])
+                  <= 1e-9 * max(1.0, abs(solo.states[-1, n])))
+
+
+@pytest.mark.parametrize("example, params", [("oscillator", {"b": 0.5}),
+                                             ("integrator", {"rho": 0.1})])
+def test_stacked_members_match_their_own_passes(example, params, payoff_solves):
+    build_overtake_report(RunConfig(example, params, t_max=100.0))
+    controls, = payoff_solves
+    assert len(controls) == 4
+    problem = make_builtin_problem(example, params)
+    for control, path in zip(controls, payoff_value(problem, controls, 100.0)):
+        solo, = payoff_value(problem, [control], 100.0)
+        assert path.exit_event is None and solo.exit_event is None
+        _assert_same_paths(path, solo, problem.state_dim)
+
+
+def _bounded_drift():
+    """dx/dt = u with payoff rate x on the domain x < 1, from x = 0."""
+    return ControlProblem(
+        state_dim=1, control_dim=1, dynamics=lambda x, u, t: np.array([u[0]]),
+        payoff=lambda x, u, t: float(x[0]), control_set=ControlSet.box([-1.0], [1.0]),
+        state_domain=Box.from_bounds([-np.inf], [1.0]), initial_state=[0.0])
+
+
+def test_stacked_member_that_leaves_the_domain_gets_its_own_exit(passes):
+    # u = 0.5 reaches x = 1 at t = 2 and the delayed 0.5 at t = 3; each pass
+    # ends at the first exit, and the members still inside run again
+    problem = _bounded_drift()
+    controls = [ControlSignal.constant([0.1]), ControlSignal.constant([0.5]),
+                ControlSignal.piecewise_constant([1.0], [[0.0], [0.5]]),
+                ControlSignal.constant([-1.0])]
+    T = 4.0
+    paths = payoff_value(problem, controls, T)
+    assert len(passes) == 3
+    del passes[:]
+    for control, path, exit_time in zip(controls, paths, (None, 2.0, 3.0, None)):
+        solo, = payoff_value(problem, [control], T)
+        if exit_time is None:
+            assert path.exit_event is None and solo.exit_event is None
+            _assert_same_paths(path, solo, 1)
+            continue
+        event, own = path.exit_event, solo.exit_event
+        assert abs(event.time - own.time) <= 1e-9 * T
+        assert event.time == pytest.approx(exit_time, abs=1e-8)
+        assert event.description == own.description == "y[0] reached upper bound 1"
+        assert path.dim == 2 and path.t_end == event.time
+        # both rates, u and x, are at most 1 in size before the exit
+        assert np.all(np.abs(event.state - own.state) <= 1e-9 * T)
+    assert len(passes) == len(controls)
+
+
+def test_overtaking_refuses_a_candidate_that_leaves_the_domain():
+    problem = _bounded_drift()
+    leaving, staying = payoff_value(
+        problem, [ControlSignal.constant([0.5]), ControlSignal.constant([0.1])], 4.0)
+    with pytest.raises(NonExtendibleError, match="reached upper bound 1"):
+        empirical_overtaking_test(problem, leaving, staying, eps=1e-6, T_max=4.0,
+                                  sample_spacing=0.02)
+    report = empirical_overtaking_test(problem, staying, leaving, eps=1e-6, T_max=4.0,
+                                       sample_spacing=0.02)
+    assert report.verdict == "non_extendible_challenger"
+    assert report.evidence.startswith("challenger exits the state domain at t=2 ")
 
 
 def test_overtaking_oscillator_woo_only(oscillator, u_one):

@@ -63,6 +63,23 @@ def test_classify_examples():
     assert exit_event.state[1] < interior.c_star + 0.25
 
 
+def test_scalar_and_array_routes_agree_at_a_small_steady_state():
+    # k* = 1/16 and c* = 1/8: fixed stop margins of 0.5 in k and 0.25 in c
+    # would leave both stop regions empty, and the scalar route would run
+    # the lower orbit to t_max as "inconclusive"
+    params = RamseyParams(alpha=0.5, delta=2.0, theta=1.5, k0=0.2)
+    interior, _ = ramsey_steady_state(params)
+    assert (interior.k_star, interior.c_star) == pytest.approx((1 / 16, 1 / 8), rel=1e-14)
+    c_s = reference_examples._saddle_consumption(params, interior, np.array([0.2]))[0]
+    stops = reference_examples._classify_stops(interior.k_star, interior.c_star, 1e-3)
+    for c0, label in ((0.9 * c_s, "to_zero_consumption"), (1.5 * c_s, "hits_zero_capital")):
+        assert ramsey_classify(params, 0.2, c0, 2000.0) == label
+        assert ramsey_classify(params, np.array([0.2]), np.array([c0]), 2000.0).tolist() == [label]
+        # the region stop ends the orbit, not the k = 0 face or t_max
+        event = ramsey_euler_orbit(params, 0.2, c0, 2000.0, stops=stops).exit_event
+        assert event.description == label and event.time < 2.0
+
+
 def _per_orbit_labels(params, k_vals, c_vals, t_max):
     return np.array([[ramsey_classify(params, k, c, t_max=t_max) for c in c_vals]
                      for k in k_vals])

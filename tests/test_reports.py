@@ -28,6 +28,7 @@ GOLDEN_REPORTS = {
     "overtake_ramsey": ["overtake", "--example", "ramsey"],
     "phase_diagram_ramsey_16x16": ["phase-diagram", "--example", "ramsey", "--grid", "16x16"],
     "overtake_oscillator_tmax100": ["overtake", "--example", "oscillator", "--t-max", "100"],
+    "overtake_integrator": ["overtake", "--example", "integrator"],
     "needle_oscillator_b0.5": ["needle", "--example", "oscillator", "--b", "0.5"],
 }
 

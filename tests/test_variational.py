@@ -493,14 +493,14 @@ def test_limit_costate_three_regimes(integrator, integrator_undiscounted,
 
 
 def test_payoff_value_and_quadrature(integrator, u_one):
-    value = payoff_value(integrator, u_one, 10.0).states[-1, 1]
+    value = payoff_value(integrator, [u_one], 10.0)[0].states[-1, 1]
     expect = (1 - math.exp(-1.0) * (1 + 1.0)) / 0.01
     assert value == pytest.approx(expect, abs=1e-8)
 
 
 def test_payoff_value_runs_forward_only(integrator, u_one):
     with pytest.raises(ValueError, match="forward"):
-        payoff_value(integrator, u_one, -5.0)
+        payoff_value(integrator, [u_one], -5.0)
 
 
 def test_assumption_uniform_linear_problems(oscillator, integrator, u_one):
@@ -567,4 +567,4 @@ def test_payoff_overflow_is_integration_error_not_domain_exit():
         control_set=ControlSet.box([0.0], [1.0]),
         state_domain=Box.unbounded(1), initial_state=[0.0])
     with pytest.raises(IntegrationError):
-        payoff_value(problem, ControlSignal.constant([0.0]), 800.0)
+        payoff_value(problem, [ControlSignal.constant([0.0])], 800.0)
