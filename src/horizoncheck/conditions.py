@@ -333,8 +333,9 @@ def check_classical(problem: ControlProblem, control: ControlSignal,
     xs = first.transition.trajectory(times)
     psis = [c.psi(times) for c in costates]
     lams = np.array([c.lam for c in costates])
-    s_h = np.array([hamiltonian(problem, x, control.evaluate(t), t, rows, lams)
-                    for t, x, rows in zip(times.tolist(), xs, np.stack(psis, axis=1))])
+    # all times in one call, with the rows of every path at each time
+    s_h = hamiltonian(problem, xs, _controls(control, times), times,
+                      np.stack(psis, axis=1), lams)
 
     def verdict(values, note):
         return tail_limit_verdict(values[earlier.size:], values[:earlier.size], note)
@@ -356,8 +357,9 @@ def check_max_principle(problem: ControlProblem, control: ControlSignal,
     A path holds iff at every time of ``time_grid`` the candidate control's
     Hamiltonian is within ``VERDICT_SLACK`` of the maximum over 33 sampled
     control values per axis; the estimate is the worst shortfall.  The
-    dynamics and payoff jumps over the control grid are evaluated once per
-    time for all paths together, each with its own psi row and lam.
+    dynamics and payoff jumps of every (time, control) cell come from one
+    :func:`hamiltonian_jumps` call for all paths together, each with its own
+    psi row and lam.
     """
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
     grid = problem.control_set.sample_grid(_CONTROL_RESOLUTION)
@@ -365,16 +367,20 @@ def check_max_principle(problem: ControlProblem, control: ControlSignal,
     # one vector read each; its rows equal the scalar reads bit for bit
     xs = _shared_pass(costates).transition.trajectory(time_grid)
     psis = np.stack([c.psi(time_grid) for c in costates], axis=1)  # (n_t, n_c, n)
-    gaps = np.array([hamiltonian_jumps(problem, x, control.evaluate(t), t,
-                                       grid, rows, lams).max(axis=1)
-                     for t, x, rows in zip(time_grid.tolist(), xs, psis)])
+    gaps = hamiltonian_jumps(problem, xs, _controls(control, time_grid), time_grid,
+                             grid, psis, lams).max(axis=-1)  # (n_t, n_c)
     verdicts = []
-    for column in gaps.reshape(time_grid.size, len(costates)).T.tolist():
+    for column in gaps.T.tolist():
         worst = max(column, default=-math.inf)
         status = Verdict.HOLDS if worst <= VERDICT_SLACK else Verdict.FAILS
         verdicts.append(ConditionVerdict(status, worst,
                                          note=f"max Hamiltonian shortfall {worst:.3g}"))
     return verdicts
+
+
+def _controls(control: ControlSignal, times: np.ndarray) -> np.ndarray:
+    """The control's values at ``times``, one row per time."""
+    return np.array([control.evaluate(t) for t in times.tolist()])
 
 
 def decompose_costate(costate: CostatePath, limits: Sequence[tuple]):
@@ -429,7 +435,8 @@ def check_gmax(problem: ControlProblem, feasible_pairs: Sequence, time_grid) -> 
     sampled time t, the fiber of competing control values consists of every
     family member's control evaluated where its own trajectory passes through
     the same state; the candidate holds iff its payoff rate is maximal, to
-    within 1e-9, on every fiber.  The estimate is the worst shortfall.
+    within 1e-9, on every fiber.  The estimate is the worst shortfall.  The
+    payoff rates of all fiber points come from one payoff call.
     """
     tol = 1e-9
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
@@ -438,21 +445,26 @@ def check_gmax(problem: ControlProblem, feasible_pairs: Sequence, time_grid) -> 
         raise ValueError("need at least one feasible candidate")
     _require_state_free_payoff(problem, pairs)
 
-    verdicts = []
+    # the (x, u, t) of every fiber point, fiber after fiber, each fiber
+    # the candidate's own control first and then every crossing's control
+    fibers, cells = [], []
     for i, (traj_i, ctrl_i) in enumerate(pairs):
-        worst = -math.inf
         for t in time_grid.tolist():
             x_i = traj_i(t)
-            u_i = ctrl_i.evaluate(t)
-            g_i = float(problem.payoff(x_i, u_i, t))
-            g_best = g_i
-            for j, (traj_j, ctrl_j) in enumerate(pairs):
-                if j == i:
-                    continue
-                for s in _state_crossings(traj_j, x_i):
-                    u_j = ctrl_j.evaluate(s)
-                    g_best = max(g_best, float(problem.payoff(x_i, u_j, t)))
-            worst = max(worst, g_best - g_i)
+            controls = [ctrl_i.evaluate(t)] + [
+                ctrl_j.evaluate(s) for j, (traj_j, ctrl_j) in enumerate(pairs) if j != i
+                for s in _state_crossings(traj_j, x_i)]
+            fibers.append((i, len(controls)))
+            cells += [(x_i, u, t) for u in controls]
+    xs, us, ts = (np.array(column) for column in zip(*cells))
+    rates = iter(problem.payoff(xs, us, ts).tolist())
+    shortfalls = [-math.inf] * len(pairs)
+    for i, size in fibers:
+        fiber = list(islice(rates, size))
+        shortfalls[i] = max(shortfalls[i], max(fiber) - fiber[0])
+
+    verdicts = []
+    for i, worst in enumerate(shortfalls):
         status = Verdict.HOLDS if worst <= tol else Verdict.FAILS
         verdicts.append(ConditionVerdict(
             status, worst,

@@ -59,17 +59,19 @@ def payoff_value(problem: ControlProblem, controls: Sequence[ControlSignal],
     with a closed-form piece runs in a pass of its own, so that no other
     member pays for its steps or calls it.  A path whose state leaves the
     domain before T ends there and carries its own ``exit_event`` (see
-    :func:`_stacked_pass`).  Raises ValueError for T < t0.
+    :func:`_stacked_pass`).  A control given more than once (the same
+    object) runs once, and gets the one path.  Raises ValueError for T < t0.
     """
-    controls = list(controls)
+    given = list(controls)
+    controls = list({id(c): c for c in given}.values())
     stackable = [i for i, c in enumerate(controls) if not c.has_closed_form]
     groups = [stackable] if stackable else []
     groups += [[i] for i, c in enumerate(controls) if c.has_closed_form]
-    paths = [None] * len(controls)
+    paths = {}
     for group in groups:
         for i, path in zip(group, _stacked_pass(problem, [controls[i] for i in group], T)):
-            paths[i] = path
-    return paths
+            paths[id(controls[i])] = path
+    return [paths[id(c)] for c in given]
 
 
 def _stacked_pass(problem: ControlProblem, controls: list, T: float) -> list:
@@ -105,32 +107,18 @@ def _stacked_pass(problem: ControlProblem, controls: list, T: float) -> list:
 def _stacked_rhs(problem: ControlProblem, members: int):
     """Right-hand side of the stacked (x, payoff) state of ``members``
     controls under their stacked control vector: member i's block holds
-    f(x_i, u_i, t) and then g(x_i, u_i, t)."""
+    f(x_i, u_i, t) and then g(x_i, u_i, t), from one f call and one g call
+    on the (members, n) block of states."""
     n, d = problem.state_dim, problem.control_dim
-    f, g = problem.dynamics, problem.payoff
-    size = members * (n + 1)
-    blocks = [(slice(a, a + n), a + n, slice(i * d, (i + 1) * d))
-              for i, a in enumerate(range(0, size, n + 1))]
 
     def rhs(z, u, t):
-        dz = np.empty(size)
-        for xs, j, us in blocks:
-            x, ui = z[xs], u[us]
-            dz[xs] = f(x, ui, t)
-            dz[j] = g(x, ui, t)
-        return dz
+        x, us = z.reshape(members, n + 1)[:, :n], u.reshape(members, d)
+        dz = np.empty((members, n + 1))
+        dz[:, :n] = problem.dynamics(x, us, t)
+        dz[:, n] = problem.payoff(x, us, t)
+        return dz.ravel()
 
     return rhs
-
-
-def _final_payoff(problem: ControlProblem, control: ControlSignal, T: float) -> float:
-    """The control's payoff over [t0, T], from a :func:`payoff_value` pass
-    of its own; raises NonExtendibleError when its state leaves the domain
-    before T."""
-    path, = payoff_value(problem, [control], T)
-    if path.exit_event is not None:
-        raise NonExtendibleError(path.exit_event)
-    return path.states[-1, problem.state_dim]
 
 
 def _needled(problem: ControlProblem, base_control: ControlSignal, tau: float,
@@ -175,8 +163,9 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
     The error is expected to vanish linearly in the width, and its order is
     fitted over at least two distinct widths.  x(tau) and grad(tau, T) are
     read off one transition pass of the base control from t0 to T, and the
-    base payoff is integrated once; both run under the payoff tolerances of
-    :func:`payoff_value` and serve every width.
+    payoffs of the base control and of every needled control come from one
+    :func:`payoff_value` call; both run under its tolerances.  Raises
+    NonExtendibleError when a state leaves the domain before T.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     alphas = np.sort(np.asarray(list(alphas), dtype=float))[::-1]
@@ -188,9 +177,12 @@ def needle_limit_check(problem: ControlProblem, base_control: ControlSignal,
                                          base_control.evaluate(tau), tau, [u],
                                          transition.gradient(tau, T), 1.0)[0])
 
-    j_base = _final_payoff(problem, base_control, T)
-    slopes = np.array([_final_payoff(problem, control, T) - j_base
-                       for control in needled]) / alphas
+    paths = payoff_value(problem, [base_control, *needled], T)
+    for path in paths:
+        if path.exit_event is not None:
+            raise NonExtendibleError(path.exit_event)
+    j_base, *j_needled = [path.states[-1, problem.state_dim] for path in paths]
+    slopes = (np.array(j_needled) - j_base) / alphas
     errors = np.abs(slopes - prediction)
 
     positive = errors > 0

@@ -9,6 +9,15 @@ built-in problems are provided:
 * ``integrator``  -- dx/dt = u, g = exp(-rho*t)*x, u in [0, 1]
 * ``oscillator``  -- rotation dynamics driven by a bounded input,
                      g = x2 + b*u, u in [-1, 1]
+
+The problem functions take arrays.  ``dynamics(x, u, t)`` takes states
+``x[..., n]`` and controls ``u[..., d]`` with equal leading shapes, and ``t``
+a float or an array of that leading shape; it returns ``[..., n]``, and
+``payoff(x, u, t)`` returns ``[...]``, one value per point.  The leading
+shape ``()`` is one point.  Both return new arrays, never a view of an
+input.  So a batch costs one call of each: all (time, control) cells of
+:func:`hamiltonian_jumps`, all times of :func:`hamiltonian`, and all 2n
+probe points of a finite-difference :func:`jacobians`.
 """
 
 from __future__ import annotations
@@ -30,8 +39,11 @@ __all__ = [
 ]
 
 Array = np.ndarray
-DynamicsFn = Callable[[Array, Array, float], Array]
-PayoffFn = Callable[[Array, Array, float], float]
+# f(x[..., n], u[..., d], t) -> [..., n] and g(x, u, t) -> [...]: x and u
+# have equal leading shapes, t is a float or an array of that leading shape,
+# and the result is a new array, not a view of an input
+DynamicsFn = Callable[[Array, Array, "float | Array"], Array]
+PayoffFn = Callable[[Array, Array, "float | Array"], "float | Array"]
 
 FD_STEP_DEFAULT = 1e-6  # central-difference sweet spot at double precision
 _FLOAT = np.dtype(float)
@@ -87,7 +99,14 @@ class ControlSet:
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Immutable problem definition; all operations are pure functions."""
+    """Immutable problem definition; all operations are pure functions.
+
+    ``dynamics`` and ``payoff`` follow the array contract of
+    :data:`DynamicsFn` and :data:`PayoffFn`: they broadcast over the leading
+    axes of x[..., n] and u[..., d] (t a float or an array of that leading
+    shape), return [..., n] and [...], and never a view of an input.  The
+    optional derivatives take one point: x of shape (n,), u of shape (d,).
+    """
 
     state_dim: int
     control_dim: int
@@ -112,44 +131,75 @@ class ControlProblem:
             raise ValueError("initial state outside the open state domain")
 
 
-def hamiltonian(problem: ControlProblem, x, u, t: float, psi, lam):
-    """lam * g(x, u, t) + <psi, f(x, u, t)>.
+def hamiltonian(problem: ControlProblem, x, u, t, psi, lam):
+    """lam * g(x, u, t) + <psi, f(x, u, t)> at every point of the leading
+    axes, from one f call and one g call.
 
-    ``psi`` is one vector, giving a float, or a stack of rows with one lam
-    each, giving one value per row.  Raises ValueError when a value is
-    non-finite, which signals payoff or dynamics blow-up at the evaluation
-    point (e.g. CRRA utility as c -> 0 with theta > 1).
+    x[..., n], u[..., d] and t follow the array contract, with leading shape
+    L.  ``psi`` is one vector per point, shape L + (n,), giving shape L (a
+    float for L = ()), or a stack of m rows per point, shape L + (m, n),
+    with one lam per row, giving L + (m,).  Raises ValueError, naming the
+    first non-finite value's x, u and t, when a value is non-finite, which
+    signals payoff or dynamics blow-up at that point (e.g. CRRA utility as
+    c -> 0 with theta > 1).
     """
-    x, u, psi = _vector(x), _vector(u), _vector(psi)
+    x, u, psi = (np.asarray(a, dtype=float) for a in (x, u, psi))
     with np.errstate(all="ignore"):
-        value = lam * float(problem.payoff(x, u, t)) + psi @ problem.dynamics(x, u, t)
-    if not np.isfinite(value).all():
-        raise ValueError(f"non-finite Hamiltonian at x={x}, u={u}, t={t:g}")
-    return value if psi.ndim == 2 else float(value)
+        f, g = problem.dynamics(x, u, t), problem.payoff(x, u, t)
+        if psi.ndim > x.ndim:  # a stack of rows per point
+            value = lam * np.expand_dims(g, -1) + (psi @ f[..., None])[..., 0]
+        else:
+            value = lam * g + (psi[..., None, :] @ f[..., None])[..., 0, 0]
+    bad = ~np.isfinite(value)
+    if bad.any():
+        point = tuple(np.argwhere(bad)[0][:x.ndim - 1])
+        raise ValueError(f"non-finite Hamiltonian at x={x[point]}, u={u[point]}, "
+                         f"t={_time_at(t, x, point):g}")
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def hamiltonian_jumps(problem: ControlProblem, x, u_hat, t: float, controls, psi,
+def hamiltonian_jumps(problem: ControlProblem, x, u_hat, t, controls, psi,
                       lam) -> Array:
     """H(x, u, t, psi, lam) - H(x, u_hat, t, psi, lam) for every control u in
-    ``controls``, as lam * (g(u) - g(u_hat)) + <psi, f(u) - f(u_hat)>.
+    ``controls`` at every point of the leading axes, as
+    lam * (g(u) - g(u_hat)) + <psi, f(u) - f(u_hat)>.
 
-    ``psi`` is one vector, giving shape (n_u,), or a stack of rows, giving
-    shape (n_T, n_u).  ``lam`` is a scalar, or one multiplier per row of the
-    stack.  The jump is exactly zero where u equals u_hat.  Raises ValueError
-    when a jump is non-finite, as :func:`hamiltonian` does.
+    x[..., n], u_hat[..., d] and t follow the array contract, with leading
+    shape L; ``controls`` is (n_u, d), shared by every point.  ``psi`` is one
+    vector per point, shape L + (n,), giving shape L + (n_u,), or a stack of
+    m rows per point, shape L + (m, n), giving L + (m, n_u).  ``lam`` is a
+    scalar, or one multiplier per row of the stack.  All (point, control)
+    cells take one f call and one g call, and the candidate's own values one
+    more each.  The jump is exactly zero where u equals u_hat.  Raises
+    ValueError when a jump is non-finite, as :func:`hamiltonian` does.
     """
-    x, u_hat = _vector(x), _vector(u_hat)
+    x, u_hat, psi = (np.asarray(a, dtype=float) for a in (x, u_hat, psi))
     controls = np.asarray(controls, dtype=float).reshape(-1, problem.control_dim)
+    cells = (*x.shape[:-1], len(controls))
+    xs = np.broadcast_to(x[..., None, :], (*cells, x.shape[-1]))
+    us = np.broadcast_to(controls, (*cells, controls.shape[-1]))
+    ts = t if np.ndim(t) == 0 else np.broadcast_to(np.asarray(t, dtype=float)[..., None], cells)
     with np.errstate(all="ignore"):
-        f_hat = _vector(problem.dynamics(x, u_hat, t))
-        g_hat = float(problem.payoff(x, u_hat, t))
-        df = np.array([_vector(problem.dynamics(x, u, t)) - f_hat for u in controls])
-        dg = np.array([float(problem.payoff(x, u, t)) - g_hat for u in controls])
-        jumps = np.asarray(psi, dtype=float) @ df.reshape(-1, f_hat.size).T
-        jumps += np.multiply.outer(lam, dg)  # in place: no second (n_T, n_u) array
-    if not np.isfinite(jumps).all():
-        raise ValueError(f"non-finite Hamiltonian jump at x={x}, u_hat={u_hat}, t={t:g}")
+        df = problem.dynamics(xs, us, ts) - problem.dynamics(x, u_hat, t)[..., None, :]
+        dg = problem.payoff(xs, us, ts) - np.expand_dims(problem.payoff(x, u_hat, t), -1)
+        if psi.ndim > x.ndim:  # a stack of rows per point
+            jumps = psi @ np.swapaxes(df, -1, -2)
+            dg = dg[..., None, :]
+        else:
+            jumps = (psi[..., None, :] @ np.swapaxes(df, -1, -2))[..., 0, :]
+        jumps += np.expand_dims(lam, -1) * dg  # in place: no second array of jumps
+    bad = ~np.isfinite(jumps)
+    if bad.any():
+        cell = np.argwhere(bad)[0]
+        point = tuple(cell[:x.ndim - 1])
+        raise ValueError(f"non-finite Hamiltonian jump at x={x[point]}, u={controls[cell[-1]]}, "
+                         f"u_hat={u_hat[point]}, t={_time_at(t, x, point):g}")
     return jumps
+
+
+def _time_at(t, x: Array, point: tuple) -> float:
+    """The time of the point at leading index ``point`` of x[..., n]."""
+    return float(np.broadcast_to(t, x.shape[:-1])[point])
 
 
 def jacobians(problem: ControlProblem, x, u, t: float):
@@ -158,32 +208,31 @@ def jacobians(problem: ControlProblem, x, u, t: float):
     Analytic derivatives are used when the problem supplies them; otherwise
     central differences with a per-component step max(h, h*|x_i|) for
     h = ``FD_STEP_DEFAULT``, shrinking the step when a probe point would
-    leave the state domain.
+    leave the state domain.  All 2n probe points go to f, and to g, in one
+    call.
     """
     # the variational fields hand over 1-D float arrays, which pass as they are
     if not (type(x) is type(u) is np.ndarray and x.ndim == u.ndim == 1
             and x.dtype is u.dtype is _FLOAT):
         x, u = _vector(x), _vector(u)
-    n = problem.state_dim
-    if problem.dynamics_jac_x is not None:
-        fx = np.asarray(problem.dynamics_jac_x(x, u, t), dtype=float)
+    jac_x, grad_x = problem.dynamics_jac_x, problem.payoff_grad_x
+    if jac_x is None or grad_x is None:
+        points, widths = _probes(problem, x)
+        us = np.broadcast_to(u, (len(points), u.size))
+    if jac_x is not None:
+        fx = np.asarray(jac_x(x, u, t), dtype=float)
         if fx.ndim < 2:
             fx = np.atleast_2d(fx)
     else:
-        fx = np.empty((n, n))
-        for i in range(n):
-            plus, minus, hi = _probe_pair(problem, x, i)
-            fx[:, i] = (np.atleast_1d(problem.dynamics(plus, u, t))
-                        - np.atleast_1d(problem.dynamics(minus, u, t))) / (2 * hi)
-    if problem.payoff_grad_x is not None:
-        gx = problem.payoff_grad_x(x, u, t)
+        values = problem.dynamics(points, us, t)
+        fx = ((values[0::2] - values[1::2]) / widths[:, None]).T
+    if grad_x is not None:
+        gx = grad_x(x, u, t)
         if not (type(gx) is np.ndarray and gx.ndim == 1 and gx.dtype is _FLOAT):
             gx = _vector(gx)
     else:
-        gx = np.empty(n)
-        for i in range(n):
-            plus, minus, hi = _probe_pair(problem, x, i)
-            gx[i] = (problem.payoff(plus, u, t) - problem.payoff(minus, u, t)) / (2 * hi)
+        values = problem.payoff(points, us, t)
+        gx = (values[0::2] - values[1::2]) / widths
     return fx, gx
 
 
@@ -192,6 +241,14 @@ def _vector(v) -> Array:
     (these conversions run at every stage of the variational solves)."""
     v = np.asarray(v, dtype=float)
     return v if v.ndim else v.reshape(1)
+
+
+def _probes(problem: ControlProblem, x: Array):
+    """The central-difference probe points of x, (2n, n) with x +- h_i e_i in
+    rows 2i and 2i + 1, and the widths 2 h_i, (n,)."""
+    pairs = [_probe_pair(problem, x, i) for i in range(x.size)]
+    points = np.array([p for plus, minus, _ in pairs for p in (plus, minus)])
+    return points, np.array([2 * hi for *_, hi in pairs])
 
 
 def _probe_pair(problem: ControlProblem, x, i: int):
@@ -249,12 +306,11 @@ def _build_ramsey(params: dict) -> ControlProblem:
     _reject_extras(params, "ramsey")
 
     def f(x, u, t):
-        k = x[0]
-        return np.array([k ** alpha - delta * k - u[0]])
+        k = x[..., :1]
+        return k ** alpha - delta * k - u[..., :1]
 
     def g(x, u, t):
-        c = u[0]
-        return c ** (1.0 - theta) / (1.0 - theta)
+        return u[..., 0] ** (1.0 - theta) / (1.0 - theta)
 
     def fx(x, u, t):
         k = x[0]
@@ -276,10 +332,10 @@ def _build_integrator(params: dict) -> ControlProblem:
     _reject_extras(params, "integrator")
 
     def f(x, u, t):
-        return np.array([u[0]])
+        return u[..., :1].copy()
 
     def g(x, u, t):
-        return float(np.exp(-rho * t) * x[0])
+        return np.exp(-rho * t) * x[..., 0]
 
     def fx(x, u, t):
         return np.zeros((1, 1))
@@ -301,10 +357,13 @@ def _build_oscillator(params: dict) -> ControlProblem:
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
     def f(x, u, t):
-        return np.array([x[1], u[0] - x[0]])
+        dx = np.empty(x.shape)
+        dx[..., 0] = x[..., 1]
+        dx[..., 1] = u[..., 0] - x[..., 0]
+        return dx
 
     def g(x, u, t):
-        return float(x[1] + b * u[0])
+        return x[..., 1] + b * u[..., 0]
 
     def fx(x, u, t):
         return A

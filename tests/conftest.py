@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,20 @@ STANDARD = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
 COARSE = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-10)
 
 FIG1 = dict(alpha=0.4, delta=0.05, theta=0.5, k0=10.0)
+
+
+def counted(problem, calls: dict):
+    """The problem with dynamics and payoff that count their calls in
+    ``calls["f"]`` and ``calls["g"]``, both set to 0 here."""
+    def count(key, fn):
+        def wrapper(x, u, t):
+            calls[key] += 1
+            return fn(x, u, t)
+        return wrapper
+
+    calls.update(f=0, g=0)
+    return dataclasses.replace(problem, dynamics=count("f", problem.dynamics),
+                               payoff=count("g", problem.payoff))
 
 
 def record_limits(records):

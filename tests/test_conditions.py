@@ -36,7 +36,7 @@ from horizoncheck.conditions import (
     tail_windows,
 )
 
-from conftest import STANDARD, TIGHT, record_limits
+from conftest import STANDARD, TIGHT, counted, record_limits
 from oracles import OscillatorOracle
 
 
@@ -290,8 +290,8 @@ def test_classical_raises_on_a_non_finite_hamiltonian_in_the_tail(u_one):
     # the payoff turns NaN at t = 20, inside the tail window of [0, 30];
     # its analytic gradient keeps the pass finite
     problem = ControlProblem(
-        state_dim=1, control_dim=1, dynamics=lambda x, u, t: np.array([u[0]]),
-        payoff=lambda x, u, t: float(x[0]) if t < 20.0 else math.nan,
+        state_dim=1, control_dim=1, dynamics=lambda x, u, t: u[..., :1].copy(),
+        payoff=lambda x, u, t: np.where(np.less(t, 20.0), x[..., 0], math.nan),
         control_set=ControlSet.box([0.0], [1.0]), state_domain=Box.unbounded(1),
         initial_state=[0.0], dynamics_jac_x=lambda x, u, t: np.zeros((1, 1)),
         payoff_grad_x=lambda x, u, t: np.ones(1))
@@ -337,6 +337,20 @@ def test_max_principle_cases(integrator, int_op_400, integrator_undiscounted, os
     cp_osc = integrate_adjoint(osc_op_400, 400.0, osc_ref.costate(0.5, 1.1, 400.0), 1.0)
     [held_osc] = check_max_principle(oscillator, u_one, [cp_osc], time_grid=grid)
     assert held_osc.status is Verdict.HOLDS
+
+
+def test_max_principle_calls_f_and_g_as_often_on_any_time_grid(oscillator, osc_op_30, u_one):
+    # every (time, control) cell goes to one hamiltonian_jumps call
+    ref = oscillator_reference(0.5)
+    costates = [integrate_adjoint(osc_op_30, 30.0, ref.costate(r, phi, 30.0), lam)
+                for r, phi, lam in ((0.5, -math.pi / 2, 1.0), (0.3, 0.7, 0.0))]
+    calls, counts = {}, []
+    problem = counted(oscillator, calls)
+    for size in (2, 31, 601):
+        calls.update(f=0, g=0)
+        check_max_principle(problem, u_one, costates, time_grid=np.linspace(0.0, 30.0, size))
+        counts.append(dict(calls))
+    assert counts == [{"f": 2, "g": 2}] * 3
 
 
 def test_max_principle_over_mixed_multipliers_matches_lone_calls(oscillator, osc_traj_30,

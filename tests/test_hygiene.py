@@ -964,3 +964,136 @@ def test_unresolved_hook_detector():
         ("", "closed_form"), ("cli", "solve_costate"), ("cli.ReportData", "gone"),
         ("conditions", "terminal_psi"), ("ode_engine.Trajectory", "__init_subclass__"),
         ("verdicts", "integrate")]
+
+
+# ---------------------------------------------------------------------------
+# the problem functions take arrays: no loop calls them per point
+
+PROBLEM_FUNCTIONS = frozenset({"dynamics", "payoff"})
+
+
+def _problem_function_aliases(scope: ast.AST) -> set:
+    """Names that ``scope`` binds to a ``.dynamics`` or ``.payoff``
+    attribute, as in ``f, g = problem.dynamics, problem.payoff``."""
+    aliases = set()
+    for node in ast.walk(scope):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = list(zip(target.elts, node.value.elts))
+            aliases.update(name.id for name, value in pairs
+                           if isinstance(name, ast.Name) and isinstance(value, ast.Attribute)
+                           and value.attr in PROBLEM_FUNCTIONS)
+    return aliases
+
+
+def looped_problem_calls(sources: dict) -> list:
+    """(module, line, callee) of every call of a problem's ``dynamics`` or
+    ``payoff``, directly or through a local alias, that runs once per
+    iteration of a ``for``, a ``while`` or a comprehension.  The body of a
+    function or lambda defined in a loop runs when it is called, so it
+    starts outside any loop."""
+    found = []
+
+    def visit(node, module, aliases, looped):
+        if isinstance(node, ast.Call) and looped:
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in PROBLEM_FUNCTIONS:
+                found.append((module, node.lineno, func.attr))
+            elif isinstance(func, ast.Name) and func.id in aliases:
+                found.append((module, node.lineno, func.id))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            children = [(child, False) for child in ast.iter_child_nodes(node)]
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            children = [(node.target, looped), (node.iter, looped),
+                        *[(child, True) for child in node.body + node.orelse]]
+        elif isinstance(node, ast.While):
+            children = [(child, True) for child in ast.iter_child_nodes(node)]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            parts = [getattr(node, name) for name in ("elt", "key", "value") if hasattr(node, name)]
+            for gen in node.generators:
+                parts += [gen.target, gen.iter, *gen.ifs]
+            # the first iterable is evaluated once, before the loop
+            first = node.generators[0].iter
+            children = [(part, looped if part is first else True) for part in parts]
+        else:
+            children = [(child, looped) for child in ast.iter_child_nodes(node)]
+        for child, flag in children:
+            visit(child, module, aliases, flag)
+
+    for module, text in sources.items():
+        # an alias bound anywhere in an outermost function counts in all of it,
+        # one bound outside every function in the whole module
+        scopes = {stmt: _problem_function_aliases(stmt) for stmt in ast.parse(text).body}
+        shared = set().union(*(aliases for stmt, aliases in scopes.items()
+                               if not isinstance(stmt, FUNCTIONS)))
+        for stmt, aliases in scopes.items():
+            visit(stmt, module, shared | aliases, False)
+    return sorted(found)
+
+
+def test_no_loop_calls_a_problem_function():
+    assert looped_problem_calls({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_looped_problem_call_detector():
+    # the per-point loops that the array contract replaced
+    sources = {
+        "overtaking.py": (
+            "def _stacked_rhs(problem, members):\n"
+            "    f, g = problem.dynamics, problem.payoff\n"
+            "    blocks = [(slice(a, a + 1), a + 1, slice(a, a + 1)) for a in range(members)]\n"
+            "    def rhs(z, u, t):\n"
+            "        dz = np.empty(2 * members)\n"
+            "        for xs, j, us in blocks:\n"
+            "            x, ui = z[xs], u[us]\n"
+            "            dz[xs] = f(x, ui, t)\n"
+            "            dz[j] = g(x, ui, t)\n"
+            "        return dz\n"
+            "    return rhs\n"
+        ),
+        "problem_model.py": (
+            "def hamiltonian_jumps(problem, x, u_hat, t, controls, psi, lam):\n"
+            "    f_hat = problem.dynamics(x, u_hat, t)\n"
+            "    df = np.array([problem.dynamics(x, u, t) - f_hat for u in controls])\n"
+            "    dg = np.array([float(problem.payoff(x, u, t)) for u in controls])\n"
+            "    return psi @ df.T + lam * dg\n"
+            "def jacobians(problem, x, u, t):\n"
+            "    i = 0\n"
+            "    while i < x.size:\n"
+            "        plus, minus, hi = _probe_pair(problem, x, i)\n"
+            "        fx[:, i] = problem.dynamics(plus, u, t) - problem.dynamics(minus, u, t)\n"
+            "        i += 1\n"
+        ),
+        "conditions.py": (
+            "rate = None\n"
+            "def check_gmax(problem, pairs, time_grid):\n"
+            "    for i, (traj_i, ctrl_i) in enumerate(pairs):\n"
+            "        for t in time_grid:\n"
+            "            g_i = float(problem.payoff(traj_i(t), ctrl_i.evaluate(t), t))\n"
+            "    return {t: rate(t) for t in time_grid}\n"
+            "rate = pairs[0].problem.payoff\n"
+        ),
+        # one call per batch: before a loop, in the first iterable of a
+        # comprehension or of a for, or in a function that a loop defines
+        "fine.py": (
+            "def sweep(problem, xs, us, ts, f=None):\n"
+            "    values = problem.payoff(xs, us, ts)\n"
+            "    rows = [v for v in problem.dynamics(xs, us, ts)]\n"
+            "    for v in problem.payoff(xs, us, ts):\n"
+            "        rows.append(v)\n"
+            "    for _ in rows:\n"
+            "        field = lambda x, u, t: problem.dynamics(x, u, t)\n"
+            "        f(field)\n"
+            "    return values, rows\n"
+        ),
+    }
+    assert looped_problem_calls(sources) == [
+        ("conditions.py", 5, "payoff"), ("conditions.py", 6, "rate"),
+        ("overtaking.py", 8, "f"), ("overtaking.py", 9, "g"),
+        ("problem_model.py", 3, "dynamics"), ("problem_model.py", 4, "payoff"),
+        ("problem_model.py", 10, "dynamics"), ("problem_model.py", 10, "dynamics"),
+    ]

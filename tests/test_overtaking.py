@@ -17,10 +17,11 @@ from horizoncheck import (
     payoff_value,
     transition_matrix,
 )
+from horizoncheck import cli
 from horizoncheck.cli import RunConfig, build_overtake_report
 from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
 
-from conftest import FIG1, TIGHT
+from conftest import FIG1, TIGHT, counted
 from oracles import OscillatorOracle, appendix_identity_residual, oscillator_delta_x1
 
 
@@ -131,12 +132,15 @@ def payoff_solves(monkeypatch):
 def test_needle_limit_check_integrates_base_once(oscillator, u_one, payoff_solves):
     alphas = [1e-1, 1e-2, 1e-3]
     report = needle_limit_check(oscillator, u_one, 1.0, [0.0], 20.0, alphas)
-    assert len(payoff_solves) == len(alphas) + 1
-    # bit for bit the slopes of one-shot needled-minus-base payoffs, which
-    # integrate the base payoff again for every width
-    one_shot = [(value(oscillator, u_one.with_needle(1.0, alpha, [0.0]), 20.0)
-                 - value(oscillator, u_one, 20.0)) / alpha for alpha in report.alphas]
-    assert report.slopes.tolist() == one_shot
+    # one payoff_value call carries the base control and every needled one
+    assert [len(controls) for controls in payoff_solves] == [len(alphas) + 1]
+    # the slopes of one-shot needled-minus-base payoffs, each from a pass of
+    # its own, to the payoff tolerances: the stacked pass takes other steps
+    base = value(oscillator, u_one, 20.0)
+    one_shot = [(value(oscillator, u_one.with_needle(1.0, alpha, [0.0]), 20.0) - base) / alpha
+                for alpha in report.alphas]
+    for alpha, slope, lone in zip(report.alphas.tolist(), report.slopes.tolist(), one_shot):
+        assert abs(slope - lone) * alpha <= 1e-10 * max(1.0, abs(base))
 
 
 def test_needle_limit_check_validates_every_width(oscillator, u_one, payoff_solves):
@@ -295,11 +299,58 @@ def test_stacked_members_match_their_own_passes(example, params, payoff_solves):
         _assert_same_paths(path, solo, problem.state_dim)
 
 
+def test_stacked_field_calls_f_and_g_once_per_stage(oscillator, u_one, monkeypatch):
+    calls = {}
+    problem = counted(oscillator, calls)
+    original = overtaking._stacked_rhs
+
+    def stacked_rhs(problem, members):
+        rhs = original(problem, members)
+
+        def counting(z, u, t):
+            calls["rhs"] += 1
+            return rhs(z, u, t)
+        return counting
+
+    monkeypatch.setattr(overtaking, "_stacked_rhs", stacked_rhs)
+    calls["rhs"] = 0
+    controls = [u_one, *(u_one.with_needle(s, 1.0, [-1.0]) for s in (2.0, 5.0, 9.0))]
+    payoff_value(problem, controls, 30.0)
+    assert calls["rhs"] > 0 and calls["f"] == calls["g"] == calls["rhs"]
+
+
+def test_integrator_overtake_gaps_match_the_closed_forms(monkeypatch):
+    # the overtake report of the integrator prints max_gap 0 for every
+    # challenger, so its golden pins no payoff value: each challenger's gap
+    # on the sampling grid is checked here against the closed form, for
+    # rho = 0.1 and the candidate u = 1 with payoff (1 - e^{-rho T}(1 + rho T))/rho^2
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(empirical_overtaking_test(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "empirical_overtaking_test", recording)
+    build_overtake_report(RunConfig("integrator", {"rho": 0.1}, None))
+    rho, T = 0.1, np.linspace(0.0, 400.0, 20_000)  # the sampling grid: spacing 0.02 to 400
+
+    def ramp(T):
+        """The payoff of u = 1 over [0, T], the integral of t e^{-rho t}."""
+        return (1.0 - np.exp(-rho * T) * (1.0 + rho * T)) / rho ** 2
+
+    J = ramp(T)
+    delayed = np.exp(-rho) * ramp(np.maximum(T - 1.0, 0.0))  # u = 0 until s = 1, then 1
+    exact = [-J, delayed - J, -0.5 * J]  # u = 0, delayed start, u = 0.5
+    assert len(reports) == len(exact)
+    for report, gap in zip(reports, exact):
+        assert np.all(np.abs(report.gap_fn(T) - gap) <= 1e-8 * np.maximum(1.0, np.abs(J)))
+
+
 def _bounded_drift():
     """dx/dt = u with payoff rate x on the domain x < 1, from x = 0."""
     return ControlProblem(
-        state_dim=1, control_dim=1, dynamics=lambda x, u, t: np.array([u[0]]),
-        payoff=lambda x, u, t: float(x[0]), control_set=ControlSet.box([-1.0], [1.0]),
+        state_dim=1, control_dim=1, dynamics=lambda x, u, t: u[..., :1].copy(),
+        payoff=lambda x, u, t: x[..., 0].copy(), control_set=ControlSet.box([-1.0], [1.0]),
         state_domain=Box.from_bounds([-np.inf], [1.0]), initial_state=[0.0])
 
 

@@ -10,6 +10,7 @@ from horizoncheck import (
     jacobians,
     make_builtin_problem,
 )
+from horizoncheck.problem_model import _probe_pair
 
 
 @pytest.mark.parametrize("name,params", [
@@ -157,6 +158,78 @@ def test_hamiltonian_jumps_match_per_cell_hamiltonian():
     check()
 
 
+def test_array_calls_equal_point_calls():
+    # the array contract: over leading shapes (k,) and (k, m), f, g,
+    # hamiltonian and hamiltonian_jumps give, bit for bit, what one call per
+    # point gives
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.sampled_from(_BUILTINS),
+                      st.lists(st.integers(1, 4), min_size=1, max_size=2),
+                      st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def check(builtin, lead, one_time, seed):
+        name, params, (x_lo, x_hi) = builtin
+        problem = make_builtin_problem(name, params)
+        n, d, lead = problem.state_dim, problem.control_dim, tuple(lead)
+        rng = np.random.default_rng(seed)
+        controls = problem.control_set.sample_grid(5)
+        x = rng.uniform(x_lo, x_hi, size=(*lead, n))
+        u = rng.uniform(controls.min(axis=0), controls.max(axis=0), size=(*lead, d))
+        t = float(rng.uniform(0.0, 50.0)) if one_time else rng.uniform(0.0, 50.0, size=lead)
+        psi = rng.uniform(-5.0, 5.0, size=(*lead, n))
+        rows = rng.uniform(-5.0, 5.0, size=(*lead, 3, n))
+        lam, lams = float(rng.uniform(0.0, 2.0)), rng.uniform(0.0, 2.0, size=3)
+
+        f, g = problem.dynamics(x, u, t), problem.payoff(x, u, t)
+        assert f.shape == (*lead, n) and np.shape(g) == lead
+        h, h_rows = hamiltonian(problem, x, u, t, psi, lam), hamiltonian(problem, x, u, t, rows, lams)
+        jumps = hamiltonian_jumps(problem, x, u, t, controls, psi, lam)
+        jumps_rows = hamiltonian_jumps(problem, x, u, t, controls, rows, lams)
+        assert jumps_rows.shape == (*lead, 3, len(controls))
+        for i in np.ndindex(lead):
+            at = (x[i], u[i], t if one_time else float(t[i]))
+            assert np.array_equal(problem.dynamics(*at), f[i])
+            assert problem.payoff(*at) == g[i]
+            assert hamiltonian(problem, *at, psi[i], lam) == h[i]
+            assert np.array_equal(hamiltonian(problem, *at, rows[i], lams), h_rows[i])
+            assert np.array_equal(hamiltonian_jumps(problem, *at, controls, psi[i], lam),
+                                  jumps[i])
+            assert np.array_equal(hamiltonian_jumps(problem, *at, controls, rows[i], lams),
+                                  jumps_rows[i])
+
+    check()
+
+
+def _per_component_jacobians(problem, x, u, t):
+    """Central differences with one f call and one g call per probe point."""
+    n = problem.state_dim
+    fx, gx = np.empty((n, n)), np.empty(n)
+    for i in range(n):
+        plus, minus, hi = _probe_pair(problem, x, i)
+        fx[:, i] = (problem.dynamics(plus, u, t) - problem.dynamics(minus, u, t)) / (2 * hi)
+        gx[i] = (problem.payoff(plus, u, t) - problem.payoff(minus, u, t)) / (2 * hi)
+    return fx, gx
+
+
+@pytest.mark.parametrize("name,params,box", _BUILTINS, ids=[b[0] for b in _BUILTINS])
+def test_finite_difference_jacobians_equal_the_per_component_route(name, params, box):
+    problem = make_builtin_problem(name, params)
+    stripped = problem.__class__(**{**problem.__dict__,
+                                    "dynamics_jac_x": None, "payoff_grad_x": None})
+    rng = np.random.default_rng(5)
+    grid = problem.control_set.sample_grid(5)
+    points = [rng.uniform(*box) for _ in range(30)]
+    if name == "ramsey":
+        points.append(np.array([3e-7]))  # the probe step shrinks to stay in k > 0
+    for x in points:
+        u, t = grid[rng.integers(len(grid))], float(rng.uniform(0.0, 5.0))
+        fx, gx = jacobians(stripped, x, u, t)
+        fx_lone, gx_lone = _per_component_jacobians(stripped, x, u, t)
+        assert np.array_equal(fx, fx_lone) and np.array_equal(gx, gx_lone)
+
+
 def test_hamiltonian_jumps_nonfinite_raises():
     ramsey = make_builtin_problem("ramsey",
                                   {"alpha": 0.4, "delta": 0.05, "theta": 3.0, "k0": 10.0})
@@ -167,6 +240,16 @@ def test_hamiltonian_jumps_nonfinite_raises():
         hamiltonian_jumps(ramsey, [10.0], [1e-200], 0.0, [[0.5]], [[1.0], [2.0]], 1.0)
     assert np.all(np.isfinite(
         hamiltonian_jumps(ramsey, [10.0], [1.0], 0.0, [[0.5], [2.0]], [1.0], 1.0)))
+
+
+def test_nonfinite_guard_names_the_first_non_finite_cell():
+    ramsey = make_builtin_problem("ramsey",
+                                  {"alpha": 0.4, "delta": 0.05, "theta": 3.0, "k0": 10.0})
+    x, u, t = [[10.0], [20.0], [30.0]], [[1.0], [1e-200], [1e-200]], [0.0, 1.5, 2.5]
+    with pytest.raises(ValueError, match=r"Hamiltonian at x=\[20\.\], u=\[1\.e-200\], t=1\.5$"):
+        hamiltonian(ramsey, x, u, t, [[1.0], [1.0], [1.0]], 1.0)
+    with pytest.raises(ValueError, match=r"jump at x=\[10\.\], u=\[1\.e-200\], u_hat=\[1\.\], t=0$"):
+        hamiltonian_jumps(ramsey, x[:1], u[:1], t[:1], [[0.5], [1e-200]], [[1.0]], 1.0)
 
 
 def test_builtin_determinism():

@@ -68,10 +68,10 @@ def _nonlinear_problem(n, analytic):
     M = np.arange(1.0, n * n + 1.0).reshape(n, n) / (n * n) - 0.3 * np.eye(n)
 
     def f(x, u, t):
-        return np.tanh(M @ x) + u[0] * np.cos(x)
+        return np.tanh(x @ M.T) + u[..., :1] * np.cos(x)
 
     def g(x, u, t):
-        return float(u[0] * (x @ x) + math.sin(x[0]))
+        return u[..., 0] * np.sum(x * x, axis=-1) + np.sin(x[..., 0])
 
     def fx(x, u, t):
         return (1.0 - np.tanh(M @ x) ** 2)[:, None] * M - u[0] * np.diag(np.sin(x))
@@ -224,7 +224,7 @@ def _switched_adjoint_cases(oscillator, integrator):
                .with_needle(7.0, 0.5, [0.25]))
     switched = ControlProblem(
         state_dim=1, control_dim=1, dynamics=lambda x, u, t: 0.1 * u * x,
-        payoff=lambda x, u, t: float(u[0] * x[0]), control_set=ControlSet.box([-1.0], [1.0]),
+        payoff=lambda x, u, t: u[..., 0] * x[..., 0], control_set=ControlSet.box([-1.0], [1.0]),
         state_domain=Box.unbounded(1), initial_state=[1.0],
         dynamics_jac_x=lambda x, u, t: np.array([[0.1 * u[0]]]),
         payoff_grad_x=lambda x, u, t: np.array([u[0]]))
@@ -326,7 +326,7 @@ def _decaying_problem(a):
     """dx/dt = a x + u, g = x: Y(t) = e^{at}, grad(t, T) = (e^{a(T - t)} - 1)/a."""
     return ControlProblem(
         state_dim=1, control_dim=1, dynamics=lambda x, u, t: a * x + u,
-        payoff=lambda x, u, t: float(x[0]), control_set=ControlSet.box([-1.0], [1.0]),
+        payoff=lambda x, u, t: x[..., 0].copy(), control_set=ControlSet.box([-1.0], [1.0]),
         state_domain=Box.unbounded(1), initial_state=[1.0],
         dynamics_jac_x=lambda x, u, t: np.array([[a]]),
         payoff_grad_x=lambda x, u, t: np.ones(1))
@@ -536,8 +536,8 @@ def test_assumption_uniform_fails_a_violation_that_stays_flat(u_one):
     # x' = 0 with payoff -|x| from x = 0: grad = 0, so q = -(T - tau) |zeta|
     # at every alpha, a violation that shrinking alpha does not move
     problem = ControlProblem(
-        state_dim=1, control_dim=1, dynamics=lambda x, u, t: np.zeros(1),
-        payoff=lambda x, u, t: -abs(float(x[0])), control_set=ControlSet.box([0.0], [1.0]),
+        state_dim=1, control_dim=1, dynamics=lambda x, u, t: np.zeros(x.shape),
+        payoff=lambda x, u, t: -np.abs(x[..., 0]), control_set=ControlSet.box([0.0], [1.0]),
         state_domain=Box.unbounded(1), initial_state=[0.0],
         dynamics_jac_x=lambda x, u, t: np.zeros((1, 1)),
         payoff_grad_x=lambda x, u, t: -np.sign(x))
@@ -562,8 +562,8 @@ def test_payoff_overflow_is_integration_error_not_domain_exit():
     # domain that is numerical breakdown, not a trajectory leaving the domain
     problem = ControlProblem(
         state_dim=1, control_dim=1,
-        dynamics=lambda x, u, t: np.zeros(1),
-        payoff=lambda x, u, t: float(np.exp(t)),
+        dynamics=lambda x, u, t: np.zeros(x.shape),
+        payoff=lambda x, u, t: np.full(x.shape[:-1], np.exp(t)),
         control_set=ControlSet.box([0.0], [1.0]),
         state_domain=Box.unbounded(1), initial_state=[0.0])
     with pytest.raises(IntegrationError):
