@@ -4,8 +4,8 @@ The oscillator bundle holds the exact transition matrix, adjoint family,
 payoff gradient and challenger gap, and the discounted-integrator bundle its
 adjoint family: ``check`` takes its candidates' terminal costates from them.
 The Ramsey helpers provide the Euler phase-plane orbits, their steady
-states, the time-eliminated stable manifold, orbit classification and
-saddle-path shooting.
+states, the time-eliminated stable manifold, and one orbit test that both
+labels phase-diagram cells and judges the saddle-path shooting's probes.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ def _euler_rates(params: RamseyParams, k, c):
 _CLASSIFY_SETTINGS = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)
 # radius of the ball around the interior steady state that ends a saddle orbit
 _BALL_RADIUS = 1e-3
-# the shooting bisects the initial consumption to this width, in at most
-# this many levels
-_SHOOT_C0_TOL = 1e-10
-_SHOOT_MAX_ITER = 60
 
 
 def ramsey_euler_orbit(params: RamseyParams, k0: float, c0: float, t_end: float,
@@ -124,19 +120,19 @@ def ramsey_euler_orbit(params: RamseyParams, k0: float, c0: float, t_end: float,
                      stops=stops)
 
 
-def _classify_stops(k_star, c_star, radius):
+def _classify_stops(k_star, c_star):
     """The Ramsey orbit stops of :func:`integrate` in priority order, each a
-    test of one state (k, c): the ball of ``radius`` around (k*, c*), then
-    the region k > k* + dk, c < c* - dc of the way to zero consumption, then
-    its mirror image k < k* - dk, c > c* + dc of the way to zero capital,
-    with the margins dk = k*/64 and dc = 5 c*/48 relative to the steady
-    state (0.5 and 0.25 at k* = 32, c* = 2.4), so that neither region is
-    empty.  The stable manifold c = c_s(k) is increasing through
-    c_s(k*) = c*, so the first region lies below its right branch and the
-    second above its left branch; no orbit crosses the manifold, so only
-    orbits heading to zero consumption enter the first, and every orbit that
-    enters the second hits k = 0."""
-    r2 = radius * radius
+    test of one state (k, c): the ball of radius _BALL_RADIUS, read at each
+    call, around (k*, c*), then the region k > k* + dk, c < c* - dc of the
+    way to zero consumption, then its mirror image k < k* - dk, c > c* + dc
+    of the way to zero capital, with the margins dk = k*/64 and dc = 5 c*/48
+    relative to the steady state (0.5 and 0.25 at k* = 32, c* = 2.4), so
+    that neither region is empty.  The stable manifold c = c_s(k) is
+    increasing through c_s(k*) = c*, so the first region lies below its
+    right branch and the second above its left branch; no orbit crosses the
+    manifold, so only orbits heading to zero consumption enter the first,
+    and every orbit that enters the second hits k = 0."""
+    r2 = _BALL_RADIUS * _BALL_RADIUS
     dk, dc = k_star / 64.0, c_star * 5.0 / 48.0
 
     def in_ball(t, y):
@@ -155,19 +151,31 @@ def _classify_stops(k_star, c_star, radius):
             ("hits_zero_capital", to_crash))
 
 
-def _orbit_class(params: RamseyParams, k0: float, c0: float, t_max: float) -> str:
-    """Label of the Euler orbit through (k0, c0), run by itself to at most
-    t_max under the stops of :func:`_classify_stops`: an orbit that enters
-    the hits_zero_capital region or reaches the k = 0 face before it is
-    labelled ``hits_zero_capital``."""
-    interior, _ = ramsey_steady_state(params)
-    stops = _classify_stops(interior.k_star, interior.c_star, _BALL_RADIUS)
-    event = ramsey_euler_orbit(params, k0, c0, t_max, stops=stops).exit_event
-    if event is None:
+def _exit_label(orbit: Trajectory) -> str:
+    """Label of an orbit run under the stops of :func:`_classify_stops`:
+    ``inconclusive`` when no event ended it, and ``hits_zero_capital`` for
+    its region or a face of the domain (k = 0) reached before a stop."""
+    if orbit.exit_event is None:
         return "inconclusive"
-    return {"saddle_ball": "saddle",
-            "to_zero_consumption": "to_zero_consumption"}.get(event.description,
-                                                              "hits_zero_capital")
+    return {"saddle_ball": "saddle", "to_zero_consumption": "to_zero_consumption"}.get(
+        orbit.exit_event.description, "hits_zero_capital")
+
+
+def _orbit_class(params: RamseyParams, k0: float, c0: float, t_max: float) -> str:
+    """Label of the Euler orbit through (k0, c0), run to at most t_max under
+    the stops of :func:`_classify_stops`, as each probe of ramsey_shoot."""
+    interior, _ = ramsey_steady_state(params)
+    stops = _classify_stops(interior.k_star, interior.c_star)
+    return _exit_label(ramsey_euler_orbit(params, k0, c0, t_max, stops=stops))
+
+
+def _lies_below(orbit: Trajectory, k_star: float) -> bool:
+    """Side of the saddle path of a shooting probe whose orbit missed the
+    ball: below when it heads to zero consumption, or when no event ended it
+    and it ends right of k*; above otherwise."""
+    label = _exit_label(orbit)
+    return label == "to_zero_consumption" or (label == "inconclusive"
+                                              and orbit.states[-1, 0] > k_star)
 
 
 # tolerances of the time-elimination quadrature along the stable manifold
@@ -254,69 +262,35 @@ def ramsey_classify(params: RamseyParams, k0, c0, t_max: float):
     return labels
 
 
-def _classify_side(params: RamseyParams, k0: float, c0: float, t_max: float) -> str:
-    """Bracket side for shooting: 'hi' (enters the hits_zero_capital region
-    of :func:`_classify_stops`, or reaches k = 0 before it) or 'lo' (enters
-    the region of the way to zero consumption).  The saddle ball is not used
-    as a stop here so that near-saddle orbits resolve their side after
-    hovering."""
-    interior, _ = ramsey_steady_state(params)
-    regions = _classify_stops(interior.k_star, interior.c_star, 0.0)[1:]
-    traj = ramsey_euler_orbit(params, k0, c0, t_max, stops=regions)
-    if traj.exit_event is None:
-        # t_max exhausted while hovering; decide by final position
-        return "lo" if traj.states[-1, 0] > interior.k_star else "hi"
-    return "lo" if traj.exit_event.description == "to_zero_consumption" else "hi"
-
-
 def ramsey_shoot(params: RamseyParams, t_max: float):
     """Shoot the initial consumption of the saddle path, with orbits of
     length at most t_max.
 
-    Above the saddle value orbits head for k = 0, and each stops when it
-    enters the region above the stable manifold from which every orbit
-    crashes there; below they drift to the zero-consumption point.  Forward
-    bisection between the two families defines c0.  Its bracket comes from
-    the time-eliminated stable manifold (:func:`_saddle_consumption`): the
-    relative band 1e-9 around that value, each side confirmed by a forward
-    orbit and the band widened tenfold until both are.  Once the bracket is
-    within 1e-10 its midpoint orbit must enter the ball of radius 1e-3 around
-    the interior steady state; one that misses it is bisected further, up to
-    60 levels in all.
-    Returns (c0_saddle, orbit) where the orbit is the joint (k, c) trajectory
-    integrated until it enters the ball.
-    """
+    Each probe c0 runs the orbit test of :func:`_orbit_class` from (k0, c0),
+    the ball of radius 1e-3 around the interior steady state first.  The
+    first probe is the time-eliminated c_s(k0) (:func:`_saddle_consumption`).
+    Until both sides of the saddle path (:func:`_lies_below`) have been
+    seen, the next probe steps away from c_s(k0) toward the side not seen,
+    by a relative 1e-9 and ten times farther each time, up to a relative 1
+    (RuntimeError); then the probes bisect.  Returns (c0_saddle, orbit): the
+    first probe whose orbit enters the ball, and that joint (k, c) orbit."""
     interior, _ = ramsey_steady_state(params)
-    k0 = params.k0
-
-    c_manifold = float(_saddle_consumption(params, interior, [k0])[0])
-    eta = 1e-9
+    c_manifold = float(_saddle_consumption(params, interior, [params.k0])[0])
+    stops = _classify_stops(interior.k_star, interior.c_star)
+    c0, eta, lo, hi = c_manifold, 1e-9, None, None
     while True:
-        lo, hi = c_manifold * (1.0 - eta), c_manifold * (1.0 + eta)
-        if (_classify_side(params, k0, lo, t_max) == "lo"
-                and _classify_side(params, k0, hi, t_max) == "hi"):
-            break
-        eta *= 10.0
-        if eta >= 1.0:
-            raise RuntimeError("ramsey_shoot: no bracket around the time-eliminated "
-                               f"consumption {c_manifold:g}")
-
-    # the c0 whose forward orbits enter the ball can span less than _SHOOT_C0_TOL
-    ball = _classify_stops(interior.k_star, interior.c_star, _BALL_RADIUS)[:1]
-    for _ in range(_SHOOT_MAX_ITER):
-        c0 = 0.5 * (lo + hi)
-        if hi - lo <= _SHOOT_C0_TOL:
-            orbit = ramsey_euler_orbit(params, k0, c0, t_max, stops=ball)
-            if orbit.exit_event is not None and orbit.exit_event.description == "saddle_ball":
-                return c0, orbit
-            if c0 in (lo, hi):
-                break
-        if _classify_side(params, k0, c0, t_max) == "hi":
-            hi = c0
-        else:
-            lo = c0
-    raise RuntimeError("ramsey_shoot: no bisected orbit reached the steady-state ball "
-                       f"by t_max = {t_max:g}")
+        orbit = ramsey_euler_orbit(params, params.k0, c0, t_max, stops=stops)
+        if _exit_label(orbit) == "saddle":
+            return c0, orbit
+        lo, hi = (c0, hi) if _lies_below(orbit, interior.k_star) else (lo, c0)
+        if lo is None or hi is None:
+            if eta >= 1.0:
+                raise RuntimeError("ramsey_shoot: no bracket around the time-eliminated "
+                                   f"consumption {c_manifold:g} by t_max = {t_max:g}")
+            c0, eta = c_manifold * (1.0 - eta if lo is None else 1.0 + eta), 10.0 * eta
+        elif (c0 := 0.5 * (lo + hi)) in (lo, hi):
+            raise RuntimeError("ramsey_shoot: no bisected orbit reached the steady-state "
+                               f"ball by t_max = {t_max:g}")
 
 
 def ramsey_control_from_orbit(orbit: Trajectory, c_tail: Optional[float] = None) -> ControlSignal:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from horizoncheck import cli, conditions, ode_engine, reference_examples, variational
@@ -14,6 +15,7 @@ from horizoncheck.cli import (
     main,
 )
 
+from conftest import FIG1
 from oracles import IntegratorOracle
 
 
@@ -329,6 +331,26 @@ def test_ramsey_shooting_error_names_a_short_horizon(capsys):
     # the FIG1 saddle orbit needs about 150 time units to reach the ball
     assert main(["check", "--example", "ramsey", "--t-max", "100"]) == 1
     assert "steady-state ball by t_max = 100" in capsys.readouterr().err
+
+
+def test_ramsey_shooting_without_a_bracket_is_one_error_line(capsys):
+    # at t_max 10 every probe of the shooting lies on one side of the saddle path
+    assert main(["check", "--example", "ramsey", "--t-max", "10"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("horizoncheck: error: ")
+
+
+def test_phase_diagram_saddle_path_lies_on_the_stable_manifold():
+    # every saddle_path row of the default 16x16 report (FIG1) against the
+    # time-eliminated manifold c_s(k)
+    config = RunConfig(example="ramsey", params={}, t_max=None, grid=(16, 16))
+    k, c = np.array([(float(r["k"]), float(r["c"]))
+                     for r in _rows(build_phase_diagram_report(config))
+                     if r["kind"] == "saddle_path"]).T
+    params = reference_examples.RamseyParams(**FIG1)
+    c_s = reference_examples._saddle_consumption(
+        params, reference_examples.ramsey_steady_state(params)[0], k)
+    assert k.size > 30 and np.max(np.abs(c / c_s - 1.0)) <= 1e-6
 
 
 def test_phase_diagram_requires_ramsey():

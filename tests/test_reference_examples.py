@@ -57,7 +57,7 @@ def test_classify_examples():
     # not the hits_zero_capital region
     assert ramsey_classify(params, 0.1, 1.0, 2000.0) == "hits_zero_capital"
     interior, _ = ramsey_steady_state(params)
-    stops = reference_examples._classify_stops(interior.k_star, interior.c_star, 1e-3)
+    stops = reference_examples._classify_stops(interior.k_star, interior.c_star)
     exit_event = ramsey_euler_orbit(params, 0.1, 1.0, 2000.0, stops=stops).exit_event
     assert exit_event.description == "y[0] reached lower bound 0"
     assert exit_event.state[1] < interior.c_star + 0.25
@@ -71,7 +71,7 @@ def test_scalar_and_array_routes_agree_at_a_small_steady_state():
     interior, _ = ramsey_steady_state(params)
     assert (interior.k_star, interior.c_star) == pytest.approx((1 / 16, 1 / 8), rel=1e-14)
     c_s = reference_examples._saddle_consumption(params, interior, np.array([0.2]))[0]
-    stops = reference_examples._classify_stops(interior.k_star, interior.c_star, 1e-3)
+    stops = reference_examples._classify_stops(interior.k_star, interior.c_star)
     for c0, label in ((0.9 * c_s, "to_zero_consumption"), (1.5 * c_s, "hits_zero_capital")):
         assert ramsey_classify(params, 0.2, c0, 2000.0) == label
         assert ramsey_classify(params, np.array([0.2]), np.array([c0]), 2000.0).tolist() == [label]
@@ -174,19 +174,35 @@ def test_shoot_from_steady_state_recovers_c_star():
     assert orbit.exit_event.description == "saddle_ball"
 
 
+# a set on which the orbit from the time-eliminated c_s(k0) misses the ball,
+# so that the shooting runs 13 probes on both sides of the saddle path
+THIRTEEN_PROBES = dict(alpha=0.6913966632235626, delta=0.10611118791447843,
+                       theta=3.2677172227617186, k0=5.662448804924795)
+
+
+def _recorded_probes(monkeypatch, params, t_max):
+    """(c0, orbit) of every probe of one shoot, through ramsey_euler_orbit."""
+    probes = []
+    euler_orbit = reference_examples.ramsey_euler_orbit
+
+    def recorded(params, k0, c0, *args, **kwargs):
+        orbit = euler_orbit(params, k0, c0, *args, **kwargs)
+        probes.append((c0, orbit))
+        return orbit
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reference_examples, "ramsey_euler_orbit", recorded)
+        ramsey_shoot(params, t_max)
+    return probes
+
+
 def test_shoot_from_k0_10(ramsey_params, ramsey_saddle, monkeypatch):
     c0, _, _ = ramsey_saddle
-    judged = []  # (c0, side) of every orbit the shooting classifies
-    classify_side = reference_examples._classify_side
-
-    def recorded(params, k0, c0, t_max):
-        side = classify_side(params, k0, c0, t_max)
-        judged.append((c0, side))
-        return side
-
-    monkeypatch.setattr(reference_examples, "_classify_side", recorded)
     c0_again, orbit = ramsey_shoot(ramsey_params, 2000.0)
     assert c0_again == pytest.approx(c0, abs=1e-8)
+    # the first probe is the time-eliminated value, and its orbit enters the ball
+    interior, _ = ramsey_steady_state(ramsey_params)
+    assert c0_again == reference_examples._saddle_consumption(ramsey_params, interior, [10.0])[0]
     # enters the 1e-3 ball around (32, 2.4)
     k_T, c_T = orbit.states[-1]
     assert math.hypot(k_T - 32.0, c_T - 2.4) <= 1e-3 + 1e-9
@@ -196,63 +212,92 @@ def test_shoot_from_k0_10(ramsey_params, ramsey_saddle, monkeypatch):
     control = ramsey_control_from_orbit(orbit)
     assert control.breakpoints().tolist() == [orbit.t_end]
     assert control.evaluate(orbit.t_end + 1.0)[0] == c_T
-    # bracket invariant: above a c0 judged 'hi' the orbit hits k = 0, below
-    # one judged 'lo' it falls to zero consumption
-    assert {side for _, side in judged} == {"lo", "hi"}
-    for c0_judged, side in judged:
-        if side == "hi":
-            assert ramsey_classify(ramsey_params, 10.0, c0_judged * 1.000001,
-                                   t_max=3000) == "hits_zero_capital"
-        else:
-            assert ramsey_classify(ramsey_params, 10.0, c0_judged * 0.999999,
+    # bracket invariant: above a probe judged above the saddle path the orbit
+    # hits k = 0, below one judged below it falls to zero consumption
+    params = RamseyParams(**THIRTEEN_PROBES)
+    interior, _ = ramsey_steady_state(params)
+    probes = _recorded_probes(monkeypatch, params, 2000.0)
+    assert len(probes) == 13 and probes[-1][1].exit_event.description == "saddle_ball"
+    judged = [(c0, reference_examples._lies_below(orbit, interior.k_star))
+              for c0, orbit in probes[:-1]]
+    assert {below for _, below in judged} == {True, False}
+    for c0_judged, below in judged:
+        if below:
+            assert ramsey_classify(params, params.k0, c0_judged * 0.999999,
                                    t_max=3000) == "to_zero_consumption"
+        else:
+            assert ramsey_classify(params, params.k0, c0_judged * 1.000001,
+                                   t_max=3000) == "hits_zero_capital"
 
 
-def test_shooting_runs_no_orbit_into_the_k_0_face(ramsey_params, monkeypatch):
-    exits = []
-    euler_orbit = reference_examples.ramsey_euler_orbit
-
-    def recorded(*args, **kwargs):
-        orbit = euler_orbit(*args, **kwargs)
-        exits.append(orbit.exit_event.description)
-        return orbit
-
-    monkeypatch.setattr(reference_examples, "ramsey_euler_orbit", recorded)
-    ramsey_shoot(ramsey_params, 2000.0)
-    assert len(exits) == 8
+def test_shooting_runs_no_orbit_into_the_k_0_face(monkeypatch):
+    # over the k0 that the ramsey-fig1 benchmark draws, c_s(k0)'s orbit
+    # enters the ball: one probe
+    for k0 in (8.0, 9.0, 10.0, 11.0, 12.0):
+        probes = _recorded_probes(monkeypatch, RamseyParams(**dict(FIG1, k0=k0)), 2000.0)
+        assert [orbit.exit_event.description for _, orbit in probes] == ["saddle_ball"], k0
+    probes = _recorded_probes(monkeypatch, RamseyParams(**THIRTEEN_PROBES), 2000.0)
+    exits = [orbit.exit_event.description for _, orbit in probes]
+    assert len(exits) == 13
     assert "hits_zero_capital" in exits and "y[0] reached lower bound 0" not in exits
 
 
+def test_shoot_without_a_bracket_names_t_max():
+    # every FIG1 orbit of length 10 ends left of k* with no event, so every
+    # probe lies above the saddle path
+    with pytest.raises(RuntimeError, match="by t_max = 10"):
+        ramsey_shoot(RamseyParams(**FIG1), 10.0)
+
+
 def _side_by_the_crash(params, k0, c0, t_max):
-    # the orbit of _classify_side without the hits_zero_capital stop: a 'hi'
+    # the probe orbit without the ball and the hits_zero_capital stop: a 'hi'
     # orbit runs into the k = 0 face, a 'lo' one into the to_zero region
     interior, _ = ramsey_steady_state(params)
     to_zero = [stop for stop in reference_examples._classify_stops(
-        interior.k_star, interior.c_star, 0.0) if stop[0] == "to_zero_consumption"]
+        interior.k_star, interior.c_star) if stop[0] == "to_zero_consumption"]
     exit_event = ramsey_euler_orbit(params, k0, c0, t_max, stops=to_zero).exit_event
     sides = {"y[0] reached lower bound 0": "hi", "to_zero_consumption": "lo"}
     assert exit_event is not None and exit_event.description in sides
     return sides[exit_event.description]
 
 
-def test_crash_stop_gives_the_side_of_the_crash():
+def _rng29_sets(count):
     rng = np.random.default_rng(29)
-    sets = [FIG1]
-    for _ in range(10):
+    sets = []
+    for _ in range(count):
         a, d, th = rng.uniform(0.2, 0.7), rng.uniform(0.02, 0.12), rng.uniform(0.3, 5.0)
         k_star = (d / a) ** (1.0 / (a - 1.0))
         sets.append(dict(alpha=a, delta=d, theta=th, k0=k_star * 10 ** rng.uniform(-2.5, 0.8)))
+    return sets
+
+
+def test_crash_stop_gives_the_side_of_the_crash(monkeypatch):
+    # a ball too small to enter makes every probe orbit show its side
+    monkeypatch.setattr(reference_examples, "_BALL_RADIUS", 1e-12)
     sides = set()
-    for values in sets:
+    for values in [FIG1] + _rng29_sets(10):
         params = RamseyParams(**values)
         interior, _ = ramsey_steady_state(params)
+        stops = reference_examples._classify_stops(interior.k_star, interior.c_star)
         c_s = reference_examples._saddle_consumption(params, interior, [params.k0])[0]
         for factor in (1 - 1e-6, 1 - 1e-9, 1 + 1e-9, 1 + 1e-6):
             # a t_max long enough for every orbit to leave the saddle
-            side = reference_examples._classify_side(params, params.k0, c_s * factor, 1e4)
+            orbit = ramsey_euler_orbit(params, params.k0, c_s * factor, 1e4, stops=stops)
+            assert reference_examples._exit_label(orbit) != "saddle"
+            side = "lo" if reference_examples._lies_below(orbit, interior.k_star) else "hi"
             assert side == _side_by_the_crash(params, params.k0, c_s * factor, 1e4), values
             sides.add(side)
     assert sides == {"lo", "hi"}
+
+
+def test_shoot_lands_next_to_the_manifold_on_random_sets():
+    for values in _rng29_sets(40):
+        params = RamseyParams(**values)
+        interior, _ = ramsey_steady_state(params)
+        c0, orbit = ramsey_shoot(params, 2000.0)
+        assert orbit.exit_event.description == "saddle_ball", values
+        c_s = reference_examples._saddle_consumption(params, interior, [params.k0])[0]
+        assert c0 == pytest.approx(c_s, rel=1e-9), values
 
 
 @pytest.mark.parametrize("k0", [2.0, 10.0, 50.0])

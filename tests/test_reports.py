@@ -2,7 +2,9 @@
 oscillator status table that the benchmark's check gate encodes."""
 
 import csv
+import difflib
 import io
+import itertools
 import math
 from pathlib import Path
 
@@ -33,11 +35,27 @@ GOLDEN_REPORTS = {
 }
 
 
+def _differing_rows(golden: bytes, report: bytes) -> str:
+    """The first 20 rows of the golden file and the report that differ, each
+    with its line number, a golden row next to the report row that replaces
+    it."""
+    matcher = difflib.SequenceMatcher(None, golden.decode().splitlines(),
+                                      report.decode().splitlines(), autojunk=False)
+    lines = []
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            for i, j in itertools.zip_longest(range(i1, i2), range(j1, j2)):
+                lines += [] if i is None else [f"golden {i + 1}: {matcher.a[i]}"]
+                lines += [] if j is None else [f"report {j + 1}: {matcher.b[j]}"]
+    return "\n".join(lines[:20])
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
 def test_report_matches_its_golden_file(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main([*GOLDEN_REPORTS[name], "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    report, golden = out.read_bytes(), (GOLDEN / f"{name}.csv").read_bytes()
+    assert report == golden, _differing_rows(golden, report)
 
 
 def _oscillator_table(b):
