@@ -24,7 +24,6 @@ from .problem_model import (
     hamiltonian,
     hamiltonian_jumps,
     jacobians,
-    make_builtin_problem,
 )
 from .variational import (
     CostatePath,
@@ -59,6 +58,7 @@ from .reference_examples import (
     OscillatorReference,
     RamseyParams,
     SteadyState,
+    make_builtin_problem,
     oscillator_reference,
     ramsey_classify,
     ramsey_shoot,

@@ -41,11 +41,11 @@ from .conditions import (
     limit_costate,
 )
 from .ode_engine import ControlSignal, IntegrationError, IntegratorSettings
-from .problem_model import make_builtin_problem
 from .reference_examples import (
     IntegratorReference,
+    OscillatorReference,
     RamseyParams,
-    oscillator_reference,
+    make_builtin_problem,
     ramsey_classify,
     ramsey_control_from_orbit,
     ramsey_euler_orbit,
@@ -169,23 +169,24 @@ _COSTATE_ROWS = [*(("classical", c) for c in ("tcPSI", "tcXPSI", "tcM", "tcKAV")
 # check
 
 
-def _integrator_candidates(rho: float, a0: Optional[float], lam: Optional[float],
-                           t_max: float):
+def _integrator_candidates(ref: IntegratorReference, a0: Optional[float],
+                           lam: Optional[float], t_max: float):
     """Adjoint candidates (label, lam, psi(t_max)) of the integrator battery;
     ValueError for an inadmissible (lam, a0)."""
     if lam is not None:
         battery = [(lam, a0 if a0 is not None else (0.0 if lam == 1.0 else 1.0))]
     else:
-        a0 = (0.0 if rho > 0 else 0.5) if a0 is None else a0
+        a0 = (0.0 if ref.rho > 0 else 0.5) if a0 is None else a0
         battery = [(1.0, a0), (0.0, a0 if a0 > 0 else 1.0)]
-    return [(f"psi(lam={lam:g},a0={a0:g})", lam, IntegratorReference(rho, a0, lam).psi(t_max))
+    return [(f"psi(lam={lam:g},a0={a0:g})", lam, ref.costate(a0, lam, t_max))
             for lam, a0 in battery]
 
 
-def _oscillator_candidates(b: float, r: Optional[float], phi: Optional[float],
-                           t_max: float):
+def _oscillator_candidates(ref: OscillatorReference, r: Optional[float],
+                           phi: Optional[float], t_max: float):
     """Adjoint candidates (label, 1, psi(t_max)) of the oscillator battery,
     each the normal costate of the (r, phi) family; ValueError for |r| > b."""
+    b = ref.b
     if r is not None or phi is not None:
         r, phi = (0.0 if r is None else r), (0.0 if phi is None else phi)
         battery = [(f"psi(r={r:g},phi={phi:g})", r, phi)]
@@ -193,7 +194,6 @@ def _oscillator_candidates(b: float, r: Optional[float], phi: Optional[float],
         battery = [("psi(r=0,phi=0)", 0.0, 0.0), (f"psi(r={b / 2:g},phi=0.7)", b / 2, 0.7),
                    *([("psi(r=1,phi=0)", 1.0, 0.0)] if b >= 1.0 else []),
                    (f"psi(r={b:g},phi=-pi/2)", b, -math.pi / 2)]
-    ref = oscillator_reference(b)
     return [(label, 1.0, ref.costate(r, phi, t_max)) for label, r, phi in battery]
 
 
@@ -206,15 +206,15 @@ def build_check_report(config: RunConfig) -> ReportData:
 def _build_linear_check(config: RunConfig) -> ReportData:
     t_max = config.resolved_t_max()
     params = config.params
-    problem_params = _problem_params(config)
-    problem = make_builtin_problem(config.example, problem_params)
-    control = ControlSignal.constant([1.0])
+    # one reference object gives the problem and its adjoint candidates
     if config.example == "integrator":
-        candidates = _integrator_candidates(problem_params["rho"], params.get("a0"),
-                                            params.get("lambda"), t_max)
+        ref = IntegratorReference(**_problem_params(config))
+        candidates = _integrator_candidates(ref, params.get("a0"), params.get("lambda"), t_max)
     else:
-        candidates = _oscillator_candidates(problem_params["b"], params.get("r"),
-                                            params.get("phi"), t_max)
+        ref = OscillatorReference(**_problem_params(config))
+        candidates = _oscillator_candidates(ref, params.get("r"), params.get("phi"), t_max)
+    problem = ref.problem()
+    control = ControlSignal.constant([1.0])
 
     transition = transition_matrix(problem, control, t_max, settings=_CHECK_SETTINGS)
 

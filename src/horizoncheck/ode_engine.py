@@ -293,9 +293,14 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
+    @cached_property
+    def _span(self) -> tuple:
+        """[t0, t_end], each end moved out by ``_SPAN_SLACK`` max(1, t_end - t0)."""
+        pad = _SPAN_SLACK * max(abs(self.t_end - self.t0), 1.0)
+        return self.t0 - pad, self.t_end + pad
+
     def covers(self, t: float) -> bool:
-        pad = _SPAN_SLACK * max(1.0, abs(self.t_end - self.t0))
-        return self.t0 - pad <= t <= self.t_end + pad
+        return self._span[0] <= t <= self._span[1]
 
     def columns(self, start: int, stop: int) -> "Trajectory":
         """The solution's components start..stop - 1, on views of this
@@ -334,7 +339,7 @@ class Trajectory:
         only step joins the node to itself."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if t_arr.size:
-            _check_span(t_arr.min(), t_arr.max(), self.t0, self.t_end)
+            self._check_span(t_arr.min(), t_arr.max())
         tq = np.clip(t_arr, self.t0, self.t_end)
         idx = self._segments(tq)
         ta = self.time_grid[idx]
@@ -345,11 +350,10 @@ class Trajectory:
 
     @cached_property
     def _lookup(self) -> tuple:
-        """For scalar reads and crossings: the grid as floats, the span padded
-        by ``_SPAN_SLACK``, the width n and the node rows [state | slope | e0..e3]."""
+        """For scalar reads and crossings: the grid as floats, the padded span
+        ``_span``, the width n and the node rows [state | slope | e0..e3]."""
         grid = self.time_grid.tolist()
-        pad = _SPAN_SLACK * max(abs(grid[-1] - grid[0]), 1.0)
-        return (grid, grid[0] - pad, grid[-1] + pad, self.dim,
+        return (grid, *self._span, self.dim,
                 np.hstack([self.states, self.derivs, self.coeffs.reshape(len(grid), -1)]))
 
     def __call__(self, t):
@@ -364,7 +368,7 @@ class Trajectory:
         vector path bit for bit, on the step's two rows of the packed block."""
         grid, lo, hi, n, rows = self._lookup
         if not lo <= t <= hi:
-            _check_span(t, t, grid[0], grid[-1])
+            self._check_span(t, t)
         t = min(max(t, grid[0]), grid[-1])
         i = min(max(bisect.bisect_right(grid, t) - 1, 0), len(grid) - 2)
         ta = grid[i]
@@ -374,13 +378,11 @@ class Trajectory:
         a, b = rows[i:i + 2].tolist() if i >= 0 else 2 * rows.tolist()
         return np.array(_dense_floats(s, h, a, b, n))
 
-
-def _check_span(lo, hi, t0, t_end):
-    """Raise unless [lo, hi] lies in the span [t0, t_end] up to the relative
-    ``_SPAN_SLACK``; a NaN bound fails the test."""
-    pad = _SPAN_SLACK * max(abs(t_end - t0), 1.0)
-    if not (t0 - pad <= lo and hi <= t_end + pad):
-        raise ValueError(f"evaluation time outside trajectory span [{t0:.6g}, {t_end:.6g}]")
+    def _check_span(self, lo, hi):
+        """Raise unless the span covers lo <= hi; a NaN bound fails the test."""
+        if not (self.covers(lo) and self.covers(hi)):
+            raise ValueError("evaluation time outside trajectory span "
+                             f"[{self.t0:.6g}, {self.t_end:.6g}]")
 
 
 def _hermite_on_step(y, f0, h, y_new, f_new, theta):

@@ -1,14 +1,9 @@
 """Control problems, their derivatives, and the Hamiltonian.
 
 A :class:`ControlProblem` bundles the dynamics f(x, u, t), the payoff rate
-g(x, u, t), the admissible control set, and the open state domain.  Three
-built-in problems are provided:
-
-* ``ramsey``      -- undiscounted capital accumulation with CRRA utility,
-                     dk/dt = k**alpha - delta*k - c,  g = c**(1-theta)/(1-theta)
-* ``integrator``  -- dx/dt = u, g = exp(-rho*t)*x, u in [0, 1]
-* ``oscillator``  -- rotation dynamics driven by a bounded input,
-                     g = x2 + b*u, u in [-1, 1]
+g(x, u, t), the admissible control set, and the open state domain.  This
+module holds only the generic model; the built-in problems are defined in
+``reference_examples``.
 
 The problem functions take arrays.  ``dynamics(x, u, t)`` takes states
 ``x[..., n]`` and controls ``u[..., d]`` with equal leading shapes, and ``t``
@@ -23,7 +18,7 @@ probe points of a finite-difference :func:`jacobians`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,7 +30,6 @@ __all__ = [
     "hamiltonian",
     "hamiltonian_jumps",
     "jacobians",
-    "make_builtin_problem",
 ]
 
 Array = np.ndarray
@@ -262,118 +256,3 @@ def _probe_pair(problem: ControlProblem, x, i: int):
         hi *= 0.5
     raise ValueError(f"cannot probe component {i}: domain too thin around x={x}")
 
-
-# ---------------------------------------------------------------------------
-# built-in problems
-
-
-def make_builtin_problem(name: str, params: Mapping[str, float]) -> ControlProblem:
-    """Construct one of the built-in problems with analytic derivatives.
-
-    ``ramsey``     requires alpha in (0,1), delta > 0, theta > 0 with
-                   theta != 1, k0 > 0; consumption is bounded by 10 * c_star.
-    ``integrator`` requires rho >= 0.
-    ``oscillator`` requires b > 0.
-    """
-    builders = {"ramsey": _build_ramsey, "integrator": _build_integrator,
-                "oscillator": _build_oscillator}
-    if name not in builders:
-        raise ValueError(f"unknown builtin problem {name!r}; choose from {sorted(builders)}")
-    return builders[name](dict(params))
-
-
-def _require(params: dict, name: str, key: str, check, message: str) -> float:
-    if key not in params:
-        raise ValueError(f"{name}: missing parameter {key!r}")
-    value = float(params.pop(key))
-    if not check(value):
-        raise ValueError(f"{name}: parameter {key}={value:g} out of range ({message})")
-    return value
-
-
-def _reject_extras(params: dict, name: str):
-    if params:
-        raise ValueError(f"{name}: unknown parameters {sorted(params)}")
-
-
-def _build_ramsey(params: dict) -> ControlProblem:
-    alpha = _require(params, "ramsey", "alpha", lambda v: 0 < v < 1, "need alpha in (0,1)")
-    delta = _require(params, "ramsey", "delta", lambda v: v > 0, "need delta > 0")
-    theta = _require(params, "ramsey", "theta", lambda v: v > 0 and v != 1.0,
-                     "need theta > 0 and theta != 1")
-    k0 = _require(params, "ramsey", "k0", lambda v: v > 0, "need k0 > 0")
-    c_star = (1.0 - alpha) * (delta / alpha) ** (alpha / (alpha - 1.0))
-    _reject_extras(params, "ramsey")
-
-    def f(x, u, t):
-        k = x[..., :1]
-        return k ** alpha - delta * k - u[..., :1]
-
-    def g(x, u, t):
-        return u[..., 0] ** (1.0 - theta) / (1.0 - theta)
-
-    def fx(x, u, t):
-        k = x[0]
-        return np.array([[alpha * k ** (alpha - 1.0) - delta]])
-
-    def gx(x, u, t):
-        return np.zeros(1)
-
-    return ControlProblem(
-        state_dim=1, control_dim=1, dynamics=f, payoff=g,
-        dynamics_jac_x=fx, payoff_grad_x=gx,
-        control_set=ControlSet.box([0.0], [10.0 * c_star], lower_open=True),
-        state_domain=Box.from_bounds([0.0], [np.inf]),
-        initial_state=[k0], name="ramsey")
-
-
-def _build_integrator(params: dict) -> ControlProblem:
-    rho = _require(params, "integrator", "rho", lambda v: v >= 0, "need rho >= 0")
-    _reject_extras(params, "integrator")
-
-    def f(x, u, t):
-        return u[..., :1].copy()
-
-    def g(x, u, t):
-        return np.exp(-rho * t) * x[..., 0]
-
-    def fx(x, u, t):
-        return np.zeros((1, 1))
-
-    def gx(x, u, t):
-        return np.array([np.exp(-rho * t)])
-
-    return ControlProblem(
-        state_dim=1, control_dim=1, dynamics=f, payoff=g,
-        dynamics_jac_x=fx, payoff_grad_x=gx,
-        control_set=ControlSet.box([0.0], [1.0]),
-        state_domain=Box.unbounded(1),
-        initial_state=[0.0], name="integrator")
-
-
-def _build_oscillator(params: dict) -> ControlProblem:
-    b = _require(params, "oscillator", "b", lambda v: v > 0, "need b > 0")
-    _reject_extras(params, "oscillator")
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    def f(x, u, t):
-        dx = np.empty(x.shape)
-        dx[..., 0] = x[..., 1]
-        dx[..., 1] = u[..., 0] - x[..., 0]
-        return dx
-
-    def g(x, u, t):
-        return x[..., 1] + b * u[..., 0]
-
-    def fx(x, u, t):
-        return A
-
-    def gx(x, u, t):
-        return np.array([0.0, 1.0])
-
-    return ControlProblem(
-        state_dim=2, control_dim=1, dynamics=f, payoff=g,
-        dynamics_jac_x=fx, payoff_grad_x=gx,
-        control_set=ControlSet.box([-1.0], [1.0]),
-        state_domain=Box.unbounded(2),
-        initial_state=[0.0, 0.0], name="oscillator")

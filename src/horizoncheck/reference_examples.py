@@ -1,18 +1,28 @@
-"""Closed forms and solvers for the three built-in problems.
+"""The three built-in problems, their closed forms and solvers.
 
-The oscillator bundle holds the exact transition matrix, adjoint family,
-payoff gradient and challenger gap, and the discounted-integrator bundle its
-adjoint family: ``check`` takes its candidates' terminal costates from them.
-The Ramsey helpers provide the Euler phase-plane orbits, their steady
-states, the time-eliminated stable manifold, and one orbit test that both
-labels phase-diagram cells and judges the saddle-path shooting's probes.
+Each built-in is one frozen dataclass whose fields are its parameters:
+:class:`RamseyParams` (``ramsey``, undiscounted capital accumulation with
+CRRA utility), :class:`IntegratorReference` (``integrator``, the discounted
+integrator) and :class:`OscillatorReference` (``oscillator``, rotation
+dynamics driven by a bounded input).  It checks each parameter once, raising
+ValueError("<example>: parameter <key>=<value> out of range (<need ...>)"),
+builds its :class:`ControlProblem` with ``problem()``, analytic derivatives
+included, and carries its closed forms.  :func:`make_builtin_problem` builds
+a built-in by name.  The oscillator bundle holds the exact transition
+matrix, adjoint family, payoff gradient and challenger gap, and the
+discounted-integrator bundle its adjoint family: ``check`` takes its
+candidates' terminal costates from them.  The Ramsey helpers provide the
+Euler phase-plane orbits, their steady states, the time-eliminated stable
+manifold, and one orbit test that both labels phase-diagram cells and judges
+the saddle-path shooting's probes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,13 +34,14 @@ from .ode_engine import (
     integrate,
     integrate_controlled,
 )
-from .problem_model import ControlProblem, make_builtin_problem
+from .problem_model import ControlProblem, ControlSet
 
 __all__ = [
     "IntegratorReference",
     "OscillatorReference",
     "RamseyParams",
     "SteadyState",
+    "make_builtin_problem",
     "oscillator_reference",
     "ramsey_classify",
     "ramsey_control_from_orbit",
@@ -40,6 +51,12 @@ __all__ = [
     "ramsey_shoot",
     "ramsey_steady_state",
 ]
+
+
+def _check_parameter(example: str, key: str, value: float, ok: bool, need: str):
+    """Raise the ValueError of a built-in parameter out of range unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{example}: parameter {key}={value:g} out of range ({need})")
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +71,11 @@ class RamseyParams:
     k0: float      # initial capital, > 0
 
     def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ValueError("need alpha in (0, 1)")
-        if self.delta <= 0:
-            raise ValueError("need delta > 0")
-        if self.theta <= 0 or self.theta == 1.0:
-            raise ValueError("need theta > 0 and theta != 1")
-        if self.k0 <= 0:
-            raise ValueError("need k0 > 0")
+        _check_parameter("ramsey", "alpha", self.alpha, 0 < self.alpha < 1, "need alpha in (0, 1)")
+        _check_parameter("ramsey", "delta", self.delta, self.delta > 0, "need delta > 0")
+        _check_parameter("ramsey", "theta", self.theta, self.theta > 0 and self.theta != 1.0,
+                         "need theta > 0 and theta != 1")
+        _check_parameter("ramsey", "k0", self.k0, self.k0 > 0, "need k0 > 0")
         try:
             interior, _ = ramsey_steady_state(self)
         except OverflowError as exc:
@@ -71,8 +85,25 @@ class RamseyParams:
                              f"c* = {interior.c_star:g}")
 
     def problem(self) -> ControlProblem:
-        return make_builtin_problem("ramsey", {"alpha": self.alpha, "delta": self.delta,
-                                               "theta": self.theta, "k0": self.k0})
+        """The capital-accumulation problem from k0, consumption bounded by
+        10 c*."""
+        alpha, delta, theta = self.alpha, self.delta, self.theta
+
+        def f(x, u, t):
+            k = x[..., :1]
+            return k ** alpha - delta * k - u[..., :1]
+
+        def g(x, u, t):
+            return u[..., 0] ** (1.0 - theta) / (1.0 - theta)
+
+        c_max = 10.0 * ramsey_steady_state(self)[0].c_star
+        return ControlProblem(
+            state_dim=1, control_dim=1, dynamics=f, payoff=g,
+            dynamics_jac_x=lambda x, u, t: np.array([[alpha * x[0] ** (alpha - 1.0) - delta]]),
+            payoff_grad_x=lambda x, u, t: np.zeros(1),
+            control_set=ControlSet.box([0.0], [c_max], lower_open=True),
+            state_domain=Box.from_bounds([0.0], [np.inf]),
+            initial_state=[self.k0], name="ramsey")
 
 
 @dataclass(frozen=True)
@@ -352,8 +383,29 @@ class OscillatorReference:
     b: float
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("need b > 0")
+        _check_parameter("oscillator", "b", self.b, self.b > 0, "need b > 0")
+
+    def problem(self) -> ControlProblem:
+        """dx1/dt = x2, dx2/dt = u - x1 from the origin, payoff x2 + b*u,
+        u in [-1, 1]."""
+        b = self.b
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+        def f(x, u, t):
+            dx = np.empty(x.shape)
+            dx[..., 0] = x[..., 1]
+            dx[..., 1] = u[..., 0] - x[..., 0]
+            return dx
+
+        def g(x, u, t):
+            return x[..., 1] + b * u[..., 0]
+
+        return ControlProblem(
+            state_dim=2, control_dim=1, dynamics=f, payoff=g,
+            dynamics_jac_x=lambda x, u, t: A, payoff_grad_x=lambda x, u, t: np.array([0.0, 1.0]),
+            control_set=ControlSet.box([-1.0], [1.0]),
+            state_domain=Box.unbounded(2),
+            initial_state=[0.0, 0.0], name="oscillator")
 
     def transition(self, t: float, tau: float) -> np.ndarray:
         dt = t - tau
@@ -398,26 +450,66 @@ def oscillator_reference(b: float) -> OscillatorReference:
 class IntegratorReference:
     """Closed forms for dx/dt = u with payoff exp(-rho*t)*x and u in [0, 1].
 
-    Adjoint solutions under the candidate u = 1:
+    Adjoint solutions under the candidate u = 1, for lam in {0, 1} and
+    (lam, a0) not both zero:
       rho > 0:  psi(t) = a0 + lam * exp(-rho*t)/rho
       rho = 0:  psi(t) = a0 - lam * t
     The normal-case limit costate exp(-rho*t)/rho exists only when rho > 0.
     """
 
     rho: float
-    a0: float
-    lam: float
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("need rho >= 0")
-        if self.lam not in (0.0, 1.0):
-            raise ValueError("lam must be 0 or 1")
-        if self.lam == 0.0 and self.a0 == 0.0:
-            raise ValueError("(lam, a0) must not both vanish")
+        _check_parameter("integrator", "rho", self.rho, self.rho >= 0, "need rho >= 0")
 
-    def psi(self, t) -> np.ndarray:
+    def problem(self) -> ControlProblem:
+        """dx/dt = u from x = 0, payoff exp(-rho*t)*x, u in [0, 1]."""
+        rho = self.rho
+
+        def f(x, u, t):
+            return u[..., :1].copy()
+
+        def g(x, u, t):
+            return np.exp(-rho * t) * x[..., 0]
+
+        return ControlProblem(
+            state_dim=1, control_dim=1, dynamics=f, payoff=g,
+            dynamics_jac_x=lambda x, u, t: np.zeros((1, 1)),
+            payoff_grad_x=lambda x, u, t: np.array([np.exp(-rho * t)]),
+            control_set=ControlSet.box([0.0], [1.0]),
+            state_domain=Box.unbounded(1),
+            initial_state=[0.0], name="integrator")
+
+    def costate(self, a0: float, lam: float, t) -> np.ndarray:
+        """The adjoint solution psi(t) of the candidate (a0, lam); ValueError
+        for lam not in {0, 1} or for a0 = lam = 0."""
+        if lam not in (0.0, 1.0):
+            raise ValueError("lam must be 0 or 1")
+        if lam == 0.0 and a0 == 0.0:
+            raise ValueError("(lam, a0) must not both vanish")
         t = np.asarray(t, dtype=float)
         if self.rho == 0.0:
-            return self.a0 - self.lam * t
-        return self.a0 + self.lam * np.exp(-self.rho * t) / self.rho
+            return a0 - lam * t
+        return a0 + lam * np.exp(-self.rho * t) / self.rho
+
+
+# ---------------------------------------------------------------------------
+# the built-ins by name
+
+
+# the dataclass of each built-in problem, whose fields are its parameters
+_BUILTINS = {"ramsey": RamseyParams, "integrator": IntegratorReference,
+             "oscillator": OscillatorReference}
+
+
+def make_builtin_problem(name: str, params: Mapping[str, float]) -> ControlProblem:
+    """The built-in problem ``name`` with analytic derivatives, from
+    ``params``, one float per field of its dataclass (:class:`RamseyParams`,
+    :class:`IntegratorReference` or :class:`OscillatorReference`), which
+    checks each value."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin problem {name!r}; choose from {sorted(_BUILTINS)}")
+    keys = [field.name for field in dataclasses.fields(_BUILTINS[name])]
+    if set(params) != set(keys):
+        raise ValueError(f"{name}: need the parameters {keys}, got {sorted(params)}")
+    return _BUILTINS[name](*(float(params[key]) for key in keys)).problem()

@@ -83,9 +83,21 @@ class OscillatorOracle(OscillatorReference):
         return (u - 1.0) * (self.b - 1.0)
 
 
-class IntegratorOracle(IntegratorReference):
-    """The discounted integrator's closed forms, with those that only tests
-    use."""
+@dataclass(frozen=True)
+class IntegratorOracle:
+    """The discounted integrator's adjoint candidate (a0, lam) at rate rho,
+    with the closed forms that only tests use; the program's
+    :class:`IntegratorReference` checks the three values and gives psi."""
+
+    rho: float
+    a0: float
+    lam: float
+
+    def __post_init__(self):
+        self.psi(0.0)  # an inadmissible candidate raises here, as in the program
+
+    def psi(self, t) -> np.ndarray:
+        return IntegratorReference(self.rho).costate(self.a0, self.lam, t)
 
     @property
     def psi_hat_diverges(self) -> bool:

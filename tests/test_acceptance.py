@@ -170,8 +170,8 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
         # candidate-specific decomposition agrees with the scenario
         from horizoncheck import decompose_costate
         if name == "integrator":
-            ref = IntegratorReference(params["rho"], extra["a0"], 1.0)
-            psi_T = [float(ref.psi(250.0))]
+            ref = IntegratorReference(params["rho"])
+            psi_T = [float(ref.costate(extra["a0"], 1.0, 250.0))]
         else:
             ref = oscillator_reference(0.5)
             psi_T = ref.costate(extra["r"], extra["phi"], 250.0)

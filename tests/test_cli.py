@@ -283,6 +283,10 @@ def test_nonfinite_run_settings_are_rejected(flag, value, capsys):
     # k* = (delta/alpha)**(1/(alpha-1)) underflows to 0
     ("ramsey", "--delta", "1e300", "need finite, positive k* and c*"),
     ("ramsey", "--delta", "1e-300", "steady state overflows"),
+    # a parameter out of range is named with its value
+    ("ramsey", "--alpha", "1.4", "ramsey: parameter alpha=1.4 out of range (need alpha in"),
+    ("oscillator", "--b", "0", "oscillator: parameter b=0 out of range (need b > 0)"),
+    ("integrator", "--rho", "-0.1", "integrator: parameter rho=-0.1 out of range (need rho >= 0)"),
 ])
 def test_bad_example_parameters_are_rejected(example, flag, value, message, capsys):
     assert main(["check", "--example", example, flag, value]) == 1

@@ -243,8 +243,8 @@ def test_tail_windows_of_fewer_than_three_points_are_inconclusive():
 def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,
                                          integrator_undiscounted, u_one):
     t_max = 400.0
-    ref = IntegratorReference(0.1, 0.0, 1.0)
-    costate = integrate_adjoint(int_op_400, t_max, [float(ref.psi(t_max))], 1.0)
+    ref = IntegratorReference(0.1)
+    costate = integrate_adjoint(int_op_400, t_max, [float(ref.costate(0.0, 1.0, t_max))], 1.0)
     [verdicts] = check_classical(integrator, u_one, [costate])
     assert all(v.status is Verdict.HOLDS for v in verdicts.values())
 
@@ -323,8 +323,8 @@ def test_costate_checks_refuse_paths_of_two_passes(integrator, u_one):
 def test_max_principle_cases(integrator, int_op_400, integrator_undiscounted, oscillator,
                              osc_op_400, u_one):
     grid = np.linspace(0.0, 400.0, 201)
-    ref = IntegratorReference(0.1, 0.0, 1.0)
-    cp = integrate_adjoint(int_op_400, 400.0, [float(ref.psi(400.0))], 1.0)
+    ref = IntegratorReference(0.1)
+    cp = integrate_adjoint(int_op_400, 400.0, [float(ref.costate(0.0, 1.0, 400.0))], 1.0)
     [held] = check_max_principle(integrator, u_one, [cp], time_grid=grid)
     assert held.status is Verdict.HOLDS
 
@@ -383,8 +383,8 @@ def test_max_principle_over_mixed_multipliers_matches_lone_calls(oscillator, osc
 
 def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_one):
     records = jx_scan(int_op_400, [0.0, 5.0], dense_horizon_grid(0.0, 400.0))
-    ref = IntegratorReference(0.1, 0.7, 1.0)
-    cp = integrate_adjoint(int_op_400, 400.0, [float(ref.psi(400.0))], 1.0)
+    ref = IntegratorReference(0.1)
+    cp = integrate_adjoint(int_op_400, 400.0, [float(ref.costate(0.7, 1.0, 400.0))], 1.0)
     a0, verdict = decompose_costate(cp, record_limits(records))
     assert verdict.status is Verdict.HOLDS
     assert a0[0] == pytest.approx(0.7, abs=1e-6)

@@ -1,6 +1,7 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``."""
 
 import ast
+import dataclasses
 import importlib
 import re
 import sys
@@ -1097,3 +1098,93 @@ def test_looped_problem_call_detector():
         ("problem_model.py", 3, "dynamics"), ("problem_model.py", 4, "payoff"),
         ("problem_model.py", 10, "dynamics"), ("problem_model.py", 10, "dynamics"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# each built-in problem is defined once, by its dataclass in reference_examples
+
+
+def parameter_table_mismatches(tables: dict, builtins: dict) -> list:
+    """(example, table keys, dataclass fields) of every example whose
+    problem parameters in ``tables`` (the keys whose default is not None)
+    differ from the fields of its dataclass in ``builtins``, in order."""
+    found = []
+    for name, table in tables.items():
+        keys = [key for key, default in table.items() if default is not None]
+        fields = [field.name for field in dataclasses.fields(builtins[name])]
+        if keys != fields:
+            found.append((name, keys, fields))
+    return sorted(found)
+
+
+def test_cli_parameters_are_the_fields_of_each_builtin():
+    from horizoncheck import cli, reference_examples
+    assert set(cli._EXAMPLE_PARAMS) == set(reference_examples._BUILTINS)
+    assert parameter_table_mismatches(cli._EXAMPLE_PARAMS, reference_examples._BUILTINS) == []
+
+
+def test_parameter_table_mismatch_detector():
+    @dataclasses.dataclass
+    class Growth:
+        alpha: float
+        rho: float
+        k0: float
+
+    @dataclasses.dataclass
+    class Spring:
+        b: float
+
+    tables = {
+        # rho added to the dataclass only
+        "ramsey": {"alpha": 0.4, "k0": 10.0},
+        # the right keys in another order
+        "growth": {"k0": 10.0, "alpha": 0.4, "rho": 0.0},
+        # candidate parameters (None) are not problem parameters
+        "spring": {"b": 0.5, "r": None},
+    }
+    builtins = {"ramsey": Growth, "growth": Growth, "spring": Spring}
+    assert parameter_table_mismatches(tables, builtins) == [
+        ("growth", ["k0", "alpha", "rho"], ["alpha", "rho", "k0"]),
+        ("ramsey", ["alpha", "k0"], ["alpha", "rho", "k0"]),
+    ]
+
+
+# the one module that builds problems
+PROBLEM_OWNER = "reference_examples.py"
+
+
+def problem_constructions(sources: dict) -> list:
+    """(module, line) of every call of ``ControlProblem``, by name or as an
+    attribute, in a module of ``sources`` other than ``PROBLEM_OWNER``."""
+    found = []
+    for module, text in sources.items():
+        if module == PROBLEM_OWNER:
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and "ControlProblem" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_only_reference_examples_builds_a_problem():
+    assert problem_constructions({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_problem_construction_detector():
+    sources = {
+        PROBLEM_OWNER: (
+            "def problem(self):\n"
+            "    return ControlProblem(state_dim=1)\n"
+        ),
+        "problem_model.py": (
+            "from . import problem_model as pm\n"
+            "def _build_ramsey(params):\n"
+            "    return ControlProblem(state_dim=1, control_dim=1)\n"
+            "def replace(problem):\n"
+            "    return dataclasses.replace(problem, name='x'), isinstance(problem, ControlProblem)\n"
+            "def other():\n"
+            "    return pm.ControlProblem(state_dim=2)\n"
+        ),
+    }
+    assert problem_constructions(sources) == [("problem_model.py", 3), ("problem_model.py", 7)]

@@ -26,19 +26,20 @@ def test_builtins_construct(name, params):
 
 
 def test_unknown_name_and_bad_params_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown builtin problem 'lander'"):
         make_builtin_problem("lander", {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ramsey: parameter theta=1 out of range \(need theta"):
         make_builtin_problem("ramsey", {"alpha": 0.4, "delta": 0.05, "theta": 1.0, "k0": 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ramsey: parameter alpha=1.4 out of range \(need alpha"):
         make_builtin_problem("ramsey", {"alpha": 1.4, "delta": 0.05, "theta": 0.5, "k0": 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ramsey: need the parameters .*'k0'.*, got"):
         make_builtin_problem("ramsey", {"alpha": 0.4, "delta": 0.05, "theta": 0.5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"integrator: parameter rho=-0.1 out of range \(need"):
         make_builtin_problem("integrator", {"rho": -0.1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"oscillator: parameter b=0 out of range \(need b > 0\)"):
         make_builtin_problem("oscillator", {"b": 0.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"oscillator: need the parameters \['b'\], got .*'freq"):
         make_builtin_problem("oscillator", {"b": 0.5, "frequency": 2.0})
 
 

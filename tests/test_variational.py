@@ -155,13 +155,13 @@ def test_adjoint_reproduces_integrator_closed_form(integrator, u_one):
     # accurate as the nodes
     settings = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-13)
     op = transition_matrix(integrator, u_one, 100.0, settings=settings)
-    ref = IntegratorReference(0.1, 0.7, 1.0)
-    psi_T = [float(ref.psi(100.0))]
+    ref = IntegratorReference(0.1)
+    psi_T = [float(ref.costate(0.7, 1.0, 100.0))]
     ts = np.linspace(0.0, 100.0, 300)
     for costate in (integrate_adjoint(op, 100.0, psi_T, 1.0),
                     basis_costate(adjoint_basis(integrator, op.trajectory, u_one, 100.0,
                                                 settings), psi_T, 1.0)):
-        err = np.max(np.abs(costate.psi(ts)[:, 0] - ref.psi(ts)))
+        err = np.max(np.abs(costate.psi(ts)[:, 0] - ref.costate(0.7, 1.0, ts)))
         assert err <= 1e-8
 
 
