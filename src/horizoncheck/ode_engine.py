@@ -131,6 +131,10 @@ _MAX_STEPS = 4_000_000
 # read between the nodes of the (x, Y, S) pass then errs 4.2e-9 instead of
 # 1.2e-8, for 20 % more field evaluations
 _MEASURE_LIMIT = 0.2
+# components from which np.add.reduce sums pairwise, departing from a plain
+# sum's order: :func:`_error_norm` forms its sums on arrays from here on and
+# on floats below
+_PAIRWISE_FROM = 8
 # relative slack of the span tests of a trajectory
 _SPAN_SLACK = 1e-9
 
@@ -312,21 +316,28 @@ class Trajectory:
     def crossings(self, i: int, value: float):
         """Times, in increasing order, at which component i reaches ``value``:
         on each step of positive width whose end nodes do not lie strictly on
-        one side of it, the first fraction where the dense output lies at it
-        or past it, by :func:`_bisect` to within 1e-15 of the step; a node
-        at it belongs to the step that ends there.  A generator, so a caller
-        that takes the first few localises no more."""
+        one side of it, a fraction where the dense output lies at it or past
+        it, less than 1e-15 of the step after one where it lies short of it,
+        found by :func:`_false_position` on the dense output's values.  A
+        node at the value belongs to the step that ends there and gives that
+        step's end; the start node gives its own time.  Where the dense output
+        crosses the value more than once within a step, the fraction is one
+        of those crossings.  A generator, so a caller that takes the first
+        few localises no more."""
         grid, _, _, n, rows = self._lookup
         vals = self.states[:, i] - value
-        hits = (vals[:-1] * vals[1:] <= 0) & np.r_[True, vals[1:-1] != 0]
+        # by sign, not by product, which underflows to 0 for tiny values of
+        # one sign
+        low, high = vals <= 0, vals >= 0
+        hits = (low[:-1] & high[1:]) | (high[:-1] & low[1:])
+        hits[1:] &= vals[1:-1] != 0
         for k in np.flatnonzero(hits).tolist():
             h = grid[k + 1] - grid[k]
             if h > 0:
                 # component i's entries [y | f | e0..e3] of the step's end nodes
                 a, b = rows[k:k + 2, i::n].tolist()
-                first = a[0] - value
-                yield grid[k] + h * _bisect(
-                    lambda s: first * (_dense_floats(s, h, a, b, 1)[0] - value) <= 0, 0.0)
+                yield grid[k] + h * _false_position(
+                    lambda s: _dense_floats(s, h, a, b, 1)[0] - value, a[0] - value, b[0] - value)
 
     def _segments(self, tq):
         """Index of the grid interval holding each (clipped) query time."""
@@ -452,19 +463,21 @@ def _error_norm(err5, err3, y, y_new, settings):
     """Hairer's error measure of DOP853: e5 / sqrt((e5 + 0.01 e3) n), where e5
     and e3 sum the squares of the fifth- and third-order estimates err5, err3
     (each already times the step) over the mixed tolerance scale, and 0
-    where e5 is; for float sequences and finite y, y_new.  The squares are
-    formed on floats, which round as numpy's elementwise operations do, and
-    summed in numpy's order (a plain ``sum`` below 8 components,
-    ``np.add.reduce`` from 8 on, where its pairwise order departs), so the
-    result is that of the array expression."""
+    where e5 is; for finite y, y_new.  Below ``_PAIRWISE_FROM`` components
+    it takes float sequences and forms the squares on floats, which round as
+    numpy's elementwise operations do, and sums them by a plain ``sum``,
+    numpy's order there.  From there on, where numpy's pairwise order
+    departs, it takes arrays.  Either way the result is that of the array
+    expression."""
     atol, rtol = settings.abs_tol, settings.rel_tol
-    scales = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
-    n = len(scales)
-    sums = []
-    for err in (err5, err3):
-        squares = [(r := e / sc) * r for e, sc in zip(err, scales)]
-        sums.append(sum(squares) if n < 8 else np.add.reduce(squares))
-    e5, e3 = sums
+    n = len(y)
+    if n < _PAIRWISE_FROM:
+        scales = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+        e5, e3 = (sum([(r := e / sc) * r for e, sc in zip(err, scales)]) for err in (err5, err3))
+    else:
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        r5, r3 = err5 / scale, err3 / scale
+        e5, e3 = float(np.add.reduce(r5 * r5)), float(np.add.reduce(r3 * r3))
     if e5 == 0.0:
         return 0.0
     return e5 / math.sqrt((e5 + 0.01 * e3) * n)
@@ -556,6 +569,7 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
     step_stages, dense_stages = stages[:12], stages[12:]
     hk0, hK12 = hK[0], hK[:12]
     h_arr = np.empty(())  # h as a 0-d array, by which numpy scales faster than by a float
+    wide = y.size >= _PAIRWISE_FROM  # the error measure takes arrays
 
     while t < t_last:
         n_taken += 1
@@ -575,9 +589,10 @@ def _forward_loop(field, t0, y0, t_end, settings, domain, stops, span, h_floor):
             if y_new is not None:
                 new_floats = y_new.tolist()
                 if math.isfinite(sum(new_floats)) or np.isfinite(y_new).all():
-                    err5, err3 = _ERR.dot(hK12).tolist()
-                    err_norm = (_error_norm(err5, err3, y_floats, new_floats, settings)
-                                / _MEASURE_LIMIT)
+                    err = _ERR.dot(hK12)
+                    err_norm = (_error_norm(*err, y, y_new, settings) if wide else
+                                _error_norm(*err.tolist(), y_floats, new_floats, settings)
+                                ) / _MEASURE_LIMIT
                     if err_norm > 1.0:
                         shrink, cause = max(0.2, 0.9 * err_norm ** -0.125), "stiffness or blow-up"
                     else:
@@ -695,7 +710,9 @@ def _bisect(holds, tol):
     max(tol, 1e-15), in at most 80 levels, and its upper end is returned.
     For a predicate that holds from some theta on, that is the theta to
     within the width; for one that holds and fails again within the step, it
-    is one of the crossings."""
+    is one of the crossings.  It serves the exit events, whose domain test and
+    stop predicates give only a sign; a crossing of a value, which has the
+    dense output's values to go on, is found by :func:`_false_position`."""
     tol = max(tol, 1e-15)
     lo, hi = 0.0, 1.0
     for _ in range(80):
@@ -706,6 +723,57 @@ def _bisect(holds, tol):
             hi = mid
         else:
             lo = mid
+    return hi
+
+
+def _false_position(phi, f_lo, f_hi):
+    """A root of ``phi`` on [0, 1], given phi(0) = f_lo and phi(1) = f_hi not
+    of one strict sign: 0 when f_lo is 0 and 1 when f_hi is; else a fraction
+    where phi is exactly 0, or the end of a bracket no wider than 1e-15 at
+    which phi has f_hi's sign, as :func:`_bisect` returns its upper end.
+
+    Illinois false position (Dowell and Jarratt, BIT 11, 1971): a bracket end
+    kept twice in a row has its value halved.  Two safeguards bound the cost
+    near a tangential root, where false position slows down.  A halving step
+    follows three evaluations that did not halve the bracket.  Only halving
+    steps are taken once the evaluations made and the halvings that would
+    close the bracket reach 60, so a root costs at most about ten evaluations
+    more than bisection's 50, and never more than 80, the cap of
+    :func:`_bisect`."""
+    if f_lo == 0.0 or f_hi == 0.0:
+        return 0.0 if f_lo == 0.0 else 1.0
+    rising = f_lo < 0.0
+    lo, hi = 0.0, 1.0
+    # the width at the last halving of the bracket, the evaluations since,
+    # and which end the last evaluation moved (1 for hi, -1 for lo)
+    mark, stale, moved = 1.0, 0, 0
+    for used in range(80):
+        width = hi - lo
+        if width <= 1e-15:
+            break
+        x = lo + 0.5 * width
+        # frexp(w / 1e-15)[1] >= log2(w / 1e-15): the halvings that close w
+        if stale < 3 and used + math.frexp(width / 1e-15)[1] < 60:
+            secant = hi - f_hi * width / (f_hi - f_lo)
+            if lo < secant < hi:
+                x = secant
+        fx = phi(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == rising:
+            hi, f_hi = x, fx
+            if moved == 1:
+                f_lo *= 0.5
+            moved = 1
+        else:
+            lo, f_lo = x, fx
+            if moved == -1:
+                f_hi *= 0.5
+            moved = -1
+        if hi - lo <= 0.5 * mark:
+            mark, stale = hi - lo, 0
+        else:
+            stale += 1
     return hi
 
 

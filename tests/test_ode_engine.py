@@ -956,3 +956,128 @@ def test_crossings_of_a_sine_match_the_closed_form():
         assert len(found) == len(exact) == 7
         np.testing.assert_allclose(found, exact, rtol=0.0, atol=1e-10)
     assert list(traj.crossings(0, 1.5)) == []
+
+
+def test_crossings_of_tiny_states_go_by_sign():
+    # the product of two nodes' values underflows to 0 near 1e-170: a
+    # constant state of one sign crosses nothing, and a line through 0
+    # crosses it once, midway
+    for y0 in (1e-170, -1e-170):
+        traj = integrate(lambda t, y: np.zeros(1), 0.0, [y0], 5.0, COARSE)
+        assert list(traj.crossings(0, 0.0)) == []
+    traj = integrate(lambda t, y: np.array([-2e-170]), 0.0, [1e-170], 1.0, COARSE)
+    found = list(traj.crossings(0, 0.0))
+    assert len(found) == 1 and found[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def _dense_component(traj, k, theta):
+    """Component 0 of step k's dense output at the fractions ``theta``, by the
+    vector route."""
+    h = traj.time_grid[k + 1] - traj.time_grid[k]
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))[:, None]
+    return _dense_on_step(traj.states[k], traj.derivs[k], h, traj.states[k + 1],
+                          traj.derivs[k + 1], traj.coeffs[k], theta)[:, 0]
+
+
+def _oracle_roots(traj, k, value):
+    """Every fraction of step k where the dense output reaches ``value`` from
+    the start node's side, by 60 levels of bisection on each rise of a
+    257-point scan; the step's ends when their nodes lie at the value."""
+    first, last = traj.states[k:k + 2, 0] - value
+    if first == 0.0:
+        return [0.0]
+    holds = lambda s: first * (_dense_component(traj, k, s) - value) <= 0
+    scan = np.linspace(0.0, 1.0, 257)
+    at_or_past = holds(scan)
+    roots = [1.0] if last == 0.0 else []
+    for j in np.flatnonzero(~at_or_past[:-1] & at_or_past[1:]).tolist():
+        lo, hi = scan[j], scan[j + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if holds(mid)[0] else (mid, hi)
+        roots.append(hi)
+    return roots
+
+
+def test_crossings_agree_with_a_bisection_oracle(monkeypatch):
+    # y' = a sin(w t) y, y(0) = 1, has y = exp((a / w)(1 - cos w t)): the
+    # start node is a minimum and exp(2 a / w) the maximum, so targets just
+    # above 1 or just below the maximum touch the path tangentially.  Every
+    # crossing step gives a fraction within 1e-14 of a root that bisection
+    # finds on the vector route of the dense output, each from at most 80
+    # evaluations of the dense output
+    hypothesis, st, _ = _hypothesis()
+    dense, solve = ode_engine._dense_floats, ode_engine._false_position
+    evaluations, fractions = [], []
+
+    def counted(s, h, a, b, n):
+        evaluations.append(s)
+        return dense(s, h, a, b, n)
+
+    def recorded(phi, f_lo, f_hi):
+        fractions.append(solve(phi, f_lo, f_hi))
+        return fractions[-1]
+
+    monkeypatch.setattr(ode_engine, "_dense_floats", counted)
+    monkeypatch.setattr(ode_engine, "_false_position", recorded)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.floats(0.2, 2.0), st.floats(0.5, 2.0), st.floats(4.0, 12.0),
+                      st.sampled_from([COARSE, STANDARD, TIGHT]), st.data())
+    def check(a, w, t_end, settings, data):
+        traj = integrate(lambda t, y: a * math.sin(w * t) * y, 0.0, [1.0], t_end, settings)
+        gap = 10.0 ** -data.draw(st.integers(2, 12))
+        value = data.draw(st.one_of(st.sampled_from(traj.states[:, 0].tolist()),
+                                    st.sampled_from([1.0 + gap, math.exp(2 * a / w) * (1 - gap)]),
+                                    st.floats(1.0, math.exp(2 * a / w))))
+        vals = traj.states[:, 0] - value
+        grid = traj.time_grid
+        steps = [k for k in range(vals.size - 1) if grid[k + 1] > grid[k]
+                 and vals[k] * vals[k + 1] <= 0 and (k == 0 or vals[k] != 0)]
+        found, crossings = [], traj.crossings(0, value)
+        while True:
+            evaluations.clear()
+            fractions.clear()
+            t = next(crossings, None)
+            if t is None:
+                break
+            assert len(evaluations) <= 80
+            found.append((t, fractions[0]))
+        assert len(found) == len(steps)
+        for k, (t, theta) in zip(steps, found):
+            h = grid[k + 1] - grid[k]
+            assert t == grid[k] + h * theta
+            # the fraction lies at the value or past it, seen from the start node
+            assert vals[k] * (_dense_component(traj, k, theta)[0] - value) <= 0
+            root = min(_oracle_roots(traj, k, value), key=lambda r: abs(r - theta))
+            if abs(theta - root) > 1e-14:
+                # only where the dense output lies within its rounding of the
+                # value, as near a tangential touch, may the two differ
+                terms = (np.abs(traj.states[k:k + 2, 0]).sum() + np.abs(traj.coeffs[k, :, 0]).sum()
+                         + h * np.abs(traj.derivs[k:k + 2, 0]).sum())
+                between = _dense_component(traj, k, np.linspace(theta, root, 9)) - value
+                assert np.max(np.abs(between)) <= 8 * np.finfo(float).eps * terms, (theta, root)
+
+    check()
+
+
+def test_false_position_keeps_bisections_worst_case():
+    # steps, cubic and signed-square touches, flat and steep functions: each
+    # root costs at most 60 evaluations, ten more than bisection's 50 levels,
+    # and is an exact zero or the end of a bracket no wider than 1e-15 at
+    # which the function has its value at 1's sign
+    functions = []
+    for r in (1e-17, 0.3, 0.7, 0.999999, 1 - 1e-16):
+        functions += [lambda x, r=r: -1.0 if x < r else 1.0,
+                      lambda x, r=r: -1e-300 if x < r else 1.0,
+                      lambda x, r=r: (x - r) ** 3,
+                      lambda x, r=r: (x - r) * abs(x - r),
+                      lambda x, r=r: r ** 7 - x ** 7,
+                      lambda x, r=r: math.exp(40 * (x - r)) - 1]
+    for phi in functions:
+        seen = []
+        theta = ode_engine._false_position(lambda x: seen.append(x) or phi(x), phi(0.0), phi(1.0))
+        assert len(seen) <= 60
+        short = [x for x in seen if (phi(x) < 0) == (phi(0.0) < 0) and phi(x) != 0]
+        assert phi(theta) == 0.0 or (
+            (phi(theta) > 0) == (phi(1.0) > 0) and theta - max(short, default=0.0) <= 1e-15)

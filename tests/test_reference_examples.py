@@ -10,7 +10,8 @@ from horizoncheck import (
     ramsey_shoot,
     ramsey_steady_state,
 )
-from horizoncheck import reference_examples
+from horizoncheck import conditions, ode_engine, reference_examples
+from horizoncheck.cli import main
 from horizoncheck.conditions import _state_crossings
 from horizoncheck.reference_examples import ramsey_control_from_orbit, ramsey_euler_orbit
 
@@ -464,6 +465,34 @@ def test_a_crossing_at_a_node_is_reported_once(ramsey_params):
     width = traj.time_grid[10] - traj.time_grid[9]
     assert len(found) == 1
     assert abs(found[0] - traj.time_grid[10]) <= 1e-14 * width
+
+
+@pytest.mark.parametrize("k0", [1.0, 10.0, 40.0])
+def test_state_crossings_take_few_dense_evaluations(monkeypatch, capsys, k0):
+    # the fibers of `check --example ramsey` at FIG1: each crossing of a
+    # candidate's capital path costs at most 10 dense evaluations on the
+    # mean, against the 50 levels of bisection; the count is deterministic
+    counts = {"inside": False, "crossings": 0, "evaluations": 0}
+    dense, crossings = ode_engine._dense_floats, conditions._state_crossings
+
+    def counted_dense(*args):
+        counts["evaluations"] += counts["inside"]
+        return dense(*args)
+
+    def counted_crossings(traj, x_target):
+        # the target is read before the call, so only the crossings count
+        counts["inside"] = True
+        found = crossings(traj, x_target)
+        counts["inside"] = False
+        counts["crossings"] += len(found)
+        return found
+
+    monkeypatch.setattr(ode_engine, "_dense_floats", counted_dense)
+    monkeypatch.setattr(conditions, "_state_crossings", counted_crossings)
+    assert main(["check", "--example", "ramsey", "--k0", str(k0)]) == 0
+    assert "payoff_rate_max" in capsys.readouterr().out
+    assert counts["crossings"] >= 50
+    assert counts["evaluations"] <= 10 * counts["crossings"]
 
 
 def test_sub_saddle_orbit_stays_feasible(ramsey_params):
