@@ -28,6 +28,7 @@ from .problem_model import (
 from .variational import (
     CostatePath,
     JxRecord,
+    PassRead,
     TransitionOperator,
     integrate_adjoint,
     jx_scan,
@@ -36,6 +37,7 @@ from .variational import (
 from .conditions import (
     ConditionVerdict,
     GeneralConditionReport,
+    TailSamples,
     Verdict,
     check_classical,
     check_general,

@@ -30,6 +30,7 @@ import numpy as np
 
 from .conditions import (
     ConditionVerdict,
+    TailSamples,
     Verdict,
     check_classical,
     check_general,
@@ -222,9 +223,9 @@ def _build_linear_check(config: RunConfig) -> ReportData:
     # judged once: its bound, then its limit, which every candidate shares
     records = jx_scan(transition, [problem.initial_time],
                       dense_horizon_grid(problem.initial_time, t_max)[1:])
-    judged = [("general", "(gradient route)", f"prop_general_{mode}",
-               check_general(problem, transition, control, records, mode=mode).verdict)
-              for mode in ("WOO", "OO")]
+    judged = [("general", "(gradient route)", f"prop_general_{mode}", verdict)
+              for mode, verdict in check_general(problem, transition, control,
+                                                 records).verdicts.items()]
     bounded = [check_jx_bounded(rec) for rec in records]
     limits = [limit_costate(rec, b) for rec, b in zip(records, bounded)]
     judged += [("limit", "(gradient route)", "limit_costate", limits[0][1]),
@@ -243,11 +244,13 @@ def _build_linear_check(config: RunConfig) -> ReportData:
     if costates:
         paths = list(costates.values())
         grid = np.linspace(problem.initial_time, t_max, 201)
-        for (k, costate), mp, classical in zip(
-                costates.items(),
-                check_max_principle(problem, control, paths, time_grid=grid),
-                check_classical(problem, control, paths)):
-            by_candidate[k] = [*classical.values(), mp, decompose_costate(costate, psi_hats)[1]]
+        # one read of the pass on the tail grid serves the classical rows and
+        # the decomposition of every path
+        tail = TailSamples(paths)
+        for k, mp, classical, (_, a0_limit) in zip(
+                costates, check_max_principle(problem, control, paths, time_grid=grid),
+                check_classical(problem, control, tail), decompose_costate(tail, psi_hats)):
+            by_candidate[k] = [*classical.values(), mp, a0_limit]
     judged += [(kind, label, cond_id, verdict)
                for k, (label, _, _) in enumerate(candidates)
                for (kind, cond_id), verdict in zip(_COSTATE_ROWS, by_candidate[k])]

@@ -23,7 +23,11 @@ number its report row prints.  Every limit verdict comes from
 :func:`tail_rule`, applied to per-window excesses that each check builds
 from its own windows; a tail that still shrinks toward its target beyond the
 rule's slack is never failed.  A costate check reads x, Y and S from the
-pass of its adjoint paths, so it cannot mix two passes.
+pass of its adjoint paths, so it cannot mix two passes, and it reads them
+once per time grid for all its paths: :class:`TailSamples` holds the one
+read of the tail grid that the classical conditions and the decomposition
+share, and the general condition judges both of its modes from one table of
+Hamiltonian differences per anchor.
 """
 
 from __future__ import annotations
@@ -38,11 +42,12 @@ import numpy as np
 
 from .ode_engine import ControlSignal, Trajectory
 from .problem_model import ControlProblem, hamiltonian, hamiltonian_jumps, jacobians
-from .variational import CostatePath, JxRecord, TransitionOperator
+from .variational import CostatePath, JxRecord, PassRead, TransitionOperator
 
 __all__ = [
     "GeneralConditionReport",
     "ConditionVerdict",
+    "TailSamples",
     "Verdict",
     "check_classical",
     "check_general",
@@ -233,37 +238,42 @@ def _growth_ratios(jx: JxRecord) -> list:
 # liminf / limsup tail conditions
 
 
+# the modes of the general condition and the tail extremum that each takes:
+# the liminf for weakly overtaking candidates, the limsup for overtaking ones
+_MODES = {"WOO": np.min, "OO": np.max}
+
+
 @dataclass
 class GeneralConditionReport:
-    """Per-(tau, u) tail estimates of the Hamiltonian difference and the
-    aggregate verdict of the battery, whose estimate is the worst cell;
+    """Per-(mode, tau, u) tail estimates of the Hamiltonian difference and
+    each mode's aggregate verdict, whose estimate is its worst cell.
+    ``estimates[m]`` belongs to the m-th mode of ``verdicts``, WOO then OO;
     column j is the j-th control value of
     ``control_set.sample_grid(_CONTROL_RESOLUTION)``."""
 
-    estimates: np.ndarray        # (n_tau, n_u) tail liminf or limsup estimates
-    verdict: ConditionVerdict
+    estimates: np.ndarray        # (2, n_tau, n_u) tail liminf, then limsup, estimates
+    verdicts: dict               # mode -> ConditionVerdict
 
 
 def check_general(problem: ControlProblem, transition: TransitionOperator,
-                  control: ControlSignal, records: Sequence[JxRecord], *,
-                  mode: str) -> GeneralConditionReport:
-    """Tail test of the Hamiltonian-difference condition over a (tau, u) grid.
+                  control: ControlSignal, records: Sequence[JxRecord]) -> GeneralConditionReport:
+    """Tail test of the Hamiltonian-difference condition over a (tau, u)
+    grid, in both modes.
 
     The anchors tau are those of the gradient ``records`` of
     :func:`~horizoncheck.variational.jx_scan`, the control values 33 per
-    axis of the control set.  For each cell the liminf (mode WOO) or limsup
-    (mode OO) of the Hamiltonian difference, built from the record's values,
-    is estimated by the min/max over the last half of its horizon span.
-    With the same extremum over the quarter and the eighth of the span
-    before it, these three dyadic windows are judged by :func:`tail_rule`
-    as excesses over 0, with ``VERDICT_SLACK`` as hold and fail tolerance.  The battery verdict aggregates all cells.  The state
+    axis of the control set.  Each anchor's Hamiltonian differences, built
+    from the record's values, come from one :func:`hamiltonian_jumps` call,
+    and both modes judge that one table.  For each cell the liminf (mode
+    WOO) or limsup (mode OO) is estimated by the min/max over the last half
+    of its horizon span.  With the same extremum over the quarter and the
+    eighth of the span before it, these three dyadic windows are judged by
+    :func:`tail_rule` as excesses over 0, with ``VERDICT_SLACK`` as hold and
+    fail tolerance.  Each mode's verdict aggregates its cells.  The state
     path is that of ``transition``.
     """
-    if mode not in ("WOO", "OO"):
-        raise ValueError("mode must be 'WOO' or 'OO'")
     control_grid = problem.control_set.sample_grid(_CONTROL_RESOLUTION)
-    windows = np.empty((len(records), control_grid.shape[0], 3))
-    extremum = np.min if mode == "WOO" else np.max
+    windows = np.empty((len(_MODES), len(records), control_grid.shape[0], 3))
 
     for i, rec in enumerate(records):
         tau, Ts = rec.tau, rec.T_grid
@@ -272,8 +282,17 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
         span = float(Ts[-1] - tau)
         for k, (lo, hi) in enumerate([(1 / 8, 1 / 4), (1 / 4, 1 / 2), (1 / 2, math.inf)]):
             mask = (Ts > tau + lo * span) & (Ts <= tau + hi * span)
-            windows[i, :, k] = extremum(dH[mask], axis=0) if np.any(mask) else math.nan
-    estimates = windows[:, :, 2].copy()
+            for m, extremum in enumerate(_MODES.values()):
+                windows[m, i, :, k] = extremum(dH[mask], axis=0) if np.any(mask) else math.nan
+    return GeneralConditionReport(
+        estimates=windows[..., 2].copy(),
+        verdicts={mode: _battery_verdict(windows[m]) for m, mode in enumerate(_MODES)})
+
+
+def _battery_verdict(windows: np.ndarray) -> ConditionVerdict:
+    """The verdict of one mode's (tau, u) cells from their three window
+    extrema each, the last one the cell's estimate."""
+    estimates = windows[..., 2]
     cells = [tail_rule(w, VERDICT_SLACK, VERDICT_SLACK) for w in windows.reshape(-1, 3)]
     found = {status for status, _ in cells}
     if Verdict.FAILS in found:
@@ -287,20 +306,11 @@ def check_general(problem: ControlProblem, transition: TransitionOperator,
     # the cells that the trend kept from failing
     kept = [(e, trend) for e, (_, trend) in zip(estimates.ravel().tolist(), cells) if trend]
     trend = max(kept)[1] if kept and agg is Verdict.INCONCLUSIVE else ""
-    verdict = ConditionVerdict(agg, worst, note=f"{note}; worst estimate {worst:.3g}{trend}")
-    return GeneralConditionReport(estimates=estimates, verdict=verdict)
+    return ConditionVerdict(agg, worst, note=f"{note}; worst estimate {worst:.3g}{trend}")
 
 
 # ---------------------------------------------------------------------------
 # classical limit conditions
-
-
-def _tail_grid(t0: float, t_end: float):
-    """The window before the tail, at every 8th time since it only decides
-    the trend, and the tail window of 4000 times across [t0, t_end]."""
-    times = np.linspace(t0, t_end, 4000)
-    earlier, tail = tail_windows(times)
-    return times[earlier][::8], times[tail]
 
 
 def _shared_pass(costates: Sequence[CostatePath]) -> CostatePath:
@@ -311,10 +321,29 @@ def _shared_pass(costates: Sequence[CostatePath]) -> CostatePath:
     return costates[0]
 
 
+class TailSamples:
+    """Adjoint paths that share one span of one (x, Y, S) pass, with that
+    pass read once on their tail grid: the window before the tail, at every
+    8th time since it only decides the trend, then the tail window, of 4000
+    uniform times across [t0, t_end].  ``read`` is the :class:`PassRead`,
+    whose first ``split`` rows are the earlier window.  :func:`check_classical`
+    and :func:`decompose_costate` judge every path from it.  ValueError when
+    the paths do not share one span of one pass."""
+
+    def __init__(self, costates: Sequence[CostatePath]):
+        first = _shared_pass(costates)
+        times = np.linspace(first.t0, first.t_end, 4000)
+        earlier, tail = tail_windows(times)
+        before = times[earlier][::8]
+        self.costates = list(costates)
+        self.split = before.size
+        self.read: PassRead = first.transition.read(np.concatenate([before, times[tail]]))
+
+
 def check_classical(problem: ControlProblem, control: ControlSignal,
-                    costates: Sequence[CostatePath]) -> list:
+                    samples: TailSamples) -> list:
     """The four classical limit conditions on each adjoint path of
-    ``costates``, with x(t) the state path of the paths' pass and lam that
+    ``samples``, with x(t) the state path of the paths' pass and lam that
     of the path.
 
     tcPSI:  |psi(t)| -> 0
@@ -325,27 +354,24 @@ def check_classical(problem: ControlProblem, control: ControlSignal,
     Each is judged by :func:`tail_limit_verdict` on the tail window against
     the window before it, with the tail window's excess max(|mean|,
     oscillation) as estimate; returns one dict keyed by condition id per path.
-    The paths share one span of one pass, as those of one terminal time do.
+    Every path's rows come from the one read of ``samples``.
     """
-    first = _shared_pass(costates)
-    earlier, tail = _tail_grid(first.t0, first.t_end)
-    times = np.concatenate([earlier, tail])
-    xs = first.transition.trajectory(times)
-    psis = [c.psi(times) for c in costates]
-    lams = np.array([c.lam for c in costates])
+    read, split = samples.read, samples.split
+    psis = [read.psi(c) for c in samples.costates]
+    lams = np.array([c.lam for c in samples.costates])
     # all times in one call, with the rows of every path at each time
-    s_h = hamiltonian(problem, xs, _controls(control, times), times,
+    s_h = hamiltonian(problem, read.x, control.evaluate_grid(read.t), read.t,
                       np.stack(psis, axis=1), lams)
 
     def verdict(values, note):
-        return tail_limit_verdict(values[earlier.size:], values[:earlier.size], note)
+        return tail_limit_verdict(values[split:], values[:split], note)
 
     return [{"tcPSI": verdict(np.max(np.abs(psi), axis=1), "|psi(t)|"),
-             "tcXPSI": verdict(np.einsum("ij,ij->i", xs, psi), "<x(t), psi(t)>"),
+             "tcXPSI": verdict(np.einsum("ij,ij->i", read.x, psi), "<x(t), psi(t)>"),
              "tcM": verdict(h, "H along the candidate"),
-             "tcKAV": verdict(np.linalg.norm(c.pulled_back(times), axis=1),
+             "tcKAV": verdict(np.linalg.norm(read.pulled_back(c), axis=1),
                               "|K(t,t0)* psi(t)|")}
-            for c, psi, h in zip(costates, psis, s_h.T)]
+            for c, psi, h in zip(samples.costates, psis, s_h.T)]
 
 
 def check_max_principle(problem: ControlProblem, control: ControlSignal,
@@ -356,18 +382,18 @@ def check_max_principle(problem: ControlProblem, control: ControlSignal,
 
     A path holds iff at every time of ``time_grid`` the candidate control's
     Hamiltonian is within ``VERDICT_SLACK`` of the maximum over 33 sampled
-    control values per axis; the estimate is the worst shortfall.  The
-    dynamics and payoff jumps of every (time, control) cell come from one
+    control values per axis; the estimate is the worst shortfall.  The pass
+    is read once on ``time_grid`` for every path, and the dynamics and
+    payoff jumps of every (time, control) cell come from one
     :func:`hamiltonian_jumps` call for all paths together, each with its own
     psi row and lam.
     """
     time_grid = np.atleast_1d(np.asarray(time_grid, dtype=float))
     grid = problem.control_set.sample_grid(_CONTROL_RESOLUTION)
     lams = np.array([c.lam for c in costates])
-    # one vector read each; its rows equal the scalar reads bit for bit
-    xs = _shared_pass(costates).transition.trajectory(time_grid)
-    psis = np.stack([c.psi(time_grid) for c in costates], axis=1)  # (n_t, n_c, n)
-    gaps = hamiltonian_jumps(problem, xs, _controls(control, time_grid), time_grid,
+    read = _shared_pass(costates).transition.read(time_grid)
+    psis = np.stack([read.psi(c) for c in costates], axis=1)  # (n_t, n_c, n)
+    gaps = hamiltonian_jumps(problem, read.x, control.evaluate_grid(time_grid), time_grid,
                              grid, psis, lams).max(axis=-1)  # (n_t, n_c)
     verdicts = []
     for column in gaps.T.tolist():
@@ -378,27 +404,32 @@ def check_max_principle(problem: ControlProblem, control: ControlSignal,
     return verdicts
 
 
-def _controls(control: ControlSignal, times: np.ndarray) -> np.ndarray:
-    """The control's values at ``times``, one row per time."""
-    return np.array([control.evaluate(t) for t in times.tolist()])
+def decompose_costate(samples: TailSamples, limits: Sequence[tuple]) -> list:
+    """Split each adjoint path of ``samples`` into homogeneous and
+    payoff-driven parts.
 
-
-def decompose_costate(costate: CostatePath, limits: Sequence[tuple]):
-    """Split an adjoint path into homogeneous and payoff-driven parts.
-
-    Estimates a0 as the tail limit of K(T, t0)* psi(T) by
-    :func:`_settled_mean` on the tail window against the one before it; when
-    that limit exists the defect of psi(tau) = K(t0, tau)* a0 + lam *
-    psi_hat(tau) is evaluated at each (tau, psi_hat) of ``limits``, psi_hat
-    the tail limit of the gradient record anchored at tau (the first value of
-    :func:`limit_costate`, None when there is none), with K from the path's
-    own pass.  Returns (a0 or None, verdict), the verdict's estimate the
-    residual or NaN.
+    Estimates a0 as the tail limit of K(T, t0)* psi(T) = c - lam S(T) by
+    :func:`_settled_mean` on the tail window against the one before it, both
+    from the one read of ``samples``; when that limit exists the defect of
+    psi(tau) = K(t0, tau)* a0 + lam * psi_hat(tau) is evaluated at each
+    (tau, psi_hat) of ``limits``, psi_hat the tail limit of the gradient
+    record anchored at tau (the first value of :func:`limit_costate`, None
+    when there is none), with Y(tau) and every path's psi(tau) from one read
+    of the paths' pass per anchor.  Returns (a0 or None, verdict) per path,
+    the verdict's estimate the residual or NaN.
     """
-    earlier, tail = _tail_grid(costate.t0, costate.t_end)
-    # K(t, t0)* psi(t) on both windows
-    a0, status, osc, trend = _settled_mean(costate.pulled_back(earlier),
-                                           costate.pulled_back(tail))
+    split = samples.split
+    transition = samples.costates[0].transition
+    anchors = [(transition.read(tau), psi_hat) for tau, psi_hat in limits]
+    return [_decomposed(costate, samples.read.pulled_back(costate), split, anchors)
+            for costate in samples.costates]
+
+
+def _decomposed(costate: CostatePath, pulled, split: int, anchors: list):
+    """:func:`decompose_costate` of one path, from its K(t, t0)* psi(t) rows
+    ``pulled``, the first ``split`` of them the earlier window, and the
+    (pass read, psi_hat) of each anchor."""
+    a0, status, osc, trend = _settled_mean(pulled[:split], pulled[split:])
     if a0 is None:
         return None, ConditionVerdict(
             status, math.nan,
@@ -406,17 +437,16 @@ def decompose_costate(costate: CostatePath, limits: Sequence[tuple]):
 
     lam = costate.lam
     residual = 0.0
-    for tau, psi_hat in limits:
+    for at, psi_hat in anchors:
         if lam == 0.0:
             psi_hat = np.zeros_like(a0)
         elif psi_hat is None:
             return a0, ConditionVerdict(
                 Verdict.INCONCLUSIVE, math.nan,
                 note="a0 exists but the limit costate does not converge")
-        Ytau = costate.transition.fundamental(tau)
         # K(t0, tau)* a0 = Y(tau)^-* a0
-        k_part = np.linalg.solve(Ytau.T, a0)
-        defect = float(np.max(np.abs(costate.psi(tau) - k_part - lam * psi_hat)))
+        k_part = np.linalg.solve(at.Y.T, a0)
+        defect = float(np.max(np.abs(at.psi(costate) - k_part - lam * psi_hat)))
         residual = max(residual, defect)
     return a0, ConditionVerdict(
         Verdict.HOLDS, residual,

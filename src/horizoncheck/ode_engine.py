@@ -884,6 +884,21 @@ class ControlSignal:
         piece = self._pieces[bisect.bisect_left(self._times, t)]
         return piece(t) if callable(piece) else piece
 
+    def evaluate_grid(self, times) -> np.ndarray:
+        """The values at an array of times, one row per time, each as
+        :meth:`evaluate` gives it at a time that is not NaN: one
+        ``searchsorted`` over the switching times, whose left side is
+        ``bisect_left``'s rule, picks every time's piece.  A closed-form
+        piece is called only at its own times, one scalar time per call, as
+        its closed form takes them."""
+        times = np.asarray(times, dtype=float)
+        idx = np.searchsorted(self._times, times, side="left")
+        values = np.empty((times.size, self.dim))
+        for i in np.unique(idx).tolist():
+            piece, at = self._pieces[i], idx == i
+            values[at] = [piece(t) for t in times[at].tolist()] if callable(piece) else piece
+        return values
+
     def breakpoints(self) -> np.ndarray:
         return np.array(self._times)
 

@@ -271,7 +271,10 @@ def empirical_overtaking_test(problem: ControlProblem, candidate_path: Trajector
                      f"({event.description})")
 
     grid = np.linspace(t0, T_max, max(64, int(math.ceil((T_max - t0) / sample_spacing))))
-    gaps = challenger_path(grid)[:, n] - candidate_path(grid)[:, n]
+    # the payoff columns alone: a read of them equals the full read's, bit for bit
+    challenger_j, candidate_j = (path.columns(n, n + 1) for path in (challenger_path,
+                                                                    candidate_path))
+    gaps = challenger_j(grid)[:, 0] - candidate_j(grid)[:, 0]
 
     i_max = int(np.argmax(gaps))
     max_gap, argmax_T = float(gaps[i_max]), float(grid[i_max])
@@ -281,7 +284,7 @@ def empirical_overtaking_test(problem: ControlProblem, candidate_path: Trajector
 
     def gap_fn(Ts):
         Ts = np.asarray(Ts, dtype=float)
-        return challenger_path(Ts)[..., n] - candidate_path(Ts)[..., n]
+        return challenger_j(Ts)[..., 0] - candidate_j(Ts)[..., 0]
 
     # the windows from checkpoint i on cover the tail beyond it
     for i, ck in enumerate(checkpoints):

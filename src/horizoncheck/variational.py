@@ -10,15 +10,18 @@ The central objects are
   integral S(t) = integral_{t0}^t Y(s)* g_x(s) ds.  From that pass it gives
   the state path, K(t, tau) = Y(t) Y(tau)^-1 and the finite-horizon payoff
   gradient with respect to the state at time tau,
-  grad(tau, T) = integral_tau^T K(t, tau)* g_x(t) dt = Y(tau)^-* (S(T) - S(tau));
+  grad(tau, T) = integral_tau^T K(t, tau)* g_x(t) dt = Y(tau)^-* (S(T) - S(tau)),
+  whose horizons T are read from the S columns of the pass alone;
 * the gradient records of :func:`jx_scan`, one read of the pass per anchor
   tau over a horizon grid, which ``check`` shares between the general
   condition, the limit costate and the bound;
 * adjoint paths read off the same pass by Lemma 1, with no solve of their
   own: psi(t) = K(T, t)* psi(T) + lam grad(t, T)
   = Y(t)^-* (Y(T)* psi(T) + lam (S(T) - S(t))), the explicit adjoint formula
-  of Aseev and Kryazhimskiy (2004).  Each path keeps its pass, so a check of
-  several paths reads x, Y and S from theirs.
+  of Aseev and Kryazhimskiy (2004).  A path is its constant c = Y(T)* psi(T)
+  + lam S(T) and its lam, so one :class:`PassRead` of x, Y and S at a grid
+  of times gives every path of the pass there: psi = Y^-* (c - lam S) and
+  K(t, t0)* psi(t) = c - lam S.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .problem_model import ControlProblem, jacobians
 __all__ = [
     "CostatePath",
     "JxRecord",
+    "PassRead",
     "TransitionOperator",
     "integrate_adjoint",
     "jx_scan",
@@ -76,25 +80,50 @@ def _augmented_rhs(problem: ControlProblem):
     return rhs
 
 
+@dataclass
+class PassRead:
+    """x(t), Y(t) and S(t) of an (x, Y, S) pass from one dense read at a
+    time ``t`` or an array of times, each with the times' shape in front.
+    Every adjoint path of the pass is read off it with no further read."""
+
+    t: object
+    x: np.ndarray
+    Y: np.ndarray
+    S: np.ndarray
+
+    def psi(self, costate: "CostatePath") -> np.ndarray:
+        """psi = Y^-* (c - lam S) of an adjoint path of this pass, one n x n
+        solve per time."""
+        rhs = self.pulled_back(costate)[..., None]
+        return np.linalg.solve(np.swapaxes(self.Y, -1, -2), rhs)[..., 0]
+
+    def pulled_back(self, costate: "CostatePath") -> np.ndarray:
+        """K(t, t0)* psi(t) = Y(t)* psi(t) = c - lam S of an adjoint path of
+        this pass, with no solve."""
+        return costate.c - costate.lam * self.S
+
+
 class TransitionOperator:
     """Propagator samples K(t, tau) of the dynamics linearized along a
     trajectory, together with the running gradient integral S(t), read off
     the augmented pass ``aug`` of an n-dimensional state, integrated to
     ``abs_tol``.  ``trajectory`` is the state path of that pass, on views of
-    its first n columns."""
+    its first n columns; the gradients read S on views of its last n."""
 
     def __init__(self, aug: Trajectory, n: int, abs_tol: float):
         self._aug = aug
         self._n = n
         self._abs_tol = abs_tol
         self.trajectory = aug.columns(0, n)
+        self._s_path = aug.columns(n + n * n, aug.dim)
 
-    def _blocks(self, t):
-        """Y(t) and S(t) from one dense read; an array of times gives a stack
-        of matrices and a stack of rows."""
+    def read(self, t) -> PassRead:
+        """x, Y and S from one dense read of the whole pass; an array of
+        times gives stacks of rows and matrices."""
         n = self._n
         z = self._aug(t)
-        return z[..., n:n + n * n].reshape(z.shape[:-1] + (n, n)), z[..., n + n * n:]
+        Y = z[..., n:n + n * n].reshape(z.shape[:-1] + (n, n))
+        return PassRead(t, z[..., :n], Y, z[..., n + n * n:])
 
     @cached_property
     def _smallest_singular(self) -> np.ndarray:
@@ -106,7 +135,7 @@ class TransitionOperator:
 
     def fundamental(self, t) -> np.ndarray:
         """Y(t) = K(t, t0); an array of times gives a stack of matrices."""
-        return self._blocks(t)[0]
+        return self.read(t).Y
 
     def _require_resolved(self, t: float, what: str, end: str):
         """ValueError opening with ``what`` when Y has lost its relative
@@ -119,25 +148,26 @@ class TransitionOperator:
             raise ValueError(f"{what}: Y(t) lost its relative accuracy on [t0, {end}] "
                              f"(smallest singular value {smallest:.3g})")
 
-    def _resolved_blocks(self, tau: float):
-        """Y(tau) and S(tau), or ValueError naming tau when Y has lost its
+    def _resolved_read(self, tau: float) -> PassRead:
+        """The pass at tau, or ValueError naming tau when Y has lost its
         relative accuracy on [t0, tau]."""
         self._require_resolved(tau, f"K(t, tau) unresolved at tau={tau:g}", "tau")
-        return self._blocks(tau)
+        return self.read(tau)
 
     def evaluate(self, t: float, tau: float) -> np.ndarray:
         """K(t, tau) = Y(t) Y(tau)^-1."""
         if t == tau:
             return np.eye(self._n)
         Yt = self.fundamental(t)
-        Ytau = self._resolved_blocks(tau)[0]
+        Ytau = self._resolved_read(tau).Y
         return np.linalg.solve(Ytau.T, Yt.T).T
 
     def gradient(self, tau: float, T) -> np.ndarray:
-        """Payoff gradient over [tau, T]: Y(tau)^-* (S(T) - S(tau))."""
-        Ytau, Stau = self._resolved_blocks(tau)
-        diff = self._blocks(T)[1] - Stau
-        return np.linalg.solve(Ytau.T, diff.T).T
+        """Payoff gradient over [tau, T]: Y(tau)^-* (S(T) - S(tau)), with the
+        horizons T read from the S columns alone."""
+        at = self._resolved_read(tau)
+        diff = self._s_path(T) - at.S
+        return np.linalg.solve(at.Y.T, diff.T).T
 
 
 def transition_matrix(problem: ControlProblem, control: ControlSignal, t_end: float,
@@ -200,7 +230,9 @@ class CostatePath:
     """Adjoint path psi(.) on [t0, t_end] with its multiplier lam, read off
     the (x, Y, S) pass of ``transition`` by Lemma 1:
     psi(t) = Y(t)^-* (c - lam S(t)) with c = Y(T)* psi(T) + lam S(T), T = t_end.
-    Every read is one dense read of the pass and one n x n solve per time."""
+    :meth:`psi` reads the pass at the times it is given; a check of several
+    paths reads the pass once with :meth:`TransitionOperator.read` and takes
+    every path's rows from that :class:`PassRead`."""
 
     transition: TransitionOperator
     t_end: float
@@ -213,14 +245,7 @@ class CostatePath:
 
     def psi(self, t):
         """psi(t); an array of times gives a stack of rows."""
-        Y, S = self.transition._blocks(t)
-        rhs = (self.c - self.lam * S)[..., None]
-        return np.linalg.solve(np.swapaxes(Y, -1, -2), rhs)[..., 0]
-
-    def pulled_back(self, t):
-        """K(t, t0)* psi(t) = Y(t)* psi(t) = c - lam S(t), with no solve; an
-        array of times gives a stack of rows."""
-        return self.c - self.lam * self.transition._blocks(t)[1]
+        return self.transition.read(t).psi(self)
 
 
 def integrate_adjoint(transition: TransitionOperator, T: float, psi_T,
@@ -244,6 +269,6 @@ def integrate_adjoint(transition: TransitionOperator, T: float, psi_T,
     if psi_T.shape != (trajectory.dim,):
         raise ValueError("terminal costate does not match the state dimension")
     transition._require_resolved(T, "costate unresolved", "T")
-    Y_T, S_T = transition._blocks(T)
-    return CostatePath(transition, T, Y_T.T @ psi_T + lam * S_T, lam)
+    at = transition.read(T)
+    return CostatePath(transition, T, at.Y.T @ psi_T + lam * at.S, lam)
 

@@ -84,20 +84,20 @@ def test_criterion_02_general_condition_estimates(oscillator, u_one, osc_400pi):
     op, t_max = osc_400pi
     ref = OscillatorOracle(0.5)
     records = jx_scan(op, [0.0], dense_horizon_grid(0.0, t_max))
-    woo = check_general(oscillator, op, u_one, records, mode="WOO")
-    oo = check_general(oscillator, op, u_one, records, mode="OO")
+    report = check_general(oscillator, op, u_one, records)
+    (woo, oo), verdicts = report.estimates, report.verdicts
     ugrid = oscillator.control_set.sample_grid(conditions._CONTROL_RESOLUTION)[:, 0]
     worst = 0.0
     for u in (-1.0, -0.5, 0.0, 0.5, 1.0):
         j = int(np.argmin(np.abs(ugrid - u)))
         assert abs(ugrid[j] - u) < 1e-12
-        err_w = abs(woo.estimates[0, j] - ref.woo_bound(u))
-        err_o = abs(oo.estimates[0, j] - ref.oo_bound(u))
+        err_w = abs(woo[0, j] - ref.woo_bound(u))
+        err_o = abs(oo[0, j] - ref.oo_bound(u))
         assert err_w <= 1e-3, (u, err_w)
         assert err_o <= 1e-3, (u, err_o)
         worst = max(worst, err_w, err_o)
-    assert woo.verdict.status is Verdict.HOLDS
-    assert oo.verdict.status is Verdict.FAILS
+    assert verdicts["WOO"].status is Verdict.HOLDS
+    assert verdicts["OO"].status is Verdict.FAILS
     _ok("A02", f"liminf/limsup estimates within {worst:.2e} of closed forms at "
                "T_max = 400*pi (tol 1e-3); weak battery holds, strong battery fails")
 
@@ -161,8 +161,8 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
         _, lc = limit_costate(records[0], check_jx_bounded(records[0]))
 
         surrogate = integrate_adjoint(op, 250.0, np.zeros(problem.state_dim), 1.0)
-        from horizoncheck import check_classical
-        [verdicts] = check_classical(problem, u_one, [surrogate])
+        from horizoncheck import TailSamples, check_classical
+        [verdicts] = check_classical(problem, u_one, TailSamples([surrogate]))
         kav = verdicts["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), \
             (name, params, extra)
@@ -176,7 +176,7 @@ def test_criterion_04_limit_equivalence_matrix(u_one):
             ref = oscillator_reference(0.5)
             psi_T = ref.costate(extra["r"], extra["phi"], 250.0)
         candidate = integrate_adjoint(op, 250.0, psi_T, 1.0)
-        a0_est, dec = decompose_costate(candidate, record_limits(records))
+        [(a0_est, dec)] = decompose_costate(TailSamples([candidate]), record_limits(records))
         if name == "integrator" and params["rho"] > 0:
             assert dec.status is Verdict.HOLDS
             assert a0_est[0] == pytest.approx(extra["a0"], abs=1e-4)

@@ -60,6 +60,38 @@ def test_check_reads_the_gradient_once_per_anchor(example, params, monkeypatch):
     assert anchors == [0.0]
 
 
+def test_check_reads_the_pass_once_per_time_grid(monkeypatch):
+    # three array reads of the (x, Y, S) pass: the horizon grid on the S
+    # columns alone, the max-principle grid, and the tail grid, which serves
+    # every candidate's classical rows and its decomposition
+    reads, passes = [], []
+    call, transition_matrix = ode_engine.Trajectory.__call__, cli.transition_matrix
+
+    def counted(self, t):
+        if np.ndim(t):
+            reads.append((self, np.size(t)))
+        return call(self, t)
+
+    monkeypatch.setattr(ode_engine.Trajectory, "__call__", counted)
+    monkeypatch.setattr(cli, "transition_matrix", lambda *args, **kwargs: passes.append(
+        transition_matrix(*args, **kwargs)) or passes[-1])
+    build_check_report(RunConfig("oscillator", {"b": 0.5}, 100.0))
+    assert [size for _, size in reads] == [5001, 1125, 201]
+    [op], (horizon, _) = passes, reads[0]
+    assert horizon.dim == 2 and np.array_equal(horizon.states, op._aug.states[:, -2:])
+
+
+def test_check_builds_one_hamiltonian_table_per_anchor(monkeypatch):
+    # both general rows judge one table of Hamiltonian differences per
+    # anchor; the max principle makes its own one call for all its times
+    times, jumps = [], conditions.hamiltonian_jumps
+    monkeypatch.setattr(conditions, "hamiltonian_jumps",
+                        lambda *args: times.append(np.size(args[3])) or jumps(*args))
+    report = build_check_report(RunConfig("oscillator", {"b": 0.5}, 100.0))
+    assert times == [1, 201]
+    assert [row[2] for row in report.rows[:2]] == ["prop_general_WOO", "prop_general_OO"]
+
+
 def test_list_examples(capsys):
     assert main(["list-examples"]) == 0
     # --c-max bounds the phase-diagram axis; it is no parameter of the model

@@ -11,6 +11,7 @@ from horizoncheck import (
     ControlSignal,
     IntegratorReference,
     JxRecord,
+    TailSamples,
     Verdict,
     check_classical,
     check_general,
@@ -56,25 +57,26 @@ def test_delta_hamiltonian_oracles(oscillator, osc_traj_30, osc_op_30, u_one,
 
 def test_check_general_oscillator_verdicts(oscillator, osc_op_400, u_one):
     records = jx_scan(osc_op_400, [0.0], dense_horizon_grid(0.0, 400.0))
-    woo = check_general(oscillator, osc_op_400, u_one, records, mode="WOO")
-    oo = check_general(oscillator, osc_op_400, u_one, records, mode="OO")
-    assert woo.verdict.status is Verdict.HOLDS
-    assert oo.verdict.status is Verdict.FAILS
+    report = check_general(oscillator, osc_op_400, u_one, records)
+    assert list(report.verdicts) == ["WOO", "OO"]
+    assert report.verdicts["WOO"].status is Verdict.HOLDS
+    assert report.verdicts["OO"].status is Verdict.FAILS
+    woo, oo = report.estimates
     ref = OscillatorOracle(0.5)
     ugrid = oscillator.control_set.sample_grid(conditions._CONTROL_RESOLUTION)[:, 0]
     for u in (-1.0, 0.0, 0.5):
         j = int(np.argmin(np.abs(ugrid - u)))
-        assert woo.estimates[0, j] == pytest.approx(ref.woo_bound(u), abs=5e-3)
-        assert oo.estimates[0, j] == pytest.approx(ref.oo_bound(u), abs=5e-3)
+        assert woo[0, j] == pytest.approx(ref.woo_bound(u), abs=5e-3)
+        assert oo[0, j] == pytest.approx(ref.oo_bound(u), abs=5e-3)
 
 
 def test_check_general_diagonal_identity(oscillator, osc_op_400, u_one):
     records = jx_scan(osc_op_400, [0.0, 3.0], dense_horizon_grid(0.0, 400.0))
-    report = check_general(oscillator, osc_op_400, u_one, records, mode="WOO")
+    woo = check_general(oscillator, osc_op_400, u_one, records).estimates[0]
     ugrid = oscillator.control_set.sample_grid(conditions._CONTROL_RESOLUTION)[:, 0]
     j_one = int(np.argmin(np.abs(ugrid - 1.0)))
-    assert report.estimates[0, j_one] == 0.0
-    assert report.estimates[1, j_one] == 0.0
+    assert woo[0, j_one] == 0.0
+    assert woo[1, j_one] == 0.0
 
 
 def test_check_general_integrator_both_modes(integrator, integrator_undiscounted,
@@ -82,24 +84,46 @@ def test_check_general_integrator_both_modes(integrator, integrator_undiscounted
     for problem in (integrator, integrator_undiscounted):
         op = transition_matrix(problem, u_one, 400.0, settings=STANDARD)
         records = jx_scan(op, [0.0], dense_horizon_grid(0.0, 400.0))
-        for mode in ("WOO", "OO"):
-            report = check_general(problem, op, u_one, records, mode=mode)
-            assert report.verdict.status is Verdict.HOLDS, (problem.name, mode)
+        report = check_general(problem, op, u_one, records)
+        for mode, verdict in report.verdicts.items():
+            assert verdict.status is Verdict.HOLDS, (problem.name, mode)
 
 
 def test_check_general_refinement_stability(oscillator, osc_op_400, u_one, monkeypatch):
     monkeypatch.setattr(conditions, "_CONTROL_RESOLUTION", 9)
     coarse = check_general(oscillator, osc_op_400, u_one,
-                           jx_scan(osc_op_400, [0.0], np.linspace(0.0, 400.0, 10001)), mode="OO")
+                           jx_scan(osc_op_400, [0.0], np.linspace(0.0, 400.0, 10001)))
     fine = check_general(oscillator, osc_op_400, u_one,
-                         jx_scan(osc_op_400, [0.0], dense_horizon_grid(0.0, 400.0)), mode="OO")
-    assert fine.estimates.shape == (1, 9)
+                         jx_scan(osc_op_400, [0.0], dense_horizon_grid(0.0, 400.0)))
+    assert fine.estimates.shape == (2, 1, 9)
 
     def side(e):  # above +VERDICT_SLACK, within it, or below -VERDICT_SLACK
         return int(e > conditions.VERDICT_SLACK) - int(e < -conditions.VERDICT_SLACK)
 
-    assert [side(e) for e in coarse.estimates.ravel()] == [side(e) for e in fine.estimates.ravel()]
-    assert coarse.verdict.status is fine.verdict.status
+    # the limsup (OO) cells
+    assert [side(e) for e in coarse.estimates[1].ravel()] == [
+        side(e) for e in fine.estimates[1].ravel()]
+    assert coarse.verdicts["OO"].status is fine.verdicts["OO"].status
+
+
+def test_both_general_modes_judge_one_table_per_anchor(oscillator, osc_op_30, u_one,
+                                                       monkeypatch):
+    # one hamiltonian_jumps call per anchor: the WOO cells take the min and
+    # the OO cells the max of its table over the last half of the span
+    records = jx_scan(osc_op_30, [0.0, 3.0], dense_horizon_grid(0.0, 30.0))
+    controls = oscillator.control_set.sample_grid(conditions._CONTROL_RESOLUTION)
+    tables = [hamiltonian_jumps(oscillator, osc_op_30.trajectory(rec.tau), u_one.evaluate(rec.tau),
+                                rec.tau, controls, rec.values, 1.0) for rec in records]
+    anchors, jumps = [], conditions.hamiltonian_jumps
+    monkeypatch.setattr(conditions, "hamiltonian_jumps",
+                        lambda *args: anchors.append(args[3]) or jumps(*args))
+    report = check_general(oscillator, osc_op_30, u_one, records)
+    assert anchors == [0.0, 3.0]
+    assert report.estimates.shape == (2, 2, controls.shape[0])
+    for i, (rec, dH) in enumerate(zip(records, tables)):
+        last = rec.T_grid > rec.tau + 0.5 * float(rec.T_grid[-1] - rec.tau)
+        assert np.array_equal(report.estimates[0, i], dH[last].min(axis=0))
+        assert np.array_equal(report.estimates[1, i], dH[last].max(axis=0))
 
 
 def test_check_jx_bounded_three_regimes(oscillator, integrator,
@@ -131,7 +155,7 @@ def test_classical_conditions_oscillator_battery():
     problem, ref, u_one, op = _oscillator_battery(0.5, t_max)
     keys = [(0.0, 0.0), (0.25, 0.7), (0.5, -math.pi / 2)]
     costates = [integrate_adjoint(op, t_max, ref.costate(r, phi, t_max), 1.0) for r, phi in keys]
-    for key, verdicts in zip(keys, check_classical(problem, u_one, costates)):
+    for key, verdicts in zip(keys, check_classical(problem, u_one, TailSamples(costates))):
         assert verdicts["tcPSI"].status is Verdict.FAILS
         assert verdicts["tcXPSI"].status is Verdict.FAILS
         assert verdicts["tcKAV"].status is Verdict.FAILS
@@ -143,7 +167,7 @@ def test_classical_xpsi_branch_needs_b_at_least_one():
     t_max = 400.0
     problem, ref, u_one, op = _oscillator_battery(1.5, t_max)
     costate = integrate_adjoint(op, t_max, ref.costate(1.0, 0.0, t_max), 1.0)
-    [verdicts] = check_classical(problem, u_one, [costate])
+    [verdicts] = check_classical(problem, u_one, TailSamples([costate]))
     assert verdicts["tcXPSI"].status is Verdict.HOLDS
     assert verdicts["tcPSI"].status is Verdict.FAILS
     assert verdicts["tcKAV"].status is Verdict.FAILS
@@ -245,13 +269,13 @@ def test_classical_conditions_integrator(integrator, int_traj_400, int_op_400,
     t_max = 400.0
     ref = IntegratorReference(0.1)
     costate = integrate_adjoint(int_op_400, t_max, [float(ref.costate(0.0, 1.0, t_max))], 1.0)
-    [verdicts] = check_classical(integrator, u_one, [costate])
+    [verdicts] = check_classical(integrator, u_one, TailSamples([costate]))
     assert all(v.status is Verdict.HOLDS for v in verdicts.values())
 
     op0 = transition_matrix(integrator_undiscounted, u_one, t_max,
                             settings=STANDARD)
     abnormal = integrate_adjoint(op0, t_max, [1.0], 0.0)
-    [verdicts0] = check_classical(integrator_undiscounted, u_one, [abnormal])
+    [verdicts0] = check_classical(integrator_undiscounted, u_one, TailSamples([abnormal]))
     assert all(v.status is Verdict.FAILS for v in verdicts0.values())
 
 
@@ -263,12 +287,12 @@ def test_classical_over_many_costates_matches_lone_calls(oscillator, osc_traj_30
     costates = [integrate_adjoint(osc_op_30, 30.0, ref.costate(r, phi, 30.0), lam)
                 for r, phi, lam in ((0.5, -math.pi / 2, 1.0), (0.3, 0.7, 0.0),
                                     (0.25, 0.7, 1.0), (0.0, 0.0, 1.0))]
-    together = check_classical(oscillator, u_one, costates)
+    together = check_classical(oscillator, u_one, TailSamples(costates))
     # H is constant along each path: r sin(phi) + b = 0 only for the first
     assert [v["tcM"].status for v in together] == [Verdict.HOLDS, Verdict.FAILS,
                                                    Verdict.FAILS, Verdict.FAILS]
     for costate, verdicts in zip(costates, together):
-        [alone] = check_classical(oscillator, u_one, [costate])
+        [alone] = check_classical(oscillator, u_one, TailSamples([costate]))
         assert list(verdicts) == list(alone) == ["tcPSI", "tcXPSI", "tcM", "tcKAV"]
         for cond_id, verdict in verdicts.items():
             assert verdict.status is alone[cond_id].status, cond_id
@@ -279,7 +303,7 @@ def test_classical_over_many_costates_matches_lone_calls(oscillator, osc_traj_30
                                                             alone[cond_id].note), cond_id
     # the stacked Hamiltonian rows against lone rows on both tail windows
     lams = np.array([c.lam for c in costates])
-    for t in np.concatenate(conditions._tail_grid(0.0, 30.0)).tolist():
+    for t in TailSamples(costates).read.t.tolist():
         x, u = osc_op_30.trajectory(t), u_one.evaluate(t)
         rows = np.array([c.psi(t) for c in costates])
         lone = [hamiltonian(oscillator, x, u, t, row, lam) for row, lam in zip(rows, lams)]
@@ -298,11 +322,11 @@ def test_classical_raises_on_a_non_finite_hamiltonian_in_the_tail(u_one):
     op = transition_matrix(problem, u_one, 30.0, settings=STANDARD)
     costates = [integrate_adjoint(op, 30.0, [0.0], 1.0), integrate_adjoint(op, 30.0, [1.0], 0.0)]
     with pytest.raises(ValueError, match="non-finite Hamiltonian"):
-        check_classical(problem, u_one, costates)
+        check_classical(problem, u_one, TailSamples(costates))
     # paths of two spans share no tail grid
     short = integrate_adjoint(op, 25.0, [0.0], 1.0)
     with pytest.raises(ValueError, match="share one span"):
-        check_classical(problem, u_one, [costates[0], short])
+        TailSamples([costates[0], short])
 
 
 def test_costate_checks_refuse_paths_of_two_passes(integrator, u_one):
@@ -312,11 +336,11 @@ def test_costate_checks_refuse_paths_of_two_passes(integrator, u_one):
               for settings in (STANDARD, TIGHT)]
     costates = [integrate_adjoint(op, 30.0, [1.0], 0.0) for op in passes]
     with pytest.raises(ValueError, match="share one span"):
-        check_classical(integrator, u_one, costates)
+        TailSamples(costates)
     with pytest.raises(ValueError, match="share one span"):
         check_max_principle(integrator, u_one, costates, time_grid=[0.0, 15.0, 30.0])
     # one pass alone is judged
-    assert len(check_classical(integrator, u_one, costates[:1])) == 1
+    assert len(check_classical(integrator, u_one, TailSamples(costates[:1]))) == 1
     assert len(check_max_principle(integrator, u_one, costates[1:], time_grid=[0.0])) == 1
 
 
@@ -385,13 +409,13 @@ def test_decompose_costate_integrator(integrator, int_traj_400, int_op_400, u_on
     records = jx_scan(int_op_400, [0.0, 5.0], dense_horizon_grid(0.0, 400.0))
     ref = IntegratorReference(0.1)
     cp = integrate_adjoint(int_op_400, 400.0, [float(ref.costate(0.7, 1.0, 400.0))], 1.0)
-    a0, verdict = decompose_costate(cp, record_limits(records))
+    [(a0, verdict)] = decompose_costate(TailSamples([cp]), record_limits(records))
     assert verdict.status is Verdict.HOLDS
     assert a0[0] == pytest.approx(0.7, abs=1e-6)
     assert verdict.estimate <= 1e-4
 
     homon = integrate_adjoint(int_op_400, 400.0, [0.7], 0.0)
-    a0h, verdicth = decompose_costate(homon, record_limits(records))
+    [(a0h, verdicth)] = decompose_costate(TailSamples([homon]), record_limits(records))
     assert verdicth.status is Verdict.HOLDS
     assert a0h[0] == pytest.approx(0.7, abs=1e-9)
     assert verdicth.estimate <= 1e-6
@@ -403,7 +427,7 @@ def test_decompose_costate_oscillator_never_settles(oscillator, osc_traj_400,
     records = jx_scan(osc_op_400, [0.0], dense_horizon_grid(0.0, 400.0))
     for r in (0.0, 0.3):
         cp = integrate_adjoint(osc_op_400, 400.0, ref.costate(r, 0.0, 400.0), 1.0)
-        a0, verdict = decompose_costate(cp, record_limits(records))
+        [(a0, verdict)] = decompose_costate(TailSamples([cp]), record_limits(records))
         assert a0 is None and math.isnan(verdict.estimate)
         assert verdict.status is Verdict.FAILS
 
@@ -417,7 +441,7 @@ def test_corollary_equivalence_limit_vs_kav(integrator, integrator_undiscounted,
         rec = jx_scan(op, [0.0], dense_horizon_grid(0.0, 250.0))[0]
         _, lc = limit_costate(rec, check_jx_bounded(rec))
         surrogate = integrate_adjoint(op, 250.0, np.zeros(problem.state_dim), 1.0)
-        [verdicts] = check_classical(problem, u_one, [surrogate])
+        [verdicts] = check_classical(problem, u_one, TailSamples([surrogate]))
         kav = verdicts["tcKAV"]
         assert (lc.status is Verdict.HOLDS) == (kav.status is Verdict.HOLDS), problem.name
 

@@ -295,6 +295,38 @@ def test_stacked_signal_joins_the_members_on_the_union_of_their_switches():
         ControlSignal.stacked([first, closed.with_needle(1.0, 0.5, [0.0])])
 
 
+def test_grid_lookup_equals_the_scalar_lookup():
+    # one searchsorted over the switching times gives every time the piece
+    # that evaluate gives it, at switching times and needle ends too; a
+    # closed-form piece is called at its own times only, one scalar at a time
+    calls = []
+
+    def closed(t):
+        calls.append(t)
+        return np.array([math.sin(t), -t])  # math.sin takes no arrays
+
+    base = ControlSignal([1.0, 2.5, 4.0], [np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+                                           closed, np.array([-1.0, 0.5])], 2)
+    needled = base.with_needle(3.0, 0.3, [2.0, -2.0]).with_needle(1.0, 0.5, [3.0, 3.0])
+    times = np.concatenate([[-1.0, 0.5, 1.0, 2.5, 2.7, 3.0, 4.0, 9.0],
+                            [np.nextafter(t, d) for t in (1.0, 2.5, 2.7, 3.0, 4.0)
+                             for d in (-np.inf, np.inf)],
+                            np.linspace(-1.0, 6.0, 57)])
+    closed_reads = []
+    for signal in (base, needled, ControlSignal.constant([0.25]),
+                   ControlSignal.piecewise_constant([1.0, 2.5], [[0.0], [5.0], [1.0]])):
+        calls.clear()
+        loop = np.array([signal.evaluate(t) for t in times.tolist()])
+        loop_calls = calls[:]
+        calls.clear()
+        grid = signal.evaluate_grid(times)
+        assert grid.shape == (times.size, signal.dim) and np.array_equal(grid, loop)
+        # the needle splits the closed form's interval in two, each read apart
+        assert sorted(calls) == sorted(loop_calls)
+        closed_reads.append(len(calls))
+    assert closed_reads[0] > closed_reads[1] > 10 and closed_reads[2:] == [0, 0]
+
+
 def test_column_block_is_a_view_without_the_exit_event():
     box = Box.from_bounds([-np.inf, -np.inf, -np.inf], [np.inf, 1.0, np.inf])
     traj = integrate(lambda t, y: np.array([1.0, 0.5, -y[2]]), 0.0, [0.0, 0.0, 1.0], 5.0,

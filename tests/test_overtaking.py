@@ -10,6 +10,7 @@ from horizoncheck import (
     ControlSet,
     ControlSignal,
     NonExtendibleError,
+    Trajectory,
     empirical_overtaking_test,
     make_builtin_problem,
     needle_limit_check,
@@ -196,6 +197,24 @@ def test_overtaking_reuses_candidate_path(oscillator, u_one, payoff_solves):
                                        sample_spacing=0.02)
     assert longer.verdict == report.verdict
     assert longer.max_gap == pytest.approx(report.max_gap, abs=1e-9)
+
+
+def test_overtaking_reads_the_payoff_columns_alone(oscillator, u_one, monkeypatch):
+    # the test and its gap_fn read column n of each path through a one-column
+    # view, which gives the full read's payoff column bit for bit
+    delayed = ControlSignal.piecewise_constant([math.pi], [[0.0], [1.0]])
+    candidate, challenger = payoff_value(oscillator, [u_one, delayed], 30.0)
+    widths, call = [], Trajectory.__call__
+    monkeypatch.setattr(Trajectory, "__call__",
+                        lambda self, t: widths.append(self.dim) or call(self, t))
+    report = empirical_overtaking_test(oscillator, candidate, challenger, eps=1e-6,
+                                       T_max=30.0, sample_spacing=0.02)
+    grid = np.linspace(0.0, 30.0, 777)
+    gaps, gap = report.gap_fn(grid), report.gap_fn(7.5)
+    assert widths == [1] * 6
+    monkeypatch.undo()
+    assert np.array_equal(gaps, challenger(grid)[:, 2] - candidate(grid)[:, 2])
+    assert gap == challenger(7.5)[2] - candidate(7.5)[2]
 
 
 def test_overtaking_rejects_short_candidate_path(oscillator, u_one):

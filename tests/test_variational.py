@@ -12,6 +12,7 @@ from horizoncheck import (
     IntegrationError,
     IntegratorReference,
     IntegratorSettings,
+    TailSamples,
     Trajectory,
     check_jx_bounded,
     dense_horizon_grid,
@@ -19,6 +20,7 @@ from horizoncheck import (
     integrate_adjoint,
     jx_scan,
     limit_costate,
+    make_builtin_problem,
     needle_limit_check,
     oscillator_reference,
     payoff_value,
@@ -316,10 +318,59 @@ def test_pulled_back_costate_equals_the_fundamental_product(osc_op_400, int_op_4
     # K(t, t0)* psi(t) = Y(t)* psi(t) = c - lam S(t), read with no solve
     for op, psi_T in ((osc_op_400, [0.3, -1.2]), (int_op_400, [2.5])):
         ts = np.linspace(0.0, 400.0, 1001)
+        read = op.read(ts)
         for lam in (1.0, 0.0):
             costate = integrate_adjoint(op, 400.0, psi_T, lam)
             product = np.einsum("ikj,ik->ij", op.fundamental(ts), costate.psi(ts))
-            assert np.max(np.abs(costate.pulled_back(ts) - product)) <= 1e-12
+            assert np.max(np.abs(read.pulled_back(costate) - product)) <= 1e-12
+
+
+def _check_passes():
+    """(op, costates) of the ``check`` report at t_max 100: the (x, Y, S)
+    pass under u = 1 and its adjoint candidates, on the oscillator with b 0.5
+    and 1.5 and on the integrator with rho 0.1."""
+    u_one, t_max = ControlSignal.constant([1.0]), 100.0
+    cases = []
+    for b in (0.5, 1.5):
+        ref = oscillator_reference(b)
+        keys = [(0.0, 0.0), (b / 2, 0.7), (b, -math.pi / 2), *([(1.0, 0.0)] if b >= 1 else [])]
+        cases.append((make_builtin_problem("oscillator", {"b": b}),
+                      [(ref.costate(r, phi, t_max), 1.0) for r, phi in keys]))
+    ref = IntegratorReference(0.1)
+    cases.append((make_builtin_problem("integrator", {"rho": 0.1}),
+                  [(ref.costate(a0, lam, t_max), lam) for a0, lam in ((0.0, 1.0), (1.0, 0.0))]))
+    for problem, candidates in cases:
+        op = transition_matrix(problem, u_one, t_max, settings=STANDARD)
+        yield op, [integrate_adjoint(op, t_max, np.atleast_1d(psi_T), lam)
+                   for psi_T, lam in candidates]
+
+
+def test_one_read_gives_every_path_the_rows_of_its_own_reads():
+    # the tail read of check serves every candidate: its psi rows equal each
+    # path's own reads, on the array and the scalar route, and its
+    # K(t, t0)* psi rows equal c - lam S(t) of a scalar read, bit for bit
+    for op, costates in _check_passes():
+        samples = TailSamples(costates)
+        times = samples.read.t
+        assert times.size == 1125 and samples.split == 125
+        for costate in costates:
+            psi = samples.read.psi(costate)
+            assert np.array_equal(psi, costate.psi(times))
+            assert np.array_equal(psi[::8], [costate.psi(t) for t in times[::8].tolist()])
+            assert np.array_equal(samples.read.pulled_back(costate),
+                                  [costate.c - costate.lam * op.read(t).S
+                                   for t in times.tolist()])
+
+
+def test_gradient_from_the_s_columns_equals_the_full_read():
+    for op, _ in _check_passes():
+        for tau in (0.0, 3.0, 62.5):
+            Ts = np.concatenate([[tau], dense_horizon_grid(tau, 100.0)[1:]])
+            at, full = op.read(tau), op.read(Ts)
+            assert np.array_equal(op.gradient(tau, Ts),
+                                  np.linalg.solve(at.Y.T, (full.S - at.S).T).T)
+            assert np.array_equal(op.gradient(tau, 80.0),
+                                  np.linalg.solve(at.Y.T, op.read(80.0).S - at.S))
 
 
 def _decaying_problem(a):
